@@ -198,9 +198,9 @@ def instruction_from_json(doc: Mapping) -> Instruction:
 def _xor_register(state: PureState, reg: str, value: int) -> PureState:
     if value == 0:
         return state
-    indices = np.arange(state.layout.dimension)
-    partner = indices ^ (value << state.layout.offset(reg))
-    return state.with_amplitudes(state.amplitudes[partner])
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    partner = np.arange(block.shape[1]) ^ value
+    return state.with_amplitudes(block[:, partner, :].reshape(-1))
 
 
 def apply_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:

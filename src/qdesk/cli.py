@@ -132,7 +132,7 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
         "discipline": args.discipline,
         "seed": seed,
         "distribution": [float(p) for p in distribution],
-        "success_probability_exact": shor.single_run_success_probability(inst),
+        "success_probability_exact": shor.single_run_success_probability(inst, distribution),
         "trials": args.trials,
         "success_rate_empirical": None,
     }

@@ -1,10 +1,13 @@
 """Unitaries applied register-wise: Hadamard layers, Fourier transforms,
 XOR table oracles, and the inversion-about-mean step.
 
-Oracles are basis-index permutations of the amplitude vector, never dense
-matrices: cost O(2^total) per application instead of O(4^total).  The
-Fourier transform ships in two interchangeable forms, a dense matrix (the
-reference) and an FFT fast path, which must agree within 1e-10.
+Every register-wise operation works on the ``(left, d, right)`` view of
+the amplitude vector (``RegisterLayout.axis_shape``).  Oracles are
+basis-index permutations of the amplitude vector, never dense matrices:
+cost O(2^total) per application instead of O(4^total).  The Fourier
+transform runs as an FFT along the register axis by default; the dense
+matrix form (``method="dense"``, ``fourier_matrix``) is kept only as the
+oracle that tests and the self-test compare the FFT against, within 1e-10.
 """
 
 from __future__ import annotations
@@ -105,21 +108,6 @@ def modexp_table(base: int, modulus: int, input_bits: int) -> FunctionTable:
     return FunctionTable(input_bits, output_bits, tuple(values))
 
 
-def _as_register_axis(state: PureState, reg: str) -> tuple[np.ndarray, int, int, int]:
-    """Reshape the amplitude vector to (left, register_dim, right)."""
-    layout = state.layout
-    d = layout.dim(reg)
-    right = 1 << layout.offset(reg)
-    left = layout.dimension // (d * right)
-    return state.amplitudes.reshape(left, d, right), left, d, right
-
-
-def _apply_register_matrix(state: PureState, reg: str, matrix: np.ndarray) -> PureState:
-    block, *_ = _as_register_axis(state, reg)
-    out = np.einsum("cd,ldr->lcr", matrix, block)
-    return state.with_amplitudes(out.reshape(-1))
-
-
 _HADAMARD_1Q = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
 
@@ -147,20 +135,33 @@ def fourier_matrix(qubits: int, inverse: bool = False) -> np.ndarray:
     return m
 
 
-def qft(state: PureState, reg: str, inverse: bool = False, method: str = "dense") -> PureState:
+def fourier_axis(amplitudes: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+    """The register Fourier transform along one axis of an amplitude array.
+
+    Orthonormal FFT with the sign of ``fourier_matrix``: forward is
+    exp(+2*pi*i*c*x/D), so it runs as numpy's inverse FFT.  Every other axis
+    is a batch axis.
+    """
+    transform = np.fft.fft if inverse else np.fft.ifft
+    return transform(amplitudes, axis=axis, norm="ortho")
+
+
+def qft(state: PureState, reg: str, inverse: bool = False, method: str = "fast") -> PureState:
     """Digital Fourier transform of one register.
 
-    ``method="dense"`` multiplies by the reference matrix; ``method="fast"``
-    runs the FFT butterfly along the register axis.  The dense form is the
-    correctness oracle for the fast one.
+    The default ``method="fast"`` runs the FFT along the register axis,
+    O(D log d) for a d-dimensional register in a D-dimensional state.
+    ``method="dense"`` multiplies by the reference matrix, O(D d); it is the
+    correctness oracle for the FFT and no production route uses it.
     """
-    if method == "dense":
-        return _apply_register_matrix(state, reg, fourier_matrix(state.layout.qubits(reg), inverse))
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
     if method == "fast":
-        block, *_ = _as_register_axis(state, reg)
-        transform = np.fft.fft if inverse else np.fft.ifft
-        return state.with_amplitudes(transform(block, axis=1, norm="ortho").reshape(-1))
-    raise ValueError(f"unknown qft method {method!r}")
+        out = fourier_axis(block, 1, inverse)
+    elif method == "dense":
+        out = np.einsum("cd,ldr->lcr", fourier_matrix(state.layout.qubits(reg), inverse), block)
+    else:
+        raise ValueError(f"unknown qft method {method!r}")
+    return state.with_amplitudes(out.reshape(-1))
 
 
 def _field(layout: RegisterLayout, reg: str, indices: np.ndarray) -> np.ndarray:
@@ -207,7 +208,7 @@ def oracle_moded(
 
 def grover_diffusion(state: PureState, reg: str) -> PureState:
     """Inversion about the mean on one register: 2|u><u| - I."""
-    block, *_ = _as_register_axis(state, reg)
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
     out = 2.0 * block.mean(axis=1, keepdims=True) - block
     return state.with_amplitudes(out.reshape(-1))
 

@@ -114,18 +114,15 @@ class MeasurementRecord:
         return doc
 
 
-def _register_marginal(amplitudes: np.ndarray, layout: RegisterLayout, reg: str) -> np.ndarray:
-    """Sum |amplitude|^2 over everything except one register's value."""
-    d = layout.dim(reg)
-    right = 1 << layout.offset(reg)
-    left = layout.dimension // (d * right)
-    weights = np.abs(amplitudes.reshape(left, d, right)) ** 2
-    return weights.sum(axis=(0, 2))
+def _register_marginal(block: np.ndarray) -> np.ndarray:
+    """Sum |amplitude|^2 of a ``(left, d, right)`` view over all but the register axis."""
+    return (np.abs(block) ** 2).sum(axis=(0, 2))
 
 
 def outcome_distribution(state: PureState, reg: str) -> OutcomeDistribution:
     """Exact measurement statistics for one register."""
-    return OutcomeDistribution(reg, _register_marginal(state.amplitudes, state.layout, reg))
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    return OutcomeDistribution(reg, _register_marginal(block))
 
 
 def joint_outcome_distribution(state: PureState, regs: Sequence[str]) -> dict[tuple[int, ...], float]:
@@ -155,19 +152,18 @@ def joint_outcome_distribution(state: PureState, regs: Sequence[str]) -> dict[tu
 
 def project(state: PureState, p: ProjectionOperator) -> PureState:
     """Keep only amplitudes with ``reg == outcome`` and renormalize (Born filter)."""
-    layout = state.layout
-    d = layout.dim(p.reg)
-    if not 0 <= p.outcome < d:
+    block = state.amplitudes.reshape(state.layout.axis_shape(p.reg))
+    if not 0 <= p.outcome < block.shape[1]:
         raise ValueError(f"outcome {p.outcome} out of range for register {p.reg!r}")
-    indices = np.arange(layout.dimension)
-    mask = ((indices >> layout.offset(p.reg)) & (d - 1)) == p.outcome
-    kept = np.where(mask, state.amplitudes, 0.0)
+    kept = block[:, p.outcome, :]
     weight = float(np.vdot(kept, kept).real)
     if weight < PROB_EPS:
         raise DegenerateStateError(
             f"projection on {p.reg}={p.outcome} has zero probability"
         )
-    return state.with_amplitudes(kept / np.sqrt(weight))
+    out = np.zeros_like(block)
+    out[:, p.outcome, :] = kept / np.sqrt(weight)
+    return state.with_amplitudes(out.reshape(-1))
 
 
 def born_sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:
@@ -185,11 +181,14 @@ def measure_register(
     return outcome, project(state, ProjectionOperator(reg, outcome))
 
 
-def _axis_shape(layout: RegisterLayout) -> list[int]:
+def _register_dims(layout: RegisterLayout) -> list[int]:
     return [layout.dim(name) for name in layout.names]
 
 
-def _keep_axes(layout: RegisterLayout, keep: Iterable[str]) -> list[int]:
+def _keep_axes(layout: RegisterLayout, keep: Iterable[str] | None) -> list[int]:
+    """Layout positions of the kept registers; ``None`` keeps them all."""
+    if keep is None:
+        return list(range(len(layout.names)))
     keep_set = set(keep)
     for reg in keep_set:
         layout.qubits(reg)
@@ -198,29 +197,28 @@ def _keep_axes(layout: RegisterLayout, keep: Iterable[str]) -> list[int]:
     return [i for i, name in enumerate(layout.names) if name in keep_set]
 
 
+def _kept_rows(amplitudes: np.ndarray, layout: RegisterLayout, keep_axes: list[int]) -> np.ndarray:
+    """Arrange amplitude vectors as a (kept dimension, rest) matrix.
+
+    ``amplitudes`` is one vector or a stack of them along leading axes; the
+    stack axes join the traced registers as columns, so ``rows @ rows^H`` is
+    the sum of the vectors' reduced outer products over the kept registers.
+    """
+    shape = _register_dims(layout)
+    stack = amplitudes.shape[:-1]
+    tensor = amplitudes.reshape(stack + tuple(shape))
+    kept = [len(stack) + i for i in keep_axes]
+    rest = [i for i in range(tensor.ndim) if i not in kept]
+    kept_dim = int(np.prod([shape[i] for i in keep_axes]))
+    return tensor.transpose(kept + rest).reshape(kept_dim, -1)
+
+
 def partial_trace(state: PureState, keep: Iterable[str]) -> DensityMatrix:
     """Reduced density matrix over the kept registers (in layout order)."""
     layout = state.layout
     keep_axes = _keep_axes(layout, keep)
-    traced_axes = [i for i in range(len(layout.names)) if i not in keep_axes]
-    tensor = state.amplitudes.reshape(_axis_shape(layout))
-    moved = tensor.transpose(keep_axes + traced_axes)
-    kept_dim = int(np.prod([layout.dim(layout.names[i]) for i in keep_axes]))
-    flat = moved.reshape(kept_dim, -1)
-    rho = flat @ flat.conj().T
-    return DensityMatrix(rho, tuple(layout.names[i] for i in keep_axes))
-
-
-def _reduce_density(matrix: np.ndarray, layout: RegisterLayout, keep: Iterable[str]) -> DensityMatrix:
-    """Partial-trace a full-layout density matrix down to the kept registers."""
-    keep_axes = _keep_axes(layout, keep)
-    n_regs = len(layout.names)
-    shape = _axis_shape(layout)
-    tensor = matrix.reshape(shape + shape)
-    for axis in sorted((i for i in range(n_regs) if i not in keep_axes), reverse=True):
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)
-    kept_dim = int(np.prod([shape[i] for i in keep_axes]))
-    return DensityMatrix(tensor.reshape(kept_dim, kept_dim), tuple(layout.names[i] for i in keep_axes))
+    rows = _kept_rows(state.amplitudes, layout, keep_axes)
+    return DensityMatrix(rows @ rows.conj().T, tuple(layout.names[i] for i in keep_axes))
 
 
 @dataclass(frozen=True)
@@ -267,15 +265,14 @@ class PhasedMixture:
 
 def phased_mixture_from_state(state: PureState, traced_reg: str) -> PhasedMixture:
     """Group a state's components by the traced register's value, one phase slot each."""
-    layout = state.layout
-    dist = outcome_distribution(state, traced_reg)
-    indices = np.arange(layout.dimension)
-    fields = (indices >> layout.offset(traced_reg)) & (layout.dim(traced_reg) - 1)
-    slots, values = [], []
-    for v in dist.support():
-        slots.append(np.where(fields == v, state.amplitudes, 0.0))
-        values.append(v)
-    return PhasedMixture(layout, tuple(slots), tuple(values), traced_reg)
+    block = state.amplitudes.reshape(state.layout.axis_shape(traced_reg))
+    values = OutcomeDistribution(traced_reg, _register_marginal(block)).support()
+    slots = []
+    for v in values:
+        slot = np.zeros_like(block)
+        slot[:, v, :] = block[:, v, :]
+        slots.append(slot.reshape(-1))
+    return PhasedMixture(state.layout, tuple(slots), tuple(values), traced_reg)
 
 
 def sample_phases(m: PhasedMixture, rng: np.random.Generator) -> PureState:
@@ -293,29 +290,29 @@ def average_density(
 
     Straight averaging intentionally; the exact counterpart is
     ``analytic_average_density``, against which this converges at the
-    usual 1/sqrt(samples) rate.
+    usual 1/sqrt(samples) rate.  With ``keep``, each batch of sampled
+    states is reduced to the kept registers before it is accumulated, so
+    the full-layout matrix is never formed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    layout = m.layout
+    keep_axes = _keep_axes(layout, keep)
     slot_matrix = np.stack(m.slots)  # (H, dim)
-    dim = m.layout.dimension
-    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho = 0.0
     done = 0
     batch = 2048
     while done < samples:
         count = min(batch, samples - done)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, m.slot_count))
-        batch_states = np.exp(1j * phases) @ slot_matrix  # (count, dim)
-        rho += batch_states.T @ batch_states.conj()
+        rows = _kept_rows(np.exp(1j * phases) @ slot_matrix, layout, keep_axes)
+        rho = rho + rows @ rows.conj().T
         done += count
     rho /= samples
     # Tame sampling noise that would trip the strict constructor checks.
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    full = DensityMatrix(rho, m.layout.names)
-    if keep is None:
-        return full
-    return _reduce_density(full.matrix, m.layout, keep)
+    return DensityMatrix(rho, tuple(layout.names[i] for i in keep_axes))
 
 
 def analytic_average_density(
@@ -329,21 +326,18 @@ def analytic_average_density(
     zero, leaving the block sum of the slots' outer products.  Passing
     ``phase_groups`` forces the slots inside one group to share a single
     phase variable, so their mutual cross terms survive; groups must
-    partition the slot indices.
+    partition the slot indices.  With ``keep``, each group's vector is
+    reduced to the kept registers directly, so the full-layout matrix is
+    never formed and only the kept registers count against the density cap.
     """
     if phase_groups is None:
         phase_groups = [[h] for h in range(m.slot_count)]
     seen = sorted(h for group in phase_groups for h in group)
     if seen != list(range(m.slot_count)):
         raise ValueError("phase_groups must partition the slot indices")
-    dim = m.layout.dimension
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for group in phase_groups:
-        v = np.zeros(dim, dtype=np.complex128)
-        for h in group:
-            v += m.slots[h]
-        rho += np.outer(v, v.conj())
-    full = DensityMatrix(rho, m.layout.names)
-    if keep is None:
-        return full
-    return _reduce_density(full.matrix, m.layout, keep)
+    layout = m.layout
+    keep_axes = _keep_axes(layout, keep)
+    zero = np.zeros(layout.dimension, dtype=np.complex128)
+    groups = np.stack([sum((m.slots[h] for h in group), zero) for group in phase_groups])
+    rows = _kept_rows(groups, layout, keep_axes)
+    return DensityMatrix(rows @ rows.conj().T, tuple(layout.names[i] for i in keep_axes))

@@ -73,6 +73,17 @@ class RegisterLayout:
             off += q
         raise UnknownRegisterError(reg)
 
+    def axis_shape(self, reg: str) -> tuple[int, int, int]:
+        """Shape ``(left, d, right)`` that puts one register on the middle axis.
+
+        Reshaping an amplitude vector to it is a view: ``left`` runs over the
+        more significant registers, ``right`` over the less significant ones.
+        Every register-wise gate and measurement works on this view.
+        """
+        d = self.dim(reg)
+        right = 1 << self.offset(reg)
+        return self.dimension // (d * right), d, right
+
     def encode(self, assignments: Mapping[str, int]) -> int:
         """Pack per-register values into a basis index; omitted registers are 0."""
         for reg in assignments:

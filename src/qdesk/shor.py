@@ -26,11 +26,11 @@ import numpy as np
 
 from .circuit_ir import CircuitProgram, GateOp, Measure, Prepare
 from .errors import ShapeMismatchError
-from .gates import FunctionTable, modexp_table, oracle_xor, hadamard_all, qft
+from .gates import FunctionTable, fourier_axis, modexp_table, oracle_xor, hadamard_all, qft
 from .measure import (
+    PROB_EPS,
     MeasurementRecord,
     ProjectionOperator,
-    _register_marginal,
     born_sample,
     outcome_distribution,
     phased_mixture_from_state,
@@ -182,36 +182,49 @@ def run_pipeline(
 def exact_outcome_distribution(inst: PeriodFindingInstance, discipline: str) -> np.ndarray:
     """Exact final [X] distribution, computed along the discipline's own route.
 
-    skip-F transforms the full pure state; measure-F-at-t2 enumerates the F
-    branches with their Born weights; annihilate-F takes the closed-form
-    phase average of the mixture (cross terms vanish slot by slot).
+    Every route works on the ``(X, F)`` block of ``state_after_oracle`` and
+    Fourier-transforms along X with the FFT; no branch is projected or
+    copied as a full state.
+
+    * skip-F: the X marginal of the transformed full state.
+    * measure-F-at-t2: the Born-weighted sum over the F support columns;
+      each column is normalised to its post-measurement branch and all of
+      them go through one batched FFT.
+    * annihilate-F: the sum of |FFT|^2 over the slot columns of the phase
+      mixture (cross-slot terms average to zero).
     """
+    if discipline not in DISCIPLINES:
+        raise ValueError(f"discipline must be one of {DISCIPLINES}, got {discipline!r}")
     state = state_after_oracle(inst)
-    layout = inst.layout
     if discipline == "skip-F":
         return outcome_distribution(qft(state, "X"), "X").probabilities.copy()
+    # X is the most significant register, so the view is (1, X, F).
+    xf = state.amplitudes.reshape(inst.layout.axis_shape("X"))[0]
+    f_probs = (np.abs(xf) ** 2).sum(axis=0)
+    support = np.nonzero(f_probs > PROB_EPS)[0]
+    columns = xf[:, support]
     if discipline == "measure-F-at-t2":
-        f_dist = outcome_distribution(state, "F")
-        total = np.zeros(inst.dimension)
-        for v in f_dist.support():
-            post = project(state, ProjectionOperator("F", v))
-            branch = outcome_distribution(qft(post, "X"), "X").probabilities
-            total += float(f_dist.probabilities[v]) * branch
-        return total
-    if discipline == "annihilate-F":
-        mixture = phased_mixture_from_state(state, "F")
-        total = np.zeros(inst.dimension)
-        for slot in mixture.slots:
-            evolved = qft(PureState(layout, slot), "X")
-            total += _register_marginal(evolved.amplitudes, layout, "X")
-        return total
-    raise ValueError(f"discipline must be one of {DISCIPLINES}, got {discipline!r}")
+        weights = f_probs[support]
+        branches = np.abs(fourier_axis(columns / np.sqrt(weights), 0)) ** 2
+        return branches @ weights
+    return (np.abs(fourier_axis(columns, 0)) ** 2).sum(axis=1)
 
 
-def single_run_success_probability(inst: PeriodFindingInstance) -> float:
+def single_run_success_probability(
+    inst: PeriodFindingInstance, distribution: np.ndarray | None = None
+) -> float:
     """Probability that one run's extracted period equals the true period,
-    summed over the exact outcome distribution."""
-    probs = exact_outcome_distribution(inst, "skip-F")
+    summed over the exact outcome distribution.
+
+    Pass ``distribution`` to reuse an exact [X] distribution already
+    computed under any discipline (they all agree); by default the skip-F
+    one is computed here.
+    """
+    probs = exact_outcome_distribution(inst, "skip-F") if distribution is None else distribution
+    if np.shape(probs) != (inst.dimension,):
+        raise ShapeMismatchError(
+            f"distribution has shape {np.shape(probs)}, expected ({inst.dimension},)"
+        )
     total = 0.0
     for outcome, p in enumerate(probs):
         if p > 0.0 and extract_period(outcome, inst.dimension) == inst.period:

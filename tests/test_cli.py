@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from qdesk import gates
 from qdesk.cli import main
 from qdesk.qstate import PureState
+from qdesk.shor import DISCIPLINES
 
 
 def run_cli(capsys, argv):
@@ -209,3 +211,20 @@ class TestCliContract:
         code, out, _ = run_cli(capsys, [command, "--selftest"])
         assert code == 0
         assert "FAIL" not in out
+
+
+class TestHotRoutes:
+    def test_no_report_builds_the_dense_fourier_matrix(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Fourier matrix built outside the test oracle")
+
+        monkeypatch.setattr(gates, "fourier_matrix", refuse)
+        shor_argv = ["shor", "--n", "4", "--r", "3", "--trials", "5", "--json"]
+        for discipline in DISCIPLINES:
+            code, _, err = run_cli(capsys, shor_argv + ["--discipline", discipline])
+            assert code == 0, err
+        dump = ["--dump-state", str(tmp_path / "state.json")]
+        code, _, err = run_cli(capsys, shor_argv + ["--discipline", "annihilate-F"] + dump)
+        assert code == 0, err
+        code, _, err = run_cli(capsys, ["defer-check", "--fig1", "--n", "3", "--r", "2", "--json"])
+        assert code == 0, err

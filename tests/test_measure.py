@@ -278,6 +278,25 @@ class TestPhaseAveraging:
             averaged = analytic_average_density(mixture, keep=["X"])
             assert averaged.frobenius_distance(partial_trace(state, ["X"])) < 1e-10
 
+    def test_reduced_analytic_average_past_the_full_density_cap(self):
+        # The full X,F density at n=6 is 4096 x 4096, over the dense cap;
+        # the kept X register needs only 64 x 64.
+        state = state_after_oracle(build_periodic(6, 4))
+        mixture = phased_mixture_from_state(state, "F")
+        averaged = analytic_average_density(mixture, keep=["X"])
+        assert averaged.dimension == 64
+        assert np.abs(averaged.matrix - partial_trace(state, ["X"]).matrix).max() < 1e-12
+
+    @pytest.mark.parametrize("n, r, samples", [(2, 2, 2050), (6, 4, 3)])
+    def test_reduced_monte_carlo_average_matches_per_sample_traces(self, n, r, samples):
+        # 2050 samples cross a batch boundary; n=6 is past the full density cap.
+        state = state_after_oracle(build_periodic(n, r))
+        mixture = phased_mixture_from_state(state, "F")
+        got = average_density(mixture, samples, np.random.default_rng(5), keep=["X"])
+        phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(samples, mixture.slot_count))
+        expected = sum(partial_trace(mixture.flatten(p), ["X"]).matrix for p in phases) / samples
+        assert np.abs(got.matrix - expected).max() < 1e-12
+
     def test_phase_groups_must_partition(self, parity_state):
         mixture = phased_mixture_from_state(parity_state, "F")
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdesk import (
+    ShapeMismatchError,
     build_modexp,
     build_periodic,
     exact_outcome_distribution,
@@ -176,6 +177,18 @@ class TestSuccessProbability:
         assert single_run_success_probability(build_periodic(n, r)) == pytest.approx(
             brute_force_success_probability(n, r), abs=1e-12
         )
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_precomputed_distribution_gives_the_same_probability(self, discipline):
+        inst = build_modexp(2, 21, 6)
+        given = exact_outcome_distribution(inst, discipline)
+        assert single_run_success_probability(inst, given) == pytest.approx(
+            single_run_success_probability(inst), abs=1e-12
+        )
+
+    def test_precomputed_distribution_must_fit_the_instance(self):
+        with pytest.raises(ShapeMismatchError):
+            single_run_success_probability(build_periodic(3, 4), np.full(4, 0.25))
 
     def test_modexp_instance(self):
         # order 4 divides 16, so the totient law applies
