@@ -44,7 +44,6 @@ from .measure import (
     analytic_average_density,
     average_density,
     born_sample,
-    joint_outcome_distribution,
     measure_register,
     outcome_distribution,
     partial_trace,
@@ -54,6 +53,7 @@ from .measure import (
 )
 from .circuit_ir import (
     CircuitProgram,
+    Dephase,
     GateOp,
     Measure,
     Prepare,

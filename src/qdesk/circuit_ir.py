@@ -1,8 +1,9 @@
 """Linear circuit programs and the rewrites that move measurements around.
 
-A program is an ordered list of prepare / gate / measure instructions over
-one register layout, with optional symbolic time tags on instruction
-boundaries (boundary ``b`` means "after the first ``b`` instructions").
+A program is an ordered list of prepare / gate / dephase / measure
+instructions over one register layout, with optional symbolic time tags on
+instruction boundaries (boundary ``b`` means "after the first ``b``
+instructions").
 Tags are annotations only; instruction order is the semantics.
 
 Three operations make intermediate measurements negotiable:
@@ -17,7 +18,8 @@ Three operations make intermediate measurements negotiable:
   unitary segment backwards.
 
 Measured registers are frozen: once measured, a register may not be
-prepared or gated again.  This keeps the deferral precondition honest.
+prepared, gated or dephased again.  This keeps the deferral precondition
+honest.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from .measure import (
     ProjectionOperator,
     born_sample,
     outcome_distribution,
+    phased_mixture_from_state,
     project,
+    sample_phases,
 )
 from .qstate import PureState, RegisterLayout, StateDistance, make_basis_state
 
@@ -75,11 +79,20 @@ class Measure:
     reg: str
 
 
-Instruction = Prepare | GateOp | Measure
+@dataclass(frozen=True)
+class Dephase:
+    """Replace the state by its random-phase mixture over ``reg``'s values:
+    sampled slot phases in ``run``, one Born-weighted branch per value that
+    records no outcome in enumeration.  Not invertible."""
+
+    reg: str
+
+
+Instruction = Prepare | GateOp | Dephase | Measure
 
 
 def touched_registers(instr: Instruction) -> frozenset[str]:
-    if isinstance(instr, (Prepare, Measure)):
+    if isinstance(instr, (Prepare, Dephase, Measure)):
         return frozenset({instr.reg})
     return frozenset(r for r in (instr.reg, instr.in_reg, instr.out_reg, instr.mode_reg) if r)
 
@@ -162,6 +175,8 @@ def instruction_to_json(instr: Instruction) -> dict:
         return {"op": "prepare", "reg": instr.reg, "value": instr.value}
     if isinstance(instr, Measure):
         return {"op": "measure", "reg": instr.reg}
+    if isinstance(instr, Dephase):
+        return {"op": "dephase", "reg": instr.reg}
     doc: dict = {"op": "gate", "kind": instr.kind}
     for key in ("reg", "in_reg", "out_reg", "mode_reg"):
         if getattr(instr, key) is not None:
@@ -177,6 +192,8 @@ def instruction_from_json(doc: Mapping) -> Instruction:
         return Prepare(doc["reg"], doc.get("value", 0))
     if op == "measure":
         return Measure(doc["reg"])
+    if op == "dephase":
+        return Dephase(doc["reg"])
     if op == "gate":
         table = None
         if "table" in doc:
@@ -211,6 +228,8 @@ def apply_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
         if instr.value == "minus":
             return gates.hadamard_all(_xor_register(state, instr.reg, 1), instr.reg)
         return _xor_register(state, instr.reg, int(instr.value))
+    if not isinstance(instr, GateOp):
+        raise ProgramError(f"cannot apply non-unitary instruction {instr!r}")
     if instr.kind == "hadamard":
         return gates.hadamard_all(state, instr.reg)
     if instr.kind == "qft":
@@ -234,6 +253,8 @@ def invert_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
         if instr.value == "minus":
             return _xor_register(gates.hadamard_all(state, instr.reg), instr.reg, 1)
         return _xor_register(state, instr.reg, int(instr.value))
+    if not isinstance(instr, GateOp):
+        raise ProgramError(f"cannot invert non-unitary instruction {instr!r}")
     if instr.kind == "qft":
         return gates.qft(state, instr.reg, inverse=True)
     if instr.kind == "inverse-qft":
@@ -274,12 +295,20 @@ class RunTrace:
         return self.state_at(self.program.time_tags[tag])
 
 
-def run(program: CircuitProgram, rng: np.random.Generator) -> RunTrace:
-    """Execute the program, snapshotting the state after every instruction."""
+def _start_state(program: CircuitProgram, initial: PureState | None) -> PureState:
+    state = make_basis_state(program.layout, {}) if initial is None else initial
+    if state.layout != program.layout:
+        raise ShapeMismatchError("initial state and program must share a register layout")
+    return state
+
+
+def run(
+    program: CircuitProgram, rng: np.random.Generator, initial: PureState | None = None
+) -> RunTrace:
+    """Execute the program from ``initial`` (default |0...0>), snapshotting every step."""
     program.validate_order()
-    state = make_basis_state(program.layout, {})
+    state = initial = _start_state(program, initial)
     steps: list[TraceStep] = []
-    initial = state
     for instr in program.instructions:
         if isinstance(instr, Measure):
             dist = outcome_distribution(state, instr.reg)
@@ -287,6 +316,9 @@ def run(program: CircuitProgram, rng: np.random.Generator) -> RunTrace:
             state = project(state, ProjectionOperator(instr.reg, outcome))
             record = MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome]))
             steps.append(TraceStep(instr, state, record))
+        elif isinstance(instr, Dephase):
+            state = sample_phases(phased_mixture_from_state(state, instr.reg), rng)
+            steps.append(TraceStep(instr, state))
         else:
             state = apply_instruction(state, instr)
             steps.append(TraceStep(instr, state))
@@ -323,11 +355,13 @@ def defer_measurements(program: CircuitProgram) -> CircuitProgram:
 
 
 def enumerate_outcome_distribution(
-    program: CircuitProgram, observed: Sequence[str]
+    program: CircuitProgram, observed: Sequence[str], initial: PureState | None = None
 ) -> dict[tuple[int, ...], float]:
-    """Exact joint distribution of the observed registers' measured values.
+    """Exact joint distribution of the observed registers' measured values,
+    starting from ``initial`` (default |0...0>).
 
-    Walks every measurement branch with its Born weight; nothing is sampled.
+    Walks every measurement and dephasing branch with its Born weight;
+    nothing is sampled.  A dephasing branch records no outcome.
     """
     program.validate_order()
     observed = tuple(observed)
@@ -335,19 +369,20 @@ def enumerate_outcome_distribution(
     if missing:
         raise ProgramError(f"observed registers {sorted(missing)} are never measured")
     acc: dict[tuple[int, ...], float] = {}
-    start = make_basis_state(program.layout, {})
+    start = _start_state(program, initial)
     stack: list[tuple[PureState, int, dict[str, int], float]] = [(start, 0, {}, 1.0)]
     while stack:
         state, pos, outcomes, weight = stack.pop()
         advanced = False
         for i in range(pos, len(program.instructions)):
             instr = program.instructions[i]
-            if isinstance(instr, Measure):
+            if isinstance(instr, (Measure, Dephase)):
                 dist = outcome_distribution(state, instr.reg)
                 for v in dist.support():
                     post = project(state, ProjectionOperator(instr.reg, v))
                     branch_outcomes = dict(outcomes)
-                    branch_outcomes[instr.reg] = v
+                    if isinstance(instr, Measure):
+                        branch_outcomes[instr.reg] = v
                     stack.append((post, i + 1, branch_outcomes, weight * float(dist.probabilities[v])))
                 advanced = True
                 break
@@ -385,8 +420,9 @@ def backdate_outcome(
     Drops the program's measurements, runs the unitary part to ``to_tag``
     (default: the boundary before the first measurement after ``from_tag``),
     projects on the given outcome, then applies the inverse of the
-    ``from_tag``..``to_tag`` segment.  Any measurement instruction sitting
-    before ``to_tag`` makes the segment non-invertible and is rejected.
+    ``from_tag``..``to_tag`` segment.  Any measurement or dephasing
+    instruction sitting before ``to_tag`` makes the segment non-invertible
+    and is rejected.
     """
     reg, value = final_outcome
     program.layout.qubits(reg)
@@ -404,9 +440,9 @@ def backdate_outcome(
     if to_b < from_b:
         raise ProgramError(f"tag {to_tag!r} precedes {from_tag!r}")
     for instr in program.instructions[:to_b]:
-        if isinstance(instr, Measure):
+        if isinstance(instr, (Measure, Dephase)):
             raise RewriteNotApplicableError(
-                "segment before the backdated outcome contains a measurement; not invertible"
+                f"segment before the backdated outcome contains {instr!r}; not invertible"
             )
     state = make_basis_state(program.layout, {})
     for instr in program.instructions[:to_b]:

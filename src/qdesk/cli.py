@@ -19,7 +19,6 @@ import numpy as np
 
 from . import circuit_ir, costmodel, grover, measure, shor
 from .errors import QdeskError
-from .gates import qft
 from .selftest import SUBCOMMAND_SUITES, run_selftest
 
 DEFAULT_SEED_ENV = "QDESK_SEED"
@@ -28,6 +27,13 @@ DEFAULT_SEED_ENV = "QDESK_SEED"
 def _default_seed() -> int:
     raw = os.environ.get(DEFAULT_SEED_ENV)
     return int(raw) if raw else 0
+
+
+def non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=None, help="modular-exponentiation base")
     p.add_argument("--modulus", type=int, default=None, help="modular-exponentiation modulus")
     p.add_argument("--discipline", choices=shor.DISCIPLINES, default="skip-F")
-    p.add_argument("--trials", type=int, default=0, help="sampled runs for the empirical rate")
+    p.add_argument("--trials", type=non_negative_int, default=0, help="sampled runs for the empirical rate")
     p.add_argument("--dump-state", metavar="PATH", help="write the pre-measurement state as JSON")
     p.add_argument("--records", metavar="PATH", help="write measurement records as JSON lines")
     _add_common(p)
@@ -138,29 +144,18 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
     }
     records: list[measure.MeasurementRecord] = []
     if args.trials > 0:
-        successes = 0
-        for _ in range(args.trials):
-            result = shor.run_pipeline(inst, args.discipline, rng, record_sink=records)
-            successes += result.success
-        report["success_rate_empirical"] = successes / args.trials
+        results = shor.sample_runs(inst, args.discipline, args.trials, rng, record_sink=records)
+        report["success_rate_empirical"] = sum(result.success for result in results) / args.trials
     if args.records:
         with open(args.records, "w") as fh:
             for record in records:
                 fh.write(json.dumps(record.to_json() | {"seed": seed}, sort_keys=True) + "\n")
     if args.dump_state:
-        state = state_before_final_measurement(inst, args.discipline, np.random.default_rng(seed))
+        program = shor.period_circuit(inst, args.discipline)
+        state = circuit_ir.run(program, np.random.default_rng(seed)).state_at_tag("t4")
         with open(args.dump_state, "w") as fh:
             json.dump(state.to_json(), fh)
     return report
-
-
-def state_before_final_measurement(inst, discipline, rng):
-    state = shor.state_after_oracle(inst)
-    if discipline == "measure-F-at-t2":
-        _, state = measure.measure_register(state, "F", rng)
-    elif discipline == "annihilate-F":
-        state = measure.sample_phases(measure.phased_mixture_from_state(state, "F"), rng)
-    return qft(state, "X")
 
 
 def _cmd_grover(args: argparse.Namespace, seed: int) -> dict:
@@ -305,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args, csv_rows=table, csv_header=header)
         elif args.command == "mixture-check":
             _emit(_cmd_mixture_check(args, seed), args)
-    except QdeskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, AssertionError) as exc:
+    except (QdeskError, OSError, ValueError, KeyError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -100,25 +100,21 @@ def stage_costs(
 
 def stage_table(
     n_values: list[int],
-    period_for=None,
     constants: ModelConstants = DEFAULT_CONSTANTS,
 ) -> list[StageCost]:
     """Cost rows for every n, with the growth-class assertions built in.
 
-    ``period_for(n)`` picks the instance period per size (default: half the
-    input space, which keeps classical extraction linear in n).  Raises
-    ``AssertionError`` if the counts stop doubling classically or exceed the
-    quadratic cap quantally.
+    Each size uses period 2^n / 2 (half the input space, which keeps
+    classical extraction linear in n).  Raises ``AssertionError`` if the
+    counts stop doubling classically or exceed the quadratic cap quantally.
     """
     from .shor import build_periodic
 
     if not n_values:
         raise ValueError("n_values must not be empty")
-    if period_for is None:
-        period_for = lambda n: max(1, (1 << n) // 2)
     rows: list[StageCost] = []
     for n in sorted(n_values):
-        rows.extend(stage_costs(build_periodic(n, period_for(n)), constants))
+        rows.extend(stage_costs(build_periodic(n, max(1, (1 << n) // 2)), constants))
     _assert_growth_classes(rows)
     return rows
 

@@ -23,23 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import (
-    FunctionTable,
-    ModedFunctionTable,
-    grover_diffusion,
-    grover_iteration,
-    hadamard_all,
-    oracle_moded,
+from .circuit_ir import (
+    CircuitProgram, GateOp, Measure, Prepare, apply_instruction, enumerate_outcome_distribution, run
 )
-from .measure import (
-    ProjectionOperator,
-    average_density,
-    analytic_average_density,
-    measure_register,
-    outcome_distribution,
-    phased_mixture_from_state,
-    project,
-)
+from .gates import FunctionTable, ModedFunctionTable, grover_iteration, hadamard_all
+from .measure import PhasedMixture, average_density, analytic_average_density, measure_register
 from .qstate import PureState, RegisterLayout, StateDistance, make_basis_state
 
 STRATEGIES = ("joint", "unilateral")
@@ -118,17 +106,28 @@ def run_standard_grover(inst: GameInstance, rng: np.random.Generator) -> GameTra
 
 EXTENDED_LAYOUT = RegisterLayout.of(K=2, X=2, F=1)
 
+EXTENDED_QUERY = (
+    GateOp("hadamard", reg="X"),
+    GateOp(
+        "oracle-moded", mode_reg="K", in_reg="X", out_reg="F", table=ModedFunctionTable.equality_test(2)
+    ),
+    GateOp("grover-diffusion", reg="X"),
+)
+
+
+def extended_mixture() -> PhasedMixture:
+    """The extended game's start as a phase mixture over the mode register:
+    slot k holds mode k with amplitude 1/2, search register at 0, kickback
+    register loaded."""
+    kickback = kickback_preparation(EXTENDED_LAYOUT)
+    slots = [apply_instruction(kickback, Prepare("K", mode)).amplitudes / 2.0 for mode in range(4)]
+    return PhasedMixture(EXTENDED_LAYOUT, tuple(slots), tuple(range(4)), "K")
+
 
 def extended_preparation(phases: tuple[float, float, float]) -> PureState:
-    """Mode register in superposition with random phases on the last three
-    values, search register at 0, kickback register loaded."""
-    amps = np.zeros(EXTENDED_LAYOUT.dimension, dtype=np.complex128)
-    factors = [1.0, *(np.exp(1j * p) for p in phases)]
-    scale = 1.0 / (2.0 * math.sqrt(2.0))
-    for mode in range(4):
-        amps[EXTENDED_LAYOUT.encode({"K": mode, "X": 0, "F": 0})] = factors[mode] * scale
-        amps[EXTENDED_LAYOUT.encode({"K": mode, "X": 0, "F": 1})] = -factors[mode] * scale
-    return PureState(EXTENDED_LAYOUT, amps)
+    """Mode register in superposition with the given phases on the last
+    three values, search register at 0, kickback register loaded."""
+    return extended_mixture().flatten((0.0, *phases))
 
 
 def run_extended_grover(
@@ -148,14 +147,11 @@ def run_extended_grover(
         raise ValueError(f"order must be 'kx' or 'xk', got {order!r}")
     if phases is None:
         phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=3))
-    state = extended_preparation(phases)
-    state = hadamard_all(state, "X")
-    state = oracle_moded(state, ModedFunctionTable.equality_test(2), "K", "X", "F")
-    pre_state = grover_diffusion(state, "X")
     first, second = ("K", "X") if order == "kx" else ("X", "K")
-    first_outcome, mid = measure_register(pre_state, first, rng)
-    second_outcome, _ = measure_register(mid, second, rng)
-    outcomes = {first: first_outcome, second: second_outcome}
+    program = CircuitProgram(EXTENDED_LAYOUT, EXTENDED_QUERY + (Measure(first), Measure(second)))
+    trace = run(program, rng, initial=extended_preparation(phases))
+    outcomes = {record.register: record.outcome for record in trace.records}
+    pre_state = trace.state_at(len(EXTENDED_QUERY))
     return pre_state, GameTranscript(drawers, "extended", 1, outcomes["K"], outcomes["X"])
 
 
@@ -163,17 +159,10 @@ def sequential_joint_distribution(
     state: PureState, first: str, second: str
 ) -> dict[tuple[int, int], float]:
     """Exact joint outcome distribution, enumerated measurement by
-    measurement in the given order; keys are (first register's) value pairs
-    in (first, second) order."""
-    out: dict[tuple[int, int], float] = {}
-    first_dist = outcome_distribution(state, first)
-    for v in first_dist.support():
-        post = project(state, ProjectionOperator(first, v))
-        second_dist = outcome_distribution(post, second)
-        for w in second_dist.support():
-            p = float(first_dist.probabilities[v]) * float(second_dist.probabilities[w])
-            out[(v, w)] = out.get((v, w), 0.0) + p
-    return out
+    measurement in the given order; keys are value pairs in (first, second)
+    order."""
+    program = CircuitProgram(state.layout, (Measure(first), Measure(second)))
+    return enumerate_outcome_distribution(program, (first, second), initial=state)
 
 
 def mixture_equivalence_check(
@@ -192,7 +181,7 @@ def mixture_equivalence_check(
     """
     if drawers != 4:
         raise ValueError("the mixture check is built for exactly 4 drawers")
-    mixture = phased_mixture_from_state(extended_preparation((0.0, 0.0, 0.0)), "K")
+    mixture = extended_mixture()
     uniform = np.eye(4) / 4.0
     if method == "analytic":
         groups = [[0], [1, 2, 3]] if correlated_phases else None

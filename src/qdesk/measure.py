@@ -125,31 +125,6 @@ def outcome_distribution(state: PureState, reg: str) -> OutcomeDistribution:
     return OutcomeDistribution(reg, _register_marginal(block))
 
 
-def joint_outcome_distribution(state: PureState, regs: Sequence[str]) -> dict[tuple[int, ...], float]:
-    """Exact joint statistics over several registers, keyed by value tuples."""
-    layout = state.layout
-    if len(set(regs)) != len(tuple(regs)):
-        raise ValueError(f"registers must be distinct, got {tuple(regs)}")
-    for reg in regs:
-        layout.qubits(reg)
-    weights = np.abs(state.amplitudes) ** 2
-    shape = [layout.dim(name) for name in layout.names]
-    tensor = weights.reshape(shape)
-    keep_axes = [layout.names.index(reg) for reg in regs]
-    traced = tuple(i for i in range(len(shape)) if i not in keep_axes)
-    if traced:
-        tensor = tensor.sum(axis=traced)
-    # remaining axes follow layout order; permute into the requested order
-    ranks = np.argsort(np.argsort(keep_axes))
-    tensor = tensor.transpose(tuple(int(r) for r in ranks))
-    out: dict[tuple[int, ...], float] = {}
-    for key in np.ndindex(*tensor.shape):
-        p = float(tensor[key])
-        if p > PROB_EPS:
-            out[tuple(int(v) for v in key)] = p
-    return out
-
-
 def project(state: PureState, p: ProjectionOperator) -> PureState:
     """Keep only amplitudes with ``reg == outcome`` and renormalize (Born filter)."""
     block = state.amplitudes.reshape(state.layout.axis_shape(p.reg))

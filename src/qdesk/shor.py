@@ -8,13 +8,13 @@ The three disciplines agree exactly on the final [X] statistics:
 * ``measure-F-at-t2``  -- measure the function register right after the
   oracle, carrying one Born branch forward;
 * ``skip-F``           -- never touch F before the end;
-* ``annihilate-F``     -- replace the pure state by its random-phase
-  mixture over F values (sampled phases in the sampling pipeline, the exact
-  phase average in the exact one).
+* ``annihilate-F``     -- a ``Dephase("F")`` instruction: replace the pure
+  state by its random-phase mixture over F values.
 
-Exact distributions are computed by full enumeration, never sampling, so
-the equality of the disciplines is a 1e-10 assertion rather than a
-statistical one.
+All three are ``circuit_ir`` programs (``period_circuit``) and sampled runs
+execute them.  Exact distributions are computed without sampling, so the
+equality of the disciplines is a 1e-10 assertion rather than a statistical
+one.
 """
 
 from __future__ import annotations
@@ -24,19 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit_ir import CircuitProgram, GateOp, Measure, Prepare
+from .circuit_ir import CircuitProgram, Dephase, GateOp, Measure, Prepare, apply_instruction, run
 from .errors import ShapeMismatchError
-from .gates import FunctionTable, fourier_axis, modexp_table, oracle_xor, hadamard_all, qft
-from .measure import (
-    PROB_EPS,
-    MeasurementRecord,
-    ProjectionOperator,
-    born_sample,
-    outcome_distribution,
-    phased_mixture_from_state,
-    project,
-    sample_phases,
-)
+from .gates import FunctionTable, fourier_axis, modexp_table, qft
+from .measure import PROB_EPS, MeasurementRecord, outcome_distribution
 from .qstate import PureState, RegisterLayout, make_basis_state
 
 DISCIPLINES = ("measure-F-at-t2", "skip-F", "annihilate-F")
@@ -97,17 +88,20 @@ def build_modexp(base: int, modulus: int, n: int) -> PeriodFindingInstance:
 
 
 def state_after_oracle(inst: PeriodFindingInstance) -> PureState:
-    """The entangled two-register state right after function evaluation."""
+    """The entangled two-register state at t2, right after function evaluation."""
+    program = period_circuit(inst, "skip-F")
     state = make_basis_state(inst.layout, {})
-    state = hadamard_all(state, "X")
-    return oracle_xor(state, inst.table, "X", "F")
+    for instr in program.instructions[: program.time_tags["t2"]]:
+        state = apply_instruction(state, instr)
+    return state
 
 
 def period_circuit(inst: PeriodFindingInstance, discipline: str) -> CircuitProgram:
-    """The block-diagram program, tagged t1..t4 on instruction boundaries.
+    """The block-diagram program for any discipline, tagged t1..t4 on
+    instruction boundaries; t4 sits right before the X measurement.
 
-    Only the two circuit-expressible disciplines apply here; phase
-    annihilation is a state transform, not an instruction.
+    measure-F-at-t2 measures F at t2, skip-F leaves it alone, and
+    annihilate-F dephases it at t2 (and measures it last, like skip-F).
     """
     head = [
         Prepare("X", 0),
@@ -120,8 +114,11 @@ def period_circuit(inst: PeriodFindingInstance, discipline: str) -> CircuitProgr
     elif discipline == "skip-F":
         instrs = head + [GateOp("qft", reg="X"), Measure("X"), Measure("F")]
         tags = {"t1": 1, "t2": 3, "t4": 4}
+    elif discipline == "annihilate-F":
+        instrs = head + [Dephase("F"), GateOp("qft", reg="X"), Measure("X"), Measure("F")]
+        tags = {"t1": 1, "t2": 3, "t3": 4, "t4": 5}
     else:
-        raise ValueError(f"no circuit form for discipline {discipline!r}")
+        raise ValueError(f"discipline must be one of {DISCIPLINES}, got {discipline!r}")
     return CircuitProgram(inst.layout, tuple(instrs), tags)
 
 
@@ -143,40 +140,44 @@ def extract_period(outcome: int, dimension: int) -> int | None:
     return q_cur
 
 
+def sample_runs(
+    inst: PeriodFindingInstance,
+    discipline: str,
+    trials: int,
+    rng: np.random.Generator,
+    record_sink: list[MeasurementRecord] | None = None,
+) -> list[PeriodResult]:
+    """``trials`` sampled runs of the pipeline under the chosen discipline.
+
+    The t2 state and the discipline's tail (``period_circuit`` from t2
+    through the X measurement) are built once; each trial runs the tail
+    from the t2 state.  Pass a list as ``record_sink`` to collect the Born
+    samples taken along the way.
+    """
+    program = period_circuit(inst, discipline)
+    t2, t4 = program.time_tags["t2"], program.time_tags["t4"]
+    tail = CircuitProgram(inst.layout, program.instructions[t2 : t4 + 1])
+    start = state_after_oracle(inst)
+    results = []
+    for _ in range(trials):
+        records = run(tail, rng, initial=start).records
+        if record_sink is not None:
+            record_sink.extend(records)
+        outcomes = {record.register: record.outcome for record in records}
+        measured = outcomes["X"]
+        candidate = extract_period(measured, inst.dimension)
+        results.append(PeriodResult(measured, candidate, candidate == inst.period, outcomes.get("F")))
+    return results
+
+
 def run_pipeline(
     inst: PeriodFindingInstance,
     discipline: str,
     rng: np.random.Generator,
     record_sink: list[MeasurementRecord] | None = None,
 ) -> PeriodResult:
-    """One sampled run of the full pipeline under the chosen discipline.
-
-    Pass a list as ``record_sink`` to collect the Born samples taken along
-    the way.
-    """
-    if discipline not in DISCIPLINES:
-        raise ValueError(f"discipline must be one of {DISCIPLINES}, got {discipline!r}")
-    state = state_after_oracle(inst)
-    f_outcome = None
-    if discipline == "measure-F-at-t2":
-        f_dist = outcome_distribution(state, "F")
-        f_outcome = born_sample(f_dist, rng)
-        state = project(state, ProjectionOperator("F", f_outcome))
-        if record_sink is not None:
-            record_sink.append(
-                MeasurementRecord("F", f_outcome, float(f_dist.probabilities[f_outcome]))
-            )
-    elif discipline == "annihilate-F":
-        state = sample_phases(phased_mixture_from_state(state, "F"), rng)
-    state = qft(state, "X")
-    x_dist = outcome_distribution(state, "X")
-    measured = born_sample(x_dist, rng)
-    if record_sink is not None:
-        record_sink.append(
-            MeasurementRecord("X", measured, float(x_dist.probabilities[measured]))
-        )
-    candidate = extract_period(measured, inst.dimension)
-    return PeriodResult(measured, candidate, candidate == inst.period, f_outcome)
+    """One sampled run of the full pipeline under the chosen discipline."""
+    return sample_runs(inst, discipline, 1, rng, record_sink)[0]
 
 
 def exact_outcome_distribution(inst: PeriodFindingInstance, discipline: str) -> np.ndarray:
@@ -192,6 +193,8 @@ def exact_outcome_distribution(inst: PeriodFindingInstance, discipline: str) -> 
       them go through one batched FFT.
     * annihilate-F: the sum of |FFT|^2 over the slot columns of the phase
       mixture (cross-slot terms average to zero).
+
+    Branch enumeration of ``period_circuit`` is the independent test oracle.
     """
     if discipline not in DISCIPLINES:
         raise ValueError(f"discipline must be one of {DISCIPLINES}, got {discipline!r}")

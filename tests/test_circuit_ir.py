@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdesk import (
     CircuitProgram,
     DegenerateStateError,
+    Dephase,
     FunctionTable,
     GateOp,
     Measure,
@@ -16,18 +19,27 @@ from qdesk import (
     PureState,
     RegisterLayout,
     RewriteNotApplicableError,
+    ShapeMismatchError,
     backdate_outcome,
     build_periodic,
     compare_up_to_global_phase,
     defer_measurements,
     equivalent_distributions,
     period_circuit,
+    phased_mixture_from_state,
     project,
     run,
+    sample_phases,
     state_after_oracle,
 )
-from qdesk.circuit_ir import apply_instruction, enumerate_outcome_distribution, instruction_from_json
+from qdesk.circuit_ir import (
+    apply_instruction,
+    enumerate_outcome_distribution,
+    instruction_from_json,
+    invert_instruction,
+)
 from qdesk.qstate import make_basis_state
+from qdesk.shor import PeriodFindingInstance
 
 
 def parity_program():
@@ -275,7 +287,79 @@ class TestBackdateOutcome:
             backdate_outcome(program, ("X", 0))
 
 
+class TestDephase:
+    def test_run_draws_the_slot_phases(self):
+        inst = build_periodic(3, 3)
+        start = state_after_oracle(inst)
+        program = CircuitProgram(inst.layout, (Dephase("F"),))
+        trace = run(program, np.random.default_rng(4), initial=start)
+        expected = sample_phases(phased_mixture_from_state(start, "F"), np.random.default_rng(4))
+        assert np.array_equal(trace.final_state.amplitudes, expected.amplitudes)
+        assert trace.records == ()
+
+    def test_enumeration_branches_without_recording(self):
+        # |+> interferes back to |0> under H; dephased, it is a fair coin
+        layout = RegisterLayout.of(X=1, F=1)
+        steps = (GateOp("hadamard", reg="X"), Measure("X"))
+        coherent = CircuitProgram(layout, (Prepare("X", "uniform"),) + steps)
+        dephased = CircuitProgram(layout, (Prepare("X", "uniform"), Dephase("X")) + steps)
+        assert enumerate_outcome_distribution(coherent, ["X"]) == pytest.approx({(0,): 1.0})
+        assert enumerate_outcome_distribution(dephased, ["X"]) == pytest.approx({(0,): 0.5, (1,): 0.5})
+        with pytest.raises(ProgramError):
+            enumerate_outcome_distribution(CircuitProgram(layout, (Dephase("F"),)), ["F"])
+
+    def test_not_applicable_as_a_unitary(self):
+        state = make_basis_state(RegisterLayout.of(X=1), {})
+        with pytest.raises(ProgramError):
+            apply_instruction(state, Dephase("X"))
+        with pytest.raises(ProgramError):
+            invert_instruction(state, Dephase("X"))
+
+    def test_backdating_across_dephase_is_rejected(self):
+        program = period_circuit(build_periodic(2, 2), "annihilate-F")
+        with pytest.raises(RewriteNotApplicableError):
+            backdate_outcome(program, ("X", 0))
+
+    def test_dephase_after_measure_rejected(self):
+        program = CircuitProgram(RegisterLayout.of(X=1), (Measure("X"), Dephase("X")))
+        with pytest.raises(ProgramError):
+            program.validate_order()
+
+    def test_initial_state_must_share_the_layout(self):
+        program = CircuitProgram(RegisterLayout.of(X=2), (Measure("X"),))
+        other = make_basis_state(RegisterLayout.of(X=1), {})
+        with pytest.raises(ShapeMismatchError):
+            run(program, np.random.default_rng(0), initial=other)
+        with pytest.raises(ShapeMismatchError):
+            enumerate_outcome_distribution(program, ["X"], initial=other)
+
+
+@st.composite
+def random_table_instances(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    table = tuple(draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1 << n, max_size=1 << n)))
+    # the full input range is always a period; the programs never read it
+    return PeriodFindingInstance(n, FunctionTable(n, m, table), 1 << n, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=random_table_instances())
+def test_annihilate_and_skip_programs_agree_jointly(inst):
+    annihilate = period_circuit(inst, "annihilate-F")
+    skip = period_circuit(inst, "skip-F")
+    assert equivalent_distributions(annihilate, skip, ["X", "F"]).value < 1e-12
+
+
 class TestJsonFormat:
+    def test_dephase_round_trip(self):
+        program = period_circuit(build_periodic(2, 2), "annihilate-F")
+        doc = json.loads(json.dumps(program.to_json()))
+        assert doc["instructions"][3] == {"op": "dephase", "reg": "F"}
+        back = CircuitProgram.from_json(doc)
+        assert back.instructions == program.instructions
+        assert back.time_tags == program.time_tags
+
     def test_round_trip(self):
         program = parity_program()
         doc = json.loads(json.dumps(program.to_json()))

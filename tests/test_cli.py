@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from qdesk import gates
+from qdesk import build_periodic, gates, period_circuit, run
 from qdesk.cli import main
 from qdesk.qstate import PureState
 from qdesk.shor import DISCIPLINES
@@ -70,6 +71,50 @@ class TestShorCommand:
         for record in lines:
             assert set(record) == {"register", "outcome", "probability", "seed"}
             assert record["seed"] == 2
+
+
+    # (register, outcome) records of `shor --n 4 --r 3 --trials 20 --seed 11`,
+    # pinned from the hand-written sampling route the programs replaced
+    PINNED_RECORDS = {
+        "measure-F-at-t2": [
+            ("F", 0), ("X", 5), ("F", 1), ("X", 0), ("F", 0), ("X", 11), ("F", 0), ("X", 0),
+            ("F", 2), ("X", 6), ("F", 0), ("X", 5), ("F", 1), ("X", 0), ("F", 0), ("X", 11),
+            ("F", 1), ("X", 5), ("F", 2), ("X", 5), ("F", 2), ("X", 0), ("F", 1), ("X", 5),
+            ("F", 0), ("X", 5), ("F", 0), ("X", 11), ("F", 2), ("X", 0), ("F", 1), ("X", 0),
+            ("F", 0), ("X", 11), ("F", 1), ("X", 0), ("F", 1), ("X", 0), ("F", 2), ("X", 0),
+        ],
+        "skip-F": [
+            ("X", x) for x in (0, 5, 6, 0, 0, 11, 0, 0, 11, 6, 5, 5, 7, 0, 0, 11, 8, 5, 11, 5)
+        ],
+        "annihilate-F": [
+            ("X", x) for x in (0, 0, 5, 11, 5, 5, 11, 0, 0, 0, 5, 0, 10, 5, 0, 0, 6, 0, 10, 0)
+        ],
+    }
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_records_are_pinned(self, capsys, tmp_path, discipline):
+        path = tmp_path / "records.jsonl"
+        argv = ["shor", "--n", "4", "--r", "3", "--trials", "20", "--seed", "11"]
+        code, _, err = run_cli(capsys, argv + ["--discipline", discipline, "--records", str(path)])
+        assert code == 0, err
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["register"], r["outcome"]) for r in lines] == self.PINNED_RECORDS[discipline]
+
+    def test_dump_state_is_the_t4_state_of_the_program(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        argv = ["shor", "--n", "3", "--r", "3", "--seed", "6", "--discipline", "annihilate-F"]
+        code, _, err = run_cli(capsys, argv + ["--dump-state", str(path)])
+        assert code == 0, err
+        inst = build_periodic(3, 3)
+        trace = run(period_circuit(inst, "annihilate-F"), np.random.default_rng(6))
+        dumped = PureState.from_json(json.loads(path.read_text()))
+        assert np.abs(dumped.amplitudes - trace.state_at_tag("t4").amplitudes).max() < 1e-15
+
+    def test_negative_trials_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["shor", "--n", "3", "--trials", "-5", "--json"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
 
 class TestGroverCommand:

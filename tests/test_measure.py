@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from qdesk import (
+    CircuitProgram,
     DegenerateStateError,
     DensityMatrix,
+    Measure,
     MeasurementRecord,
     ProjectionOperator,
     PureState,
@@ -16,7 +18,6 @@ from qdesk import (
     born_sample,
     build_periodic,
     hadamard_all,
-    joint_outcome_distribution,
     make_basis_state,
     measure_register,
     normalize,
@@ -27,6 +28,8 @@ from qdesk import (
     sample_phases,
     state_after_oracle,
 )
+from qdesk.circuit_ir import enumerate_outcome_distribution
+from qdesk.selftest import chi_square_sf_one_dof
 from qdesk.shor import divisors
 
 
@@ -54,8 +57,9 @@ class TestOutcomeDistribution:
         assert np.allclose(outcome_distribution(state, "X").probabilities, 1 / 8, atol=1e-12)
 
     def test_joint_distribution_orders_keys_as_requested(self, parity_state):
-        kx = joint_outcome_distribution(parity_state, ["X", "F"])
-        fx = joint_outcome_distribution(parity_state, ["F", "X"])
+        program = CircuitProgram(parity_state.layout, (Measure("X"), Measure("F")))
+        kx = enumerate_outcome_distribution(program, ["X", "F"], initial=parity_state)
+        fx = enumerate_outcome_distribution(program, ["F", "X"], initial=parity_state)
         assert set(kx) == {(x, x % 2) for x in range(4)}
         assert set(fx) == {(x % 2, x) for x in range(4)}
         for (x, f), p in kx.items():
@@ -312,3 +316,8 @@ class TestMeasurementRecord:
     def test_json_fields(self):
         record = MeasurementRecord("F", 1, 0.5, seed=9)
         assert record.to_json() == {"register": "F", "outcome": 1, "probability": 0.5, "seed": 9}
+
+
+@pytest.mark.parametrize("stat", [0.0, 0.01, 0.5, 1.0, 3.84, 10.83, 25.0])
+def test_closed_form_chi_square_tail_matches_scipy(stat):
+    assert abs(chi_square_sf_one_dof(stat) - stats.chi2.sf(stat, 1)) < 1e-12

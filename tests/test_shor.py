@@ -16,7 +16,8 @@ from qdesk import (
     single_run_success_probability,
     state_after_oracle,
 )
-from qdesk.shor import DISCIPLINES, divisors, period_circuit
+from qdesk.circuit_ir import Dephase, Measure, enumerate_outcome_distribution
+from qdesk.shor import DISCIPLINES, divisors, period_circuit, sample_runs
 
 
 def euler_phi(r):
@@ -142,6 +143,26 @@ class TestExactDistribution:
         with pytest.raises(ValueError):
             exact_outcome_distribution(build_periodic(2, 2), "postpone-X")
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_enumerated_program_matches_exact_route(self, n):
+        # branch enumeration of each discipline's program is the independent
+        # oracle for the batched-FFT route; n <= 5 covers every r <= 2^n
+        if n <= 5:
+            insts = [build_periodic(n, r) for r in range(1, (1 << n) + 1)]
+        else:
+            insts = [build_periodic(n, r) for r in (3, 5, 6, 16)]
+            insts += [build_modexp(2, 21, n), build_modexp(2, 9, n)]
+        if n == 4:
+            insts.append(build_modexp(7, 15, n))
+        for inst in insts:
+            for discipline in DISCIPLINES:
+                program = period_circuit(inst, discipline)
+                enumerated = np.zeros(inst.dimension)
+                for (x,), p in enumerate_outcome_distribution(program, ["X"]).items():
+                    enumerated[x] += p
+                exact = exact_outcome_distribution(inst, discipline)
+                assert np.abs(enumerated - exact).max() < 1e-12
+
     def test_non_dividing_period_still_agrees_across_disciplines(self):
         # the clean comb structure needs r | N, but the discipline
         # equivalence only needs disjoint function-register supports
@@ -236,6 +257,20 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(build_periodic(2, 2), "whatever", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_batched_trials_equal_repeated_single_runs(self, discipline):
+        inst = build_periodic(4, 3)
+        batch_records, single_records = [], []
+        batch = sample_runs(inst, discipline, 30, np.random.default_rng(8), batch_records)
+        rng = np.random.default_rng(8)
+        singles = [run_pipeline(inst, discipline, rng, single_records) for _ in range(30)]
+        assert batch == singles
+        assert batch_records == single_records
+        assert len(batch_records) == 30 * (2 if discipline == "measure-F-at-t2" else 1)
+
+    def test_zero_trials(self):
+        assert sample_runs(build_periodic(3, 4), "skip-F", 0, np.random.default_rng(0)) == []
+
     def test_non_dividing_period_pipeline_runs(self):
         inst = build_periodic(3, 3)
         assert not inst.period_divides
@@ -253,9 +288,15 @@ class TestPeriodCircuit:
         program = period_circuit(build_periodic(2, 2), "skip-F")
         assert program.time_tags == {"t1": 1, "t2": 3, "t4": 4}
 
-    def test_annihilate_has_no_circuit_form(self):
+    def test_annihilate_variant_dephases_f_at_t2(self):
+        program = period_circuit(build_periodic(2, 2), "annihilate-F")
+        assert program.time_tags == {"t1": 1, "t2": 3, "t3": 4, "t4": 5}
+        assert program.instructions[3] == Dephase("F")
+        assert program.instructions[5:] == (Measure("X"), Measure("F"))
+
+    def test_unknown_discipline_has_no_circuit(self):
         with pytest.raises(ValueError):
-            period_circuit(build_periodic(2, 2), "annihilate-F")
+            period_circuit(build_periodic(2, 2), "postpone-X")
 
     def test_oracle_state_matches_module_route(self):
         from qdesk import run
