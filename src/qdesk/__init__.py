@@ -28,7 +28,6 @@ from .gates import (
     FunctionTable,
     ModedFunctionTable,
     grover_diffusion,
-    grover_iteration,
     hadamard_all,
     modexp_table,
     oracle_moded,
@@ -62,6 +61,7 @@ from .circuit_ir import (
     defer_measurements,
     equivalent_distributions,
     run,
+    unitary_prefix,
 )
 from .shor import (
     PeriodFindingInstance,
@@ -84,6 +84,7 @@ from .grover import (
     run_classical_game,
     run_extended_grover,
     run_standard_grover,
+    standard_circuit,
     standard_grover_state,
 )
 from .costmodel import (

@@ -264,35 +264,20 @@ def invert_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    instruction: Instruction
-    state: PureState
-    record: MeasurementRecord | None = None
-
-
-@dataclass(frozen=True)
 class RunTrace:
+    """What a run leaves: its records, its final state, and the state at
+    each of the program's time tags.  Untagged intermediate states are not
+    kept, so tag every boundary you want to read back."""
+
     program: CircuitProgram
-    initial_state: PureState
-    steps: tuple[TraceStep, ...]
-
-    @property
-    def final_state(self) -> PureState:
-        return self.steps[-1].state if self.steps else self.initial_state
-
-    @property
-    def records(self) -> tuple[MeasurementRecord, ...]:
-        return tuple(s.record for s in self.steps if s.record is not None)
-
-    def state_at(self, boundary: int) -> PureState:
-        if boundary == 0:
-            return self.initial_state
-        return self.steps[boundary - 1].state
+    final_state: PureState
+    records: tuple[MeasurementRecord, ...]
+    tagged_states: Mapping[str, PureState]
 
     def state_at_tag(self, tag: str) -> PureState:
-        if tag not in self.program.time_tags:
+        if tag not in self.tagged_states:
             raise KeyError(f"program has no time tag {tag!r}")
-        return self.state_at(self.program.time_tags[tag])
+        return self.tagged_states[tag]
 
 
 def _start_state(program: CircuitProgram, initial: PureState | None) -> PureState:
@@ -302,27 +287,47 @@ def _start_state(program: CircuitProgram, initial: PureState | None) -> PureStat
     return state
 
 
+def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:
+    """The state at boundary ``stop`` (an index or a time tag), reached by
+    applying the program's instructions before it to |0...0>.  A measurement
+    or dephasing before the boundary makes the prefix non-unitary and is
+    rejected."""
+    if isinstance(stop, str):
+        if stop not in program.time_tags:
+            raise ProgramError(f"program has no time tag {stop!r}")
+        stop = program.time_tags[stop]
+    prefix = program.instructions[:stop]
+    for instr in prefix:
+        if isinstance(instr, (Measure, Dephase)):
+            raise RewriteNotApplicableError(f"{instr!r} before boundary {stop}; not unitary")
+    state = make_basis_state(program.layout, {})
+    for instr in prefix:
+        state = apply_instruction(state, instr)
+    return state
+
+
 def run(
     program: CircuitProgram, rng: np.random.Generator, initial: PureState | None = None
 ) -> RunTrace:
-    """Execute the program from ``initial`` (default |0...0>), snapshotting every step."""
+    """Execute the program from ``initial`` (default |0...0>), keeping the
+    records, the final state and the states at the program's time tags."""
     program.validate_order()
-    state = initial = _start_state(program, initial)
-    steps: list[TraceStep] = []
-    for instr in program.instructions:
+    state = _start_state(program, initial)
+    tags = program.time_tags
+    tagged = {tag: state for tag, b in tags.items() if b == 0}
+    records: list[MeasurementRecord] = []
+    for boundary, instr in enumerate(program.instructions, start=1):
         if isinstance(instr, Measure):
             dist = outcome_distribution(state, instr.reg)
             outcome = born_sample(dist, rng)
             state = project(state, ProjectionOperator(instr.reg, outcome))
-            record = MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome]))
-            steps.append(TraceStep(instr, state, record))
+            records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
         elif isinstance(instr, Dephase):
             state = sample_phases(phased_mixture_from_state(state, instr.reg), rng)
-            steps.append(TraceStep(instr, state))
         else:
             state = apply_instruction(state, instr)
-            steps.append(TraceStep(instr, state))
-    return RunTrace(program, initial, tuple(steps))
+        tagged.update((tag, state) for tag, b in tags.items() if b == boundary)
+    return RunTrace(program, state, tuple(records), tagged)
 
 
 def defer_measurements(program: CircuitProgram) -> CircuitProgram:
@@ -415,14 +420,10 @@ def backdate_outcome(
     to_tag: str = "t4",
 ) -> PureState:
     """Reconstruct the ``from_tag``-time post-measurement state from a
-    terminal outcome.
-
-    Drops the program's measurements, runs the unitary part to ``to_tag``
-    (default: the boundary before the first measurement after ``from_tag``),
-    projects on the given outcome, then applies the inverse of the
-    ``from_tag``..``to_tag`` segment.  Any measurement or dephasing
-    instruction sitting before ``to_tag`` makes the segment non-invertible
-    and is rejected.
+    terminal outcome: the ``unitary_prefix`` up to ``to_tag`` (default: the
+    boundary before the first measurement after ``from_tag``), projected on
+    the outcome, with the ``from_tag``..``to_tag`` segment run backwards.
+    A measurement or dephasing before ``to_tag`` is rejected.
     """
     reg, value = final_outcome
     program.layout.qubits(reg)
@@ -439,15 +440,7 @@ def backdate_outcome(
                 break
     if to_b < from_b:
         raise ProgramError(f"tag {to_tag!r} precedes {from_tag!r}")
-    for instr in program.instructions[:to_b]:
-        if isinstance(instr, (Measure, Dephase)):
-            raise RewriteNotApplicableError(
-                f"segment before the backdated outcome contains {instr!r}; not invertible"
-            )
-    state = make_basis_state(program.layout, {})
-    for instr in program.instructions[:to_b]:
-        state = apply_instruction(state, instr)
-    state = project(state, ProjectionOperator(reg, value))
+    state = project(unitary_prefix(program, to_b), ProjectionOperator(reg, value))
     for instr in reversed(program.instructions[from_b:to_b]):
         state = invert_instruction(state, instr)
     return state

@@ -29,11 +29,15 @@ def _default_seed() -> int:
     return int(raw) if raw else 0
 
 
-def non_negative_int(raw: str) -> int:
+def non_negative_int(raw: str, low: int = 0) -> int:
     value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def positive_int(raw: str) -> int:
+    return non_negative_int(raw, low=1)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -92,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mixture-check", help="random-phase mixture vs uniform classical mixture")
     p.add_argument("--n", type=int, default=4, help="number of drawers (4)")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=positive_int, default=100_000)
     _add_common(p)
 
     return parser
@@ -161,9 +165,7 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
 def _cmd_grover(args: argparse.Namespace, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     if args.variant == "standard":
-        inst = grover.GameInstance(args.n, args.k)
-        pre = grover.standard_grover_state(inst)
-        transcript = grover.run_standard_grover(inst, rng)
+        pre, transcript = grover.run_standard_grover(grover.GameInstance(args.n, args.k), rng)
         probs = measure.outcome_distribution(pre, "X").probabilities
         report = {
             "variant": "standard",

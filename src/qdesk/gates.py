@@ -211,12 +211,3 @@ def grover_diffusion(state: PureState, reg: str) -> PureState:
     block = state.amplitudes.reshape(state.layout.axis_shape(reg))
     out = 2.0 * block.mean(axis=1, keepdims=True) - block
     return state.with_amplitudes(out.reshape(-1))
-
-
-def grover_iteration(state: PureState, f: FunctionTable, x_reg: str, f_reg: str) -> PureState:
-    """One oracle call followed by diffusion on the search register.
-
-    Expects ``f_reg`` to carry the (|0> - |1>)/sqrt(2) factor so the oracle
-    acts by phase kickback.
-    """
-    return grover_diffusion(oracle_xor(state, f, x_reg, f_reg), x_reg)

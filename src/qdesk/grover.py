@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit_ir import (
-    CircuitProgram, GateOp, Measure, Prepare, apply_instruction, enumerate_outcome_distribution, run
+    CircuitProgram, GateOp, Measure, Prepare, apply_instruction, enumerate_outcome_distribution, run,
+    unitary_prefix,
 )
-from .gates import FunctionTable, ModedFunctionTable, grover_iteration, hadamard_all
-from .measure import PhasedMixture, average_density, analytic_average_density, measure_register
+from .gates import FunctionTable, ModedFunctionTable, hadamard_all
+from .measure import PhasedMixture, average_density, analytic_average_density
 from .qstate import PureState, RegisterLayout, StateDistance, make_basis_state
 
 STRATEGIES = ("joint", "unilateral")
@@ -81,26 +82,31 @@ def kickback_preparation(layout: RegisterLayout) -> PureState:
     return hadamard_all(make_basis_state(layout, {"F": 1}), "F")
 
 
+def standard_circuit(inst: GameInstance) -> CircuitProgram:
+    """The standard search as a program: kickback and uniform preparation,
+    ``iteration_count`` oracle + diffusion pairs, the tag "pre", then the
+    one measurement of the search register."""
+    table = marked_drawer_table(inst.drawers, inst.hidden_drawer)
+    iteration = (
+        GateOp("oracle-xor", in_reg="X", out_reg="F", table=table),
+        GateOp("grover-diffusion", reg="X"),
+    )
+    instrs = (Prepare("F", "minus"), Prepare("X", "uniform")) + iteration * iteration_count(inst.drawers)
+    return CircuitProgram(standard_layout(inst.drawers), instrs + (Measure("X"),), {"pre": len(instrs)})
+
+
 def standard_grover_state(inst: GameInstance) -> PureState:
     """Pre-measurement state after the full iteration schedule."""
-    state = kickback_preparation(standard_layout(inst.drawers))
-    state = hadamard_all(state, "X")
-    table = marked_drawer_table(inst.drawers, inst.hidden_drawer)
-    for _ in range(iteration_count(inst.drawers)):
-        state = grover_iteration(state, table, "X", "F")
-    return state
+    return unitary_prefix(standard_circuit(inst), "pre")
 
 
-def run_standard_grover(inst: GameInstance, rng: np.random.Generator) -> GameTranscript:
-    """Play the standard game once; oracle queries = iteration count."""
-    state = standard_grover_state(inst)
-    answered, _ = measure_register(state, "X", rng)
-    return GameTranscript(
-        inst.drawers,
-        "standard",
-        iteration_count(inst.drawers),
-        inst.hidden_drawer,
-        answered,
+def run_standard_grover(inst: GameInstance, rng: np.random.Generator) -> tuple[PureState, GameTranscript]:
+    """Play the standard game once and return the pre-measurement state;
+    oracle queries = iteration count."""
+    trace = run(standard_circuit(inst), rng)
+    answered = trace.records[0].outcome
+    return trace.state_at_tag("pre"), GameTranscript(
+        inst.drawers, "standard", iteration_count(inst.drawers), inst.hidden_drawer, answered
     )
 
 
@@ -148,11 +154,12 @@ def run_extended_grover(
     if phases is None:
         phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=3))
     first, second = ("K", "X") if order == "kx" else ("X", "K")
-    program = CircuitProgram(EXTENDED_LAYOUT, EXTENDED_QUERY + (Measure(first), Measure(second)))
+    program = CircuitProgram(
+        EXTENDED_LAYOUT, EXTENDED_QUERY + (Measure(first), Measure(second)), {"pre": len(EXTENDED_QUERY)}
+    )
     trace = run(program, rng, initial=extended_preparation(phases))
     outcomes = {record.register: record.outcome for record in trace.records}
-    pre_state = trace.state_at(len(EXTENDED_QUERY))
-    return pre_state, GameTranscript(drawers, "extended", 1, outcomes["K"], outcomes["X"])
+    return trace.state_at_tag("pre"), GameTranscript(drawers, "extended", 1, outcomes["K"], outcomes["X"])
 
 
 def sequential_joint_distribution(

@@ -255,11 +255,13 @@ def circuit_suite(rng: np.random.Generator) -> list[CheckResult]:
     def deterministic_replay():
         inst = shor.build_periodic(3, 4)
         program = shor.period_circuit(inst, "measure-F-at-t2")
+        boundaries = {str(b): b for b in range(len(program.instructions) + 1)}
+        program = circuit_ir.CircuitProgram(program.layout, program.instructions, boundaries)
         first = circuit_ir.run(program, np.random.default_rng(11))
         second = circuit_ir.run(program, np.random.default_rng(11))
         assert first.records == second.records
-        for a, b in zip(first.steps, second.steps):
-            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+        for tag in boundaries:
+            assert np.array_equal(first.state_at_tag(tag).amplitudes, second.state_at_tag(tag).amplitudes)
 
     return _run_checks(
         [

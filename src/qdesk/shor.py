@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit_ir import CircuitProgram, Dephase, GateOp, Measure, Prepare, apply_instruction, run
+from .circuit_ir import CircuitProgram, Dephase, GateOp, Measure, Prepare, run, unitary_prefix
 from .errors import ShapeMismatchError
 from .gates import FunctionTable, fourier_axis, modexp_table, qft
 from .measure import PROB_EPS, MeasurementRecord, outcome_distribution
-from .qstate import PureState, RegisterLayout, make_basis_state
+from .qstate import PureState, RegisterLayout
 
 DISCIPLINES = ("measure-F-at-t2", "skip-F", "annihilate-F")
 
@@ -89,11 +89,7 @@ def build_modexp(base: int, modulus: int, n: int) -> PeriodFindingInstance:
 
 def state_after_oracle(inst: PeriodFindingInstance) -> PureState:
     """The entangled two-register state at t2, right after function evaluation."""
-    program = period_circuit(inst, "skip-F")
-    state = make_basis_state(inst.layout, {})
-    for instr in program.instructions[: program.time_tags["t2"]]:
-        state = apply_instruction(state, instr)
-    return state
+    return unitary_prefix(period_circuit(inst, "skip-F"), "t2")
 
 
 def period_circuit(inst: PeriodFindingInstance, discipline: str) -> CircuitProgram:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -37,6 +38,7 @@ from qdesk.circuit_ir import (
     enumerate_outcome_distribution,
     instruction_from_json,
     invert_instruction,
+    unitary_prefix,
 )
 from qdesk.qstate import make_basis_state
 from qdesk.shor import PeriodFindingInstance
@@ -88,12 +90,33 @@ class TestRun:
             assert trace.records[0].probability == pytest.approx(1.0)
 
     def test_fixed_seed_gives_bit_identical_traces(self):
-        program = parity_program()
+        # a copy tagged on every boundary keeps every intermediate state
+        base = parity_program()
+        boundaries = {str(b): b for b in range(len(base.instructions) + 1)}
+        program = CircuitProgram(base.layout, base.instructions, boundaries)
         first = run(program, np.random.default_rng(99))
         second = run(program, np.random.default_rng(99))
         assert first.records == second.records
-        for a, b in zip(first.steps, second.steps):
-            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+        for tag in boundaries:
+            assert np.array_equal(first.state_at_tag(tag).amplitudes, second.state_at_tag(tag).amplitudes)
+
+    def test_trace_keeps_only_tagged_and_final_states(self):
+        layout = RegisterLayout.of(X=3, F=1)
+        body = (GateOp("hadamard", reg="X"), GateOp("qft", reg="X")) * 99
+        program = CircuitProgram(layout, (Prepare("F", "minus"),) + body + (Measure("X"),), {"mid": 100})
+        assert len(program.instructions) == 200
+        trace = run(program, np.random.default_rng(5))
+        assert set(trace.tagged_states) == {"mid"}
+        assert not hasattr(trace, "steps")
+        assert np.array_equal(
+            trace.state_at_tag("mid").amplitudes, unitary_prefix(program, 100).amplitudes
+        )
+        gc.collect()
+        alive = [o for o in gc.get_objects() if isinstance(o, PureState) and o.layout is layout]
+        assert len(alive) == 2
+        assert any(o is trace.final_state for o in alive)
+        with pytest.raises(KeyError):
+            trace.state_at_tag("t2")
 
     def test_measure_twice_rejected(self):
         layout = RegisterLayout.of(X=1)
@@ -224,6 +247,28 @@ class TestEquivalentDistributions:
         )
         tv = equivalent_distributions(program, defer_measurements(program), ["X", "F"])
         assert tv.value < 1e-10
+
+
+class TestUnitaryPrefix:
+    def test_tag_and_boundary_agree_with_gate_by_gate(self):
+        program = period_circuit(build_periodic(3, 2), "measure-F-at-t2")
+        state = make_basis_state(program.layout, {})
+        for boundary in range(program.time_tags["t2"] + 1):
+            assert np.array_equal(unitary_prefix(program, boundary).amplitudes, state.amplitudes)
+            if boundary < program.time_tags["t2"]:
+                state = apply_instruction(state, program.instructions[boundary])
+        assert np.array_equal(unitary_prefix(program, "t2").amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize("discipline", ["measure-F-at-t2", "annihilate-F"])
+    def test_measurement_or_dephasing_before_the_boundary_is_rejected(self, discipline):
+        program = period_circuit(build_periodic(2, 2), discipline)
+        unitary_prefix(program, "t2")
+        with pytest.raises(RewriteNotApplicableError):
+            unitary_prefix(program, "t4")
+
+    def test_unknown_tag_is_a_program_error(self):
+        with pytest.raises(ProgramError):
+            unitary_prefix(parity_program(), "t9")
 
 
 class TestBackdateOutcome:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdesk import build_periodic, gates, period_circuit, run
+from qdesk import build_periodic, gates, iteration_count, period_circuit, run
 from qdesk.cli import main
 from qdesk.qstate import PureState
 from qdesk.shor import DISCIPLINES
@@ -118,6 +118,20 @@ class TestShorCommand:
 
 
 class TestGroverCommand:
+    def test_standard_report_runs_one_search(self, capsys, monkeypatch):
+        calls = []
+        oracle_xor = gates.oracle_xor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return oracle_xor(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "oracle_xor", counting)
+        code, out, err = run_cli(capsys, ["grover", "--n", "64", "--k", "5", "--json"])
+        assert code == 0, err
+        assert json.loads(out)["oracle_queries"] == iteration_count(64)
+        assert len(calls) == iteration_count(64)
+
     def test_standard_game_report(self, capsys):
         code, out, _ = run_cli(capsys, ["grover", "--n", "4", "--k", "0", "--variant", "standard", "--json"])
         assert code == 0
@@ -222,6 +236,13 @@ class TestMixtureCheckCommand:
         assert report["analytic_distance"] < 1e-10
         assert report["monte_carlo_distance"] < 0.05
         assert report["correlated_phase_distance"] > 0.1
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_is_usage_error(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["mixture-check", "--samples", samples, "--json"])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
 
 class TestCliContract:

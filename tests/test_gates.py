@@ -11,7 +11,6 @@ from qdesk import (
     RegisterLayout,
     ShapeMismatchError,
     grover_diffusion,
-    grover_iteration,
     hadamard_all,
     make_basis_state,
     modexp_table,
@@ -258,7 +257,7 @@ class TestGroverIteration:
         f = FunctionTable(2, 1, (1, 0, 0, 0))  # marked value 0
         state = hadamard_all(make_basis_state(layout, {"F": 1}), "F")
         state = hadamard_all(state, "X")
-        state = grover_iteration(state, f, "X", "F")
+        state = grover_diffusion(oracle_xor(state, f, "X", "F"), "X")
         probs = outcome_distribution(state, "X").probabilities
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -267,7 +266,7 @@ class TestGroverIteration:
         zero = FunctionTable(3, 1, (0,) * 8)
         state = hadamard_all(make_basis_state(layout, {"F": 1}), "F")
         state = hadamard_all(state, "X")
-        after = grover_iteration(state, zero, "X", "F")
+        after = grover_diffusion(oracle_xor(state, zero, "X", "F"), "X")
         assert np.abs(after.amplitudes - state.amplitudes).max() < 1e-10
 
     def test_norm_preserved_on_random_states(self):
@@ -276,7 +275,7 @@ class TestGroverIteration:
         f = FunctionTable(3, 1, tuple(1 if x == 5 else 0 for x in range(8)))
         for _ in range(10):
             state = random_state(rng, layout)
-            assert abs(grover_iteration(state, f, "X", "F").norm() - 1.0) < 1e-12
+            assert abs(grover_diffusion(oracle_xor(state, f, "X", "F"), "X").norm() - 1.0) < 1e-12
 
 
 class TestUnitarity:

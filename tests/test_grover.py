@@ -17,15 +17,20 @@ from qdesk import (
     run_classical_game,
     run_extended_grover,
     run_standard_grover,
+    standard_circuit,
     standard_grover_state,
 )
+from qdesk.circuit_ir import GateOp, Measure, run
+from qdesk.gates import grover_diffusion, hadamard_all, oracle_xor
 from qdesk.grover import (
     EXTENDED_LAYOUT,
     extended_preparation,
     kickback_preparation,
+    marked_drawer_table,
     sequential_joint_distribution,
     standard_layout,
 )
+from qdesk.measure import measure_register
 
 
 def expected_standard_final(drawers, hidden):
@@ -58,7 +63,7 @@ class TestStandardGame:
 
     @pytest.mark.parametrize("hidden", range(4))
     def test_transcript_answers_the_hidden_drawer(self, hidden):
-        transcript = run_standard_grover(GameInstance(4, hidden), np.random.default_rng(0))
+        _, transcript = run_standard_grover(GameInstance(4, hidden), np.random.default_rng(0))
         assert transcript.answered_x == hidden
         assert transcript.announced_k == hidden
         assert transcript.oracle_queries == 1
@@ -100,6 +105,50 @@ class TestStandardGame:
     def test_hidden_drawer_validated(self):
         with pytest.raises(ValueError):
             GameInstance(4, 4)
+
+
+def hand_route_state(inst):
+    """The standard search applied gate by gate, outside any program."""
+    state = hadamard_all(kickback_preparation(standard_layout(inst.drawers)), "X")
+    table = marked_drawer_table(inst.drawers, inst.hidden_drawer)
+    for _ in range(iteration_count(inst.drawers)):
+        state = grover_diffusion(oracle_xor(state, table, "X", "F"), "X")
+    return state
+
+
+class TestStandardCircuit:
+    def test_program_shape(self):
+        program = standard_circuit(GameInstance(64, 9))
+        iterations = iteration_count(64)
+        assert len(program.instructions) == 2 * iterations + 3
+        assert program.time_tags == {"pre": 2 * iterations + 2}
+        assert program.instructions[-1] == Measure("X")
+        kinds = [i.kind for i in program.instructions[2:-1] if isinstance(i, GateOp)]
+        assert kinds == ["oracle-xor", "grover-diffusion"] * iterations
+        assert program.measured_registers() == ("X",)
+
+    @pytest.mark.parametrize("drawers", [4, 16, 64, 1024])
+    def test_pre_state_bit_identical_to_hand_route(self, drawers):
+        inst = GameInstance(drawers, drawers - 3)
+        reference = hand_route_state(inst).amplitudes
+        trace = run(standard_circuit(inst), np.random.default_rng(drawers))
+        assert np.array_equal(trace.state_at_tag("pre").amplitudes, reference)
+        assert np.array_equal(standard_grover_state(inst).amplitudes, reference)
+        pre, _ = run_standard_grover(inst, np.random.default_rng(drawers))
+        assert np.array_equal(pre.amplitudes, reference)
+
+    @pytest.mark.parametrize("drawers", [16, 64, 1024])
+    def test_answer_equals_measure_register_with_the_same_seed(self, drawers):
+        inst = GameInstance(drawers, 1)
+        reference = hand_route_state(inst)
+        answers = set()
+        for seed in range(200):
+            _, transcript = run_standard_grover(inst, np.random.default_rng(seed))
+            expected, _ = measure_register(reference, "X", np.random.default_rng(seed))
+            assert transcript.answered_x == expected
+            answers.add(transcript.answered_x)
+        if drawers == 16:
+            assert len(answers) > 1  # a miss shows the draw is really compared
 
 
 class TestExtendedGame:
