@@ -40,6 +40,19 @@ def positive_int(raw: str) -> int:
     return non_negative_int(raw, low=1)
 
 
+MAX_DRAWER_QUBITS = 19  # with the kickback qubit, 20 qubits in all
+
+
+def drawer_count(raw: str) -> int:
+    """A power of two from 2 to 2^MAX_DRAWER_QUBITS, checked before any table is built."""
+    value = int(raw)
+    if value < 2 or value > 1 << MAX_DRAWER_QUBITS or value & (value - 1):
+        raise argparse.ArgumentTypeError(
+            f"must be a power of two from 2 to {1 << MAX_DRAWER_QUBITS}, got {value}"
+        )
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $QDESK_SEED or 0)")
     fmt = parser.add_mutually_exclusive_group()
@@ -67,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("grover", help="quantum drawer search, standard or mode-extended")
-    p.add_argument("--n", type=int, default=4, help="number of drawers (power of two)")
+    p.add_argument("--n", type=drawer_count, default=4, help="number of drawers (power of two, 2..2^19)")
     p.add_argument("--k", type=int, default=0, help="hidden drawer (standard variant)")
     p.add_argument("--variant", choices=("standard", "extended"), default="standard")
     p.add_argument("--order", choices=("kx", "xk"), default="kx", help="extended measurement order")

@@ -2,43 +2,83 @@
 XOR table oracles, and the inversion-about-mean step.
 
 Every register-wise operation works on the ``(left, d, right)`` view of
-the amplitude vector (``RegisterLayout.axis_shape``).  Oracles are
-basis-index permutations of the amplitude vector, never dense matrices:
-cost O(2^total) per application instead of O(4^total).  The Fourier
-transform runs as an FFT along the register axis by default; the dense
-matrix form (``method="dense"``, ``fourier_matrix``) is kept only as the
-oracle that tests and the self-test compare the FFT against, within 1e-10.
+the amplitude vector (``RegisterLayout.axis_shape``); the diffusion step is
+a sum over that view's middle axis.  Oracles are basis-index permutations
+of the amplitude vector, never dense matrices: cost O(2^total) per
+application instead of O(4^total).  A table holds its entries as a
+read-only int64 array and builds its oracle permutation over the joint
+(input, output) value once, on first use; an oracle moves its registers to
+the trailing axes and gathers along that permutation, every other register
+a batch axis.  The Fourier transform runs as an FFT along the register axis
+by default; the dense matrix form (``method="dense"``, ``fourier_matrix``)
+is kept only as the oracle that tests and the self-test compare the FFT
+against, within 1e-10.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .qstate import PureState, RegisterLayout
+from .qstate import PureState
+
+
+class _XorTable:
+    """What both tables share: ``values``, the entries as a read-only int64
+    array built once on construction, and ``permutation``, the oracle's
+    basis map built on first use and kept for the life of the table."""
+
+    def _store(self, entries: int) -> None:
+        """Check the entries for length and range, then keep them as
+        ``values`` and as the ``table`` tuple."""
+        out_of_range = f"table entry out of range for {self.output_bits} output bits"
+        try:
+            values = np.array(self.table, dtype=np.int64)
+        except OverflowError:
+            raise ShapeMismatchError(out_of_range) from None
+        if values.shape != (entries,):
+            raise ShapeMismatchError(f"table has {values.size} entries, expected {entries}")
+        if values.min() < 0 or values.max() >= 1 << self.output_bits:
+            raise ShapeMismatchError(out_of_range)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "table", tuple(values.tolist()))
+
+    @cached_property
+    def permutation(self) -> np.ndarray:
+        return _xor_permutation(self.values, self.output_bits)
+
+
+def _xor_permutation(values: np.ndarray, output_bits: int) -> np.ndarray:
+    """Flat read-only index map (key, y) -> (key, y XOR values[key]) over the
+    key-major pairs; a self-inverse permutation."""
+    outputs = np.arange(1 << output_bits)
+    keys = np.arange(values.size)[:, None] << output_bits
+    perm = (keys | (outputs ^ values[:, None])).reshape(-1)
+    perm.setflags(write=False)
+    return perm
 
 
 @dataclass(frozen=True)
-class FunctionTable:
-    """Explicit lookup table for f: {0,1}^input_bits -> {0,1}^output_bits."""
+class FunctionTable(_XorTable):
+    """Explicit lookup table for f: {0,1}^input_bits -> {0,1}^output_bits.
+
+    ``table`` may be any sequence or array of integers; it is stored as a
+    tuple, which equality, hashing and JSON use.
+    """
 
     input_bits: int
     output_bits: int
     table: tuple[int, ...]
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
-        if len(self.table) != 1 << self.input_bits:
-            raise ShapeMismatchError(
-                f"table has {len(self.table)} entries, expected {1 << self.input_bits}"
-            )
-        if any(not 0 <= v < (1 << self.output_bits) for v in self.table):
-            raise ShapeMismatchError(f"table entry out of range for {self.output_bits} output bits")
+        self._store(1 << self.input_bits)
 
     @classmethod
     def from_callable(cls, fn: Callable[[int], int], input_bits: int, output_bits: int) -> "FunctionTable":
@@ -56,21 +96,17 @@ class FunctionTable:
 
 
 @dataclass(frozen=True)
-class ModedFunctionTable:
+class ModedFunctionTable(_XorTable):
     """Lookup table for F(mode, x), stored row-major over (mode, x)."""
 
     mode_bits: int
     input_bits: int
     output_bits: int
     table: tuple[int, ...]
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
-        expected = 1 << (self.mode_bits + self.input_bits)
-        if len(self.table) != expected:
-            raise ShapeMismatchError(f"table has {len(self.table)} entries, expected {expected}")
-        if any(not 0 <= v < (1 << self.output_bits) for v in self.table):
-            raise ShapeMismatchError(f"table entry out of range for {self.output_bits} output bits")
+        self._store(1 << (self.mode_bits + self.input_bits))
 
     def __call__(self, mode: int, x: int) -> int:
         return self.table[(mode << self.input_bits) | x]
@@ -78,9 +114,7 @@ class ModedFunctionTable:
     @classmethod
     def equality_test(cls, bits: int) -> "ModedFunctionTable":
         """The drawer oracle: output 1 exactly when mode == x."""
-        size = 1 << bits
-        table = tuple(1 if k == x else 0 for k in range(size) for x in range(size))
-        return cls(bits, bits, 1, table)
+        return cls(bits, bits, 1, np.eye(1 << bits, dtype=np.int64).reshape(-1))
 
     def to_json(self) -> dict:
         return {
@@ -164,8 +198,18 @@ def qft(state: PureState, reg: str, inverse: bool = False, method: str = "fast")
     return state.with_amplitudes(out.reshape(-1))
 
 
-def _field(layout: RegisterLayout, reg: str, indices: np.ndarray) -> np.ndarray:
-    return (indices >> layout.offset(reg)) & (layout.dim(reg) - 1)
+def _permute_registers(state: PureState, regs: tuple[str, ...], permutation: np.ndarray) -> PureState:
+    """Gather the amplitudes along ``permutation`` over the joint value of
+    ``regs`` (first most significant), every other register a batch axis."""
+    layout = state.layout
+    names = layout.names
+    axes = [names.index(reg) for reg in regs]
+    trailing = list(range(len(names) - len(regs), len(names)))
+    tensor = state.amplitudes.reshape([layout.dim(name) for name in names])
+    block = np.moveaxis(tensor, axes, trailing)
+    batch = block.shape[: trailing[0]]
+    gathered = np.take(block.reshape(batch + (-1,)), permutation, axis=-1)
+    return state.with_amplitudes(np.moveaxis(gathered.reshape(block.shape), trailing, axes).reshape(-1))
 
 
 def oracle_xor(state: PureState, f: FunctionTable, in_reg: str, out_reg: str) -> PureState:
@@ -178,12 +222,7 @@ def oracle_xor(state: PureState, f: FunctionTable, in_reg: str, out_reg: str) ->
         )
     if in_reg == out_reg:
         raise ShapeMismatchError("input and output registers must differ")
-    indices = np.arange(layout.dimension)
-    values = np.asarray(f.table)[_field(layout, in_reg, indices)]
-    partner = indices ^ (values << layout.offset(out_reg))
-    # XOR-ing a fixed field is an involution, so gathering along the partner
-    # permutation is its own inverse.
-    return state.with_amplitudes(state.amplitudes[partner])
+    return _permute_registers(state, (in_reg, out_reg), f.permutation)
 
 
 def oracle_moded(
@@ -199,15 +238,12 @@ def oracle_moded(
         raise ShapeMismatchError("moded table dimensions do not fit the three registers")
     if len({mode_reg, in_reg, out_reg}) != 3:
         raise ShapeMismatchError("mode, input, and output registers must be distinct")
-    indices = np.arange(layout.dimension)
-    keys = (_field(layout, mode_reg, indices) << f.input_bits) | _field(layout, in_reg, indices)
-    values = np.asarray(f.table)[keys]
-    partner = indices ^ (values << layout.offset(out_reg))
-    return state.with_amplitudes(state.amplitudes[partner])
+    return _permute_registers(state, (mode_reg, in_reg, out_reg), f.permutation)
 
 
 def grover_diffusion(state: PureState, reg: str) -> PureState:
     """Inversion about the mean on one register: 2|u><u| - I."""
-    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    out = 2.0 * block.mean(axis=1, keepdims=True) - block
+    left, d, right = state.layout.axis_shape(reg)
+    block = state.amplitudes.reshape(left, d, right)
+    out = (2.0 / d) * np.einsum("ldr->lr", block)[:, None, :] - block
     return state.with_amplitudes(out.reshape(-1))

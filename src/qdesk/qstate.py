@@ -8,7 +8,7 @@ the package shares this one convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -22,9 +22,15 @@ NORM_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered named registers; first entry holds the most significant bits."""
+    """Ordered named registers; first entry holds the most significant bits.
+
+    Sizes, offsets and the total width are computed once, on construction,
+    so ``qubits``, ``offset`` and ``total_qubits`` are lookups.
+    """
 
     registers: tuple[tuple[str, int], ...]
+    total_qubits: int = field(init=False, repr=False, compare=False)
+    _fields: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         regs = tuple((str(name), int(q)) for name, q in self.registers)
@@ -37,6 +43,12 @@ class RegisterLayout:
         for name, q in regs:
             if q <= 0:
                 raise ShapeMismatchError(f"register {name!r} must have >= 1 qubit")
+        fields, off = {}, 0
+        for name, q in reversed(regs):
+            fields[name] = (q, off)
+            off += q
+        object.__setattr__(self, "total_qubits", off)
+        object.__setattr__(self, "_fields", fields)
 
     @classmethod
     def of(cls, **sizes: int) -> "RegisterLayout":
@@ -48,30 +60,24 @@ class RegisterLayout:
         return tuple(name for name, _ in self.registers)
 
     @property
-    def total_qubits(self) -> int:
-        return sum(q for _, q in self.registers)
-
-    @property
     def dimension(self) -> int:
         return 1 << self.total_qubits
 
+    def _field(self, reg: str) -> tuple[int, int]:
+        try:
+            return self._fields[reg]
+        except KeyError:
+            raise UnknownRegisterError(reg) from None
+
     def qubits(self, reg: str) -> int:
-        for name, q in self.registers:
-            if name == reg:
-                return q
-        raise UnknownRegisterError(reg)
+        return self._field(reg)[0]
 
     def dim(self, reg: str) -> int:
         return 1 << self.qubits(reg)
 
     def offset(self, reg: str) -> int:
         """Bit offset of the register's least significant bit."""
-        off = 0
-        for name, q in reversed(self.registers):
-            if name == reg:
-                return off
-            off += q
-        raise UnknownRegisterError(reg)
+        return self._field(reg)[1]
 
     def axis_shape(self, reg: str) -> tuple[int, int, int]:
         """Shape ``(left, d, right)`` that puts one register on the middle axis.

@@ -72,7 +72,7 @@ def build_periodic(n: int, period: int) -> PeriodFindingInstance:
     size = 1 << n
     if not 1 <= period <= size:
         raise ValueError(f"period must be in 1..{size}, got {period}")
-    table = FunctionTable(n, n, tuple(x % period for x in range(size)))
+    table = FunctionTable(n, n, np.arange(size) % period)
     return PeriodFindingInstance(n, table, period, size % period == 0)
 
 

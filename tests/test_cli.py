@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qdesk import build_periodic, gates, iteration_count, period_circuit, run
-from qdesk.cli import main
+from qdesk import build_periodic, gates, grover, iteration_count, period_circuit, run
+from qdesk.cli import drawer_count, main
 from qdesk.qstate import PureState
 from qdesk.shor import DISCIPLINES
 
@@ -146,6 +146,21 @@ class TestGroverCommand:
         assert report["announced_k"] == report["answered_x"]
         joint = report["joint_distribution"]
         assert set(joint) == {f"{k},{k}" for k in range(4)}
+
+    @pytest.mark.parametrize("drawers", ["6", "0", "1", "-4", "1048576", "2097152"])
+    def test_drawer_count_out_of_range_is_usage_error(self, capsys, monkeypatch, drawers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drawer table built before the size check")
+
+        monkeypatch.setattr(grover, "marked_drawer_table", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["grover", "--n", drawers, "--json"])
+        assert exc.value.code == 2
+        assert "--n: must be a power of two" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drawers", [2, 524288])
+    def test_drawer_count_accepts_the_range_ends(self, drawers):
+        assert drawer_count(str(drawers)) == drawers
 
     def test_dump_state(self, capsys, tmp_path):
         path = tmp_path / "grover.json"
@@ -294,3 +309,33 @@ class TestHotRoutes:
         assert code == 0, err
         code, _, err = run_cli(capsys, ["defer-check", "--fig1", "--n", "3", "--r", "2", "--json"])
         assert code == 0, err
+
+    def test_search_report_builds_the_oracle_permutation_once(self, capsys, monkeypatch):
+        calls = []
+        build = gates._xor_permutation
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "_xor_permutation", counting)
+        code, out, err = run_cli(capsys, ["grover", "--n", "1024", "--k", "9", "--json"])
+        assert code == 0, err
+        assert json.loads(out)["oracle_queries"] == iteration_count(1024) > 1
+        assert len(calls) == 1
+
+    def test_game_report_plays_a_constant_number_of_games(self, capsys, monkeypatch):
+        calls = []
+        play = grover.run_classical_game
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(grover, "run_classical_game", counting)
+        for strategy in ("joint", "unilateral"):
+            argv = ["game", "--drawers", "65536", "--k", "300", "--strategy", strategy, "--json"]
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0, err
+            assert json.loads(out)["worst_case_queries"] == (256 if strategy == "joint" else 65536)
+        assert len(calls) <= 4

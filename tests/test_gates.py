@@ -60,6 +60,63 @@ class TestFunctionTable:
         m = ModedFunctionTable.equality_test(2)
         assert ModedFunctionTable.from_json(m.to_json()) == m
 
+    def test_sequence_and_array_forms_build_the_same_table(self):
+        entries = (1, 0, 0, 1, 0, 0, 0, 1)
+        forms = [
+            entries,
+            list(entries),
+            np.array(entries, dtype=np.int32),
+            np.array(entries, dtype=np.int64),
+            np.array(entries, dtype=bool),
+        ]
+        tables = [FunctionTable(3, 1, form) for form in forms]
+        for f in tables:
+            assert f == tables[0]
+            assert hash(f) == hash(tables[0])
+            assert f.to_json() == tables[0].to_json()
+            assert f.table == entries and all(type(v) is int for v in f.table)
+            assert f.values.dtype == np.int64 and f.values.tolist() == list(entries)
+        moded = [ModedFunctionTable(1, 2, 1, form) for form in forms]
+        assert all(m == moded[0] and hash(m) == hash(moded[0]) for m in moded)
+        assert ModedFunctionTable.equality_test(2).table == tuple(
+            int(k == x) for k in range(4) for x in range(4)
+        )
+
+    @pytest.mark.parametrize("form", [tuple, list, np.array])
+    def test_array_forms_still_validate(self, form):
+        with pytest.raises(ShapeMismatchError):
+            FunctionTable(2, 1, form([0, 1, 0]))
+        with pytest.raises(ShapeMismatchError):
+            FunctionTable(2, 1, form([0, 1, 0, 2]))
+        with pytest.raises(ShapeMismatchError):
+            FunctionTable(2, 1, form([0, 1, -1, 0]))
+        with pytest.raises(ShapeMismatchError):
+            ModedFunctionTable(1, 1, 1, form([0, 1, 0]))
+        with pytest.raises(ShapeMismatchError):
+            ModedFunctionTable(1, 1, 1, form([0, 1, 0, 2]))
+        with pytest.raises(ShapeMismatchError):
+            FunctionTable(1, 2, form([0, 2**70]))
+
+    def test_table_keeps_its_own_copy(self):
+        entries = np.array([0, 1, 2, 3])
+        f = FunctionTable(2, 2, entries)
+        entries[0] = 3
+        assert f.table == (0, 1, 2, 3) and f.values[0] == 0
+
+    def test_values_and_permutation_are_read_only(self):
+        for f in (FunctionTable(2, 2, (0, 1, 2, 3)), ModedFunctionTable.equality_test(2)):
+            with pytest.raises(ValueError):
+                f.values[0] = 1
+            with pytest.raises(ValueError):
+                f.permutation[0] = 1
+            assert f.permutation is f.permutation  # built once per table
+
+    def test_permutation_is_the_xor_map(self):
+        f = FunctionTable(2, 2, (3, 0, 1, 2))
+        expected = [(x << 2) | (y ^ f(x)) for x in range(4) for y in range(4)]
+        assert f.permutation.tolist() == expected
+        assert np.array_equal(f.permutation[f.permutation], np.arange(16))
+
     def test_modexp_table_against_hand_powers(self):
         # 7^x mod 15 cycles 1, 7, 4, 13, 1, ...
         f = modexp_table(7, 15, 4)
@@ -244,6 +301,14 @@ class TestModedOracle:
         state = PureState(layout, minus)
         out = oracle_moded(state, f, "K", "X", "F")
         assert np.allclose(out.amplitudes, -minus)
+
+    def test_involution_is_exact(self):
+        rng = np.random.default_rng(11)
+        layout = RegisterLayout.of(X=2, K=2, F=1)
+        state = random_state(rng, layout)
+        f = ModedFunctionTable.equality_test(2)
+        again = oracle_moded(oracle_moded(state, f, "K", "X", "F"), f, "K", "X", "F")
+        assert np.array_equal(again.amplitudes, state.amplitudes)
 
     def test_distinct_registers_required(self):
         state = make_basis_state(RegisterLayout.of(K=2, X=2, F=1), {})

@@ -248,6 +248,23 @@ class TestClassicalGame:
         assert classical_worst_case_queries(drawers, "joint") == math.isqrt(drawers)
         assert classical_worst_case_queries(drawers, "unilateral") == drawers
 
+    def test_worst_case_equals_brute_force(self):
+        def brute_force(drawers, strategy):
+            return max(run_classical_game(drawers, k, strategy).oracle_queries for k in range(drawers))
+
+        for side in range(1, 65):
+            assert classical_worst_case_queries(side * side, "joint") == brute_force(side * side, "joint")
+        for bits in range(13):
+            drawers = 1 << bits
+            assert classical_worst_case_queries(drawers, "unilateral") == brute_force(drawers, "unilateral")
+
+    @pytest.mark.parametrize(
+        "drawers, strategy", [(8, "joint"), (0, "joint"), (0, "unilateral"), (-4, "unilateral"), (4, "diagonal")]
+    )
+    def test_worst_case_checks_input_like_the_game(self, drawers, strategy):
+        with pytest.raises(ValueError):
+            classical_worst_case_queries(drawers, strategy)
+
     def test_sixty_four_drawers_row_scan(self):
         assert classical_worst_case_queries(64, "joint") == 8
 

@@ -45,6 +45,22 @@ class TestRegisterLayout:
         layout = RegisterLayout.of(X=2)
         with pytest.raises(UnknownRegisterError):
             layout.offset("Y")
+        with pytest.raises(UnknownRegisterError):
+            layout.qubits("Y")
+
+    @pytest.mark.parametrize("sizes", [(3,), (1, 4), (2, 1, 3), (5, 2, 1, 4)])
+    def test_lookups_match_the_register_list(self, sizes):
+        layout = RegisterLayout(tuple((f"R{i}", q) for i, q in enumerate(sizes)))
+        assert layout.total_qubits == sum(sizes)
+        for i, (name, q) in enumerate(layout.registers):
+            assert layout.qubits(name) == q
+            assert layout.offset(name) == sum(sizes[i + 1 :])
+
+    def test_equality_and_hash_see_only_the_registers(self):
+        a, b = RegisterLayout.of(X=2, F=1), RegisterLayout((("X", 2), ("F", 1)))
+        assert a == b and hash(a) == hash(b)
+        assert a != RegisterLayout.of(F=1, X=2)
+        assert repr(a) == "RegisterLayout(registers=(('X', 2), ('F', 1)))"
 
     @pytest.mark.parametrize(
         "sizes",

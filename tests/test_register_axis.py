@@ -2,7 +2,8 @@
 
 The references here are the plain forms the fast routes replaced: the dense
 Fourier matrix, full-length masks built from ``np.arange(dimension)``, and
-the per-branch projection of the whole state.  They stay in this file so the
+the per-branch projection of the whole state, the XOR oracles' per-call
+``np.arange`` partner arrays, and the diffusion mean.  They stay in this file so the
 library keeps one route per operation.
 """
 
@@ -11,11 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdesk import (
+    FunctionTable,
+    ModedFunctionTable,
     PureState,
     RegisterLayout,
     build_modexp,
     build_periodic,
     exact_outcome_distribution,
+    grover_diffusion,
+    oracle_moded,
+    oracle_xor,
     outcome_distribution,
     phased_mixture_from_state,
     project,
@@ -121,6 +127,76 @@ def test_xor_register_matches_arange_reference(case, data):
     partner = np.arange(state.layout.dimension) ^ (value << state.layout.offset(reg))
     got = _xor_register(state, reg, value)
     assert np.array_equal(got.amplitudes, state.amplitudes[partner])
+
+
+def arange_oracle_xor(state, f, in_reg, out_reg):
+    """|x>|y> -> |x>|y XOR f(x)> by a full-length partner array."""
+    layout = state.layout
+    values = np.asarray(f.table)[field(layout, in_reg)]
+    partner = np.arange(layout.dimension) ^ (values << layout.offset(out_reg))
+    return state.with_amplitudes(state.amplitudes[partner])
+
+
+def arange_oracle_moded(state, f, mode_reg, in_reg, out_reg):
+    """|k>|x>|y> -> |k>|x>|y XOR F(k, x)> by a full-length partner array."""
+    layout = state.layout
+    keys = (field(layout, mode_reg) << f.input_bits) | field(layout, in_reg)
+    values = np.asarray(f.table)[keys]
+    partner = np.arange(layout.dimension) ^ (values << layout.offset(out_reg))
+    return state.with_amplitudes(state.amplitudes[partner])
+
+
+@st.composite
+def oracle_cases(draw, roles):
+    """A random state on 2-4 registers with ``roles`` of them picked in any
+    order, plus a random table of entries that fit the last one."""
+    count = draw(st.integers(len(roles), 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
+    layout = RegisterLayout(tuple((f"R{i}", q) for i, q in enumerate(sizes)))
+    regs = draw(st.permutations(layout.names))[: len(roles)]
+    rng = np.random.default_rng(draw(SEEDS))
+    amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+    state = PureState(layout, amps / np.linalg.norm(amps))
+    key_bits = sum(layout.qubits(reg) for reg in regs[:-1])
+    entries = rng.integers(0, layout.dim(regs[-1]), size=1 << key_bits)
+    return state, regs, entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=oracle_cases(("in", "out")))
+def test_oracle_xor_matches_arange_reference(case):
+    state, (in_reg, out_reg), entries = case
+    f = FunctionTable(state.layout.qubits(in_reg), state.layout.qubits(out_reg), entries)
+    got = oracle_xor(state, f, in_reg, out_reg)
+    assert np.array_equal(got.amplitudes, arange_oracle_xor(state, f, in_reg, out_reg).amplitudes)
+    assert np.array_equal(oracle_xor(got, f, in_reg, out_reg).amplitudes, state.amplitudes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=oracle_cases(("mode", "in", "out")))
+def test_oracle_moded_matches_arange_reference(case):
+    state, (mode_reg, in_reg, out_reg), entries = case
+    layout = state.layout
+    f = ModedFunctionTable(layout.qubits(mode_reg), layout.qubits(in_reg), layout.qubits(out_reg), entries)
+    got = oracle_moded(state, f, mode_reg, in_reg, out_reg)
+    expected = arange_oracle_moded(state, f, mode_reg, in_reg, out_reg)
+    assert np.array_equal(got.amplitudes, expected.amplitudes)
+    assert np.array_equal(oracle_moded(got, f, mode_reg, in_reg, out_reg).amplitudes, state.amplitudes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=random_states())
+def test_grover_diffusion_matches_mean_reference(case):
+    state, reg = case
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    expected = (2.0 * block.mean(axis=1, keepdims=True) - block).reshape(-1)
+    got = grover_diffusion(state, reg).amplitudes
+    if state.layout.offset(reg) > 0:
+        # both sum the register axis in order when it is strided
+        assert np.array_equal(got, expected)
+    else:
+        # the mean sums a contiguous axis pairwise, so the last bits may differ
+        assert np.abs(got - expected).max() < 1e-14
 
 
 MODEXP_CASES = [(2, 21), (2, 9), (7, 15), (2, 15), (3, 7), (5, 39), (2, 5)]
