@@ -61,6 +61,7 @@ from .circuit_ir import (
     defer_measurements,
     equivalent_distributions,
     run,
+    sample,
     unitary_prefix,
 )
 from .shor import (

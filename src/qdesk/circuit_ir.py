@@ -20,6 +20,13 @@ Three operations make intermediate measurements negotiable:
 Measured registers are frozen: once measured, a register may not be
 prepared, gated or dephased again.  This keeps the deferral precondition
 honest.
+
+``run``, ``sample`` and ``enumerate_outcome_distribution`` walk the same
+branch tree.  Up to the first dephasing, the state at a boundary is a
+function of the outcomes drawn before it, so it is computed on demand from
+the deepest state kept on that path, and each measurement's outcome
+distribution is computed once per walk: sampled trials draw from it instead
+of replaying the unitary part.
 """
 
 from __future__ import annotations
@@ -34,12 +41,11 @@ from . import gates
 from .gates import FunctionTable, ModedFunctionTable
 from .measure import (
     MeasurementRecord,
+    OutcomeDistribution,
     ProjectionOperator,
     born_sample,
     outcome_distribution,
-    phased_mixture_from_state,
     project,
-    sample_phases,
 )
 from .qstate import PureState, RegisterLayout, StateDistance, make_basis_state
 
@@ -217,7 +223,7 @@ def _xor_register(state: PureState, reg: str, value: int) -> PureState:
         return state
     block = state.amplitudes.reshape(state.layout.axis_shape(reg))
     partner = np.arange(block.shape[1]) ^ value
-    return state.with_amplitudes(block[:, partner, :].reshape(-1))
+    return PureState._adopt(state.layout, block[:, partner, :].reshape(-1))
 
 
 def apply_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
@@ -287,6 +293,119 @@ def _start_state(program: CircuitProgram, initial: PureState | None) -> PureStat
     return state
 
 
+def _dephase(state: PureState, reg: str, values: Sequence[int], phases: np.ndarray) -> PureState:
+    """The state with one phase factor on each listed value of ``reg`` and
+    every other value of it zeroed: one product with the register's
+    ``(left, d, right)`` block."""
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    factors = np.zeros(block.shape[1], dtype=np.complex128)
+    factors[values] = np.exp(1j * phases)
+    # factor first, as in the random-phase picture's ``phase factor * slot``
+    # (numpy's complex product fuses one of its multiply-adds, so the order
+    # shows in the last bit); adding 0.0 turns the -0.0 a zero factor can
+    # leave into the +0.0 of an empty slot
+    out = factors[:, None] * block
+    out += 0.0
+    return PureState._adopt(state.layout, out.reshape(-1))
+
+
+class _BranchWalk:
+    """A program's branch tree, walked from one start state.
+
+    A node is the index of a ``Measure`` or ``Dephase`` instruction together
+    with its path: the branch values taken at the nodes before it (a
+    ``Dephase`` branch is one value of its register, as in enumeration).
+    The state at any boundary is a function of (boundary, path), so
+    ``state`` computes it on demand from the deepest state it has kept on
+    that path, and ``distribution`` memoises each node's outcome
+    distribution.  Kept states form one chain from the start: one per
+    visited node of one path, never one per branch.
+    """
+
+    def __init__(self, program: CircuitProgram, initial: PureState | None):
+        self.instructions = program.instructions
+        self._last_node = max(
+            (i for i, instr in enumerate(self.instructions) if isinstance(instr, (Measure, Dephase))),
+            default=-1,
+        )
+        self._chain = [(0, (), _start_state(program, initial))]
+        self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
+
+    def state(self, boundary: int, path: tuple[int, ...]) -> PureState:
+        """The state after the first ``boundary`` instructions on ``path``."""
+        chain = self._chain
+        while not (chain[-1][0] <= boundary and path[: len(chain[-1][1])] == chain[-1][1]):
+            chain.pop()
+        at, taken, state = chain[-1]
+        if at == boundary:
+            return state
+        k = len(taken)
+        for instr in self.instructions[at:boundary]:
+            if isinstance(instr, (Measure, Dephase)):
+                state = project(state, ProjectionOperator(instr.reg, path[k]))
+                k += 1
+            else:
+                state = apply_instruction(state, instr)
+        chain.append((boundary, path, state))
+        return state
+
+    def distribution(self, index: int, path: tuple[int, ...]) -> OutcomeDistribution:
+        """The outcome distribution of node ``index`` on ``path``, memoised."""
+        key = (index, path)
+        if key not in self._distributions:
+            reg = self.instructions[index].reg
+            self._distributions[key] = outcome_distribution(self.state(index, path), reg)
+        return self._distributions[key]
+
+    def trial(
+        self, rng: np.random.Generator, tags: Mapping[str, int] | None = None
+    ) -> tuple[tuple[MeasurementRecord, ...], dict[str, PureState], PureState | None]:
+        """One sampled run: its records and, given ``tags`` (tag -> boundary),
+        the states at those boundaries and the final state.
+
+        Until a ``Dephase`` the trial carries only its path, and a state is
+        computed only where a node's distribution is not yet memoised or a
+        tag asks for it.  A ``Dephase`` draws one uniform phase per support
+        value; from there the trial carries its own state.  Without
+        ``tags`` nothing after the last draw is computed.
+        """
+        instrs = self.instructions
+        keep = tags is not None
+        stop = len(instrs) if keep else self._last_node + 1
+        records: list[MeasurementRecord] = []
+        tagged: dict[str, PureState] = {}
+        path: tuple[int, ...] = ()
+        own: PureState | None = None
+        for i in range(stop):
+            instr = instrs[i]
+            if keep and i in tags.values():
+                here = own if own is not None else self.state(i, path)
+                tagged.update((tag, here) for tag, b in tags.items() if b == i)
+            if not isinstance(instr, (Measure, Dephase)):
+                if own is not None:
+                    own = apply_instruction(own, instr)
+                continue
+            dist = self.distribution(i, path) if own is None else outcome_distribution(own, instr.reg)
+            last = not keep and i == self._last_node
+            if isinstance(instr, Measure):
+                outcome = born_sample(dist, rng)
+                records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
+                if own is None:
+                    path += (outcome,)
+                elif not last:
+                    own = project(own, ProjectionOperator(instr.reg, outcome))
+            else:
+                values = dist.support()
+                phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
+                if not last:
+                    own = _dephase(self.state(i, path) if own is None else own, instr.reg, values, phases)
+        if not keep:
+            return tuple(records), tagged, None
+        final = own if own is not None else self.state(len(instrs), path)
+        tagged.update((tag, final) for tag, b in tags.items() if b == len(instrs))
+        return tuple(records), tagged, final
+
+
 def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:
     """The state at boundary ``stop`` (an index or a time tag), reached by
     applying the program's instructions before it to |0...0>.  A measurement
@@ -296,14 +415,10 @@ def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:
         if stop not in program.time_tags:
             raise ProgramError(f"program has no time tag {stop!r}")
         stop = program.time_tags[stop]
-    prefix = program.instructions[:stop]
-    for instr in prefix:
+    for instr in program.instructions[:stop]:
         if isinstance(instr, (Measure, Dephase)):
             raise RewriteNotApplicableError(f"{instr!r} before boundary {stop}; not unitary")
-    state = make_basis_state(program.layout, {})
-    for instr in prefix:
-        state = apply_instruction(state, instr)
-    return state
+    return _BranchWalk(program, None).state(stop, ())
 
 
 def run(
@@ -312,22 +427,28 @@ def run(
     """Execute the program from ``initial`` (default |0...0>), keeping the
     records, the final state and the states at the program's time tags."""
     program.validate_order()
-    state = _start_state(program, initial)
-    tags = program.time_tags
-    tagged = {tag: state for tag, b in tags.items() if b == 0}
-    records: list[MeasurementRecord] = []
-    for boundary, instr in enumerate(program.instructions, start=1):
-        if isinstance(instr, Measure):
-            dist = outcome_distribution(state, instr.reg)
-            outcome = born_sample(dist, rng)
-            state = project(state, ProjectionOperator(instr.reg, outcome))
-            records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
-        elif isinstance(instr, Dephase):
-            state = sample_phases(phased_mixture_from_state(state, instr.reg), rng)
-        else:
-            state = apply_instruction(state, instr)
-        tagged.update((tag, state) for tag, b in tags.items() if b == boundary)
-    return RunTrace(program, state, tuple(records), tagged)
+    records, tagged, final = _BranchWalk(program, initial).trial(rng, program.time_tags)
+    return RunTrace(program, final, records, tagged)
+
+
+def sample(
+    program: CircuitProgram,
+    rng: np.random.Generator,
+    trials: int,
+    initial: PureState | None = None,
+) -> list[tuple[MeasurementRecord, ...]]:
+    """The records of ``trials`` sampled runs of the program, one tuple per
+    trial: the same draws and records as ``trials`` successive ``run`` calls
+    with ``rng``.
+
+    The trials share one branch walk, so the outcome distribution of a node
+    reached without dephasing is computed once per call, and each trial
+    computes states only past a ``Dephase`` or at a node no earlier trial
+    reached.  Nothing after a trial's last draw is computed.
+    """
+    program.validate_order()
+    walk = _BranchWalk(program, initial)
+    return [walk.trial(rng)[0] for _ in range(trials)]
 
 
 def defer_measurements(program: CircuitProgram) -> CircuitProgram:
@@ -366,35 +487,35 @@ def enumerate_outcome_distribution(
     starting from ``initial`` (default |0...0>).
 
     Walks every measurement and dephasing branch with its Born weight;
-    nothing is sampled.  A dephasing branch records no outcome.
+    nothing is sampled, and a dephasing branch records no outcome.  The
+    measurements that end the program commute, so the unobserved ones among
+    them are summed out (the principle of implicit measurement).  A branch's
+    state is computed only where a later node needs its distribution, so
+    the last measurement is read off its distribution without a projection.
     """
     program.validate_order()
     observed = tuple(observed)
     missing = set(observed) - set(program.measured_registers())
     if missing:
         raise ProgramError(f"observed registers {sorted(missing)} are never measured")
+    instrs = program.instructions
+    tail = len(instrs)
+    while tail > 0 and isinstance(instrs[tail - 1], Measure):
+        tail -= 1
+    kept = instrs[:tail] + tuple(m for m in instrs[tail:] if m.reg in observed)
+    walk = _BranchWalk(CircuitProgram(program.layout, kept), initial)
+    nodes = [i for i, instr in enumerate(kept) if isinstance(instr, (Measure, Dephase))]
+    where = {kept[i].reg: k for k, i in enumerate(nodes) if isinstance(kept[i], Measure)}
     acc: dict[tuple[int, ...], float] = {}
-    start = _start_state(program, initial)
-    stack: list[tuple[PureState, int, dict[str, int], float]] = [(start, 0, {}, 1.0)]
+    stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
     while stack:
-        state, pos, outcomes, weight = stack.pop()
-        advanced = False
-        for i in range(pos, len(program.instructions)):
-            instr = program.instructions[i]
-            if isinstance(instr, (Measure, Dephase)):
-                dist = outcome_distribution(state, instr.reg)
-                for v in dist.support():
-                    post = project(state, ProjectionOperator(instr.reg, v))
-                    branch_outcomes = dict(outcomes)
-                    if isinstance(instr, Measure):
-                        branch_outcomes[instr.reg] = v
-                    stack.append((post, i + 1, branch_outcomes, weight * float(dist.probabilities[v])))
-                advanced = True
-                break
-            state = apply_instruction(state, instr)
-        if not advanced:
-            key = tuple(outcomes[r] for r in observed)
-            acc[key] = acc.get(key, 0.0) + weight
+        path, weight = stack.pop()
+        if len(path) < len(nodes):
+            dist = walk.distribution(nodes[len(path)], path)
+            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support())
+            continue
+        key = tuple(path[where[reg]] for reg in observed)
+        acc[key] = acc.get(key, 0.0) + weight
     return acc
 
 

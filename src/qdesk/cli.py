@@ -19,6 +19,8 @@ import numpy as np
 
 from . import circuit_ir, costmodel, grover, measure, shor
 from .errors import QdeskError
+from .gates import modexp_output_bits
+from .qstate import MAX_QUBITS
 from .selftest import SUBCOMMAND_SUITES, run_selftest
 
 DEFAULT_SEED_ENV = "QDESK_SEED"
@@ -40,7 +42,7 @@ def positive_int(raw: str) -> int:
     return non_negative_int(raw, low=1)
 
 
-MAX_DRAWER_QUBITS = 19  # with the kickback qubit, 20 qubits in all
+MAX_DRAWER_QUBITS = MAX_QUBITS - 1  # and the kickback qubit
 
 
 def drawer_count(raw: str) -> int:
@@ -51,6 +53,31 @@ def drawer_count(raw: str) -> int:
             f"must be a power of two from 2 to {1 << MAX_DRAWER_QUBITS}, got {value}"
         )
     return value
+
+
+def _instance_problem(n: int, period: int | None, modulus: int | None) -> str | None:
+    """Why a period-finding instance is out of range, if it is: checked
+    before any table is built.  ``period`` is None for the default one."""
+    output_bits = n if modulus is None else modexp_output_bits(modulus)
+    if n + output_bits > MAX_QUBITS:
+        return (
+            f"--n {n} with {output_bits} output bits needs {n + output_bits} qubits, "
+            f"more than {MAX_QUBITS}"
+        )
+    if period is not None and not 1 <= period <= 1 << n:
+        return f"--r must be in 1..{1 << n}, got {period}"
+    return None
+
+
+def _usage_problem(args: argparse.Namespace) -> str | None:
+    if args.command == "shor":
+        modexp = args.base is not None or args.modulus is not None
+        problem = _instance_problem(args.n, None if modexp else args.r, args.modulus)
+    elif args.command == "defer-check" and args.fig1:
+        problem = _instance_problem(args.n, args.r, None)
+    else:
+        return None
+    return f"{args.command}: {problem}" if problem else None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -69,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("shor", help="period finding under a measurement discipline")
-    p.add_argument("--n", type=int, default=3, help="input register qubits")
+    p.add_argument("--n", type=positive_int, default=3, help="input register qubits")
     p.add_argument("--r", type=int, default=None, help="hidden period of the synthetic instance")
     p.add_argument("--base", type=int, default=None, help="modular-exponentiation base")
     p.add_argument("--modulus", type=int, default=None, help="modular-exponentiation modulus")
@@ -98,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", metavar="PATH", help="second program JSON file to compare")
     p.add_argument("--auto-defer", action="store_true", help="compare against the deferred rewrite")
     p.add_argument("--fig1", action="store_true", help="use the built-in period-finding program")
-    p.add_argument("--n", type=int, default=2, help="built-in program: input qubits")
+    p.add_argument("--n", type=positive_int, default=2, help="built-in program: input qubits")
     p.add_argument("--r", type=int, default=2, help="built-in program: hidden period")
     p.add_argument("--observed", help="comma-separated registers (default: measured in both)")
     _add_common(p)
@@ -295,6 +322,9 @@ def _cmd_mixture_check(args: argparse.Namespace, seed: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _usage_problem(args)
+    if problem:
+        parser.error(problem)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.selftest:
         ok, lines = run_selftest(SUBCOMMAND_SUITES[args.command], seed)

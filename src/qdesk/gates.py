@@ -129,11 +129,16 @@ class ModedFunctionTable(_XorTable):
         return cls(doc["mode_bits"], doc["input_bits"], doc["output_bits"], tuple(doc["table"]))
 
 
+def modexp_output_bits(modulus: int) -> int:
+    """Width of the register that holds a residue mod ``modulus``."""
+    return max(1, (modulus - 1).bit_length())
+
+
 def modexp_table(base: int, modulus: int, input_bits: int) -> FunctionTable:
     """Table for f(x) = base**x mod modulus; requires gcd(base, modulus) = 1."""
     if modulus < 2 or math.gcd(base, modulus) != 1:
         raise ValueError(f"need gcd(base, modulus) = 1 and modulus >= 2, got {base}, {modulus}")
-    output_bits = max(1, (modulus - 1).bit_length())
+    output_bits = modexp_output_bits(modulus)
     values = []
     acc = 1 % modulus
     for _ in range(1 << input_bits):
@@ -155,7 +160,7 @@ def hadamard_all(state: PureState, reg: str) -> PureState:
         stride = 1 << bit
         shaped = amps.reshape(layout.dimension // (2 * stride), 2, stride)
         amps = np.einsum("cd,ldr->lcr", _HADAMARD_1Q, shaped).reshape(-1)
-    return state.with_amplitudes(amps)
+    return PureState._adopt(state.layout, amps)
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +200,7 @@ def qft(state: PureState, reg: str, inverse: bool = False, method: str = "fast")
         out = np.einsum("cd,ldr->lcr", fourier_matrix(state.layout.qubits(reg), inverse), block)
     else:
         raise ValueError(f"unknown qft method {method!r}")
-    return state.with_amplitudes(out.reshape(-1))
+    return PureState._adopt(state.layout, out.reshape(-1))
 
 
 def _permute_registers(state: PureState, regs: tuple[str, ...], permutation: np.ndarray) -> PureState:
@@ -209,7 +214,8 @@ def _permute_registers(state: PureState, regs: tuple[str, ...], permutation: np.
     block = np.moveaxis(tensor, axes, trailing)
     batch = block.shape[: trailing[0]]
     gathered = np.take(block.reshape(batch + (-1,)), permutation, axis=-1)
-    return state.with_amplitudes(np.moveaxis(gathered.reshape(block.shape), trailing, axes).reshape(-1))
+    restored = np.moveaxis(gathered.reshape(block.shape), trailing, axes)
+    return PureState._adopt(layout, restored.reshape(-1))
 
 
 def oracle_xor(state: PureState, f: FunctionTable, in_reg: str, out_reg: str) -> PureState:
@@ -246,4 +252,4 @@ def grover_diffusion(state: PureState, reg: str) -> PureState:
     left, d, right = state.layout.axis_shape(reg)
     block = state.amplitudes.reshape(left, d, right)
     out = (2.0 / d) * np.einsum("ldr->lr", block)[:, None, :] - block
-    return state.with_amplitudes(out.reshape(-1))
+    return PureState._adopt(state.layout, out.reshape(-1))

@@ -138,7 +138,7 @@ def project(state: PureState, p: ProjectionOperator) -> PureState:
         )
     out = np.zeros_like(block)
     out[:, p.outcome, :] = kept / np.sqrt(weight)
-    return state.with_amplitudes(out.reshape(-1))
+    return PureState._adopt(state.layout, out.reshape(-1))
 
 
 def born_sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:

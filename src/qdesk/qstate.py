@@ -19,13 +19,18 @@ from .errors import DegenerateStateError, ShapeMismatchError, UnknownRegisterErr
 STATE_ATOL = 1e-10
 NORM_ATOL = 1e-12
 
+# The widest layout a dense state may have: 2^20 amplitudes, 16 MiB.
+MAX_QUBITS = 20
+
 
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named registers; first entry holds the most significant bits.
 
     Sizes, offsets and the total width are computed once, on construction,
-    so ``qubits``, ``offset`` and ``total_qubits`` are lookups.
+    so ``qubits``, ``offset`` and ``total_qubits`` are lookups.  A layout
+    wider than ``MAX_QUBITS`` is rejected here, before any state of it is
+    allocated.
     """
 
     registers: tuple[tuple[str, int], ...]
@@ -47,6 +52,8 @@ class RegisterLayout:
         for name, q in reversed(regs):
             fields[name] = (q, off)
             off += q
+        if off > MAX_QUBITS:
+            raise ShapeMismatchError(f"layout has {off} qubits, more than the {MAX_QUBITS}-qubit ceiling")
         object.__setattr__(self, "total_qubits", off)
         object.__setattr__(self, "_fields", fields)
 
@@ -122,7 +129,8 @@ class PureState:
 
     Instances are immutable: the amplitude buffer is copied on construction
     and marked read-only, so states are safe to share and every operation on
-    them returns a fresh value.
+    them returns a fresh value.  Kernels that have just built a fresh buffer
+    hand it over with ``_adopt``, which freezes it without a second copy.
     """
 
     layout: RegisterLayout
@@ -136,6 +144,20 @@ class PureState:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _adopt(cls, layout: RegisterLayout, amps: np.ndarray) -> "PureState":
+        """A state over a fresh complex128 buffer that nothing else holds:
+        the buffer is frozen and kept, not copied."""
+        if amps.dtype != np.complex128 or amps.shape != (layout.dimension,):
+            raise ShapeMismatchError(
+                f"adopted buffer is {amps.dtype} {amps.shape}, layout needs complex128 ({layout.dimension},)"
+            )
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -173,7 +195,7 @@ def make_basis_state(layout: RegisterLayout, assignments: Mapping[str, int]) -> 
     """Computational basis state with the given per-register values."""
     amps = np.zeros(layout.dimension, dtype=np.complex128)
     amps[layout.encode(assignments)] = 1.0
-    return PureState(layout, amps)
+    return PureState._adopt(layout, amps)
 
 
 def normalize(state: PureState) -> PureState:
@@ -187,7 +209,7 @@ def normalize(state: PureState) -> PureState:
         raise DegenerateStateError("cannot normalize a zero-norm state")
     if abs(n - 1.0) < 5e-13:
         return state
-    return state.with_amplitudes(state.amplitudes / n)
+    return PureState._adopt(state.layout, state.amplitudes / n)
 
 
 def compare_up_to_global_phase(a: PureState, b: PureState) -> StateDistance:

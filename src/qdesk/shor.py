@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit_ir import CircuitProgram, Dephase, GateOp, Measure, Prepare, run, unitary_prefix
+from .circuit_ir import CircuitProgram, Dephase, GateOp, Measure, Prepare, sample, unitary_prefix
 from .errors import ShapeMismatchError
 from .gates import FunctionTable, fourier_axis, modexp_table, qft
 from .measure import PROB_EPS, MeasurementRecord, outcome_distribution
@@ -145,18 +145,16 @@ def sample_runs(
 ) -> list[PeriodResult]:
     """``trials`` sampled runs of the pipeline under the chosen discipline.
 
-    The t2 state and the discipline's tail (``period_circuit`` from t2
-    through the X measurement) are built once; each trial runs the tail
-    from the t2 state.  Pass a list as ``record_sink`` to collect the Born
+    The trials are one ``circuit_ir.sample`` call over ``period_circuit`` up
+    to its X measurement, so what every trial shares (the state up to the
+    first measurement or dephasing, and each F branch's [X] distribution)
+    is computed once.  Pass a list as ``record_sink`` to collect the Born
     samples taken along the way.
     """
     program = period_circuit(inst, discipline)
-    t2, t4 = program.time_tags["t2"], program.time_tags["t4"]
-    tail = CircuitProgram(inst.layout, program.instructions[t2 : t4 + 1])
-    start = state_after_oracle(inst)
+    through_x = CircuitProgram(inst.layout, program.instructions[: program.time_tags["t4"] + 1])
     results = []
-    for _ in range(trials):
-        records = run(tail, rng, initial=start).records
+    for records in sample(through_x, rng, trials):
         if record_sink is not None:
             record_sink.extend(records)
         outcomes = {record.register: record.outcome for record in records}

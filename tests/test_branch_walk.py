@@ -1,0 +1,268 @@
+"""The branch walker behind ``circuit_ir.sample``, ``run`` and
+``enumerate_outcome_distribution``, checked against the routes it replaced.
+
+The references kept here are the per-trial loop that ran a program's tail
+from the t2 state once per trial, and the projection walk that carried a
+renormalised full state down every branch to the end of the program.
+"""
+
+import contextlib
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdesk import (
+    CircuitProgram,
+    Dephase,
+    FunctionTable,
+    GateOp,
+    Measure,
+    Prepare,
+    PureState,
+    RegisterLayout,
+    build_periodic,
+    defer_measurements,
+    equivalent_distributions,
+    extract_period,
+    gates,
+    outcome_distribution,
+    period_circuit,
+    project,
+    run,
+    shor,
+    state_after_oracle,
+)
+from qdesk import circuit_ir
+from qdesk.circuit_ir import apply_instruction, enumerate_outcome_distribution, sample
+from qdesk.cli import main
+from qdesk.measure import ProjectionOperator
+from qdesk.shor import DISCIPLINES, PeriodResult, sample_runs
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def per_trial_runs(inst, discipline, trials, rng):
+    """The replaced sampler: the discipline's tail (t2 through the X
+    measurement) run from the t2 state, once per trial."""
+    program = period_circuit(inst, discipline)
+    t2, t4 = program.time_tags["t2"], program.time_tags["t4"]
+    tail = CircuitProgram(inst.layout, program.instructions[t2 : t4 + 1])
+    start = state_after_oracle(inst)
+    return [run(tail, rng, initial=start).records for _ in range(trials)]
+
+
+def period_result(inst, records):
+    outcomes = {record.register: record.outcome for record in records}
+    candidate = extract_period(outcomes["X"], inst.dimension)
+    return PeriodResult(outcomes["X"], candidate, candidate == inst.period, outcomes.get("F"))
+
+
+def projection_walk(program, observed, initial):
+    """The replaced enumeration: every branch of every measurement and
+    dephasing projected as a full state, down to the end of the program."""
+    acc = {}
+    stack = [(initial, 0, {}, 1.0)]
+    while stack:
+        state, pos, outcomes, weight = stack.pop()
+        for i in range(pos, len(program.instructions)):
+            instr = program.instructions[i]
+            if isinstance(instr, (Measure, Dephase)):
+                dist = outcome_distribution(state, instr.reg)
+                for v in dist.support():
+                    post = project(state, ProjectionOperator(instr.reg, v))
+                    branch = dict(outcomes)
+                    if isinstance(instr, Measure):
+                        branch[instr.reg] = v
+                    stack.append((post, i + 1, branch, weight * float(dist.probabilities[v])))
+                break
+            state = apply_instruction(state, instr)
+        else:
+            key = tuple(outcomes[reg] for reg in observed)
+            acc[key] = acc.get(key, 0.0) + weight
+    return acc
+
+
+@st.composite
+def random_programs(draw):
+    """A random well-ordered program on 2-3 registers, from a random state.
+
+    The body mixes gates, XOR oracles, dephasings and measurements; every
+    register still unmeasured after it is measured at the end, in random
+    order, and a random non-empty subset of the measured registers is
+    observed.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    names = [f"R{i}" for i in range(len(sizes))]
+    layout = RegisterLayout(tuple(zip(names, sizes)))
+    ops = ("prepare", "hadamard", "qft", "inverse-qft", "grover-diffusion", "oracle", "dephase", "measure")
+    instrs, measured = [], []
+    for _ in range(draw(st.integers(0, 7))):
+        free = [name for name in names if name not in measured]
+        op = draw(st.sampled_from(ops))
+        reg = draw(st.sampled_from(free))
+        if op == "prepare":
+            instrs.append(Prepare(reg, draw(st.sampled_from(["uniform", 0, layout.dim(reg) - 1]))))
+        elif op == "oracle":
+            others = [name for name in free if name != reg]
+            if not others:
+                continue
+            out = draw(st.sampled_from(others))
+            m, n = layout.qubits(out), layout.qubits(reg)
+            table = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1 << n, max_size=1 << n))
+            instrs.append(GateOp("oracle-xor", in_reg=reg, out_reg=out, table=FunctionTable(n, m, table)))
+        elif op == "dephase":
+            instrs.append(Dephase(reg))
+        elif op == "measure":
+            instrs.append(Measure(reg))
+            measured.append(reg)
+            if len(measured) == len(names):
+                break
+        else:
+            instrs.append(GateOp(op, reg=reg))
+    rest = draw(st.permutations([name for name in names if name not in measured]))
+    instrs += [Measure(name) for name in rest]
+    observed = draw(st.lists(st.sampled_from(measured + list(rest)), min_size=1, unique=True))
+    rng = np.random.default_rng(draw(SEEDS))
+    amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+    initial = PureState(layout, amps / np.linalg.norm(amps))
+    return CircuitProgram(layout, tuple(instrs)), tuple(observed), initial
+
+
+class TestSample:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        data=st.data(),
+        discipline=st.sampled_from(DISCIPLINES),
+        seed=SEEDS,
+        trials=st.integers(0, 40),
+    )
+    def test_sample_runs_equal_the_per_trial_loop(self, n, data, discipline, seed, trials):
+        inst = build_periodic(n, data.draw(st.integers(1, 1 << n)))
+        sink = []
+        results = sample_runs(inst, discipline, trials, np.random.default_rng(seed), sink)
+        expected = per_trial_runs(inst, discipline, trials, np.random.default_rng(seed))
+        assert sink == [record for records in expected for record in records]
+        assert results == [period_result(inst, records) for records in expected]
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=random_programs(), seed=SEEDS, trials=st.integers(1, 12))
+    def test_sample_equals_repeated_runs(self, case, seed, trials):
+        program, _, initial = case
+        rng = np.random.default_rng(seed)
+        expected = [run(program, rng, initial=initial).records for _ in range(trials)]
+        assert sample(program, np.random.default_rng(seed), trials, initial=initial) == expected
+
+    def test_zero_trials_apply_no_instruction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was computed")
+
+        monkeypatch.setattr(circuit_ir, "apply_instruction", refuse)
+        assert sample(period_circuit(build_periodic(3, 3), "skip-F"), np.random.default_rng(0), 0) == []
+
+    def test_nothing_after_the_last_draw_is_computed(self, monkeypatch):
+        calls = []
+        real = circuit_ir.project
+        monkeypatch.setattr(circuit_ir, "project", lambda *a: calls.append(a[1]) or real(*a))
+        # skip-F measures X, then F: F's distribution needs each X branch
+        # once, and the F outcome is never projected
+        records = sample(period_circuit(build_periodic(3, 3), "skip-F"), np.random.default_rng(1), 50)
+        assert [len(r) for r in records] == [2] * 50
+        assert sorted(p.outcome for p in calls) == sorted({r[0].outcome for r in records})
+        assert {p.reg for p in calls} == {"X"}
+        # annihilate-F through its X measurement: dephased, then drawn, never projected
+        calls.clear()
+        program = period_circuit(build_periodic(3, 3), "annihilate-F")
+        cut = CircuitProgram(program.layout, program.instructions[: program.time_tags["t4"] + 1])
+        assert len(sample(cut, np.random.default_rng(2), 20)) == 20
+        assert calls == []
+
+
+def count_qft_calls(monkeypatch, capsys, argv):
+    calls = []
+    real = gates.qft
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "qft", counting)
+    monkeypatch.setattr(shor, "qft", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    return len(calls)
+
+
+class TestSharedWork:
+    def test_skip_f_report_makes_a_constant_number_of_qfts(self, monkeypatch, capsys):
+        argv = ["shor", "--n", "5", "--r", "3", "--discipline", "skip-F", "--json", "--trials"]
+        one = count_qft_calls(monkeypatch, capsys, argv + ["1"])
+        many = count_qft_calls(monkeypatch, capsys, argv + ["200"])
+        assert one == many == 2  # the exact distribution, and the shared sampled state
+
+    @pytest.mark.parametrize("r", [3, 4, 8, 13])
+    def test_measure_f_report_makes_one_qft_per_f_branch(self, monkeypatch, capsys, r):
+        argv = ["shor", "--n", "5", "--r", str(r), "--discipline", "measure-F-at-t2", "--trials", "200"]
+        assert count_qft_calls(monkeypatch, capsys, argv + ["--json"]) <= r + 2
+
+    def test_measure_f_at_the_ceiling_keeps_no_state_per_branch(self, capsys):
+        # 100 trials reach up to 100 of the 512 F branches; one full state is 16 MiB
+        argv = ["shor", "--n", "10", "--r", "512", "--discipline", "measure-F-at-t2", "--trials", "100"]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv + ["--json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 16 * 2**20
+
+    def test_annihilate_trial_allocates_order_d(self):
+        # n = 8, r = 128: one state is 1 MiB, and the 128 slot vectors of
+        # the random-phase picture would be 128 MiB
+        inst = build_periodic(8, 128)
+        tracemalloc.start()
+        try:
+            sample_runs(inst, "annihilate-F", 1, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * inst.layout.dimension * 16
+
+
+class TestEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(case=random_programs())
+    def test_matches_the_projection_walk(self, case):
+        program, observed, initial = case
+        got = enumerate_outcome_distribution(program, observed, initial=initial)
+        expected = projection_walk(program, observed, initial)
+        for key in set(got) | set(expected):
+            assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) < 1e-12
+        assert sum(got.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_two_observed_measurements_keep_the_sequential_product(self):
+        # the extended game's joint distribution: p(k) * p(x | k), bit for bit
+        layout = RegisterLayout.of(K=2, X=2, F=1)
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+        state = PureState(layout, amps / np.linalg.norm(amps))
+        program = CircuitProgram(layout, (Measure("K"), Measure("X")))
+        assert enumerate_outcome_distribution(program, ("K", "X"), initial=state) == projection_walk(
+            program, ("K", "X"), state
+        )
+
+    def test_deferred_check_projects_only_the_early_branches(self, monkeypatch):
+        calls = []
+        real = circuit_ir.project
+        monkeypatch.setattr(circuit_ir, "project", lambda *a: calls.append(a[1].reg) or real(*a))
+        program = period_circuit(build_periodic(8, 128), "measure-F-at-t2")
+        tv = equivalent_distributions(program, defer_measurements(program), ["X"])
+        assert tv.value < 1e-10
+        # one projection per F branch of the original; the deferred program's
+        # X marginal is read once and its F measurement is summed out
+        assert calls == ["F"] * 128

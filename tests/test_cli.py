@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qdesk import build_periodic, gates, grover, iteration_count, period_circuit, run
-from qdesk.cli import drawer_count, main
+from qdesk import build_periodic, gates, grover, iteration_count, period_circuit, run, shor
+from qdesk.cli import _instance_problem, drawer_count, main
 from qdesk.qstate import PureState
 from qdesk.shor import DISCIPLINES
 
@@ -117,6 +117,37 @@ class TestShorCommand:
         assert "--trials" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--n", "0"],
+            ["--n", "-1"],
+            ["--n", "11"],
+            ["--n", "4", "--r", "0"],
+            ["--n", "4", "--r", "17"],
+            ["--n", "10", "--base", "2", "--modulus", "4099"],
+            ["--n", "19", "--base", "2", "--modulus", "3"],
+        ],
+    )
+    def test_out_of_range_instance_is_usage_error(self, capsys, monkeypatch, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance built before the size check")
+
+        monkeypatch.setattr(shor, "build_periodic", refuse)
+        monkeypatch.setattr(shor, "build_modexp", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["shor", *extra, "--trials", "5", "--json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n" in err or "--r" in err
+
+    @pytest.mark.parametrize(
+        "n, period, modulus", [(10, None, None), (1, 1, None), (4, 16, None), (18, None, 3), (10, None, 1024)]
+    )
+    def test_instances_up_to_the_ceiling_are_accepted(self, n, period, modulus):
+        assert _instance_problem(n, period, modulus) is None
+
+
 class TestGroverCommand:
     def test_standard_report_runs_one_search(self, capsys, monkeypatch):
         calls = []
@@ -220,6 +251,21 @@ class TestDeferCheckCommand:
         code, _, err = run_cli(capsys, ["defer-check", "--circuit", str(tmp_path / "nope.json")])
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--n", "0"], ["--n", "-2"], ["--n", "11"], ["--n", "3", "--r", "9"], ["--n", "3", "--r", "0"]],
+    )
+    def test_out_of_range_builtin_program_is_usage_error(self, capsys, monkeypatch, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance built before the size check")
+
+        monkeypatch.setattr(shor, "build_periodic", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["defer-check", "--fig1", *extra, "--json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n" in err or "--r" in err
 
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, ["defer-check"])

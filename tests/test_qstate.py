@@ -4,15 +4,26 @@ import numpy as np
 import pytest
 
 from qdesk import (
+    CircuitProgram,
     DegenerateStateError,
+    Dephase,
+    FunctionTable,
+    ProjectionOperator,
     PureState,
     RegisterLayout,
     ShapeMismatchError,
     UnknownRegisterError,
     compare_up_to_global_phase,
     make_basis_state,
+    grover_diffusion,
+    hadamard_all,
     normalize,
+    oracle_xor,
+    project,
+    qft,
+    run,
 )
+from qdesk.qstate import MAX_QUBITS
 
 
 def random_state(rng, layout):
@@ -36,6 +47,13 @@ class TestRegisterLayout:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ShapeMismatchError):
             RegisterLayout((("X", 2), ("X", 1)))
+
+    def test_layouts_stop_at_the_qubit_ceiling(self):
+        assert RegisterLayout.of(X=10, F=MAX_QUBITS - 10).total_qubits == MAX_QUBITS
+        with pytest.raises(ShapeMismatchError, match="ceiling"):
+            RegisterLayout.of(X=10, F=MAX_QUBITS - 9)
+        with pytest.raises(ShapeMismatchError, match="ceiling"):
+            RegisterLayout.of(X=1 << 40)
 
     def test_zero_width_register_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -200,3 +218,41 @@ class TestPureState:
         back = PureState.from_json(state.to_json())
         assert back.layout == state.layout
         assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-15)
+
+    def test_caller_array_is_copied(self):
+        layout = RegisterLayout.of(X=2)
+        amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+        state = PureState(layout, amps)
+        derived = state.with_amplitudes(amps)
+        amps[0] = 5.0
+        assert state.amplitudes[0] == 1.0 and derived.amplitudes[0] == 1.0
+        assert not np.shares_memory(state.amplitudes, amps)
+        assert not np.shares_memory(derived.amplitudes, amps)
+
+    def test_kernel_outputs_are_frozen_and_fresh(self):
+        layout = RegisterLayout.of(X=2, F=2)
+        state = random_state(np.random.default_rng(2), layout)
+        table = FunctionTable(2, 2, (1, 2, 3, 0))
+        dephased = run(CircuitProgram(layout, (Dephase("F"),)), np.random.default_rng(0), initial=state)
+        outputs = [
+            hadamard_all(state, "X"),
+            qft(state, "F"),
+            qft(state, "X", method="dense"),
+            oracle_xor(state, table, "X", "F"),
+            grover_diffusion(state, "X"),
+            project(state, ProjectionOperator("F", 1)),
+            dephased.final_state,
+        ]
+        for out in outputs:
+            assert not out.amplitudes.flags.writeable
+            assert out.amplitudes.dtype == np.complex128 and out.amplitudes.shape == (16,)
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)
+            with pytest.raises(ValueError):
+                out.amplitudes[0] = 1.0
+
+    def test_adopted_buffer_must_fit_the_layout(self):
+        layout = RegisterLayout.of(X=2)
+        with pytest.raises(ShapeMismatchError):
+            PureState._adopt(layout, np.zeros(8, dtype=np.complex128))
+        with pytest.raises(ShapeMismatchError):
+            PureState._adopt(layout, np.zeros(4))

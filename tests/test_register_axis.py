@@ -3,7 +3,8 @@
 The references here are the plain forms the fast routes replaced: the dense
 Fourier matrix, full-length masks built from ``np.arange(dimension)``, and
 the per-branch projection of the whole state, the XOR oracles' per-call
-``np.arange`` partner arrays, and the diffusion mean.  They stay in this file so the
+``np.arange`` partner arrays, the diffusion mean, and the random-phase
+slot vectors a ``Dephase`` used to be sampled from.  They stay in this file so the
 library keeps one route per operation.
 """
 
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdesk import (
+    CircuitProgram,
+    Dephase,
     FunctionTable,
     ModedFunctionTable,
     PureState,
@@ -26,6 +29,8 @@ from qdesk import (
     phased_mixture_from_state,
     project,
     qft,
+    run,
+    sample_phases,
     state_after_oracle,
 )
 from qdesk.circuit_ir import _xor_register
@@ -117,6 +122,25 @@ def test_phased_mixture_matches_mask_reference(case, data):
     assert mixture.slot_values == tuple(support)
     for v, slot in zip(support, mixture.slots):
         assert np.array_equal(slot, np.where(values == v, state.amplitudes, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=random_states(), data=st.data(), seed=SEEDS)
+def test_dephase_block_matches_slot_route_bit_for_bit(case, data, seed):
+    state, reg = case
+    # Empty some of the register's values with zeros of either sign, so that
+    # the support and the signs of the result's zeros both matter.
+    d = state.layout.dim(reg)
+    values = field(state.layout, reg)
+    empty = data.draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    emptied = np.isin(values, list(empty))
+    kept = np.where(emptied, 0.0, state.amplitudes)
+    zeros = np.where(np.arange(values.size) % 2, complex(-0.0, 0.0), complex(0.0, -0.0))
+    state = state.with_amplitudes(np.where(emptied, zeros, kept / np.linalg.norm(kept)))
+    program = CircuitProgram(state.layout, (Dephase(reg),))
+    got = run(program, np.random.default_rng(seed), initial=state).final_state
+    slots = sample_phases(phased_mixture_from_state(state, reg), np.random.default_rng(seed))
+    assert np.array_equal(got.amplitudes.view(np.uint64), slots.amplitudes.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None)

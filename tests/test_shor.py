@@ -146,11 +146,9 @@ class TestExactDistribution:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_enumerated_program_matches_exact_route(self, n):
         # branch enumeration of each discipline's program is the independent
-        # oracle for the batched-FFT route; n <= 5 covers every r <= 2^n
-        if n <= 5:
-            insts = [build_periodic(n, r) for r in range(1, (1 << n) + 1)]
-        else:
-            insts = [build_periodic(n, r) for r in (3, 5, 6, 16)]
+        # oracle for the batched-FFT route, over every r <= 2^n
+        insts = [build_periodic(n, r) for r in range(1, (1 << n) + 1)]
+        if n == 6:
             insts += [build_modexp(2, 21, n), build_modexp(2, 9, n)]
         if n == 4:
             insts.append(build_modexp(7, 15, n))
