@@ -22,11 +22,14 @@ prepared, gated or dephased again.  This keeps the deferral precondition
 honest.
 
 ``run``, ``sample`` and ``enumerate_outcome_distribution`` walk the same
-branch tree.  Up to the first dephasing, the state at a boundary is a
-function of the outcomes drawn before it, so it is computed on demand from
+branch tree.  Up to the first visible dephasing, the state at a boundary is
+a function of the outcomes drawn before it, so it is computed on demand from
 the deepest state kept on that path, and each measurement's outcome
-distribution is computed once per walk: sampled trials draw from it instead
-of replaying the unitary part.
+distribution is computed once per walk: sampled trials draw from it, by a
+lookup in its cumulative sums, instead of replaying the unitary part.  A
+dephasing whose register no later instruction but a measurement touches is
+inert: no later distribution can see its phases, so the walk draws them and
+applies nothing, and only ``run``'s tagged and final states carry them.
 """
 
 from __future__ import annotations
@@ -88,8 +91,13 @@ class Measure:
 @dataclass(frozen=True)
 class Dephase:
     """Replace the state by its random-phase mixture over ``reg``'s values:
-    sampled slot phases in ``run``, one Born-weighted branch per value that
-    records no outcome in enumeration.  Not invertible."""
+    one sampled phase per support value in a run, one Born-weighted branch
+    per value that records no outcome in enumeration.  Not invertible.
+
+    When no later instruction but a measurement touches ``reg`` the
+    dephasing is inert: sampled trials still draw its phases, but draw
+    their outcomes as if it were absent, and enumeration does not branch
+    on it; ``run``'s tagged and final states carry the phases."""
 
     reg: str
 
@@ -299,7 +307,7 @@ def _dephase(state: PureState, reg: str, values: Sequence[int], phases: np.ndarr
     ``(left, d, right)`` block."""
     block = state.amplitudes.reshape(state.layout.axis_shape(reg))
     factors = np.zeros(block.shape[1], dtype=np.complex128)
-    factors[values] = np.exp(1j * phases)
+    factors[list(values)] = np.exp(1j * phases)
     # factor first, as in the random-phase picture's ``phase factor * slot``
     # (numpy's complex product fuses one of its multiply-adds, so the order
     # shows in the last bit); adding 0.0 turns the -0.0 a zero factor can
@@ -312,9 +320,15 @@ def _dephase(state: PureState, reg: str, values: Sequence[int], phases: np.ndarr
 class _BranchWalk:
     """A program's branch tree, walked from one start state.
 
-    A node is the index of a ``Measure`` or ``Dephase`` instruction together
-    with its path: the branch values taken at the nodes before it (a
-    ``Dephase`` branch is one value of its register, as in enumeration).
+    A node is the index of a ``Measure`` or a visible ``Dephase``
+    instruction together with its path: the branch values taken at the
+    nodes before it (a ``Dephase`` branch is one value of its register, as
+    in enumeration).  A dephasing is *inert* when no later instruction but a
+    measurement touches its register: its phases are diagonal in that
+    register and commute with everything after it, so no later outcome
+    distribution can see them.  An inert dephasing is no node; the walk's
+    states and distributions skip it.
+
     The state at any boundary is a function of (boundary, path), so
     ``state`` computes it on demand from the deepest state it has kept on
     that path, and ``distribution`` memoises each node's outcome
@@ -324,7 +338,20 @@ class _BranchWalk:
 
     def __init__(self, program: CircuitProgram, initial: PureState | None):
         self.instructions = program.instructions
-        self._last_node = max(
+        later: set[str] = set()
+        self.inert: set[int] = set()
+        for i in reversed(range(len(self.instructions))):
+            instr = self.instructions[i]
+            if isinstance(instr, Dephase) and instr.reg not in later:
+                self.inert.add(i)
+            if not isinstance(instr, Measure):
+                later |= touched_registers(instr)
+        self.nodes = [
+            i
+            for i, instr in enumerate(self.instructions)
+            if isinstance(instr, (Measure, Dephase)) and i not in self.inert
+        ]
+        self._last_draw = max(
             (i for i, instr in enumerate(self.instructions) if isinstance(instr, (Measure, Dephase))),
             default=-1,
         )
@@ -332,7 +359,8 @@ class _BranchWalk:
         self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
 
     def state(self, boundary: int, path: tuple[int, ...]) -> PureState:
-        """The state after the first ``boundary`` instructions on ``path``."""
+        """The state after the first ``boundary`` instructions on ``path``,
+        without the phases of inert dephasings."""
         chain = self._chain
         while not (chain[-1][0] <= boundary and path[: len(chain[-1][1])] == chain[-1][1]):
             chain.pop()
@@ -340,7 +368,10 @@ class _BranchWalk:
         if at == boundary:
             return state
         k = len(taken)
-        for instr in self.instructions[at:boundary]:
+        for i in range(at, boundary):
+            instr = self.instructions[i]
+            if i in self.inert:
+                continue
             if isinstance(instr, (Measure, Dephase)):
                 state = project(state, ProjectionOperator(instr.reg, path[k]))
                 k += 1
@@ -350,7 +381,7 @@ class _BranchWalk:
         return state
 
     def distribution(self, index: int, path: tuple[int, ...]) -> OutcomeDistribution:
-        """The outcome distribution of node ``index`` on ``path``, memoised."""
+        """The outcome distribution of instruction ``index`` on ``path``, memoised."""
         key = (index, path)
         if key not in self._distributions:
             reg = self.instructions[index].reg
@@ -363,30 +394,42 @@ class _BranchWalk:
         """One sampled run: its records and, given ``tags`` (tag -> boundary),
         the states at those boundaries and the final state.
 
-        Until a ``Dephase`` the trial carries only its path, and a state is
-        computed only where a node's distribution is not yet memoised or a
-        tag asks for it.  A ``Dephase`` draws one uniform phase per support
-        value; from there the trial carries its own state.  Without
+        Until a visible ``Dephase`` the trial carries only its path, and a
+        state is computed only where a node's distribution is not yet
+        memoised or a tag asks for it.  Every ``Dephase`` draws one uniform
+        phase per support value.  An inert one applies nothing to the state
+        the draws come from; past a visible one the trial carries its own
+        state.  Given ``tags``, the trial also carries the state with every
+        drawn phase applied, past the first inert dephasing, and reads the
+        tagged and final states from it; the draws never read it.  Without
         ``tags`` nothing after the last draw is computed.
         """
         instrs = self.instructions
         keep = tags is not None
-        stop = len(instrs) if keep else self._last_node + 1
+        stop = len(instrs) if keep else self._last_draw + 1
         records: list[MeasurementRecord] = []
         tagged: dict[str, PureState] = {}
         path: tuple[int, ...] = ()
         own: PureState | None = None
+        phased: PureState | None = None
+
+        def here(i: int) -> PureState:
+            if phased is not None:
+                return phased
+            return own if own is not None else self.state(i, path)
+
         for i in range(stop):
             instr = instrs[i]
             if keep and i in tags.values():
-                here = own if own is not None else self.state(i, path)
-                tagged.update((tag, here) for tag, b in tags.items() if b == i)
+                tagged.update((tag, here(i)) for tag, b in tags.items() if b == i)
             if not isinstance(instr, (Measure, Dephase)):
                 if own is not None:
                     own = apply_instruction(own, instr)
+                if phased is not None:
+                    phased = apply_instruction(phased, instr)
                 continue
             dist = self.distribution(i, path) if own is None else outcome_distribution(own, instr.reg)
-            last = not keep and i == self._last_node
+            last = not keep and i == self._last_draw
             if isinstance(instr, Measure):
                 outcome = born_sample(dist, rng)
                 records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
@@ -394,14 +437,22 @@ class _BranchWalk:
                     path += (outcome,)
                 elif not last:
                     own = project(own, ProjectionOperator(instr.reg, outcome))
-            else:
-                values = dist.support()
-                phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
-                if not last:
-                    own = _dephase(self.state(i, path) if own is None else own, instr.reg, values, phases)
+                if phased is not None:
+                    phased = project(phased, ProjectionOperator(instr.reg, outcome))
+                continue
+            values = dist.support
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
+            if i in self.inert:
+                if keep:
+                    phased = _dephase(here(i), instr.reg, values, phases)
+                continue
+            if phased is not None:
+                phased = _dephase(phased, instr.reg, values, phases)
+            if not last:
+                own = _dephase(own if own is not None else self.state(i, path), instr.reg, values, phases)
         if not keep:
             return tuple(records), tagged, None
-        final = own if own is not None else self.state(len(instrs), path)
+        final = here(len(instrs))
         tagged.update((tag, final) for tag, b in tags.items() if b == len(instrs))
         return tuple(records), tagged, final
 
@@ -442,9 +493,11 @@ def sample(
     with ``rng``.
 
     The trials share one branch walk, so the outcome distribution of a node
-    reached without dephasing is computed once per call, and each trial
-    computes states only past a ``Dephase`` or at a node no earlier trial
-    reached.  Nothing after a trial's last draw is computed.
+    reached without a visible dephasing is computed once per call, with its
+    cumulative sums, and each later draw from it is a lookup.  A trial
+    computes states only past a visible ``Dephase`` or at a node no earlier
+    trial reached; an inert one costs the trial its phase draw alone.
+    Nothing after a trial's last draw is computed.
     """
     program.validate_order()
     walk = _BranchWalk(program, initial)
@@ -486,10 +539,11 @@ def enumerate_outcome_distribution(
     """Exact joint distribution of the observed registers' measured values,
     starting from ``initial`` (default |0...0>).
 
-    Walks every measurement and dephasing branch with its Born weight;
-    nothing is sampled, and a dephasing branch records no outcome.  The
-    measurements that end the program commute, so the unobserved ones among
-    them are summed out (the principle of implicit measurement).  A branch's
+    Walks every measurement and visible dephasing branch with its Born
+    weight; nothing is sampled, a dephasing branch records no outcome, and
+    an inert dephasing is not branched on (its branches' weights sum to 1).
+    The measurements that end the program commute, so the unobserved ones
+    among them are summed out (the principle of implicit measurement).  A branch's
     state is computed only where a later node needs its distribution, so
     the last measurement is read off its distribution without a projection.
     """
@@ -504,7 +558,7 @@ def enumerate_outcome_distribution(
         tail -= 1
     kept = instrs[:tail] + tuple(m for m in instrs[tail:] if m.reg in observed)
     walk = _BranchWalk(CircuitProgram(program.layout, kept), initial)
-    nodes = [i for i, instr in enumerate(kept) if isinstance(instr, (Measure, Dephase))]
+    nodes = walk.nodes
     where = {kept[i].reg: k for k, i in enumerate(nodes) if isinstance(kept[i], Measure)}
     acc: dict[tuple[int, ...], float] = {}
     stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
@@ -512,7 +566,7 @@ def enumerate_outcome_distribution(
         path, weight = stack.pop()
         if len(path) < len(nodes):
             dist = walk.distribution(nodes[len(path)], path)
-            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support())
+            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support)
             continue
         key = tuple(path[where[reg]] for reg in observed)
         acc[key] = acc.get(key, 0.0) + weight

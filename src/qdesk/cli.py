@@ -3,7 +3,8 @@
 Subcommands: shor, grover, game, defer-check, cost, mixture-check.  Every
 run is seeded (flag, else the QDESK_SEED environment variable, else 0) and
 every report carries its seed.  JSON output is the stable contract; text
-and csv are conveniences.  Exit codes: 0 ok, 1 internal failure, 2 usage.
+and csv are conveniences.  Exit codes: 0 ok, 1 internal failure, 2 usage
+or out of memory (one ``error:`` line, no traceback).
 """
 
 from __future__ import annotations
@@ -345,6 +346,10 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args, csv_rows=table, csv_header=header)
         elif args.command == "mixture-check":
             _emit(_cmd_mixture_check(args, seed), args)
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)
+        return 2
     except (QdeskError, OSError, ValueError, KeyError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

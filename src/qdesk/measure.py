@@ -17,6 +17,7 @@ is the oracle for the sampler.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,8 +54,21 @@ class OutcomeDistribution:
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
 
-    def support(self) -> list[int]:
-        return [int(v) for v in np.nonzero(self.probabilities > PROB_EPS)[0]]
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        """The values above ``PROB_EPS``, ascending."""
+        return tuple(int(v) for v in np.nonzero(self.probabilities > PROB_EPS)[0])
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Read-only cumulative distribution, built with the steps
+        ``Generator.choice`` takes on ``p``: clip at 0, divide by the sum,
+        ``cumsum``, divide by the last entry."""
+        probs = np.clip(self.probabilities, 0.0, None)
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf
 
     def total_variation(self, other: "OutcomeDistribution") -> float:
         return 0.5 * float(np.abs(self.probabilities - other.probabilities).sum())
@@ -142,9 +156,12 @@ def project(state: PureState, p: ProjectionOperator) -> PureState:
 
 
 def born_sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:
-    """Draw one outcome according to the distribution."""
-    probs = np.clip(dist.probabilities, 0.0, None)
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
+    """Draw one outcome according to the distribution: one ``rng.random()``
+    looked up in ``dist.cdf``.  That is the double ``rng.choice`` draws and
+    the index it returns for the same probabilities, so the outcome and the
+    generator state match it bit for bit; the CDF is built once per
+    distribution instead of once per draw."""
+    return int(dist.cdf.searchsorted(rng.random(), side="right"))
 
 
 def measure_register(
@@ -241,7 +258,7 @@ class PhasedMixture:
 def phased_mixture_from_state(state: PureState, traced_reg: str) -> PhasedMixture:
     """Group a state's components by the traced register's value, one phase slot each."""
     block = state.amplitudes.reshape(state.layout.axis_shape(traced_reg))
-    values = OutcomeDistribution(traced_reg, _register_marginal(block)).support()
+    values = OutcomeDistribution(traced_reg, _register_marginal(block)).support
     slots = []
     for v in values:
         slot = np.zeros_like(block)

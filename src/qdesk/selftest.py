@@ -152,7 +152,7 @@ def measure_suite(rng: np.random.Generator) -> list[CheckResult]:
         prior = measure.partial_trace(state, ["X"])
         f_dist = measure.outcome_distribution(state, "F")
         acc = np.zeros_like(prior.matrix)
-        for v in f_dist.support():
+        for v in f_dist.support:
             post = measure.project(state, measure.ProjectionOperator("F", v))
             acc = acc + float(f_dist.probabilities[v]) * measure.partial_trace(post, ["X"]).matrix
         assert np.abs(acc - prior.matrix).max() < 1e-10
@@ -177,7 +177,7 @@ def measure_suite(rng: np.random.Generator) -> list[CheckResult]:
                 inst = shor.build_periodic(n, r)
                 state = shor.state_after_oracle(inst)
                 f_dist = measure.outcome_distribution(state, "F")
-                for v in f_dist.support():
+                for v in f_dist.support:
                     post = measure.project(state, measure.ProjectionOperator("F", v))
                     x_probs = measure.outcome_distribution(post, "X").probabilities
                     expected = {x for x in range(inst.dimension) if inst.table(x) == v}
@@ -247,7 +247,7 @@ def circuit_suite(rng: np.random.Generator) -> list[CheckResult]:
                 skip = shor.period_circuit(inst, "skip-F")
                 t2 = shor.state_after_oracle(inst)
                 f_dist = measure.outcome_distribution(t2, "F")
-                for v in f_dist.support():
+                for v in f_dist.support:
                     backdated = circuit_ir.backdate_outcome(skip, ("F", v))
                     direct = measure.project(t2, measure.ProjectionOperator("F", v))
                     assert qstate.compare_up_to_global_phase(backdated, direct).value < 1e-10

@@ -12,7 +12,10 @@ The three disciplines agree exactly on the final [X] statistics:
   state by its random-phase mixture over F values.
 
 All three are ``circuit_ir`` programs (``period_circuit``) and sampled runs
-execute them.  Exact distributions are computed without sampling, so the
+execute them.  Nothing but measurements touches F after the dephasing, so
+it is inert: an annihilate-F trial draws its F phases and then draws X from
+the same [X] distribution a skip-F trial does, with one shared QFT per
+report.  Exact distributions are computed without sampling, so the
 equality of the disciplines is a 1e-10 assertion rather than a statistical
 one.
 """

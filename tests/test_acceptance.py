@@ -122,7 +122,7 @@ def test_criterion_4_backdating_equivalence():
             program = period_circuit(inst, "skip-F")
             t2 = state_after_oracle(inst)
             f_dist = outcome_distribution(t2, "F")
-            for v in f_dist.support():
+            for v in f_dist.support:
                 backdated = backdate_outcome(program, ("F", v))
                 direct = project(t2, ProjectionOperator("F", v))
                 assert compare_up_to_global_phase(backdated, direct).value < 1e-10

@@ -2,8 +2,10 @@
 ``enumerate_outcome_distribution``, checked against the routes it replaced.
 
 The references kept here are the per-trial loop that ran a program's tail
-from the t2 state once per trial, and the projection walk that carried a
-renormalised full state down every branch to the end of the program.
+from the t2 state once per trial, the projection walk that carried a
+renormalised full state down every branch to the end of the program, and
+the phased route that dephased each annihilate-F trial's own state before
+drawing from it.
 """
 
 import contextlib
@@ -31,8 +33,11 @@ from qdesk import (
     gates,
     outcome_distribution,
     period_circuit,
+    phased_mixture_from_state,
     project,
+    qft,
     run,
+    sample_phases,
     shor,
     state_after_oracle,
 )
@@ -43,6 +48,7 @@ from qdesk.measure import ProjectionOperator
 from qdesk.shor import DISCIPLINES, PeriodResult, sample_runs
 
 SEEDS = st.integers(0, 2**32 - 1)
+PERIODS = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n)))
 
 
 def per_trial_runs(inst, discipline, trials, rng):
@@ -72,7 +78,7 @@ def projection_walk(program, observed, initial):
             instr = program.instructions[i]
             if isinstance(instr, (Measure, Dephase)):
                 dist = outcome_distribution(state, instr.reg)
-                for v in dist.support():
+                for v in dist.support:
                     post = project(state, ProjectionOperator(instr.reg, v))
                     branch = dict(outcomes)
                     if isinstance(instr, Measure):
@@ -232,6 +238,84 @@ class TestSharedWork:
         finally:
             tracemalloc.stop()
         assert peak < 8 * inst.layout.dimension * 16
+
+
+def phased_route_runs(inst, trials, rng):
+    """The replaced annihilate-F sampler: each trial phases its own t2
+    state over F, Fourier-transforms it, and draws X from its own [X]
+    distribution with ``rng.choice``."""
+    start = state_after_oracle(inst)
+    mixture = phased_mixture_from_state(start, "F")
+    runs = []
+    for _ in range(trials):
+        probs = outcome_distribution(qft(sample_phases(mixture, rng), "X"), "X").probabilities
+        clipped = np.clip(probs, 0.0, None)
+        x = int(rng.choice(len(clipped), p=clipped / clipped.sum()))
+        runs.append([("X", x, float(probs[x]))])
+    return runs
+
+
+class TestInertDephase:
+    @settings(max_examples=60, deadline=None)
+    @given(case=PERIODS, seed=SEEDS, trials=st.integers(1, 40))
+    def test_sampled_annihilate_f_equals_the_phased_route(self, case, seed, trials):
+        inst = build_periodic(*case)
+        sink = []
+        results = sample_runs(inst, "annihilate-F", trials, np.random.default_rng(seed), sink)
+        expected = phased_route_runs(inst, trials, np.random.default_rng(seed))
+        assert [(r.register, r.outcome) for r in sink] == [(reg, x) for run in expected for reg, x, _ in run]
+        for record, (_, _, p) in zip(sink, (step for run in expected for step in run)):
+            assert record.probability == pytest.approx(p, rel=1e-14)
+        assert results == [period_result(inst, [record]) for record in sink]
+
+    def test_annihilate_f_report_makes_as_few_qfts_as_skip_f(self, monkeypatch, capsys):
+        argv = ["shor", "--n", "5", "--r", "3", "--json", "--trials", "200", "--discipline"]
+        # the trials share one QFT of the unphased state; the exact
+        # distribution adds one under skip-F and none under annihilate-F
+        annihilate = count_qft_calls(monkeypatch, capsys, argv + ["annihilate-F"])
+        assert annihilate <= count_qft_calls(monkeypatch, capsys, argv + ["skip-F"]) == 2
+
+    def test_a_dephasing_a_later_gate_sees_is_not_inert(self):
+        # |+> interferes back to |0> under H; dephased, it is a fair coin
+        layout = RegisterLayout.of(X=1)
+        steps = (Prepare("X", "uniform"), Dephase("X"), GateOp("hadamard", reg="X"), Measure("X"))
+        records = sample(CircuitProgram(layout, steps), np.random.default_rng(8), 2000)
+        ones = sum(trial[0].outcome for trial in records) / 2000
+        assert abs(ones - 0.5) < 0.05  # 4.5 sigma
+        coherent = CircuitProgram(layout, steps[:1] + steps[2:])
+        assert {trial[0].outcome for trial in sample(coherent, np.random.default_rng(8), 50)} == {0}
+
+    def test_run_keeps_the_phases_in_its_tagged_states(self):
+        inst = build_periodic(4, 3)
+        program = period_circuit(inst, "annihilate-F")
+        trace = run(program, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        phased = sample_phases(phased_mixture_from_state(state_after_oracle(inst), "F"), rng)
+        assert np.array_equal(trace.state_at_tag("t3").amplitudes, phased.amplitudes)
+        assert np.array_equal(trace.state_at_tag("t4").amplitudes, qft(phased, "X").amplitudes)
+
+    def test_enumerating_annihilate_f_projects_nothing_on_f(self, monkeypatch):
+        calls = []
+        real = circuit_ir.project
+        monkeypatch.setattr(circuit_ir, "project", lambda *a: calls.append(a[1].reg) or real(*a))
+        inst = build_periodic(5, 3)
+        got = enumerate_outcome_distribution(period_circuit(inst, "annihilate-F"), ("X", "F"))
+        assert "F" not in calls
+        expected = enumerate_outcome_distribution(period_circuit(inst, "skip-F"), ("X", "F"))
+        assert got.keys() == expected.keys()
+        for key, p in expected.items():
+            assert got[key] == pytest.approx(p, abs=1e-14)
+
+    def test_annihilate_f_at_the_ceiling(self, monkeypatch, capsys):
+        # one full state is 16 MiB; the guard is the measure-F ceiling test's
+        argv = ["shor", "--n", "10", "--r", "512", "--discipline", "annihilate-F", "--trials", "100"]
+        tracemalloc.start()
+        try:
+            assert count_qft_calls(monkeypatch, capsys, argv + ["--json"]) <= 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 16 * 2**20
 
 
 class TestEnumeration:

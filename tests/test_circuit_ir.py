@@ -281,7 +281,7 @@ class TestBackdateOutcome:
             inst = build_periodic(n, r)
             program = period_circuit(inst, "skip-F")
             t2 = state_after_oracle(inst)
-            for v in outcome_distribution(t2, "F").support():
+            for v in outcome_distribution(t2, "F").support:
                 backdated = backdate_outcome(program, ("F", v))
                 direct = project(t2, ProjectionOperator("F", v))
                 assert compare_up_to_global_phase(backdated, direct).value < 1e-10

@@ -15,6 +15,24 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, builder",
+    [
+        (["shor", "--n", "10", "--trials", "5", "--json"], (shor, "build_periodic")),
+        (["grover", "--n", "524288", "--json"], (grover, "marked_drawer_table")),
+    ],
+)
+def test_out_of_memory_is_a_one_line_usage_error(capsys, monkeypatch, argv, builder):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 MiB")
+
+    monkeypatch.setattr(*builder, exhausted)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {argv[0]}: out of memory (Unable to allocate 16.0 MiB)"]
+
+
 class TestShorCommand:
     def test_exact_success_probability_in_json(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qdesk import (
@@ -10,6 +12,7 @@ from qdesk import (
     DensityMatrix,
     Measure,
     MeasurementRecord,
+    OutcomeDistribution,
     ProjectionOperator,
     PureState,
     RegisterLayout,
@@ -29,6 +32,7 @@ from qdesk import (
     state_after_oracle,
 )
 from qdesk.circuit_ir import enumerate_outcome_distribution
+from qdesk.measure import PROB_EPS
 from qdesk.selftest import chi_square_sf_one_dof
 from qdesk.shor import divisors
 
@@ -143,6 +147,62 @@ class TestMeasureRegister:
         assert result.pvalue > 1e-3
 
 
+def choice_sample(dist, rng):
+    """The replaced Born draw: clip, normalise, and ``rng.choice``."""
+    probs = np.clip(dist.probabilities, 0.0, None)
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
+
+
+@st.composite
+def distributions(draw):
+    """Probabilities with zeros, entries near PROB_EPS and sums off by up
+    to 1e-10; length 1 included."""
+    size = draw(st.integers(1, 24))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    if weights.sum() == 0.0:
+        weights[draw(st.integers(0, size - 1))] = 1.0
+    probs = weights / weights.sum()
+    tiny = st.sampled_from([0.0, -1e-17, 0.5 * PROB_EPS, PROB_EPS, 2 * PROB_EPS, 1e-13])
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=size)):
+        probs[i] = draw(tiny)
+    if probs.max() <= 0.0:
+        probs[0] = 1.0
+    probs /= probs.sum()
+    return OutcomeDistribution("X", probs * (1.0 + draw(st.floats(-0.999e-10, 0.999e-10))))
+
+
+class TestBornSample:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dist=distributions(),
+        seed=st.integers(0, 2**32 - 1),
+        gaps=st.lists(st.integers(0, 3), max_size=12),
+    )
+    def test_cdf_draws_equal_choice_draws(self, dist, seed, gaps):
+        # each draw is followed by ``gap`` phase draws, as in a dephasing trial
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for gap in gaps:
+            assert born_sample(dist, ours) == choice_sample(dist, reference)
+            phases = ours.uniform(0.0, 2 * np.pi, size=gap)
+            assert np.array_equal(phases, reference.uniform(0.0, 2 * np.pi, size=gap))
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(dist=distributions())
+    def test_cdf_and_support_are_built_once_and_frozen(self, dist):
+        assert dist.cdf is dist.cdf
+        assert not dist.cdf.flags.writeable
+        with pytest.raises(ValueError):
+            dist.cdf[0] = 0.5
+        # what ``rng.choice`` builds from the ``p`` the replaced draw passed it
+        clipped = np.clip(dist.probabilities, 0.0, None)
+        expected = (clipped / clipped.sum()).cumsum()
+        expected /= expected[-1]
+        assert np.array_equal(dist.cdf, expected)
+        assert isinstance(dist.support, tuple)
+        assert list(dist.support) == [int(v) for v in np.nonzero(dist.probabilities > PROB_EPS)[0]]
+
+
 class TestPartialTrace:
     def test_product_state_gives_rank_one(self):
         layout = RegisterLayout.of(X=2, F=1)
@@ -184,7 +244,7 @@ class TestPartialTrace:
             prior = partial_trace(state, ["X"]).matrix
             f_dist = outcome_distribution(state, "F")
             acc = np.zeros_like(prior)
-            for v in f_dist.support():
+            for v in f_dist.support:
                 post = project(state, ProjectionOperator("F", v))
                 acc = acc + f_dist.probabilities[v] * partial_trace(post, ["X"]).matrix
             assert np.abs(acc - prior).max() < 1e-10

@@ -77,7 +77,7 @@ def full_state_route(inst, discipline):
         return x_marginal(dense(state).amplitudes, inst.n)
     f_dist = outcome_distribution(state, "F")
     total = np.zeros(inst.dimension)
-    for v in f_dist.support():
+    for v in f_dist.support:
         if discipline == "measure-F-at-t2":
             branch = dense(mask_project(state, "F", v))
             total += f_dist.probabilities[v] * x_marginal(branch.amplitudes, inst.n)
