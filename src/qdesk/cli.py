@@ -196,8 +196,11 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
             for record in records:
                 fh.write(json.dumps(record.to_json() | {"seed": seed}, sort_keys=True) + "\n")
     if args.dump_state:
+        # the program up to t4 only: the X and F draws after it would cost
+        # annihilate-F a second, unphased QFT that the dump never reads
         program = shor.period_circuit(inst, args.discipline)
-        state = circuit_ir.run(program, np.random.default_rng(seed)).state_at_tag("t4")
+        head = circuit_ir.CircuitProgram(inst.layout, program.instructions[: program.time_tags["t4"]])
+        state = circuit_ir.run(head, np.random.default_rng(seed)).final_state
         with open(args.dump_state, "w") as fh:
             json.dump(state.to_json(), fh)
     return report

@@ -4,8 +4,8 @@
 The references kept here are the per-trial loop that ran a program's tail
 from the t2 state once per trial, the projection walk that carried a
 renormalised full state down every branch to the end of the program, and
-the phased route that dephased each annihilate-F trial's own state before
-drawing from it.
+the phased routes that dephased each trial's own state before drawing from
+it: on annihilate-F, and on any program.
 """
 
 import contextlib
@@ -255,7 +255,61 @@ def phased_route_runs(inst, trials, rng):
     return runs
 
 
+@st.composite
+def with_inert_dephase(draw):
+    """A ``random_programs`` case with one more dephasing, of a random
+    register, placed anywhere after the last instruction other than a
+    measurement that touches it: an inert dephasing, which every register's
+    final measurement makes a draw follow."""
+    program, observed, initial = draw(random_programs())
+    instrs = list(program.instructions)
+    reg = draw(st.sampled_from([name for name, _ in program.layout.registers]))
+    slots = ("reg", "in_reg", "out_reg", "mode_reg")
+    touches = [
+        i
+        for i, instr in enumerate(instrs)
+        if not isinstance(instr, Measure) and reg in {getattr(instr, slot, None) for slot in slots}
+    ]
+    measured = instrs.index(Measure(reg))
+    instrs.insert(draw(st.integers(max(touches, default=-1) + 1, measured)), Dephase(reg))
+    return CircuitProgram(program.layout, tuple(instrs)), observed, initial
+
+
+def own_state_trial(program, initial, rng):
+    """The replaced trial on any program: it carries its own state, phases
+    it at every dephasing in the random-phase picture, and draws every
+    measurement from that state with ``rng.choice``."""
+    state, records = initial, []
+    for instr in program.instructions:
+        if isinstance(instr, Dephase):
+            state = sample_phases(phased_mixture_from_state(state, instr.reg), rng)
+        elif isinstance(instr, Measure):
+            probs = outcome_distribution(state, instr.reg).probabilities
+            clipped = np.clip(probs, 0.0, None)
+            x = int(rng.choice(len(clipped), p=clipped / clipped.sum()))
+            records.append((instr.reg, x, float(probs[x])))
+            state = project(state, ProjectionOperator(instr.reg, x))
+        else:
+            state = apply_instruction(state, instr)
+    return records
+
+
 class TestInertDephase:
+    @settings(max_examples=80, deadline=None)
+    @given(case=with_inert_dephase(), seed=SEEDS, trials=st.integers(1, 12))
+    def test_sample_equals_the_own_state_route(self, case, seed, trials):
+        program, _, initial = case
+        assert circuit_ir._BranchWalk(program, initial).inert
+        got = sample(program, np.random.default_rng(seed), trials, initial=initial)
+        rng = np.random.default_rng(seed)
+        expected = [own_state_trial(program, initial, rng) for _ in range(trials)]
+        assert [[(r.register, r.outcome) for r in trial] for trial in got] == [
+            [(reg, x) for reg, x, _ in trial] for trial in expected
+        ]
+        for trial, reference in zip(got, expected):
+            for record, (_, _, p) in zip(trial, reference):
+                assert abs(record.probability - p) < 1e-12
+
     @settings(max_examples=60, deadline=None)
     @given(case=PERIODS, seed=SEEDS, trials=st.integers(1, 40))
     def test_sampled_annihilate_f_equals_the_phased_route(self, case, seed, trials):
@@ -274,6 +328,11 @@ class TestInertDephase:
         # distribution adds one under skip-F and none under annihilate-F
         annihilate = count_qft_calls(monkeypatch, capsys, argv + ["annihilate-F"])
         assert annihilate <= count_qft_calls(monkeypatch, capsys, argv + ["skip-F"]) == 2
+
+    def test_annihilate_f_dump_state_makes_one_qft(self, monkeypatch, capsys, tmp_path):
+        # the phased t4 state's; the X and F draws after t4 are not made
+        argv = ["shor", "--n", "5", "--r", "3", "--discipline", "annihilate-F", "--trials", "0", "--json"]
+        assert count_qft_calls(monkeypatch, capsys, argv + ["--dump-state", str(tmp_path / "state.json")]) == 1
 
     def test_a_dephasing_a_later_gate_sees_is_not_inert(self):
         # |+> interferes back to |0> under H; dephased, it is a fair coin

@@ -1,8 +1,8 @@
 """Digest of every report in the first rounds of the benchmark workloads.
 
-    python3 tools/report_digest.py [--seed 0] [--rounds 2] [--src PATH] > digest.jsonl
+    python3 tools/report_digest.py [--src PATH] > digest.jsonl
 
-Runs every job of rounds ``0 .. rounds-1`` of each workload in
+Runs every job of rounds 0 and 1 at workload seed 0 of each workload in
 ``perfbench/jobs.py`` in this process through ``qdesk.cli.main``, with
 stdout captured.  Every ``shor`` and ``grover`` job also writes
 ``--dump-state``, and every ``shor`` job writes ``--records``.  One JSON
@@ -27,6 +27,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 0
+ROUNDS = 2
 
 
 def _sha(data: bytes | None) -> str | None:
@@ -81,8 +83,6 @@ def digest(job_argv: tuple[str, ...], work: Path, main) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
-    parser.add_argument("--rounds", type=int, default=2, help="rounds per workload (default 2)")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="qdesk source directory")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
@@ -93,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
         work = Path(tmp)
         for workload in jobs.WORKLOADS:
-            for index in range(args.rounds):
-                for job in jobs.make_round(workload, args.seed, index, work):
+            for index in range(ROUNDS):
+                for job in jobs.make_round(workload, SEED, index, work):
                     line = {"workload": workload, "round": index} | digest(job.argv, work, cli_main)
                     print(json.dumps(line, sort_keys=True), flush=True)
     return 0
