@@ -46,7 +46,6 @@ from .measure import (
     measure_register,
     outcome_distribution,
     partial_trace,
-    phased_mixture_from_state,
     project,
     sample_phases,
 )

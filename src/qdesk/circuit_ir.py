@@ -30,6 +30,7 @@ lookup in its cumulative sums, instead of replaying the unitary part.  A
 dephasing whose register no later instruction but a measurement touches is
 inert: no later distribution can see its phases, so the walk draws them and
 applies nothing, and only ``run``'s tagged and final states carry them.
+The phases themselves are applied by ``measure``'s random-phase kernel.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .measure import (
     MeasurementRecord,
     OutcomeDistribution,
     ProjectionOperator,
+    _dephase,
     born_sample,
     outcome_distribution,
     project,
@@ -97,7 +99,8 @@ class Dephase:
     When no later instruction but a measurement touches ``reg`` the
     dephasing is inert: sampled trials still draw its phases, but draw
     their outcomes as if it were absent, and enumeration does not branch
-    on it; ``run``'s tagged and final states carry the phases."""
+    on it; ``run``'s tagged and final states carry the phases.  They are
+    applied by ``measure``'s kernel, the one ``PhasedMixture`` uses."""
 
     reg: str
 
@@ -301,22 +304,6 @@ def _start_state(program: CircuitProgram, initial: PureState | None) -> PureStat
     return state
 
 
-def _dephase(state: PureState, reg: str, values: Sequence[int], phases: np.ndarray) -> PureState:
-    """The state with one phase factor on each listed value of ``reg`` and
-    every other value of it zeroed: one product with the register's
-    ``(left, d, right)`` block."""
-    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    factors = np.zeros(block.shape[1], dtype=np.complex128)
-    factors[list(values)] = np.exp(1j * phases)
-    # factor first, as in the random-phase picture's ``phase factor * slot``
-    # (numpy's complex product fuses one of its multiply-adds, so the order
-    # shows in the last bit); adding 0.0 turns the -0.0 a zero factor can
-    # leave into the +0.0 of an empty slot
-    out = factors[:, None] * block
-    out += 0.0
-    return PureState._adopt(state.layout, out.reshape(-1))
-
-
 class _BranchWalk:
     """A program's branch tree, walked from one start state.
 
@@ -442,14 +429,18 @@ class _BranchWalk:
                 continue
             values = dist.support
             phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
+
+            def dephase(state: PureState) -> PureState:
+                return PureState._adopt(state.layout, _dephase(state, instr.reg, values, phases).reshape(-1))
+
             if i in self.inert:
                 if keep:
-                    phased = _dephase(here(i), instr.reg, values, phases)
+                    phased = dephase(here(i))
                 continue
             if phased is not None:
-                phased = _dephase(phased, instr.reg, values, phases)
+                phased = dephase(phased)
             if not last:
-                own = _dephase(own if own is not None else self.state(i, path), instr.reg, values, phases)
+                own = dephase(own if own is not None else self.state(i, path))
         if not keep:
             return tuple(records), tagged, None
         final = here(len(instrs))

@@ -21,7 +21,7 @@ import numpy as np
 from . import circuit_ir, costmodel, grover, measure, shor
 from .errors import QdeskError
 from .gates import modexp_output_bits
-from .qstate import MAX_QUBITS
+from .qstate import MAX_QUBITS, PureState
 from .selftest import SUBCOMMAND_SUITES, run_selftest
 
 DEFAULT_SEED_ENV = "QDESK_SEED"
@@ -172,6 +172,12 @@ def _shor_instance(args: argparse.Namespace) -> shor.PeriodFindingInstance:
     return shor.build_periodic(args.n, period)
 
 
+def _dump_state(path: str, state: PureState) -> None:
+    """``json.dumps`` runs the C encoder; ``json.dump`` to a file, the Python one."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(state.to_json()))
+
+
 def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
     inst = _shor_instance(args)
     rng = np.random.default_rng(seed)
@@ -200,9 +206,7 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
         # annihilate-F a second, unphased QFT that the dump never reads
         program = shor.period_circuit(inst, args.discipline)
         head = circuit_ir.CircuitProgram(inst.layout, program.instructions[: program.time_tags["t4"]])
-        state = circuit_ir.run(head, np.random.default_rng(seed)).final_state
-        with open(args.dump_state, "w") as fh:
-            json.dump(state.to_json(), fh)
+        _dump_state(args.dump_state, circuit_ir.run(head, np.random.default_rng(seed)).final_state)
     return report
 
 
@@ -235,8 +239,7 @@ def _cmd_grover(args: argparse.Namespace, seed: int) -> dict:
             "joint_distribution": {f"{k},{x}": p for (k, x), p in sorted(joint.items())},
         }
     if args.dump_state:
-        with open(args.dump_state, "w") as fh:
-            json.dump(pre.to_json(), fh)
+        _dump_state(args.dump_state, pre)
     return report
 
 

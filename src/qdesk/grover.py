@@ -122,11 +122,11 @@ EXTENDED_QUERY = (
 
 def extended_mixture() -> PhasedMixture:
     """The extended game's start as a phase mixture over the mode register:
-    slot k holds mode k with amplitude 1/2, search register at 0, kickback
-    register loaded."""
+    every mode with amplitude 1/2, search register at 0, kickback register
+    loaded."""
     kickback = kickback_preparation(EXTENDED_LAYOUT)
-    slots = [apply_instruction(kickback, Prepare("K", mode)).amplitudes / 2.0 for mode in range(4)]
-    return PhasedMixture(EXTENDED_LAYOUT, tuple(slots), tuple(range(4)), "K")
+    modes = [apply_instruction(kickback, Prepare("K", mode)).amplitudes / 2.0 for mode in range(4)]
+    return PhasedMixture(PureState(EXTENDED_LAYOUT, sum(modes)), "K")
 
 
 def extended_preparation(phases: tuple[float, float, float]) -> PureState:

@@ -7,11 +7,12 @@ renormalize).  Projecting onto a zero-probability outcome raises
 ``DegenerateStateError`` instead of silently returning a zero vector.
 
 The module also carries the random-phase picture of a mixed state: a pure
-state whose components are tagged with independent uniform phases, whose
-phase-averaged outer product reproduces the density matrix.  The average is
-available both in closed form (cross terms between phase slots vanish
-exactly) and as a literal Monte Carlo over sampled phases; the closed form
-is the oracle for the sampler.
+state and a register whose values carry independent uniform phases, so the
+phase-averaged outer product is the density matrix.  One kernel phases the
+register's block, for ``PhasedMixture`` and ``circuit_ir``'s ``Dephase``.
+The average is exact in closed form (cross terms between values vanish) and
+literal as a Monte Carlo over sampled phases; the first is the oracle for
+the second.
 """
 
 from __future__ import annotations
@@ -128,15 +129,11 @@ class MeasurementRecord:
         return doc
 
 
-def _register_marginal(block: np.ndarray) -> np.ndarray:
-    """Sum |amplitude|^2 of a ``(left, d, right)`` view over all but the register axis."""
-    return (np.abs(block) ** 2).sum(axis=(0, 2))
-
-
 def outcome_distribution(state: PureState, reg: str) -> OutcomeDistribution:
-    """Exact measurement statistics for one register."""
+    """Exact measurement statistics for one register: |amplitude|^2 of its
+    ``(left, d, right)`` view summed over all but the register axis."""
     block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    return OutcomeDistribution(reg, _register_marginal(block))
+    return OutcomeDistribution(reg, (np.abs(block) ** 2).sum(axis=(0, 2)))
 
 
 def project(state: PureState, p: ProjectionOperator) -> PureState:
@@ -173,31 +170,27 @@ def measure_register(
     return outcome, project(state, ProjectionOperator(reg, outcome))
 
 
-def _register_dims(layout: RegisterLayout) -> list[int]:
-    return [layout.dim(name) for name in layout.names]
-
-
 def _keep_axes(layout: RegisterLayout, keep: Iterable[str] | None) -> list[int]:
-    """Layout positions of the kept registers; ``None`` keeps them all."""
-    if keep is None:
-        return list(range(len(layout.names)))
-    keep_set = set(keep)
-    for reg in keep_set:
-        layout.qubits(reg)
+    """Layout positions of the kept registers; ``None`` keeps them all.  The
+    density cap is checked here, before any product is formed."""
+    keep_set = set(layout.names if keep is None else keep)
     if not keep_set:
         raise ValueError("keep set must not be empty")
+    if sum(layout.qubits(reg) for reg in keep_set) > MAX_DENSITY_QUBITS:  # raises on unknown names
+        raise ShapeMismatchError(f"dense density matrices are capped at {MAX_DENSITY_QUBITS} qubits")
     return [i for i, name in enumerate(layout.names) if name in keep_set]
 
 
-def _kept_rows(amplitudes: np.ndarray, layout: RegisterLayout, keep_axes: list[int]) -> np.ndarray:
+def _kept_rows(
+    amplitudes: np.ndarray, layout: RegisterLayout, keep_axes: list[int], stack: tuple[int, ...] = ()
+) -> np.ndarray:
     """Arrange amplitude vectors as a (kept dimension, rest) matrix.
 
-    ``amplitudes`` is one vector or a stack of them along leading axes; the
-    stack axes join the traced registers as columns, so ``rows @ rows^H`` is
-    the sum of the vectors' reduced outer products over the kept registers.
+    ``amplitudes`` is one vector (of any shape) or a stack of them along the
+    leading axes ``stack``, which join the traced registers as columns, so
+    ``rows @ rows^H`` sums the vectors' reductions to the kept registers.
     """
-    shape = _register_dims(layout)
-    stack = amplitudes.shape[:-1]
+    shape = [layout.dim(name) for name in layout.names]
     tensor = amplitudes.reshape(stack + tuple(shape))
     kept = [len(stack) + i for i in keep_axes]
     rest = [i for i in range(tensor.ndim) if i not in kept]
@@ -213,58 +206,63 @@ def partial_trace(state: PureState, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(rows @ rows.conj().T, tuple(layout.names[i] for i in keep_axes))
 
 
+def _dephase(state: PureState, reg: str, values: Sequence[int], phases: np.ndarray) -> np.ndarray:
+    """The state's ``(left, d, right)`` block for ``reg`` with one phase
+    factor on each listed value of it and every other value zeroed.  Leading
+    axes of ``phases`` batch the result (shape ``batch + (left, d, right)``);
+    they lie between ``d`` and ``right`` in memory, where the product is
+    cheap and a reduction keeping ``reg`` reads the batch without a copy."""
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    left, d, right = block.shape
+    phases = np.asarray(phases, dtype=float)
+    batch = phases.shape[:-1]
+    k = len(batch)
+    factors = np.zeros((d,) + batch, dtype=np.complex128)
+    factors[list(values)] = np.exp(1j * phases).transpose((k,) + tuple(range(k)))
+    # factor first, as in the random-phase picture's ``phase factor * slot``
+    # (numpy's complex product fuses one of its multiply-adds, so the order
+    # shows in the last bit); adding 0.0 turns the -0.0 a zero factor can
+    # leave into the +0.0 of an empty slot
+    out = factors.reshape((1, d) + batch + (1,)) * block.reshape((left, d) + (1,) * k + (right,))
+    out += 0.0
+    return out.transpose(tuple(range(2, 2 + k)) + (0, 1, 2 + k))
+
+
 @dataclass(frozen=True)
 class PhasedMixture:
-    """A mixed state written as one pure state with random phases.
+    """A mixed state written as one pure state with random phases: the
+    components of ``state`` that share a value of ``traced_reg`` (a slot)
+    take one independent uniform phase.  The slot values are the support of
+    the register's marginal, so slots are disjoint by construction and are
+    never stored: every route phases the register's block of ``state``."""
 
-    ``slots`` are full-dimension amplitude vectors with pairwise disjoint
-    support; slot ``h`` collects the components that share the traced
-    register's value ``slot_values[h]``.  Setting every phase to zero and
-    summing the slots recovers the original pure state.
-    """
-
-    layout: RegisterLayout
-    slots: tuple[np.ndarray, ...]
-    slot_values: tuple[int, ...] = ()
-    traced_reg: str | None = None
+    state: PureState
+    traced_reg: str
 
     def __post_init__(self):
-        frozen = []
-        for s in self.slots:
-            arr = np.array(s, dtype=np.complex128)
-            if arr.shape != (self.layout.dimension,):
-                raise ShapeMismatchError("every slot must span the full layout dimension")
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "slots", tuple(frozen))
-        object.__setattr__(self, "slot_values", tuple(int(v) for v in self.slot_values))
+        self.state.layout.qubits(self.traced_reg)  # raises UnknownRegisterError
+
+    @property
+    def layout(self) -> RegisterLayout:
+        return self.state.layout
+
+    @cached_property
+    def slot_values(self) -> tuple[int, ...]:
+        """The traced register's values above ``PROB_EPS``, ascending."""
+        return outcome_distribution(self.state, self.traced_reg).support
 
     @property
     def slot_count(self) -> int:
-        return len(self.slots)
+        return len(self.slot_values)
 
     def flatten(self, phases: Sequence[float] | None = None) -> PureState:
-        """Sum the slots with the given phases (all zero by default)."""
+        """The state with the given slot phases applied (all zero by default)."""
         if phases is None:
             phases = np.zeros(self.slot_count)
         if len(phases) != self.slot_count:
             raise ShapeMismatchError(f"need {self.slot_count} phases, got {len(phases)}")
-        total = np.zeros(self.layout.dimension, dtype=np.complex128)
-        for phase, slot in zip(phases, self.slots):
-            total += np.exp(1j * phase) * slot
-        return PureState(self.layout, total)
-
-
-def phased_mixture_from_state(state: PureState, traced_reg: str) -> PhasedMixture:
-    """Group a state's components by the traced register's value, one phase slot each."""
-    block = state.amplitudes.reshape(state.layout.axis_shape(traced_reg))
-    values = OutcomeDistribution(traced_reg, _register_marginal(block)).support
-    slots = []
-    for v in values:
-        slot = np.zeros_like(block)
-        slot[:, v, :] = block[:, v, :]
-        slots.append(slot.reshape(-1))
-    return PhasedMixture(state.layout, tuple(slots), tuple(values), traced_reg)
+        phased = _dephase(self.state, self.traced_reg, self.slot_values, phases)
+        return PureState._adopt(self.layout, phased.reshape(-1))
 
 
 def sample_phases(m: PhasedMixture, rng: np.random.Generator) -> PureState:
@@ -290,14 +288,13 @@ def average_density(
         raise ValueError("samples must be >= 1")
     layout = m.layout
     keep_axes = _keep_axes(layout, keep)
-    slot_matrix = np.stack(m.slots)  # (H, dim)
     rho = 0.0
     done = 0
     batch = 2048
     while done < samples:
         count = min(batch, samples - done)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, m.slot_count))
-        rows = _kept_rows(np.exp(1j * phases) @ slot_matrix, layout, keep_axes)
+        rows = _kept_rows(_dephase(m.state, m.traced_reg, m.slot_values, phases), layout, keep_axes, (count,))
         rho = rho + rows @ rows.conj().T
         done += count
     rho /= samples
@@ -315,21 +312,27 @@ def analytic_average_density(
     """Exact expectation of |psi><psi| over the slot phases.
 
     With independent phases (the default) every cross-slot term averages to
-    zero, leaving the block sum of the slots' outer products.  Passing
-    ``phase_groups`` forces the slots inside one group to share a single
-    phase variable, so their mutual cross terms survive; groups must
-    partition the slot indices.  With ``keep``, each group's vector is
-    reduced to the kept registers directly, so the full-layout matrix is
-    never formed and only the kept registers count against the density cap.
+    zero.  Passing ``phase_groups`` forces the slots inside one group to
+    share a single phase variable, so their mutual cross terms survive;
+    groups must partition the slot indices.  With the traced register traced
+    out, no cross-slot term is left, and the average is the partial trace;
+    with it kept, it is the partial trace with every entry between traced
+    values in different groups (or outside the support) zeroed.
     """
     if phase_groups is None:
         phase_groups = [[h] for h in range(m.slot_count)]
     seen = sorted(h for group in phase_groups for h in group)
     if seen != list(range(m.slot_count)):
         raise ValueError("phase_groups must partition the slot indices")
-    layout = m.layout
-    keep_axes = _keep_axes(layout, keep)
-    zero = np.zeros(layout.dimension, dtype=np.complex128)
-    groups = np.stack([sum((m.slots[h] for h in group), zero) for group in phase_groups])
-    rows = _kept_rows(groups, layout, keep_axes)
-    return DensityMatrix(rows @ rows.conj().T, tuple(layout.names[i] for i in keep_axes))
+    layout, reg = m.layout, m.traced_reg
+    reduced = partial_trace(m.state, layout.names if keep is None else keep)
+    kept = reduced.registers
+    if reg not in kept:
+        return reduced
+    group = np.full(layout.dim(reg), -1)
+    for g, members in enumerate(phase_groups):
+        group[[m.slot_values[h] for h in members]] = g
+    shift = sum(layout.qubits(name) for name in kept[kept.index(reg) + 1 :])
+    row_group = group[(np.arange(reduced.dimension) >> shift) % layout.dim(reg)]
+    same = (row_group[:, None] == row_group) & (row_group[:, None] >= 0)
+    return DensityMatrix(np.where(same, reduced.matrix, 0.0), kept)

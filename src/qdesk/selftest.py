@@ -146,16 +146,16 @@ def measure_suite(rng: np.random.Generator) -> list[CheckResult]:
         except DegenerateStateError:
             pass
 
-    def ensemble_average():
-        inst = shor.build_periodic(3, 4)
-        state = shor.state_after_oracle(inst)
-        prior = measure.partial_trace(state, ["X"])
+    def f_ensemble(state, keep):
+        """sum_v p(F = v) * the reduction of the state projected on F = v"""
         f_dist = measure.outcome_distribution(state, "F")
-        acc = np.zeros_like(prior.matrix)
-        for v in f_dist.support:
-            post = measure.project(state, measure.ProjectionOperator("F", v))
-            acc = acc + float(f_dist.probabilities[v]) * measure.partial_trace(post, ["X"]).matrix
-        assert np.abs(acc - prior.matrix).max() < 1e-10
+        posts = {v: measure.project(state, measure.ProjectionOperator("F", v)) for v in f_dist.support}
+        return sum(f_dist.probabilities[v] * measure.partial_trace(p, keep).matrix for v, p in posts.items())
+
+    def ensemble_average():
+        state = shor.state_after_oracle(shor.build_periodic(3, 4))
+        prior = measure.partial_trace(state, ["X"])
+        assert np.abs(f_ensemble(state, ["X"]) - prior.matrix).max() < 1e-10
 
     def born_chi_square():
         inst = shor.build_periodic(2, 2)
@@ -185,15 +185,17 @@ def measure_suite(rng: np.random.Generator) -> list[CheckResult]:
                     assert got == expected
                     assert np.abs(x_probs[sorted(got)] - 1.0 / len(got)).max() < 1e-10
 
-    def analytic_average_matches_trace():
+    def analytic_average():
+        # keeping F, the closed form must match the F-projection ensemble,
+        # which never forms the phased picture
         for n in range(1, 5):
             for r in shor.divisors(1 << n):
-                inst = shor.build_periodic(n, r)
-                state = shor.state_after_oracle(inst)
-                mixture = measure.phased_mixture_from_state(state, "F")
+                state = shor.state_after_oracle(shor.build_periodic(n, r))
+                mixture = measure.PhasedMixture(state, "F")
                 averaged = measure.analytic_average_density(mixture, keep=["X"])
-                direct = measure.partial_trace(state, ["X"])
-                assert averaged.frobenius_distance(direct) < 1e-10
+                assert averaged.frobenius_distance(measure.partial_trace(state, ["X"])) < 1e-10
+                averaged = measure.analytic_average_density(mixture, keep=["X", "F"])
+                assert averaged.frobenius_distance(f_ensemble(state, ["X", "F"])) < 1e-10
 
     return _run_checks(
         [
@@ -201,7 +203,7 @@ def measure_suite(rng: np.random.Generator) -> list[CheckResult]:
             ("outcome-weighted post densities reproduce the prior reduction", ensemble_average),
             ("born sampling passes chi-square at 1e-3 with 1e4 samples", born_chi_square),
             ("post-measurement support is exactly the matching preimage", filtration_support),
-            ("closed-form phase average equals the partial trace", analytic_average_matches_trace),
+            ("closed-form phase average equals the trace and F-projection ensemble", analytic_average),
         ]
     )
 

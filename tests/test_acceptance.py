@@ -15,6 +15,7 @@ import pytest
 
 from qdesk import (
     GameInstance,
+    PhasedMixture,
     PureState,
     analytic_average_density,
     average_density,
@@ -27,7 +28,6 @@ from qdesk import (
     outcome_distribution,
     partial_trace,
     period_circuit,
-    phased_mixture_from_state,
     project,
     ProjectionOperator,
     RegisterLayout,
@@ -158,13 +158,13 @@ def test_criterion_6_random_phase_representation():
     layout = RegisterLayout.of(Q=1)
     for phi in (0.3, 0.6, 1.1):
         state = PureState(layout, [math.sin(phi), math.cos(phi)])
-        mixture = phased_mixture_from_state(state, "Q")
+        mixture = PhasedMixture(state, "Q")
         expected = np.diag([math.sin(phi) ** 2, math.cos(phi) ** 2])
         analytic = analytic_average_density(mixture)
         assert np.abs(analytic.matrix - expected).max() < 1e-10
 
     phi = 0.6
-    mixture = phased_mixture_from_state(PureState(layout, [math.sin(phi), math.cos(phi)]), "Q")
+    mixture = PhasedMixture(PureState(layout, [math.sin(phi), math.cos(phi)]), "Q")
     sampled = average_density(mixture, 100_000, np.random.default_rng(6))
     expected = np.diag([math.sin(phi) ** 2, math.cos(phi) ** 2])
     assert np.linalg.norm(sampled.matrix - expected) < 5e-3
@@ -172,7 +172,7 @@ def test_criterion_6_random_phase_representation():
     for n in range(1, 6):
         for r in divisors(1 << n):
             state = state_after_oracle(build_periodic(n, r))
-            averaged = analytic_average_density(phased_mixture_from_state(state, "F"), keep=["X"])
+            averaged = analytic_average_density(PhasedMixture(state, "F"), keep=["X"])
             assert averaged.frobenius_distance(partial_trace(state, ["X"])) < 1e-10
 
 

@@ -23,6 +23,7 @@ from qdesk import (
     FunctionTable,
     GateOp,
     Measure,
+    PhasedMixture,
     Prepare,
     PureState,
     RegisterLayout,
@@ -33,7 +34,6 @@ from qdesk import (
     gates,
     outcome_distribution,
     period_circuit,
-    phased_mixture_from_state,
     project,
     qft,
     run,
@@ -245,7 +245,7 @@ def phased_route_runs(inst, trials, rng):
     state over F, Fourier-transforms it, and draws X from its own [X]
     distribution with ``rng.choice``."""
     start = state_after_oracle(inst)
-    mixture = phased_mixture_from_state(start, "F")
+    mixture = PhasedMixture(start, "F")
     runs = []
     for _ in range(trials):
         probs = outcome_distribution(qft(sample_phases(mixture, rng), "X"), "X").probabilities
@@ -282,7 +282,7 @@ def own_state_trial(program, initial, rng):
     state, records = initial, []
     for instr in program.instructions:
         if isinstance(instr, Dephase):
-            state = sample_phases(phased_mixture_from_state(state, instr.reg), rng)
+            state = sample_phases(PhasedMixture(state, instr.reg), rng)
         elif isinstance(instr, Measure):
             probs = outcome_distribution(state, instr.reg).probabilities
             clipped = np.clip(probs, 0.0, None)
@@ -349,7 +349,7 @@ class TestInertDephase:
         program = period_circuit(inst, "annihilate-F")
         trace = run(program, np.random.default_rng(6))
         rng = np.random.default_rng(6)
-        phased = sample_phases(phased_mixture_from_state(state_after_oracle(inst), "F"), rng)
+        phased = sample_phases(PhasedMixture(state_after_oracle(inst), "F"), rng)
         assert np.array_equal(trace.state_at_tag("t3").amplitudes, phased.amplitudes)
         assert np.array_equal(trace.state_at_tag("t4").amplitudes, qft(phased, "X").amplitudes)
 

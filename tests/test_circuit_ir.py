@@ -14,6 +14,7 @@ from qdesk import (
     FunctionTable,
     GateOp,
     Measure,
+    PhasedMixture,
     Prepare,
     ProgramError,
     ProjectionOperator,
@@ -27,7 +28,6 @@ from qdesk import (
     defer_measurements,
     equivalent_distributions,
     period_circuit,
-    phased_mixture_from_state,
     project,
     run,
     sample_phases,
@@ -338,7 +338,7 @@ class TestDephase:
         start = state_after_oracle(inst)
         program = CircuitProgram(inst.layout, (Dephase("F"),))
         trace = run(program, np.random.default_rng(4), initial=start)
-        expected = sample_phases(phased_mixture_from_state(start, "F"), np.random.default_rng(4))
+        expected = sample_phases(PhasedMixture(start, "F"), np.random.default_rng(4))
         assert np.array_equal(trace.final_state.amplitudes, expected.amplitudes)
         assert trace.records == ()
 

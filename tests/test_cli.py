@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qdesk import build_periodic, gates, grover, iteration_count, period_circuit, run, shor
-from qdesk.cli import _instance_problem, drawer_count, main
-from qdesk.qstate import PureState
+from qdesk.cli import _dump_state, _instance_problem, drawer_count, main
+from qdesk.qstate import PureState, RegisterLayout
 from qdesk.shor import DISCIPLINES
 
 
@@ -73,6 +73,16 @@ class TestShorCommand:
         assert code == 0
         state = PureState.from_json(json.loads(path.read_text()))
         assert abs(state.norm() - 1.0) < 1e-10
+
+    def test_dump_state_bytes_equal_the_json_dump_reference(self, tmp_path):
+        amps = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.5, -0.5j, 0.5 + 0j, -0.5, 1e-300]
+        state = PureState(RegisterLayout.of(X=2, F=1), amps)
+        _dump_state(str(tmp_path / "state.json"), state)
+        with open(tmp_path / "reference.json", "w") as fh:
+            json.dump(state.to_json(), fh)
+        got = (tmp_path / "state.json").read_bytes()
+        assert got == (tmp_path / "reference.json").read_bytes()
+        assert b"-0.0" in got
 
     def test_records_are_json_lines_with_seed(self, capsys, tmp_path):
         path = tmp_path / "records.jsonl"

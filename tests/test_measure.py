@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from qdesk import (
     Measure,
     MeasurementRecord,
     OutcomeDistribution,
+    PhasedMixture,
     ProjectionOperator,
     PureState,
     RegisterLayout,
+    ShapeMismatchError,
     analytic_average_density,
     average_density,
     born_sample,
@@ -26,15 +29,15 @@ from qdesk import (
     normalize,
     outcome_distribution,
     partial_trace,
-    phased_mixture_from_state,
     project,
     sample_phases,
     state_after_oracle,
 )
 from qdesk.circuit_ir import enumerate_outcome_distribution
-from qdesk.measure import PROB_EPS
+from qdesk.measure import MAX_DENSITY_QUBITS, PROB_EPS
 from qdesk.selftest import chi_square_sf_one_dof
 from qdesk.shor import divisors
+from test_register_axis import mixture_slots
 
 
 @pytest.fixture
@@ -268,31 +271,31 @@ class TestDensityMatrixValidation:
 
 class TestPhasedMixture:
     def test_parity_state_groups_into_two_slots(self, parity_state):
-        mixture = phased_mixture_from_state(parity_state, "F")
+        mixture = PhasedMixture(parity_state, "F")
         assert mixture.slot_count == 2
         assert mixture.slot_values == (0, 1)
         layout = parity_state.layout
         even_support = {layout.encode({"X": x, "F": 0}) for x in (0, 2)}
-        got = {int(i) for i in np.nonzero(np.abs(mixture.slots[0]) > 1e-15)[0]}
+        got = {int(i) for i in np.nonzero(np.abs(mixture_slots(mixture)[0]) > 1e-15)[0]}
         assert got == even_support
 
     def test_injective_function_gives_one_slot_per_value(self):
         state = state_after_oracle(build_periodic(2, 4))
-        mixture = phased_mixture_from_state(state, "F")
+        mixture = PhasedMixture(state, "F")
         assert mixture.slot_count == 4
 
     def test_constant_function_collapses_to_single_slot(self):
         state = state_after_oracle(build_periodic(2, 1))
-        mixture = phased_mixture_from_state(state, "F")
+        mixture = PhasedMixture(state, "F")
         assert mixture.slot_count == 1
         assert np.abs(mixture.flatten().amplitudes - state.amplitudes).max() < 1e-15
 
     def test_flatten_with_zero_phases_recovers_state(self, parity_state):
-        mixture = phased_mixture_from_state(parity_state, "F")
+        mixture = PhasedMixture(parity_state, "F")
         assert np.abs(mixture.flatten().amplitudes - parity_state.amplitudes).max() < 1e-15
 
     def test_sampled_phases_keep_unit_norm_and_statistics(self, parity_state):
-        mixture = phased_mixture_from_state(parity_state, "F")
+        mixture = PhasedMixture(parity_state, "F")
         base = outcome_distribution(parity_state, "X").probabilities
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -308,7 +311,7 @@ class TestPhaseAveraging:
     def test_two_state_example_analytic(self, phi):
         layout = RegisterLayout.of(Q=1)
         state = PureState(layout, [math.sin(phi), math.cos(phi)])
-        mixture = phased_mixture_from_state(state, "Q")
+        mixture = PhasedMixture(state, "Q")
         rho = analytic_average_density(mixture)
         expected = np.diag([math.sin(phi) ** 2, math.cos(phi) ** 2])
         assert np.abs(rho.matrix - expected).max() < 1e-10
@@ -317,20 +320,20 @@ class TestPhaseAveraging:
         phi = 0.6
         layout = RegisterLayout.of(Q=1)
         state = PureState(layout, [math.sin(phi), math.cos(phi)])
-        mixture = phased_mixture_from_state(state, "Q")
+        mixture = PhasedMixture(state, "Q")
         rho = average_density(mixture, 100_000, np.random.default_rng(31))
         expected = np.diag([math.sin(phi) ** 2, math.cos(phi) ** 2])
         assert np.linalg.norm(rho.matrix - expected) < 5e-3
 
     def test_single_slot_average_is_exact_rank_one(self):
         state = state_after_oracle(build_periodic(2, 1))
-        mixture = phased_mixture_from_state(state, "F")
+        mixture = PhasedMixture(state, "F")
         rho = analytic_average_density(mixture)
         expected = np.outer(state.amplitudes, state.amplitudes.conj())
         assert np.abs(rho.matrix - expected).max() < 1e-12
 
     def test_parity_monte_carlo_converges_to_partial_trace(self, parity_state):
-        mixture = phased_mixture_from_state(parity_state, "F")
+        mixture = PhasedMixture(parity_state, "F")
         rho = average_density(mixture, 100_000, np.random.default_rng(77), keep=["X"])
         assert rho.frobenius_distance(partial_trace(parity_state, ["X"])) < 5e-3
 
@@ -338,7 +341,7 @@ class TestPhaseAveraging:
     def test_analytic_average_equals_partial_trace(self, n):
         for r in divisors(1 << n):
             state = state_after_oracle(build_periodic(n, r))
-            mixture = phased_mixture_from_state(state, "F")
+            mixture = PhasedMixture(state, "F")
             averaged = analytic_average_density(mixture, keep=["X"])
             assert averaged.frobenius_distance(partial_trace(state, ["X"])) < 1e-10
 
@@ -346,7 +349,7 @@ class TestPhaseAveraging:
         # The full X,F density at n=6 is 4096 x 4096, over the dense cap;
         # the kept X register needs only 64 x 64.
         state = state_after_oracle(build_periodic(6, 4))
-        mixture = phased_mixture_from_state(state, "F")
+        mixture = PhasedMixture(state, "F")
         averaged = analytic_average_density(mixture, keep=["X"])
         assert averaged.dimension == 64
         assert np.abs(averaged.matrix - partial_trace(state, ["X"]).matrix).max() < 1e-12
@@ -355,21 +358,59 @@ class TestPhaseAveraging:
     def test_reduced_monte_carlo_average_matches_per_sample_traces(self, n, r, samples):
         # 2050 samples cross a batch boundary; n=6 is past the full density cap.
         state = state_after_oracle(build_periodic(n, r))
-        mixture = phased_mixture_from_state(state, "F")
+        mixture = PhasedMixture(state, "F")
         got = average_density(mixture, samples, np.random.default_rng(5), keep=["X"])
         phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(samples, mixture.slot_count))
         expected = sum(partial_trace(mixture.flatten(p), ["X"]).matrix for p in phases) / samples
         assert np.abs(got.matrix - expected).max() < 1e-12
 
+    def test_average_and_draw_stay_linear_in_the_state(self):
+        # H = 128 slot vectors of 2^16 amplitudes would take 128 MiB each time
+        tracemalloc.start()
+        try:
+            mixture = PhasedMixture(state_after_oracle(build_periodic(8, 128)), "F")
+            analytic_average_density(mixture, keep=["X"])
+            sample_phases(mixture, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mixture.slot_count == 128
+        assert peak < 16 * 2**20
+
     def test_phase_groups_must_partition(self, parity_state):
-        mixture = phased_mixture_from_state(parity_state, "F")
+        mixture = PhasedMixture(parity_state, "F")
         with pytest.raises(ValueError):
             analytic_average_density(mixture, phase_groups=[[0]])
 
     def test_sample_count_must_be_positive(self, parity_state):
-        mixture = phased_mixture_from_state(parity_state, "F")
+        mixture = PhasedMixture(parity_state, "F")
         with pytest.raises(ValueError):
             average_density(mixture, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        lambda state: partial_trace(state, ["X", "F"]),
+        lambda state: average_density(PhasedMixture(state, "F"), 1, np.random.default_rng(0)),
+        lambda state: analytic_average_density(PhasedMixture(state, "F"), keep=["X", "F"]),
+    ],
+    ids=["partial_trace", "average_density", "analytic_average_density"],
+)
+def test_density_cap_is_checked_before_allocating(reduce):
+    # a 2^11 x 2^11 density takes 64 MiB; the cap must refuse it first
+    layout = RegisterLayout.of(X=6, F=5)
+    assert layout.total_qubits == MAX_DENSITY_QUBITS + 1
+    amps = np.random.default_rng(3).normal(size=layout.dimension).astype(complex)
+    state = PureState(layout, amps / np.linalg.norm(amps))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeMismatchError, match="capped"):
+            reduce(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 class TestMeasurementRecord:

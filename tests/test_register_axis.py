@@ -4,8 +4,9 @@ The references here are the plain forms the fast routes replaced: the dense
 Fourier matrix, full-length masks built from ``np.arange(dimension)``, and
 the per-branch projection of the whole state, the XOR oracles' per-call
 ``np.arange`` partner arrays, the diffusion mean, and the random-phase
-slot vectors a ``Dephase`` used to be sampled from.  They stay in this file so the
-library keeps one route per operation.
+slot vectors that ``PhasedMixture`` used to hold, summed with their phases
+and stacked per phase group.  They stay in this file so the library keeps
+one route per operation.
 """
 
 import numpy as np
@@ -17,8 +18,10 @@ from qdesk import (
     Dephase,
     FunctionTable,
     ModedFunctionTable,
+    PhasedMixture,
     PureState,
     RegisterLayout,
+    analytic_average_density,
     build_modexp,
     build_periodic,
     exact_outcome_distribution,
@@ -26,7 +29,6 @@ from qdesk import (
     oracle_moded,
     oracle_xor,
     outcome_distribution,
-    phased_mixture_from_state,
     project,
     qft,
     run,
@@ -60,6 +62,50 @@ def field(layout, reg):
 def mask_project(state, reg, outcome):
     kept = np.where(field(state.layout, reg) == outcome, state.amplitudes, 0.0)
     return state.with_amplitudes(kept / np.linalg.norm(kept))
+
+
+def mixture_slots(mixture):
+    """The slot route's slots: one full-dimension vector per slot value,
+    holding the mixture state's components at that value of the traced
+    register."""
+    values = field(mixture.layout, mixture.traced_reg)
+    return [np.where(values == v, mixture.state.amplitudes, 0.0) for v in mixture.slot_values]
+
+
+def slot_flatten(mixture, phases):
+    """The slot route's phased state: the slots summed with their phase factors."""
+    total = np.zeros(mixture.layout.dimension, dtype=np.complex128)
+    for phase, slot in zip(phases, mixture_slots(mixture)):
+        total += np.exp(1j * phase) * slot
+    return total
+
+
+def stack_average(mixture, keep, groups):
+    """The slot route's closed-form average: each phase group's slots summed
+    into one full vector, each reduced to the kept registers, the reductions
+    summed."""
+    layout = mixture.layout
+    dims = [layout.dim(name) for name in layout.names]
+    kept = [i for i, name in enumerate(layout.names) if name in keep]
+    rest = [i for i in range(len(dims)) if i not in kept]
+    slots = mixture_slots(mixture)
+    total = 0.0
+    for group in groups:
+        vector = sum((slots[h] for h in group), np.zeros(layout.dimension, dtype=np.complex128))
+        rows = vector.reshape(dims).transpose(kept + rest).reshape(int(np.prod([dims[i] for i in kept])), -1)
+        total = total + rows @ rows.conj().T
+    return total
+
+
+def with_emptied_values(state, reg, empty):
+    """The state with the listed values of ``reg`` emptied, renormalised;
+    the emptied amplitudes hold zeros of either sign, so that the support
+    and the signs of a result's zeros both matter."""
+    values = field(state.layout, reg)
+    emptied = np.isin(values, list(empty))
+    kept = np.where(emptied, 0.0, state.amplitudes)
+    zeros = np.where(np.arange(values.size) % 2, complex(-0.0, 0.0), complex(0.0, -0.0))
+    return state.with_amplitudes(np.where(emptied, zeros, kept / np.linalg.norm(kept)))
 
 
 def x_marginal(amplitudes, n):
@@ -113,34 +159,58 @@ def test_phased_mixture_matches_mask_reference(case, data):
     # Empty some of the traced register's values so slot selection matters.
     d = state.layout.dim(reg)
     values = field(state.layout, reg)
-    empty = data.draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
-    amps = np.where(np.isin(values, list(empty)), 0.0, state.amplitudes)
-    state = state.with_amplitudes(amps / np.linalg.norm(amps))
-    mixture = phased_mixture_from_state(state, reg)
+    state = with_emptied_values(state, reg, data.draw(st.sets(st.integers(0, d - 1), max_size=d - 1)))
+    mixture = PhasedMixture(state, reg)
     weights = [np.linalg.norm(state.amplitudes[values == v]) ** 2 for v in range(d)]
     support = [v for v, w in enumerate(weights) if w > PROB_EPS]
     assert mixture.slot_values == tuple(support)
-    for v, slot in zip(support, mixture.slots):
+    assert mixture.slot_count == len(support)
+    for v, slot in zip(support, mixture_slots(mixture)):
         assert np.array_equal(slot, np.where(values == v, state.amplitudes, 0.0))
+
+
+def as_bits(amplitudes):
+    return amplitudes.view(np.uint64)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=random_states(), data=st.data(), seed=SEEDS)
 def test_dephase_block_matches_slot_route_bit_for_bit(case, data, seed):
     state, reg = case
-    # Empty some of the register's values with zeros of either sign, so that
-    # the support and the signs of the result's zeros both matter.
     d = state.layout.dim(reg)
-    values = field(state.layout, reg)
-    empty = data.draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
-    emptied = np.isin(values, list(empty))
-    kept = np.where(emptied, 0.0, state.amplitudes)
-    zeros = np.where(np.arange(values.size) % 2, complex(-0.0, 0.0), complex(0.0, -0.0))
-    state = state.with_amplitudes(np.where(emptied, zeros, kept / np.linalg.norm(kept)))
+    state = with_emptied_values(state, reg, data.draw(st.sets(st.integers(0, d - 1), max_size=d - 1)))
+    mixture = PhasedMixture(state, reg)
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=mixture.slot_count)
+    expected = as_bits(slot_flatten(mixture, phases))
+    assert np.array_equal(as_bits(mixture.flatten(phases).amplitudes), expected)
+    assert np.array_equal(as_bits(sample_phases(mixture, np.random.default_rng(seed)).amplitudes), expected)
     program = CircuitProgram(state.layout, (Dephase(reg),))
     got = run(program, np.random.default_rng(seed), initial=state).final_state
-    slots = sample_phases(phased_mixture_from_state(state, reg), np.random.default_rng(seed))
-    assert np.array_equal(got.amplitudes.view(np.uint64), slots.amplitudes.view(np.uint64))
+    assert np.array_equal(as_bits(got.amplitudes), expected)
+    zero = as_bits(slot_flatten(mixture, np.zeros(mixture.slot_count)))
+    assert np.array_equal(as_bits(mixture.flatten().amplitudes), zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=random_states(max_qubits=3), data=st.data())
+def test_analytic_average_matches_stack_route(case, data):
+    state, reg = case
+    layout = state.layout
+    d = layout.dim(reg)
+    state = with_emptied_values(state, reg, data.draw(st.sets(st.integers(0, d - 1), max_size=d - 1)))
+    mixture = PhasedMixture(state, reg)
+    keep = data.draw(st.sets(st.sampled_from(layout.names), min_size=1))
+    h = mixture.slot_count
+    if data.draw(st.booleans()):
+        groups = None
+        expected_groups = [[k] for k in range(h)]
+    else:
+        labels = data.draw(st.lists(st.integers(0, h - 1), min_size=h, max_size=h))
+        groups = [[k for k in range(h) if labels[k] == g] for g in sorted(set(labels))]
+        expected_groups = groups
+    got = analytic_average_density(mixture, keep=keep, phase_groups=groups)
+    assert got.registers == tuple(name for name in layout.names if name in keep)
+    assert np.abs(got.matrix - stack_average(mixture, keep, expected_groups)).max() < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
