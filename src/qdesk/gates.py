@@ -2,17 +2,19 @@
 XOR table oracles, and the inversion-about-mean step.
 
 Every register-wise operation works on the ``(left, d, right)`` view of
-the amplitude vector (``RegisterLayout.axis_shape``); the diffusion step is
-a sum over that view's middle axis.  Oracles are basis-index permutations
-of the amplitude vector, never dense matrices: cost O(2^total) per
-application instead of O(4^total).  A table holds its entries as a
-read-only int64 array and builds its oracle permutation over the joint
-(input, output) value once, on first use; an oracle moves its registers to
-the trailing axes and gathers along that permutation, every other register
-a batch axis.  The Fourier transform runs as an FFT along the register axis
-by default; the dense matrix form (``method="dense"``, ``fourier_matrix``)
-is kept only as the oracle that tests and the self-test compare the FFT
-against, within 1e-10.
+the amplitude vector (``RegisterLayout.axis_shape``).  The Hadamard layer
+runs in-place butterflies over one work copy of that vector, one bit at a
+time, and scales once at the end; the diffusion step sums the middle axis
+pairwise over a copy that makes it the contiguous last axis.  Oracles are
+basis-index permutations of the amplitude vector, never dense matrices:
+cost O(2^total) per application instead of O(4^total).  A table holds its
+entries as a read-only int64 array and builds its oracle permutation over
+the joint (input, output) value once, on first use; an oracle moves its
+registers to the trailing axes and gathers along that permutation, every
+other register a batch axis.  The Fourier transform runs as an FFT along
+the register axis by default; the dense matrix form (``method="dense"``,
+``fourier_matrix``) is kept only as the oracle that tests and the self-test
+compare the FFT against, within 1e-10.
 """
 
 from __future__ import annotations
@@ -147,20 +149,28 @@ def modexp_table(base: int, modulus: int, input_bits: int) -> FunctionTable:
     return FunctionTable(input_bits, output_bits, tuple(values))
 
 
-_HADAMARD_1Q = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-
-
 def hadamard_all(state: PureState, reg: str) -> PureState:
-    """Apply H to every qubit of the register."""
-    layout = state.layout
-    q = layout.qubits(reg)
-    off = layout.offset(reg)
-    amps = state.amplitudes
-    for bit in range(off, off + q):
-        stride = 1 << bit
-        shaped = amps.reshape(layout.dimension // (2 * stride), 2, stride)
-        amps = np.einsum("cd,ldr->lcr", _HADAMARD_1Q, shaped).reshape(-1)
-    return PureState._adopt(state.layout, amps)
+    """Apply H to every qubit of the register.
+
+    Copies the amplitudes once into a work buffer, then runs one unscaled
+    butterfly (a0, a1) -> (a0 + a1, a0 - a1) per register bit over the
+    buffer's ``(left * 2^k, 2, rest)`` view, in place, and multiplies by
+    2^(-q/2) once at the end.  A half-length scratch holds each difference,
+    so a layer allocates 1.5 times the state and no array per bit.
+    """
+    left = state.layout.axis_shape(reg)[0]
+    q = state.layout.qubits(reg)
+    work = state.amplitudes.copy()
+    scratch = np.empty(work.size // 2, dtype=work.dtype)
+    for k in range(q):
+        pairs = work.reshape(left << k, 2, -1)
+        a0, a1 = pairs[:, 0], pairs[:, 1]
+        diff = scratch.reshape(a0.shape)
+        np.subtract(a0, a1, out=diff)
+        a0 += a1
+        a1[...] = diff
+    work *= 2.0 ** (-q / 2)
+    return PureState._adopt(state.layout, work)
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +258,17 @@ def oracle_moded(
 
 
 def grover_diffusion(state: PureState, reg: str) -> PureState:
-    """Inversion about the mean on one register: 2|u><u| - I."""
+    """Inversion about the mean on one register: 2|u><u| - I.
+
+    The register axis is copied to the contiguous last axis, where numpy
+    sums it pairwise (a strided in-order sum drifts the norm coherently,
+    since Grover's unmarked amplitudes are all equal), and the reflection
+    2 * mean - a runs over that copy with the register as the inner loop.
+    """
     left, d, right = state.layout.axis_shape(reg)
     block = state.amplitudes.reshape(left, d, right)
-    out = (2.0 / d) * np.einsum("ldr->lr", block)[:, None, :] - block
+    register_last = np.ascontiguousarray(block.swapaxes(1, 2))
+    twice_mean = register_last.sum(axis=-1) * (2.0 / d)
+    out = np.empty_like(block)
+    np.subtract(twice_mean[..., None], register_last, out=out.swapaxes(1, 2))
     return PureState._adopt(state.layout, out.reshape(-1))

@@ -166,16 +166,20 @@ class PureState:
         return PureState(self.layout, amps)
 
     def to_json(self) -> dict:
+        """Amplitudes as ``[re, im]`` pairs, built from the float64 view of the
+        buffer in one ``tolist`` (signed zeros and subnormals kept)."""
         return {
             "layout": self.layout.to_json(),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
+            "amplitudes": self.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
         }
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "PureState":
         layout = RegisterLayout.from_json(doc["layout"])
-        amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-        return cls(layout, amps)
+        pairs = np.array(doc["amplitudes"], dtype=np.float64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ShapeMismatchError(f"amplitudes must be [re, im] pairs, got shape {pairs.shape}")
+        return cls._adopt(layout, pairs.view(np.complex128).reshape(-1))
 
 
 @dataclass(frozen=True)

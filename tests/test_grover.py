@@ -98,6 +98,14 @@ class TestStandardGame:
         rho = partial_trace(pre, ["F"])
         assert np.abs(rho.matrix - minus).max() < 1e-10
 
+    def test_probabilities_stay_summed_to_one_at_2_18_drawers(self):
+        # 402 oracle + diffusion pairs over 2^19 amplitudes; summing the
+        # register in index order drifts this sum by 6.7e-11
+        drawers = 1 << 18
+        dist = outcome_distribution(standard_grover_state(GameInstance(drawers, 12345)), "X")
+        assert abs(dist.probabilities.sum() - 1.0) <= 1e-11
+        assert dist.probabilities[12345] > 0.99999
+
     def test_drawer_count_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             standard_grover_state(GameInstance(6, 1))

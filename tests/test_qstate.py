@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdesk import (
     CircuitProgram,
@@ -218,6 +221,32 @@ class TestPureState:
         back = PureState.from_json(state.to_json())
         assert back.layout == state.layout
         assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_json_text_equals_the_per_element_route(self, data):
+        # signed zeros, subnormals and the extremes beside arbitrary finite floats
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308])
+        floats = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+        layout = RegisterLayout.of(X=data.draw(st.integers(1, 4)), F=data.draw(st.integers(1, 2)))
+        parts = data.draw(st.lists(floats, min_size=2 * layout.dimension, max_size=2 * layout.dimension))
+        state = PureState(layout, np.array(parts).view(np.complex128))
+        per_element = {
+            "layout": layout.to_json(),
+            "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+        }
+        text = json.dumps(state.to_json())
+        assert text == json.dumps(per_element)
+        back = PureState.from_json(json.loads(text))
+        assert back.layout == layout
+        assert np.array_equal(back.amplitudes.view(np.uint64), state.amplitudes.view(np.uint64))
+
+    def test_json_amplitudes_must_be_pairs(self):
+        doc = make_basis_state(RegisterLayout.of(X=1), {}).to_json()
+        with pytest.raises(ShapeMismatchError):
+            PureState.from_json({**doc, "amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]})
+        with pytest.raises(ShapeMismatchError):
+            PureState.from_json({**doc, "amplitudes": [[1.0, 0.0]]})
 
     def test_caller_array_is_copied(self):
         layout = RegisterLayout.of(X=2)

@@ -3,11 +3,14 @@
 The references here are the plain forms the fast routes replaced: the dense
 Fourier matrix, full-length masks built from ``np.arange(dimension)``, and
 the per-branch projection of the whole state, the XOR oracles' per-call
-``np.arange`` partner arrays, the diffusion mean, and the random-phase
+``np.arange`` partner arrays, the Hadamard layer as one 2x2 einsum per bit,
+the diffusion's strided in-order mean, and the random-phase
 slot vectors that ``PhasedMixture`` used to hold, summed with their phases
 and stacked per phase group.  They stay in this file so the library keeps
 one route per operation.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -26,6 +29,8 @@ from qdesk import (
     build_periodic,
     exact_outcome_distribution,
     grover_diffusion,
+    hadamard_all,
+    make_basis_state,
     oracle_moded,
     oracle_xor,
     outcome_distribution,
@@ -279,18 +284,54 @@ def test_oracle_moded_matches_arange_reference(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=random_states())
+@given(case=random_states(max_registers=4))
 def test_grover_diffusion_matches_mean_reference(case):
     state, reg = case
     block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    expected = (2.0 * block.mean(axis=1, keepdims=True) - block).reshape(-1)
     got = grover_diffusion(state, reg).amplitudes
-    if state.layout.offset(reg) > 0:
-        # both sum the register axis in order when it is strided
-        assert np.array_equal(got, expected)
-    else:
-        # the mean sums a contiguous axis pairwise, so the last bits may differ
-        assert np.abs(got - expected).max() < 1e-14
+    # the register axis made contiguous and summed pairwise: bit for bit
+    pairwise = np.ascontiguousarray(np.moveaxis(block, 1, -1)).mean(-1)
+    assert np.array_equal(as_bits(got), as_bits((2.0 * pairwise[:, None, :] - block).reshape(-1)))
+    # the strided in-order mean adds the terms in another order
+    strided = (2.0 * block.mean(axis=1, keepdims=True) - block).reshape(-1)
+    assert np.abs(got - strided).max() <= 1e-14
+
+
+HADAMARD_1Q = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+
+
+def einsum_hadamard_all(state, reg):
+    """H on every bit of the register by one 2x2 einsum per bit, each a
+    fresh array."""
+    layout = state.layout
+    amps = state.amplitudes
+    for bit in range(layout.offset(reg), layout.offset(reg) + layout.qubits(reg)):
+        stride = 1 << bit
+        amps = np.einsum("cd,ldr->lcr", HADAMARD_1Q, amps.reshape(-1, 2, stride)).reshape(-1)
+    return amps
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=random_states(max_registers=4))
+def test_hadamard_all_matches_einsum_reference(case):
+    state, reg = case
+    got = hadamard_all(state, reg)
+    assert np.abs(got.amplitudes - einsum_hadamard_all(state, reg)).max() <= 1e-14
+    assert np.abs(hadamard_all(got, reg).amplitudes - state.amplitudes).max() <= 1e-14
+    assert not got.amplitudes.flags.writeable
+    assert not np.shares_memory(got.amplitudes, state.amplitudes)
+
+
+def test_hadamard_all_on_a_16_mib_state_peaks_under_40_mib():
+    state = make_basis_state(RegisterLayout.of(X=10, F=10), {"F": 3})  # 16 MiB
+    tracemalloc.start()
+    try:
+        out = hadamard_all(state, "X")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(out.amplitudes[3] - 2.0**-5) < 1e-15
+    assert peak < 40 * 2**20
 
 
 MODEXP_CASES = [(2, 21), (2, 9), (7, 15), (2, 15), (3, 7), (5, 39), (2, 5)]
