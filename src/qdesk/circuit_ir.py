@@ -31,6 +31,14 @@ dephasing whose register no later instruction but a measurement touches is
 inert: no later distribution can see its phases, so the walk draws them and
 applies nothing, and only ``run``'s tagged and final states carry them.
 The phases themselves are applied by ``measure``'s random-phase kernel.
+
+Unitary segments run in place.  Wherever the walk computes a state, the
+gates between two projections (or a projection and the boundary asked for)
+run on one work buffer, copied once from the state the segment starts at
+and mutated by ``gates``' in-place kernels; the buffer is adopted as a
+``PureState`` once, where the segment ends.  A kept, tagged or returned
+state is never written, and ``apply_instruction`` is the same route for one
+instruction.
 """
 
 from __future__ import annotations
@@ -229,55 +237,74 @@ def instruction_from_json(doc: Mapping) -> Instruction:
     raise ProgramError(f"unknown instruction op {op!r}")
 
 
-def _xor_register(state: PureState, reg: str, value: int) -> PureState:
+def _xor_register(work: np.ndarray, layout: RegisterLayout, reg: str, value: int) -> None:
+    """XOR ``value`` into one register of a work buffer, in place."""
     if value == 0:
+        return
+    block = np.reshape(work, layout.axis_shape(reg), copy=False)
+    block[...] = block[:, np.arange(block.shape[1]) ^ value, :]
+
+
+def apply_instruction_in_place(
+    work: np.ndarray, layout: RegisterLayout, instr: Prepare | GateOp, inverse: bool = False
+) -> None:
+    """Apply one unitary instruction (Prepare or GateOp), or with ``inverse``
+    its inverse, to a work buffer in place, through ``gates``' kernels.
+
+    Hadamards, both oracles, the diffusion reflection and value prepares
+    are involutions, so ``inverse`` changes only the order of a "minus"
+    prepare's two steps and the sign of a Fourier transform."""
+    if isinstance(instr, Prepare):
+        if instr.value == "uniform":
+            gates.hadamard_all_in_place(work, layout, instr.reg)
+        elif instr.value == "minus":
+            if not inverse:
+                _xor_register(work, layout, instr.reg, 1)
+            gates.hadamard_all_in_place(work, layout, instr.reg)
+            if inverse:
+                _xor_register(work, layout, instr.reg, 1)
+        else:
+            _xor_register(work, layout, instr.reg, int(instr.value))
+    elif not isinstance(instr, GateOp):
+        raise ProgramError(f"cannot apply non-unitary instruction {instr!r}")
+    elif instr.kind == "hadamard":
+        gates.hadamard_all_in_place(work, layout, instr.reg)
+    elif instr.kind in ("qft", "inverse-qft"):
+        gates.qft_in_place(work, layout, instr.reg, inverse=inverse != (instr.kind == "inverse-qft"))
+    elif instr.kind == "oracle-xor":
+        gates.oracle_xor_in_place(work, layout, instr.table, instr.in_reg, instr.out_reg)
+    elif instr.kind == "oracle-moded":
+        gates.oracle_moded_in_place(work, layout, instr.table, instr.mode_reg, instr.in_reg, instr.out_reg)
+    elif instr.kind == "grover-diffusion":
+        gates.grover_diffusion_in_place(work, layout, instr.reg)
+
+
+def _run_unitaries(state: PureState, instrs: Sequence[Instruction], inverse: bool = False) -> PureState:
+    """``state`` with the unitary instructions among ``instrs`` applied in
+    order (or their inverses, given ``inverse``), skipping measurements and
+    dephasings: one copy into a work buffer, every instruction in place on
+    it, and one adoption.  With no unitary among them, ``state`` itself."""
+    unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
+    if not unitary:
         return state
-    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    partner = np.arange(block.shape[1]) ^ value
-    return PureState._adopt(state.layout, block[:, partner, :].reshape(-1))
+    work = state.amplitudes.copy()
+    for instr in unitary:
+        apply_instruction_in_place(work, state.layout, instr, inverse)
+    return PureState._adopt(state.layout, work)
 
 
 def apply_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
     """Apply one unitary instruction (Prepare or GateOp) to a state."""
-    if isinstance(instr, Prepare):
-        if instr.value == "uniform":
-            return gates.hadamard_all(state, instr.reg)
-        if instr.value == "minus":
-            return gates.hadamard_all(_xor_register(state, instr.reg, 1), instr.reg)
-        return _xor_register(state, instr.reg, int(instr.value))
-    if not isinstance(instr, GateOp):
+    if not isinstance(instr, (Prepare, GateOp)):
         raise ProgramError(f"cannot apply non-unitary instruction {instr!r}")
-    if instr.kind == "hadamard":
-        return gates.hadamard_all(state, instr.reg)
-    if instr.kind == "qft":
-        return gates.qft(state, instr.reg)
-    if instr.kind == "inverse-qft":
-        return gates.qft(state, instr.reg, inverse=True)
-    if instr.kind == "oracle-xor":
-        return gates.oracle_xor(state, instr.table, instr.in_reg, instr.out_reg)
-    if instr.kind == "oracle-moded":
-        return gates.oracle_moded(state, instr.table, instr.mode_reg, instr.in_reg, instr.out_reg)
-    if instr.kind == "grover-diffusion":
-        return gates.grover_diffusion(state, instr.reg)
-    raise ProgramError(f"cannot apply instruction {instr!r}")
+    return _run_unitaries(state, (instr,))
 
 
 def invert_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
     """Apply the inverse of one unitary instruction."""
-    if isinstance(instr, Prepare):
-        if instr.value == "uniform":
-            return gates.hadamard_all(state, instr.reg)
-        if instr.value == "minus":
-            return _xor_register(gates.hadamard_all(state, instr.reg), instr.reg, 1)
-        return _xor_register(state, instr.reg, int(instr.value))
-    if not isinstance(instr, GateOp):
+    if not isinstance(instr, (Prepare, GateOp)):
         raise ProgramError(f"cannot invert non-unitary instruction {instr!r}")
-    if instr.kind == "qft":
-        return gates.qft(state, instr.reg, inverse=True)
-    if instr.kind == "inverse-qft":
-        return gates.qft(state, instr.reg)
-    # hadamard, both oracles, and the diffusion reflection are involutions
-    return apply_instruction(state, instr)
+    return _run_unitaries(state, (instr,), inverse=True)
 
 
 @dataclass(frozen=True)
@@ -347,23 +374,25 @@ class _BranchWalk:
 
     def state(self, boundary: int, path: tuple[int, ...]) -> PureState:
         """The state after the first ``boundary`` instructions on ``path``,
-        without the phases of inert dephasings."""
+        without the phases of inert dephasings.
+
+        Each unitary segment between the kept state and the boundary runs
+        in one work buffer, adopted at the node's projection that ends it
+        or at the boundary; no kept state is ever written."""
         chain = self._chain
         while not (chain[-1][0] <= boundary and path[: len(chain[-1][1])] == chain[-1][1]):
             chain.pop()
         at, taken, state = chain[-1]
         if at == boundary:
             return state
-        k = len(taken)
+        k, start = len(taken), at
         for i in range(at, boundary):
             instr = self.instructions[i]
-            if i in self.inert:
-                continue
-            if isinstance(instr, (Measure, Dephase)):
+            if isinstance(instr, (Measure, Dephase)) and i not in self.inert:
+                state = _run_unitaries(state, self.instructions[start:i])
                 state = project(state, ProjectionOperator(instr.reg, path[k]))
-                k += 1
-            else:
-                state = apply_instruction(state, instr)
+                k, start = k + 1, i + 1
+        state = _run_unitaries(state, self.instructions[start:boundary])
         chain.append((boundary, path, state))
         return state
 
@@ -389,7 +418,9 @@ class _BranchWalk:
         state.  Given ``tags``, the trial also carries the state with every
         drawn phase applied, past the first inert dephasing, and reads the
         tagged and final states from it; the draws never read it.  Without
-        ``tags`` nothing after the last draw is computed.
+        ``tags`` nothing after the last draw is computed.  A carried state
+        runs the gates since it was last read as one segment, when it is
+        next read.
         """
         instrs = self.instructions
         keep = tags is not None
@@ -397,25 +428,36 @@ class _BranchWalk:
         records: list[MeasurementRecord] = []
         tagged: dict[str, PureState] = {}
         path: tuple[int, ...] = ()
-        own: PureState | None = None
-        phased: PureState | None = None
+        # carried states, as (boundary, state): brought forward through the
+        # unitaries since their boundary, in one work buffer, when read
+        own: tuple[int, PureState] | None = None
+        phased: tuple[int, PureState] | None = None
+
+        def forward(carried: tuple[int, PureState], i: int) -> tuple[int, PureState]:
+            at, state = carried
+            return i, _run_unitaries(state, instrs[at:i])
 
         def here(i: int) -> PureState:
+            nonlocal own, phased
             if phased is not None:
-                return phased
-            return own if own is not None else self.state(i, path)
+                phased = forward(phased, i)
+                return phased[1]
+            if own is not None:
+                own = forward(own, i)
+                return own[1]
+            return self.state(i, path)
 
         for i in range(stop):
             instr = instrs[i]
             if keep and i in tags.values():
                 tagged.update((tag, here(i)) for tag, b in tags.items() if b == i)
             if not isinstance(instr, (Measure, Dephase)):
-                if own is not None:
-                    own = apply_instruction(own, instr)
-                if phased is not None:
-                    phased = apply_instruction(phased, instr)
                 continue
-            dist = self.distribution(i, path) if own is None else outcome_distribution(own, instr.reg)
+            if own is not None:
+                own = forward(own, i)
+            if phased is not None:
+                phased = forward(phased, i)
+            dist = self.distribution(i, path) if own is None else outcome_distribution(own[1], instr.reg)
             last = not keep and i == self._last_draw
             if isinstance(instr, Measure):
                 outcome = born_sample(dist, rng)
@@ -423,24 +465,25 @@ class _BranchWalk:
                 if own is None:
                     path += (outcome,)
                 elif not last:
-                    own = project(own, ProjectionOperator(instr.reg, outcome))
+                    own = (i + 1, project(own[1], ProjectionOperator(instr.reg, outcome)))
                 if phased is not None:
-                    phased = project(phased, ProjectionOperator(instr.reg, outcome))
+                    phased = (i + 1, project(phased[1], ProjectionOperator(instr.reg, outcome)))
                 continue
             values = dist.support
             phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
 
-            def dephase(state: PureState) -> PureState:
-                return PureState._adopt(state.layout, _dephase(state, instr.reg, values, phases).reshape(-1))
+            def dephase(state: PureState) -> tuple[int, PureState]:
+                phased_amps = _dephase(state, instr.reg, values, phases).reshape(-1)
+                return i + 1, PureState._adopt(state.layout, phased_amps)
 
             if i in self.inert:
                 if keep:
                     phased = dephase(here(i))
                 continue
             if phased is not None:
-                phased = dephase(phased)
+                phased = dephase(phased[1])
             if not last:
-                own = dephase(own if own is not None else self.state(i, path))
+                own = dephase(own[1] if own is not None else self.state(i, path))
         if not keep:
             return tuple(records), tagged, None
         final = here(len(instrs))
@@ -607,6 +650,4 @@ def backdate_outcome(
     if to_b < from_b:
         raise ProgramError(f"tag {to_tag!r} precedes {from_tag!r}")
     state = project(unitary_prefix(program, to_b), ProjectionOperator(reg, value))
-    for instr in reversed(program.instructions[from_b:to_b]):
-        state = invert_instruction(state, instr)
-    return state
+    return _run_unitaries(state, program.instructions[from_b:to_b][::-1], inverse=True)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -70,6 +71,26 @@ def _instance_problem(n: int, period: int | None, modulus: int | None) -> str | 
     return None
 
 
+def _game_problem(args: argparse.Namespace) -> str | None:
+    """Why a drawer-game input is out of range, if it is: checked before any
+    table or state is built."""
+    if args.command == "grover" and args.variant == "extended" and args.n != 4:
+        return f"--variant extended needs --n 4, got {args.n}"
+    if args.command == "mixture-check" and args.n != 4:
+        return f"--n must be 4, got {args.n}"
+    if args.command == "grover" and args.variant == "standard" and not 0 <= args.k < args.n:
+        return f"--k must be in 0..{args.n - 1}, got {args.k}"
+    if args.command != "game":
+        return None
+    if args.drawers < 1:
+        return f"--drawers must be >= 1, got {args.drawers}"
+    if not 0 <= args.k < args.drawers:
+        return f"--k must be in 0..{args.drawers - 1}, got {args.k}"
+    if args.strategy == "joint" and math.isqrt(args.drawers) ** 2 != args.drawers:
+        return f"--strategy joint needs a square --drawers, got {args.drawers}"
+    return None
+
+
 def _usage_problem(args: argparse.Namespace) -> str | None:
     if args.command == "shor":
         modexp = args.base is not None or args.modulus is not None
@@ -77,7 +98,7 @@ def _usage_problem(args: argparse.Namespace) -> str | None:
     elif args.command == "defer-check" and args.fig1:
         problem = _instance_problem(args.n, args.r, None)
     else:
-        return None
+        problem = _game_problem(args)
     return f"{args.command}: {problem}" if problem else None
 
 

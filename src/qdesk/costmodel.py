@@ -56,46 +56,55 @@ def _check_stage(stage: str) -> str:
     return stage
 
 
+def _classical_units(n: int, period: int, stage: str, constants: ModelConstants) -> int:
+    _check_stage(stage)
+    size = 1 << n
+    if stage in ("function-evaluation", "filtration"):
+        return constants.term_unit * size
+    # extraction: read the period from the filtered term list, then write
+    # the n-bit answer; the dominating count is charged.
+    return constants.term_unit * max(size // period, n)
+
+
+def _quantum_units(n: int, output_bits: int, stage: str, constants: ModelConstants) -> int:
+    _check_stage(stage)
+    if stage == "function-evaluation":
+        return constants.gate_layer_unit * (1 + n)
+    if stage == "filtration":
+        return constants.measured_qubit_unit * output_bits
+    return constants.gate_layer_unit * (n * (n + 1) // 2) + constants.measured_qubit_unit * n
+
+
+def _rows(n: int, period: int, output_bits: int, constants: ModelConstants) -> list[StageCost]:
+    return [
+        StageCost(
+            n,
+            stage,
+            _classical_units(n, period, stage, constants),
+            _quantum_units(n, output_bits, stage, constants),
+        )
+        for stage in STAGES
+    ]
+
+
 def classical_symbolic_cost(
     inst: PeriodFindingInstance, stage: str, constants: ModelConstants = DEFAULT_CONSTANTS
 ) -> int:
     """Terms written or scanned to derive the next symbolic description."""
-    _check_stage(stage)
-    size = inst.dimension
-    if stage == "function-evaluation":
-        return constants.term_unit * size
-    if stage == "filtration":
-        return constants.term_unit * size
-    # extraction: read the period from the filtered term list, then write
-    # the n-bit answer; the dominating count is charged.
-    return constants.term_unit * max(size // inst.period, inst.n)
+    return _classical_units(inst.n, inst.period, stage, constants)
 
 
 def quantum_step_cost(
     inst: PeriodFindingInstance, stage: str, constants: ModelConstants = DEFAULT_CONSTANTS
 ) -> int:
     """Gate layers plus measured qubits for one stage."""
-    _check_stage(stage)
-    n = inst.n
-    if stage == "function-evaluation":
-        return constants.gate_layer_unit * (1 + n)
-    if stage == "filtration":
-        return constants.measured_qubit_unit * inst.table.output_bits
-    return constants.gate_layer_unit * (n * (n + 1) // 2) + constants.measured_qubit_unit * n
+    return _quantum_units(inst.n, inst.table.output_bits, stage, constants)
 
 
 def stage_costs(
     inst: PeriodFindingInstance, constants: ModelConstants = DEFAULT_CONSTANTS
 ) -> list[StageCost]:
-    return [
-        StageCost(
-            inst.n,
-            stage,
-            classical_symbolic_cost(inst, stage, constants),
-            quantum_step_cost(inst, stage, constants),
-        )
-        for stage in STAGES
-    ]
+    return _rows(inst.n, inst.period, inst.table.output_bits, constants)
 
 
 def stage_table(
@@ -104,17 +113,17 @@ def stage_table(
 ) -> list[StageCost]:
     """Cost rows for every n, with the growth-class assertions built in.
 
-    Each size uses period 2^n / 2 (half the input space, which keeps
-    classical extraction linear in n).  Raises ``AssertionError`` if the
-    counts stop doubling classically or exceed the quadratic cap quantally.
+    Each size is the ``build_periodic`` instance with period 2^n / 2 (half
+    the input space, which keeps classical extraction linear in n) and n
+    output bits; its rows come from those three numbers, so no table is
+    built and any n is cheap.  Raises ``AssertionError`` if the counts stop
+    doubling classically or exceed the quadratic cap quantally.
     """
-    from .shor import build_periodic
-
     if not n_values:
         raise ValueError("n_values must not be empty")
     rows: list[StageCost] = []
     for n in sorted(n_values):
-        rows.extend(stage_costs(build_periodic(n, max(1, (1 << n) // 2)), constants))
+        rows.extend(_rows(n, max(1, (1 << n) // 2), n, constants))
     _assert_growth_classes(rows)
     return rows
 

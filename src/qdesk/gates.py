@@ -1,20 +1,26 @@
 """Unitaries applied register-wise: Hadamard layers, Fourier transforms,
 XOR table oracles, and the inversion-about-mean step.
 
-Every register-wise operation works on the ``(left, d, right)`` view of
-the amplitude vector (``RegisterLayout.axis_shape``).  The Hadamard layer
-runs in-place butterflies over one work copy of that vector, one bit at a
-time, and scales once at the end; the diffusion step sums the middle axis
-pairwise over a copy that makes it the contiguous last axis.  Oracles are
-basis-index permutations of the amplitude vector, never dense matrices:
-cost O(2^total) per application instead of O(4^total).  A table holds its
-entries as a read-only int64 array and builds its oracle permutation over
-the joint (input, output) value once, on first use; an oracle moves its
-registers to the trailing axes and gathers along that permutation, every
-other register a batch axis.  The Fourier transform runs as an FFT along
-the register axis by default; the dense matrix form (``method="dense"``,
-``fourier_matrix``) is kept only as the oracle that tests and the self-test
-compare the FFT against, within 1e-10.
+Each gate has one kernel, ``<gate>_in_place``, that mutates a writable
+complex128 work buffer (the flat amplitude vector of a layout) and
+allocates no output.  ``circuit_ir`` runs a whole unitary segment through
+these kernels on one work buffer.  The ``PureState`` forms (``hadamard_all``,
+``qft``, ``oracle_xor``, ``oracle_moded``, ``grover_diffusion``) copy the
+state once, run the kernel, and adopt the copy.
+
+Every register-wise kernel works on the ``(left, d, right)`` view of the
+buffer (``RegisterLayout.axis_shape``).  The Hadamard layer runs one
+butterfly per bit over that view and scales once at the end; the Fourier
+transform is an FFT along the register axis written back into the view
+(``method="dense"`` on ``qft``, with ``fourier_matrix``, is kept only as
+the oracle that tests and the self-test compare the FFT against, within
+1e-10); the diffusion step sums a copy that makes the register the
+contiguous last axis, pairwise, and writes the reflection back from that
+copy.  Oracles are basis-index permutations, never dense matrices: a table
+holds its entries as a read-only int64 array and builds, once, the index
+pairs over its joint (input, output) value that its XOR map exchanges, and
+an oracle swaps those pairs and moves nothing else, every other register a
+batch axis.
 """
 
 from __future__ import annotations
@@ -27,13 +33,15 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .qstate import PureState
+from .qstate import PureState, RegisterLayout
 
 
 class _XorTable:
     """What both tables share: ``values``, the entries as a read-only int64
-    array built once on construction, and ``permutation``, the oracle's
-    basis map built on first use and kept for the life of the table."""
+    array built once on construction, and, built on first use and kept for
+    the life of the table, ``swaps``, the pairs of basis indices the oracle
+    exchanges, and ``permutation``, its full basis map, which the tests'
+    allocating reference gathers along."""
 
     def _store(self, entries: int) -> None:
         """Check the entries for length and range, then keep them as
@@ -55,6 +63,10 @@ class _XorTable:
     def permutation(self) -> np.ndarray:
         return _xor_permutation(self.values, self.output_bits)
 
+    @cached_property
+    def swaps(self) -> tuple[np.ndarray, np.ndarray]:
+        return _xor_swaps(self.values, self.output_bits)
+
 
 def _xor_permutation(values: np.ndarray, output_bits: int) -> np.ndarray:
     """Flat read-only index map (key, y) -> (key, y XOR values[key]) over the
@@ -64,6 +76,31 @@ def _xor_permutation(values: np.ndarray, output_bits: int) -> np.ndarray:
     perm = (keys | (outputs ^ values[:, None])).reshape(-1)
     perm.setflags(write=False)
     return perm
+
+
+def _xor_swaps(values: np.ndarray, output_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of key-major indices (key, y) and (key, y XOR values[key])
+    that the XOR map exchanges, each pair once with its lower index first,
+    as two read-only arrays ascending by the first; a zero entry moves
+    nothing.
+
+    y is the lower of a pair exactly when the highest set bit of the entry
+    is clear in y, so each key's lower outputs are the half of all outputs
+    with that bit clear, built by spreading 0..2^(m-1) - 1 around it.
+    """
+    keys = np.flatnonzero(values)
+    flips = values[keys]
+    high = (np.frexp(flips.astype(np.float64))[1] - 1)[:, None]  # exact below 2^53
+    half = np.arange((1 << output_bits) >> 1)
+    lo = half >> high
+    lo <<= high + 1
+    lo |= half & ((1 << high) - 1)
+    lo |= (keys << output_bits)[:, None]
+    hi = lo ^ flips[:, None]
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -149,28 +186,30 @@ def modexp_table(base: int, modulus: int, input_bits: int) -> FunctionTable:
     return FunctionTable(input_bits, output_bits, tuple(values))
 
 
-def hadamard_all(state: PureState, reg: str) -> PureState:
-    """Apply H to every qubit of the register.
+def hadamard_all_in_place(work: np.ndarray, layout: RegisterLayout, reg: str) -> None:
+    """Apply H to every qubit of the register, in place on ``work``.
 
-    Copies the amplitudes once into a work buffer, then runs one unscaled
-    butterfly (a0, a1) -> (a0 + a1, a0 - a1) per register bit over the
-    buffer's ``(left * 2^k, 2, rest)`` view, in place, and multiplies by
-    2^(-q/2) once at the end.  A half-length scratch holds each difference,
-    so a layer allocates 1.5 times the state and no array per bit.
+    One unscaled butterfly (a0, a1) -> (a0 + a1, a0 - a1) per register bit
+    over the buffer's ``(left * 2^k, 2, rest)`` view, then one multiply by
+    2^(-q/2).  A half-length scratch holds each difference, so a layer
+    allocates half the state and no array per bit.
     """
-    left = state.layout.axis_shape(reg)[0]
-    q = state.layout.qubits(reg)
-    work = state.amplitudes.copy()
+    left = layout.axis_shape(reg)[0]
+    q = layout.qubits(reg)
     scratch = np.empty(work.size // 2, dtype=work.dtype)
     for k in range(q):
-        pairs = work.reshape(left << k, 2, -1)
+        pairs = _view(work, (left << k, 2, -1))
         a0, a1 = pairs[:, 0], pairs[:, 1]
         diff = scratch.reshape(a0.shape)
         np.subtract(a0, a1, out=diff)
         a0 += a1
         a1[...] = diff
     work *= 2.0 ** (-q / 2)
-    return PureState._adopt(state.layout, work)
+
+
+def hadamard_all(state: PureState, reg: str) -> PureState:
+    """Apply H to every qubit of the register."""
+    return _on_copy(state, hadamard_all_in_place, reg)
 
 
 @lru_cache(maxsize=None)
@@ -184,53 +223,86 @@ def fourier_matrix(qubits: int, inverse: bool = False) -> np.ndarray:
     return m
 
 
-def fourier_axis(amplitudes: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+def fourier_axis(
+    amplitudes: np.ndarray, axis: int, inverse: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
     """The register Fourier transform along one axis of an amplitude array.
 
     Orthonormal FFT with the sign of ``fourier_matrix``: forward is
     exp(+2*pi*i*c*x/D), so it runs as numpy's inverse FFT.  Every other axis
-    is a batch axis.
+    is a batch axis.  ``out`` may be ``amplitudes`` itself: numpy's FFT
+    transforms one line at a time through its own buffer, so the in-place
+    result is bit for bit the allocating one.
     """
     transform = np.fft.fft if inverse else np.fft.ifft
-    return transform(amplitudes, axis=axis, norm="ortho")
+    return transform(amplitudes, axis=axis, norm="ortho", out=out)
+
+
+def qft_in_place(work: np.ndarray, layout: RegisterLayout, reg: str, inverse: bool = False) -> None:
+    """Digital Fourier transform of one register, in place on ``work``: the
+    FFT along the register axis of the ``(left, d, right)`` view, written
+    back into that view, O(D log d) for a d-dimensional register in a
+    D-dimensional state."""
+    block = _view(work, layout.axis_shape(reg))
+    fourier_axis(block, 1, inverse, out=block)
 
 
 def qft(state: PureState, reg: str, inverse: bool = False, method: str = "fast") -> PureState:
     """Digital Fourier transform of one register.
 
-    The default ``method="fast"`` runs the FFT along the register axis,
-    O(D log d) for a d-dimensional register in a D-dimensional state.
+    The default ``method="fast"`` is ``qft_in_place`` on a copy.
     ``method="dense"`` multiplies by the reference matrix, O(D d); it is the
     correctness oracle for the FFT and no production route uses it.
     """
-    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
     if method == "fast":
-        out = fourier_axis(block, 1, inverse)
-    elif method == "dense":
-        out = np.einsum("cd,ldr->lcr", fourier_matrix(state.layout.qubits(reg), inverse), block)
-    else:
+        return _on_copy(state, qft_in_place, reg, inverse)
+    if method != "dense":
         raise ValueError(f"unknown qft method {method!r}")
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    out = np.einsum("cd,ldr->lcr", fourier_matrix(state.layout.qubits(reg), inverse), block)
     return PureState._adopt(state.layout, out.reshape(-1))
 
 
-def _permute_registers(state: PureState, regs: tuple[str, ...], permutation: np.ndarray) -> PureState:
-    """Gather the amplitudes along ``permutation`` over the joint value of
-    ``regs`` (first most significant), every other register a batch axis."""
-    layout = state.layout
-    names = layout.names
-    axes = [names.index(reg) for reg in regs]
-    trailing = list(range(len(names) - len(regs), len(names)))
-    tensor = state.amplitudes.reshape([layout.dim(name) for name in names])
-    block = np.moveaxis(tensor, axes, trailing)
-    batch = block.shape[: trailing[0]]
-    gathered = np.take(block.reshape(batch + (-1,)), permutation, axis=-1)
-    restored = np.moveaxis(gathered.reshape(block.shape), trailing, axes)
-    return PureState._adopt(layout, restored.reshape(-1))
+def _swap_pairs(
+    work: np.ndarray, layout: RegisterLayout, regs: tuple[str, ...], swaps: tuple[np.ndarray, np.ndarray]
+) -> None:
+    """Exchange, in place, the amplitudes of each pair in ``swaps``, given as
+    joint values of ``regs`` (first most significant), every other register
+    a batch axis.
+
+    When ``regs`` are adjacent in layout order their joint value is the
+    middle axis of a ``(left, joint, right)`` view, with the axes of length
+    1 left out; otherwise each pair is split into one index array per
+    register over the register tensor.
+    """
+    lo, hi = swaps
+    adjacent = all(layout.offset(a) == layout.offset(b) + layout.qubits(b) for a, b in zip(regs, regs[1:]))
+    if adjacent:
+        right = 1 << layout.offset(regs[-1])
+        joint = (1 << layout.offset(regs[0]) + layout.qubits(regs[0])) // right
+        left = work.size // (joint * right)
+        block = _view(work, tuple(size for size in (left, joint, right) if size > 1))  # joint >= 4
+        batch = (slice(None),) if left > 1 else ()
+        at_lo, at_hi = batch + (lo,), batch + (hi,)
+    else:
+        names = layout.names
+        block = _view(work, tuple(layout.dim(name) for name in names))
+        at_lo, at_hi = [slice(None)] * len(names), [slice(None)] * len(names)
+        shift = 0
+        for reg in reversed(regs):
+            axis, mask = names.index(reg), layout.dim(reg) - 1
+            at_lo[axis], at_hi[axis] = (lo >> shift) & mask, (hi >> shift) & mask
+            shift += layout.qubits(reg)
+        at_lo, at_hi = tuple(at_lo), tuple(at_hi)
+    moved = block[at_lo]
+    block[at_lo] = block[at_hi]
+    block[at_hi] = moved
 
 
-def oracle_xor(state: PureState, f: FunctionTable, in_reg: str, out_reg: str) -> PureState:
-    """Basis map |x>|y> -> |x>|y XOR f(x)>; self-inverse."""
-    layout = state.layout
+def oracle_xor_in_place(
+    work: np.ndarray, layout: RegisterLayout, f: FunctionTable, in_reg: str, out_reg: str
+) -> None:
+    """Basis map |x>|y> -> |x>|y XOR f(x)>, in place on ``work``; self-inverse."""
     if layout.qubits(in_reg) != f.input_bits or layout.qubits(out_reg) != f.output_bits:
         raise ShapeMismatchError(
             f"table ({f.input_bits}->{f.output_bits} bits) does not fit registers "
@@ -238,14 +310,18 @@ def oracle_xor(state: PureState, f: FunctionTable, in_reg: str, out_reg: str) ->
         )
     if in_reg == out_reg:
         raise ShapeMismatchError("input and output registers must differ")
-    return _permute_registers(state, (in_reg, out_reg), f.permutation)
+    _swap_pairs(work, layout, (in_reg, out_reg), f.swaps)
 
 
-def oracle_moded(
-    state: PureState, f: ModedFunctionTable, mode_reg: str, in_reg: str, out_reg: str
-) -> PureState:
-    """Basis map |k>|x>|y> -> |k>|x>|y XOR F(k, x)>."""
-    layout = state.layout
+def oracle_xor(state: PureState, f: FunctionTable, in_reg: str, out_reg: str) -> PureState:
+    """Basis map |x>|y> -> |x>|y XOR f(x)>; self-inverse."""
+    return _on_copy(state, oracle_xor_in_place, f, in_reg, out_reg)
+
+
+def oracle_moded_in_place(
+    work: np.ndarray, layout: RegisterLayout, f: ModedFunctionTable, mode_reg: str, in_reg: str, out_reg: str
+) -> None:
+    """Basis map |k>|x>|y> -> |k>|x>|y XOR F(k, x)>, in place on ``work``."""
     if (
         layout.qubits(mode_reg) != f.mode_bits
         or layout.qubits(in_reg) != f.input_bits
@@ -254,21 +330,47 @@ def oracle_moded(
         raise ShapeMismatchError("moded table dimensions do not fit the three registers")
     if len({mode_reg, in_reg, out_reg}) != 3:
         raise ShapeMismatchError("mode, input, and output registers must be distinct")
-    return _permute_registers(state, (mode_reg, in_reg, out_reg), f.permutation)
+    _swap_pairs(work, layout, (mode_reg, in_reg, out_reg), f.swaps)
 
 
-def grover_diffusion(state: PureState, reg: str) -> PureState:
-    """Inversion about the mean on one register: 2|u><u| - I.
+def oracle_moded(
+    state: PureState, f: ModedFunctionTable, mode_reg: str, in_reg: str, out_reg: str
+) -> PureState:
+    """Basis map |k>|x>|y> -> |k>|x>|y XOR F(k, x)>."""
+    return _on_copy(state, oracle_moded_in_place, f, mode_reg, in_reg, out_reg)
+
+
+def grover_diffusion_in_place(work: np.ndarray, layout: RegisterLayout, reg: str) -> None:
+    """Inversion about the mean on one register, 2|u><u| - I, in place on ``work``.
 
     The register axis is copied to the contiguous last axis, where numpy
     sums it pairwise (a strided in-order sum drifts the norm coherently,
     since Grover's unmarked amplitudes are all equal), and the reflection
-    2 * mean - a runs over that copy with the register as the inner loop.
+    2 * mean - a is written back from that copy with the register as the
+    inner loop.
     """
-    left, d, right = state.layout.axis_shape(reg)
-    block = state.amplitudes.reshape(left, d, right)
-    register_last = np.ascontiguousarray(block.swapaxes(1, 2))
-    twice_mean = register_last.sum(axis=-1) * (2.0 / d)
-    out = np.empty_like(block)
-    np.subtract(twice_mean[..., None], register_last, out=out.swapaxes(1, 2))
-    return PureState._adopt(state.layout, out.reshape(-1))
+    left, d, right = layout.axis_shape(reg)
+    register_last = _view(work, (left, d, right)).swapaxes(1, 2)
+    contiguous = np.ascontiguousarray(register_last)  # the view itself when right == 1
+    twice_mean = contiguous.sum(axis=-1) * (2.0 / d)
+    np.subtract(twice_mean[..., None], contiguous, out=register_last)
+
+
+def grover_diffusion(state: PureState, reg: str) -> PureState:
+    """Inversion about the mean on one register: 2|u><u| - I."""
+    return _on_copy(state, grover_diffusion_in_place, reg)
+
+
+def _view(work: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``work`` reshaped without a copy: an in-place kernel that wrote into a
+    reshaped copy would lose its writes, so a buffer that cannot be viewed
+    so raises."""
+    return np.reshape(work, shape, copy=False)
+
+
+def _on_copy(state: PureState, kernel: Callable[..., None], *args) -> PureState:
+    """A gate's ``PureState`` form: its in-place kernel run on one copy of
+    the amplitudes, which the result adopts."""
+    work = state.amplitudes.copy()
+    kernel(work, state.layout, *args)
+    return PureState._adopt(state.layout, work)

@@ -8,6 +8,7 @@ the package shares this one convention.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -167,11 +168,19 @@ class PureState:
 
     def to_json(self) -> dict:
         """Amplitudes as ``[re, im]`` pairs, built from the float64 view of the
-        buffer in one ``tolist`` (signed zeros and subnormals kept)."""
-        return {
-            "layout": self.layout.to_json(),
-            "amplitudes": self.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
-        }
+        buffer in one ``tolist`` (signed zeros and subnormals kept).
+
+        The cyclic garbage collector is paused for the ``tolist``: the
+        2^total fresh pair lists hold only floats, yet each allocation burst
+        would have it walk them all again.  Its previous state is restored."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pairs = self.amplitudes.view(np.float64).reshape(-1, 2).tolist()
+        finally:
+            if was_enabled:
+                gc.enable()
+        return {"layout": self.layout.to_json(), "amplitudes": pairs}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "PureState":

@@ -38,11 +38,10 @@ from qdesk import (
     qft,
     run,
     sample_phases,
-    shor,
     state_after_oracle,
 )
 from qdesk import circuit_ir
-from qdesk.circuit_ir import apply_instruction, enumerate_outcome_distribution, sample
+from qdesk.circuit_ir import apply_instruction, enumerate_outcome_distribution, sample, unitary_prefix
 from qdesk.cli import main
 from qdesk.measure import ProjectionOperator
 from qdesk.shor import DISCIPLINES, PeriodResult, sample_runs
@@ -167,7 +166,7 @@ class TestSample:
         def refuse(*args, **kwargs):
             raise AssertionError("a state was computed")
 
-        monkeypatch.setattr(circuit_ir, "apply_instruction", refuse)
+        monkeypatch.setattr(circuit_ir, "apply_instruction_in_place", refuse)
         assert sample(period_circuit(build_periodic(3, 3), "skip-F"), np.random.default_rng(0), 0) == []
 
     def test_nothing_after_the_last_draw_is_computed(self, monkeypatch):
@@ -189,15 +188,16 @@ class TestSample:
 
 
 def count_qft_calls(monkeypatch, capsys, argv):
+    """Fourier transforms a report runs, counted at the one QFT kernel that
+    ``gates.qft`` and the branch walk's segments both call."""
     calls = []
-    real = gates.qft
+    real = gates.qft_in_place
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(gates, "qft", counting)
-    monkeypatch.setattr(shor, "qft", counting)
+    monkeypatch.setattr(gates, "qft_in_place", counting)
     assert main(argv) == 0
     capsys.readouterr()
     return len(calls)
@@ -409,3 +409,56 @@ class TestEnumeration:
         # one projection per F branch of the original; the deferred program's
         # X marginal is read once and its F measurement is summed out
         assert calls == ["F"] * 128
+
+
+IN_PLACE_KERNELS = (
+    "hadamard_all_in_place",
+    "qft_in_place",
+    "oracle_xor_in_place",
+    "oracle_moded_in_place",
+    "grover_diffusion_in_place",
+)
+
+
+class TestWorkBuffers:
+    """Each unitary segment runs in one work buffer that the walk copies
+    from the state it starts at; nothing handed out is ever written."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=random_programs(), seed=SEEDS)
+    def test_no_state_outside_the_walk_is_written(self, case, seed):
+        program, observed, initial = case
+        rng = np.random.default_rng(seed)
+        every_boundary = {f"b{i}": i for i in range(len(program.instructions) + 1)}
+        walk = circuit_ir._BranchWalk(program, initial)
+        _, tagged, final = walk.trial(rng, every_boundary)
+        first_draw = next(
+            (i for i, instr in enumerate(program.instructions) if isinstance(instr, (Measure, Dephase))),
+            len(program.instructions),
+        )
+        handed_out = [initial, final, unitary_prefix(program, first_draw)]
+        handed_out += list(tagged.values()) + [state for _, _, state in walk._chain]
+        before = [state.amplitudes.copy() for state in handed_out]
+        buffers = []
+
+        def recording(kernel):
+            def record(work, *args, **kwargs):
+                buffers.append(work)
+                return kernel(work, *args, **kwargs)
+
+            return record
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in IN_PLACE_KERNELS:
+                patch.setattr(gates, name, recording(getattr(gates, name)))
+            patch.setattr(circuit_ir, "_xor_register", recording(circuit_ir._xor_register))
+            for _ in range(4):
+                walk.trial(rng, every_boundary)
+                walk.trial(rng)
+            sample(program, rng, 4, initial=initial)
+            enumerate_outcome_distribution(program, observed, initial)
+            unitary_prefix(program, first_draw)
+        for state, amplitudes in zip(handed_out, before):
+            assert not state.amplitudes.flags.writeable
+            assert np.array_equal(state.amplitudes.view(np.uint64), amplitudes.view(np.uint64))
+            assert not any(np.shares_memory(state.amplitudes, work) for work in buffers)

@@ -1,9 +1,11 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qdesk import build_periodic, gates, grover, iteration_count, period_circuit, run, shor
+from qdesk import build_periodic, gates, grover, iteration_count, period_circuit, run, shor, stage_costs
 from qdesk.cli import _dump_state, _instance_problem, drawer_count, main
 from qdesk.qstate import PureState, RegisterLayout
 from qdesk.shor import DISCIPLINES
@@ -179,13 +181,13 @@ class TestShorCommand:
 class TestGroverCommand:
     def test_standard_report_runs_one_search(self, capsys, monkeypatch):
         calls = []
-        oracle_xor = gates.oracle_xor
+        oracle_xor = gates.oracle_xor_in_place
 
         def counting(*args, **kwargs):
             calls.append(1)
             return oracle_xor(*args, **kwargs)
 
-        monkeypatch.setattr(gates, "oracle_xor", counting)
+        monkeypatch.setattr(gates, "oracle_xor_in_place", counting)
         code, out, err = run_cli(capsys, ["grover", "--n", "64", "--k", "5", "--json"])
         assert code == 0, err
         assert json.loads(out)["oracle_queries"] == iteration_count(64)
@@ -227,6 +229,32 @@ class TestGroverCommand:
         assert code == 0
         state = PureState.from_json(json.loads(path.read_text()))
         assert abs(state.norm() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["grover", "--n", "8", "--k", "8"], "--k"),
+        (["grover", "--n", "8", "--k", "-1"], "--k"),
+        (["game", "--drawers", "16", "--k", "16"], "--k"),
+        (["game", "--drawers", "16", "--k", "-3", "--strategy", "unilateral"], "--k"),
+        (["game", "--drawers", "8", "--k", "1", "--strategy", "joint"], "--drawers"),
+        (["game", "--drawers", "0", "--k", "0"], "--drawers"),
+        (["grover", "--n", "8", "--variant", "extended"], "--n 4"),
+        (["mixture-check", "--n", "5"], "--n"),
+    ],
+)
+def test_out_of_range_game_input_is_usage_error(capsys, monkeypatch, argv, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("game built before the input check")
+
+    for name in ("marked_drawer_table", "run_classical_game", "extended_mixture"):
+        monkeypatch.setattr(grover, name, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
 
 
 class TestGameCommand:
@@ -317,6 +345,32 @@ class TestCostCommand:
         code, _, err = run_cli(capsys, ["cost", "--n-range", "ten"])
         assert code == 1
 
+    def test_benchmark_table_is_byte_identical(self, capsys):
+        # the sha256 of this report when every row came from a built instance
+        code, out, _ = run_cli(capsys, ["cost", "--n-range", "2:16", "--json", "--seed", "0"])
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "dd6965f955b1fbdecd0365f748ffec0aa97f6b828c9f9a1c2ab1f1e4b8fbcb9d"
+        expected = [row for n in range(2, 17) for row in stage_costs(build_periodic(n, 1 << (n - 1)))]
+        assert json.loads(out)["rows"] == [
+            {"n": r.n, "stage": r.stage, "classical_units": r.classical_units, "quantum_units": r.quantum_units}
+            for r in expected
+        ]
+
+    def test_wide_range_builds_no_table(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["cost", "--n-range", "2:40", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 4 * 2**20
+        rows = json.loads(out)["rows"]
+        for stage in ("function-evaluation", "filtration"):
+            counts = [row["classical_units"] for row in rows if row["stage"] == stage]
+            assert counts == [1 << n for n in range(2, 41)]
+
 
 class TestMixtureCheckCommand:
     def test_distances(self, capsys):
@@ -386,17 +440,32 @@ class TestHotRoutes:
 
     def test_search_report_builds_the_oracle_permutation_once(self, capsys, monkeypatch):
         calls = []
-        build = gates._xor_permutation
+        build = gates._xor_swaps
 
         def counting(*args, **kwargs):
             calls.append(1)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(gates, "_xor_permutation", counting)
+        monkeypatch.setattr(gates, "_xor_swaps", counting)
         code, out, err = run_cli(capsys, ["grover", "--n", "1024", "--k", "9", "--json"])
         assert code == 0, err
         assert json.loads(out)["oracle_queries"] == iteration_count(1024) > 1
         assert len(calls) == 1
+
+    def test_search_report_adopts_a_few_states(self, capsys, monkeypatch):
+        # one per unitary segment and projection, not one per gate
+        calls = []
+        adopt = PureState._adopt.__func__
+
+        def counting(cls, *args):
+            calls.append(1)
+            return adopt(cls, *args)
+
+        monkeypatch.setattr(PureState, "_adopt", classmethod(counting))
+        code, out, err = run_cli(capsys, ["grover", "--n", "16384", "--k", "77", "--json"])
+        assert code == 0, err
+        assert json.loads(out)["oracle_queries"] == iteration_count(16384) == 100
+        assert len(calls) <= 8
 
     def test_game_report_plays_a_constant_number_of_games(self, capsys, monkeypatch):
         calls = []

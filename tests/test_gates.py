@@ -110,12 +110,18 @@ class TestFunctionTable:
             with pytest.raises(ValueError):
                 f.permutation[0] = 1
             assert f.permutation is f.permutation  # built once per table
+            for pairs in f.swaps:
+                with pytest.raises(ValueError):
+                    pairs[0] = 1
+            assert f.swaps is f.swaps
 
     def test_permutation_is_the_xor_map(self):
         f = FunctionTable(2, 2, (3, 0, 1, 2))
         expected = [(x << 2) | (y ^ f(x)) for x in range(4) for y in range(4)]
         assert f.permutation.tolist() == expected
         assert np.array_equal(f.permutation[f.permutation], np.arange(16))
+        moved = [(i, j) for i, j in enumerate(expected) if i < j]
+        assert list(zip(*f.swaps)) == moved
 
     def test_modexp_table_against_hand_powers(self):
         # 7^x mod 15 cycles 1, 7, 4, 13, 1, ...

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -240,6 +241,18 @@ class TestPureState:
         back = PureState.from_json(json.loads(text))
         assert back.layout == layout
         assert np.array_equal(back.amplitudes.view(np.uint64), state.amplitudes.view(np.uint64))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_json_leaves_the_garbage_collector_as_it_found_it(self, enabled):
+        state = random_state(np.random.default_rng(5), RegisterLayout.of(X=3, F=2))
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            doc = state.to_json()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        assert len(doc["amplitudes"]) == 32
 
     def test_json_amplitudes_must_be_pairs(self):
         doc = make_basis_state(RegisterLayout.of(X=1), {}).to_json()

@@ -6,14 +6,17 @@ the per-branch projection of the whole state, the XOR oracles' per-call
 ``np.arange`` partner arrays, the Hadamard layer as one 2x2 einsum per bit,
 the diffusion's strided in-order mean, and the random-phase
 slot vectors that ``PhasedMixture`` used to hold, summed with their phases
-and stacked per phase group.  They stay in this file so the library keeps
-one route per operation.
+and stacked per phase group.  The allocating forms of the in-place gate
+kernels are here too: the oracles' ``np.take`` gather along the table's
+permutation, the Hadamard butterflies into fresh arrays, the out-of-place
+FFT and the reflection into a fresh array.  They stay in this file so the
+library keeps one route per operation.
 """
 
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdesk import (
@@ -40,6 +43,7 @@ from qdesk import (
     sample_phases,
     state_after_oracle,
 )
+from qdesk import gates
 from qdesk.circuit_ir import _xor_register
 from qdesk.measure import PROB_EPS, ProjectionOperator
 from qdesk.shor import DISCIPLINES
@@ -224,8 +228,9 @@ def test_xor_register_matches_arange_reference(case, data):
     state, reg = case
     value = data.draw(st.integers(0, state.layout.dim(reg) - 1))
     partner = np.arange(state.layout.dimension) ^ (value << state.layout.offset(reg))
-    got = _xor_register(state, reg, value)
-    assert np.array_equal(got.amplitudes, state.amplitudes[partner])
+    work = state.amplitudes.copy()
+    _xor_register(work, state.layout, reg, value)
+    assert np.array_equal(work, state.amplitudes[partner])
 
 
 def arange_oracle_xor(state, f, in_reg, out_reg):
@@ -361,3 +366,95 @@ def test_named_non_dividing_cases_match_full_state_route():
         for discipline in DISCIPLINES:
             got = exact_outcome_distribution(inst, discipline)
             assert np.abs(got - full_state_route(inst, discipline)).max() < 1e-12
+
+
+def take_permute_registers(state, regs, permutation):
+    """The allocating oracle route: ``regs`` moved to the trailing axes, the
+    amplitudes gathered along ``permutation`` over their joint value (first
+    most significant) with ``np.take``, and the axes moved back."""
+    layout = state.layout
+    names = layout.names
+    axes = [names.index(reg) for reg in regs]
+    trailing = list(range(len(names) - len(regs), len(names)))
+    tensor = state.amplitudes.reshape([layout.dim(name) for name in names])
+    block = np.moveaxis(tensor, axes, trailing)
+    batch = block.shape[: trailing[0]]
+    gathered = np.take(block.reshape(batch + (-1,)), permutation, axis=-1)
+    return np.moveaxis(gathered.reshape(block.shape), trailing, axes).reshape(-1)
+
+
+def allocating_hadamard(state, reg):
+    """The butterflies (a0 + a1, a0 - a1) of every register bit, each into a
+    fresh array, then one scaling."""
+    left = state.layout.axis_shape(reg)[0]
+    q = state.layout.qubits(reg)
+    amps = state.amplitudes
+    for k in range(q):
+        pairs = amps.reshape(left << k, 2, -1)
+        amps = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1).reshape(-1)
+    return amps * 2.0 ** (-q / 2)
+
+
+def in_place(kernel, state, *args):
+    """``kernel`` run on a writable copy of the amplitudes; the copy."""
+    work = state.amplitudes.copy()
+    assert kernel(work, state.layout, *args) is None
+    return work
+
+
+LONG_RIGHT_AXIS = RegisterLayout.of(L=3, X=6, R=4)
+
+
+@st.composite
+def kernel_states(draw):
+    """A random state on 1-4 random registers, or on the layout whose middle
+    register has a long right axis."""
+    if draw(st.booleans()):
+        layout = LONG_RIGHT_AXIS
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        layout = RegisterLayout(tuple((f"R{i}", q) for i, q in enumerate(sizes)))
+    rng = np.random.default_rng(draw(SEEDS))
+    amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+    return PureState(layout, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(state=kernel_states(), data=st.data())
+def test_register_kernels_in_place_match_allocating_references_bit_for_bit(state, data):
+    reg = data.draw(st.sampled_from(state.layout.names))
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    got = in_place(gates.hadamard_all_in_place, state, reg)
+    assert np.array_equal(as_bits(got), as_bits(allocating_hadamard(state, reg)))
+    for inverse in (False, True):
+        got = in_place(gates.qft_in_place, state, reg, inverse)
+        transform = np.fft.fft if inverse else np.fft.ifft
+        assert np.array_equal(as_bits(got), as_bits(transform(block, axis=1, norm="ortho").reshape(-1)))
+    got = in_place(gates.grover_diffusion_in_place, state, reg)
+    pairwise = np.ascontiguousarray(np.moveaxis(block, 1, -1)).mean(-1)
+    assert np.array_equal(as_bits(got), as_bits((2.0 * pairwise[:, None, :] - block).reshape(-1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(state=kernel_states(), data=st.data())
+def test_oracles_in_place_match_the_take_route_bit_for_bit(state, data):
+    layout = state.layout
+    assume(len(layout.names) >= 2)
+    # any registers in any order: trailing, leading, split by a batch register, or reversed
+    regs = data.draw(st.permutations(layout.names))[: data.draw(st.integers(2, min(3, len(layout.names))))]
+    rng = np.random.default_rng(data.draw(SEEDS))
+    key_bits = sum(layout.qubits(reg) for reg in regs[:-1])
+    entries = rng.integers(0, layout.dim(regs[-1]), size=1 << key_bits)
+    if data.draw(st.booleans()):
+        entries[rng.random(entries.size) < 0.5] = 0  # rows the oracle leaves alone
+    widths = [layout.qubits(reg) for reg in regs]
+    if len(regs) == 2:
+        f = FunctionTable(*widths, entries)
+        got = in_place(gates.oracle_xor_in_place, state, f, *regs)
+    else:
+        f = ModedFunctionTable(*widths, entries)
+        got = in_place(gates.oracle_moded_in_place, state, f, *regs)
+    assert np.array_equal(as_bits(got), as_bits(take_permute_registers(state, regs, f.permutation)))
+    lo, hi = f.swaps
+    assert np.array_equal(f.permutation[lo], hi) and np.array_equal(f.permutation[hi], lo)
+    assert np.count_nonzero(f.permutation != np.arange(f.permutation.size)) == 2 * lo.size

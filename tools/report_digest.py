@@ -3,8 +3,9 @@
     python3 tools/report_digest.py [--src PATH] > digest.jsonl
 
 Runs every job of rounds 0 and 1 at workload seed 0 of each workload in
-``perfbench/jobs.py`` in this process through ``qdesk.cli.main``, with
-stdout captured.  Every ``shor`` and ``grover`` job also writes
+``perfbench/jobs.py``, then the fixed ``ceiling`` jobs at the 20-qubit
+sizes the workloads stop short of, in this process through
+``qdesk.cli.main``, with stdout captured.  Every ``shor`` and ``grover`` job also writes
 ``--dump-state``, and every ``shor`` job writes ``--records``.  One JSON
 line per job gives its argv (temporary paths shown as ``<tmp>``), its exit
 code, and the sha256 of its stdout, of its dumped state, of its full
@@ -29,6 +30,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 ROUNDS = 2
+
+# Searches and period finding at the sizes where the in-place Fourier
+# transform and oracle matter most: 2^19 amplitudes, and 2^14 under every
+# discipline with sampled trials.
+CEILING = (("grover", "--n", "262144", "--json"),) + tuple(
+    ("shor", "--n", "10", "--base", "7", "--modulus", "15", "--discipline", discipline, "--trials", "50", "--json")
+    for discipline in ("measure-F-at-t2", "skip-F", "annihilate-F")
+)
 
 
 def _sha(data: bytes | None) -> str | None:
@@ -97,6 +106,9 @@ def main(argv: list[str] | None = None) -> int:
                 for job in jobs.make_round(workload, SEED, index, work):
                     line = {"workload": workload, "round": index} | digest(job.argv, work, cli_main)
                     print(json.dumps(line, sort_keys=True), flush=True)
+        for argv in CEILING:
+            line = {"workload": "ceiling", "round": 0} | digest(argv, work, cli_main)
+            print(json.dumps(line, sort_keys=True), flush=True)
     return 0
 
 
