@@ -32,13 +32,26 @@ inert: no later distribution can see its phases, so the walk draws them and
 applies nothing, and only ``run``'s tagged and final states carry them.
 The phases themselves are applied by ``measure``'s random-phase kernel.
 
-Unitary segments run in place.  Wherever the walk computes a state, the
-gates between two projections (or a projection and the boundary asked for)
-run on one work buffer, copied once from the state the segment starts at
-and mutated by ``gates``' in-place kernels; the buffer is adopted as a
-``PureState`` once, where the segment ends.  A kept, tagged or returned
-state is never written, and ``apply_instruction`` is the same route for one
-instruction.
+Branches are register slices.  A walk state is the pair (fixed registers
+-> basis value, amplitude vector over the free registers): the start
+|0...0> fixes every register, a value prepare changes a fixed value and
+touches no amplitude, and a projection slices the measured register's axis
+and fixes it, so a branch after a measurement holds only the amplitudes its
+outcome left.  A Hadamard (or a "uniform" or "minus" prepare) frees a fixed
+register as a broadcast of +-2^(-q/2); an XOR oracle whose input is fixed
+XORs the constant f(input) into its output, and one whose output is fixed
+at v moves each input amplitude to v XOR f(x); any other gate on a fixed
+register expands it into a one-hot axis first.  This is implicit
+measurement (Nielsen & Chuang 4.4) applied to the walk: a measured register
+carries no amplitudes of its own.  A full ``PureState`` is built only where
+one is handed out: ``run``'s tagged and final states and ``unitary_prefix``.
+
+Unitary segments on the free registers run in place.  Wherever the walk
+computes a state, the gates between two projections (or a projection and
+the boundary asked for) run on one work buffer, copied once from the slice
+the segment starts at and mutated by ``gates``' in-place kernels.  A kept,
+tagged or returned state is never written.  ``apply_instruction`` runs one
+instruction on a full state through the same kernels.
 """
 
 from __future__ import annotations
@@ -48,19 +61,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ProgramError, RewriteNotApplicableError, ShapeMismatchError
+from .errors import DegenerateStateError, ProgramError, RewriteNotApplicableError, ShapeMismatchError
 from . import gates
 from .gates import FunctionTable, ModedFunctionTable
 from .measure import (
+    PROB_EPS,
     MeasurementRecord,
     OutcomeDistribution,
     ProjectionOperator,
     _dephase,
+    born_filter,
     born_sample,
     outcome_distribution,
     project,
 )
-from .qstate import PureState, RegisterLayout, StateDistance, make_basis_state
+from .qstate import PureState, RegisterLayout, StateDistance
 
 GATE_KINDS = ("hadamard", "qft", "inverse-qft", "oracle-xor", "oracle-moded", "grover-diffusion")
 PREPARE_KEYWORDS = ("uniform", "minus")
@@ -324,11 +339,200 @@ class RunTrace:
         return self.tagged_states[tag]
 
 
-def _start_state(program: CircuitProgram, initial: PureState | None) -> PureState:
-    state = make_basis_state(program.layout, {}) if initial is None else initial
-    if state.layout != program.layout:
+def _free_layout(layout: RegisterLayout, fixed: Mapping[str, int]) -> RegisterLayout | None:
+    """The registers of ``layout`` that ``fixed`` leaves free, in layout order;
+    None when it fixes them all."""
+    free = tuple((name, q) for name, q in layout.registers if name not in fixed)
+    return RegisterLayout(free) if free else None
+
+
+@dataclass(frozen=True)
+class _Slice:
+    """A walk state as a product: every fixed register holds the basis value
+    ``fixed`` gives it, and ``amps`` is the flat, read-only amplitude vector
+    over the ``free`` registers, in layout order (one amplitude when every
+    register is fixed and ``free`` is None)."""
+
+    layout: RegisterLayout
+    fixed: Mapping[str, int]
+    free: RegisterLayout | None
+    amps: np.ndarray
+
+    def free_state(self) -> PureState:
+        """The free registers' amplitudes as a state of their own layout."""
+        return PureState._adopt(self.free, self.amps)
+
+    def state(self) -> PureState:
+        """The full state: the free amplitudes written at the fixed values,
+        every other amplitude zero.  With nothing fixed, the same buffer."""
+        if not self.fixed:
+            return PureState._adopt(self.layout, self.amps)
+        names = self.layout.names
+        full = np.zeros(self.layout.dimension, dtype=np.complex128)
+        at = tuple(self.fixed[name] if name in self.fixed else slice(None) for name in names)
+        free_shape = [self.layout.dim(name) for name in names if name not in self.fixed]
+        full.reshape([self.layout.dim(name) for name in names])[at] = self.amps.reshape(free_shape)
+        return PureState._adopt(self.layout, full)
+
+
+def _start_slice(program: CircuitProgram, initial: PureState | None) -> _Slice:
+    """|0...0> with every register fixed, or ``initial`` with none fixed."""
+    layout = program.layout
+    if initial is None:
+        one = np.ones(1, dtype=np.complex128)
+        one.setflags(write=False)
+        return _Slice(layout, dict.fromkeys(layout.names, 0), None, one)
+    if initial.layout != layout:
         raise ShapeMismatchError("initial state and program must share a register layout")
-    return state
+    return _Slice(layout, {}, layout, initial.amplitudes)
+
+
+class _Segment:
+    """One unitary segment run on a slice.  Gates on free registers run
+    through ``gates``' in-place kernels on one work buffer, copied from the
+    slice's amplitudes the first time a kernel writes; gates on fixed
+    registers change a value, or free the register into a new buffer:
+
+    * a value prepare XORs the value, and an XOR oracle whose input and
+      output are both fixed XORs f(input) into the output's value;
+    * an XOR oracle with a fixed input XORs the constant f(input) into its
+      free output register;
+    * an XOR oracle with a fixed output v writes each amplitude of input x
+      at output v XOR f(x): one move per amplitude, into a zeroed buffer;
+    * a Hadamard (or a "uniform" or "minus" prepare) frees the register as
+      a broadcast of +-2^(-q/2), bit for bit the butterflies' result;
+    * any other gate frees the registers it touches as one-hot axes first.
+    """
+
+    def __init__(self, start: _Slice):
+        self.layout = start.layout
+        self.fixed = dict(start.fixed)
+        self.free = start.free
+        self.work = start.amps
+        self.owned = False
+
+    def writable(self) -> np.ndarray:
+        if not self.owned:
+            self.work, self.owned = self.work.copy(), True
+        return self.work
+
+    def _unfix(self, reg: str) -> tuple[int, np.ndarray, np.ndarray]:
+        """Free ``reg``: its value, the amplitudes as a ``(left, right)`` view
+        around it, and the zeroed ``(left, d, right)`` view of the new buffer."""
+        value = self.fixed.pop(reg)
+        self.free = _free_layout(self.layout, self.fixed)
+        left, d, right = self.free.axis_shape(reg)
+        old = self.work.reshape(left, right)
+        self.work, self.owned = np.zeros(left * d * right, dtype=np.complex128), True
+        return value, old, self.work.reshape(left, d, right)
+
+    def expand(self, reg: str) -> None:
+        value, old, new = self._unfix(reg)
+        new[:, value, :] = old
+
+    def hadamard(self, reg: str) -> None:
+        """H on every qubit of the fixed register: the value w becomes the
+        signs (-1)^popcount(w & y) times 2^(-q/2).  The butterflies add and
+        subtract exact zeros, which leaves each nonzero part as it is and
+        turns a signed zero into +0, except along y = d - 1 from w = 0,
+        where every step subtracts a zero; the scaling is the kernel's."""
+        value, old, new = self._unfix(reg)
+        d = new.shape[1]
+        signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(d) & value) & 1)
+        np.multiply(signs[None, :, None], old[:, None, :], out=new)
+        new += 0.0
+        if value == 0:
+            new[:, d - 1, :] = old
+        self.work *= 2.0 ** (-self.layout.qubits(reg) / 2)
+
+    def oracle_xor(self, instr: GateOp) -> None:
+        f, in_reg, out_reg = instr.table, instr.in_reg, instr.out_reg
+        gates.check_xor_fit(self.layout, f, in_reg, out_reg)
+        if in_reg in self.fixed and out_reg in self.fixed:
+            self.fixed[out_reg] ^= f.table[self.fixed[in_reg]]
+        elif in_reg in self.fixed:
+            flip = f.table[self.fixed[in_reg]]
+            if flip:
+                _xor_register(self.writable(), self.free, out_reg, flip)
+        else:
+            value, old, _ = self._unfix(out_reg)
+            names = self.free.names
+            inputs = [name for name in names if name != out_reg].index(in_reg)
+            source = np.moveaxis(old.reshape([self.layout.dim(n) for n in names if n != out_reg]), inputs, 0)
+            target = self.work.reshape([self.layout.dim(name) for name in names])
+            target = np.moveaxis(target, (names.index(in_reg), names.index(out_reg)), (0, 1))
+            target[np.arange(f.values.size), f.values ^ value] = source
+
+    def apply(self, instr: Prepare | GateOp) -> None:
+        fixed = self.fixed
+        if isinstance(instr, Prepare) and instr.reg in fixed:
+            if instr.value in PREPARE_KEYWORDS:
+                fixed[instr.reg] ^= int(instr.value == "minus")
+                self.hadamard(instr.reg)
+            else:
+                fixed[instr.reg] ^= int(instr.value)
+            return
+        if isinstance(instr, GateOp) and instr.kind == "hadamard" and instr.reg in fixed:
+            self.hadamard(instr.reg)
+            return
+        if isinstance(instr, GateOp) and instr.kind == "oracle-xor" and {instr.in_reg, instr.out_reg} & fixed.keys():
+            self.oracle_xor(instr)
+            return
+        for reg in sorted(touched_registers(instr) & fixed.keys()):
+            self.expand(reg)
+        apply_instruction_in_place(self.writable(), self.free, instr)
+
+    def done(self) -> _Slice:
+        self.work.setflags(write=False)
+        return _Slice(self.layout, self.fixed, self.free, self.work)
+
+
+def _advance(start: _Slice, instrs: Sequence[Instruction]) -> _Slice:
+    """``start`` with the unitary instructions among ``instrs`` applied in
+    order, skipping measurements and dephasings, as one segment."""
+    unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
+    if not unitary:
+        return start
+    segment = _Segment(start)
+    for instr in unitary:
+        segment.apply(instr)
+    return segment.done()
+
+
+def _project(s: _Slice, reg: str, outcome: int) -> _Slice:
+    """The Born filter on a slice: a free register's axis is sliced at
+    ``outcome`` and renormalised, and the register becomes fixed; a fixed
+    register is left as it is, or has zero probability."""
+    if reg in s.fixed:
+        if s.fixed[reg] != outcome:
+            raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
+        return s
+    amps = born_filter(s.free_state(), reg, outcome).reshape(-1)
+    amps.setflags(write=False)
+    fixed = {**s.fixed, reg: outcome}
+    return _Slice(s.layout, fixed, _free_layout(s.layout, fixed), amps)
+
+
+def _distribution(s: _Slice, reg: str) -> OutcomeDistribution:
+    """A register's outcome distribution on a slice; a fixed one is certain."""
+    if reg not in s.fixed:
+        return outcome_distribution(s.free_state(), reg)
+    probs = np.zeros(s.layout.dim(reg))
+    probs[s.fixed[reg]] = 1.0
+    return OutcomeDistribution(reg, probs)
+
+
+def _dephase_slice(s: _Slice, reg: str, values: Sequence[int], phases: np.ndarray) -> _Slice:
+    """The slice with one phase on each listed value of ``reg``, through
+    ``measure``'s kernel; a fixed register's one value multiplies every
+    amplitude by its phase factor."""
+    if reg in s.fixed:
+        amps = np.exp(1j * np.asarray(phases, dtype=float)) * s.amps
+        amps += 0.0
+    else:
+        amps = _dephase(s.free_state(), reg, values, phases).reshape(-1)
+    amps.setflags(write=False)
+    return _Slice(s.layout, s.fixed, s.free, amps)
 
 
 class _BranchWalk:
@@ -347,7 +551,10 @@ class _BranchWalk:
     ``state`` computes it on demand from the deepest state it has kept on
     that path, and ``distribution`` memoises each node's outcome
     distribution.  Kept states form one chain from the start: one per
-    visited node of one path, never one per branch.
+    visited node of one path, never one per branch.  Every state is a
+    ``_Slice``: a projection fixes the register it measures, so a branch
+    holds amplitudes over the registers still free, and a full state is
+    built only for a tagged or final state.
     """
 
     def __init__(self, program: CircuitProgram, initial: PureState | None):
@@ -369,16 +576,16 @@ class _BranchWalk:
             (i for i, instr in enumerate(self.instructions) if isinstance(instr, (Measure, Dephase))),
             default=-1,
         )
-        self._chain = [(0, (), _start_state(program, initial))]
+        self._chain = [(0, (), _start_slice(program, initial))]
         self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
 
-    def state(self, boundary: int, path: tuple[int, ...]) -> PureState:
+    def state(self, boundary: int, path: tuple[int, ...]) -> _Slice:
         """The state after the first ``boundary`` instructions on ``path``,
         without the phases of inert dephasings.
 
         Each unitary segment between the kept state and the boundary runs
-        in one work buffer, adopted at the node's projection that ends it
-        or at the boundary; no kept state is ever written."""
+        as one ``_Segment``, ended by the node's projection or the
+        boundary; no kept state is ever written."""
         chain = self._chain
         while not (chain[-1][0] <= boundary and path[: len(chain[-1][1])] == chain[-1][1]):
             chain.pop()
@@ -389,10 +596,9 @@ class _BranchWalk:
         for i in range(at, boundary):
             instr = self.instructions[i]
             if isinstance(instr, (Measure, Dephase)) and i not in self.inert:
-                state = _run_unitaries(state, self.instructions[start:i])
-                state = project(state, ProjectionOperator(instr.reg, path[k]))
+                state = _project(_advance(state, self.instructions[start:i]), instr.reg, path[k])
                 k, start = k + 1, i + 1
-        state = _run_unitaries(state, self.instructions[start:boundary])
+        state = _advance(state, self.instructions[start:boundary])
         chain.append((boundary, path, state))
         return state
 
@@ -400,8 +606,7 @@ class _BranchWalk:
         """The outcome distribution of instruction ``index`` on ``path``, memoised."""
         key = (index, path)
         if key not in self._distributions:
-            reg = self.instructions[index].reg
-            self._distributions[key] = outcome_distribution(self.state(index, path), reg)
+            self._distributions[key] = _distribution(self.state(index, path), self.instructions[index].reg)
         return self._distributions[key]
 
     def trial(
@@ -428,16 +633,16 @@ class _BranchWalk:
         records: list[MeasurementRecord] = []
         tagged: dict[str, PureState] = {}
         path: tuple[int, ...] = ()
-        # carried states, as (boundary, state): brought forward through the
-        # unitaries since their boundary, in one work buffer, when read
-        own: tuple[int, PureState] | None = None
-        phased: tuple[int, PureState] | None = None
+        # carried states, as (boundary, slice): brought forward through the
+        # unitaries since their boundary, as one segment, when read
+        own: tuple[int, _Slice] | None = None
+        phased: tuple[int, _Slice] | None = None
 
-        def forward(carried: tuple[int, PureState], i: int) -> tuple[int, PureState]:
+        def forward(carried: tuple[int, _Slice], i: int) -> tuple[int, _Slice]:
             at, state = carried
-            return i, _run_unitaries(state, instrs[at:i])
+            return i, _advance(state, instrs[at:i])
 
-        def here(i: int) -> PureState:
+        def here(i: int) -> _Slice:
             nonlocal own, phased
             if phased is not None:
                 phased = forward(phased, i)
@@ -450,14 +655,15 @@ class _BranchWalk:
         for i in range(stop):
             instr = instrs[i]
             if keep and i in tags.values():
-                tagged.update((tag, here(i)) for tag, b in tags.items() if b == i)
+                state = here(i).state()
+                tagged.update((tag, state) for tag, b in tags.items() if b == i)
             if not isinstance(instr, (Measure, Dephase)):
                 continue
             if own is not None:
                 own = forward(own, i)
             if phased is not None:
                 phased = forward(phased, i)
-            dist = self.distribution(i, path) if own is None else outcome_distribution(own[1], instr.reg)
+            dist = self.distribution(i, path) if own is None else _distribution(own[1], instr.reg)
             last = not keep and i == self._last_draw
             if isinstance(instr, Measure):
                 outcome = born_sample(dist, rng)
@@ -465,16 +671,15 @@ class _BranchWalk:
                 if own is None:
                     path += (outcome,)
                 elif not last:
-                    own = (i + 1, project(own[1], ProjectionOperator(instr.reg, outcome)))
+                    own = (i + 1, _project(own[1], instr.reg, outcome))
                 if phased is not None:
-                    phased = (i + 1, project(phased[1], ProjectionOperator(instr.reg, outcome)))
+                    phased = (i + 1, _project(phased[1], instr.reg, outcome))
                 continue
             values = dist.support
             phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
 
-            def dephase(state: PureState) -> tuple[int, PureState]:
-                phased_amps = _dephase(state, instr.reg, values, phases).reshape(-1)
-                return i + 1, PureState._adopt(state.layout, phased_amps)
+            def dephase(state: _Slice) -> tuple[int, _Slice]:
+                return i + 1, _dephase_slice(state, instr.reg, values, phases)
 
             if i in self.inert:
                 if keep:
@@ -486,7 +691,7 @@ class _BranchWalk:
                 own = dephase(own[1] if own is not None else self.state(i, path))
         if not keep:
             return tuple(records), tagged, None
-        final = here(len(instrs))
+        final = here(len(instrs)).state()
         tagged.update((tag, final) for tag, b in tags.items() if b == len(instrs))
         return tuple(records), tagged, final
 
@@ -503,7 +708,7 @@ def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:
     for instr in program.instructions[:stop]:
         if isinstance(instr, (Measure, Dephase)):
             raise RewriteNotApplicableError(f"{instr!r} before boundary {stop}; not unitary")
-    return _BranchWalk(program, None).state(stop, ())
+    return _BranchWalk(program, None).state(stop, ()).state()
 
 
 def run(
@@ -567,6 +772,39 @@ def defer_measurements(program: CircuitProgram) -> CircuitProgram:
     return CircuitProgram(program.layout, tuple(reordered), tags)
 
 
+def _enumerate(program: CircuitProgram, observed: tuple[str, ...], initial: PureState | None) -> np.ndarray:
+    """The exact joint distribution of the observed registers as an array
+    with one axis per observed register, in ``observed`` order; an entry no
+    branch reaches is 0."""
+    program.validate_order()
+    missing = set(observed) - set(program.measured_registers())
+    if missing:
+        raise ProgramError(f"observed registers {sorted(missing)} are never measured")
+    instrs = program.instructions
+    tail = len(instrs)
+    while tail > 0 and isinstance(instrs[tail - 1], Measure):
+        tail -= 1
+    kept = instrs[:tail] + tuple(m for m in instrs[tail:] if m.reg in observed)
+    walk = _BranchWalk(CircuitProgram(program.layout, kept), initial)
+    nodes = walk.nodes
+    leaf = len(nodes) - 1
+    where = {kept[i].reg: k for k, i in enumerate(nodes) if isinstance(kept[i], Measure)}
+    acc = np.zeros(tuple(program.layout.dim(reg) for reg in observed))
+    at_leaf = tuple(slice(None) if where[reg] == leaf else None for reg in observed)
+    leaf_observed = any(where[reg] == leaf for reg in observed)
+    stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
+    while stack:
+        path, weight = stack.pop()
+        dist = walk.distribution(nodes[len(path)], path)
+        if len(path) < leaf:
+            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support)
+            continue
+        probs = np.where(dist.probabilities > PROB_EPS, dist.probabilities, 0.0)
+        index = tuple(path[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))
+        acc[index] += weight * probs if leaf_observed else weight * probs.sum()
+    return acc
+
+
 def enumerate_outcome_distribution(
     program: CircuitProgram, observed: Sequence[str], initial: PureState | None = None
 ) -> dict[tuple[int, ...], float]:
@@ -579,47 +817,26 @@ def enumerate_outcome_distribution(
     The measurements that end the program commute, so the unobserved ones
     among them are summed out (the principle of implicit measurement).  A branch's
     state is computed only where a later node needs its distribution, so
-    the last measurement is read off its distribution without a projection.
+    the last node is read off its distribution without a projection: each
+    branch that reaches it adds its weight times that distribution into an
+    array over the observed registers' joint values.  The keys are the
+    values some branch reaches.
     """
-    program.validate_order()
-    observed = tuple(observed)
-    missing = set(observed) - set(program.measured_registers())
-    if missing:
-        raise ProgramError(f"observed registers {sorted(missing)} are never measured")
-    instrs = program.instructions
-    tail = len(instrs)
-    while tail > 0 and isinstance(instrs[tail - 1], Measure):
-        tail -= 1
-    kept = instrs[:tail] + tuple(m for m in instrs[tail:] if m.reg in observed)
-    walk = _BranchWalk(CircuitProgram(program.layout, kept), initial)
-    nodes = walk.nodes
-    where = {kept[i].reg: k for k, i in enumerate(nodes) if isinstance(kept[i], Measure)}
-    acc: dict[tuple[int, ...], float] = {}
-    stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-    while stack:
-        path, weight = stack.pop()
-        if len(path) < len(nodes):
-            dist = walk.distribution(nodes[len(path)], path)
-            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support)
-            continue
-        key = tuple(path[where[reg]] for reg in observed)
-        acc[key] = acc.get(key, 0.0) + weight
-    return acc
+    acc = _enumerate(program, tuple(observed), initial)
+    return {tuple(int(v) for v in key): float(acc[key]) for key in zip(*np.nonzero(acc))}
 
 
 def equivalent_distributions(
     p1: CircuitProgram, p2: CircuitProgram, observed: Sequence[str]
 ) -> StateDistance:
     """Total-variation distance between the exact observed-outcome
-    distributions of two programs."""
+    distributions of two programs, taken over their arrays."""
     if p1.layout != p2.layout:
         raise ShapeMismatchError("programs must share a register layout")
     observed = tuple(sorted(observed))
-    d1 = enumerate_outcome_distribution(p1, observed)
-    d2 = enumerate_outcome_distribution(p2, observed)
-    keys = set(d1) | set(d2)
-    tv = 0.5 * sum(abs(d1.get(k, 0.0) - d2.get(k, 0.0)) for k in keys)
-    return StateDistance(tv, kind="distribution")
+    d1 = _enumerate(p1, observed, None)
+    d2 = _enumerate(p2, observed, None)
+    return StateDistance(0.5 * float(np.abs(d1 - d2).sum()), kind="distribution")
 
 
 def backdate_outcome(

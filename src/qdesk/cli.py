@@ -22,7 +22,7 @@ import numpy as np
 from . import circuit_ir, costmodel, grover, measure, shor
 from .errors import QdeskError
 from .gates import modexp_output_bits
-from .qstate import MAX_QUBITS, PureState
+from .qstate import MAX_QUBITS, PureState, collector_paused
 from .selftest import SUBCOMMAND_SUITES, run_selftest
 
 DEFAULT_SEED_ENV = "QDESK_SEED"
@@ -193,10 +193,26 @@ def _shor_instance(args: argparse.Namespace) -> shor.PeriodFindingInstance:
     return shor.build_periodic(args.n, period)
 
 
+# Amplitudes per chunk of a dumped state: 4096 pairs of floats, about
+# 0.6 MiB of lists and text at a time.
+DUMP_CHUNK = 1 << 12
+
+
 def _dump_state(path: str, state: PureState) -> None:
-    """``json.dumps`` runs the C encoder; ``json.dump`` to a file, the Python one."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(state.to_json()))
+    """Write the bytes ``json.dump(state.to_json(), fh)`` writes, a chunk of
+    amplitudes at a time: each chunk's ``[re, im]`` pairs are built from the
+    float64 view and encoded by ``json.dumps``, which runs the C encoder
+    (``json.dump`` runs the Python one), so the writer holds one chunk's
+    lists and text, not the whole state's, with the cyclic garbage
+    collector paused as ``to_json`` pauses it."""
+    pairs = state.amplitudes.view(np.float64).reshape(-1, 2)
+    head = json.dumps({"layout": state.layout.to_json(), "amplitudes": []})
+    with open(path, "w") as fh, collector_paused():
+        fh.write(head[: -len("]}")])
+        for start in range(0, len(pairs), DUMP_CHUNK):
+            fh.write(", " if start else "")
+            fh.write(json.dumps(pairs[start : start + DUMP_CHUNK].tolist())[1:-1])
+        fh.write("]}")
 
 
 def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:

@@ -126,6 +126,24 @@ class FunctionTable(_XorTable):
     def __call__(self, x: int) -> int:
         return self.table[x]
 
+    def has_period(self, q: int) -> bool:
+        """Whether f(x + q) = f(x) for every x where both sides are defined,
+        so every q >= 2^input_bits is one: the classical check of a period
+        candidate, for q >= 1.  The entry f(q) = f(0) settles most q at
+        once; the full comparison is made once per q and kept with the
+        table."""
+        if q >= len(self.table):
+            return True
+        if self.table[q] != self.table[0]:
+            return False
+        if q not in self._periods:
+            self._periods[q] = bool(np.array_equal(self.values[q:], self.values[:-q]))
+        return self._periods[q]
+
+    @cached_property
+    def _periods(self) -> dict[int, bool]:
+        return {}
+
     def to_json(self) -> dict:
         return {"input_bits": self.input_bits, "output_bits": self.output_bits, "table": list(self.table)}
 
@@ -299,10 +317,9 @@ def _swap_pairs(
     block[at_hi] = moved
 
 
-def oracle_xor_in_place(
-    work: np.ndarray, layout: RegisterLayout, f: FunctionTable, in_reg: str, out_reg: str
-) -> None:
-    """Basis map |x>|y> -> |x>|y XOR f(x)>, in place on ``work``; self-inverse."""
+def check_xor_fit(layout: RegisterLayout, f: FunctionTable, in_reg: str, out_reg: str) -> None:
+    """Raise ``ShapeMismatchError`` unless the table maps the input register's
+    width to the output register's and the two registers differ."""
     if layout.qubits(in_reg) != f.input_bits or layout.qubits(out_reg) != f.output_bits:
         raise ShapeMismatchError(
             f"table ({f.input_bits}->{f.output_bits} bits) does not fit registers "
@@ -310,6 +327,13 @@ def oracle_xor_in_place(
         )
     if in_reg == out_reg:
         raise ShapeMismatchError("input and output registers must differ")
+
+
+def oracle_xor_in_place(
+    work: np.ndarray, layout: RegisterLayout, f: FunctionTable, in_reg: str, out_reg: str
+) -> None:
+    """Basis map |x>|y> -> |x>|y XOR f(x)>, in place on ``work``; self-inverse."""
+    check_xor_fit(layout, f, in_reg, out_reg)
     _swap_pairs(work, layout, (in_reg, out_reg), f.swaps)
 
 

@@ -136,19 +136,23 @@ def outcome_distribution(state: PureState, reg: str) -> OutcomeDistribution:
     return OutcomeDistribution(reg, (np.abs(block) ** 2).sum(axis=(0, 2)))
 
 
-def project(state: PureState, p: ProjectionOperator) -> PureState:
-    """Keep only amplitudes with ``reg == outcome`` and renormalize (Born filter)."""
-    block = state.amplitudes.reshape(state.layout.axis_shape(p.reg))
-    if not 0 <= p.outcome < block.shape[1]:
-        raise ValueError(f"outcome {p.outcome} out of range for register {p.reg!r}")
-    kept = block[:, p.outcome, :]
+def born_filter(state: PureState, reg: str, outcome: int) -> np.ndarray:
+    """The amplitudes with ``reg == outcome``, renormalized, as a fresh
+    ``(left, right)`` array around the register's axis."""
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    if not 0 <= outcome < block.shape[1]:
+        raise ValueError(f"outcome {outcome} out of range for register {reg!r}")
+    kept = block[:, outcome, :]
     weight = float(np.vdot(kept, kept).real)
     if weight < PROB_EPS:
-        raise DegenerateStateError(
-            f"projection on {p.reg}={p.outcome} has zero probability"
-        )
-    out = np.zeros_like(block)
-    out[:, p.outcome, :] = kept / np.sqrt(weight)
+        raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
+    return kept / np.sqrt(weight)
+
+
+def project(state: PureState, p: ProjectionOperator) -> PureState:
+    """Keep only amplitudes with ``reg == outcome`` and renormalize (Born filter)."""
+    out = np.zeros(state.layout.axis_shape(p.reg), dtype=np.complex128)
+    out[:, p.outcome, :] = born_filter(state, p.reg, p.outcome)
     return PureState._adopt(state.layout, out.reshape(-1))
 
 

@@ -9,8 +9,9 @@ the package shares this one convention.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -22,6 +23,20 @@ NORM_ATOL = 1e-12
 
 # The widest layout a dense state may have: 2^20 amplitudes, 16 MiB.
 MAX_QUBITS = 20
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and restore its previous state on
+    exit: lists of amplitude pairs hold only floats, yet each allocation
+    burst of them would have it walk them all again."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -168,18 +183,10 @@ class PureState:
 
     def to_json(self) -> dict:
         """Amplitudes as ``[re, im]`` pairs, built from the float64 view of the
-        buffer in one ``tolist`` (signed zeros and subnormals kept).
-
-        The cyclic garbage collector is paused for the ``tolist``: the
-        2^total fresh pair lists hold only floats, yet each allocation burst
-        would have it walk them all again.  Its previous state is restored."""
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        buffer in one ``tolist`` (signed zeros and subnormals kept), with the
+        cyclic garbage collector paused."""
+        with collector_paused():
             pairs = self.amplitudes.view(np.float64).reshape(-1, 2).tolist()
-        finally:
-            if was_enabled:
-                gc.enable()
         return {"layout": self.layout.to_json(), "amplitudes": pairs}
 
     @classmethod

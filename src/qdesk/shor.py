@@ -1,7 +1,8 @@
 """Period finding end to end: build a periodic function table, push it
 through the Hadamard / oracle / Fourier block diagram under one of three
 measurement disciplines, and read the period off the measured outcome with
-continued fractions.
+continued fractions: the first convergent denominator that the function
+table confirms as a period, f(x + q) = f(x), is the candidate.
 
 The three disciplines agree exactly on the final [X] statistics:
 
@@ -15,22 +16,23 @@ All three are ``circuit_ir`` programs (``period_circuit``) and sampled runs
 execute them.  Nothing but measurements touches F after the dephasing, so
 it is inert: an annihilate-F trial draws its F phases and then draws X from
 the same [X] distribution a skip-F trial does, with one shared QFT per
-report.  Exact distributions are computed without sampling, so the
-equality of the disciplines is a 1e-10 assertion rather than a statistical
-one.
+report.  Exact distributions are computed without sampling, from the
+support columns of the oracle's output, so the equality of the disciplines
+is a 1e-10 assertion rather than a statistical one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .circuit_ir import CircuitProgram, Dephase, GateOp, Measure, Prepare, sample, unitary_prefix
 from .errors import ShapeMismatchError
-from .gates import FunctionTable, fourier_axis, modexp_table, qft
-from .measure import PROB_EPS, MeasurementRecord, outcome_distribution
+from .gates import FunctionTable, fourier_axis, modexp_table
+from .measure import PROB_EPS, MeasurementRecord
 from .qstate import PureState, RegisterLayout
 
 DISCIPLINES = ("measure-F-at-t2", "skip-F", "annihilate-F")
@@ -60,6 +62,11 @@ class PeriodFindingInstance:
     @property
     def layout(self) -> RegisterLayout:
         return RegisterLayout.of(X=self.n, F=self.table.output_bits)
+
+    @cached_property
+    def _candidates(self) -> dict[int, int | None]:
+        """``extract_period`` of each outcome asked for so far."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,10 @@ def state_after_oracle(inst: PeriodFindingInstance) -> PureState:
     return unitary_prefix(period_circuit(inst, "skip-F"), "t2")
 
 
+# The input register's preparation, before the oracle.
+_PREPARE_X = (Prepare("X", 0), GateOp("hadamard", reg="X"))
+
+
 def period_circuit(inst: PeriodFindingInstance, discipline: str) -> CircuitProgram:
     """The block-diagram program for any discipline, tagged t1..t4 on
     instruction boundaries; t4 sits right before the X measurement.
@@ -102,11 +113,7 @@ def period_circuit(inst: PeriodFindingInstance, discipline: str) -> CircuitProgr
     measure-F-at-t2 measures F at t2, skip-F leaves it alone, and
     annihilate-F dephases it at t2 (and measures it last, like skip-F).
     """
-    head = [
-        Prepare("X", 0),
-        GateOp("hadamard", reg="X"),
-        GateOp("oracle-xor", in_reg="X", out_reg="F", table=inst.table),
-    ]
+    head = [*_PREPARE_X, GateOp("oracle-xor", in_reg="X", out_reg="F", table=inst.table)]
     if discipline == "measure-F-at-t2":
         instrs = head + [Measure("F"), GateOp("qft", reg="X"), Measure("X")]
         tags = {"t1": 1, "t2": 3, "t3": 4, "t4": 5}
@@ -121,22 +128,38 @@ def period_circuit(inst: PeriodFindingInstance, discipline: str) -> CircuitProgr
     return CircuitProgram(inst.layout, tuple(instrs), tags)
 
 
-def extract_period(outcome: int, dimension: int) -> int | None:
-    """Denominator of outcome/dimension in lowest terms, via the
-    continued-fraction convergent recurrence; 0 carries no information."""
+def extract_period(outcome: int, table: FunctionTable) -> int | None:
+    """The period candidate an outcome gives: the first denominator q among
+    the continued-fraction convergents of outcome / 2^n, in the order the
+    recurrence produces them, that is a period of the table
+    (``FunctionTable.has_period``: f(x + q) = f(x), the classical check
+    a^q = 1 mod N of a modular exponentiation).  Outcome 0 carries no
+    information and gives None, as does an outcome no convergent of which
+    passes the check.  For an order r that divides 2^n this is the
+    denominator of outcome / 2^n in lowest terms whenever that is r."""
+    dimension = 1 << table.input_bits
     if not 0 <= outcome < dimension:
         raise ValueError(f"outcome must be in 0..{dimension - 1}")
     if outcome == 0:
         return None
+    values = table.table
     num, den = outcome, dimension
-    quotients = []
+    q_prev, q = 1, 0
     while den:
-        quotients.append(num // den)
+        q_prev, q = q, num // den * q + q_prev
         num, den = den, num % den
-    q_prev, q_cur = 1, 0
-    for a in quotients:
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return q_cur
+        # f(q) = f(0) rules out most q before the method call
+        if q == dimension or values[q] == values[0] and table.has_period(q):
+            return q
+    return None
+
+
+def _candidate(inst: PeriodFindingInstance, outcome: int) -> int | None:
+    """``extract_period`` on the instance's table, memoised per instance."""
+    memo = inst._candidates
+    if outcome not in memo:
+        memo[outcome] = extract_period(outcome, inst.table)
+    return memo[outcome]
 
 
 def sample_runs(
@@ -162,7 +185,7 @@ def sample_runs(
             record_sink.extend(records)
         outcomes = {record.register: record.outcome for record in records}
         measured = outcomes["X"]
-        candidate = extract_period(measured, inst.dimension)
+        candidate = _candidate(inst, measured)
         results.append(PeriodResult(measured, candidate, candidate == inst.period, outcomes.get("F")))
     return results
 
@@ -180,31 +203,30 @@ def run_pipeline(
 def exact_outcome_distribution(inst: PeriodFindingInstance, discipline: str) -> np.ndarray:
     """Exact final [X] distribution, computed along the discipline's own route.
 
-    Every route works on the ``(X, F)`` block of ``state_after_oracle`` and
-    Fourier-transforms along X with the FFT; no branch is projected or
-    copied as a full state.
+    Both routes work on the F support columns of the t2 state's ``(X, F)``
+    block: the column of F = v holds the prepared X amplitude at each x
+    with f(x) = v and zero elsewhere, so it is built from the X register
+    and the table alone, as an X-by-support matrix, and Fourier-transformed
+    along X by one batched FFT.  No state of the full layout is built.
 
-    * skip-F: the X marginal of the transformed full state.
-    * measure-F-at-t2: the Born-weighted sum over the F support columns;
-      each column is normalised to its post-measurement branch and all of
-      them go through one batched FFT.
-    * annihilate-F: the sum of |FFT|^2 over the slot columns of the phase
-      mixture (cross-slot terms average to zero).
+    * measure-F-at-t2: the Born-weighted sum over the columns, each
+      normalised to its post-measurement branch.
+    * skip-F and annihilate-F: the sum of |FFT|^2 over the columns.  F is
+      measured last or dephased, and either way the cross terms between F
+      values leave the X marginal.
 
     Branch enumeration of ``period_circuit`` is the independent test oracle.
     """
     if discipline not in DISCIPLINES:
         raise ValueError(f"discipline must be one of {DISCIPLINES}, got {discipline!r}")
-    state = state_after_oracle(inst)
-    if discipline == "skip-F":
-        return outcome_distribution(qft(state, "X"), "X").probabilities.copy()
-    # X is the most significant register, so the view is (1, X, F).
-    xf = state.amplitudes.reshape(inst.layout.axis_shape("X"))[0]
-    f_probs = (np.abs(xf) ** 2).sum(axis=0)
-    support = np.nonzero(f_probs > PROB_EPS)[0]
-    columns = xf[:, support]
+    prepared = unitary_prefix(CircuitProgram(RegisterLayout.of(X=inst.n), _PREPARE_X), len(_PREPARE_X))
+    values, column = np.unique(inst.table.values, return_inverse=True)
+    columns = np.zeros((inst.dimension, values.size), dtype=np.complex128)
+    columns[np.arange(inst.dimension), column] = prepared.amplitudes
+    f_probs = (np.abs(columns) ** 2).sum(axis=0)
+    support = f_probs > PROB_EPS
+    columns, weights = columns[:, support], f_probs[support]
     if discipline == "measure-F-at-t2":
-        weights = f_probs[support]
         branches = np.abs(fourier_axis(columns / np.sqrt(weights), 0)) ** 2
         return branches @ weights
     return (np.abs(fourier_axis(columns, 0)) ** 2).sum(axis=1)
@@ -214,7 +236,11 @@ def single_run_success_probability(
     inst: PeriodFindingInstance, distribution: np.ndarray | None = None
 ) -> float:
     """Probability that one run's extracted period equals the true period,
-    summed over the exact outcome distribution.
+    summed over the exact outcome distribution, in ascending outcome order.
+
+    Every convergent p/q of c/2^n lies within 1/q^2 of it, so only an
+    outcome c within 2^n/r^2 of a multiple of 2^n/r can have the period r
+    among its convergents; the others are not extracted.
 
     Pass ``distribution`` to reuse an exact [X] distribution already
     computed under any discipline (they all agree); by default the skip-F
@@ -225,10 +251,14 @@ def single_run_success_probability(
         raise ShapeMismatchError(
             f"distribution has shape {np.shape(probs)}, expected ({inst.dimension},)"
         )
+    probs = np.asarray(probs, dtype=float)
+    size, period = inst.dimension, inst.period
+    offset = np.arange(size) * period % size
+    near = np.minimum(offset, size - offset) * period <= size
     total = 0.0
-    for outcome, p in enumerate(probs):
-        if p > 0.0 and extract_period(outcome, inst.dimension) == inst.period:
-            total += float(p)
+    for outcome in np.flatnonzero(near & (probs > 0.0)).tolist():
+        if _candidate(inst, outcome) == period:
+            total += float(probs[outcome])
     return total
 
 

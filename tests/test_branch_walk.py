@@ -62,7 +62,7 @@ def per_trial_runs(inst, discipline, trials, rng):
 
 def period_result(inst, records):
     outcomes = {record.register: record.outcome for record in records}
-    candidate = extract_period(outcomes["X"], inst.dimension)
+    candidate = extract_period(outcomes["X"], inst.table)
     return PeriodResult(outcomes["X"], candidate, candidate == inst.period, outcomes.get("F"))
 
 
@@ -171,14 +171,14 @@ class TestSample:
 
     def test_nothing_after_the_last_draw_is_computed(self, monkeypatch):
         calls = []
-        real = circuit_ir.project
-        monkeypatch.setattr(circuit_ir, "project", lambda *a: calls.append(a[1]) or real(*a))
+        real = circuit_ir._project
+        monkeypatch.setattr(circuit_ir, "_project", lambda *a: calls.append(a[1:]) or real(*a))
         # skip-F measures X, then F: F's distribution needs each X branch
         # once, and the F outcome is never projected
         records = sample(period_circuit(build_periodic(3, 3), "skip-F"), np.random.default_rng(1), 50)
         assert [len(r) for r in records] == [2] * 50
-        assert sorted(p.outcome for p in calls) == sorted({r[0].outcome for r in records})
-        assert {p.reg for p in calls} == {"X"}
+        assert sorted(outcome for _, outcome in calls) == sorted({r[0].outcome for r in records})
+        assert {reg for reg, _ in calls} == {"X"}
         # annihilate-F through its X measurement: dephased, then drawn, never projected
         calls.clear()
         program = period_circuit(build_periodic(3, 3), "annihilate-F")
@@ -208,7 +208,9 @@ class TestSharedWork:
         argv = ["shor", "--n", "5", "--r", "3", "--discipline", "skip-F", "--json", "--trials"]
         one = count_qft_calls(monkeypatch, capsys, argv + ["1"])
         many = count_qft_calls(monkeypatch, capsys, argv + ["200"])
-        assert one == many == 2  # the exact distribution, and the shared sampled state
+        # the shared sampled state; the exact distribution transforms only
+        # the support columns, in one batched FFT outside the walk
+        assert one == many == 1
 
     @pytest.mark.parametrize("r", [3, 4, 8, 13])
     def test_measure_f_report_makes_one_qft_per_f_branch(self, monkeypatch, capsys, r):
@@ -325,9 +327,9 @@ class TestInertDephase:
     def test_annihilate_f_report_makes_as_few_qfts_as_skip_f(self, monkeypatch, capsys):
         argv = ["shor", "--n", "5", "--r", "3", "--json", "--trials", "200", "--discipline"]
         # the trials share one QFT of the unphased state; the exact
-        # distribution adds one under skip-F and none under annihilate-F
+        # distribution adds none under either discipline
         annihilate = count_qft_calls(monkeypatch, capsys, argv + ["annihilate-F"])
-        assert annihilate <= count_qft_calls(monkeypatch, capsys, argv + ["skip-F"]) == 2
+        assert annihilate <= count_qft_calls(monkeypatch, capsys, argv + ["skip-F"]) == 1
 
     def test_annihilate_f_dump_state_makes_one_qft(self, monkeypatch, capsys, tmp_path):
         # the phased t4 state's; the X and F draws after t4 are not made
@@ -355,8 +357,8 @@ class TestInertDephase:
 
     def test_enumerating_annihilate_f_projects_nothing_on_f(self, monkeypatch):
         calls = []
-        real = circuit_ir.project
-        monkeypatch.setattr(circuit_ir, "project", lambda *a: calls.append(a[1].reg) or real(*a))
+        real = circuit_ir._project
+        monkeypatch.setattr(circuit_ir, "_project", lambda *a: calls.append(a[1]) or real(*a))
         inst = build_periodic(5, 3)
         got = enumerate_outcome_distribution(period_circuit(inst, "annihilate-F"), ("X", "F"))
         assert "F" not in calls
@@ -401,8 +403,8 @@ class TestEnumeration:
 
     def test_deferred_check_projects_only_the_early_branches(self, monkeypatch):
         calls = []
-        real = circuit_ir.project
-        monkeypatch.setattr(circuit_ir, "project", lambda *a: calls.append(a[1].reg) or real(*a))
+        real = circuit_ir._project
+        monkeypatch.setattr(circuit_ir, "_project", lambda *a: calls.append(a[1]) or real(*a))
         program = period_circuit(build_periodic(8, 128), "measure-F-at-t2")
         tv = equivalent_distributions(program, defer_measurements(program), ["X"])
         assert tv.value < 1e-10
@@ -436,9 +438,9 @@ class TestWorkBuffers:
             (i for i, instr in enumerate(program.instructions) if isinstance(instr, (Measure, Dephase))),
             len(program.instructions),
         )
-        handed_out = [initial, final, unitary_prefix(program, first_draw)]
-        handed_out += list(tagged.values()) + [state for _, _, state in walk._chain]
-        before = [state.amplitudes.copy() for state in handed_out]
+        handed_out = [initial, final, unitary_prefix(program, first_draw)] + list(tagged.values())
+        kept = [state.amplitudes for state in handed_out] + [state.amps for _, _, state in walk._chain]
+        before = [amplitudes.copy() for amplitudes in kept]
         buffers = []
 
         def recording(kernel):
@@ -458,7 +460,7 @@ class TestWorkBuffers:
             sample(program, rng, 4, initial=initial)
             enumerate_outcome_distribution(program, observed, initial)
             unitary_prefix(program, first_draw)
-        for state, amplitudes in zip(handed_out, before):
-            assert not state.amplitudes.flags.writeable
-            assert np.array_equal(state.amplitudes.view(np.uint64), amplitudes.view(np.uint64))
-            assert not any(np.shares_memory(state.amplitudes, work) for work in buffers)
+        for amplitudes, copy in zip(kept, before):
+            assert not amplitudes.flags.writeable
+            assert np.array_equal(amplitudes.view(np.uint64), copy.view(np.uint64))
+            assert not any(np.shares_memory(amplitudes, work) for work in buffers)

@@ -86,6 +86,21 @@ class TestShorCommand:
         assert got == (tmp_path / "reference.json").read_bytes()
         assert b"-0.0" in got
 
+    def test_dump_state_of_2_20_amplitudes_allocates_under_8_mib(self, tmp_path):
+        # the whole-state lists and text took about 270 MiB at this size
+        layout = RegisterLayout.of(X=10, F=10)
+        rng = np.random.default_rng(4)
+        state = PureState(layout, rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension))
+        tracemalloc.start()
+        try:
+            _dump_state(str(tmp_path / "state.json"), state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        head = (tmp_path / "state.json").read_bytes()[:80]
+        assert head.startswith(b'{"layout": {"registers": [["X", 10], ["F", 10]]}, "amplitudes": [[')
+
     def test_records_are_json_lines_with_seed(self, capsys, tmp_path):
         path = tmp_path / "records.jsonl"
         code, _, _ = run_cli(

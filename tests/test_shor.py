@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdesk import (
+    PeriodFindingInstance,
     ShapeMismatchError,
     build_modexp,
     build_periodic,
@@ -39,6 +40,28 @@ def brute_force_outcome_distribution(n, r):
             amp /= math.sqrt(size * len(preimage))
             probs[c] += branch_weight * abs(amp) ** 2
     return np.array(probs)
+
+
+def brute_force_candidate(c, values):
+    """Period extraction by brute force: the closest fraction to c/N with
+    denominator at most m, for every bound m; of these, the ones nearer in
+    |q c/N - p| than every earlier one are the convergents (Lagrange's best
+    approximations of the second kind), and the first whose denominator is
+    a period of the table, compared entry by entry, is the candidate."""
+    size = len(values)
+    if c == 0:
+        return None
+    x, best = Fraction(c, size), None
+    for m in range(1, size + 1):
+        approximation = x.limit_denominator(m)
+        q = approximation.denominator
+        error = abs(q * x - approximation.numerator)
+        if best is not None and error >= best:
+            continue
+        best = error
+        if all(values[i + q] == values[i] for i in range(size - q)):
+            return q
+    return None
 
 
 def brute_force_success_probability(n, r):
@@ -92,20 +115,24 @@ class TestInstanceBuilders:
 
 class TestExtractPeriod:
     def test_zero_carries_no_information(self):
-        assert extract_period(0, 8) is None
+        assert extract_period(0, build_periodic(3, 4).table) is None
 
     def test_hand_computed_convergents(self):
-        assert extract_period(6, 8) == 4  # 6/8 = 3/4
-        assert extract_period(4, 8) == 2  # 4/8 = 1/2
+        assert extract_period(6, build_periodic(3, 4).table) == 4  # 6/8 = 3/4
+        assert extract_period(4, build_periodic(3, 2).table) == 2  # 4/8 = 1/2
 
     @pytest.mark.parametrize("dimension", [4, 8, 16, 64, 256])
     def test_matches_fraction_reduction(self, dimension):
+        # for a dividing period equal to the lowest-terms denominator, no
+        # earlier convergent is a period of the table
+        n = dimension.bit_length() - 1
         for c in range(1, dimension):
-            assert extract_period(c, dimension) == Fraction(c, dimension).denominator
+            denominator = Fraction(c, dimension).denominator
+            assert extract_period(c, build_periodic(n, denominator).table) == denominator
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            extract_period(8, 8)
+            extract_period(8, build_periodic(3, 4).table)
 
 
 class TestExactDistribution:
@@ -143,11 +170,17 @@ class TestExactDistribution:
         with pytest.raises(ValueError):
             exact_outcome_distribution(build_periodic(2, 2), "postpone-X")
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_enumerated_program_matches_exact_route(self, n):
         # branch enumeration of each discipline's program is the independent
-        # oracle for the batched-FFT route, over every r <= 2^n
-        insts = [build_periodic(n, r) for r in range(1, (1 << n) + 1)]
+        # oracle for the batched-FFT route, over every r <= 2^n up to n = 6;
+        # above it, a non-dividing period, r = 2^(n-1) and two modular
+        # exponentiations, up to 2^20 amplitudes
+        if n > 6:
+            insts = [build_periodic(n, 2 * n - 11), build_periodic(n, 1 << (n - 1))]
+            insts += [build_modexp(2, 21, n), build_modexp(7, 15, n)]
+        else:
+            insts = [build_periodic(n, r) for r in range(1, (1 << n) + 1)]
         if n == 6:
             insts += [build_modexp(2, 21, n), build_modexp(2, 9, n)]
         if n == 4:
@@ -168,6 +201,61 @@ class TestExactDistribution:
         dists = [exact_outcome_distribution(inst, d) for d in DISCIPLINES]
         for other in dists[1:]:
             assert 0.5 * np.abs(dists[0] - other).sum() < 1e-10
+
+
+def brute_force_instances(n):
+    """Every period up to n = 6; at n = 8, non-dividing and dividing periods
+    and four modular exponentiations."""
+    if n == 8:
+        insts = [build_periodic(n, r) for r in (3, 5, 100, 128, 255)]
+    else:
+        insts = [build_periodic(n, r) for r in range(1, (1 << n) + 1)]
+    return insts + [build_modexp(base, modulus, n) for base, modulus in ((2, 21), (7, 15), (2, 9), (5, 39))]
+
+
+class TestBruteForceExtraction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+    def test_every_outcome_of_every_period(self, n):
+        for inst in brute_force_instances(n):
+            values = list(inst.table.table)
+            for c in range(inst.dimension):
+                assert extract_period(c, inst.table) == brute_force_candidate(c, values), (inst.n, inst.period, c)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+    def test_success_probability_sums_the_brute_force_candidates(self, n):
+        # the 1/q^2 window that skips outcomes must drop no success
+        for inst in brute_force_instances(n):
+            probs = exact_outcome_distribution(inst, "skip-F")
+            values = list(inst.table.table)
+            expected = sum(
+                float(p) for c, p in enumerate(probs) if p > 0.0 and brute_force_candidate(c, values) == inst.period
+            )
+            assert single_run_success_probability(inst, probs) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "inst,expected",
+        [
+            (build_periodic(4, 3), 0.5767677536661795),
+            (build_periodic(6, 5), 0.7385159604268223),
+            (build_periodic(8, 3), 0.6617726303529817),
+            (build_periodic(10, 7), 0.850039981140104),
+            (build_modexp(2, 21, 6), 0.2857707365120907),
+            (build_modexp(2, 21, 8), 0.3229131857498258),
+        ],
+    )
+    def test_non_dividing_orders_succeed(self, inst, expected):
+        # each of these scored exactly 0 when the candidate was the
+        # lowest-terms denominator, a power of two
+        assert not inst.period_divides
+        assert single_run_success_probability(inst) == pytest.approx(expected, abs=1e-12)
+
+    def test_the_instances_period_is_not_read(self):
+        inst = build_periodic(6, 5)
+        decoy = PeriodFindingInstance(inst.n, inst.table, 7, False)
+        assert [extract_period(c, decoy.table) for c in range(64)] == [
+            extract_period(c, inst.table) for c in range(64)
+        ]
+        assert single_run_success_probability(decoy) == 0.0
 
 
 class TestSuccessProbability:

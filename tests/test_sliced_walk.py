@@ -1,0 +1,410 @@
+"""The sliced branch walk against the full-state walk it replaced.
+
+``circuit_ir``'s walk holds every branch as fixed register values times an
+amplitude tensor over the free registers.  The reference kept here is the
+walk that carried every branch as a renormalised full state: the same
+chain, memoised distributions and trials, with each unitary segment run on
+the whole state and each projection zero-filling it.  The random programs
+start from |0...0> (every register fixed) or from a random state, and gate,
+prepare, dephase and query registers that are still fixed, so each of the
+slice's rules runs: value prepares, Hadamards that free a register,
+oracles with a fixed input or output, and gates that expand a register.
+"""
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdesk import (
+    CircuitProgram,
+    Dephase,
+    FunctionTable,
+    GateOp,
+    Measure,
+    ModedFunctionTable,
+    Prepare,
+    PureState,
+    RegisterLayout,
+    build_periodic,
+    make_basis_state,
+    outcome_distribution,
+    period_circuit,
+    project,
+    run,
+    sample,
+)
+from qdesk import circuit_ir
+from qdesk.circuit_ir import _BranchWalk, _run_unitaries, enumerate_outcome_distribution
+from qdesk.cli import main
+from qdesk.errors import ShapeMismatchError
+from qdesk.measure import MeasurementRecord, ProjectionOperator, _dephase, born_sample
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class FullStateWalk:
+    """The replaced walk: kept states, tagged states and branches are full
+    states; otherwise the sliced walk's own logic, step for step."""
+
+    def __init__(self, program, initial):
+        self.instructions = program.instructions
+        later, self.inert = set(), set()
+        for i in reversed(range(len(self.instructions))):
+            instr = self.instructions[i]
+            if isinstance(instr, Dephase) and instr.reg not in later:
+                self.inert.add(i)
+            if not isinstance(instr, Measure):
+                later |= circuit_ir.touched_registers(instr)
+        self.nodes = [
+            i
+            for i, instr in enumerate(self.instructions)
+            if isinstance(instr, (Measure, Dephase)) and i not in self.inert
+        ]
+        draws = [i for i, instr in enumerate(self.instructions) if isinstance(instr, (Measure, Dephase))]
+        self._last_draw = max(draws, default=-1)
+        start = make_basis_state(program.layout, {}) if initial is None else initial
+        self._chain = [(0, (), start)]
+        self._distributions = {}
+
+    def state(self, boundary, path):
+        chain = self._chain
+        while not (chain[-1][0] <= boundary and path[: len(chain[-1][1])] == chain[-1][1]):
+            chain.pop()
+        at, taken, state = chain[-1]
+        if at == boundary:
+            return state
+        k, start = len(taken), at
+        for i in range(at, boundary):
+            instr = self.instructions[i]
+            if isinstance(instr, (Measure, Dephase)) and i not in self.inert:
+                state = _run_unitaries(state, self.instructions[start:i])
+                state = project(state, ProjectionOperator(instr.reg, path[k]))
+                k, start = k + 1, i + 1
+        state = _run_unitaries(state, self.instructions[start:boundary])
+        chain.append((boundary, path, state))
+        return state
+
+    def distribution(self, index, path):
+        key = (index, path)
+        if key not in self._distributions:
+            self._distributions[key] = outcome_distribution(self.state(index, path), self.instructions[index].reg)
+        return self._distributions[key]
+
+    def trial(self, rng, tags=None):
+        instrs = self.instructions
+        keep = tags is not None
+        stop = len(instrs) if keep else self._last_draw + 1
+        records, tagged, path = [], {}, ()
+        own = phased = None
+
+        def forward(carried, i):
+            at, state = carried
+            return i, _run_unitaries(state, instrs[at:i])
+
+        def here(i):
+            nonlocal own, phased
+            if phased is not None:
+                phased = forward(phased, i)
+                return phased[1]
+            if own is not None:
+                own = forward(own, i)
+                return own[1]
+            return self.state(i, path)
+
+        for i in range(stop):
+            instr = instrs[i]
+            if keep and i in tags.values():
+                tagged.update((tag, here(i)) for tag, b in tags.items() if b == i)
+            if not isinstance(instr, (Measure, Dephase)):
+                continue
+            if own is not None:
+                own = forward(own, i)
+            if phased is not None:
+                phased = forward(phased, i)
+            dist = self.distribution(i, path) if own is None else outcome_distribution(own[1], instr.reg)
+            last = not keep and i == self._last_draw
+            if isinstance(instr, Measure):
+                outcome = born_sample(dist, rng)
+                records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
+                if own is None:
+                    path += (outcome,)
+                elif not last:
+                    own = (i + 1, project(own[1], ProjectionOperator(instr.reg, outcome)))
+                if phased is not None:
+                    phased = (i + 1, project(phased[1], ProjectionOperator(instr.reg, outcome)))
+                continue
+            values = dist.support
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
+
+            def dephase(state):
+                amps = _dephase(state, instr.reg, values, phases).reshape(-1)
+                return i + 1, PureState._adopt(state.layout, amps)
+
+            if i in self.inert:
+                if keep:
+                    phased = dephase(here(i))
+                continue
+            if phased is not None:
+                phased = dephase(phased[1])
+            if not last:
+                own = dephase(own[1] if own is not None else self.state(i, path))
+        if not keep:
+            return tuple(records), tagged, None
+        final = here(len(instrs))
+        tagged.update((tag, final) for tag, b in tags.items() if b == len(instrs))
+        return tuple(records), tagged, final
+
+
+def full_state_enumeration(program, observed, initial):
+    """The replaced enumeration: the full-state walk, one dict entry per leaf."""
+    instrs = program.instructions
+    tail = len(instrs)
+    while tail > 0 and isinstance(instrs[tail - 1], Measure):
+        tail -= 1
+    kept = instrs[:tail] + tuple(m for m in instrs[tail:] if m.reg in observed)
+    walk = FullStateWalk(CircuitProgram(program.layout, kept), initial)
+    nodes = walk.nodes
+    where = {kept[i].reg: k for k, i in enumerate(nodes) if isinstance(kept[i], Measure)}
+    acc, stack = {}, [((), 1.0)]
+    while stack:
+        path, weight = stack.pop()
+        if len(path) < len(nodes):
+            dist = walk.distribution(nodes[len(path)], path)
+            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support)
+            continue
+        key = tuple(path[where[reg]] for reg in observed)
+        acc[key] = acc.get(key, 0.0) + weight
+    return acc
+
+
+def random_table(draw, input_bits, output_bits):
+    return draw(st.lists(st.integers(0, (1 << output_bits) - 1), min_size=1 << input_bits, max_size=1 << input_bits))
+
+
+@st.composite
+def sliced_programs(draw):
+    """A random well-ordered program on 2-3 registers that starts from
+    |0...0> or, one time in four, from a random state.
+
+    The body prepares values, "uniform" and "minus", runs every gate kind,
+    both oracles, dephasings and measurements on any unmeasured register,
+    fixed or not; every register still unmeasured after it is measured at
+    the end, and a random non-empty subset of the measured ones is observed.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    names = [f"R{i}" for i in range(len(sizes))]
+    layout = RegisterLayout(tuple(zip(names, sizes)))
+    ops = ("prepare", "hadamard", "qft", "inverse-qft", "grover-diffusion", "oracle", "moded", "dephase", "measure")
+    instrs, measured = [], []
+    for _ in range(draw(st.integers(0, 9))):
+        free = [name for name in names if name not in measured]
+        op = draw(st.sampled_from(ops))
+        reg = draw(st.sampled_from(free))
+        others = [name for name in free if name != reg]
+        if op == "prepare":
+            keywords = ["uniform", "minus"] if layout.qubits(reg) == 1 else ["uniform"]
+            instrs.append(Prepare(reg, draw(st.sampled_from(keywords + [0, 1, layout.dim(reg) - 1]))))
+        elif op == "oracle" and others:
+            out = draw(st.sampled_from(others))
+            table = FunctionTable(layout.qubits(reg), layout.qubits(out), random_table(draw, layout.qubits(reg), layout.qubits(out)))
+            instrs.append(GateOp("oracle-xor", in_reg=reg, out_reg=out, table=table))
+        elif op == "moded" and len(others) == 2:
+            mode, out = draw(st.permutations(others))
+            q = (layout.qubits(mode), layout.qubits(reg), layout.qubits(out))
+            table = ModedFunctionTable(*q, random_table(draw, q[0] + q[1], q[2]))
+            instrs.append(GateOp("oracle-moded", mode_reg=mode, in_reg=reg, out_reg=out, table=table))
+        elif op == "dephase":
+            instrs.append(Dephase(reg))
+        elif op == "measure":
+            instrs.append(Measure(reg))
+            measured.append(reg)
+            if len(measured) == len(names):
+                break
+        elif op in ("hadamard", "qft", "inverse-qft", "grover-diffusion"):
+            instrs.append(GateOp(op, reg=reg))
+    rest = draw(st.permutations([name for name in names if name not in measured]))
+    instrs += [Measure(name) for name in rest]
+    observed = draw(st.lists(st.sampled_from(measured + list(rest)), min_size=1, unique=True))
+    initial = None
+    if draw(st.integers(0, 3)) == 0:
+        rng = np.random.default_rng(draw(SEEDS))
+        amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+        initial = PureState(layout, amps / np.linalg.norm(amps))
+    return CircuitProgram(layout, tuple(instrs)), tuple(observed), initial
+
+
+def assert_close(got, expected):
+    assert got.layout == expected.layout
+    assert np.abs(got.amplitudes - expected.amplitudes).max() < 1e-12
+
+
+class TestAgainstTheFullStateWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(case=sliced_programs(), seed=SEEDS, trials=st.integers(1, 10))
+    def test_sample_records_are_the_full_state_walks(self, case, seed, trials):
+        program, _, initial = case
+        got = sample(program, np.random.default_rng(seed), trials, initial=initial)
+        reference, rng = FullStateWalk(program, initial), np.random.default_rng(seed)
+        expected = [reference.trial(rng)[0] for _ in range(trials)]
+        assert [[(r.register, r.outcome) for r in trial] for trial in got] == [
+            [(r.register, r.outcome) for r in trial] for trial in expected
+        ]
+        for trial, reference_trial in zip(got, expected):
+            for record, reference_record in zip(trial, reference_trial):
+                assert abs(record.probability - reference_record.probability) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=sliced_programs(), seed=SEEDS)
+    def test_tagged_and_final_states_are_the_full_state_walks(self, case, seed):
+        program, _, initial = case
+        every_boundary = {f"b{i}": i for i in range(len(program.instructions) + 1)}
+        got = _BranchWalk(program, initial).trial(np.random.default_rng(seed), every_boundary)
+        expected = FullStateWalk(program, initial).trial(np.random.default_rng(seed), every_boundary)
+        assert [(r.register, r.outcome) for r in got[0]] == [(r.register, r.outcome) for r in expected[0]]
+        for tag in every_boundary:
+            assert_close(got[1][tag], expected[1][tag])
+        assert_close(got[2], expected[2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sliced_programs())
+    def test_node_distributions_and_enumeration_are_the_full_state_walks(self, case):
+        program, observed, initial = case
+        sliced, full = _BranchWalk(program, initial), FullStateWalk(program, initial)
+        stack = [()]
+        while stack:
+            path = stack.pop()
+            if len(path) == len(sliced.nodes):
+                continue
+            got = sliced.distribution(sliced.nodes[len(path)], path)
+            expected = full.distribution(full.nodes[len(path)], path)
+            assert np.abs(got.probabilities - expected.probabilities).max() < 1e-12
+            stack.extend(path + (v,) for v in expected.support)
+        got = enumerate_outcome_distribution(program, observed, initial)
+        expected = full_state_enumeration(program, observed, initial)
+        for key in set(got) | set(expected):
+            assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) < 1e-12
+
+
+@st.composite
+def slices(draw):
+    """A slice on 2-3 registers, a random subset of them fixed at random
+    values, whose free amplitudes mix random values with signed zeros."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    layout = RegisterLayout(tuple((f"R{i}", q) for i, q in enumerate(sizes)))
+    fixed = {}
+    for name in layout.names:
+        if draw(st.booleans()):
+            fixed[name] = draw(st.integers(0, layout.dim(name) - 1))
+    free = circuit_ir._free_layout(layout, fixed)
+    size = 1 if free is None else free.dimension
+    parts = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0, allow_nan=False)),
+            min_size=2 * size,
+            max_size=2 * size,
+        )
+    )
+    amps = np.array(parts).view(np.complex128)
+    amps.setflags(write=False)
+    return circuit_ir._Slice(layout, fixed, free, amps)
+
+
+def as_bits(state):
+    return state.amplitudes.view(np.uint64)
+
+
+class TestSliceRules:
+    @settings(max_examples=300, deadline=None)
+    @given(start=slices(), data=st.data())
+    def test_one_instruction_on_a_slice_is_the_full_state_kernel_bit_for_bit(self, start, data):
+        # Hadamards and "minus" prepares free a fixed register by broadcast,
+        # oracles scatter or XOR, other gates expand: each must leave the bits
+        # the kernel leaves on the full state, signed zeros included
+        layout = start.layout
+        names = layout.names
+        reg = data.draw(st.sampled_from(names))
+        kind = data.draw(st.sampled_from(["prepare", "hadamard", "qft", "inverse-qft", "grover-diffusion", "oracle", "moded"]))
+        others = [name for name in names if name != reg]
+        if kind == "prepare":
+            keywords = ["uniform", "minus"] if layout.qubits(reg) == 1 else ["uniform"]
+            instr = Prepare(reg, data.draw(st.sampled_from(keywords + [0, layout.dim(reg) - 1])))
+        elif kind == "oracle":
+            out = data.draw(st.sampled_from(others))
+            values = random_table(data.draw, layout.qubits(reg), layout.qubits(out))
+            instr = GateOp("oracle-xor", in_reg=reg, out_reg=out, table=FunctionTable(layout.qubits(reg), layout.qubits(out), values))
+        elif kind == "moded" and len(others) == 2:
+            mode, out = data.draw(st.permutations(others))
+            q = (layout.qubits(mode), layout.qubits(reg), layout.qubits(out))
+            table = ModedFunctionTable(*q, random_table(data.draw, q[0] + q[1], q[2]))
+            instr = GateOp("oracle-moded", mode_reg=mode, in_reg=reg, out_reg=out, table=table)
+        else:
+            instr = GateOp("hadamard" if kind == "moded" else kind, reg=reg)
+        got = circuit_ir._advance(start, [instr]).state()
+        expected = _run_unitaries(start.state(), [instr])
+        assert np.array_equal(as_bits(got), as_bits(expected))
+
+    def test_an_oracle_that_does_not_fit_is_rejected_on_fixed_registers(self):
+        layout = RegisterLayout.of(X=2, F=1)
+        table = FunctionTable(2, 2, (0, 1, 2, 3))
+        program = CircuitProgram(layout, (GateOp("oracle-xor", in_reg="X", out_reg="F", table=table),))
+        with pytest.raises(ShapeMismatchError):
+            run(program, np.random.default_rng(0))
+
+    def test_value_prepares_and_fixed_oracles_touch_no_amplitude(self, monkeypatch):
+        # |3>|0> -> |3>|f(3)> -> measured: no kernel runs and no buffer is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("an amplitude kernel ran")
+
+        monkeypatch.setattr(circuit_ir, "apply_instruction_in_place", refuse)
+        layout = RegisterLayout.of(X=2, F=2)
+        table = FunctionTable(2, 2, (1, 2, 3, 0))
+        program = CircuitProgram(
+            layout,
+            (Prepare("X", 3), GateOp("oracle-xor", in_reg="X", out_reg="F", table=table), Measure("F"), Measure("X")),
+        )
+        assert run(program, np.random.default_rng(0)).records == (
+            MeasurementRecord("F", 0, 1.0),
+            MeasurementRecord("X", 3, 1.0),
+        )
+
+
+class TestAtTheCeiling:
+    def test_a_measure_f_branch_allocates_order_2n(self):
+        # n = 10: the t2 state is 2^20 amplitudes (16 MiB); one F branch
+        # slices a 2^10 column, transforms and reads it
+        inst = build_periodic(10, 512)
+        walk = _BranchWalk(period_circuit(inst, "measure-F-at-t2"), None)
+        f_dist = walk.distribution(3, ())
+        tracemalloc.start()
+        try:
+            for v in f_dist.support[:4]:
+                walk.distribution(5, (v,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * inst.dimension * 16  # 256 KiB
+
+    def test_skip_f_report_at_n9_peaks_under_6_mib(self):
+        argv = ["shor", "--n", "9", "--r", "8", "--discipline", "skip-F", "--json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # warm the imports and caches
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+    def test_deferral_check_at_the_ceiling(self, capsys):
+        # 512 F branches of a 2^20-amplitude state, against the deferred
+        # program's 512 X branches
+        assert main(["defer-check", "--fig1", "--n", "10", "--r", "512", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tv_distance"] < 1e-10

@@ -33,10 +33,19 @@ ROUNDS = 2
 
 # Searches and period finding at the sizes where the in-place Fourier
 # transform and oracle matter most: 2^19 amplitudes, and 2^14 under every
-# discipline with sampled trials.
-CEILING = (("grover", "--n", "262144", "--json"),) + tuple(
-    ("shor", "--n", "10", "--base", "7", "--modulus", "15", "--discipline", discipline, "--trials", "50", "--json")
-    for discipline in ("measure-F-at-t2", "skip-F", "annihilate-F")
+# discipline with sampled trials; then the branches the walk slices at
+# size: 128 and 512 F branches of 2^16 and 2^20 amplitudes, deferred and
+# sampled.
+CEILING = (
+    (("grover", "--n", "262144", "--json"),)
+    + tuple(
+        ("shor", "--n", "10", "--base", "7", "--modulus", "15", "--discipline", discipline, "--trials", "50", "--json")
+        for discipline in ("measure-F-at-t2", "skip-F", "annihilate-F")
+    )
+    + (
+        ("defer-check", "--fig1", "--n", "8", "--r", "128", "--json"),
+        ("shor", "--n", "10", "--r", "512", "--discipline", "measure-F-at-t2", "--trials", "100", "--json"),
+    )
 )
 
 
