@@ -71,7 +71,6 @@ from .shor import (
     exact_outcome_distribution,
     extract_period,
     period_circuit,
-    run_pipeline,
     single_run_success_probability,
     state_after_oracle,
 )

@@ -15,7 +15,7 @@ Three operations make intermediate measurements negotiable:
   joint outcome distributions;
 * ``backdate_outcome`` reconstructs the early post-measurement state from a
   terminal outcome by projecting the late state and running the intervening
-  unitary segment backwards.
+  unitary segment's inverse, written as instructions, forwards.
 
 Measured registers are frozen: once measured, a register may not be
 prepared, gated or dephased again.  This keeps the deferral precondition
@@ -27,10 +27,13 @@ a function of the outcomes drawn before it, so it is computed on demand from
 the deepest state kept on that path, and each measurement's outcome
 distribution is computed once per walk: sampled trials draw from it, by a
 lookup in its cumulative sums, instead of replaying the unitary part.  A
-dephasing whose register no later instruction but a measurement touches is
-inert: no later distribution can see its phases, so the walk draws them and
-applies nothing, and only ``run``'s tagged and final states carry them.
-The phases themselves are applied by ``measure``'s random-phase kernel.
+dephasing is inert when no later instruction but a measurement touches its
+register and no visible dephasing follows it: no later distribution can see
+its phases, so the walk draws them and applies nothing to the states its
+draws come from.  A trial carries at most one state of its own: from the
+first visible dephasing on, its draws come from that state, which every
+later dephasing phases.  The phases themselves are applied by
+``measure``'s random-phase kernel.
 
 Branches are register slices.  A walk state is the pair (fixed registers
 -> basis value, amplitude vector over the free registers): the start
@@ -44,14 +47,15 @@ at v moves each input amplitude to v XOR f(x); any other gate on a fixed
 register expands it into a one-hot axis first.  This is implicit
 measurement (Nielsen & Chuang 4.4) applied to the walk: a measured register
 carries no amplitudes of its own.  A full ``PureState`` is built only where
-one is handed out: ``run``'s tagged and final states and ``unitary_prefix``.
+one is handed out: ``run``'s tagged and final states, ``unitary_prefix``,
+``backdate_outcome`` and ``apply_instruction``.
 
-Unitary segments on the free registers run in place.  Wherever the walk
-computes a state, the gates between two projections (or a projection and
-the boundary asked for) run on one work buffer, copied once from the slice
-the segment starts at and mutated by ``gates``' in-place kernels.  A kept,
-tagged or returned state is never written.  ``apply_instruction`` runs one
-instruction on a full state through the same kernels.
+Unitary segments on the free registers run in place, and every unitary
+route is a segment.  Wherever a state is computed, the gates between two
+projections (or a projection and the boundary asked for) run on one work
+buffer, copied once from the slice the segment starts at and mutated by
+``gates``' in-place kernels.  A kept, tagged or returned state is never
+written.
 """
 
 from __future__ import annotations
@@ -68,12 +72,10 @@ from .measure import (
     PROB_EPS,
     MeasurementRecord,
     OutcomeDistribution,
-    ProjectionOperator,
     _dephase,
     born_filter,
     born_sample,
     outcome_distribution,
-    project,
 )
 from .qstate import PureState, RegisterLayout, StateDistance
 
@@ -119,11 +121,12 @@ class Dephase:
     one sampled phase per support value in a run, one Born-weighted branch
     per value that records no outcome in enumeration.  Not invertible.
 
-    When no later instruction but a measurement touches ``reg`` the
-    dephasing is inert: sampled trials still draw its phases, but draw
-    their outcomes as if it were absent, and enumeration does not branch
-    on it; ``run``'s tagged and final states carry the phases.  They are
-    applied by ``measure``'s kernel, the one ``PhasedMixture`` uses."""
+    When no later instruction but a measurement touches ``reg``, and no
+    visible dephasing follows, the dephasing is inert: sampled trials still
+    draw its phases, but draw their outcomes as if it were absent, and
+    enumeration does not branch on it; ``run``'s tagged and final states
+    carry the phases.  They are applied by ``measure``'s kernel, the one
+    ``PhasedMixture`` uses."""
 
     reg: str
 
@@ -260,24 +263,13 @@ def _xor_register(work: np.ndarray, layout: RegisterLayout, reg: str, value: int
     block[...] = block[:, np.arange(block.shape[1]) ^ value, :]
 
 
-def apply_instruction_in_place(
-    work: np.ndarray, layout: RegisterLayout, instr: Prepare | GateOp, inverse: bool = False
-) -> None:
-    """Apply one unitary instruction (Prepare or GateOp), or with ``inverse``
-    its inverse, to a work buffer in place, through ``gates``' kernels.
-
-    Hadamards, both oracles, the diffusion reflection and value prepares
-    are involutions, so ``inverse`` changes only the order of a "minus"
-    prepare's two steps and the sign of a Fourier transform."""
+def apply_instruction_in_place(work: np.ndarray, layout: RegisterLayout, instr: Prepare | GateOp) -> None:
+    """Apply one unitary instruction (Prepare or GateOp) to a work buffer in
+    place, through ``gates``' kernels."""
     if isinstance(instr, Prepare):
-        if instr.value == "uniform":
+        if instr.value in PREPARE_KEYWORDS:
+            _xor_register(work, layout, instr.reg, int(instr.value == "minus"))
             gates.hadamard_all_in_place(work, layout, instr.reg)
-        elif instr.value == "minus":
-            if not inverse:
-                _xor_register(work, layout, instr.reg, 1)
-            gates.hadamard_all_in_place(work, layout, instr.reg)
-            if inverse:
-                _xor_register(work, layout, instr.reg, 1)
         else:
             _xor_register(work, layout, instr.reg, int(instr.value))
     elif not isinstance(instr, GateOp):
@@ -285,7 +277,7 @@ def apply_instruction_in_place(
     elif instr.kind == "hadamard":
         gates.hadamard_all_in_place(work, layout, instr.reg)
     elif instr.kind in ("qft", "inverse-qft"):
-        gates.qft_in_place(work, layout, instr.reg, inverse=inverse != (instr.kind == "inverse-qft"))
+        gates.qft_in_place(work, layout, instr.reg, instr.kind == "inverse-qft")
     elif instr.kind == "oracle-xor":
         gates.oracle_xor_in_place(work, layout, instr.table, instr.in_reg, instr.out_reg)
     elif instr.kind == "oracle-moded":
@@ -294,32 +286,26 @@ def apply_instruction_in_place(
         gates.grover_diffusion_in_place(work, layout, instr.reg)
 
 
-def _run_unitaries(state: PureState, instrs: Sequence[Instruction], inverse: bool = False) -> PureState:
-    """``state`` with the unitary instructions among ``instrs`` applied in
-    order (or their inverses, given ``inverse``), skipping measurements and
-    dephasings: one copy into a work buffer, every instruction in place on
-    it, and one adoption.  With no unitary among them, ``state`` itself."""
-    unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
-    if not unitary:
-        return state
-    work = state.amplitudes.copy()
-    for instr in unitary:
-        apply_instruction_in_place(work, state.layout, instr, inverse)
-    return PureState._adopt(state.layout, work)
+def _inverse(instr: Prepare | GateOp) -> tuple[Prepare | GateOp, ...]:
+    """The inverse of one unitary instruction, as instructions: a Fourier
+    transform's is the other direction, and a "minus" prepare's is the
+    Hadamard then the bit flip.  Hadamards, both oracles, the diffusion
+    reflection and the other prepares are their own inverses."""
+    if not isinstance(instr, (Prepare, GateOp)):
+        raise ProgramError(f"cannot invert non-unitary instruction {instr!r}")
+    if isinstance(instr, Prepare) and instr.value == "minus":
+        return GateOp("hadamard", reg=instr.reg), Prepare(instr.reg, 1)
+    if isinstance(instr, GateOp) and instr.kind in ("qft", "inverse-qft"):
+        return (GateOp("inverse-qft" if instr.kind == "qft" else "qft", reg=instr.reg),)
+    return (instr,)
 
 
 def apply_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
-    """Apply one unitary instruction (Prepare or GateOp) to a state."""
+    """Apply one unitary instruction (Prepare or GateOp) to a state: a
+    segment of one instruction on a slice with nothing fixed."""
     if not isinstance(instr, (Prepare, GateOp)):
         raise ProgramError(f"cannot apply non-unitary instruction {instr!r}")
-    return _run_unitaries(state, (instr,))
-
-
-def invert_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
-    """Apply the inverse of one unitary instruction."""
-    if not isinstance(instr, (Prepare, GateOp)):
-        raise ProgramError(f"cannot invert non-unitary instruction {instr!r}")
-    return _run_unitaries(state, (instr,), inverse=True)
+    return _advance(_start_slice(state.layout, state), (instr,)).state()
 
 
 @dataclass(frozen=True)
@@ -375,9 +361,8 @@ class _Slice:
         return PureState._adopt(self.layout, full)
 
 
-def _start_slice(program: CircuitProgram, initial: PureState | None) -> _Slice:
+def _start_slice(layout: RegisterLayout, initial: PureState | None) -> _Slice:
     """|0...0> with every register fixed, or ``initial`` with none fixed."""
-    layout = program.layout
     if initial is None:
         one = np.ones(1, dtype=np.complex128)
         one.setflags(write=False)
@@ -542,10 +527,11 @@ class _BranchWalk:
     instruction together with its path: the branch values taken at the
     nodes before it (a ``Dephase`` branch is one value of its register, as
     in enumeration).  A dephasing is *inert* when no later instruction but a
-    measurement touches its register: its phases are diagonal in that
-    register and commute with everything after it, so no later outcome
-    distribution can see them.  An inert dephasing is no node; the walk's
-    states and distributions skip it.
+    measurement touches its register and no visible dephasing follows it:
+    its phases are diagonal in that register and commute with everything
+    after it, so no later outcome distribution can see them, and no trial
+    has a state of its own when it comes.  An inert dephasing is no node;
+    the walk's states and distributions skip it.
 
     The state at any boundary is a function of (boundary, path), so
     ``state`` computes it on demand from the deepest state it has kept on
@@ -561,10 +547,13 @@ class _BranchWalk:
         self.instructions = program.instructions
         later: set[str] = set()
         self.inert: set[int] = set()
+        visible = False
         for i in reversed(range(len(self.instructions))):
             instr = self.instructions[i]
-            if isinstance(instr, Dephase) and instr.reg not in later:
-                self.inert.add(i)
+            if isinstance(instr, Dephase):
+                visible = visible or instr.reg in later
+                if not visible:
+                    self.inert.add(i)
             if not isinstance(instr, Measure):
                 later |= touched_registers(instr)
         self.nodes = [
@@ -576,7 +565,7 @@ class _BranchWalk:
             (i for i, instr in enumerate(self.instructions) if isinstance(instr, (Measure, Dephase))),
             default=-1,
         )
-        self._chain = [(0, (), _start_slice(program, initial))]
+        self._chain = [(0, (), _start_slice(program.layout, initial))]
         self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
 
     def state(self, boundary: int, path: tuple[int, ...]) -> _Slice:
@@ -615,17 +604,17 @@ class _BranchWalk:
         """One sampled run: its records and, given ``tags`` (tag -> boundary),
         the states at those boundaries and the final state.
 
-        Until a visible ``Dephase`` the trial carries only its path, and a
-        state is computed only where a node's distribution is not yet
-        memoised or a tag asks for it.  Every ``Dephase`` draws one uniform
-        phase per support value.  An inert one applies nothing to the state
-        the draws come from; past a visible one the trial carries its own
-        state.  Given ``tags``, the trial also carries the state with every
-        drawn phase applied, past the first inert dephasing, and reads the
-        tagged and final states from it; the draws never read it.  Without
-        ``tags`` nothing after the last draw is computed.  A carried state
-        runs the gates since it was last read as one segment, when it is
-        next read.
+        The trial carries its path and at most one state of its own, as
+        (boundary, slice), which runs the gates since its boundary as one
+        segment where it is next read.  Every ``Dephase`` draws one uniform
+        phase per support value.  Until the first visible one, the draws
+        come from the walk's memoised distributions, and a state is computed
+        only where a node's distribution is not yet memoised or a tag asks
+        for it; given ``tags``, an inert dephasing phases the walk's state
+        into the carried one, which the tags then read.  From the first
+        visible dephasing on, the draws come from the carried state, and
+        every dephasing phases it, inert or not.  Without ``tags`` nothing
+        after the last draw is computed.
         """
         instrs = self.instructions
         keep = tags is not None
@@ -633,67 +622,52 @@ class _BranchWalk:
         records: list[MeasurementRecord] = []
         tagged: dict[str, PureState] = {}
         path: tuple[int, ...] = ()
-        # carried states, as (boundary, slice): brought forward through the
-        # unitaries since their boundary, as one segment, when read
-        own: tuple[int, _Slice] | None = None
-        phased: tuple[int, _Slice] | None = None
-
-        def forward(carried: tuple[int, _Slice], i: int) -> tuple[int, _Slice]:
-            at, state = carried
-            return i, _advance(state, instrs[at:i])
-
-        def here(i: int) -> _Slice:
-            nonlocal own, phased
-            if phased is not None:
-                phased = forward(phased, i)
-                return phased[1]
-            if own is not None:
-                own = forward(own, i)
-                return own[1]
-            return self.state(i, path)
-
+        carried: tuple[int, _Slice] | None = None
+        own = False  # the draws come from the carried state
         for i in range(stop):
             instr = instrs[i]
-            if keep and i in tags.values():
-                state = here(i).state()
+            draw = isinstance(instr, (Measure, Dephase))
+            at_tag = keep and i in tags.values()
+            if carried is not None and (draw or at_tag):
+                carried = i, _advance(carried[1], instrs[carried[0] : i])
+            if at_tag:
+                state = (self.state(i, path) if carried is None else carried[1]).state()
                 tagged.update((tag, state) for tag, b in tags.items() if b == i)
-            if not isinstance(instr, (Measure, Dephase)):
+            if not draw:
                 continue
-            if own is not None:
-                own = forward(own, i)
-            if phased is not None:
-                phased = forward(phased, i)
-            dist = self.distribution(i, path) if own is None else _distribution(own[1], instr.reg)
+            dist = _distribution(carried[1], instr.reg) if own else self.distribution(i, path)
             last = not keep and i == self._last_draw
             if isinstance(instr, Measure):
                 outcome = born_sample(dist, rng)
                 records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
-                if own is None:
+                if not own:
                     path += (outcome,)
-                elif not last:
-                    own = (i + 1, _project(own[1], instr.reg, outcome))
-                if phased is not None:
-                    phased = (i + 1, _project(phased[1], instr.reg, outcome))
+                if carried is not None and not last:
+                    carried = i + 1, _project(carried[1], instr.reg, outcome)
                 continue
-            values = dist.support
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
-
-            def dephase(state: _Slice) -> tuple[int, _Slice]:
-                return i + 1, _dephase_slice(state, instr.reg, values, phases)
-
-            if i in self.inert:
-                if keep:
-                    phased = dephase(here(i))
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=len(dist.support))
+            own = own or i not in self.inert
+            if last or not (keep or own):
                 continue
-            if phased is not None:
-                phased = dephase(phased[1])
-            if not last:
-                own = dephase(own[1] if own is not None else self.state(i, path))
+            start = self.state(i, path) if carried is None else carried[1]
+            carried = i + 1, _dephase_slice(start, instr.reg, dist.support, phases)
         if not keep:
             return tuple(records), tagged, None
-        final = here(len(instrs)).state()
-        tagged.update((tag, final) for tag, b in tags.items() if b == len(instrs))
+        end = len(instrs)
+        if carried is not None:
+            carried = end, _advance(carried[1], instrs[carried[0] :])
+        final = (self.state(end, path) if carried is None else carried[1]).state()
+        tagged.update((tag, final) for tag, b in tags.items() if b == end)
         return tuple(records), tagged, final
+
+
+def _prefix(program: CircuitProgram, stop: int) -> _Slice:
+    """The slice at boundary ``stop``, reached by one segment from |0...0>;
+    a measurement or dephasing before it is rejected."""
+    for instr in program.instructions[:stop]:
+        if isinstance(instr, (Measure, Dephase)):
+            raise RewriteNotApplicableError(f"{instr!r} before boundary {stop}; not unitary")
+    return _advance(_start_slice(program.layout, None), program.instructions[:stop])
 
 
 def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:
@@ -705,10 +679,7 @@ def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:
         if stop not in program.time_tags:
             raise ProgramError(f"program has no time tag {stop!r}")
         stop = program.time_tags[stop]
-    for instr in program.instructions[:stop]:
-        if isinstance(instr, (Measure, Dephase)):
-            raise RewriteNotApplicableError(f"{instr!r} before boundary {stop}; not unitary")
-    return _BranchWalk(program, None).state(stop, ()).state()
+    return _prefix(program, stop).state()
 
 
 def run(
@@ -849,7 +820,9 @@ def backdate_outcome(
     terminal outcome: the ``unitary_prefix`` up to ``to_tag`` (default: the
     boundary before the first measurement after ``from_tag``), projected on
     the outcome, with the ``from_tag``..``to_tag`` segment run backwards.
-    A measurement or dephasing before ``to_tag`` is rejected.
+    A measurement or dephasing before ``to_tag`` is rejected.  All three
+    steps run on a slice: the projection fixes the register instead of
+    zero-filling a full state, and the inverse runs as one segment.
     """
     reg, value = final_outcome
     program.layout.qubits(reg)
@@ -866,5 +839,6 @@ def backdate_outcome(
                 break
     if to_b < from_b:
         raise ProgramError(f"tag {to_tag!r} precedes {from_tag!r}")
-    state = project(unitary_prefix(program, to_b), ProjectionOperator(reg, value))
-    return _run_unitaries(state, program.instructions[from_b:to_b][::-1], inverse=True)
+    projected = _project(_prefix(program, to_b), reg, value)
+    inverses = [step for instr in program.instructions[from_b:to_b][::-1] for step in _inverse(instr)]
+    return _advance(projected, inverses).state()

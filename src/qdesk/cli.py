@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("cost", help="classical vs quantum stage cost table")
-    p.add_argument("--n-range", default="2:10", help="inclusive range, e.g. 2:10")
+    p.add_argument("--n-range", type=_parse_n_range, default="2:10", help="inclusive range, e.g. 2:10")
     _add_common(p)
 
     p = sub.add_parser("mixture-check", help="random-phase mixture vs uniform classical mixture")
@@ -327,18 +327,19 @@ def _cmd_defer_check(args: argparse.Namespace, seed: int) -> dict:
 
 
 def _parse_n_range(raw: str) -> list[int]:
+    """``--n-range``'s type: an inclusive ``LO:HI`` (or ``N``), 1 <= LO <= HI."""
     lo, _, hi = raw.partition(":")
     try:
         low, high = int(lo), int(hi if hi else lo)
-    except ValueError as exc:
-        raise QdeskError(f"bad --n-range {raw!r}; expected LO:HI") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {raw!r}") from None
     if not 1 <= low <= high:
-        raise QdeskError(f"bad --n-range {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected 1 <= LO <= HI, got {raw!r}")
     return list(range(low, high + 1))
 
 
 def _cmd_cost(args: argparse.Namespace, seed: int) -> tuple[dict, list, list]:
-    rows = costmodel.stage_table(_parse_n_range(args.n_range))
+    rows = costmodel.stage_table(args.n_range)
     header = ["n", "stage", "classical_units", "quantum_units"]
     table = [[row.n, row.stage, row.classical_units, row.quantum_units] for row in rows]
     report = {

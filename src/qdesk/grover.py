@@ -23,13 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit_ir import (
-    CircuitProgram, GateOp, Measure, Prepare, apply_instruction, enumerate_outcome_distribution, run,
-    unitary_prefix,
-)
-from .gates import FunctionTable, ModedFunctionTable, hadamard_all
+from .circuit_ir import CircuitProgram, GateOp, Measure, Prepare, enumerate_outcome_distribution, run, unitary_prefix
+from .gates import FunctionTable, ModedFunctionTable
 from .measure import PhasedMixture, average_density, analytic_average_density
-from .qstate import PureState, RegisterLayout, StateDistance, make_basis_state
+from .qstate import PureState, RegisterLayout, StateDistance
 
 STRATEGIES = ("joint", "unilateral")
 
@@ -76,9 +73,12 @@ def standard_layout(drawers: int) -> RegisterLayout:
     return RegisterLayout.of(X=_drawer_bits(drawers), F=1)
 
 
+KICKBACK = Prepare("F", "minus")
+
+
 def kickback_preparation(layout: RegisterLayout) -> PureState:
     """|0..0>_X (|0> - |1>)_F / sqrt(2), the same for every hidden drawer."""
-    return hadamard_all(make_basis_state(layout, {"F": 1}), "F")
+    return unitary_prefix(CircuitProgram(layout, (KICKBACK,)), 1)
 
 
 def standard_circuit(inst: GameInstance) -> CircuitProgram:
@@ -90,7 +90,7 @@ def standard_circuit(inst: GameInstance) -> CircuitProgram:
         GateOp("oracle-xor", in_reg="X", out_reg="F", table=table),
         GateOp("grover-diffusion", reg="X"),
     )
-    instrs = (Prepare("F", "minus"), Prepare("X", "uniform")) + iteration * iteration_count(inst.drawers)
+    instrs = (KICKBACK, Prepare("X", "uniform")) + iteration * iteration_count(inst.drawers)
     return CircuitProgram(standard_layout(inst.drawers), instrs + (Measure("X"),), {"pre": len(instrs)})
 
 
@@ -124,9 +124,8 @@ def extended_mixture() -> PhasedMixture:
     """The extended game's start as a phase mixture over the mode register:
     every mode with amplitude 1/2, search register at 0, kickback register
     loaded."""
-    kickback = kickback_preparation(EXTENDED_LAYOUT)
-    modes = [apply_instruction(kickback, Prepare("K", mode)).amplitudes / 2.0 for mode in range(4)]
-    return PhasedMixture(PureState(EXTENDED_LAYOUT, sum(modes)), "K")
+    start = CircuitProgram(EXTENDED_LAYOUT, (KICKBACK, Prepare("K", "uniform")))
+    return PhasedMixture(unitary_prefix(start, 2), "K")
 
 
 def extended_preparation(phases: tuple[float, float, float]) -> PureState:

@@ -71,9 +71,6 @@ class OutcomeDistribution:
         cdf.setflags(write=False)
         return cdf
 
-    def total_variation(self, other: "OutcomeDistribution") -> float:
-        return 0.5 * float(np.abs(self.probabilities - other.probabilities).sum())
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

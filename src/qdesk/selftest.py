@@ -2,8 +2,9 @@
 
 Each suite re-checks its module's contracts from scratch: unitarity,
 projector algebra, Born statistics, discipline equivalence, and the exact
-game and cost laws.  A suite returns one result per check so a single
-failure never hides the rest.
+game and cost laws.  A suite returns its checks by name, so one can be run
+alone; ``run_selftest`` reports one result per check, so a single failure
+never hides the rest.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import numpy as np
 
 from . import circuit_ir, costmodel, gates, grover, measure, qstate, shor
 from .errors import DegenerateStateError
+
+
+Check = tuple[str, Callable[[], None]]
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,7 @@ def chi_square_sf_one_dof(stat: float) -> float:
     return math.erfc(math.sqrt(stat / 2.0))
 
 
-def _run_checks(checks: list[tuple[str, Callable[[], None]]]) -> list[CheckResult]:
+def _run_checks(checks: list[Check]) -> list[CheckResult]:
     results = []
     for name, fn in checks:
         try:
@@ -47,7 +51,7 @@ def _run_checks(checks: list[tuple[str, Callable[[], None]]]) -> list[CheckResul
     return results
 
 
-def qstate_suite(rng: np.random.Generator) -> list[CheckResult]:
+def qstate_suite(rng: np.random.Generator) -> list[Check]:
     def roundtrip():
         layout = qstate.RegisterLayout.of(K=2, X=5, F=5)
         for index in range(layout.dimension):
@@ -70,16 +74,14 @@ def qstate_suite(rng: np.random.Generator) -> list[CheckResult]:
         assert qstate.compare_up_to_global_phase(a, rotated).value < 1e-12
         assert abs(qstate.compare_up_to_global_phase(a, b).value - 1.0) < 1e-12
 
-    return _run_checks(
-        [
-            ("index round trip, 12 qubits exhaustive", roundtrip),
-            ("normalize is idempotent", normalize_idempotent),
-            ("global-phase comparison zero/one cases", comparison_cases),
-        ]
-    )
+    return [
+        ("index round trip, 12 qubits exhaustive", roundtrip),
+        ("normalize is idempotent", normalize_idempotent),
+        ("global-phase comparison zero/one cases", comparison_cases),
+    ]
 
 
-def gates_suite(rng: np.random.Generator) -> list[CheckResult]:
+def gates_suite(rng: np.random.Generator) -> list[Check]:
     layout = qstate.RegisterLayout.of(X=3, F=3)
     table = gates.FunctionTable.from_callable(lambda x: (3 * x + 1) % 8, 3, 3)
 
@@ -122,17 +124,15 @@ def gates_suite(rng: np.random.Generator) -> list[CheckResult]:
             gates.hadamard_all(s, "X").amplitudes - gates.qft(s, "X").amplitudes
         ).max() < 1e-15
 
-    return _run_checks(
-        [
-            ("all gates preserve the 2-norm within 1e-12", unitarity),
-            ("xor oracles are exact involutions", involutions),
-            ("fourier then inverse is identity; fast path agrees with dense", fourier_inverse),
-            ("hadamard equals the 1-qubit fourier transform", hadamard_is_single_qubit_fourier),
-        ]
-    )
+    return [
+        ("all gates preserve the 2-norm within 1e-12", unitarity),
+        ("xor oracles are exact involutions", involutions),
+        ("fourier then inverse is identity; fast path agrees with dense", fourier_inverse),
+        ("hadamard equals the 1-qubit fourier transform", hadamard_is_single_qubit_fourier),
+    ]
 
 
-def measure_suite(rng: np.random.Generator) -> list[CheckResult]:
+def measure_suite(rng: np.random.Generator) -> list[Check]:
     def projector_algebra():
         inst = shor.build_periodic(2, 2)
         state = shor.state_after_oracle(inst)
@@ -197,18 +197,16 @@ def measure_suite(rng: np.random.Generator) -> list[CheckResult]:
                 averaged = measure.analytic_average_density(mixture, keep=["X", "F"])
                 assert averaged.frobenius_distance(f_ensemble(state, ["X", "F"])) < 1e-10
 
-    return _run_checks(
-        [
-            ("projectors idempotent and mutually annihilating", projector_algebra),
-            ("outcome-weighted post densities reproduce the prior reduction", ensemble_average),
-            ("born sampling passes chi-square at 1e-3 with 1e4 samples", born_chi_square),
-            ("post-measurement support is exactly the matching preimage", filtration_support),
-            ("closed-form phase average equals the trace and F-projection ensemble", analytic_average),
-        ]
-    )
+    return [
+        ("projectors idempotent and mutually annihilating", projector_algebra),
+        ("outcome-weighted post densities reproduce the prior reduction", ensemble_average),
+        ("born sampling passes chi-square at 1e-3 with 1e4 samples", born_chi_square),
+        ("post-measurement support is exactly the matching preimage", filtration_support),
+        ("closed-form phase average equals the trace and F-projection ensemble", analytic_average),
+    ]
 
 
-def circuit_suite(rng: np.random.Generator) -> list[CheckResult]:
+def circuit_suite(rng: np.random.Generator) -> list[Check]:
     def deferral_soundness():
         for n in range(1, 6):
             for r in (1, 2, 1 << n):
@@ -243,7 +241,7 @@ def circuit_suite(rng: np.random.Generator) -> list[CheckResult]:
             assert tv.value < 1e-10
 
     def backdating_soundness():
-        for n in range(1, 5):
+        for n in range(1, 6):
             for r in shor.divisors(1 << n):
                 inst = shor.build_periodic(n, r)
                 skip = shor.period_circuit(inst, "skip-F")
@@ -265,17 +263,15 @@ def circuit_suite(rng: np.random.Generator) -> list[CheckResult]:
         for tag in boundaries:
             assert np.array_equal(first.state_at_tag(tag).amplitudes, second.state_at_tag(tag).amplitudes)
 
-    return _run_checks(
-        [
-            ("deferring the early F measurement preserves joint statistics", deferral_soundness),
-            ("deferral is sound on randomized programs", random_program_deferral),
-            ("backdated outcomes equal direct early projection", backdating_soundness),
-            ("fixed seed replays bit-identical traces", deterministic_replay),
-        ]
-    )
+    return [
+        ("deferring the early F measurement preserves joint statistics", deferral_soundness),
+        ("deferral is sound on randomized programs", random_program_deferral),
+        ("backdated outcomes equal direct early projection", backdating_soundness),
+        ("fixed seed replays bit-identical traces", deterministic_replay),
+    ]
 
 
-def shor_suite(rng: np.random.Generator) -> list[CheckResult]:
+def shor_suite(rng: np.random.Generator) -> list[Check]:
     def equivalence():
         for n in range(1, 7):
             for r in shor.divisors(1 << n):
@@ -307,16 +303,14 @@ def shor_suite(rng: np.random.Generator) -> list[CheckResult]:
                     phi = sum(1 for j in range(1, r + 1) if math.gcd(j, r) == 1)
                     assert abs(p - phi / r) < 1e-12
 
-    return _run_checks(
-        [
-            ("all three disciplines share one exact [X] distribution", equivalence),
-            ("[X] support is the multiples of N/r with weight 1/r", support_law),
-            ("single-run success equals phi(r)/r (0 for r = 1)", success_law),
-        ]
-    )
+    return [
+        ("all three disciplines share one exact [X] distribution", equivalence),
+        ("[X] support is the multiples of N/r with weight 1/r", support_law),
+        ("single-run success equals phi(r)/r (0 for r = 1)", success_law),
+    ]
 
 
-def grover_suite(rng: np.random.Generator) -> list[CheckResult]:
+def grover_suite(rng: np.random.Generator) -> list[Check]:
     def exact_four_drawer_game():
         layout = grover.standard_layout(4)
         for k in range(4):
@@ -359,18 +353,16 @@ def grover_suite(rng: np.random.Generator) -> list[CheckResult]:
         corr = grover.mixture_equivalence_check(4, "analytic", correlated_phases=True)
         assert corr.value > 0.1
 
-    return _run_checks(
-        [
-            ("4-drawer game lands exactly on the hidden drawer", exact_four_drawer_game),
-            ("joint outcomes are diagonal-uniform in either order", joint_determination),
-            ("kickback register factor survives the game", kickback_register_intact),
-            ("query counts: sqrt(n) joint, n unilateral, floor(pi/4 sqrt(n)) quantum", query_counts),
-            ("phase-averaged mode register equals the uniform mixture", mixture_check),
-        ]
-    )
+    return [
+        ("4-drawer game lands exactly on the hidden drawer", exact_four_drawer_game),
+        ("joint outcomes are diagonal-uniform in either order", joint_determination),
+        ("kickback register factor survives the game", kickback_register_intact),
+        ("query counts: sqrt(n) joint, n unilateral, floor(pi/4 sqrt(n)) quantum", query_counts),
+        ("phase-averaged mode register equals the uniform mixture", mixture_check),
+    ]
 
 
-def cost_suite(rng: np.random.Generator) -> list[CheckResult]:
+def cost_suite(rng: np.random.Generator) -> list[Check]:
     def exact_counts():
         for n in range(2, 11):
             inst = costmodel.stage_costs(shor.build_periodic(n, 2))
@@ -391,24 +383,22 @@ def cost_suite(rng: np.random.Generator) -> list[CheckResult]:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     def entanglement_independence():
-        for n in range(2, 7):
+        for n in range(2, 11):
             counts = {
                 costmodel.quantum_step_cost(shor.build_periodic(n, r), "filtration")
                 for r in shor.divisors(1 << n)
             }
             assert len(counts) == 1
 
-    return _run_checks(
-        [
-            ("stage counts match the declared model exactly", exact_counts),
-            ("classical doubles per qubit, quantum stays under the quadratic cap", growth_classes),
-            ("classical/quantum filtration ratio strictly increases", ratio_increasing),
-            ("quantum filtration count ignores the period", entanglement_independence),
-        ]
-    )
+    return [
+        ("stage counts match the declared model exactly", exact_counts),
+        ("classical doubles per qubit, quantum stays under the quadratic cap", growth_classes),
+        ("classical/quantum filtration ratio strictly increases", ratio_increasing),
+        ("quantum filtration count ignores the period", entanglement_independence),
+    ]
 
 
-SUITES: dict[str, Callable[[np.random.Generator], list[CheckResult]]] = {
+SUITES: dict[str, Callable[[np.random.Generator], list[Check]]] = {
     "qstate": qstate_suite,
     "gates": gates_suite,
     "measure": measure_suite,
@@ -434,7 +424,7 @@ def run_selftest(suite_names: tuple[str, ...], seed: int) -> tuple[bool, list[st
     all_ok = True
     for name in suite_names:
         rng = np.random.default_rng(seed)
-        for result in SUITES[name](rng):
+        for result in _run_checks(SUITES[name](rng)):
             status = "PASS" if result.passed else "FAIL"
             suffix = f" ({result.detail})" if result.detail else ""
             lines.append(f"{status} [{name}] {result.name}{suffix}")

@@ -190,16 +190,6 @@ def sample_runs(
     return results
 
 
-def run_pipeline(
-    inst: PeriodFindingInstance,
-    discipline: str,
-    rng: np.random.Generator,
-    record_sink: list[MeasurementRecord] | None = None,
-) -> PeriodResult:
-    """One sampled run of the full pipeline under the chosen discipline."""
-    return sample_runs(inst, discipline, 1, rng, record_sink)[0]
-
-
 def exact_outcome_distribution(inst: PeriodFindingInstance, discipline: str) -> np.ndarray:
     """Exact final [X] distribution, computed along the discipline's own route.
 

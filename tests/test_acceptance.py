@@ -1,8 +1,10 @@
 """Acceptance suite: the package's exit criteria, one test per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to get one printed
-PASS/FAIL line per criterion alongside the pytest verdicts.  Tolerances are
-pinned here and nowhere else.
+PASS/FAIL line per criterion alongside the pytest verdicts.  A criterion
+that a ``--selftest`` check already makes runs that check by name, so each
+invariant and its tolerance live in one place; the independent oracles
+(brute-force success, ``Fraction`` extraction) stay here.
 """
 
 import cmath
@@ -14,32 +16,23 @@ import numpy as np
 import pytest
 
 from qdesk import (
-    GameInstance,
     PhasedMixture,
     PureState,
     analytic_average_density,
     average_density,
-    backdate_outcome,
     build_periodic,
-    classical_worst_case_queries,
-    compare_up_to_global_phase,
     exact_outcome_distribution,
-    iteration_count,
-    outcome_distribution,
     partial_trace,
-    period_circuit,
-    project,
-    ProjectionOperator,
     RegisterLayout,
     run_classical_game,
     run_extended_grover,
     single_run_success_probability,
-    standard_grover_state,
     state_after_oracle,
 )
 from qdesk.cli import main as cli_main
-from qdesk.grover import sequential_joint_distribution, standard_layout
-from qdesk.shor import DISCIPLINES, divisors
+from qdesk.grover import sequential_joint_distribution
+from qdesk.selftest import SUITES
+from qdesk.shor import divisors
 
 
 def criterion(number, description):
@@ -56,6 +49,12 @@ def criterion(number, description):
         return wrapper
 
     return decorate
+
+
+def selftest_check(suite, name):
+    """Run one check of a ``--selftest`` suite by name, at the CLI's
+    default seed; a failed assertion propagates."""
+    dict(SUITES[suite](np.random.default_rng(0)))[name]()
 
 
 def euler_phi(r):
@@ -80,16 +79,7 @@ def brute_force_success_probability(n, r):
 
 @criterion(1, "4-drawer search is exact for every hidden drawer")
 def test_criterion_1_grover_exactness():
-    layout = standard_layout(4)
-    for hidden in range(4):
-        pre = standard_grover_state(GameInstance(4, hidden))
-        expected = np.zeros(layout.dimension, dtype=complex)
-        expected[layout.encode({"X": hidden, "F": 0})] = 1 / math.sqrt(2)
-        expected[layout.encode({"X": hidden, "F": 1})] = -1 / math.sqrt(2)
-        target = PureState(layout, expected)
-        assert compare_up_to_global_phase(pre, target).value < 1e-10
-        probs = outcome_distribution(pre, "X").probabilities
-        assert probs[hidden] == pytest.approx(1.0, abs=1e-12)
+    selftest_check("grover", "4-drawer game lands exactly on the hidden drawer")
 
 
 @criterion(2, "extended game jointly determines the drawer, either order, 100 phase draws")
@@ -106,26 +96,12 @@ def test_criterion_2_joint_determination():
 
 @criterion(3, "measure-early, skip, and annihilate disciplines agree exactly (n <= 6)")
 def test_criterion_3_deferred_measurement_equivalence():
-    for n in range(1, 7):
-        for r in divisors(1 << n):
-            inst = build_periodic(n, r)
-            dists = [exact_outcome_distribution(inst, d) for d in DISCIPLINES]
-            for other in dists[1:]:
-                assert 0.5 * float(np.abs(dists[0] - other).sum()) < 1e-10
+    selftest_check("shor", "all three disciplines share one exact [X] distribution")
 
 
 @criterion(4, "backdated terminal outcomes equal the early projection (n <= 5)")
 def test_criterion_4_backdating_equivalence():
-    for n in range(1, 6):
-        for r in divisors(1 << n):
-            inst = build_periodic(n, r)
-            program = period_circuit(inst, "skip-F")
-            t2 = state_after_oracle(inst)
-            f_dist = outcome_distribution(t2, "F")
-            for v in f_dist.support:
-                backdated = backdate_outcome(program, ("F", v))
-                direct = project(t2, ProjectionOperator("F", v))
-                assert compare_up_to_global_phase(backdated, direct).value < 1e-10
+    selftest_check("circuit", "backdated outcomes equal direct early projection")
 
 
 @criterion(5, "outcome support and single-run success follow the phi(r)/r law")
@@ -178,27 +154,14 @@ def test_criterion_6_random_phase_representation():
 
 @criterion(7, "stage costs: classical doubles, quantum stays linear and entanglement-blind")
 def test_criterion_7_cost_model_stage_table():
-    from qdesk import classical_symbolic_cost, quantum_step_cost
-
-    ratios = []
-    for n in range(2, 11):
-        inst = build_periodic(n, 2)
-        assert classical_symbolic_cost(inst, "function-evaluation") == 1 << n
-        assert classical_symbolic_cost(inst, "filtration") == 1 << n
-        assert quantum_step_cost(inst, "filtration") == n
-        ratios.append((1 << n) / n)
-        assert (
-            len({quantum_step_cost(build_periodic(n, r), "filtration") for r in divisors(1 << n)})
-            == 1
-        )
-    assert all(b > a for a, b in zip(ratios, ratios[1:]))
+    selftest_check("cost", "stage counts match the declared model exactly")
+    selftest_check("cost", "classical/quantum filtration ratio strictly increases")
+    selftest_check("cost", "quantum filtration count ignores the period")
 
 
 @criterion(8, "classical game costs sqrt(n) jointly and n unilaterally")
 def test_criterion_8_classical_game():
-    for drawers in (4, 16, 64, 256):
-        assert classical_worst_case_queries(drawers, "joint") == math.isqrt(drawers)
-        assert classical_worst_case_queries(drawers, "unilateral") == drawers
+    selftest_check("grover", "query counts: sqrt(n) joint, n unilateral, floor(pi/4 sqrt(n)) quantum")
     transcript = run_classical_game(4, 2, "joint")
     assert transcript.announced_row == 1
     assert transcript.oracle_queries <= 2

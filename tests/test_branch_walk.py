@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdesk import (
@@ -259,13 +259,18 @@ def phased_route_runs(inst, trials, rng):
 
 @st.composite
 def with_inert_dephase(draw):
-    """A ``random_programs`` case with one more dephasing, of a random
-    register, placed anywhere after the last instruction other than a
-    measurement that touches it: an inert dephasing, which every register's
-    final measurement makes a draw follow."""
+    """A ``random_programs`` case with one more dephasing, placed anywhere
+    after every other dephasing and after the last instruction other than
+    a measurement that touches its register: an inert dephasing, which
+    every register's final measurement makes a draw follow.  Its register
+    is one measured after every other dephasing; the last one measured
+    always is."""
     program, observed, initial = draw(random_programs())
     instrs = list(program.instructions)
-    reg = draw(st.sampled_from([name for name, _ in program.layout.registers]))
+    dephasings = [i for i, instr in enumerate(instrs) if isinstance(instr, Dephase)]
+    after = max(dephasings, default=-1)
+    names = [name for name in program.layout.names if instrs.index(Measure(name)) > after]
+    reg = draw(st.sampled_from(names))
     slots = ("reg", "in_reg", "out_reg", "mode_reg")
     touches = [
         i
@@ -273,8 +278,27 @@ def with_inert_dephase(draw):
         if not isinstance(instr, Measure) and reg in {getattr(instr, slot, None) for slot in slots}
     ]
     measured = instrs.index(Measure(reg))
-    instrs.insert(draw(st.integers(max(touches, default=-1) + 1, measured)), Dephase(reg))
+    instrs.insert(draw(st.integers(max(touches + [after]) + 1, measured)), Dephase(reg))
     return CircuitProgram(program.layout, tuple(instrs)), observed, initial
+
+
+@st.composite
+def with_dephase_before_a_visible_one(draw):
+    """A ``random_programs`` case whose final measurements are preceded by
+    a dephasing of one register they measure, then a dephasing of another
+    that a Hadamard then sees, then an inert dephasing of that other one.
+    No later gate touches the first register, but a visible dephasing
+    follows it."""
+    program, observed, initial = draw(random_programs())
+    instrs = list(program.instructions)
+    tail = len(instrs)
+    while tail > 0 and isinstance(instrs[tail - 1], Measure):
+        tail -= 1
+    unmeasured = [instr.reg for instr in instrs[tail:]]
+    assume(len(unmeasured) >= 2)
+    first, second = draw(st.permutations(unmeasured))[:2]
+    steps = [Dephase(first), Dephase(second), GateOp("hadamard", reg=second), Dephase(second)]
+    return CircuitProgram(program.layout, tuple(instrs[:tail] + steps + instrs[tail:])), observed, initial, tail
 
 
 def own_state_trial(program, initial, rng):
@@ -335,6 +359,22 @@ class TestInertDephase:
         # the phased t4 state's; the X and F draws after t4 are not made
         argv = ["shor", "--n", "5", "--r", "3", "--discipline", "annihilate-F", "--trials", "0", "--json"]
         assert count_qft_calls(monkeypatch, capsys, argv + ["--dump-state", str(tmp_path / "state.json")]) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=with_dephase_before_a_visible_one(), seed=SEEDS, trials=st.integers(1, 8))
+    def test_a_dephasing_a_visible_one_follows_is_not_inert(self, case, seed, trials):
+        # the trial carries one state from the first dephasing on, which the
+        # last, inert one phases too, so sample and run draw from the same
+        # state, bit for bit
+        program, observed, initial, first = case
+        assert circuit_ir._BranchWalk(program, initial).inert == {first + 3}
+        rng = np.random.default_rng(seed)
+        expected = [run(program, rng, initial=initial).records for _ in range(trials)]
+        assert sample(program, np.random.default_rng(seed), trials, initial=initial) == expected
+        got = enumerate_outcome_distribution(program, observed, initial=initial)
+        reference = projection_walk(program, observed, initial)
+        for key in set(got) | set(reference):
+            assert abs(got.get(key, 0.0) - reference.get(key, 0.0)) < 1e-12
 
     def test_a_dephasing_a_later_gate_sees_is_not_inert(self):
         # |+> interferes back to |0> under H; dephased, it is a fair coin

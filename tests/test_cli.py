@@ -357,8 +357,11 @@ class TestCostCommand:
         assert {r["stage"] for r in rows} == {"function-evaluation", "filtration", "extraction"}
 
     def test_bad_range(self, capsys):
-        code, _, err = run_cli(capsys, ["cost", "--n-range", "ten"])
-        assert code == 1
+        for raw in ("ten", "0:3", "5:2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["cost", "--n-range", raw])
+            assert exc.value.code == 2
+            assert "--n-range" in capsys.readouterr().err
 
     def test_benchmark_table_is_byte_identical(self, capsys):
         # the sha256 of this report when every row came from a built instance

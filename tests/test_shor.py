@@ -13,7 +13,6 @@ from qdesk import (
     exact_outcome_distribution,
     extract_period,
     outcome_distribution,
-    run_pipeline,
     single_run_success_probability,
     state_after_oracle,
 )
@@ -309,14 +308,14 @@ class TestRunPipeline:
     def test_seeded_runs_reproduce(self):
         inst = build_periodic(3, 4)
         for discipline in DISCIPLINES:
-            a = run_pipeline(inst, discipline, np.random.default_rng(5))
-            b = run_pipeline(inst, discipline, np.random.default_rng(5))
+            a = sample_runs(inst, discipline, 1, np.random.default_rng(5))[0]
+            b = sample_runs(inst, discipline, 1, np.random.default_rng(5))[0]
             assert a == b
 
     def test_measured_outcome_always_in_support(self):
         inst = build_periodic(3, 4)
         for seed in range(50):
-            result = run_pipeline(inst, "skip-F", np.random.default_rng(seed))
+            result = sample_runs(inst, "skip-F", 1, np.random.default_rng(seed))[0]
             assert result.measured_value in {0, 2, 4, 6}
 
     def test_function_branch_projects_to_comb(self):
@@ -325,7 +324,7 @@ class TestRunPipeline:
         inst = build_periodic(2, 2)
         for seed in range(20):
             records = []
-            result = run_pipeline(inst, "measure-F-at-t2", np.random.default_rng(seed), records)
+            result = sample_runs(inst, "measure-F-at-t2", 1, np.random.default_rng(seed), records)[0]
             assert records[0].register == "F"
             assert result.f_outcome == records[0].outcome
             assert records[0].probability == pytest.approx(0.5)
@@ -334,14 +333,14 @@ class TestRunPipeline:
         inst = build_periodic(3, 4)
         rng = np.random.default_rng(123)
         trials = 2000
-        hits = sum(run_pipeline(inst, "annihilate-F", rng).success for _ in range(trials))
+        hits = sum(sample_runs(inst, "annihilate-F", 1, rng)[0].success for _ in range(trials))
         exact = single_run_success_probability(inst)
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(hits / trials - exact) <= 4 * sigma
 
     def test_unknown_discipline(self):
         with pytest.raises(ValueError):
-            run_pipeline(build_periodic(2, 2), "whatever", np.random.default_rng(0))
+            sample_runs(build_periodic(2, 2), "whatever", 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("discipline", DISCIPLINES)
     def test_batched_trials_equal_repeated_single_runs(self, discipline):
@@ -349,7 +348,7 @@ class TestRunPipeline:
         batch_records, single_records = [], []
         batch = sample_runs(inst, discipline, 30, np.random.default_rng(8), batch_records)
         rng = np.random.default_rng(8)
-        singles = [run_pipeline(inst, discipline, rng, single_records) for _ in range(30)]
+        singles = [sample_runs(inst, discipline, 1, rng, single_records)[0] for _ in range(30)]
         assert batch == singles
         assert batch_records == single_records
         assert len(batch_records) == 30 * (2 if discipline == "measure-F-at-t2" else 1)
@@ -361,7 +360,7 @@ class TestRunPipeline:
         inst = build_periodic(3, 3)
         assert not inst.period_divides
         for discipline in DISCIPLINES:
-            result = run_pipeline(inst, discipline, np.random.default_rng(4))
+            result = sample_runs(inst, discipline, 1, np.random.default_rng(4))[0]
             assert 0 <= result.measured_value < 8
 
 

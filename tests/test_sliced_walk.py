@@ -4,7 +4,9 @@
 amplitude tensor over the free registers.  The reference kept here is the
 walk that carried every branch as a renormalised full state: the same
 chain, memoised distributions and trials, with each unitary segment run on
-the whole state and each projection zero-filling it.  The random programs
+the whole state and each projection zero-filling it, and the trial that
+carried two states past a dephasing: one for its draws, one with every
+phase for its tagged states.  The random programs
 start from |0...0> (every register fixed) or from a random state, and gate,
 prepare, dephase and query registers that are still fixed, so each of the
 slice's rules runs: value prepares, Hadamards that free a register,
@@ -40,7 +42,7 @@ from qdesk import (
     sample,
 )
 from qdesk import circuit_ir
-from qdesk.circuit_ir import _BranchWalk, _run_unitaries, enumerate_outcome_distribution
+from qdesk.circuit_ir import _BranchWalk, enumerate_outcome_distribution
 from qdesk.cli import main
 from qdesk.errors import ShapeMismatchError
 from qdesk.measure import MeasurementRecord, ProjectionOperator, _dephase, born_sample
@@ -48,17 +50,33 @@ from qdesk.measure import MeasurementRecord, ProjectionOperator, _dephase, born_
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def run_unitaries(state, instrs):
+    """The replaced full-state segment: the unitary instructions among
+    ``instrs``, in order, on one copy of ``state``, through the in-place
+    kernels; measurements and dephasings are skipped."""
+    unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
+    if not unitary:
+        return state
+    work = state.amplitudes.copy()
+    for instr in unitary:
+        circuit_ir.apply_instruction_in_place(work, state.layout, instr)
+    return PureState._adopt(state.layout, work)
+
+
 class FullStateWalk:
     """The replaced walk: kept states, tagged states and branches are full
-    states; otherwise the sliced walk's own logic, step for step."""
+    states, and a trial carries its draws' state and its phased state
+    apart; otherwise the sliced walk's own logic, its inert rule included."""
 
     def __init__(self, program, initial):
         self.instructions = program.instructions
-        later, self.inert = set(), set()
+        later, self.inert, visible = set(), set(), False
         for i in reversed(range(len(self.instructions))):
             instr = self.instructions[i]
-            if isinstance(instr, Dephase) and instr.reg not in later:
-                self.inert.add(i)
+            if isinstance(instr, Dephase):
+                visible = visible or instr.reg in later
+                if not visible:
+                    self.inert.add(i)
             if not isinstance(instr, Measure):
                 later |= circuit_ir.touched_registers(instr)
         self.nodes = [
@@ -83,10 +101,10 @@ class FullStateWalk:
         for i in range(at, boundary):
             instr = self.instructions[i]
             if isinstance(instr, (Measure, Dephase)) and i not in self.inert:
-                state = _run_unitaries(state, self.instructions[start:i])
+                state = run_unitaries(state, self.instructions[start:i])
                 state = project(state, ProjectionOperator(instr.reg, path[k]))
                 k, start = k + 1, i + 1
-        state = _run_unitaries(state, self.instructions[start:boundary])
+        state = run_unitaries(state, self.instructions[start:boundary])
         chain.append((boundary, path, state))
         return state
 
@@ -105,7 +123,7 @@ class FullStateWalk:
 
         def forward(carried, i):
             at, state = carried
-            return i, _run_unitaries(state, instrs[at:i])
+            return i, run_unitaries(state, instrs[at:i])
 
         def here(i):
             nonlocal own, phased
@@ -346,7 +364,7 @@ class TestSliceRules:
         else:
             instr = GateOp("hadamard" if kind == "moded" else kind, reg=reg)
         got = circuit_ir._advance(start, [instr]).state()
-        expected = _run_unitaries(start.state(), [instr])
+        expected = run_unitaries(start.state(), [instr])
         assert np.array_equal(as_bits(got), as_bits(expected))
 
     def test_an_oracle_that_does_not_fit_is_rejected_on_fixed_registers(self):
