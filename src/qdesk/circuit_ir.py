@@ -33,7 +33,11 @@ its phases, so the walk draws them and applies nothing to the states its
 draws come from.  A trial carries at most one state of its own: from the
 first visible dephasing on, its draws come from that state, which every
 later dephasing phases.  The phases themselves are applied by
-``measure``'s random-phase kernel.
+``measure``'s random-phase kernel.  When no dephasing is visible and every
+one comes before the first measurement, every trial draws the same number
+of doubles, so ``sample`` draws a block of trials as one array of uniforms
+and looks each measurement's outcomes up in its memoised cumulative sums,
+one vectorised lookup per branch.
 
 Branches are register slices.  A walk state is the pair (fixed registers
 -> basis value, amplitude vector over the free registers): the start
@@ -78,6 +82,10 @@ from .measure import (
     outcome_distribution,
 )
 from .qstate import PureState, RegisterLayout, StateDistance
+
+# The most doubles one block of sampled trials draws at once (512 KiB),
+# unless a single trial draws more.
+SAMPLE_BLOCK_DOUBLES = 1 << 16
 
 GATE_KINDS = ("hadamard", "qft", "inverse-qft", "oracle-xor", "oracle-moded", "grover-diffusion")
 PREPARE_KEYWORDS = ("uniform", "minus")
@@ -565,6 +573,15 @@ class _BranchWalk:
             (i for i, instr in enumerate(self.instructions) if isinstance(instr, (Measure, Dephase))),
             default=-1,
         )
+        self.measures = [i for i, instr in enumerate(self.instructions) if isinstance(instr, Measure)]
+        first = self.measures[0] if self.measures else len(self.instructions)
+        # every trial draws the phases of the same inert dephasings, all at
+        # the root of the tree, then one double per measurement
+        self.fixed_width = all(
+            i in self.inert and i < first
+            for i, instr in enumerate(self.instructions)
+            if isinstance(instr, Dephase)
+        )
         self._chain = [(0, (), _start_slice(program.layout, initial))]
         self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
 
@@ -604,9 +621,11 @@ class _BranchWalk:
         """One sampled run: its records and, given ``tags`` (tag -> boundary),
         the states at those boundaries and the final state.
 
-        The trial carries its path and at most one state of its own, as
-        (boundary, slice), which runs the gates since its boundary as one
-        segment where it is next read.  Every ``Dephase`` draws one uniform
+        This is ``run``'s route, and ``sample``'s for a program that
+        ``draws`` cannot draw as arrays: one with a visible dephasing, or an
+        inert one after a measurement.  The trial carries its path and at
+        most one state of its own, as (boundary, slice), which runs the
+        gates since its boundary as one segment where it is next read.  Every ``Dephase`` draws one uniform
         phase per support value.  Until the first visible one, the draws
         come from the walk's memoised distributions, and a state is computed
         only where a node's distribution is not yet memoised or a tag asks
@@ -660,6 +679,68 @@ class _BranchWalk:
         tagged.update((tag, final) for tag, b in tags.items() if b == end)
         return tuple(records), tagged, final
 
+    def draws(self, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
+        """The outcomes and their probabilities in ``trials`` sampled runs:
+        one row per trial and one column per measurement, in program order.
+        They, and the generator's state after them, are those of ``trials``
+        successive ``trial`` calls.
+
+        With ``fixed_width``, every trial draws the phases of each inert
+        dephasing (one double per support value of its root distribution),
+        then one double per measurement.  A block of trials, at most
+        ``SAMPLE_BLOCK_DOUBLES`` doubles unless one trial draws more, takes
+        its doubles in one ``rng.random`` call, in trial order; the phase
+        columns are dropped, and ``_look_up`` draws the measurements.
+        Other programs run ``trial`` once per trial.
+        """
+        outcomes = np.zeros((trials, len(self.measures)), dtype=np.int64)
+        probabilities = np.zeros(outcomes.shape)
+        if not (self.fixed_width and trials):
+            for row in range(trials):
+                records = self.trial(rng)[0]
+                outcomes[row] = [record.outcome for record in records]
+                probabilities[row] = [record.probability for record in records]
+            return outcomes, probabilities
+        phases = sum(len(self.distribution(i, ()).support) for i in sorted(self.inert))
+        width = phases + len(self.measures)
+        if not width:
+            return outcomes, probabilities
+        per_block = max(1, SAMPLE_BLOCK_DOUBLES // width)
+        for start in range(0, trials, per_block):
+            block = slice(start, min(start + per_block, trials))
+            size = block.stop - block.start
+            uniforms = rng.random(size * width).reshape(size, width)[:, phases:]
+            if self.measures:
+                self._look_up(uniforms, outcomes[block], probabilities[block], np.arange(size), ())
+        return outcomes, probabilities
+
+    def _look_up(
+        self,
+        uniforms: np.ndarray,
+        outcomes: np.ndarray,
+        probabilities: np.ndarray,
+        rows: np.ndarray,
+        path: tuple[int, ...],
+    ) -> None:
+        """Draw measurement ``len(path)`` of the block's trials ``rows``, which
+        all took ``path``: their uniforms in that column are looked up in the
+        node's memoised cumulative sums at once, as ``born_sample`` looks one
+        up.  The trials are then split by outcome, and each group draws the
+        next measurement on its own path, depth first in ascending outcome
+        order, so each kept state serves every group below it.  Nothing after
+        the last measurement is computed."""
+        k = len(path)
+        dist = self.distribution(self.measures[k], path)
+        drawn = dist.cdf.searchsorted(uniforms[rows, k], side="right")
+        outcomes[rows, k] = drawn
+        probabilities[rows, k] = dist.probabilities[drawn]
+        if k + 1 == len(self.measures):
+            return
+        order = np.argsort(drawn, kind="stable")
+        values, starts = np.unique(drawn[order], return_index=True)
+        for value, group in zip(values.tolist(), np.split(rows[order], starts[1:])):
+            self._look_up(uniforms, outcomes, probabilities, group, path + (value,))
+
 
 def _prefix(program: CircuitProgram, stop: int) -> _Slice:
     """The slice at boundary ``stop``, reached by one segment from |0...0>;
@@ -692,6 +773,41 @@ def run(
     return RunTrace(program, final, records, tagged)
 
 
+def sample_outcomes(
+    program: CircuitProgram,
+    rng: np.random.Generator,
+    trials: int,
+    initial: PureState | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes of ``trials`` sampled runs of the program and their
+    probabilities, as two arrays with one row per trial and one column per
+    measurement, in ``program.measured_registers()`` order: the outcomes,
+    probabilities and generator state of ``trials`` successive ``run``
+    calls with ``rng``.
+
+    The trials share one branch walk, so the outcome distribution of a node
+    reached without a visible dephasing is computed once per call, with its
+    cumulative sums.  When no dephasing is visible and every one comes
+    before the first measurement (all three period disciplines), the trials
+    draw in blocks: one array of uniforms per block, and one vectorised
+    lookup per node and path.  Other programs run trial by trial; a trial
+    computes states only past a visible ``Dephase`` or at a node no earlier
+    trial reached.  Nothing after a trial's last draw is computed.
+    """
+    program.validate_order()
+    return _BranchWalk(program, initial).draws(rng, trials)
+
+
+def sampled_records(
+    registers: Sequence[str], outcomes: np.ndarray, probabilities: np.ndarray
+) -> list[tuple[MeasurementRecord, ...]]:
+    """One tuple of records per row of ``sample_outcomes``' arrays."""
+    return [
+        tuple(map(MeasurementRecord, registers, row, probs))
+        for row, probs in zip(outcomes.tolist(), probabilities.tolist())
+    ]
+
+
 def sample(
     program: CircuitProgram,
     rng: np.random.Generator,
@@ -699,19 +815,13 @@ def sample(
     initial: PureState | None = None,
 ) -> list[tuple[MeasurementRecord, ...]]:
     """The records of ``trials`` sampled runs of the program, one tuple per
-    trial: the same draws and records as ``trials`` successive ``run`` calls
-    with ``rng``.
-
-    The trials share one branch walk, so the outcome distribution of a node
-    reached without a visible dephasing is computed once per call, with its
-    cumulative sums, and each later draw from it is a lookup.  A trial
-    computes states only past a visible ``Dephase`` or at a node no earlier
-    trial reached; an inert one costs the trial its phase draw alone.
-    Nothing after a trial's last draw is computed.
-    """
-    program.validate_order()
-    walk = _BranchWalk(program, initial)
-    return [walk.trial(rng)[0] for _ in range(trials)]
+    trial: bit for bit the records, and the generator state, of ``trials``
+    successive ``run`` calls with ``rng``.  The draws are
+    ``sample_outcomes``': as arrays, a block of trials at a time, when no
+    dephasing is visible and every one comes before the first measurement,
+    and trial by trial otherwise."""
+    outcomes, probabilities = sample_outcomes(program, rng, trials, initial)
+    return sampled_records(program.measured_registers(), outcomes, probabilities)
 
 
 def defer_measurements(program: CircuitProgram) -> CircuitProgram:

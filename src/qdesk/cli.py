@@ -232,7 +232,8 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
     }
     records: list[measure.MeasurementRecord] = []
     if args.trials > 0:
-        results = shor.sample_runs(inst, args.discipline, args.trials, rng, record_sink=records)
+        sink = records if args.records else None
+        results = shor.sample_runs(inst, args.discipline, args.trials, rng, record_sink=sink)
         report["success_rate_empirical"] = sum(result.success for result in results) / args.trials
     if args.records:
         with open(args.records, "w") as fh:

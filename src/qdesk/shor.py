@@ -29,7 +29,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit_ir import CircuitProgram, Dephase, GateOp, Measure, Prepare, sample, unitary_prefix
+from .circuit_ir import (
+    CircuitProgram,
+    Dephase,
+    GateOp,
+    Measure,
+    Prepare,
+    sample_outcomes,
+    sampled_records,
+    unitary_prefix,
+)
 from .errors import ShapeMismatchError
 from .gates import FunctionTable, fourier_axis, modexp_table
 from .measure import PROB_EPS, MeasurementRecord
@@ -171,23 +180,31 @@ def sample_runs(
 ) -> list[PeriodResult]:
     """``trials`` sampled runs of the pipeline under the chosen discipline.
 
-    The trials are one ``circuit_ir.sample`` call over ``period_circuit`` up
-    to its X measurement, so what every trial shares (the state up to the
-    first measurement or dephasing, and each F branch's [X] distribution)
-    is computed once.  Pass a list as ``record_sink`` to collect the Born
-    samples taken along the way.
+    The trials are one ``circuit_ir.sample_outcomes`` call over
+    ``period_circuit`` up to its X measurement, so what every trial shares
+    (the state up to the first measurement or dephasing, and each F
+    branch's [X] distribution) is computed once.  Every discipline's
+    program is one that call draws as arrays, a block of trials at a time,
+    and the results are built from its outcome arrays, with one
+    ``extract_period`` per distinct X outcome.  Outcomes, records and the
+    generator's state are those of successive ``circuit_ir.run`` calls.
+    Pass a list as ``record_sink`` to collect the Born samples taken along
+    the way.
     """
     program = period_circuit(inst, discipline)
     through_x = CircuitProgram(inst.layout, program.instructions[: program.time_tags["t4"] + 1])
-    results = []
-    for records in sample(through_x, rng, trials):
-        if record_sink is not None:
-            record_sink.extend(records)
-        outcomes = {record.register: record.outcome for record in records}
-        measured = outcomes["X"]
-        candidate = _candidate(inst, measured)
-        results.append(PeriodResult(measured, candidate, candidate == inst.period, outcomes.get("F")))
-    return results
+    registers = through_x.measured_registers()
+    outcomes, probabilities = sample_outcomes(through_x, rng, trials)
+    if record_sink is not None:
+        record_sink.extend(r for records in sampled_records(registers, outcomes, probabilities) for r in records)
+    values, index = np.unique(outcomes[:, registers.index("X")], return_inverse=True)
+    values = values.tolist()
+    candidates = [_candidate(inst, value) for value in values]
+    f_outcomes = outcomes[:, registers.index("F")].tolist() if "F" in registers else [None] * trials
+    return [
+        PeriodResult(values[j], candidates[j], candidates[j] == inst.period, f)
+        for j, f in zip(index.tolist(), f_outcomes)
+    ]
 
 
 def exact_outcome_distribution(inst: PeriodFindingInstance, discipline: str) -> np.ndarray:

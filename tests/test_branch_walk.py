@@ -5,12 +5,14 @@ The references kept here are the per-trial loop that ran a program's tail
 from the t2 state once per trial, the projection walk that carried a
 renormalised full state down every branch to the end of the program, and
 the phased routes that dephased each trial's own state before drawing from
-it: on annihilate-F, and on any program.
+it: on annihilate-F, and on any program.  Trials drawn as arrays are
+checked against repeated ``run`` calls and the walk's own per-trial route.
 """
 
 import contextlib
 import io
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -60,6 +62,12 @@ def per_trial_runs(inst, discipline, trials, rng):
     return [run(tail, rng, initial=start).records for _ in range(trials)]
 
 
+def through_x(inst, discipline):
+    """The discipline's program up to its X measurement, as ``sample_runs`` samples it."""
+    program = period_circuit(inst, discipline)
+    return CircuitProgram(inst.layout, program.instructions[: program.time_tags["t4"] + 1])
+
+
 def period_result(inst, records):
     outcomes = {record.register: record.outcome for record in records}
     candidate = extract_period(outcomes["X"], inst.table)
@@ -91,6 +99,34 @@ def projection_walk(program, observed, initial):
     return acc
 
 
+GATE_OPS = ("prepare", "hadamard", "qft", "inverse-qft", "grover-diffusion", "oracle")
+
+
+def draw_gate(draw, layout, op, reg, free):
+    """``op`` on ``reg`` as a list of at most one instruction: a prepare, an
+    XOR oracle from ``reg`` into another of the ``free`` registers (none
+    when there is no other), or a gate on ``reg`` alone."""
+    if op == "prepare":
+        return [Prepare(reg, draw(st.sampled_from(["uniform", 0, layout.dim(reg) - 1])))]
+    if op == "oracle":
+        others = [name for name in free if name != reg]
+        if not others:
+            return []
+        out = draw(st.sampled_from(others))
+        m, n = layout.qubits(out), layout.qubits(reg)
+        table = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1 << n, max_size=1 << n))
+        return [GateOp("oracle-xor", in_reg=reg, out_reg=out, table=FunctionTable(n, m, table))]
+    return [GateOp(op, reg=reg)]
+
+
+@st.composite
+def random_states(draw, layout):
+    """A random normalised state: every register's distribution has full support."""
+    rng = np.random.default_rng(draw(SEEDS))
+    amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+    return PureState(layout, amps / np.linalg.norm(amps))
+
+
 @st.composite
 def random_programs(draw):
     """A random well-ordered program on 2-3 registers, from a random state.
@@ -103,23 +139,12 @@ def random_programs(draw):
     sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     names = [f"R{i}" for i in range(len(sizes))]
     layout = RegisterLayout(tuple(zip(names, sizes)))
-    ops = ("prepare", "hadamard", "qft", "inverse-qft", "grover-diffusion", "oracle", "dephase", "measure")
     instrs, measured = [], []
     for _ in range(draw(st.integers(0, 7))):
         free = [name for name in names if name not in measured]
-        op = draw(st.sampled_from(ops))
+        op = draw(st.sampled_from(GATE_OPS + ("dephase", "measure")))
         reg = draw(st.sampled_from(free))
-        if op == "prepare":
-            instrs.append(Prepare(reg, draw(st.sampled_from(["uniform", 0, layout.dim(reg) - 1]))))
-        elif op == "oracle":
-            others = [name for name in free if name != reg]
-            if not others:
-                continue
-            out = draw(st.sampled_from(others))
-            m, n = layout.qubits(out), layout.qubits(reg)
-            table = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1 << n, max_size=1 << n))
-            instrs.append(GateOp("oracle-xor", in_reg=reg, out_reg=out, table=FunctionTable(n, m, table)))
-        elif op == "dephase":
+        if op == "dephase":
             instrs.append(Dephase(reg))
         elif op == "measure":
             instrs.append(Measure(reg))
@@ -127,14 +152,35 @@ def random_programs(draw):
             if len(measured) == len(names):
                 break
         else:
-            instrs.append(GateOp(op, reg=reg))
+            instrs += draw_gate(draw, layout, op, reg, free)
     rest = draw(st.permutations([name for name in names if name not in measured]))
     instrs += [Measure(name) for name in rest]
     observed = draw(st.lists(st.sampled_from(measured + list(rest)), min_size=1, unique=True))
-    rng = np.random.default_rng(draw(SEEDS))
-    amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
-    initial = PureState(layout, amps / np.linalg.norm(amps))
-    return CircuitProgram(layout, tuple(instrs)), tuple(observed), initial
+    return CircuitProgram(layout, tuple(instrs)), tuple(observed), draw(random_states(layout))
+
+
+@st.composite
+def fixed_width_programs(draw):
+    """A random program that ``sample`` draws as arrays, from a random state
+    on 2-3 registers: gates, then one inert dephasing of each of some
+    registers, then gates on the others, then every register's
+    measurement, in random order.  From a random state each dephased
+    register has full support, so its phases take 2-8 doubles per trial."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    names = [f"R{i}" for i in range(len(sizes))]
+    layout = RegisterLayout(tuple(zip(names, sizes)))
+    dephased = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    undephased = [name for name in names if name not in dephased]
+
+    def gates_on(regs):
+        instrs = []
+        for _ in range(draw(st.integers(0, 4)) if regs else 0):
+            instrs += draw_gate(draw, layout, draw(st.sampled_from(GATE_OPS)), draw(st.sampled_from(regs)), regs)
+        return instrs
+
+    instrs = gates_on(names) + [Dephase(name) for name in dephased] + gates_on(undephased)
+    instrs += [Measure(name) for name in draw(st.permutations(names))]
+    return CircuitProgram(layout, tuple(instrs)), draw(random_states(layout))
 
 
 class TestSample:
@@ -149,10 +195,12 @@ class TestSample:
     def test_sample_runs_equal_the_per_trial_loop(self, n, data, discipline, seed, trials):
         inst = build_periodic(n, data.draw(st.integers(1, 1 << n)))
         sink = []
-        results = sample_runs(inst, discipline, trials, np.random.default_rng(seed), sink)
-        expected = per_trial_runs(inst, discipline, trials, np.random.default_rng(seed))
+        sampled, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        results = sample_runs(inst, discipline, trials, sampled, sink)
+        expected = per_trial_runs(inst, discipline, trials, looped)
         assert sink == [record for records in expected for record in records]
         assert results == [period_result(inst, records) for records in expected]
+        assert sampled.bit_generator.state == looped.bit_generator.state
 
     @settings(max_examples=80, deadline=None)
     @given(case=random_programs(), seed=SEEDS, trials=st.integers(1, 12))
@@ -160,7 +208,9 @@ class TestSample:
         program, _, initial = case
         rng = np.random.default_rng(seed)
         expected = [run(program, rng, initial=initial).records for _ in range(trials)]
-        assert sample(program, np.random.default_rng(seed), trials, initial=initial) == expected
+        sampled = np.random.default_rng(seed)
+        assert sample(program, sampled, trials, initial=initial) == expected
+        assert sampled.bit_generator.state == rng.bit_generator.state
 
     def test_zero_trials_apply_no_instruction(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -185,6 +235,123 @@ class TestSample:
         cut = CircuitProgram(program.layout, program.instructions[: program.time_tags["t4"] + 1])
         assert len(sample(cut, np.random.default_rng(2), 20)) == 20
         assert calls == []
+
+
+class CountingGenerator:
+    """A generator that counts its method calls and the sizes asked of
+    ``random``, and forwards everything to the one it wraps."""
+
+    def __init__(self, rng):
+        self.rng, self.calls, self.sizes = rng, Counter(), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            if name == "random":
+                self.sizes.append(kwargs.get("size", args[0] if args else None))
+            return method(*args, **kwargs)
+
+        return counted if callable(method) else method
+
+
+def generator_state(rng):
+    """The bit generator's state, its arrays as lists, so that states compare."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+BIT_GENERATORS = st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.Philox])
+
+
+class TestSampledArrays:
+    """Programs whose trials all draw the same number of doubles are sampled
+    as arrays: one block of uniforms, and one lookup per node and path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=fixed_width_programs(), bit_generator=BIT_GENERATORS, seed=SEEDS, trials=st.integers(0, 40))
+    def test_sample_equals_repeated_runs_bit_for_bit(self, case, bit_generator, seed, trials):
+        program, initial = case
+        walk = circuit_ir._BranchWalk(program, initial)
+        assert walk.fixed_width and walk.inert
+        assert all(len(walk.distribution(i, ()).support) > 1 for i in walk.inert)
+        rng = np.random.Generator(bit_generator(seed))
+        expected = [run(program, rng, initial=initial).records for _ in range(trials)]
+        sampled = np.random.Generator(bit_generator(seed))
+        assert sample(program, sampled, trials, initial=initial) == expected
+        assert generator_state(sampled) == generator_state(rng)
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_one_random_call_per_block_and_no_uniform(self, discipline):
+        program = period_circuit(build_periodic(5, 3), discipline)
+        assert circuit_ir._BranchWalk(program, None).fixed_width
+        rng = CountingGenerator(np.random.default_rng(4))
+        records = sample(program, rng, 200)
+        assert rng.calls == {"random": 1}
+        assert records == sample(program, np.random.default_rng(4), 200)
+
+    def test_blocks_stay_under_the_constant(self):
+        # annihilate-F at n = 10, r = 512 draws 512 phases and one X per trial
+        inst = build_periodic(10, 512)
+        rng = CountingGenerator(np.random.default_rng(5))
+        results = sample_runs(inst, "annihilate-F", 2000, rng)
+        per_block = circuit_ir.SAMPLE_BLOCK_DOUBLES // 513
+        assert rng.calls == {"random": -(-2000 // per_block)}
+        assert max(rng.sizes) == per_block * 513 <= circuit_ir.SAMPLE_BLOCK_DOUBLES
+        walk, looped = circuit_ir._BranchWalk(through_x(inst, "annihilate-F"), None), np.random.default_rng(5)
+        assert results == [period_result(inst, walk.trial(looped)[0]) for _ in range(2000)]
+        assert rng.rng.bit_generator.state == looped.bit_generator.state
+
+    def test_the_trials_add_well_under_one_block_of_all_of_them(self):
+        # one block of all 2000 trials would be 2000 x 513 doubles, 8 MiB;
+        # the walk's own 2^20-amplitude states are there for one trial too
+        inst = build_periodic(10, 512)
+        peaks = []
+        for trials in (1, 2000):
+            tracemalloc.start()
+            try:
+                sample_runs(inst, "annihilate-F", trials, np.random.default_rng(6))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 2**20
+        walk = circuit_ir._BranchWalk(through_x(inst, "annihilate-F"), None)
+        walk.draws(np.random.default_rng(6), 1)
+        tracemalloc.start()
+        try:
+            walk.draws(np.random.default_rng(6), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_a_sampled_report_runs_no_trial(self, monkeypatch, capsys, tmp_path, discipline):
+        calls = []
+        real = circuit_ir._BranchWalk.trial
+        monkeypatch.setattr(circuit_ir._BranchWalk, "trial", lambda *a, **k: calls.append(1) or real(*a, **k))
+        argv = ["shor", "--n", "5", "--r", "3", "--discipline", discipline, "--trials", "200", "--json"]
+        assert main(argv) == 0
+        assert main(argv + ["--records", str(tmp_path / "records.jsonl")]) == 0
+        capsys.readouterr()
+        assert calls == []
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_one_distribution_per_distinct_path(self, monkeypatch, discipline):
+        calls = []
+        real = circuit_ir._distribution
+        monkeypatch.setattr(circuit_ir, "_distribution", lambda *a: calls.append(a[1]) or real(*a))
+        program = period_circuit(build_periodic(4, 5), discipline)
+        records = sample(program, np.random.default_rng(7), 200)
+        paths = {tuple(r.outcome for r in trial[:k]) for trial in records for k in range(len(trial))}
+        dephasings = sum(isinstance(instr, Dephase) for instr in program.instructions)
+        assert len(calls) == len(paths) + dephasings
 
 
 def count_qft_calls(monkeypatch, capsys, argv):

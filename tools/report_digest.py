@@ -35,7 +35,9 @@ ROUNDS = 2
 # transform and oracle matter most: 2^19 amplitudes, and 2^14 under every
 # discipline with sampled trials; then the branches the walk slices at
 # size: 128 and 512 F branches of 2^16 and 2^20 amplitudes, deferred and
-# sampled.
+# sampled; then 10^4 trials through the sampled lookups, and 2000
+# annihilate-F trials of 513 doubles each, which span several blocks of
+# uniforms.
 CEILING = (
     (("grover", "--n", "262144", "--json"),)
     + tuple(
@@ -46,6 +48,11 @@ CEILING = (
         ("defer-check", "--fig1", "--n", "8", "--r", "128", "--json"),
         ("shor", "--n", "10", "--r", "512", "--discipline", "measure-F-at-t2", "--trials", "100", "--json"),
     )
+    + tuple(
+        ("shor", "--n", "6", "--r", "5", "--discipline", discipline, "--trials", "20000", "--json")
+        for discipline in ("measure-F-at-t2", "skip-F")
+    )
+    + (("shor", "--n", "10", "--r", "512", "--discipline", "annihilate-F", "--trials", "2000", "--json"),)
 )
 
 
