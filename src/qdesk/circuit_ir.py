@@ -44,15 +44,19 @@ Branches are register slices.  A walk state is the pair (fixed registers
 |0...0> fixes every register, a value prepare changes a fixed value and
 touches no amplitude, and a projection slices the measured register's axis
 and fixes it, so a branch after a measurement holds only the amplitudes its
-outcome left.  A Hadamard (or a "uniform" or "minus" prepare) frees a fixed
-register as a broadcast of +-2^(-q/2); an XOR oracle whose input is fixed
-XORs the constant f(input) into its output, and one whose output is fixed
-at v moves each input amplitude to v XOR f(x); any other gate on a fixed
-register expands it into a one-hot axis first.  This is implicit
-measurement (Nielsen & Chuang 4.4) applied to the walk: a measured register
-carries no amplitudes of its own.  A full ``PureState`` is built only where
-one is handed out: ``run``'s tagged and final states, ``unitary_prefix``,
-``backdate_outcome`` and ``apply_instruction``.
+outcome left.  An XOR oracle whose input is fixed XORs the constant
+f(input) into its output, and one whose output is fixed at v moves each
+input amplitude to v XOR f(x); any other gate on a fixed register expands
+it into a one-hot axis first.  This is implicit measurement (Nielsen &
+Chuang 4.4) applied to the walk: a measured register carries no amplitudes
+of its own.  Within a segment, a Hadamard (or a "uniform" or "minus"
+prepare) on a fixed register holds it in the Hadamard basis: the register
+stays out of the buffer until another gate touches it, so an XOR oracle
+into it is a sign flip on the inputs (phase kickback, Cleve et al. 1998)
+and a drawer search's diffusion runs on the search register alone.  A full
+``PureState`` is built only where one is handed out: ``run``'s tagged and
+final states, ``unitary_prefix``, ``backdate_outcome`` and
+``apply_instruction``.
 
 Unitary segments on the free registers run in place, and every unitary
 route is a segment.  Wherever a state is computed, the gates between two
@@ -143,9 +147,17 @@ Instruction = Prepare | GateOp | Dephase | Measure
 
 
 def touched_registers(instr: Instruction) -> frozenset[str]:
-    if isinstance(instr, (Prepare, Dephase, Measure)):
-        return frozenset({instr.reg})
-    return frozenset(r for r in (instr.reg, instr.in_reg, instr.out_reg, instr.mode_reg) if r)
+    """The registers an instruction touches, computed once per instruction
+    object and kept in its ``__dict__``, which the dataclass fields that
+    equality, hashing and JSON read leave out."""
+    touched = instr.__dict__.get("_touched")
+    if touched is None:
+        if isinstance(instr, (Prepare, Dephase, Measure)):
+            touched = frozenset({instr.reg})
+        else:
+            touched = frozenset(r for r in (instr.reg, instr.in_reg, instr.out_reg, instr.mode_reg) if r)
+        instr.__dict__["_touched"] = touched
+    return touched
 
 
 @dataclass(frozen=True)
@@ -380,11 +392,26 @@ def _start_slice(layout: RegisterLayout, initial: PureState | None) -> _Slice:
     return _Slice(layout, {}, layout, initial.amplitudes)
 
 
+def _opens_hold(instr: Prepare | GateOp) -> bool:
+    """Whether an instruction may hold a register: a Hadamard, or a
+    "uniform" or "minus" prepare."""
+    if isinstance(instr, Prepare):
+        return instr.value in PREPARE_KEYWORDS
+    return instr.kind == "hadamard"
+
+
+def _has_negative_zero(work: np.ndarray) -> bool:
+    """Whether any real or imaginary part of the amplitudes is -0."""
+    parts = work.view(np.float64)
+    return bool(np.signbit(parts[parts == 0.0]).any())
+
+
 class _Segment:
     """One unitary segment run on a slice.  Gates on free registers run
     through ``gates``' in-place kernels on one work buffer, copied from the
     slice's amplitudes the first time a kernel writes; gates on fixed
-    registers change a value, or free the register into a new buffer:
+    registers change a value, hold the register in the Hadamard basis, or
+    free it into a new buffer:
 
     * a value prepare XORs the value, and an XOR oracle whose input and
       output are both fixed XORs f(input) into the output's value;
@@ -392,17 +419,46 @@ class _Segment:
       free output register;
     * an XOR oracle with a fixed output v writes each amplitude of input x
       at output v XOR f(x): one move per amplitude, into a zeroed buffer;
-    * a Hadamard (or a "uniform" or "minus" prepare) frees the register as
-      a broadcast of +-2^(-q/2), bit for bit the butterflies' result;
-    * any other gate frees the registers it touches as one-hot axes first.
+    * a Hadamard (or a "uniform" or "minus" prepare) holds the register at
+      its value w: the register stays out of the buffer, which is scaled by
+      2^(-q/2), and stands for the signs (-1)^popcount(w & y) times the
+      buffer along the register's values y;
+    * an XOR oracle whose output is held at w negates the amplitudes of the
+      inputs x where popcount(w & f(x)) is odd, the phase kickback; a fixed
+      input negates all of them or none, and a held input is written out
+      first;
+    * any other gate on a held register writes it out first, as the
+      broadcast of its signs times the buffer, bit for bit the butterflies'
+      result; a Fourier transform writes out every held register, and so
+      does the segment's end;
+    * any other gate frees the fixed registers it touches as one-hot axes
+      first.
+
+    A held buffer is bit for bit the y = 0 row that the full-state kernels
+    leave, and every other row is its exact negation or copy.  Two facts
+    make that so.  First, the kernels that run while a register is held
+    keep every zero +0: permutations, Hadamard butterflies, the diffusion,
+    scaling, and the kickback, written 0 - a.  Second, their arithmetic is
+    odd, so a row's nonzero parts differ from the buffer's only in sign.
+    Three cases break this, and none is held:
+
+    * a Hadamard from w = 0 with a -0 in the buffer: the butterflies leave
+      that -0 in the row y = d - 1, so the register is written out at once;
+    * a Fourier transform, which makes -0 of its own;
+    * a product that underflows to zero, where the complex product takes
+      the sign of the zero from the other part.  A segment that may hold
+      runs with numpy's underflow raising, and reruns without holding if
+      one does.
     """
 
-    def __init__(self, start: _Slice):
+    def __init__(self, start: _Slice, holds: bool):
         self.layout = start.layout
         self.fixed = dict(start.fixed)
         self.free = start.free
         self.work = start.amps
         self.owned = False
+        self.holds = holds
+        self.held: set[str] = set()  # the fixed registers held in the Hadamard basis
 
     def writable(self) -> np.ndarray:
         if not self.owned:
@@ -423,20 +479,57 @@ class _Segment:
         value, old, new = self._unfix(reg)
         new[:, value, :] = old
 
-    def hadamard(self, reg: str) -> None:
-        """H on every qubit of the fixed register: the value w becomes the
-        signs (-1)^popcount(w & y) times 2^(-q/2).  The butterflies add and
-        subtract exact zeros, which leaves each nonzero part as it is and
-        turns a signed zero into +0, except along y = d - 1 from w = 0,
-        where every step subtracts a zero; the scaling is the kernel's."""
+    def broadcast(self, reg: str) -> None:
+        """Write a fixed or held register at w out as the signs
+        (-1)^popcount(w & y) times the buffer, unscaled; from w = 0 every
+        sign is +1.  The butterflies add and subtract exact zeros, which
+        leaves each nonzero part as it is and turns a signed zero into +0,
+        except along y = d - 1 from w = 0, where every step subtracts a
+        zero."""
+        self.held.discard(reg)
         value, old, new = self._unfix(reg)
         d = new.shape[1]
-        signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(d) & value) & 1)
-        np.multiply(signs[None, :, None], old[:, None, :], out=new)
-        new += 0.0
-        if value == 0:
+        if value:
+            signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(d) & value) & 1)
+            np.multiply(signs[None, :, None], old[:, None, :], out=new)
+            new += 0.0
+        else:
+            np.add(old[:, None, :], 0.0, out=new)
             new[:, d - 1, :] = old
-        self.work *= 2.0 ** (-self.layout.qubits(reg) / 2)
+
+    def hadamard(self, reg: str) -> None:
+        """H on every qubit of a fixed register: hold it, the buffer's zeros
+        made +0 and the buffer scaled by the kernel's 2^(-q/2); or, where it
+        is not held, broadcast it and scale."""
+        scale = 2.0 ** (-self.layout.qubits(reg) / 2)
+        if self.holds and not (self.fixed[reg] == 0 and _has_negative_zero(self.work)):
+            work = self.writable()
+            work += 0.0
+            work *= scale
+            self.held.add(reg)
+            return
+        self.broadcast(reg)
+        self.work *= scale
+
+    def kick(self, instr: GateOp) -> None:
+        """An XOR oracle into a held output at w: the amplitudes of the
+        inputs x whose f(x) shares an odd number of set bits with w change
+        sign, written 0 - a so that a zero stays +0."""
+        f, in_reg, out_reg = instr.table, instr.in_reg, instr.out_reg
+        held = self.fixed[out_reg]
+        if in_reg in self.fixed:
+            if (held & f.table[self.fixed[in_reg]]).bit_count() & 1:
+                np.subtract(0.0, self.writable(), out=self.work)
+            return
+        inputs = f.kicked(held)
+        if not inputs.size:
+            return
+        left, d, right = self.free.axis_shape(in_reg)
+        if left == right == 1:  # the input is the only free register: flat indexing is fastest
+            block, at = self.writable(), inputs
+        else:
+            block, at = np.reshape(self.writable(), (left, d, right), copy=False), (slice(None), inputs)
+        block[at] = 0.0 - block[at]
 
     def oracle_xor(self, instr: GateOp) -> None:
         f, in_reg, out_reg = instr.table, instr.in_reg, instr.out_reg
@@ -457,7 +550,17 @@ class _Segment:
             target[np.arange(f.values.size), f.values ^ value] = source
 
     def apply(self, instr: Prepare | GateOp) -> None:
-        fixed = self.fixed
+        fixed, held = self.fixed, self.held
+        if isinstance(instr, GateOp) and instr.kind == "oracle-xor" and instr.out_reg in held:
+            gates.check_xor_fit(self.layout, instr.table, instr.in_reg, instr.out_reg)
+            if instr.in_reg in held:
+                self.broadcast(instr.in_reg)
+            self.kick(instr)
+            return
+        if held:
+            fourier = isinstance(instr, GateOp) and instr.kind in ("qft", "inverse-qft")
+            for reg in sorted(held if fourier else held & touched_registers(instr)):
+                self.broadcast(reg)
         if isinstance(instr, Prepare) and instr.reg in fixed:
             if instr.value in PREPARE_KEYWORDS:
                 fixed[instr.reg] ^= int(instr.value == "minus")
@@ -475,21 +578,30 @@ class _Segment:
             self.expand(reg)
         apply_instruction_in_place(self.writable(), self.free, instr)
 
-    def done(self) -> _Slice:
+    def run(self, instrs: Sequence[Prepare | GateOp]) -> _Slice:
+        for instr in instrs:
+            self.apply(instr)
+        for reg in sorted(self.held):
+            self.broadcast(reg)
         self.work.setflags(write=False)
         return _Slice(self.layout, self.fixed, self.free, self.work)
 
 
 def _advance(start: _Slice, instrs: Sequence[Instruction]) -> _Slice:
     """``start`` with the unitary instructions among ``instrs`` applied in
-    order, skipping measurements and dephasings, as one segment."""
+    order, skipping measurements and dephasings, as one segment: one that
+    holds registers where it can, unless an underflow makes it rerun
+    without holding."""
     unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
     if not unitary:
         return start
-    segment = _Segment(start)
-    for instr in unitary:
-        segment.apply(instr)
-    return segment.done()
+    if any(map(_opens_hold, unitary)):
+        try:
+            with np.errstate(under="raise"):
+                return _Segment(start, holds=True).run(unitary)
+        except FloatingPointError:
+            pass
+    return _Segment(start, holds=False).run(unitary)
 
 
 def _project(s: _Slice, reg: str, outcome: int) -> _Slice:

@@ -91,10 +91,23 @@ def _game_problem(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _modexp_problem(base: int | None, modulus: int | None) -> str | None:
+    """Why a modular-exponentiation instance is invalid, if it is: checked
+    before any table is built, as ``gates.modexp_table`` checks it for
+    library callers."""
+    if (base is None) != (modulus is None):
+        return "--base and --modulus must be given together"
+    if modulus is not None and (modulus < 2 or math.gcd(base, modulus) != 1):
+        return f"need gcd(--base, --modulus) = 1 and --modulus >= 2, got {base}, {modulus}"
+    return None
+
+
 def _usage_problem(args: argparse.Namespace) -> str | None:
     if args.command == "shor":
         modexp = args.base is not None or args.modulus is not None
-        problem = _instance_problem(args.n, None if modexp else args.r, args.modulus)
+        problem = _modexp_problem(args.base, args.modulus) or _instance_problem(
+            args.n, None if modexp else args.r, args.modulus
+        )
     elif args.command == "defer-check" and args.fig1:
         problem = _instance_problem(args.n, args.r, None)
     else:
@@ -185,9 +198,7 @@ def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None
 
 
 def _shor_instance(args: argparse.Namespace) -> shor.PeriodFindingInstance:
-    if args.base is not None or args.modulus is not None:
-        if args.base is None or args.modulus is None:
-            raise QdeskError("--base and --modulus must be given together")
+    if args.modulus is not None:
         return shor.build_modexp(args.base, args.modulus, args.n)
     period = args.r if args.r is not None else (1 << args.n) // 2
     return shor.build_periodic(args.n, period)

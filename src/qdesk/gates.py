@@ -14,13 +14,15 @@ butterfly per bit over that view and scales once at the end; the Fourier
 transform is an FFT along the register axis written back into the view
 (``method="dense"`` on ``qft``, with ``fourier_matrix``, is kept only as
 the oracle that tests and the self-test compare the FFT against, within
-1e-10); the diffusion step sums a copy that makes the register the
-contiguous last axis, pairwise, and writes the reflection back from that
-copy.  Oracles are basis-index permutations, never dense matrices: a table
-holds its entries as a read-only int64 array and builds, once, the index
-pairs over its joint (input, output) value that its XOR map exchanges, and
-an oracle swaps those pairs and moves nothing else, every other register a
-batch axis.
+1e-10); the diffusion step sums the register as the contiguous last axis,
+pairwise (from a copy, unless no register lies to its right), and writes
+the reflection back.  Oracles are basis-index permutations, never dense
+matrices: a table holds its entries as a read-only int64 array and builds,
+once, the index pairs over its joint (input, output) value that its XOR map
+exchanges, and an oracle swaps those pairs and moves nothing else, every
+other register a batch axis.  A function table also keeps, per value, the
+inputs that kick a sign back into an output register ``circuit_ir`` holds
+in the Hadamard basis at that value.
 """
 
 from __future__ import annotations
@@ -144,6 +146,19 @@ class FunctionTable(_XorTable):
     def _periods(self) -> dict[int, bool]:
         return {}
 
+    def kicked(self, held: int) -> np.ndarray:
+        """The inputs x where popcount(held & f(x)) is odd, ascending, as a
+        read-only array: where an oracle into an output register held in
+        the Hadamard basis at ``held`` flips the sign (phase kickback).
+        Built once per value and kept with the table."""
+        if held not in self._kicked:
+            self._kicked[held] = _kicked_inputs(self.values, held)
+        return self._kicked[held]
+
+    @cached_property
+    def _kicked(self) -> dict[int, np.ndarray]:
+        return {}
+
     def to_json(self) -> dict:
         return {"input_bits": self.input_bits, "output_bits": self.output_bits, "table": list(self.table)}
 
@@ -184,6 +199,14 @@ class ModedFunctionTable(_XorTable):
     @classmethod
     def from_json(cls, doc: Mapping) -> "ModedFunctionTable":
         return cls(doc["mode_bits"], doc["input_bits"], doc["output_bits"], tuple(doc["table"]))
+
+
+def _kicked_inputs(values: np.ndarray, held: int) -> np.ndarray:
+    """The keys x where popcount(held & values[x]) is odd, as a read-only
+    ascending array."""
+    inputs = np.flatnonzero(np.bitwise_count(values & held) & 1)
+    inputs.setflags(write=False)
+    return inputs
 
 
 def modexp_output_bits(modulus: int) -> int:

@@ -33,11 +33,13 @@ from qdesk import (
     sample_phases,
     state_after_oracle,
 )
+from qdesk import circuit_ir
 from qdesk.circuit_ir import (
     _inverse,
     apply_instruction,
     enumerate_outcome_distribution,
     instruction_from_json,
+    instruction_to_json,
     unitary_prefix,
 )
 from qdesk.qstate import make_basis_state
@@ -412,6 +414,20 @@ class TestJsonFormat:
         assert back.instructions == program.instructions
         assert back.layout == program.layout
         assert back.time_tags == program.time_tags
+
+    def test_touched_registers_are_kept_outside_the_fields(self, monkeypatch):
+        # computed once per instruction object; equality, hashing, repr and
+        # JSON read the fields alone
+        table = FunctionTable(1, 1, (0, 1))
+        made = [Prepare("X", "uniform"), GateOp("oracle-xor", in_reg="X", out_reg="F", table=table), Measure("F")]
+        fresh = [Prepare("X", "uniform"), GateOp("oracle-xor", in_reg="X", out_reg="F", table=table), Measure("F")]
+        assert [circuit_ir.touched_registers(i) for i in made] == [{"X"}, {"X", "F"}, {"F"}]
+        monkeypatch.setattr(circuit_ir, "frozenset", lambda *args: pytest.fail("recomputed"), raising=False)
+        assert [circuit_ir.touched_registers(i) for i in made] == [{"X"}, {"X", "F"}, {"F"}]
+        assert made == fresh
+        assert [hash(i) for i in made] == [hash(i) for i in fresh]
+        assert [repr(i) for i in made] == [repr(i) for i in fresh]
+        assert [instruction_to_json(i) for i in made] == [instruction_to_json(i) for i in fresh]
 
     def test_gate_document_shape(self):
         doc = {"op": "gate", "kind": "qft", "reg": "X"}

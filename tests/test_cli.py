@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdesk import build_periodic, gates, grover, iteration_count, period_circuit, run, shor, stage_costs
+from qdesk import build_periodic, circuit_ir, gates, grover, iteration_count, period_circuit, run, shor, stage_costs
 from qdesk.cli import _dump_state, _instance_problem, drawer_count, main
 from qdesk.qstate import PureState, RegisterLayout
 from qdesk.shor import DISCIPLINES
@@ -187,6 +187,31 @@ class TestShorCommand:
         assert "--n" in err or "--r" in err
 
     @pytest.mark.parametrize(
+        "extra, problem",
+        [
+            (["--base", "3", "--modulus", "15"], "need gcd(--base, --modulus) = 1 and --modulus >= 2, got 3, 15"),
+            (["--base", "2", "--modulus", "1"], "need gcd(--base, --modulus) = 1 and --modulus >= 2, got 2, 1"),
+            (["--base", "2", "--modulus", "0"], "need gcd(--base, --modulus) = 1 and --modulus >= 2, got 2, 0"),
+            (["--base", "2", "--modulus", "-5"], "need gcd(--base, --modulus) = 1 and --modulus >= 2, got 2, -5"),
+            (["--base", "7"], "--base and --modulus must be given together"),
+            (["--modulus", "15"], "--base and --modulus must be given together"),
+        ],
+    )
+    def test_bad_modexp_input_is_a_one_line_usage_error(self, capsys, monkeypatch, extra, problem):
+        def refuse(*args, **kwargs):
+            raise AssertionError("table built before the input check")
+
+        monkeypatch.setattr(shor, "modexp_table", refuse)
+        monkeypatch.setattr(shor, "build_periodic", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["shor", "--n", "4", *extra, "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert [line for line in captured.err.splitlines() if "error" in line] == [f"qdesk: error: shor: {problem}"]
+
+    @pytest.mark.parametrize(
         "n, period, modulus", [(10, None, None), (1, 1, None), (4, 16, None), (18, None, 3), (10, None, 1024)]
     )
     def test_instances_up_to_the_ceiling_are_accepted(self, n, period, modulus):
@@ -195,14 +220,14 @@ class TestShorCommand:
 
 class TestGroverCommand:
     def test_standard_report_runs_one_search(self, capsys, monkeypatch):
+        # an oracle call swaps pairs, or kicks back into the held register
         calls = []
-        oracle_xor = gates.oracle_xor_in_place
+        for owner, name in ((gates, "oracle_xor_in_place"), (circuit_ir._Segment, "kick")):
+            def counting(*args, _oracle=getattr(owner, name), **kwargs):
+                calls.append(1)
+                return _oracle(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return oracle_xor(*args, **kwargs)
-
-        monkeypatch.setattr(gates, "oracle_xor_in_place", counting)
+            monkeypatch.setattr(owner, name, counting)
         code, out, err = run_cli(capsys, ["grover", "--n", "64", "--k", "5", "--json"])
         assert code == 0, err
         assert json.loads(out)["oracle_queries"] == iteration_count(64)
@@ -457,14 +482,15 @@ class TestHotRoutes:
         assert code == 0, err
 
     def test_search_report_builds_the_oracle_permutation_once(self, capsys, monkeypatch):
+        # the swapped pairs, or the inputs that kick back into the held
+        # register: built once per table, either way
         calls = []
-        build = gates._xor_swaps
+        for name in ("_xor_swaps", "_kicked_inputs"):
+            def counting(*args, _build=getattr(gates, name), **kwargs):
+                calls.append(1)
+                return _build(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(gates, "_xor_swaps", counting)
+            monkeypatch.setattr(gates, name, counting)
         code, out, err = run_cli(capsys, ["grover", "--n", "1024", "--k", "9", "--json"])
         assert code == 0, err
         assert json.loads(out)["oracle_queries"] == iteration_count(1024) > 1

@@ -9,8 +9,9 @@ carried two states past a dephasing: one for its draws, one with every
 phase for its tagged states.  The random programs
 start from |0...0> (every register fixed) or from a random state, and gate,
 prepare, dephase and query registers that are still fixed, so each of the
-slice's rules runs: value prepares, Hadamards that free a register,
-oracles with a fixed input or output, and gates that expand a register.
+slice's rules runs: value prepares, Hadamards that hold a register in the
+Hadamard basis, oracles with a fixed input or output or into a held output,
+and gates that expand a register.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ from qdesk import (
     CircuitProgram,
     Dephase,
     FunctionTable,
+    GameInstance,
     GateOp,
     Measure,
     ModedFunctionTable,
@@ -39,9 +41,11 @@ from qdesk import (
     period_circuit,
     project,
     run,
+    run_standard_grover,
     sample,
+    standard_circuit,
 )
-from qdesk import circuit_ir
+from qdesk import circuit_ir, gates
 from qdesk.circuit_ir import _BranchWalk, enumerate_outcome_distribution
 from qdesk.cli import main
 from qdesk.errors import ShapeMismatchError
@@ -337,6 +341,62 @@ def as_bits(state):
     return state.amplitudes.view(np.uint64)
 
 
+def assert_held_rows(start, instrs):
+    """Run ``instrs`` as a holding segment, one at a time, and check after
+    each that the buffer is bit for bit the full state at the fixed
+    registers' values and at 0 in every held register, signed zeros
+    included; stop where a product underflows, where such a segment reruns
+    without holding."""
+    layout = start.layout
+    segment = circuit_ir._Segment(start, holds=True)
+    for k, instr in enumerate(instrs, 1):
+        try:
+            with np.errstate(under="raise"):
+                segment.apply(instr)
+        except FloatingPointError:
+            return
+        full = run_unitaries(start.state(), instrs[:k]).amplitudes
+        at = {**segment.fixed, **dict.fromkeys(segment.held, 0)}
+        row = full.reshape([layout.dim(name) for name in layout.names])[
+            tuple(at.get(name, slice(None)) for name in layout.names)
+        ]
+        assert np.array_equal(segment.work.view(np.uint64), np.ascontiguousarray(row).reshape(-1).view(np.uint64))
+
+
+def held_segment(start, data):
+    """2-7 unitary instructions on ``start``'s layout whose first one is a
+    prepare or a Hadamard on a fixed register (on any register if none is
+    fixed): prepares and Hadamards hold fixed registers; oracles from
+    fixed, free and held inputs kick back into held outputs (half of them
+    target the register last prepared or transformed); diffusions run
+    beside them and Fourier transforms write them out."""
+    layout = start.layout
+    names = layout.names
+    instrs, last = [], data.draw(st.sampled_from(sorted(start.fixed) or names))
+    for k in range(data.draw(st.integers(2, 7))):
+        reg = last if k == 0 else data.draw(st.sampled_from(names))
+        kinds = ["prepare", "hadamard"] + (["oracle", "oracle", "grover-diffusion", "qft"] if k else [])
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "prepare":
+            keywords = ["uniform", "minus"] if layout.qubits(reg) == 1 else ["uniform"]
+            instrs.append(Prepare(reg, data.draw(st.sampled_from(keywords + [0, 1, layout.dim(reg) - 1]))))
+            last = reg
+        elif kind == "hadamard":
+            instrs.append(GateOp("hadamard", reg=reg))
+            last = reg
+        elif kind == "oracle":
+            others = [name for name in names if name != reg]
+            out = last if last in others and data.draw(st.booleans()) else data.draw(st.sampled_from(others))
+            values = random_table(data.draw, layout.qubits(reg), layout.qubits(out))
+            table = FunctionTable(layout.qubits(reg), layout.qubits(out), values)
+            instrs.append(GateOp("oracle-xor", in_reg=reg, out_reg=out, table=table))
+        elif kind == "qft":
+            instrs.append(GateOp(data.draw(st.sampled_from(["qft", "inverse-qft"])), reg=reg))
+        else:
+            instrs.append(GateOp(kind, reg=reg))
+    return instrs
+
+
 class TestSliceRules:
     @settings(max_examples=300, deadline=None)
     @given(start=slices(), data=st.data())
@@ -367,10 +427,141 @@ class TestSliceRules:
         expected = run_unitaries(start.state(), [instr])
         assert np.array_equal(as_bits(got), as_bits(expected))
 
+    @settings(max_examples=500, deadline=None)
+    @given(start=slices(), data=st.data())
+    def test_a_segment_that_holds_registers_is_the_full_state_kernels_bit_for_bit(self, start, data):
+        instrs = held_segment(start, data)
+        got = circuit_ir._advance(start, instrs).state()
+        expected = run_unitaries(start.state(), instrs)
+        assert np.array_equal(as_bits(got), as_bits(expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=slices(), data=st.data())
+    def test_a_held_buffer_is_the_full_state_row_at_value_0(self, start, data):
+        assert_held_rows(start, held_segment(start, data))
+
+    @pytest.mark.parametrize("value", [0, 1])
+    @pytest.mark.parametrize(
+        "amplitude",
+        [
+            complex(-0.0, 0.5),
+            complex(0.5, -0.0),
+            complex(-0.0, -0.0),
+            complex(0.0, 0.0),
+            complex(5e-324, 0.5),
+            complex(-5e-324, -0.5),
+        ],
+    )
+    def test_degenerate_zeros_are_written_out_as_the_kernels_leave_them(self, value, amplitude):
+        # -0 parts held through a "minus" prepare (from F = 1 the held value
+        # is 0), zeros negated by the kickback from a free and from a fixed
+        # input, and subnormal parts whose scaling underflows; the diffusion
+        # runs on the free register beside the held one
+        layout = RegisterLayout.of(C=1, X=2, F=1)
+        amps = np.full(4, amplitude)
+        amps[1] = 0.25
+        amps.setflags(write=False)
+        start = circuit_ir._Slice(layout, {"C": 1, "F": value}, RegisterLayout.of(X=2), amps)
+        table = FunctionTable(2, 1, (0, 1, 1, 0))
+        instrs = [
+            Prepare("F", "minus"),
+            GateOp("oracle-xor", in_reg="X", out_reg="F", table=table),
+            GateOp("grover-diffusion", reg="X"),
+            GateOp("oracle-xor", in_reg="C", out_reg="F", table=FunctionTable(1, 1, (0, 1))),
+            GateOp("oracle-xor", in_reg="X", out_reg="F", table=table),
+        ]
+        got = circuit_ir._advance(start, instrs).state()
+        expected = run_unitaries(start.state(), instrs)
+        assert np.array_equal(as_bits(got), as_bits(expected))
+        assert_held_rows(start, instrs)
+
+    def test_a_segment_whose_scaling_underflows_reruns_without_holding(self, monkeypatch):
+        # F held at 2 by a Hadamard scales by 1/2: -5e-324 halves to a zero
+        # whose sign the complex product takes from the other part, -0.5
+        layout = RegisterLayout.of(X=2, F=2)
+        amps = np.array([-0.5, -5e-324, -0.0, -0.5, -0.5, 0.25, -0.5, 1.0]).view(np.complex128)
+        amps.setflags(write=False)
+        start = circuit_ir._Slice(layout, {"F": 2}, RegisterLayout.of(X=2), amps)
+        instrs = [
+            GateOp("hadamard", reg="F"),
+            GateOp("oracle-xor", in_reg="X", out_reg="F", table=FunctionTable(2, 2, (1, 1, 0, 2))),
+        ]
+        runs = []
+        segment = circuit_ir._Segment
+
+        def recording(start, holds):
+            runs.append(holds)
+            return segment(start, holds)
+
+        monkeypatch.setattr(circuit_ir, "_Segment", recording)
+        got = circuit_ir._advance(start, instrs).state()
+        assert runs == [True, False]
+        assert np.array_equal(as_bits(got), as_bits(run_unitaries(start.state(), instrs)))
+
+    def test_the_kickback_register_stays_held_through_a_search(self, monkeypatch):
+        # 16384 drawers: every diffusion runs on the search register alone,
+        # one contiguous block, and no oracle swaps a pair of amplitudes
+        blocks = []
+        diffuse = gates.grover_diffusion_in_place
+
+        def record(work, layout, reg):
+            blocks.append(layout.axis_shape(reg))
+            diffuse(work, layout, reg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle swapped amplitude pairs")
+
+        monkeypatch.setattr(gates, "grover_diffusion_in_place", record)
+        monkeypatch.setattr(gates, "_swap_pairs", refuse)
+        inst = GameInstance(16384, 5461)
+        state, transcript = run_standard_grover(inst, np.random.default_rng(0))
+        assert blocks == [(1, 16384, 1)] * transcript.oracle_queries
+        assert transcript.answered_x == inst.hidden_drawer
+        assert state.layout.dimension == 2 * 16384
+
+    def test_a_held_search_buffer_is_the_search_register_alone(self, monkeypatch):
+        # 2^19 drawers: up to its last diffusion, the segment's buffer holds
+        # 2^19 amplitudes (8 MiB), not the 2^20 of search and kickback
+        # registers together; the table's kicked inputs are built first
+        drawers = 1 << 19
+        program = standard_circuit(GameInstance(drawers, 3))
+        instrs = program.instructions[:8]  # both prepares and three iterations
+        assert instrs[2].table.kicked(1).tolist() == [3]
+        sizes, peaks = [], []
+        diffuse = gates.grover_diffusion_in_place
+
+        def record(work, layout, reg):
+            sizes.append(work.size)
+            diffuse(work, layout, reg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(gates, "grover_diffusion_in_place", record)
+        start = circuit_ir._start_slice(program.layout, None)
+        tracemalloc.start()
+        try:
+            end = circuit_ir._advance(start, instrs)
+        finally:
+            tracemalloc.stop()
+        assert sizes == [drawers] * 3
+        assert peaks[-1] < 1.25 * drawers * 16
+        assert end.state().amplitudes.size == 2 * drawers
+
     def test_an_oracle_that_does_not_fit_is_rejected_on_fixed_registers(self):
         layout = RegisterLayout.of(X=2, F=1)
         table = FunctionTable(2, 2, (0, 1, 2, 3))
         program = CircuitProgram(layout, (GateOp("oracle-xor", in_reg="X", out_reg="F", table=table),))
+        with pytest.raises(ShapeMismatchError):
+            run(program, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "in_reg, table", [("X", FunctionTable(2, 2, (0, 1, 2, 3))), ("F", FunctionTable(1, 1, (0, 1)))]
+    )
+    def test_an_oracle_that_does_not_fit_is_rejected_on_a_held_output(self, in_reg, table):
+        # a table too wide for the output, and an oracle into its own input
+        layout = RegisterLayout.of(X=2, F=1)
+        program = CircuitProgram(
+            layout, (Prepare("F", "minus"), GateOp("oracle-xor", in_reg=in_reg, out_reg="F", table=table))
+        )
         with pytest.raises(ShapeMismatchError):
             run(program, np.random.default_rng(0))
 

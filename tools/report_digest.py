@@ -37,7 +37,9 @@ ROUNDS = 2
 # size: 128 and 512 F branches of 2^16 and 2^20 amplitudes, deferred and
 # sampled; then 10^4 trials through the sampled lookups, and 2000
 # annihilate-F trials of 513 doubles each, which span several blocks of
-# uniforms.
+# uniforms; then searches with the kickback register held: 4 drawers,
+# whose exact-zero amplitudes carry their signs into the dumped state, and
+# 2^19 drawers, the 20-qubit ceiling.
 CEILING = (
     (("grover", "--n", "262144", "--json"),)
     + tuple(
@@ -53,6 +55,7 @@ CEILING = (
         for discipline in ("measure-F-at-t2", "skip-F")
     )
     + (("shor", "--n", "10", "--r", "512", "--discipline", "annihilate-F", "--trials", "2000", "--json"),)
+    + (("grover", "--n", "4", "--k", "3", "--json"), ("grover", "--n", "524288", "--k", "300000", "--json"))
 )
 
 
