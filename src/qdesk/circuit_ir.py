@@ -49,7 +49,9 @@ f(input) into its output, and one whose output is fixed at v moves each
 input amplitude to v XOR f(x); any other gate on a fixed register expands
 it into a one-hot axis first.  This is implicit measurement (Nielsen &
 Chuang 4.4) applied to the walk: a measured register carries no amplitudes
-of its own.  Within a segment, a Hadamard (or a "uniform" or "minus"
+of its own, and no later gate mixes the branches of its values, so all of
+them advance as one family, the rows of one block that every kernel runs on
+at once.  Within a segment, a Hadamard (or a "uniform" or "minus"
 prepare) on a fixed register holds it in the Hadamard basis: the register
 stays out of the buffer until another gate touches it, so an XOR oracle
 into it is a sign flip on the inputs (phase kickback, Cleve et al. 1998)
@@ -61,13 +63,14 @@ final states, ``unitary_prefix``, ``backdate_outcome`` and
 Unitary segments on the free registers run in place, and every unitary
 route is a segment.  Wherever a state is computed, the gates between two
 projections (or a projection and the boundary asked for) run on one work
-buffer, copied once from the slice the segment starts at and mutated by
-``gates``' in-place kernels.  A kept, tagged or returned state is never
-written.
+buffer, copied once from the slice the segment starts at (a family's fresh
+gather is not copied) and mutated by ``gates``' in-place kernels.  A kept,
+tagged or returned state is never written.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -81,9 +84,7 @@ from .measure import (
     MeasurementRecord,
     OutcomeDistribution,
     _dephase,
-    born_filter,
     born_sample,
-    outcome_distribution,
 )
 from .qstate import PureState, RegisterLayout, StateDistance
 
@@ -276,10 +277,11 @@ def instruction_from_json(doc: Mapping) -> Instruction:
 
 
 def _xor_register(work: np.ndarray, layout: RegisterLayout, reg: str, value: int) -> None:
-    """XOR ``value`` into one register of a work buffer, in place."""
+    """XOR ``value`` into one register of a work buffer, in place; the
+    buffer may hold several states of the layout back to back."""
     if value == 0:
         return
-    block = np.reshape(work, layout.axis_shape(reg), copy=False)
+    block = gates._axis_view(work, layout, reg)
     block[...] = block[:, np.arange(block.shape[1]) ^ value, :]
 
 
@@ -381,6 +383,89 @@ class _Slice:
         return PureState._adopt(self.layout, full)
 
 
+def _branch_index(values: tuple[int, ...], reg: str, value: int) -> int:
+    """The position of ``value`` among a measurement's ascending branch
+    values; a value outside them has zero probability."""
+    j = bisect_left(values, value)
+    if j == len(values) or values[j] != value:
+        raise DegenerateStateError(f"projection on {reg}={value} has zero probability")
+    return j
+
+
+@dataclass(frozen=True)
+class _Family(_Slice):
+    """The branches of one measurement of ``reg`` as one slice: ``amps`` holds
+    one state over the ``free`` registers per value in ``values`` (ascending),
+    back to back, and ``reg`` is neither fixed nor free.  No later
+    instruction touches a measured register, so the rows are a batch axis:
+    every kernel runs on all of them at once, row by row the arithmetic it
+    runs on one."""
+
+    reg: str
+    values: tuple[int, ...]
+
+    def row(self, value: int) -> _Slice:
+        """The branch where ``reg`` holds ``value``, as a view of its row."""
+        j = _branch_index(self.values, self.reg, value)
+        size = self.amps.size // len(self.values)
+        return _Slice(self.layout, {**self.fixed, self.reg: value}, self.free, self.amps[j * size : (j + 1) * size])
+
+    def advanced(self, instrs: Sequence[Instruction]) -> "_Family":
+        """The family with the unitary instructions among ``instrs`` run on
+        every row as one segment, read-only.  Writable rows are a fresh
+        gather that nothing else holds, so the segment may write them in
+        place."""
+        end = _advance(self, instrs, owned=self.amps.flags.writeable)
+        end.amps.setflags(write=False)
+        return _Family(self.layout, end.fixed, end.free, end.amps, self.reg, self.values)
+
+
+def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Family:
+    """The Born filter on each of ``values`` at once: one fresh, writable row
+    per value, the amplitudes where ``reg`` holds it, each divided by the
+    square root of its own ``np.vdot`` weight, as ``born_filter`` weighs
+    and divides one.  A fixed register has one row, the slice's own amplitudes, or zero
+    probability."""
+    values = tuple(values)
+    fixed = dict(s.fixed)
+    if reg in fixed:
+        value = fixed.pop(reg)
+        for v in values:
+            _branch_index((value,), reg, v)
+        return _Family(s.layout, fixed, s.free, s.amps, reg, values)
+    left, d, right = s.free.axis_shape(reg)
+    for v in values:
+        if not 0 <= v < d:
+            raise ValueError(f"outcome {v} out of range for register {reg!r}")
+    block = s.amps.reshape(left, d, right)
+    # each weight from the register's (left, right) view, as born_filter
+    # takes it: np.vdot runs a strided product where that view is strided
+    weights = np.array([np.vdot(kept, kept).real for kept in (block[:, v, :] for v in values)])
+    rows = np.ascontiguousarray(block.transpose(1, 0, 2)[list(values)]).reshape(len(values), left * right)
+    for v, weight in zip(values, weights):
+        if weight < PROB_EPS:
+            raise DegenerateStateError(f"projection on {reg}={v} has zero probability")
+    rows /= np.sqrt(weights)[:, None]
+    return _Family(s.layout, fixed, _free_layout(s.layout, {**fixed, reg: 0}), rows.reshape(-1), reg, values)
+
+
+def _marginals(s: _Slice, reg: str, rows: int) -> np.ndarray:
+    """``reg``'s outcome probabilities in each of the ``rows`` states a
+    slice's amplitudes hold, one row each: ``outcome_distribution``'s
+    arithmetic, |amplitude|^2 summed over every axis but the register's,
+    which numpy reduces row by row as it reduces one state (a sum over
+    nothing else is the squares themselves).  A fixed register is
+    certain."""
+    if reg in s.fixed:
+        probs = np.zeros((rows, s.layout.dim(reg)))
+        probs[:, s.fixed[reg]] = 1.0
+        return probs
+    left, d, right = s.free.axis_shape(reg)
+    squares = np.abs(s.amps.reshape(rows, left, d, right))
+    squares **= 2
+    return squares.reshape(rows, d) if left == right == 1 else squares.sum(axis=(1, 3))
+
+
 def _start_slice(layout: RegisterLayout, initial: PureState | None) -> _Slice:
     """|0...0> with every register fixed, or ``initial`` with none fixed."""
     if initial is None:
@@ -467,13 +552,15 @@ class _Segment:
 
     def _unfix(self, reg: str) -> tuple[int, np.ndarray, np.ndarray]:
         """Free ``reg``: its value, the amplitudes as a ``(left, right)`` view
-        around it, and the zeroed ``(left, d, right)`` view of the new buffer."""
+        around it, and the zeroed ``(left, d, right)`` view of the new buffer;
+        the rows of a family join ``left``."""
         value = self.fixed.pop(reg)
-        self.free = _free_layout(self.layout, self.fixed)
-        left, d, right = self.free.axis_shape(reg)
-        old = self.work.reshape(left, right)
-        self.work, self.owned = np.zeros(left * d * right, dtype=np.complex128), True
-        return value, old, self.work.reshape(left, d, right)
+        names = {reg, *(self.free.names if self.free else ())}
+        self.free = RegisterLayout(tuple(r for r in self.layout.registers if r[0] in names))
+        _, d, right = self.free.axis_shape(reg)
+        old = self.work.reshape(-1, right)
+        self.work, self.owned = np.zeros(old.size * d, dtype=np.complex128), True
+        return value, old, self.work.reshape(-1, d, right)
 
     def expand(self, reg: str) -> None:
         value, old, new = self._unfix(reg)
@@ -524,11 +611,10 @@ class _Segment:
         inputs = f.kicked(held)
         if not inputs.size:
             return
-        left, d, right = self.free.axis_shape(in_reg)
-        if left == right == 1:  # the input is the only free register: flat indexing is fastest
+        if self.work.size == self.layout.dim(in_reg):  # one state over the input alone: flat indexing is fastest
             block, at = self.writable(), inputs
         else:
-            block, at = np.reshape(self.writable(), (left, d, right), copy=False), (slice(None), inputs)
+            block, at = gates._axis_view(self.writable(), self.free, in_reg), (slice(None), inputs)
         block[at] = 0.0 - block[at]
 
     def oracle_xor(self, instr: GateOp) -> None:
@@ -544,9 +630,9 @@ class _Segment:
             value, old, _ = self._unfix(out_reg)
             names = self.free.names
             inputs = [name for name in names if name != out_reg].index(in_reg)
-            source = np.moveaxis(old.reshape([self.layout.dim(n) for n in names if n != out_reg]), inputs, 0)
-            target = self.work.reshape([self.layout.dim(name) for name in names])
-            target = np.moveaxis(target, (names.index(in_reg), names.index(out_reg)), (0, 1))
+            source = np.moveaxis(old.reshape([-1] + [self.layout.dim(n) for n in names if n != out_reg]), 1 + inputs, 0)
+            target = self.work.reshape([-1] + [self.layout.dim(name) for name in names])
+            target = np.moveaxis(target, (1 + names.index(in_reg), 1 + names.index(out_reg)), (0, 1))
             target[np.arange(f.values.size), f.values ^ value] = source
 
     def apply(self, instr: Prepare | GateOp) -> None:
@@ -587,11 +673,12 @@ class _Segment:
         return _Slice(self.layout, self.fixed, self.free, self.work)
 
 
-def _advance(start: _Slice, instrs: Sequence[Instruction]) -> _Slice:
+def _advance(start: _Slice, instrs: Sequence[Instruction], owned: bool = False) -> _Slice:
     """``start`` with the unitary instructions among ``instrs`` applied in
     order, skipping measurements and dephasings, as one segment: one that
     holds registers where it can, unless an underflow makes it rerun
-    without holding."""
+    without holding.  ``owned`` lets a segment that holds nothing write
+    ``start``'s amplitudes in place."""
     unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
     if not unitary:
         return start
@@ -601,30 +688,23 @@ def _advance(start: _Slice, instrs: Sequence[Instruction]) -> _Slice:
                 return _Segment(start, holds=True).run(unitary)
         except FloatingPointError:
             pass
-    return _Segment(start, holds=False).run(unitary)
+    segment = _Segment(start, holds=False)
+    segment.owned = owned
+    return segment.run(unitary)
 
 
 def _project(s: _Slice, reg: str, outcome: int) -> _Slice:
-    """The Born filter on a slice: a free register's axis is sliced at
-    ``outcome`` and renormalised, and the register becomes fixed; a fixed
-    register is left as it is, or has zero probability."""
-    if reg in s.fixed:
-        if s.fixed[reg] != outcome:
-            raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
-        return s
-    amps = born_filter(s.free_state(), reg, outcome).reshape(-1)
-    amps.setflags(write=False)
-    fixed = {**s.fixed, reg: outcome}
-    return _Slice(s.layout, fixed, _free_layout(s.layout, fixed), amps)
+    """The Born filter on a slice, a family of one branch: a free register's
+    axis is sliced at ``outcome`` and renormalised, and the register becomes
+    fixed; a fixed register keeps its amplitudes, or has zero probability."""
+    branch = _gather(s, reg, (outcome,)).row(outcome)
+    branch.amps.setflags(write=False)
+    return branch
 
 
 def _distribution(s: _Slice, reg: str) -> OutcomeDistribution:
     """A register's outcome distribution on a slice; a fixed one is certain."""
-    if reg not in s.fixed:
-        return outcome_distribution(s.free_state(), reg)
-    probs = np.zeros(s.layout.dim(reg))
-    probs[s.fixed[reg]] = 1.0
-    return OutcomeDistribution(reg, probs)
+    return OutcomeDistribution(reg, _marginals(s, reg, 1)[0])
 
 
 def _dephase_slice(s: _Slice, reg: str, values: Sequence[int], phases: np.ndarray) -> _Slice:
@@ -638,6 +718,13 @@ def _dephase_slice(s: _Slice, reg: str, values: Sequence[int], phases: np.ndarra
         amps = _dephase(s.free_state(), reg, values, phases).reshape(-1)
     amps.setflags(write=False)
     return _Slice(s.layout, s.fixed, s.free, amps)
+
+
+def _serves(entry: tuple[int, tuple[int, ...], _Slice], boundary: int, path: tuple[int, ...]) -> bool:
+    """Whether a chain entry lies on ``path`` at or before ``boundary``; a
+    family serves the paths through its node."""
+    at, taken, state = entry
+    return at <= boundary and path[: len(taken)] == taken and (len(path) > len(taken) or not isinstance(state, _Family))
 
 
 class _BranchWalk:
@@ -656,11 +743,24 @@ class _BranchWalk:
     The state at any boundary is a function of (boundary, path), so
     ``state`` computes it on demand from the deepest state it has kept on
     that path, and ``distribution`` memoises each node's outcome
-    distribution.  Kept states form one chain from the start: one per
-    visited node of one path, never one per branch.  Every state is a
-    ``_Slice``: a projection fixes the register it measures, so a branch
-    holds amplitudes over the registers still free, and a full state is
-    built only for a tagged or final state.
+    distribution.  Every state is a ``_Slice``: a projection fixes the
+    register it measures, so a branch holds amplitudes over the registers
+    still free, and a full state is built only for a tagged or final state.
+
+    A measurement's branches advance as one family (Nielsen & Chuang 4.4:
+    the measured register is frozen, so nothing later mixes its branches).
+    Where the walk first needs the next node's distribution on a branch of
+    a measurement, it gathers every support value of the register into the
+    rows of one ``_Family``, renormalised row by row, runs the segment up
+    to the next node once on the whole block, and memoises that node's
+    distribution on every branch at once, one row each (``children``).  The
+    family takes its parent state's place on the chain, where a deeper
+    node, a tag or a trial reads its branch as a view of its row.  A branch
+    whose family the chain no longer keeps, a branch of a visible
+    dephasing (whose register later gates touch) and a branch read past the
+    last node (a final or tagged state) are projected on their own.  Kept
+    states and families form one chain from the start, one per visited
+    node of one path, never one per branch.
     """
 
     def __init__(self, program: CircuitProgram, initial: PureState | None):
@@ -694,37 +794,81 @@ class _BranchWalk:
             for i, instr in enumerate(self.instructions)
             if isinstance(instr, Dephase)
         )
-        self._chain = [(0, (), _start_slice(program.layout, initial))]
+        # (boundary, path, state): a family's path is the one to its node,
+        # and it serves every branch of that node
+        self._chain: list[tuple[int, tuple[int, ...], _Slice]] = [
+            (0, (), _start_slice(program.layout, initial))
+        ]
         self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
+        self._children: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
     def state(self, boundary: int, path: tuple[int, ...]) -> _Slice:
         """The state after the first ``boundary`` instructions on ``path``,
         without the phases of inert dephasings.
 
-        Each unitary segment between the kept state and the boundary runs
-        as one ``_Segment``, ended by the node's projection or the
-        boundary; no kept state is ever written."""
+        The deepest kept state on the path may be a row of a family.  Each
+        unitary segment between it and the boundary runs as one
+        ``_Segment``, ended by a node's projection of the one branch or by
+        the boundary; no kept state is ever written."""
         chain = self._chain
-        while not (chain[-1][0] <= boundary and path[: len(chain[-1][1])] == chain[-1][1]):
+        while not _serves(chain[-1], boundary, path):
             chain.pop()
         at, taken, state = chain[-1]
+        k = len(taken)
+        if isinstance(state, _Family):
+            state, k = state.row(path[k]), k + 1
         if at == boundary:
             return state
-        k, start = len(taken), at
-        for i in range(at, boundary):
-            instr = self.instructions[i]
-            if isinstance(instr, (Measure, Dephase)) and i not in self.inert:
-                state = _project(_advance(state, self.instructions[start:i]), instr.reg, path[k])
-                k, start = k + 1, i + 1
+        start = at
+        for i in self.nodes[k:]:
+            if i >= boundary:
+                break
+            state = _project(_advance(state, self.instructions[start:i]), self.instructions[i].reg, path[k])
+            k, start = k + 1, i + 1
         state = _advance(state, self.instructions[start:boundary])
         chain.append((boundary, path, state))
         return state
 
+    def _family(self, k: int, path: tuple[int, ...]) -> _Family:
+        """Node ``k``'s branches on ``path``, a measurement that a later node
+        follows: gathered into one family, run to the next node, and kept on
+        the chain in the place of the state they were gathered from."""
+        i, j = self.nodes[k], self.nodes[k + 1]
+        support = self.distribution(i, path).support
+        at_node = self.state(i, path)
+        family = _gather(at_node, self.instructions[i].reg, support).advanced(self.instructions[i + 1 : j])
+        if len(self._chain) > 1 and self._chain[-1][2] is at_node:
+            self._chain.pop()
+        self._chain.append((j, path, family))
+        return family
+
+    def children(self, k: int, path: tuple[int, ...]) -> np.ndarray:
+        """The outcome probabilities of node ``k + 1`` on every branch of
+        node ``k`` on ``path``, one row per support value of node ``k``,
+        ascending.  A measurement's rows are reduced from its family at
+        once and memoised; a visible dephasing's branches are run one by
+        one."""
+        if isinstance(self.instructions[self.nodes[k]], Dephase):
+            support = self.distribution(self.nodes[k], path).support
+            return np.array([self.distribution(self.nodes[k + 1], path + (v,)).probabilities for v in support])
+        if (k, path) not in self._children:
+            family = self._family(k, path)
+            self._children[k, path] = _marginals(family, self.instructions[self.nodes[k + 1]].reg, len(family.values))
+        return self._children[k, path]
+
     def distribution(self, index: int, path: tuple[int, ...]) -> OutcomeDistribution:
-        """The outcome distribution of instruction ``index`` on ``path``, memoised."""
+        """The outcome distribution of instruction ``index`` on ``path``,
+        memoised: a node that follows a measurement reads its branch's row
+        of ``children``, and any other is computed from its state."""
         key = (index, path)
         if key not in self._distributions:
-            self._distributions[key] = _distribution(self.state(index, path), self.instructions[index].reg)
+            reg, k = self.instructions[index].reg, len(path)
+            if 0 < k < len(self.nodes) and index == self.nodes[k] and isinstance(self.instructions[self.nodes[k - 1]], Measure):
+                parent = self.distribution(self.nodes[k - 1], path[:-1])
+                row = _branch_index(parent.support, parent.reg, path[-1])
+                self._distributions[key] = OutcomeDistribution(reg, self.children(k - 1, path[:-1])[row])
+            else:
+                self._distributions[key] = _distribution(self.state(index, path), reg)
         return self._distributions[key]
 
     def trial(
@@ -968,8 +1112,17 @@ def defer_measurements(program: CircuitProgram) -> CircuitProgram:
 def _enumerate(program: CircuitProgram, observed: tuple[str, ...], initial: PureState | None) -> np.ndarray:
     """The exact joint distribution of the observed registers as an array
     with one axis per observed register, in ``observed`` order; an entry no
-    branch reaches is 0."""
+    branch reaches is 0.
+
+    The tree is walked depth first, a node's branches in descending order,
+    to the parent of the last node.  There the last node's distribution on
+    every branch comes as one array (``_BranchWalk.children``), and each
+    branch adds its weight times it into the entry its path selects, one
+    branch after another in that order, so an entry that several branches
+    reach sums them in the same order whatever the layout of the tree."""
     program.validate_order()
+    if not observed:
+        raise ProgramError("no observed registers")
     missing = set(observed) - set(program.measured_registers())
     if missing:
         raise ProgramError(f"observed registers {sorted(missing)} are never measured")
@@ -988,13 +1141,24 @@ def _enumerate(program: CircuitProgram, observed: tuple[str, ...], initial: Pure
     stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
     while stack:
         path, weight = stack.pop()
-        dist = walk.distribution(nodes[len(path)], path)
-        if len(path) < leaf:
-            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support)
-            continue
-        probs = np.where(dist.probabilities > PROB_EPS, dist.probabilities, 0.0)
-        index = tuple(path[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))
-        acc[index] += weight * probs if leaf_observed else weight * probs.sum()
+        k = len(path)
+        dist = walk.distribution(nodes[k], path)
+        if k == leaf:
+            branches, weights, probs = [path], [weight], dist.probabilities[None]
+        else:
+            branches = [path + (v,) for v in dist.support]
+            weights = [weight * float(dist.probabilities[v]) for v in dist.support]
+            if k + 1 < leaf:
+                stack.extend(zip(branches, weights))
+                continue
+            probs = walk.children(k, path)
+        terms = np.where(probs > PROB_EPS, probs, 0.0)
+        if leaf_observed:
+            terms *= np.array(weights)[:, None]
+        else:
+            terms = np.array(weights) * terms.sum(axis=1)
+        for branch, term in zip(reversed(branches), terms[::-1]):
+            acc[tuple(branch[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))] += term
     return acc
 
 
@@ -1008,12 +1172,14 @@ def enumerate_outcome_distribution(
     weight; nothing is sampled, a dephasing branch records no outcome, and
     an inert dephasing is not branched on (its branches' weights sum to 1).
     The measurements that end the program commute, so the unobserved ones
-    among them are summed out (the principle of implicit measurement).  A branch's
-    state is computed only where a later node needs its distribution, so
-    the last node is read off its distribution without a projection: each
-    branch that reaches it adds its weight times that distribution into an
-    array over the observed registers' joint values.  The keys are the
-    values some branch reaches.
+    among them are summed out (the principle of implicit measurement).  The
+    branches of a measurement that a later node follows advance as one
+    family: one block, one unitary segment up to that node, and that node's
+    distribution on every branch reduced at once.  The last node is read
+    off its distributions without a projection: each branch that reaches it
+    adds its weight times its distribution into an array over the observed
+    registers' joint values, in one fixed order.  The keys are the values
+    some branch reaches.  Observing no register is a ``ProgramError``.
     """
     acc = _enumerate(program, tuple(observed), initial)
     return {tuple(int(v) for v in key): float(acc[key]) for key in zip(*np.nonzero(acc))}
@@ -1027,9 +1193,9 @@ def equivalent_distributions(
     if p1.layout != p2.layout:
         raise ShapeMismatchError("programs must share a register layout")
     observed = tuple(sorted(observed))
-    d1 = _enumerate(p1, observed, None)
-    d2 = _enumerate(p2, observed, None)
-    return StateDistance(0.5 * float(np.abs(d1 - d2).sum()), kind="distribution")
+    diff = _enumerate(p1, observed, None)
+    diff -= _enumerate(p2, observed, None)
+    return StateDistance(0.5 * float(np.abs(diff, out=diff).sum()), kind="distribution")
 
 
 def backdate_outcome(

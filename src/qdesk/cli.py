@@ -102,14 +102,32 @@ def _modexp_problem(base: int | None, modulus: int | None) -> str | None:
     return None
 
 
+def _observed_names(raw: str) -> tuple[str, ...]:
+    """The register names of a comma-separated ``--observed``, blanks dropped."""
+    return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
+def _observed_problem(raw: str | None) -> str | None:
+    """Why ``--observed`` names no register, or one twice, if it does."""
+    if raw is None:
+        return None
+    names = _observed_names(raw)
+    if not names:
+        return f"--observed names no register, got {raw!r}"
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        return f"--observed names {', '.join(twice)} more than once"
+    return None
+
+
 def _usage_problem(args: argparse.Namespace) -> str | None:
     if args.command == "shor":
         modexp = args.base is not None or args.modulus is not None
         problem = _modexp_problem(args.base, args.modulus) or _instance_problem(
             args.n, None if modexp else args.r, args.modulus
         )
-    elif args.command == "defer-check" and args.fig1:
-        problem = _instance_problem(args.n, args.r, None)
+    elif args.command == "defer-check":
+        problem = _observed_problem(args.observed) or (_instance_problem(args.n, args.r, None) if args.fig1 else None)
     else:
         problem = _game_problem(args)
     return f"{args.command}: {problem}" if problem else None
@@ -322,8 +340,8 @@ def _cmd_defer_check(args: argparse.Namespace, seed: int) -> dict:
         other = circuit_ir.defer_measurements(program)
     else:
         raise QdeskError("need --against FILE or --auto-defer")
-    if args.observed:
-        observed = tuple(name.strip() for name in args.observed.split(",") if name.strip())
+    if args.observed is not None:
+        observed = _observed_names(args.observed)
     else:
         observed = tuple(sorted(set(program.measured_registers()) & set(other.measured_registers())))
         if not observed:

@@ -9,10 +9,12 @@ these kernels on one work buffer.  The ``PureState`` forms (``hadamard_all``,
 state once, run the kernel, and adopt the copy.
 
 Every register-wise kernel works on the ``(left, d, right)`` view of the
-buffer (``RegisterLayout.axis_shape``).  The Hadamard layer runs one
-butterfly per bit over that view and scales once at the end; the Fourier
-transform is an FFT along the register axis written back into the view
-(``method="dense"`` on ``qft``, with ``fourier_matrix``, is kept only as
+buffer (``RegisterLayout.axis_shape``).  A buffer may hold several states
+of the layout back to back; they join ``left``, so a kernel runs on all of
+them at once, each with the arithmetic it gets alone.  The Hadamard layer
+runs one butterfly per bit over that view and scales once at the end;
+the Fourier transform is an FFT along the register axis written back into
+the view (``method="dense"`` on ``qft``, with ``fourier_matrix``, is kept only as
 the oracle that tests and the self-test compare the FFT against, within
 1e-10); the diffusion step sums the register as the contiguous last axis,
 pairwise (from a copy, unless no register lies to its right), and writes
@@ -235,7 +237,7 @@ def hadamard_all_in_place(work: np.ndarray, layout: RegisterLayout, reg: str) ->
     2^(-q/2).  A half-length scratch holds each difference, so a layer
     allocates half the state and no array per bit.
     """
-    left = layout.axis_shape(reg)[0]
+    left = _axis_view(work, layout, reg).shape[0]
     q = layout.qubits(reg)
     scratch = np.empty(work.size // 2, dtype=work.dtype)
     for k in range(q):
@@ -284,7 +286,7 @@ def qft_in_place(work: np.ndarray, layout: RegisterLayout, reg: str, inverse: bo
     FFT along the register axis of the ``(left, d, right)`` view, written
     back into that view, O(D log d) for a d-dimensional register in a
     D-dimensional state."""
-    block = _view(work, layout.axis_shape(reg))
+    block = _axis_view(work, layout, reg)
     fourier_axis(block, 1, inverse, out=block)
 
 
@@ -327,11 +329,11 @@ def _swap_pairs(
         at_lo, at_hi = batch + (lo,), batch + (hi,)
     else:
         names = layout.names
-        block = _view(work, tuple(layout.dim(name) for name in names))
-        at_lo, at_hi = [slice(None)] * len(names), [slice(None)] * len(names)
+        block = _view(work, (-1,) + tuple(layout.dim(name) for name in names))
+        at_lo, at_hi = [slice(None)] * block.ndim, [slice(None)] * block.ndim
         shift = 0
         for reg in reversed(regs):
-            axis, mask = names.index(reg), layout.dim(reg) - 1
+            axis, mask = 1 + names.index(reg), layout.dim(reg) - 1
             at_lo[axis], at_hi[axis] = (lo >> shift) & mask, (hi >> shift) & mask
             shift += layout.qubits(reg)
         at_lo, at_hi = tuple(at_lo), tuple(at_hi)
@@ -396,10 +398,9 @@ def grover_diffusion_in_place(work: np.ndarray, layout: RegisterLayout, reg: str
     2 * mean - a is written back from that copy with the register as the
     inner loop.
     """
-    left, d, right = layout.axis_shape(reg)
-    register_last = _view(work, (left, d, right)).swapaxes(1, 2)
+    register_last = _axis_view(work, layout, reg).swapaxes(1, 2)
     contiguous = np.ascontiguousarray(register_last)  # the view itself when right == 1
-    twice_mean = contiguous.sum(axis=-1) * (2.0 / d)
+    twice_mean = contiguous.sum(axis=-1) * (2.0 / layout.dim(reg))
     np.subtract(twice_mean[..., None], contiguous, out=register_last)
 
 
@@ -413,6 +414,12 @@ def _view(work: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     reshaped copy would lose its writes, so a buffer that cannot be viewed
     so raises."""
     return np.reshape(work, shape, copy=False)
+
+
+def _axis_view(work: np.ndarray, layout: RegisterLayout, reg: str) -> np.ndarray:
+    """``work``'s ``(left, d, right)`` view for ``reg``; the states of a
+    buffer that holds several join ``left``."""
+    return _view(work, (-1, layout.dim(reg), 1 << layout.offset(reg)))
 
 
 def _on_copy(state: PureState, kernel: Callable[..., None], *args) -> PureState:

@@ -221,14 +221,16 @@ class TestSample:
 
     def test_nothing_after_the_last_draw_is_computed(self, monkeypatch):
         calls = []
-        real = circuit_ir._project
-        monkeypatch.setattr(circuit_ir, "_project", lambda *a: calls.append(a[1:]) or real(*a))
-        # skip-F measures X, then F: F's distribution needs each X branch
-        # once, and the F outcome is never projected
-        records = sample(period_circuit(build_periodic(3, 3), "skip-F"), np.random.default_rng(1), 50)
+        real = circuit_ir._gather
+        monkeypatch.setattr(circuit_ir, "_gather", lambda *a: calls.append(a[1:]) or real(*a))
+        # skip-F measures X, then F: F's distribution needs the X branches,
+        # gathered once as one family, and the F outcome is never projected
+        program = period_circuit(build_periodic(3, 3), "skip-F")
+        records = sample(program, np.random.default_rng(1), 50)
         assert [len(r) for r in records] == [2] * 50
-        assert sorted(outcome for _, outcome in calls) == sorted({r[0].outcome for r in records})
-        assert {reg for reg, _ in calls} == {"X"}
+        x_support = circuit_ir._BranchWalk(program, None).distribution(4, ()).support
+        assert calls == [("X", x_support)]
+        assert {r[0].outcome for r in records} <= set(x_support)
         # annihilate-F through its X measurement: dephased, then drawn, never projected
         calls.clear()
         program = period_circuit(build_periodic(3, 3), "annihilate-F")
@@ -343,15 +345,19 @@ class TestSampledArrays:
         assert calls == []
 
     @pytest.mark.parametrize("discipline", DISCIPLINES)
-    def test_one_distribution_per_distinct_path(self, monkeypatch, discipline):
-        calls = []
-        real = circuit_ir._distribution
-        monkeypatch.setattr(circuit_ir, "_distribution", lambda *a: calls.append(a[1]) or real(*a))
+    def test_one_reduction_per_node_and_family(self, monkeypatch, discipline):
+        # the first measurement's and each dephasing's distribution is one
+        # reduction of one state; the second measurement's, on every branch
+        # of the first, is one reduction of the first one's family
         program = period_circuit(build_periodic(4, 5), discipline)
-        records = sample(program, np.random.default_rng(7), 200)
-        paths = {tuple(r.outcome for r in trial[:k]) for trial in records for k in range(len(trial))}
+        walk = circuit_ir._BranchWalk(program, None)
+        first = walk.distribution(walk.nodes[0], ())
+        calls = []
+        real = circuit_ir._marginals
+        monkeypatch.setattr(circuit_ir, "_marginals", lambda *a: calls.append(a[2]) or real(*a))
+        sample(program, np.random.default_rng(7), 200)
         dephasings = sum(isinstance(instr, Dephase) for instr in program.instructions)
-        assert len(calls) == len(paths) + dephasings
+        assert sorted(calls) == [1] * (1 + dephasings) + [len(first.support)]
 
 
 def count_qft_calls(monkeypatch, capsys, argv):
@@ -608,16 +614,16 @@ class TestEnumeration:
             program, ("K", "X"), state
         )
 
-    def test_deferred_check_projects_only_the_early_branches(self, monkeypatch):
+    def test_deferred_check_gathers_only_the_early_branches(self, monkeypatch):
         calls = []
-        real = circuit_ir._project
-        monkeypatch.setattr(circuit_ir, "_project", lambda *a: calls.append(a[1]) or real(*a))
+        real = circuit_ir._gather
+        monkeypatch.setattr(circuit_ir, "_gather", lambda *a: calls.append((a[1], len(a[2]))) or real(*a))
         program = period_circuit(build_periodic(8, 128), "measure-F-at-t2")
         tv = equivalent_distributions(program, defer_measurements(program), ["X"])
         assert tv.value < 1e-10
-        # one projection per F branch of the original; the deferred program's
+        # one family of the original's 128 F branches; the deferred program's
         # X marginal is read once and its F measurement is summed out
-        assert calls == ["F"] * 128
+        assert calls == [("F", 128)]
 
 
 IN_PLACE_KERNELS = (

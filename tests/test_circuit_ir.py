@@ -228,6 +228,17 @@ class TestEquivalentDistributions:
         with pytest.raises(ProgramError):
             enumerate_outcome_distribution(program, ["F"])
 
+    @pytest.mark.parametrize("discipline", ["measure-F-at-t2", "skip-F"])
+    def test_observing_no_register_is_a_program_error(self, discipline):
+        # the measure-F program and its deferred rewrite: one with a
+        # measurement before its last node, one whose measurements all end it
+        program = period_circuit(build_periodic(3, 2), discipline)
+        for candidate in (program, defer_measurements(program)):
+            with pytest.raises(ProgramError, match="no observed registers"):
+                enumerate_outcome_distribution(candidate, ())
+            with pytest.raises(ProgramError, match="no observed registers"):
+                equivalent_distributions(candidate, candidate, ())
+
     @pytest.mark.parametrize("seed", range(6))
     def test_deferral_sound_on_random_programs(self, seed):
         rng = np.random.default_rng(seed)

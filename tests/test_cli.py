@@ -363,6 +363,23 @@ class TestDeferCheckCommand:
         err = capsys.readouterr().err
         assert "--n" in err or "--r" in err
 
+    @pytest.mark.parametrize("observed", [",", "", " , ", "X,X", "F,X,F", "X, X"])
+    def test_empty_or_repeated_observed_is_usage_error(self, capsys, monkeypatch, observed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("distributions enumerated before the input check")
+
+        monkeypatch.setattr(circuit_ir, "equivalent_distributions", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["defer-check", "--fig1", "--n", "4", "--r", "4", "--observed", observed, "--json"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--observed" in errors[0]
+
+    def test_observed_names_are_stripped_and_kept_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, ["defer-check", "--fig1", "--n", "3", "--r", "2", "--observed", " X, ,F", "--json"])
+        assert code == 0
+        assert json.loads(out)["observed"] == ["X", "F"]
+
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, ["defer-check"])
         assert code == 1

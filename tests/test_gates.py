@@ -367,3 +367,37 @@ class TestUnitarity:
             lambda s: grover_diffusion(s, "X"),
         ):
             assert abs(op(state).norm() - 1.0) < 1e-12
+
+
+class TestStackedStates:
+    """A work buffer may hold several states of a layout back to back; each
+    in-place kernel then gives every state bit for bit what it gives that
+    state alone."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_kernel_acts_on_every_state_alone(self, rows, seed):
+        from qdesk import gates
+
+        rng = np.random.default_rng(seed)
+        layout = RegisterLayout.of(M=1, X=2, K=1, F=2)
+        xor = FunctionTable(2, 2, tuple(int(v) for v in rng.integers(0, 4, size=4)))
+        moded = ModedFunctionTable(1, 2, 2, tuple(int(v) for v in rng.integers(0, 4, size=8)))
+        kernels = [
+            (gates.hadamard_all_in_place, ("X",)),
+            (gates.qft_in_place, ("F",)),
+            (gates.qft_in_place, ("X", True)),
+            (gates.grover_diffusion_in_place, ("X",)),
+            (gates.grover_diffusion_in_place, ("F",)),
+            (gates.oracle_xor_in_place, (xor, "X", "F")),  # two registers apart
+            (gates.oracle_xor_in_place, (xor, "F", "X")),
+            (gates.oracle_moded_in_place, (moded, "M", "X", "F")),
+        ]
+        for kernel, args in kernels:
+            parts = rng.normal(size=(rows, layout.dimension, 2))
+            stacked = (parts[..., 0] + 1j * parts[..., 1]).reshape(-1)
+            alone = [row.copy() for row in stacked.reshape(rows, -1)]
+            kernel(stacked, layout, *args)
+            for row, expected in zip(stacked.reshape(rows, -1), alone):
+                kernel(expected, layout, *args)
+                assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))

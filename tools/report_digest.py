@@ -35,7 +35,8 @@ ROUNDS = 2
 # transform and oracle matter most: 2^19 amplitudes, and 2^14 under every
 # discipline with sampled trials; then the branches the walk slices at
 # size: 128 and 512 F branches of 2^16 and 2^20 amplitudes, deferred and
-# sampled; then 10^4 trials through the sampled lookups, and 2000
+# sampled, and 128 with F summed out, which pins the order in which the
+# branches' distributions add up; then 10^4 trials through the sampled lookups, and 2000
 # annihilate-F trials of 513 doubles each, which span several blocks of
 # uniforms; then searches with the kickback register held: 4 drawers,
 # whose exact-zero amplitudes carry their signs into the dumped state, and
@@ -48,6 +49,8 @@ CEILING = (
     )
     + (
         ("defer-check", "--fig1", "--n", "8", "--r", "128", "--json"),
+        ("defer-check", "--fig1", "--n", "10", "--r", "512", "--json"),
+        ("defer-check", "--fig1", "--n", "8", "--r", "128", "--observed", "X", "--json"),
         ("shor", "--n", "10", "--r", "512", "--discipline", "measure-F-at-t2", "--trials", "100", "--json"),
     )
     + tuple(
