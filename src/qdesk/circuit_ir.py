@@ -399,10 +399,12 @@ class _Family(_Slice):
     back to back, and ``reg`` is neither fixed nor free.  No later
     instruction touches a measured register, so the rows are a batch axis:
     every kernel runs on all of them at once, row by row the arithmetic it
-    runs on one."""
+    runs on one.  ``owned`` marks rows that ``_gather`` has just made and
+    nothing else holds."""
 
     reg: str
     values: tuple[int, ...]
+    owned: bool = False
 
     def row(self, value: int) -> _Slice:
         """The branch where ``reg`` holds ``value``, as a view of its row."""
@@ -412,20 +414,19 @@ class _Family(_Slice):
 
     def advanced(self, instrs: Sequence[Instruction]) -> "_Family":
         """The family with the unitary instructions among ``instrs`` run on
-        every row as one segment, read-only.  Writable rows are a fresh
-        gather that nothing else holds, so the segment may write them in
+        every row as one segment, read-only; owned rows may be written in
         place."""
-        end = _advance(self, instrs, owned=self.amps.flags.writeable)
+        end = _advance(self, instrs, owned=self.owned)
         end.amps.setflags(write=False)
         return _Family(self.layout, end.fixed, end.free, end.amps, self.reg, self.values)
 
 
 def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Family:
-    """The Born filter on each of ``values`` at once: one fresh, writable row
-    per value, the amplitudes where ``reg`` holds it, each divided by the
-    square root of its own ``np.vdot`` weight, as ``born_filter`` weighs
-    and divides one.  A fixed register has one row, the slice's own amplitudes, or zero
-    probability."""
+    """The Born filter on each of ``values`` at once: one fresh row per
+    value, owned by the family, the amplitudes where ``reg`` holds it, each
+    divided by the square root of its own ``np.vdot`` weight, as
+    ``born_filter`` weighs and divides one.  A fixed register has one row,
+    the slice's own amplitudes, or zero probability."""
     values = tuple(values)
     fixed = dict(s.fixed)
     if reg in fixed:
@@ -446,7 +447,8 @@ def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Family:
         if weight < PROB_EPS:
             raise DegenerateStateError(f"projection on {reg}={v} has zero probability")
     rows /= np.sqrt(weights)[:, None]
-    return _Family(s.layout, fixed, _free_layout(s.layout, {**fixed, reg: 0}), rows.reshape(-1), reg, values)
+    free = _free_layout(s.layout, {**fixed, reg: 0})
+    return _Family(s.layout, fixed, free, rows.reshape(-1), reg, values, owned=True)
 
 
 def _marginals(s: _Slice, reg: str, rows: int) -> np.ndarray:
@@ -678,7 +680,8 @@ def _advance(start: _Slice, instrs: Sequence[Instruction], owned: bool = False) 
     order, skipping measurements and dephasings, as one segment: one that
     holds registers where it can, unless an underflow makes it rerun
     without holding.  ``owned`` lets a segment that holds nothing write
-    ``start``'s amplitudes in place."""
+    ``start``'s amplitudes in place; one that may hold copies them first,
+    since an underflow reruns it from ``start``."""
     unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
     if not unitary:
         return start
@@ -722,9 +725,11 @@ def _dephase_slice(s: _Slice, reg: str, values: Sequence[int], phases: np.ndarra
 
 def _serves(entry: tuple[int, tuple[int, ...], _Slice], boundary: int, path: tuple[int, ...]) -> bool:
     """Whether a chain entry lies on ``path`` at or before ``boundary``; a
-    family serves the paths through its node."""
+    family serves the paths through its node that take one of its values."""
     at, taken, state = entry
-    return at <= boundary and path[: len(taken)] == taken and (len(path) > len(taken) or not isinstance(state, _Family))
+    if at > boundary or path[: len(taken)] != taken:
+        return False
+    return not isinstance(state, _Family) or (len(path) > len(taken) and path[len(taken)] in state.values)
 
 
 class _BranchWalk:
@@ -749,18 +754,18 @@ class _BranchWalk:
 
     A measurement's branches advance as one family (Nielsen & Chuang 4.4:
     the measured register is frozen, so nothing later mixes its branches).
-    Where the walk first needs the next node's distribution on a branch of
-    a measurement, it gathers every support value of the register into the
-    rows of one ``_Family``, renormalised row by row, runs the segment up
-    to the next node once on the whole block, and memoises that node's
-    distribution on every branch at once, one row each (``children``).  The
-    family takes its parent state's place on the chain, where a deeper
-    node, a tag or a trial reads its branch as a view of its row.  A branch
-    whose family the chain no longer keeps, a branch of a visible
-    dephasing (whose register later gates touch) and a branch read past the
-    last node (a final or tagged state) are projected on their own.  Kept
-    states and families form one chain from the start, one per visited
-    node of one path, never one per branch.
+    ``expand`` gathers the values of a measurement that its caller will
+    walk into the rows of one ``_Family``, renormalised row by row, runs
+    the segment up to the next node once on the whole block, and memoises
+    that node's distribution on each of those branches, one row each:
+    enumeration asks for every support value, a block of sampled trials for
+    the values it drew.  The family takes its parent state's place on the
+    chain, where a deeper node, a tag or a trial reads its branch as a view
+    of its row.  A branch no kept family holds (a single trial's, one of a
+    visible dephasing, whose register later gates touch, or one read past
+    the last node) is projected on its own.  Kept states and families form
+    one chain from the start, one per visited node of one path, never one
+    per branch.
     """
 
     def __init__(self, program: CircuitProgram, initial: PureState | None):
@@ -800,7 +805,6 @@ class _BranchWalk:
             (0, (), _start_slice(program.layout, initial))
         ]
         self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
-        self._children: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
     def state(self, boundary: int, path: tuple[int, ...]) -> _Slice:
         """The state after the first ``boundary`` instructions on ``path``,
@@ -829,46 +833,43 @@ class _BranchWalk:
         chain.append((boundary, path, state))
         return state
 
-    def _family(self, k: int, path: tuple[int, ...]) -> _Family:
-        """Node ``k``'s branches on ``path``, a measurement that a later node
-        follows: gathered into one family, run to the next node, and kept on
-        the chain in the place of the state they were gathered from."""
+    def expand(self, k: int, path: tuple[int, ...], values: Sequence[int]) -> None:
+        """Memoise node ``k + 1``'s distribution on the branches of node
+        ``k`` on ``path`` that take ``values`` (ascending), when node ``k``
+        is a measurement: those not yet memoised are gathered into one
+        family, run to node ``k + 1`` as one segment and reduced row by row,
+        and the family is kept on the chain in the place of the state it
+        was gathered from.  A visible dephasing's branches are left to
+        ``distribution``, one at a time."""
         i, j = self.nodes[k], self.nodes[k + 1]
-        support = self.distribution(i, path).support
+        if isinstance(self.instructions[i], Dephase):
+            return
+        values = [v for v in values if (j, path + (v,)) not in self._distributions]
+        if not values:
+            return
+        family = self._family(i, j, path, values)
+        reg = self.instructions[j].reg
+        for v, probs in zip(values, _marginals(family, reg, len(values))):
+            self._distributions[j, path + (v,)] = OutcomeDistribution(reg, probs)
+
+    def _family(self, i: int, j: int, path: tuple[int, ...], values: list[int]) -> _Family:
+        """The branches of the measurement at ``i`` on ``path`` that take
+        ``values``, gathered and run to the node at ``j``, kept on the chain
+        in the place of the state they were gathered from."""
         at_node = self.state(i, path)
-        family = _gather(at_node, self.instructions[i].reg, support).advanced(self.instructions[i + 1 : j])
+        family = _gather(at_node, self.instructions[i].reg, values).advanced(self.instructions[i + 1 : j])
         if len(self._chain) > 1 and self._chain[-1][2] is at_node:
             self._chain.pop()
         self._chain.append((j, path, family))
         return family
 
-    def children(self, k: int, path: tuple[int, ...]) -> np.ndarray:
-        """The outcome probabilities of node ``k + 1`` on every branch of
-        node ``k`` on ``path``, one row per support value of node ``k``,
-        ascending.  A measurement's rows are reduced from its family at
-        once and memoised; a visible dephasing's branches are run one by
-        one."""
-        if isinstance(self.instructions[self.nodes[k]], Dephase):
-            support = self.distribution(self.nodes[k], path).support
-            return np.array([self.distribution(self.nodes[k + 1], path + (v,)).probabilities for v in support])
-        if (k, path) not in self._children:
-            family = self._family(k, path)
-            self._children[k, path] = _marginals(family, self.instructions[self.nodes[k + 1]].reg, len(family.values))
-        return self._children[k, path]
-
     def distribution(self, index: int, path: tuple[int, ...]) -> OutcomeDistribution:
         """The outcome distribution of instruction ``index`` on ``path``,
-        memoised: a node that follows a measurement reads its branch's row
-        of ``children``, and any other is computed from its state."""
+        memoised; one that ``expand`` has not reduced is computed from its
+        state."""
         key = (index, path)
         if key not in self._distributions:
-            reg, k = self.instructions[index].reg, len(path)
-            if 0 < k < len(self.nodes) and index == self.nodes[k] and isinstance(self.instructions[self.nodes[k - 1]], Measure):
-                parent = self.distribution(self.nodes[k - 1], path[:-1])
-                row = _branch_index(parent.support, parent.reg, path[-1])
-                self._distributions[key] = OutcomeDistribution(reg, self.children(k - 1, path[:-1])[row])
-            else:
-                self._distributions[key] = _distribution(self.state(index, path), reg)
+            self._distributions[key] = _distribution(self.state(index, path), self.instructions[index].reg)
         return self._distributions[key]
 
     def trial(
@@ -983,8 +984,10 @@ class _BranchWalk:
         node's memoised cumulative sums at once, as ``born_sample`` looks one
         up.  The trials are then split by outcome, and each group draws the
         next measurement on its own path, depth first in ascending outcome
-        order, so each kept state serves every group below it.  Nothing after
-        the last measurement is computed."""
+        order, so each kept state serves every group below it; the next
+        measurement's distribution on every drawn branch comes from one
+        family of the drawn values (``expand``).  Nothing after the last
+        measurement is computed."""
         k = len(path)
         dist = self.distribution(self.measures[k], path)
         drawn = dist.cdf.searchsorted(uniforms[rows, k], side="right")
@@ -994,6 +997,7 @@ class _BranchWalk:
             return
         order = np.argsort(drawn, kind="stable")
         values, starts = np.unique(drawn[order], return_index=True)
+        self.expand(k, path, values.tolist())
         for value, group in zip(values.tolist(), np.split(rows[order], starts[1:])):
             self._look_up(uniforms, outcomes, probabilities, group, path + (value,))
 
@@ -1112,14 +1116,8 @@ def defer_measurements(program: CircuitProgram) -> CircuitProgram:
 def _enumerate(program: CircuitProgram, observed: tuple[str, ...], initial: PureState | None) -> np.ndarray:
     """The exact joint distribution of the observed registers as an array
     with one axis per observed register, in ``observed`` order; an entry no
-    branch reaches is 0.
-
-    The tree is walked depth first, a node's branches in descending order,
-    to the parent of the last node.  There the last node's distribution on
-    every branch comes as one array (``_BranchWalk.children``), and each
-    branch adds its weight times it into the entry its path selects, one
-    branch after another in that order, so an entry that several branches
-    reach sums them in the same order whatever the layout of the tree."""
+    branch reaches is 0.  Above the last node, every branch of a
+    measurement is expanded as one family before its children are pushed."""
     program.validate_order()
     if not observed:
         raise ProgramError("no observed registers")
@@ -1141,24 +1139,14 @@ def _enumerate(program: CircuitProgram, observed: tuple[str, ...], initial: Pure
     stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
     while stack:
         path, weight = stack.pop()
-        k = len(path)
-        dist = walk.distribution(nodes[k], path)
-        if k == leaf:
-            branches, weights, probs = [path], [weight], dist.probabilities[None]
-        else:
-            branches = [path + (v,) for v in dist.support]
-            weights = [weight * float(dist.probabilities[v]) for v in dist.support]
-            if k + 1 < leaf:
-                stack.extend(zip(branches, weights))
-                continue
-            probs = walk.children(k, path)
-        terms = np.where(probs > PROB_EPS, probs, 0.0)
-        if leaf_observed:
-            terms *= np.array(weights)[:, None]
-        else:
-            terms = np.array(weights) * terms.sum(axis=1)
-        for branch, term in zip(reversed(branches), terms[::-1]):
-            acc[tuple(branch[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))] += term
+        dist = walk.distribution(nodes[len(path)], path)
+        if len(path) < leaf:
+            walk.expand(len(path), path, dist.support)
+            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support)
+            continue
+        probs = np.where(dist.probabilities > PROB_EPS, dist.probabilities, 0.0)
+        index = tuple(path[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))
+        acc[index] += weight * probs if leaf_observed else weight * probs.sum()
     return acc
 
 

@@ -223,14 +223,12 @@ class TestSample:
         calls = []
         real = circuit_ir._gather
         monkeypatch.setattr(circuit_ir, "_gather", lambda *a: calls.append(a[1:]) or real(*a))
-        # skip-F measures X, then F: F's distribution needs the X branches,
-        # gathered once as one family, and the F outcome is never projected
-        program = period_circuit(build_periodic(3, 3), "skip-F")
-        records = sample(program, np.random.default_rng(1), 50)
+        # skip-F measures X, then F: F's distribution needs each drawn X
+        # branch once, all of them gathered as one family, and the F
+        # outcome is never projected
+        records = sample(period_circuit(build_periodic(3, 3), "skip-F"), np.random.default_rng(1), 50)
         assert [len(r) for r in records] == [2] * 50
-        x_support = circuit_ir._BranchWalk(program, None).distribution(4, ()).support
-        assert calls == [("X", x_support)]
-        assert {r[0].outcome for r in records} <= set(x_support)
+        assert calls == [("X", sorted({r[0].outcome for r in records}))]
         # annihilate-F through its X measurement: dephased, then drawn, never projected
         calls.clear()
         program = period_circuit(build_periodic(3, 3), "annihilate-F")
@@ -345,19 +343,20 @@ class TestSampledArrays:
         assert calls == []
 
     @pytest.mark.parametrize("discipline", DISCIPLINES)
-    def test_one_reduction_per_node_and_family(self, monkeypatch, discipline):
+    def test_one_distribution_per_distinct_path(self, monkeypatch, discipline):
         # the first measurement's and each dephasing's distribution is one
-        # reduction of one state; the second measurement's, on every branch
-        # of the first, is one reduction of the first one's family
-        program = period_circuit(build_periodic(4, 5), discipline)
-        walk = circuit_ir._BranchWalk(program, None)
-        first = walk.distribution(walk.nodes[0], ())
+        # reduction of one state; the second measurement's, on every drawn
+        # branch of the first, is one reduction of the family of those
+        # branches, a row per path
         calls = []
         real = circuit_ir._marginals
         monkeypatch.setattr(circuit_ir, "_marginals", lambda *a: calls.append(a[2]) or real(*a))
-        sample(program, np.random.default_rng(7), 200)
+        program = period_circuit(build_periodic(4, 5), discipline)
+        records = sample(program, np.random.default_rng(7), 200)
+        paths = {tuple(r.outcome for r in trial[:k]) for trial in records for k in range(len(trial))}
         dephasings = sum(isinstance(instr, Dephase) for instr in program.instructions)
-        assert sorted(calls) == [1] * (1 + dephasings) + [len(first.support)]
+        assert sum(calls) == len(paths) + dephasings
+        assert len(calls) == 2 + dephasings
 
 
 def count_qft_calls(monkeypatch, capsys, argv):
@@ -614,15 +613,16 @@ class TestEnumeration:
             program, ("K", "X"), state
         )
 
-    def test_deferred_check_gathers_only_the_early_branches(self, monkeypatch):
+    def test_deferred_check_projects_only_the_early_branches(self, monkeypatch):
         calls = []
         real = circuit_ir._gather
         monkeypatch.setattr(circuit_ir, "_gather", lambda *a: calls.append((a[1], len(a[2]))) or real(*a))
         program = period_circuit(build_periodic(8, 128), "measure-F-at-t2")
         tv = equivalent_distributions(program, defer_measurements(program), ["X"])
         assert tv.value < 1e-10
-        # one family of the original's 128 F branches; the deferred program's
-        # X marginal is read once and its F measurement is summed out
+        # one projection per F branch of the original, all 128 gathered as
+        # one family; the deferred program's X marginal is read once and
+        # its F measurement is summed out
         assert calls == [("F", 128)]
 
 

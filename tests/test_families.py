@@ -209,14 +209,19 @@ class TestBitForBit:
         assert np.array_equal(got, expected)
 
     @settings(max_examples=150, deadline=None)
-    @given(case=family_programs())
-    def test_node_distributions_are_the_child_by_child_ones(self, case):
+    @given(case=family_programs(), split=st.integers(0, 3))
+    def test_node_distributions_are_the_child_by_child_ones(self, case, split):
+        # every node above the last is expanded in two families, its first
+        # ``split`` support values and then the rest
         program, _, initial = case
         walk = circuit_ir._BranchWalk(program, initial)
         reference = ChildByChildWalk(program, initial)
         for index, path in node_paths(reference):
-            got = walk.distribution(index, path).probabilities
-            assert np.array_equal(got, reference.distribution(index, path).probabilities)
+            expected = reference.distribution(index, path)
+            assert np.array_equal(walk.distribution(index, path).probabilities, expected.probabilities)
+            if len(path) + 1 < len(walk.nodes):
+                walk.expand(len(path), path, expected.support[:split])
+                walk.expand(len(path), path, expected.support[split:])
 
     @pytest.mark.parametrize("observed", [("X",), ("F", "X")])
     @pytest.mark.parametrize("n, r", [(5, 3), (6, 32), (8, 128)])
@@ -265,11 +270,27 @@ class TestFamilyBlocks:
     def test_the_family_takes_its_parent_state_off_the_chain(self):
         program = period_circuit(build_periodic(6, 8), "measure-F-at-t2")
         walk = circuit_ir._BranchWalk(program, None)
-        walk.distribution(5, (0,))
+        walk.expand(0, (), walk.distribution(3, ()).support)
         assert [type(state).__name__ for _, _, state in walk._chain] == ["_Slice", "_Family"]
         family = walk._chain[-1][2]
         assert family.values == tuple(range(8)) and family.amps.size == 8 * 64
         assert not family.amps.flags.writeable
+
+    def test_a_family_gathers_only_the_branches_not_yet_reduced(self, monkeypatch):
+        program = period_circuit(build_periodic(6, 8), "measure-F-at-t2")
+        walk = circuit_ir._BranchWalk(program, None)
+        walk.distribution(3, ())
+        calls = []
+        real = circuit_ir._gather
+        monkeypatch.setattr(circuit_ir, "_gather", lambda *a: calls.append((a[1], tuple(a[2]))) or real(*a))
+        walk.distribution(5, (2,))  # one branch alone is projected on its own
+        walk.expand(0, (), (1, 2, 5))
+        walk.expand(0, (), (1, 2, 5))
+        assert calls == [("F", (2,)), ("F", (1, 5))]
+        assert walk._chain[-1][2].values == (1, 5)
+        # a branch the kept family does not hold is projected again
+        walk.state(5, (2,))
+        assert calls[-1] == ("F", (2,))
 
 
 class TestAtTheCeiling:

@@ -585,24 +585,19 @@ class TestSliceRules:
 
 class TestAtTheCeiling:
     def test_a_measure_f_branch_allocates_order_2n(self):
-        # n = 10: the t2 state is 2^20 amplitudes (16 MiB); the first F branch
-        # read gathers every F branch's 2^10 column into one family (8 MiB),
-        # transforms and reads them all: 4 column-sized arrays per branch at
-        # most, and none more for the branches read after it
+        # n = 10: the t2 state is 2^20 amplitudes (16 MiB); one F branch
+        # slices a 2^10 column, transforms and reads it
         inst = build_periodic(10, 512)
         walk = _BranchWalk(period_circuit(inst, "measure-F-at-t2"), None)
         f_dist = walk.distribution(3, ())
-        peaks = []
-        for branches in (f_dist.support[:1], f_dist.support[1:]):
-            tracemalloc.start()
-            try:
-                for v in branches:
-                    walk.distribution(5, (v,))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] < len(f_dist.support) * 4 * inst.dimension * 16  # 32 MiB
-        assert peaks[1] < 16 * inst.dimension * 16  # 256 KiB
+        tracemalloc.start()
+        try:
+            for v in f_dist.support[:4]:
+                walk.distribution(5, (v,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * inst.dimension * 16  # 256 KiB
 
     def test_skip_f_report_at_n9_peaks_under_6_mib(self):
         argv = ["shor", "--n", "9", "--r", "8", "--discipline", "skip-F", "--json"]

@@ -36,11 +36,11 @@ ROUNDS = 2
 # discipline with sampled trials; then the branches the walk slices at
 # size: 128 and 512 F branches of 2^16 and 2^20 amplitudes, deferred and
 # sampled, and 128 with F summed out, which pins the order in which the
-# branches' distributions add up; then 10^4 trials through the sampled lookups, and 2000
-# annihilate-F trials of 513 doubles each, which span several blocks of
-# uniforms; then searches with the kickback register held: 4 drawers,
-# whose exact-zero amplitudes carry their signs into the dumped state, and
-# 2^19 drawers, the 20-qubit ceiling.
+# branches' distributions add up; then 10^4 trials through the sampled
+# lookups, and 2000 annihilate-F trials of 513 doubles each, which span
+# several blocks of uniforms; then searches with the kickback register
+# held: 4 drawers, whose exact-zero amplitudes carry their signs into the
+# dumped state, and 2^19 drawers, the 20-qubit ceiling.
 CEILING = (
     (("grover", "--n", "262144", "--json"),)
     + tuple(
