@@ -65,14 +65,22 @@ route is a segment.  Wherever a state is computed, the gates between two
 projections (or a projection and the boundary asked for) run on one work
 buffer, copied once from the slice the segment starts at (a family's fresh
 gather is not copied) and mutated by ``gates``' in-place kernels.  A kept,
-tagged or returned state is never written.
+tagged or returned state is never written.  A segment replays a repeated
+body: an instruction that leaves the buffer, the fixed values and the held
+registers as it found them (a kick into a held register, a kernel on free
+registers) keeps its resolved step, the kernel bound to its views of the
+buffer, keyed by the instruction object's identity.  When the same object
+comes back before anything changes that configuration, the step runs
+without dispatch or checks, so a drawer search dispatches its first two
+passes and replays the rest.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -170,7 +178,8 @@ class CircuitProgram:
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "time_tags", dict(self.time_tags))
-        for instr in self.instructions:
+        # a body repeated as the same objects is checked once
+        for instr in {id(instr): instr for instr in self.instructions}.values():
             for reg in touched_registers(instr):
                 self.layout.qubits(reg)  # raises UnknownRegisterError
             self._check_args(instr)
@@ -285,27 +294,48 @@ def _xor_register(work: np.ndarray, layout: RegisterLayout, reg: str, value: int
     block[...] = block[:, np.arange(block.shape[1]) ^ value, :]
 
 
-def apply_instruction_in_place(work: np.ndarray, layout: RegisterLayout, instr: Prepare | GateOp) -> None:
-    """Apply one unitary instruction (Prepare or GateOp) to a work buffer in
-    place, through ``gates``' kernels."""
+Step = Callable[[], None]
+
+
+def _nothing() -> None:
+    """The step of an instruction that leaves the amplitudes as they are."""
+
+
+def _bound_kernel(work: np.ndarray, layout: RegisterLayout, instr: Prepare | GateOp) -> Step:
+    """One unitary instruction's kernel from ``gates``, bound to a work
+    buffer: each call of the returned step applies it in place."""
     if isinstance(instr, Prepare):
-        if instr.value in PREPARE_KEYWORDS:
-            _xor_register(work, layout, instr.reg, int(instr.value == "minus"))
-            gates.hadamard_all_in_place(work, layout, instr.reg)
-        else:
-            _xor_register(work, layout, instr.reg, int(instr.value))
-    elif not isinstance(instr, GateOp):
+        if instr.value not in PREPARE_KEYWORDS:
+            return partial(_xor_register, work, layout, instr.reg, int(instr.value))
+        xor = partial(_xor_register, work, layout, instr.reg, int(instr.value == "minus"))
+        hadamard = partial(gates.hadamard_all_in_place, work, layout, instr.reg)
+
+        def prepare() -> None:
+            xor()
+            hadamard()
+
+        return prepare
+    if not isinstance(instr, GateOp):
         raise ProgramError(f"cannot apply non-unitary instruction {instr!r}")
-    elif instr.kind == "hadamard":
-        gates.hadamard_all_in_place(work, layout, instr.reg)
-    elif instr.kind in ("qft", "inverse-qft"):
-        gates.qft_in_place(work, layout, instr.reg, instr.kind == "inverse-qft")
-    elif instr.kind == "oracle-xor":
-        gates.oracle_xor_in_place(work, layout, instr.table, instr.in_reg, instr.out_reg)
-    elif instr.kind == "oracle-moded":
-        gates.oracle_moded_in_place(work, layout, instr.table, instr.mode_reg, instr.in_reg, instr.out_reg)
-    elif instr.kind == "grover-diffusion":
-        gates.grover_diffusion_in_place(work, layout, instr.reg)
+    if instr.kind == "hadamard":
+        return partial(gates.hadamard_all_in_place, work, layout, instr.reg)
+    if instr.kind in ("qft", "inverse-qft"):
+        return partial(gates.qft_in_place, work, layout, instr.reg, instr.kind == "inverse-qft")
+    if instr.kind == "oracle-xor":
+        return partial(gates.oracle_xor_in_place, work, layout, instr.table, instr.in_reg, instr.out_reg)
+    if instr.kind == "oracle-moded":
+        regs = (instr.mode_reg, instr.in_reg, instr.out_reg)
+        return partial(gates.oracle_moded_in_place, work, layout, instr.table, *regs)
+    return gates.bound_grover_diffusion(work, layout, instr.reg)
+
+
+def apply_instruction_in_place(work: np.ndarray, layout: RegisterLayout, instr: Prepare | GateOp) -> Step:
+    """Apply one unitary instruction (Prepare or GateOp) to a work buffer in
+    place, through ``gates``' kernels, and return the kernel bound to the
+    buffer: the step that applies the instruction again."""
+    step = _bound_kernel(work, layout, instr)
+    step()
+    return step
 
 
 def _inverse(instr: Prepare | GateOp) -> tuple[Prepare | GateOp, ...]:
@@ -332,14 +362,16 @@ def apply_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """What a run leaves: its records, its final state, and the state at
-    each of the program's time tags.  Untagged intermediate states are not
-    kept, so tag every boundary you want to read back."""
+    """What a run leaves: its records, its final state, the state at each
+    of the program's time tags, and the outcome distribution each record
+    was drawn from.  Untagged intermediate states are not kept, so tag
+    every boundary you want to read back."""
 
     program: CircuitProgram
     final_state: PureState
     records: tuple[MeasurementRecord, ...]
     tagged_states: Mapping[str, PureState]
+    distributions: tuple[OutcomeDistribution, ...] = ()
 
     def state_at_tag(self, tag: str) -> PureState:
         if tag not in self.tagged_states:
@@ -600,26 +632,33 @@ class _Segment:
         self.broadcast(reg)
         self.work *= scale
 
-    def kick(self, instr: GateOp) -> None:
+    def kick(self, instr: GateOp) -> Step:
         """An XOR oracle into a held output at w: the amplitudes of the
         inputs x whose f(x) shares an odd number of set bits with w change
         sign, written 0 - a so that a zero stays +0."""
         f, in_reg, out_reg = instr.table, instr.in_reg, instr.out_reg
         held = self.fixed[out_reg]
         if in_reg in self.fixed:
-            if (held & f.table[self.fixed[in_reg]]).bit_count() & 1:
-                np.subtract(0.0, self.writable(), out=self.work)
-            return
-        inputs = f.kicked(held)
-        if not inputs.size:
-            return
-        if self.work.size == self.layout.dim(in_reg):  # one state over the input alone: flat indexing is fastest
-            block, at = self.writable(), inputs
+            if not (held & f.table[self.fixed[in_reg]]).bit_count() & 1:
+                return _nothing
+            work = self.writable()
+            step = partial(np.subtract, 0.0, work, out=work)
         else:
-            block, at = gates._axis_view(self.writable(), self.free, in_reg), (slice(None), inputs)
-        block[at] = 0.0 - block[at]
+            inputs = f.kicked(held)
+            if not inputs.size:
+                return _nothing
+            if self.work.size == self.layout.dim(in_reg):  # one state over the input alone: flat indexing is fastest
+                block, at = self.writable(), inputs
+            else:
+                block, at = gates._axis_view(self.writable(), self.free, in_reg), (slice(None), inputs)
 
-    def oracle_xor(self, instr: GateOp) -> None:
+            def step() -> None:
+                block[at] = 0.0 - block[at]
+
+        step()
+        return step
+
+    def oracle_xor(self, instr: GateOp) -> Step:
         f, in_reg, out_reg = instr.table, instr.in_reg, instr.out_reg
         gates.check_xor_fit(self.layout, f, in_reg, out_reg)
         if in_reg in self.fixed and out_reg in self.fixed:
@@ -627,7 +666,9 @@ class _Segment:
         elif in_reg in self.fixed:
             flip = f.table[self.fixed[in_reg]]
             if flip:
-                _xor_register(self.writable(), self.free, out_reg, flip)
+                step = partial(_xor_register, self.writable(), self.free, out_reg, flip)
+                step()
+                return step
         else:
             value, old, _ = self._unfix(out_reg)
             names = self.free.names
@@ -636,15 +677,18 @@ class _Segment:
             target = self.work.reshape([-1] + [self.layout.dim(name) for name in names])
             target = np.moveaxis(target, (1 + names.index(in_reg), 1 + names.index(out_reg)), (0, 1))
             target[np.arange(f.values.size), f.values ^ value] = source
+        return _nothing
 
-    def apply(self, instr: Prepare | GateOp) -> None:
+    def apply(self, instr: Prepare | GateOp) -> Step:
+        """Apply one instruction and return the step that repeats its work
+        on the buffer; ``run`` keeps the step only where the instruction
+        left the configuration as it found it."""
         fixed, held = self.fixed, self.held
         if isinstance(instr, GateOp) and instr.kind == "oracle-xor" and instr.out_reg in held:
             gates.check_xor_fit(self.layout, instr.table, instr.in_reg, instr.out_reg)
             if instr.in_reg in held:
                 self.broadcast(instr.in_reg)
-            self.kick(instr)
-            return
+            return self.kick(instr)
         if held:
             fourier = isinstance(instr, GateOp) and instr.kind in ("qft", "inverse-qft")
             for reg in sorted(held if fourier else held & touched_registers(instr)):
@@ -655,20 +699,34 @@ class _Segment:
                 self.hadamard(instr.reg)
             else:
                 fixed[instr.reg] ^= int(instr.value)
-            return
+            return _nothing
         if isinstance(instr, GateOp) and instr.kind == "hadamard" and instr.reg in fixed:
             self.hadamard(instr.reg)
-            return
+            return _nothing
         if isinstance(instr, GateOp) and instr.kind == "oracle-xor" and {instr.in_reg, instr.out_reg} & fixed.keys():
-            self.oracle_xor(instr)
-            return
+            return self.oracle_xor(instr)
         for reg in sorted(touched_registers(instr) & fixed.keys()):
             self.expand(reg)
-        apply_instruction_in_place(self.writable(), self.free, instr)
+        return apply_instruction_in_place(self.writable(), self.free, instr)
 
     def run(self, instrs: Sequence[Prepare | GateOp]) -> _Slice:
+        """Apply ``instrs`` in order.  The configuration is the buffer, the
+        fixed values and the held registers.  An instruction that leaves it
+        as it found it keeps its resolved step, keyed by the instruction
+        object's identity, until the configuration next changes; when the
+        same object comes again, its step runs without dispatch."""
+        steps: dict[int, Step] = {}
         for instr in instrs:
-            self.apply(instr)
+            step = steps.get(id(instr))
+            if step is not None:
+                step()
+                continue
+            work, fixed, held = self.work, dict(self.fixed), set(self.held)
+            step = self.apply(instr)
+            if self.work is work and self.fixed == fixed and self.held == held:
+                steps[id(instr)] = step
+            else:
+                steps.clear()
         for reg in sorted(self.held):
             self.broadcast(reg)
         self.work.setflags(write=False)
@@ -769,36 +827,28 @@ class _BranchWalk:
     """
 
     def __init__(self, program: CircuitProgram, initial: PureState | None):
-        self.instructions = program.instructions
+        instrs = self.instructions = program.instructions
+        draws = self._draws = [i for i, instr in enumerate(instrs) if isinstance(instr, (Measure, Dephase))]
+        dephases = [i for i in draws if isinstance(instrs[i], Dephase)]
         later: set[str] = set()
         self.inert: set[int] = set()
         visible = False
-        for i in reversed(range(len(self.instructions))):
-            instr = self.instructions[i]
+        # only what follows the first dephasing can make one visible
+        for i in reversed(range(dephases[0] if dephases else len(instrs), len(instrs))):
+            instr = instrs[i]
             if isinstance(instr, Dephase):
                 visible = visible or instr.reg in later
                 if not visible:
                     self.inert.add(i)
             if not isinstance(instr, Measure):
                 later |= touched_registers(instr)
-        self.nodes = [
-            i
-            for i, instr in enumerate(self.instructions)
-            if isinstance(instr, (Measure, Dephase)) and i not in self.inert
-        ]
-        self._last_draw = max(
-            (i for i, instr in enumerate(self.instructions) if isinstance(instr, (Measure, Dephase))),
-            default=-1,
-        )
-        self.measures = [i for i, instr in enumerate(self.instructions) if isinstance(instr, Measure)]
-        first = self.measures[0] if self.measures else len(self.instructions)
+        self.nodes = [i for i in draws if i not in self.inert]
+        self._last_draw = draws[-1] if draws else -1
+        self.measures = [i for i in draws if isinstance(instrs[i], Measure)]
+        first = self.measures[0] if self.measures else len(instrs)
         # every trial draws the phases of the same inert dephasings, all at
         # the root of the tree, then one double per measurement
-        self.fixed_width = all(
-            i in self.inert and i < first
-            for i, instr in enumerate(self.instructions)
-            if isinstance(instr, Dephase)
-        )
+        self.fixed_width = all(i in self.inert and i < first for i in dephases)
         # (boundary, path, state): a family's path is the one to its node,
         # and it serves every branch of that node
         self._chain: list[tuple[int, tuple[int, ...], _Slice]] = [
@@ -873,10 +923,14 @@ class _BranchWalk:
         return self._distributions[key]
 
     def trial(
-        self, rng: np.random.Generator, tags: Mapping[str, int] | None = None
+        self,
+        rng: np.random.Generator,
+        tags: Mapping[str, int] | None = None,
+        drawn: list[OutcomeDistribution] | None = None,
     ) -> tuple[tuple[MeasurementRecord, ...], dict[str, PureState], PureState | None]:
         """One sampled run: its records and, given ``tags`` (tag -> boundary),
-        the states at those boundaries and the final state.
+        the states at those boundaries and the final state; ``drawn``, if
+        given, gets the distribution each measurement was drawn from.
 
         This is ``run``'s route, and ``sample``'s for a program that
         ``draws`` cannot draw as arrays: one with a visible dephasing, or an
@@ -900,10 +954,13 @@ class _BranchWalk:
         path: tuple[int, ...] = ()
         carried: tuple[int, _Slice] | None = None
         own = False  # the draws come from the carried state
-        for i in range(stop):
+        marks = set(tags.values()) if keep else set()
+        for i in sorted(marks.union(self._draws)):  # every other instruction runs in a segment
+            if i >= stop:
+                break
             instr = instrs[i]
             draw = isinstance(instr, (Measure, Dephase))
-            at_tag = keep and i in tags.values()
+            at_tag = i in marks
             if carried is not None and (draw or at_tag):
                 carried = i, _advance(carried[1], instrs[carried[0] : i])
             if at_tag:
@@ -916,6 +973,8 @@ class _BranchWalk:
             if isinstance(instr, Measure):
                 outcome = born_sample(dist, rng)
                 records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
+                if drawn is not None:
+                    drawn.append(dist)
                 if not own:
                     path += (outcome,)
                 if carried is not None and not last:
@@ -1027,10 +1086,12 @@ def run(
     program: CircuitProgram, rng: np.random.Generator, initial: PureState | None = None
 ) -> RunTrace:
     """Execute the program from ``initial`` (default |0...0>), keeping the
-    records, the final state and the states at the program's time tags."""
+    records, the final state, the states at the program's time tags and
+    the distributions the records were drawn from."""
     program.validate_order()
-    records, tagged, final = _BranchWalk(program, initial).trial(rng, program.time_tags)
-    return RunTrace(program, final, records, tagged)
+    drawn: list[OutcomeDistribution] = []
+    records, tagged, final = _BranchWalk(program, initial).trial(rng, program.time_tags, drawn)
+    return RunTrace(program, final, records, tagged, tuple(drawn))
 
 
 def sample_outcomes(

@@ -281,7 +281,6 @@ def _cmd_grover(args: argparse.Namespace, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     if args.variant == "standard":
         pre, transcript = grover.run_standard_grover(grover.GameInstance(args.n, args.k), rng)
-        probs = measure.outcome_distribution(pre, "X").probabilities
         report = {
             "variant": "standard",
             "n": args.n,
@@ -290,7 +289,7 @@ def _cmd_grover(args: argparse.Namespace, seed: int) -> dict:
             "oracle_queries": transcript.oracle_queries,
             "announced_k": transcript.announced_k,
             "answered_x": transcript.answered_x,
-            "hit_probability": float(probs[args.k]),
+            "hit_probability": transcript.hit_probability,
         }
     else:
         pre, transcript = grover.run_extended_grover(args.n, rng, order=args.order)

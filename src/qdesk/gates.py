@@ -398,10 +398,30 @@ def grover_diffusion_in_place(work: np.ndarray, layout: RegisterLayout, reg: str
     2 * mean - a is written back from that copy with the register as the
     inner loop.
     """
+    bound_grover_diffusion(work, layout, reg)()
+
+
+def bound_grover_diffusion(work: np.ndarray, layout: RegisterLayout, reg: str) -> Callable[[], None]:
+    """``grover_diffusion_in_place`` bound to one buffer: the register-last
+    view and the scale 2/d are built once, and each call of the returned
+    step reflects the buffer as it then stands.  A register that spans the
+    whole buffer is reflected flat: numpy sums the buffer pairwise, bit for
+    bit as it sums the register-last view's one line."""
+    scale = 2.0 / layout.dim(reg)
+    if work.size == layout.dim(reg):
+
+        def reflect() -> None:
+            np.subtract(work.sum() * scale, work, out=work)
+
+        return reflect
     register_last = _axis_view(work, layout, reg).swapaxes(1, 2)
-    contiguous = np.ascontiguousarray(register_last)  # the view itself when right == 1
-    twice_mean = contiguous.sum(axis=-1) * (2.0 / layout.dim(reg))
-    np.subtract(twice_mean[..., None], contiguous, out=register_last)
+
+    def reflect() -> None:
+        contiguous = np.ascontiguousarray(register_last)  # the view itself when right == 1
+        twice_mean = contiguous.sum(axis=-1) * scale
+        np.subtract(twice_mean[..., None], contiguous, out=register_last)
+
+    return reflect
 
 
 def grover_diffusion(state: PureState, reg: str) -> PureState:

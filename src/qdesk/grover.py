@@ -45,12 +45,17 @@ class GameInstance:
 
 @dataclass(frozen=True)
 class GameTranscript:
+    """One game as played.  ``hit_probability`` is the standard search's
+    chance of answering the hidden drawer, read from the distribution its
+    answer was drawn from; other games leave it None."""
+
     drawers: int
     variant: str
     oracle_queries: int
     announced_k: int
     answered_x: int
     announced_row: int | None = None
+    hit_probability: float | None = None
 
 
 def iteration_count(drawers: int) -> int:
@@ -101,11 +106,13 @@ def standard_grover_state(inst: GameInstance) -> PureState:
 
 def run_standard_grover(inst: GameInstance, rng: np.random.Generator) -> tuple[PureState, GameTranscript]:
     """Play the standard game once and return the pre-measurement state;
-    oracle queries = iteration count."""
+    oracle queries = iteration count, and the hit probability is the hidden
+    drawer's entry in the distribution the answer was drawn from."""
     trace = run(standard_circuit(inst), rng)
     answered = trace.records[0].outcome
+    hit = float(trace.distributions[0].probabilities[inst.hidden_drawer])
     return trace.state_at_tag("pre"), GameTranscript(
-        inst.drawers, "standard", iteration_count(inst.drawers), inst.hidden_drawer, answered
+        inst.drawers, "standard", iteration_count(inst.drawers), inst.hidden_drawer, answered, hit_probability=hit
     )
 
 

@@ -220,12 +220,14 @@ class TestShorCommand:
 
 class TestGroverCommand:
     def test_standard_report_runs_one_search(self, capsys, monkeypatch):
-        # an oracle call swaps pairs, or kicks back into the held register
+        # an oracle call swaps pairs, or kicks back into the held register,
+        # once as it is dispatched and then each time its step is replayed
         calls = []
         for owner, name in ((gates, "oracle_xor_in_place"), (circuit_ir._Segment, "kick")):
             def counting(*args, _oracle=getattr(owner, name), **kwargs):
                 calls.append(1)
-                return _oracle(*args, **kwargs)
+                step = _oracle(*args, **kwargs)
+                return step and (lambda: calls.append(1) or step())
 
             monkeypatch.setattr(owner, name, counting)
         code, out, err = run_cli(capsys, ["grover", "--n", "64", "--k", "5", "--json"])

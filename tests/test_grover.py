@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qdesk import (
     standard_grover_state,
 )
 from qdesk.circuit_ir import GateOp, Measure, run
+from qdesk.cli import _cmd_grover, build_parser, main
 from qdesk.gates import grover_diffusion, hadamard_all, oracle_xor
 from qdesk.grover import (
     EXTENDED_LAYOUT,
@@ -30,7 +33,7 @@ from qdesk.grover import (
     sequential_joint_distribution,
     standard_layout,
 )
-from qdesk.measure import measure_register
+from qdesk.measure import born_sample, measure_register
 
 
 def expected_standard_final(drawers, hidden):
@@ -157,6 +160,60 @@ class TestStandardCircuit:
             answers.add(transcript.answered_x)
         if drawers == 16:
             assert len(answers) > 1  # a miss shows the draw is really compared
+
+
+class TestReportAgainstTheSecondMarginal:
+    """The report's hit probability is the walk's own X distribution, the
+    one its answer was drawn from; the oracle is the route that computed a
+    second marginal from the pre-measurement state."""
+
+    @pytest.mark.parametrize(
+        "drawers, hidden, seed",
+        [
+            (2, 0, 0),
+            (2, 1, 7),
+            (4, 3, 1),
+            (4, 0, 2),
+            (16, 5, 3),
+            (16, 5, 34),  # a miss
+            (16, 15, 11),
+            (1024, 0, 4),
+            (1024, 777, 1074),  # a miss
+            (16384, 5461, 6),
+            (16384, 16383, 12),
+            (65536, 1, 8),
+            (65536, 40000, 9),
+        ],
+    )
+    def test_hit_probability_and_answer(self, capsys, drawers, hidden, seed):
+        inst = GameInstance(drawers, hidden)
+        marginal = outcome_distribution(standard_grover_state(inst), "X")
+        assert main(["grover", "--n", str(drawers), "--k", str(hidden), "--seed", str(seed), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["hit_probability"] == float(marginal.probabilities[hidden])
+        assert report["answered_x"] == born_sample(marginal, np.random.default_rng(seed))
+        _, transcript = run_standard_grover(inst, np.random.default_rng(seed))
+        assert transcript.hit_probability == report["hit_probability"]
+
+    def test_other_games_carry_no_hit_probability(self):
+        assert run_classical_game(16, 3, "joint").hit_probability is None
+        assert run_extended_grover(4, np.random.default_rng(0))[1].hit_probability is None
+
+    def test_a_report_at_the_ceiling_peaks_at_the_arrays_it_holds(self):
+        # 2^19 drawers: the pre state and the projected final state (16 MiB
+        # each), the drawn distribution and its cumulative sums, and the
+        # table's array and tuple (4 MiB each) make 48 MiB; what else is
+        # live at the peak is small objects
+        args = build_parser().parse_args(["grover", "--n", str(1 << 19), "--k", "5"])
+        _cmd_grover(args, 0)  # warm the imports and caches
+        tracemalloc.start()
+        try:
+            report = _cmd_grover(args, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["answered_x"] == 5
+        assert peak <= 48 * 2**20 + 2**16
 
 
 class TestExtendedGame:

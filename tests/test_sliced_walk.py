@@ -15,6 +15,7 @@ and gates that expand a register.
 """
 
 import contextlib
+import copy
 import io
 import json
 import tracemalloc
@@ -500,22 +501,25 @@ class TestSliceRules:
 
     def test_the_kickback_register_stays_held_through_a_search(self, monkeypatch):
         # 16384 drawers: every diffusion runs on the search register alone,
-        # one contiguous block, and no oracle swaps a pair of amplitudes
-        blocks = []
-        diffuse = gates.grover_diffusion_in_place
+        # one contiguous block, and no oracle swaps a pair of amplitudes;
+        # the diffusion is bound once and its step replayed
+        blocks, bound = [], []
+        bind = gates.bound_grover_diffusion
 
         def record(work, layout, reg):
-            blocks.append(layout.axis_shape(reg))
-            diffuse(work, layout, reg)
+            bound.append(reg)
+            step = bind(work, layout, reg)
+            return lambda: blocks.append(layout.axis_shape(reg)) or step()
 
         def refuse(*args, **kwargs):
             raise AssertionError("an oracle swapped amplitude pairs")
 
-        monkeypatch.setattr(gates, "grover_diffusion_in_place", record)
+        monkeypatch.setattr(gates, "bound_grover_diffusion", record)
         monkeypatch.setattr(gates, "_swap_pairs", refuse)
         inst = GameInstance(16384, 5461)
         state, transcript = run_standard_grover(inst, np.random.default_rng(0))
         assert blocks == [(1, 16384, 1)] * transcript.oracle_queries
+        assert bound == ["X"]
         assert transcript.answered_x == inst.hidden_drawer
         assert state.layout.dimension == 2 * 16384
 
@@ -528,14 +532,19 @@ class TestSliceRules:
         instrs = program.instructions[:8]  # both prepares and three iterations
         assert instrs[2].table.kicked(1).tolist() == [3]
         sizes, peaks = [], []
-        diffuse = gates.grover_diffusion_in_place
+        bind = gates.bound_grover_diffusion
 
         def record(work, layout, reg):
-            sizes.append(work.size)
-            diffuse(work, layout, reg)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            step = bind(work, layout, reg)
 
-        monkeypatch.setattr(gates, "grover_diffusion_in_place", record)
+            def replay():
+                sizes.append(work.size)
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+            return replay
+
+        monkeypatch.setattr(gates, "bound_grover_diffusion", record)
         start = circuit_ir._start_slice(program.layout, None)
         tracemalloc.start()
         try:
@@ -581,6 +590,136 @@ class TestSliceRules:
             MeasurementRecord("F", 0, 1.0),
             MeasurementRecord("X", 3, 1.0),
         )
+
+
+@st.composite
+def repeated_bodies(draw):
+    """A unitary body repeated 1-8 times, the same instruction objects each
+    pass, on 1-3 registers, then every register measured, a random
+    non-empty subset of them observed.
+
+    With two or more registers, one of them may be a 1-qubit kickback
+    register K prepared "minus", which half the oracles target; the others
+    start at 0, at a value or "uniform".  The body mixes XOR oracles,
+    diffusions, Hadamards and Fourier transforms, so its first pass may
+    hold, broadcast or expand registers that later passes find as they are.
+    One time in four the program starts from a random state with subnormal
+    parts instead, where a Hadamard's scaling can underflow."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    kick = len(sizes) > 1 and draw(st.booleans())
+    if kick:
+        sizes[-1] = 1
+    names = [f"R{i}" for i in range(len(sizes))]
+    layout = RegisterLayout(tuple(zip(names, sizes)))
+    initial = None
+    if draw(st.integers(0, 3)) == 0:
+        rng = np.random.default_rng(draw(SEEDS))
+        amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+        amps.real[rng.random(layout.dimension) < 0.3] = 1e-323
+        amps /= np.linalg.norm(amps)  # the subnormal parts stay subnormal
+        initial = PureState._adopt(layout, amps)
+    searched = names[:-1] if kick else names
+    prefix = [Prepare(names[-1], "minus")] if kick else []
+    for name in searched:
+        value = draw(st.sampled_from([None, "uniform", 1, layout.dim(name) - 1]))
+        if value is not None:
+            prefix.append(Prepare(name, value))
+    body = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["oracle-xor", "grover-diffusion", "hadamard", "qft", "inverse-qft"]))
+        reg = draw(st.sampled_from(searched))
+        if kind != "oracle-xor":
+            body.append(GateOp(kind, reg=reg))
+            continue
+        others = [name for name in names if name != reg]
+        if not others:
+            continue
+        out = names[-1] if kick and draw(st.booleans()) else draw(st.sampled_from(others))
+        if out == reg:
+            continue
+        table = FunctionTable(layout.qubits(reg), layout.qubits(out), random_table(draw, layout.qubits(reg), layout.qubits(out)))
+        body.append(GateOp("oracle-xor", in_reg=reg, out_reg=out, table=table))
+    body = body or [GateOp("grover-diffusion", reg=searched[0])]
+    instrs = tuple(prefix) + tuple(body) * draw(st.integers(1, 8))
+    measures = tuple(Measure(name) for name in draw(st.permutations(names)))
+    observed = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    return CircuitProgram(layout, instrs + measures, {"pre": len(instrs)}), tuple(observed), initial
+
+
+class TestReplayedSteps:
+    """A segment replays the resolved step of an instruction object that
+    comes back under the configuration it left; the bits are those of the
+    full-state walk, which dispatches every instruction afresh."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=repeated_bodies(), seed=SEEDS)
+    def test_a_repeated_body_is_the_full_state_walk_bit_for_bit(self, case, seed):
+        # the state before the measurements, and the final state of the
+        # body alone, where no projection renormalises
+        program, observed, initial = case
+        trace = run(program, np.random.default_rng(seed), initial=initial)
+        records, tagged, _ = FullStateWalk(program, initial).trial(np.random.default_rng(seed), program.time_tags)
+        assert [(r.register, r.outcome) for r in trace.records] == [(r.register, r.outcome) for r in records]
+        assert np.array_equal(as_bits(trace.state_at_tag("pre")), as_bits(tagged["pre"]))
+        body = CircuitProgram(program.layout, program.instructions[: program.time_tags["pre"]])
+        final = run(body, np.random.default_rng(seed), initial=initial).final_state
+        assert np.array_equal(as_bits(final), as_bits(FullStateWalk(body, initial).trial(np.random.default_rng(seed), {})[2]))
+        # a register the sliced walk keeps fixed is certain, exactly 1,
+        # where the full state's marginal may read 1 + 2^-52: enumeration
+        # matches the walk with every instruction a fresh object bit for
+        # bit, and the full-state walk within 1e-12
+        got = enumerate_outcome_distribution(program, observed, initial)
+        fresh = CircuitProgram(program.layout, tuple(map(copy.copy, program.instructions)), program.time_tags)
+        assert not any(a is b for a, b in zip(fresh.instructions, program.instructions))
+        expected = enumerate_outcome_distribution(fresh, observed, initial)
+        assert sorted(got) == sorted(expected)
+        assert np.array_equal([got[key] for key in sorted(got)], [expected[key] for key in sorted(got)])
+        full = full_state_enumeration(program, observed, initial)
+        for key in set(got) | set(full):
+            assert abs(got.get(key, 0.0) - full.get(key, 0.0)) < 1e-12
+
+    @pytest.mark.parametrize("drawers", [64, 1024])
+    def test_a_search_dispatches_its_first_two_passes_only(self, monkeypatch, drawers):
+        # the first oracle writes the search register out of the Hadamard
+        # basis; from the second pass on, the configuration stays
+        dispatched = []
+        apply = circuit_ir._Segment.apply
+
+        def recording(segment, instr):
+            dispatched.append(instr)
+            return apply(segment, instr)
+
+        monkeypatch.setattr(circuit_ir._Segment, "apply", recording)
+        program = standard_circuit(GameInstance(drawers, 5))
+        trace = run(program, np.random.default_rng(0))
+        assert dispatched == list(program.instructions[:5])
+        expected = FullStateWalk(program, None).trial(np.random.default_rng(0), program.time_tags)
+        assert np.array_equal(as_bits(trace.state_at_tag("pre")), as_bits(expected[1]["pre"]))
+
+    def test_an_underflowing_body_reruns_without_holding(self, monkeypatch):
+        # the kickback register held by a "minus" prepare scales the buffer
+        # by 2^(-1/2), which underflows a subnormal part; the rerun holds
+        # nothing, and replays the body from its second pass
+        layout = RegisterLayout.of(X=2, F=1)
+        amps = np.array([0.5, 5e-324, -0.5, 0.5]).astype(np.complex128)
+        amps.setflags(write=False)
+        start = circuit_ir._Slice(layout, {"F": 1}, RegisterLayout.of(X=2), amps)
+        table = FunctionTable(2, 1, (0, 1, 1, 0))
+        body = (GateOp("oracle-xor", in_reg="X", out_reg="F", table=table), GateOp("grover-diffusion", reg="X"))
+        instrs = (Prepare("F", "minus"),) + body * 5
+        runs, dispatched = [], []
+        segment, apply = circuit_ir._Segment, circuit_ir._Segment.apply
+
+        def recording(start, holds):
+            runs.append(holds)
+            return segment(start, holds)
+
+        monkeypatch.setattr(circuit_ir._Segment, "apply", lambda s, instr: dispatched.append(s.holds) or apply(s, instr))
+        monkeypatch.setattr(circuit_ir, "_Segment", recording)
+        got = circuit_ir._advance(start, instrs).state()
+        assert runs == [True, False]
+        assert dispatched.count(False) == 3  # the prepare and the first pass
+        assert np.array_equal(as_bits(got), as_bits(run_unitaries(start.state(), instrs)))
 
 
 class TestAtTheCeiling:

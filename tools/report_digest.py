@@ -6,10 +6,12 @@ Runs every job of rounds 0 and 1 at workload seed 0 of each workload in
 ``perfbench/jobs.py``, then the fixed ``ceiling`` jobs at the 20-qubit
 sizes the workloads stop short of, in this process through
 ``qdesk.cli.main``, with stdout captured.  Every ``shor`` and ``grover`` job also writes
-``--dump-state``, and every ``shor`` job writes ``--records``.  One JSON
-line per job gives its argv (temporary paths shown as ``<tmp>``), its exit
-code, and the sha256 of its stdout, of its dumped state, of its full
-records file, and of the records' (register, outcome) sequence alone.
+``--dump-state``, and every ``shor`` job writes ``--records``.  Every
+``grover`` job runs a second time as the workload gives it, without
+``--dump-state``: the route the benchmark times.  One JSON line per run
+gives its argv (temporary paths shown as ``<tmp>``), its exit code, and the
+sha256 of its stdout, of its dumped state, of its full records file, and of
+the records' (register, outcome) sequence alone.
 
 ``--src`` imports qdesk from another checkout's ``src``, so one copy of
 this script digests two versions of the program; ``diff`` the two outputs
@@ -85,10 +87,10 @@ def _option(argv: list[str], flag: str, path: Path) -> Path:
     return path
 
 
-def digest(job_argv: tuple[str, ...], work: Path, main) -> dict:
+def digest(job_argv: tuple[str, ...], work: Path, main, dump_state: bool = True) -> dict:
     argv = list(job_argv)
     state = records = None
-    if argv[0] in ("shor", "grover"):
+    if argv[0] in ("shor", "grover") and dump_state:
         state = _option(argv, "--dump-state", work / "state.json")
     if argv[0] == "shor":
         records = _option(argv, "--records", work / "records.jsonl")
@@ -126,12 +128,21 @@ def main(argv: list[str] | None = None) -> int:
         for workload in jobs.WORKLOADS:
             for index in range(ROUNDS):
                 for job in jobs.make_round(workload, SEED, index, work):
-                    line = {"workload": workload, "round": index} | digest(job.argv, work, cli_main)
-                    print(json.dumps(line, sort_keys=True), flush=True)
+                    for line in _digests(job.argv, work, cli_main):
+                        print(json.dumps({"workload": workload, "round": index} | line, sort_keys=True), flush=True)
         for argv in CEILING:
-            line = {"workload": "ceiling", "round": 0} | digest(argv, work, cli_main)
-            print(json.dumps(line, sort_keys=True), flush=True)
+            for line in _digests(argv, work, cli_main):
+                print(json.dumps({"workload": "ceiling", "round": 0} | line, sort_keys=True), flush=True)
     return 0
+
+
+def _digests(argv: tuple[str, ...], work: Path, main) -> list[dict]:
+    """The digest of one job, and for a ``grover`` job also that of its run
+    without ``--dump-state``."""
+    lines = [digest(argv, work, main)]
+    if argv[0] == "grover":
+        lines.append(digest(argv, work, main, dump_state=False))
+    return lines
 
 
 if __name__ == "__main__":
