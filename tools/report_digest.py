@@ -114,6 +114,15 @@ def digest(job_argv: tuple[str, ...], work: Path, main, dump_state: bool = True)
     }
 
 
+def _digests(argv: tuple[str, ...], work: Path, main) -> list[dict]:
+    """The digest of one job, and for a ``grover`` job also that of its run
+    without ``--dump-state``."""
+    lines = [digest(argv, work, main)]
+    if argv[0] == "grover":
+        lines.append(digest(argv, work, main, dump_state=False))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="qdesk source directory")
@@ -134,15 +143,6 @@ def main(argv: list[str] | None = None) -> int:
             for line in _digests(argv, work, cli_main):
                 print(json.dumps({"workload": "ceiling", "round": 0} | line, sort_keys=True), flush=True)
     return 0
-
-
-def _digests(argv: tuple[str, ...], work: Path, main) -> list[dict]:
-    """The digest of one job, and for a ``grover`` job also that of its run
-    without ``--dump-state``."""
-    lines = [digest(argv, work, main)]
-    if argv[0] == "grover":
-        lines.append(digest(argv, work, main, dump_state=False))
-    return lines
 
 
 if __name__ == "__main__":
