@@ -56,9 +56,11 @@ prepare) on a fixed register holds it in the Hadamard basis: the register
 stays out of the buffer until another gate touches it, so an XOR oracle
 into it is a sign flip on the inputs (phase kickback, Cleve et al. 1998)
 and a drawer search's diffusion runs on the search register alone.  A full
-``PureState`` is built only where one is handed out: ``run``'s tagged and
-final states, ``unitary_prefix``, ``backdate_outcome`` and
-``apply_instruction``.
+``PureState`` is built only where one is handed out: ``run``'s tagged
+states and its final state when first read, ``unitary_prefix``,
+``backdate_outcome`` and ``apply_instruction``.  ``run`` also returns the
+distribution each record was drawn from, so a caller that wants an
+outcome's probability reads the walk's own instead of a second marginal.
 
 Unitary segments on the free registers run in place, and every unitary
 route is a segment.  Wherever a state is computed, the gates between two
@@ -79,7 +81,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -365,13 +367,19 @@ class RunTrace:
     """What a run leaves: its records, its final state, the state at each
     of the program's time tags, and the outcome distribution each record
     was drawn from.  Untagged intermediate states are not kept, so tag
-    every boundary you want to read back."""
+    every boundary you want to read back.  The final state is written out
+    of the walk's last slice when first read: after a measurement its
+    full vector is mostly zeros that a caller may never look at."""
 
     program: CircuitProgram
-    final_state: PureState
+    final: _Slice = field(repr=False, compare=False)
     records: tuple[MeasurementRecord, ...]
     tagged_states: Mapping[str, PureState]
-    distributions: tuple[OutcomeDistribution, ...] = ()
+    distributions: tuple[OutcomeDistribution, ...]
+
+    @cached_property
+    def final_state(self) -> PureState:
+        return self.final.state()
 
     def state_at_tag(self, tag: str) -> PureState:
         if tag not in self.tagged_states:
@@ -926,11 +934,12 @@ class _BranchWalk:
         self,
         rng: np.random.Generator,
         tags: Mapping[str, int] | None = None,
-        drawn: list[OutcomeDistribution] | None = None,
-    ) -> tuple[tuple[MeasurementRecord, ...], dict[str, PureState], PureState | None]:
+    ) -> tuple[
+        tuple[MeasurementRecord, ...], dict[str, PureState], _Slice | None, tuple[OutcomeDistribution, ...]
+    ]:
         """One sampled run: its records and, given ``tags`` (tag -> boundary),
-        the states at those boundaries and the final state; ``drawn``, if
-        given, gets the distribution each measurement was drawn from.
+        the states at those boundaries and the final slice; last, the
+        distribution each measurement was drawn from.
 
         This is ``run``'s route, and ``sample``'s for a program that
         ``draws`` cannot draw as arrays: one with a visible dephasing, or an
@@ -950,6 +959,7 @@ class _BranchWalk:
         keep = tags is not None
         stop = len(instrs) if keep else self._last_draw + 1
         records: list[MeasurementRecord] = []
+        drawn: list[OutcomeDistribution] = []
         tagged: dict[str, PureState] = {}
         path: tuple[int, ...] = ()
         carried: tuple[int, _Slice] | None = None
@@ -973,8 +983,7 @@ class _BranchWalk:
             if isinstance(instr, Measure):
                 outcome = born_sample(dist, rng)
                 records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
-                if drawn is not None:
-                    drawn.append(dist)
+                drawn.append(dist)
                 if not own:
                     path += (outcome,)
                 if carried is not None and not last:
@@ -987,13 +996,15 @@ class _BranchWalk:
             start = self.state(i, path) if carried is None else carried[1]
             carried = i + 1, _dephase_slice(start, instr.reg, dist.support, phases)
         if not keep:
-            return tuple(records), tagged, None
+            return tuple(records), tagged, None, tuple(drawn)
         end = len(instrs)
         if carried is not None:
             carried = end, _advance(carried[1], instrs[carried[0] :])
-        final = (self.state(end, path) if carried is None else carried[1]).state()
-        tagged.update((tag, final) for tag, b in tags.items() if b == end)
-        return tuple(records), tagged, final
+        final = self.state(end, path) if carried is None else carried[1]
+        if end in marks:
+            state = final.state()
+            tagged.update((tag, state) for tag, b in tags.items() if b == end)
+        return tuple(records), tagged, final, tuple(drawn)
 
     def draws(self, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
         """The outcomes and their probabilities in ``trials`` sampled runs:
@@ -1089,9 +1100,8 @@ def run(
     records, the final state, the states at the program's time tags and
     the distributions the records were drawn from."""
     program.validate_order()
-    drawn: list[OutcomeDistribution] = []
-    records, tagged, final = _BranchWalk(program, initial).trial(rng, program.time_tags, drawn)
-    return RunTrace(program, final, records, tagged, tuple(drawn))
+    records, tagged, final, drawn = _BranchWalk(program, initial).trial(rng, program.time_tags)
+    return RunTrace(program, final, records, tagged, drawn)
 
 
 def sample_outcomes(

@@ -632,6 +632,7 @@ IN_PLACE_KERNELS = (
     "oracle_xor_in_place",
     "oracle_moded_in_place",
     "grover_diffusion_in_place",
+    "bound_grover_diffusion",
 )
 
 
@@ -646,7 +647,8 @@ class TestWorkBuffers:
         rng = np.random.default_rng(seed)
         every_boundary = {f"b{i}": i for i in range(len(program.instructions) + 1)}
         walk = circuit_ir._BranchWalk(program, initial)
-        _, tagged, final = walk.trial(rng, every_boundary)
+        _, tagged, final, _ = walk.trial(rng, every_boundary)
+        final = final.state()
         first_draw = next(
             (i for i, instr in enumerate(program.instructions) if isinstance(instr, (Measure, Dephase))),
             len(program.instructions),

@@ -292,7 +292,7 @@ class TestAgainstTheFullStateWalk:
         assert [(r.register, r.outcome) for r in got[0]] == [(r.register, r.outcome) for r in expected[0]]
         for tag in every_boundary:
             assert_close(got[1][tag], expected[1][tag])
-        assert_close(got[2], expected[2])
+        assert_close(got[2].state(), expected[2])
 
     @settings(max_examples=150, deadline=None)
     @given(case=sliced_programs())
