@@ -24,16 +24,7 @@ from .qstate import (
     make_basis_state,
     normalize,
 )
-from .gates import (
-    FunctionTable,
-    ModedFunctionTable,
-    grover_diffusion,
-    hadamard_all,
-    modexp_table,
-    oracle_moded,
-    oracle_xor,
-    qft,
-)
+from .gates import FunctionTable, ModedFunctionTable, modexp_table
 from .measure import (
     DensityMatrix,
     MeasurementRecord,
@@ -43,10 +34,8 @@ from .measure import (
     analytic_average_density,
     average_density,
     born_sample,
-    measure_register,
     outcome_distribution,
     partial_trace,
-    project,
     sample_phases,
 )
 from .circuit_ir import (
@@ -56,9 +45,12 @@ from .circuit_ir import (
     Measure,
     Prepare,
     RunTrace,
+    apply_instruction,
     backdate_outcome,
     defer_measurements,
     equivalent_distributions,
+    measure_register,
+    project,
     run,
     sample,
     unitary_prefix,
@@ -89,8 +81,6 @@ from .grover import (
 from .costmodel import (
     ModelConstants,
     StageCost,
-    classical_symbolic_cost,
-    quantum_step_cost,
     stage_costs,
     stage_table,
 )

@@ -21,6 +21,12 @@ Measured registers are frozen: once measured, a register may not be
 prepared, gated or dephased again.  This keeps the deferral precondition
 honest.
 
+Every instruction is checked in one place, when its ``CircuitProgram`` is
+built: its registers exist, its arguments are well formed, and an oracle's
+table fits its registers.  The walk and the kernels check nothing as they
+run, so ``apply_instruction``, ``project`` and ``measure_register``, the
+forms that act on a ``PureState``, run as one-instruction programs.
+
 ``run``, ``sample`` and ``enumerate_outcome_distribution`` walk the same
 branch tree.  Up to the first visible dephasing, the state at a boundary is
 a function of the outcomes drawn before it, so it is computed on demand from
@@ -58,9 +64,9 @@ into it is a sign flip on the inputs (phase kickback, Cleve et al. 1998)
 and a drawer search's diffusion runs on the search register alone.  A full
 ``PureState`` is built only where one is handed out: ``run``'s tagged
 states and its final state when first read, ``unitary_prefix``,
-``backdate_outcome`` and ``apply_instruction``.  ``run`` also returns the
-distribution each record was drawn from, so a caller that wants an
-outcome's probability reads the walk's own instead of a second marginal.
+``backdate_outcome``, ``apply_instruction`` and ``project``.  ``run`` also
+returns the distribution each record was drawn from, so a caller that wants
+an outcome's probability reads the walk's own instead of a second marginal.
 
 Unitary segments on the free registers run in place, and every unitary
 route is a segment.  Wherever a state is computed, the gates between two
@@ -93,7 +99,9 @@ from .measure import (
     PROB_EPS,
     MeasurementRecord,
     OutcomeDistribution,
+    ProjectionOperator,
     _dephase,
+    _register_marginals,
     born_sample,
 )
 from .qstate import PureState, RegisterLayout, StateDistance
@@ -173,6 +181,11 @@ def touched_registers(instr: Instruction) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class CircuitProgram:
+    """Instructions over one layout, checked once per distinct instruction
+    object when the program is built (``ProgramError``,
+    ``UnknownRegisterError``, or ``ShapeMismatchError`` for an oracle whose
+    table does not fit its registers)."""
+
     layout: RegisterLayout
     instructions: tuple[Instruction, ...]
     time_tags: Mapping[str, int] = field(default_factory=dict)
@@ -202,17 +215,18 @@ class CircuitProgram:
             if instr.kind in ("hadamard", "qft", "inverse-qft", "grover-diffusion"):
                 if instr.reg is None:
                     raise ProgramError(f"gate {instr.kind!r} needs a target register")
-            elif instr.kind == "oracle-xor":
-                if not isinstance(instr.table, FunctionTable) or not instr.in_reg or not instr.out_reg:
-                    raise ProgramError("oracle-xor needs in_reg, out_reg, and a function table")
-            elif instr.kind == "oracle-moded":
-                if (
-                    not isinstance(instr.table, ModedFunctionTable)
-                    or not instr.mode_reg
-                    or not instr.in_reg
-                    or not instr.out_reg
-                ):
-                    raise ProgramError("oracle-moded needs mode_reg, in_reg, out_reg, and a table")
+            else:  # an oracle: its table maps the widths of its registers, in order
+                xor = instr.kind == "oracle-xor"
+                regs = (instr.in_reg, instr.out_reg) if xor else (instr.mode_reg, instr.in_reg, instr.out_reg)
+                if not isinstance(instr.table, FunctionTable if xor else ModedFunctionTable) or not all(regs):
+                    raise ProgramError(f"{instr.kind} needs {'' if xor else 'mode_reg, '}in_reg, out_reg, and a table")
+                f = instr.table
+                bits = (f.input_bits, f.output_bits) if xor else (f.mode_bits, f.input_bits, f.output_bits)
+                widths = tuple(map(self.layout.qubits, regs))
+                if widths != bits:
+                    raise ShapeMismatchError(f"{instr.kind} table of {bits} bits does not fit {regs} of {widths}")
+                if len(set(regs)) != len(regs):
+                    raise ShapeMismatchError(f"{instr.kind} registers {regs} must be distinct")
 
     def measured_registers(self) -> tuple[str, ...]:
         return tuple(i.reg for i in self.instructions if isinstance(i, Measure))
@@ -355,11 +369,13 @@ def _inverse(instr: Prepare | GateOp) -> tuple[Prepare | GateOp, ...]:
 
 
 def apply_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
-    """Apply one unitary instruction (Prepare or GateOp) to a state: a
-    segment of one instruction on a slice with nothing fixed."""
+    """Apply one unitary instruction (Prepare or GateOp) to a state: the
+    instruction is checked as a one-instruction program, then run as a
+    segment on a slice with nothing fixed."""
     if not isinstance(instr, (Prepare, GateOp)):
         raise ProgramError(f"cannot apply non-unitary instruction {instr!r}")
-    return _advance(_start_slice(state.layout, state), (instr,)).state()
+    program = CircuitProgram(state.layout, (instr,))
+    return _advance(_start_slice(state.layout, state), program.instructions).state()
 
 
 @dataclass(frozen=True)
@@ -464,9 +480,8 @@ class _Family(_Slice):
 def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Family:
     """The Born filter on each of ``values`` at once: one fresh row per
     value, owned by the family, the amplitudes where ``reg`` holds it, each
-    divided by the square root of its own ``np.vdot`` weight, as
-    ``born_filter`` weighs and divides one.  A fixed register has one row,
-    the slice's own amplitudes, or zero probability."""
+    divided by the square root of its own ``np.vdot`` weight.  A fixed
+    register has one row, the slice's own amplitudes, or zero probability."""
     values = tuple(values)
     fixed = dict(s.fixed)
     if reg in fixed:
@@ -479,8 +494,8 @@ def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Family:
         if not 0 <= v < d:
             raise ValueError(f"outcome {v} out of range for register {reg!r}")
     block = s.amps.reshape(left, d, right)
-    # each weight from the register's (left, right) view, as born_filter
-    # takes it: np.vdot runs a strided product where that view is strided
+    # each weight from the register's (left, right) view: np.vdot runs a
+    # strided product where that view is strided
     weights = np.array([np.vdot(kept, kept).real for kept in (block[:, v, :] for v in values)])
     rows = np.ascontiguousarray(block.transpose(1, 0, 2)[list(values)]).reshape(len(values), left * right)
     for v, weight in zip(values, weights):
@@ -493,19 +508,13 @@ def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Family:
 
 def _marginals(s: _Slice, reg: str, rows: int) -> np.ndarray:
     """``reg``'s outcome probabilities in each of the ``rows`` states a
-    slice's amplitudes hold, one row each: ``outcome_distribution``'s
-    arithmetic, |amplitude|^2 summed over every axis but the register's,
-    which numpy reduces row by row as it reduces one state (a sum over
-    nothing else is the squares themselves).  A fixed register is
-    certain."""
+    slice's amplitudes hold, one row each, by ``measure``'s reduction.  A
+    fixed register is certain."""
     if reg in s.fixed:
         probs = np.zeros((rows, s.layout.dim(reg)))
         probs[:, s.fixed[reg]] = 1.0
         return probs
-    left, d, right = s.free.axis_shape(reg)
-    squares = np.abs(s.amps.reshape(rows, left, d, right))
-    squares **= 2
-    return squares.reshape(rows, d) if left == right == 1 else squares.sum(axis=(1, 3))
+    return _register_marginals(s.amps, s.free.axis_shape(reg))
 
 
 def _start_slice(layout: RegisterLayout, initial: PureState | None) -> _Slice:
@@ -668,7 +677,6 @@ class _Segment:
 
     def oracle_xor(self, instr: GateOp) -> Step:
         f, in_reg, out_reg = instr.table, instr.in_reg, instr.out_reg
-        gates.check_xor_fit(self.layout, f, in_reg, out_reg)
         if in_reg in self.fixed and out_reg in self.fixed:
             self.fixed[out_reg] ^= f.table[self.fixed[in_reg]]
         elif in_reg in self.fixed:
@@ -693,7 +701,6 @@ class _Segment:
         left the configuration as it found it."""
         fixed, held = self.fixed, self.held
         if isinstance(instr, GateOp) and instr.kind == "oracle-xor" and instr.out_reg in held:
-            gates.check_xor_fit(self.layout, instr.table, instr.in_reg, instr.out_reg)
             if instr.in_reg in held:
                 self.broadcast(instr.in_reg)
             return self.kick(instr)
@@ -769,6 +776,12 @@ def _project(s: _Slice, reg: str, outcome: int) -> _Slice:
     branch = _gather(s, reg, (outcome,)).row(outcome)
     branch.amps.setflags(write=False)
     return branch
+
+
+def project(state: PureState, p: ProjectionOperator) -> PureState:
+    """Keep only the amplitudes with ``p.reg == p.outcome`` and renormalise
+    (the Born filter): the walk's projection on the state's start slice."""
+    return _project(_start_slice(state.layout, state), p.reg, p.outcome).state()
 
 
 def _distribution(s: _Slice, reg: str) -> OutcomeDistribution:
@@ -1102,6 +1115,13 @@ def run(
     program.validate_order()
     records, tagged, final, drawn = _BranchWalk(program, initial).trial(rng, program.time_tags)
     return RunTrace(program, final, records, tagged, drawn)
+
+
+def measure_register(state: PureState, reg: str, rng: np.random.Generator) -> tuple[int, PureState]:
+    """Sample an outcome and return it with the post-measurement state: a
+    run of the one-instruction program ``(Measure(reg),)`` from ``state``."""
+    trace = run(CircuitProgram(state.layout, (Measure(reg),)), rng, initial=state)
+    return trace.records[0].outcome, trace.final_state
 
 
 def sample_outcomes(

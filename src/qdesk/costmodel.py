@@ -50,60 +50,30 @@ class StageCost:
     quantum_units: int
 
 
-def _check_stage(stage: str) -> str:
-    if stage not in STAGES:
-        raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
-    return stage
-
-
-def _classical_units(n: int, period: int, stage: str, constants: ModelConstants) -> int:
-    _check_stage(stage)
+def _rows(n: int, period: int, output_bits: int, c: ModelConstants) -> list[StageCost]:
+    """One row per stage, in ``STAGES`` order."""
     size = 1 << n
-    if stage in ("function-evaluation", "filtration"):
-        return constants.term_unit * size
-    # extraction: read the period from the filtered term list, then write
-    # the n-bit answer; the dominating count is charged.
-    return constants.term_unit * max(size // period, n)
-
-
-def _quantum_units(n: int, output_bits: int, stage: str, constants: ModelConstants) -> int:
-    _check_stage(stage)
-    if stage == "function-evaluation":
-        return constants.gate_layer_unit * (1 + n)
-    if stage == "filtration":
-        return constants.measured_qubit_unit * output_bits
-    return constants.gate_layer_unit * (n * (n + 1) // 2) + constants.measured_qubit_unit * n
-
-
-def _rows(n: int, period: int, output_bits: int, constants: ModelConstants) -> list[StageCost]:
-    return [
-        StageCost(
-            n,
-            stage,
-            _classical_units(n, period, stage, constants),
-            _quantum_units(n, output_bits, stage, constants),
-        )
-        for stage in STAGES
-    ]
-
-
-def classical_symbolic_cost(
-    inst: PeriodFindingInstance, stage: str, constants: ModelConstants = DEFAULT_CONSTANTS
-) -> int:
-    """Terms written or scanned to derive the next symbolic description."""
-    return _classical_units(inst.n, inst.period, stage, constants)
-
-
-def quantum_step_cost(
-    inst: PeriodFindingInstance, stage: str, constants: ModelConstants = DEFAULT_CONSTANTS
-) -> int:
-    """Gate layers plus measured qubits for one stage."""
-    return _quantum_units(inst.n, inst.table.output_bits, stage, constants)
+    classical = (
+        c.term_unit * size,
+        c.term_unit * size,
+        # extraction: read the period from the filtered term list, then
+        # write the n-bit answer; the dominating count is charged.
+        c.term_unit * max(size // period, n),
+    )
+    quantum = (
+        c.gate_layer_unit * (1 + n),
+        c.measured_qubit_unit * output_bits,
+        c.gate_layer_unit * (n * (n + 1) // 2) + c.measured_qubit_unit * n,
+    )
+    return [StageCost(n, stage, cu, qu) for stage, cu, qu in zip(STAGES, classical, quantum)]
 
 
 def stage_costs(
     inst: PeriodFindingInstance, constants: ModelConstants = DEFAULT_CONSTANTS
 ) -> list[StageCost]:
+    """One instance's cost rows, one per stage in ``STAGES`` order: terms
+    written or scanned to derive the next symbolic description, and gate
+    layers plus measured qubits."""
     return _rows(inst.n, inst.period, inst.table.output_bits, constants)
 
 

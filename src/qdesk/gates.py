@@ -3,10 +3,11 @@ XOR table oracles, and the inversion-about-mean step.
 
 Each gate has one kernel, ``<gate>_in_place``, that mutates a writable
 complex128 work buffer (the flat amplitude vector of a layout) and
-allocates no output.  ``circuit_ir`` runs a whole unitary segment through
-these kernels on one work buffer.  The ``PureState`` forms (``hadamard_all``,
-``qft``, ``oracle_xor``, ``oracle_moded``, ``grover_diffusion``) copy the
-state once, run the kernel, and adopt the copy.
+allocates no output.  ``circuit_ir`` runs every gate through these kernels
+on one work buffer; ``circuit_ir.apply_instruction`` is the way to apply
+one gate to a ``PureState``.  A kernel checks nothing: ``CircuitProgram``
+checks that an instruction's registers and table fit its layout once, when
+the program is built.
 
 Every register-wise kernel works on the ``(left, d, right)`` view of the
 buffer (``RegisterLayout.axis_shape``).  A buffer may hold several states
@@ -14,8 +15,7 @@ of the layout back to back; they join ``left``, so a kernel runs on all of
 them at once, each with the arithmetic it gets alone.  The Hadamard layer
 runs one butterfly per bit over that view and scales once at the end;
 the Fourier transform is an FFT along the register axis written back into
-the view (``method="dense"`` on ``qft``, with ``fourier_matrix``, is kept only as
-the oracle that tests and the self-test compare the FFT against, within
+the view (the self-test compares it with the dense Fourier matrix, within
 1e-10); the diffusion step sums the register as the contiguous last axis,
 pairwise (from a copy, unless no register lies to its right), and writes
 the reflection back.  Oracles are basis-index permutations, never dense
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .qstate import PureState, RegisterLayout
+from .qstate import RegisterLayout
 
 
 class _XorTable:
@@ -250,32 +250,16 @@ def hadamard_all_in_place(work: np.ndarray, layout: RegisterLayout, reg: str) ->
     work *= 2.0 ** (-q / 2)
 
 
-def hadamard_all(state: PureState, reg: str) -> PureState:
-    """Apply H to every qubit of the register."""
-    return _on_copy(state, hadamard_all_in_place, reg)
-
-
-@lru_cache(maxsize=None)
-def fourier_matrix(qubits: int, inverse: bool = False) -> np.ndarray:
-    """Dense transform matrix M[c, x] = exp(+-2*pi*i*c*x/D) / sqrt(D)."""
-    d = 1 << qubits
-    sign = -1.0 if inverse else 1.0
-    grid = np.outer(np.arange(d), np.arange(d))
-    m = np.exp(sign * 2j * np.pi * grid / d) / math.sqrt(d)
-    m.setflags(write=False)
-    return m
-
-
 def fourier_axis(
     amplitudes: np.ndarray, axis: int, inverse: bool = False, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The register Fourier transform along one axis of an amplitude array.
 
-    Orthonormal FFT with the sign of ``fourier_matrix``: forward is
-    exp(+2*pi*i*c*x/D), so it runs as numpy's inverse FFT.  Every other axis
-    is a batch axis.  ``out`` may be ``amplitudes`` itself: numpy's FFT
-    transforms one line at a time through its own buffer, so the in-place
-    result is bit for bit the allocating one.
+    Orthonormal FFT whose forward transform is exp(+2*pi*i*c*x/D), so it
+    runs as numpy's inverse FFT.  Every other axis is a batch axis.
+    ``out`` may be ``amplitudes`` itself: numpy's FFT transforms one line at
+    a time through its own buffer, so the in-place result is bit for bit the
+    allocating one.
     """
     transform = np.fft.fft if inverse else np.fft.ifft
     return transform(amplitudes, axis=axis, norm="ortho", out=out)
@@ -288,22 +272,6 @@ def qft_in_place(work: np.ndarray, layout: RegisterLayout, reg: str, inverse: bo
     D-dimensional state."""
     block = _axis_view(work, layout, reg)
     fourier_axis(block, 1, inverse, out=block)
-
-
-def qft(state: PureState, reg: str, inverse: bool = False, method: str = "fast") -> PureState:
-    """Digital Fourier transform of one register.
-
-    The default ``method="fast"`` is ``qft_in_place`` on a copy.
-    ``method="dense"`` multiplies by the reference matrix, O(D d); it is the
-    correctness oracle for the FFT and no production route uses it.
-    """
-    if method == "fast":
-        return _on_copy(state, qft_in_place, reg, inverse)
-    if method != "dense":
-        raise ValueError(f"unknown qft method {method!r}")
-    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    out = np.einsum("cd,ldr->lcr", fourier_matrix(state.layout.qubits(reg), inverse), block)
-    return PureState._adopt(state.layout, out.reshape(-1))
 
 
 def _swap_pairs(
@@ -342,51 +310,18 @@ def _swap_pairs(
     block[at_hi] = moved
 
 
-def check_xor_fit(layout: RegisterLayout, f: FunctionTable, in_reg: str, out_reg: str) -> None:
-    """Raise ``ShapeMismatchError`` unless the table maps the input register's
-    width to the output register's and the two registers differ."""
-    if layout.qubits(in_reg) != f.input_bits or layout.qubits(out_reg) != f.output_bits:
-        raise ShapeMismatchError(
-            f"table ({f.input_bits}->{f.output_bits} bits) does not fit registers "
-            f"{in_reg!r} ({layout.qubits(in_reg)}) and {out_reg!r} ({layout.qubits(out_reg)})"
-        )
-    if in_reg == out_reg:
-        raise ShapeMismatchError("input and output registers must differ")
-
-
 def oracle_xor_in_place(
     work: np.ndarray, layout: RegisterLayout, f: FunctionTable, in_reg: str, out_reg: str
 ) -> None:
     """Basis map |x>|y> -> |x>|y XOR f(x)>, in place on ``work``; self-inverse."""
-    check_xor_fit(layout, f, in_reg, out_reg)
     _swap_pairs(work, layout, (in_reg, out_reg), f.swaps)
-
-
-def oracle_xor(state: PureState, f: FunctionTable, in_reg: str, out_reg: str) -> PureState:
-    """Basis map |x>|y> -> |x>|y XOR f(x)>; self-inverse."""
-    return _on_copy(state, oracle_xor_in_place, f, in_reg, out_reg)
 
 
 def oracle_moded_in_place(
     work: np.ndarray, layout: RegisterLayout, f: ModedFunctionTable, mode_reg: str, in_reg: str, out_reg: str
 ) -> None:
     """Basis map |k>|x>|y> -> |k>|x>|y XOR F(k, x)>, in place on ``work``."""
-    if (
-        layout.qubits(mode_reg) != f.mode_bits
-        or layout.qubits(in_reg) != f.input_bits
-        or layout.qubits(out_reg) != f.output_bits
-    ):
-        raise ShapeMismatchError("moded table dimensions do not fit the three registers")
-    if len({mode_reg, in_reg, out_reg}) != 3:
-        raise ShapeMismatchError("mode, input, and output registers must be distinct")
     _swap_pairs(work, layout, (mode_reg, in_reg, out_reg), f.swaps)
-
-
-def oracle_moded(
-    state: PureState, f: ModedFunctionTable, mode_reg: str, in_reg: str, out_reg: str
-) -> PureState:
-    """Basis map |k>|x>|y> -> |k>|x>|y XOR F(k, x)>."""
-    return _on_copy(state, oracle_moded_in_place, f, mode_reg, in_reg, out_reg)
 
 
 def grover_diffusion_in_place(work: np.ndarray, layout: RegisterLayout, reg: str) -> None:
@@ -424,11 +359,6 @@ def bound_grover_diffusion(work: np.ndarray, layout: RegisterLayout, reg: str) -
     return reflect
 
 
-def grover_diffusion(state: PureState, reg: str) -> PureState:
-    """Inversion about the mean on one register: 2|u><u| - I."""
-    return _on_copy(state, grover_diffusion_in_place, reg)
-
-
 def _view(work: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``work`` reshaped without a copy: an in-place kernel that wrote into a
     reshaped copy would lose its writes, so a buffer that cannot be viewed
@@ -440,11 +370,3 @@ def _axis_view(work: np.ndarray, layout: RegisterLayout, reg: str) -> np.ndarray
     """``work``'s ``(left, d, right)`` view for ``reg``; the states of a
     buffer that holds several join ``left``."""
     return _view(work, (-1, layout.dim(reg), 1 << layout.offset(reg)))
-
-
-def _on_copy(state: PureState, kernel: Callable[..., None], *args) -> PureState:
-    """A gate's ``PureState`` form: its in-place kernel run on one copy of
-    the amplitudes, which the result adopts."""
-    work = state.amplitudes.copy()
-    kernel(work, state.layout, *args)
-    return PureState._adopt(state.layout, work)

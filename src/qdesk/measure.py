@@ -1,10 +1,13 @@
-"""Projective measurement of register contents.
+"""Outcome statistics of register contents, and the random-phase picture.
 
-Measurement is modelled in two detachable halves: the outcome statistics
-(squared amplitudes summed over a register's basis values) and the state
-change (zero out every amplitude outside the observed eigenspace, then
-renormalize).  Projecting onto a zero-probability outcome raises
-``DegenerateStateError`` instead of silently returning a zero vector.
+A register's outcome distribution is |amplitude|^2 summed over every other
+register's values, one reduction shared by ``outcome_distribution`` and
+``circuit_ir``'s walk, and a Born sample is one uniform looked up in its
+cumulative sums.  The state change of a measurement (keep the amplitudes in
+the observed eigenspace, renormalise) is ``circuit_ir``'s: ``project`` and
+``measure_register`` run it as one-instruction walks, and projecting onto a
+zero-probability outcome raises ``DegenerateStateError`` instead of
+silently returning a zero vector.
 
 The module also carries the random-phase picture of a mixed state: a pure
 state and a register whose values carry independent uniform phases, so the
@@ -23,8 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateStateError, ShapeMismatchError
-from .qstate import NORM_ATOL, PureState, RegisterLayout
+from .errors import ShapeMismatchError
+from .qstate import PureState, RegisterLayout
 
 # Outcomes below this probability are treated as unreachable.
 PROB_EPS = 1e-15
@@ -126,31 +129,21 @@ class MeasurementRecord:
         return doc
 
 
+def _register_marginals(amplitudes: np.ndarray, axis_shape: tuple[int, int, int]) -> np.ndarray:
+    """A register's outcome probabilities in each state that ``amplitudes``
+    holds back to back, one row each: |amplitude|^2 of each state's
+    ``(left, d, right)`` view (``axis_shape``) summed over every axis but
+    the register's, which numpy reduces row by row as it reduces one state
+    (a sum over nothing else is the squares themselves)."""
+    left, d, right = axis_shape
+    squares = np.abs(amplitudes.reshape(-1, left, d, right))
+    squares **= 2
+    return squares.reshape(-1, d) if left == right == 1 else squares.sum(axis=(1, 3))
+
+
 def outcome_distribution(state: PureState, reg: str) -> OutcomeDistribution:
-    """Exact measurement statistics for one register: |amplitude|^2 of its
-    ``(left, d, right)`` view summed over all but the register axis."""
-    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    return OutcomeDistribution(reg, (np.abs(block) ** 2).sum(axis=(0, 2)))
-
-
-def born_filter(state: PureState, reg: str, outcome: int) -> np.ndarray:
-    """The amplitudes with ``reg == outcome``, renormalized, as a fresh
-    ``(left, right)`` array around the register's axis."""
-    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    if not 0 <= outcome < block.shape[1]:
-        raise ValueError(f"outcome {outcome} out of range for register {reg!r}")
-    kept = block[:, outcome, :]
-    weight = float(np.vdot(kept, kept).real)
-    if weight < PROB_EPS:
-        raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
-    return kept / np.sqrt(weight)
-
-
-def project(state: PureState, p: ProjectionOperator) -> PureState:
-    """Keep only amplitudes with ``reg == outcome`` and renormalize (Born filter)."""
-    out = np.zeros(state.layout.axis_shape(p.reg), dtype=np.complex128)
-    out[:, p.outcome, :] = born_filter(state, p.reg, p.outcome)
-    return PureState._adopt(state.layout, out.reshape(-1))
+    """Exact measurement statistics for one register."""
+    return OutcomeDistribution(reg, _register_marginals(state.amplitudes, state.layout.axis_shape(reg))[0])
 
 
 def born_sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:
@@ -160,15 +153,6 @@ def born_sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:
     generator state match it bit for bit; the CDF is built once per
     distribution instead of once per draw."""
     return int(dist.cdf.searchsorted(rng.random(), side="right"))
-
-
-def measure_register(
-    state: PureState, reg: str, rng: np.random.Generator
-) -> tuple[int, PureState]:
-    """Sample an outcome and return it with the post-measurement state."""
-    dist = outcome_distribution(state, reg)
-    outcome = born_sample(dist, rng)
-    return outcome, project(state, ProjectionOperator(reg, outcome))
 
 
 def _keep_axes(layout: RegisterLayout, keep: Iterable[str] | None) -> list[int]:

@@ -81,48 +81,56 @@ def qstate_suite(rng: np.random.Generator) -> list[Check]:
     ]
 
 
+def fourier_matrix(qubits: int, inverse: bool = False) -> np.ndarray:
+    """Dense transform matrix M[c, x] = exp(+-2*pi*i*c*x/D) / sqrt(D), the
+    oracle the Fourier transform's FFT route is checked against."""
+    d = 1 << qubits
+    sign = -1.0 if inverse else 1.0
+    grid = np.outer(np.arange(d), np.arange(d))
+    return np.exp(sign * 2j * np.pi * grid / d) / math.sqrt(d)
+
+
 def gates_suite(rng: np.random.Generator) -> list[Check]:
     layout = qstate.RegisterLayout.of(X=3, F=3)
     table = gates.FunctionTable.from_callable(lambda x: (3 * x + 1) % 8, 3, 3)
+    apply, gate = circuit_ir.apply_instruction, circuit_ir.GateOp
+    xor = gate("oracle-xor", in_reg="X", out_reg="F", table=table)
 
     def unitarity():
+        ops = (
+            gate("hadamard", reg="X"),
+            gate("qft", reg="X"),
+            gate("inverse-qft", reg="F"),
+            xor,
+            gate("grover-diffusion", reg="X"),
+        )
         for _ in range(10):
             s = _random_state(rng, layout)
-            for op in (
-                lambda t: gates.hadamard_all(t, "X"),
-                lambda t: gates.qft(t, "X"),
-                lambda t: gates.qft(t, "F", inverse=True),
-                lambda t: gates.oracle_xor(t, table, "X", "F"),
-                lambda t: gates.grover_diffusion(t, "X"),
-            ):
-                assert abs(op(s).norm() - 1.0) < 1e-12
+            for op in ops:
+                assert abs(apply(s, op).norm() - 1.0) < 1e-12
 
     def involutions():
         s = _random_state(rng, layout)
-        twice = gates.oracle_xor(gates.oracle_xor(s, table, "X", "F"), table, "X", "F")
+        twice = apply(apply(s, xor), xor)
         assert np.array_equal(twice.amplitudes, s.amplitudes)
-        moded = gates.ModedFunctionTable.equality_test(2)
-        kxf = qstate.RegisterLayout.of(K=2, X=2, F=1)
-        t = _random_state(rng, kxf)
-        again = gates.oracle_moded(gates.oracle_moded(t, moded, "K", "X", "F"), moded, "K", "X", "F")
+        equality = gates.ModedFunctionTable.equality_test(2)
+        moded = gate("oracle-moded", mode_reg="K", in_reg="X", out_reg="F", table=equality)
+        t = _random_state(rng, qstate.RegisterLayout.of(K=2, X=2, F=1))
+        again = apply(apply(t, moded), moded)
         assert np.array_equal(again.amplitudes, t.amplitudes)
 
     def fourier_inverse():
         for q in range(1, 11):
-            one_reg = qstate.RegisterLayout.of(X=q)
-            s = _random_state(rng, one_reg)
-            roundtrip = gates.qft(gates.qft(s, "X"), "X", inverse=True)
+            s = _random_state(rng, qstate.RegisterLayout.of(X=q))
+            fast = apply(s, gate("qft", reg="X"))
+            roundtrip = apply(fast, gate("inverse-qft", reg="X"))
             assert np.abs(roundtrip.amplitudes - s.amplitudes).max() < 1e-10
-            fast = gates.qft(s, "X", method="fast")
-            dense = gates.qft(s, "X", method="dense")
-            assert np.abs(fast.amplitudes - dense.amplitudes).max() < 1e-10
+            assert np.abs(fast.amplitudes - fourier_matrix(q) @ s.amplitudes).max() < 1e-10
 
     def hadamard_is_single_qubit_fourier():
-        one = qstate.RegisterLayout.of(X=1)
-        s = _random_state(rng, one)
-        assert np.abs(
-            gates.hadamard_all(s, "X").amplitudes - gates.qft(s, "X").amplitudes
-        ).max() < 1e-15
+        s = _random_state(rng, qstate.RegisterLayout.of(X=1))
+        hadamard, fourier = apply(s, gate("hadamard", reg="X")), apply(s, gate("qft", reg="X"))
+        assert np.abs(hadamard.amplitudes - fourier.amplitudes).max() < 1e-15
 
     return [
         ("all gates preserve the 2-norm within 1e-12", unitarity),
@@ -137,11 +145,11 @@ def measure_suite(rng: np.random.Generator) -> list[Check]:
         inst = shor.build_periodic(2, 2)
         state = shor.state_after_oracle(inst)
         p = measure.ProjectionOperator("F", 0)
-        once = measure.project(state, p)
-        twice = measure.project(once, p)
+        once = circuit_ir.project(state, p)
+        twice = circuit_ir.project(once, p)
         assert np.abs(once.amplitudes - twice.amplitudes).max() < 1e-12
         try:
-            measure.project(once, measure.ProjectionOperator("F", 1))
+            circuit_ir.project(once, measure.ProjectionOperator("F", 1))
             raise AssertionError("distinct-outcome projection should annihilate")
         except DegenerateStateError:
             pass
@@ -149,7 +157,7 @@ def measure_suite(rng: np.random.Generator) -> list[Check]:
     def f_ensemble(state, keep):
         """sum_v p(F = v) * the reduction of the state projected on F = v"""
         f_dist = measure.outcome_distribution(state, "F")
-        posts = {v: measure.project(state, measure.ProjectionOperator("F", v)) for v in f_dist.support}
+        posts = {v: circuit_ir.project(state, measure.ProjectionOperator("F", v)) for v in f_dist.support}
         return sum(f_dist.probabilities[v] * measure.partial_trace(p, keep).matrix for v, p in posts.items())
 
     def ensemble_average():
@@ -178,7 +186,7 @@ def measure_suite(rng: np.random.Generator) -> list[Check]:
                 state = shor.state_after_oracle(inst)
                 f_dist = measure.outcome_distribution(state, "F")
                 for v in f_dist.support:
-                    post = measure.project(state, measure.ProjectionOperator("F", v))
+                    post = circuit_ir.project(state, measure.ProjectionOperator("F", v))
                     x_probs = measure.outcome_distribution(post, "X").probabilities
                     expected = {x for x in range(inst.dimension) if inst.table(x) == v}
                     got = {x for x in range(inst.dimension) if x_probs[x] > 1e-12}
@@ -187,15 +195,18 @@ def measure_suite(rng: np.random.Generator) -> list[Check]:
 
     def analytic_average():
         # keeping F, the closed form must match the F-projection ensemble,
-        # which never forms the phased picture
-        for n in range(1, 5):
+        # which never forms the phased picture; at n = 5 that ensemble is
+        # some sixty 1024 x 1024 density matrices, seconds of work, so it
+        # runs to n = 4
+        for n in range(1, 6):
             for r in shor.divisors(1 << n):
                 state = shor.state_after_oracle(shor.build_periodic(n, r))
                 mixture = measure.PhasedMixture(state, "F")
                 averaged = measure.analytic_average_density(mixture, keep=["X"])
                 assert averaged.frobenius_distance(measure.partial_trace(state, ["X"])) < 1e-10
-                averaged = measure.analytic_average_density(mixture, keep=["X", "F"])
-                assert averaged.frobenius_distance(f_ensemble(state, ["X", "F"])) < 1e-10
+                if n <= 4:
+                    averaged = measure.analytic_average_density(mixture, keep=["X", "F"])
+                    assert averaged.frobenius_distance(f_ensemble(state, ["X", "F"])) < 1e-10
 
     return [
         ("projectors idempotent and mutually annihilating", projector_algebra),
@@ -249,7 +260,7 @@ def circuit_suite(rng: np.random.Generator) -> list[Check]:
                 f_dist = measure.outcome_distribution(t2, "F")
                 for v in f_dist.support:
                     backdated = circuit_ir.backdate_outcome(skip, ("F", v))
-                    direct = measure.project(t2, measure.ProjectionOperator("F", v))
+                    direct = circuit_ir.project(t2, measure.ProjectionOperator("F", v))
                     assert qstate.compare_up_to_global_phase(backdated, direct).value < 1e-10
 
     def deterministic_replay():
@@ -324,7 +335,7 @@ def grover_suite(rng: np.random.Generator) -> list[Check]:
             assert abs(probs[k] - 1.0) < 1e-12
 
     def joint_determination():
-        for _ in range(20):
+        for _ in range(100):
             phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=3))
             pre, _ = grover.run_extended_grover(4, rng, phases=phases)
             for first, second in (("K", "X"), ("X", "K")):
@@ -384,10 +395,10 @@ def cost_suite(rng: np.random.Generator) -> list[Check]:
 
     def entanglement_independence():
         for n in range(2, 11):
-            counts = {
-                costmodel.quantum_step_cost(shor.build_periodic(n, r), "filtration")
-                for r in shor.divisors(1 << n)
-            }
+            counts = set()
+            for r in shor.divisors(1 << n):
+                by_stage = {row.stage: row for row in costmodel.stage_costs(shor.build_periodic(n, r))}
+                counts.add(by_stage["filtration"].quantum_units)
             assert len(counts) == 1
 
     return [

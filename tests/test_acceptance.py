@@ -22,15 +22,11 @@ from qdesk import (
     average_density,
     build_periodic,
     exact_outcome_distribution,
-    partial_trace,
     RegisterLayout,
     run_classical_game,
-    run_extended_grover,
     single_run_success_probability,
-    state_after_oracle,
 )
 from qdesk.cli import main as cli_main
-from qdesk.grover import sequential_joint_distribution
 from qdesk.selftest import SUITES
 from qdesk.shor import divisors
 
@@ -84,14 +80,7 @@ def test_criterion_1_grover_exactness():
 
 @criterion(2, "extended game jointly determines the drawer, either order, 100 phase draws")
 def test_criterion_2_joint_determination():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=3))
-        pre, _ = run_extended_grover(4, rng, phases=phases)
-        for first, second in (("K", "X"), ("X", "K")):
-            joint = sequential_joint_distribution(pre, first, second)
-            assert set(joint) == {(k, k) for k in range(4)}
-            assert max(abs(p - 0.25) for p in joint.values()) < 1e-10
+    selftest_check("grover", "joint outcomes are diagonal-uniform in either order")
 
 
 @criterion(3, "measure-early, skip, and annihilate disciplines agree exactly (n <= 6)")
@@ -145,11 +134,7 @@ def test_criterion_6_random_phase_representation():
     expected = np.diag([math.sin(phi) ** 2, math.cos(phi) ** 2])
     assert np.linalg.norm(sampled.matrix - expected) < 5e-3
 
-    for n in range(1, 6):
-        for r in divisors(1 << n):
-            state = state_after_oracle(build_periodic(n, r))
-            averaged = analytic_average_density(PhasedMixture(state, "F"), keep=["X"])
-            assert averaged.frobenius_distance(partial_trace(state, ["X"])) < 1e-10
+    selftest_check("measure", "closed-form phase average equals the trace and F-projection ensemble")
 
 
 @criterion(7, "stage costs: classical doubles, quantum stays linear and entanglement-blind")

@@ -36,8 +36,6 @@ from qdesk import (
     gates,
     outcome_distribution,
     period_circuit,
-    project,
-    qft,
     run,
     sample_phases,
     state_after_oracle,
@@ -45,8 +43,9 @@ from qdesk import (
 from qdesk import circuit_ir
 from qdesk.circuit_ir import apply_instruction, enumerate_outcome_distribution, sample, unitary_prefix
 from qdesk.cli import main
-from qdesk.measure import ProjectionOperator
 from qdesk.shor import DISCIPLINES, PeriodResult, sample_runs
+from test_families import born_project
+from test_register_axis import gate
 
 SEEDS = st.integers(0, 2**32 - 1)
 PERIODS = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n)))
@@ -86,7 +85,7 @@ def projection_walk(program, observed, initial):
             if isinstance(instr, (Measure, Dephase)):
                 dist = outcome_distribution(state, instr.reg)
                 for v in dist.support:
-                    post = project(state, ProjectionOperator(instr.reg, v))
+                    post = born_project(state, instr.reg, v)
                     branch = dict(outcomes)
                     if isinstance(instr, Measure):
                         branch[instr.reg] = v
@@ -422,7 +421,7 @@ def phased_route_runs(inst, trials, rng):
     mixture = PhasedMixture(start, "F")
     runs = []
     for _ in range(trials):
-        probs = outcome_distribution(qft(sample_phases(mixture, rng), "X"), "X").probabilities
+        probs = outcome_distribution(gate(sample_phases(mixture, rng), "qft", reg="X"), "X").probabilities
         clipped = np.clip(probs, 0.0, None)
         x = int(rng.choice(len(clipped), p=clipped / clipped.sum()))
         runs.append([("X", x, float(probs[x]))])
@@ -486,7 +485,7 @@ def own_state_trial(program, initial, rng):
             clipped = np.clip(probs, 0.0, None)
             x = int(rng.choice(len(clipped), p=clipped / clipped.sum()))
             records.append((instr.reg, x, float(probs[x])))
-            state = project(state, ProjectionOperator(instr.reg, x))
+            state = born_project(state, instr.reg, x)
         else:
             state = apply_instruction(state, instr)
     return records
@@ -565,7 +564,7 @@ class TestInertDephase:
         rng = np.random.default_rng(6)
         phased = sample_phases(PhasedMixture(state_after_oracle(inst), "F"), rng)
         assert np.array_equal(trace.state_at_tag("t3").amplitudes, phased.amplitudes)
-        assert np.array_equal(trace.state_at_tag("t4").amplitudes, qft(phased, "X").amplitudes)
+        assert np.array_equal(trace.state_at_tag("t4").amplitudes, gate(phased, "qft", reg="X").amplitudes)
 
     def test_enumerating_annihilate_f_projects_nothing_on_f(self, monkeypatch):
         calls = []

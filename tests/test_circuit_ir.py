@@ -163,6 +163,27 @@ class TestPrepareSemantics:
             CircuitProgram(layout, (Prepare("X", 2),))
 
 
+@pytest.mark.parametrize(
+    "instr",
+    [
+        Prepare("X", "minus"),
+        Prepare("X", 99),
+        Prepare("X", "bogus"),
+        GateOp("qft"),
+        GateOp("oracle-xor", in_reg="X", out_reg="F"),
+        GateOp("oracle-xor", in_reg="X", out_reg="F", table=FunctionTable(2, 2, (0, 1, 2, 3))),
+    ],
+    ids=["minus-on-two-qubits", "value-out-of-range", "unknown-keyword", "no-register", "no-table", "table-too-wide"],
+)
+def test_apply_instruction_rejects_what_a_program_rejects(instr):
+    layout = RegisterLayout.of(X=2, F=1)
+    with pytest.raises(Exception) as built:
+        CircuitProgram(layout, (instr,))
+    with pytest.raises(Exception) as applied:
+        apply_instruction(make_basis_state(layout, {}), instr)
+    assert applied.type is built.type
+
+
 class TestDeferMeasurements:
     def test_moves_early_function_measurement_to_end(self):
         program = parity_program()

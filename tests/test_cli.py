@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdesk import build_periodic, circuit_ir, gates, grover, iteration_count, period_circuit, run, shor, stage_costs
+from qdesk import selftest
 from qdesk.cli import _dump_state, _instance_problem, drawer_count, main
 from qdesk.qstate import PureState, RegisterLayout
 from qdesk.shor import DISCIPLINES
@@ -489,7 +490,7 @@ class TestHotRoutes:
         def refuse(*args, **kwargs):
             raise AssertionError("dense Fourier matrix built outside the test oracle")
 
-        monkeypatch.setattr(gates, "fourier_matrix", refuse)
+        monkeypatch.setattr(selftest, "fourier_matrix", refuse)
         shor_argv = ["shor", "--n", "4", "--r", "3", "--trials", "5", "--json"]
         for discipline in DISCIPLINES:
             code, _, err = run_cli(capsys, shor_argv + ["--discipline", discipline])

@@ -3,59 +3,58 @@ import pytest
 from qdesk import (
     ModelConstants,
     build_periodic,
-    classical_symbolic_cost,
-    quantum_step_cost,
     stage_costs,
     stage_table,
 )
-from qdesk.costmodel import STAGES
+from qdesk.costmodel import DEFAULT_CONSTANTS, STAGES
 from qdesk.shor import divisors
+
+
+def row(inst, stage, constants=DEFAULT_CONSTANTS):
+    """The instance's cost row for one stage."""
+    return {r.stage: r for r in stage_costs(inst, constants)}[stage]
 
 
 class TestClassicalCost:
     def test_function_evaluation_writes_every_term(self):
-        assert classical_symbolic_cost(build_periodic(3, 2), "function-evaluation") == 8
+        assert row(build_periodic(3, 2), "function-evaluation").classical_units == 8
 
     def test_filtration_scans_every_term(self):
-        assert classical_symbolic_cost(build_periodic(3, 2), "filtration") == 8
+        assert row(build_periodic(3, 2), "filtration").classical_units == 8
 
     def test_degenerate_single_term_instance(self):
         inst = build_periodic(0, 1)
         for stage in STAGES:
-            assert classical_symbolic_cost(inst, stage) == 1
+            assert row(inst, stage).classical_units == 1
 
     def test_extraction_reads_the_filtered_list(self):
         # 2^4 / 4 = 4 terms dominate the 4-bit output write
-        assert classical_symbolic_cost(build_periodic(4, 4), "extraction") == 4
+        assert row(build_periodic(4, 4), "extraction").classical_units == 4
         # with a long period the write dominates
-        assert classical_symbolic_cost(build_periodic(4, 16), "extraction") == 4
-        assert classical_symbolic_cost(build_periodic(5, 16), "extraction") == 5
-
-    def test_unknown_stage(self):
-        with pytest.raises(ValueError):
-            classical_symbolic_cost(build_periodic(2, 2), "telepathy")
+        assert row(build_periodic(4, 16), "extraction").classical_units == 4
+        assert row(build_periodic(5, 16), "extraction").classical_units == 5
 
 
 class TestQuantumCost:
     def test_filtration_is_linear_in_register_width(self):
-        assert quantum_step_cost(build_periodic(3, 2), "filtration") == 3
+        assert row(build_periodic(3, 2), "filtration").quantum_units == 3
 
     def test_extraction_counts_fourier_layers_plus_readout(self):
-        assert quantum_step_cost(build_periodic(3, 2), "extraction") == 9
+        assert row(build_periodic(3, 2), "extraction").quantum_units == 9
 
     def test_smallest_function_evaluation(self):
-        assert quantum_step_cost(build_periodic(1, 2), "function-evaluation") == 2
+        assert row(build_periodic(1, 2), "function-evaluation").quantum_units == 2
 
     def test_entanglement_independence(self):
         for n in range(2, 7):
             counts = {
-                quantum_step_cost(build_periodic(n, r), "filtration") for r in divisors(1 << n)
+                row(build_periodic(n, r), "filtration").quantum_units for r in divisors(1 << n)
             }
             assert counts == {n}
 
     def test_constants_scale_counts(self):
         doubled = ModelConstants(measured_qubit_unit=2)
-        assert quantum_step_cost(build_periodic(3, 2), "filtration", doubled) == 6
+        assert row(build_periodic(3, 2), "filtration", doubled).quantum_units == 6
 
 
 class TestStageTable:

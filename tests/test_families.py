@@ -38,9 +38,30 @@ from qdesk import (
 from qdesk import circuit_ir
 from qdesk.cli import main
 from qdesk.errors import DegenerateStateError
-from qdesk.measure import PROB_EPS, OutcomeDistribution, born_filter, outcome_distribution
+from qdesk.measure import PROB_EPS, OutcomeDistribution
 
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+def born_filter(state, reg, outcome):
+    """The amplitudes of a state with ``reg == outcome``, renormalised, as a
+    fresh ``(left, right)`` array around the register's axis."""
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    if not 0 <= outcome < block.shape[1]:
+        raise ValueError(f"outcome {outcome} out of range for register {reg!r}")
+    kept = block[:, outcome, :]
+    weight = float(np.vdot(kept, kept).real)
+    if weight < PROB_EPS:
+        raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
+    return kept / np.sqrt(weight)
+
+
+def born_project(state, reg, outcome):
+    """The replaced full-state projection: ``born_filter`` written into a
+    zeroed state, every other amplitude zero."""
+    out = np.zeros(state.layout.axis_shape(reg), dtype=np.complex128)
+    out[:, outcome, :] = born_filter(state, reg, outcome)
+    return PureState._adopt(state.layout, out.reshape(-1))
 
 
 def project_one(s, reg, outcome):
@@ -57,9 +78,11 @@ def project_one(s, reg, outcome):
 
 
 def distribution_one(s, reg):
-    """The replaced reduction: ``outcome_distribution`` on one branch."""
+    """The replaced reduction: |amplitude|^2 of one branch's ``(left, d,
+    right)`` view summed over all but the register axis."""
     if reg not in s.fixed:
-        return outcome_distribution(s.free_state(), reg)
+        block = s.amps.reshape(s.free.axis_shape(reg))
+        return OutcomeDistribution(reg, (np.abs(block) ** 2).sum(axis=(0, 2)))
     probs = np.zeros(s.layout.dim(reg))
     probs[s.fixed[reg]] = 1.0
     return OutcomeDistribution(reg, probs)

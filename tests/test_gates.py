@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 
 from qdesk import (
+    CircuitProgram,
     FunctionTable,
+    GateOp,
     ModedFunctionTable,
     PureState,
     RegisterLayout,
     ShapeMismatchError,
-    grover_diffusion,
-    hadamard_all,
+    apply_instruction,
     make_basis_state,
     modexp_table,
     normalize,
-    oracle_moded,
-    oracle_xor,
-    qft,
 )
 from qdesk.measure import outcome_distribution
+from test_register_axis import dense_qft, gate
 
 
 def random_state(rng, layout):
@@ -138,23 +137,23 @@ class TestFunctionTable:
 
 class TestHadamard:
     def test_single_qubit(self):
-        state = hadamard_all(make_basis_state(RegisterLayout.of(X=1), {}), "X")
+        state = gate(make_basis_state(RegisterLayout.of(X=1), {}), "hadamard", reg="X")
         assert np.allclose(state.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_uniform_on_two_qubits(self):
-        state = hadamard_all(make_basis_state(RegisterLayout.of(X=2), {}), "X")
+        state = gate(make_basis_state(RegisterLayout.of(X=2), {}), "hadamard", reg="X")
         assert np.allclose(state.amplitudes, 0.5)
 
     def test_applying_twice_restores(self):
         rng = np.random.default_rng(0)
         layout = RegisterLayout.of(X=3, F=2)
         state = random_state(rng, layout)
-        back = hadamard_all(hadamard_all(state, "X"), "X")
+        back = gate(gate(state, "hadamard", reg="X"), "hadamard", reg="X")
         assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-10
 
     def test_only_touches_named_register(self):
         layout = RegisterLayout.of(X=1, F=1)
-        state = hadamard_all(make_basis_state(layout, {"F": 1}), "X")
+        state = gate(make_basis_state(layout, {"F": 1}), "hadamard", reg="X")
         # F stays a definite 1
         assert outcome_distribution(state, "F").probabilities[1] == pytest.approx(1.0)
 
@@ -163,20 +162,20 @@ class TestHadamard:
         layout = RegisterLayout.of(X=1)
         state = random_state(rng, layout)
         assert np.abs(
-            hadamard_all(state, "X").amplitudes - qft(state, "X").amplitudes
+            gate(state, "hadamard", reg="X").amplitudes - gate(state, "qft", reg="X").amplitudes
         ).max() < 1e-15
 
 
 class TestFourierTransform:
     def test_delta_to_uniform(self):
-        state = qft(make_basis_state(RegisterLayout.of(X=2), {}), "X")
+        state = gate(make_basis_state(RegisterLayout.of(X=2), {}), "qft", reg="X")
         assert np.allclose(state.amplitudes, 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("qubits", range(1, 11))
     def test_inverse_round_trip(self, qubits):
         rng = np.random.default_rng(qubits)
         state = random_state(rng, RegisterLayout.of(X=qubits))
-        back = qft(qft(state, "X"), "X", inverse=True)
+        back = gate(gate(state, "qft", reg="X"), "inverse-qft", reg="X")
         assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-10
 
     @pytest.mark.parametrize("qubits", range(1, 7))
@@ -185,16 +184,15 @@ class TestFourierTransform:
         rng = np.random.default_rng(10 + qubits)
         state = random_state(rng, RegisterLayout.of(X=qubits))
         expected = brute_force_fourier(state.amplitudes, inverse)
-        for method in ("dense", "fast"):
-            got = qft(state, "X", inverse=inverse, method=method)
+        for got in (dense_qft(state, "X", inverse), gate(state, "inverse-qft" if inverse else "qft", reg="X")):
             assert np.abs(got.amplitudes - expected).max() < 1e-10
 
     def test_fast_agrees_with_dense_on_register_slice(self):
         rng = np.random.default_rng(2)
         layout = RegisterLayout.of(K=2, X=3, F=2)
         state = random_state(rng, layout)
-        dense = qft(state, "X", method="dense")
-        fast = qft(state, "X", method="fast")
+        dense = dense_qft(state, "X")
+        fast = gate(state, "qft", reg="X")
         assert np.abs(dense.amplitudes - fast.amplitudes).max() < 1e-10
 
     def test_middle_register_matches_kron_reference(self):
@@ -210,7 +208,7 @@ class TestFourierTransform:
         f_part[1] = 1.0
         state = PureState(layout, np.kron(np.kron(k_part, psi), f_part))
         expected = np.kron(np.kron(k_part, brute_force_fourier(psi)), f_part)
-        got = qft(state, "X")
+        got = gate(state, "qft", reg="X")
         assert np.abs(got.amplitudes - expected).max() < 1e-10
 
     def test_comb_of_period_two_concentrates_on_two_outcomes(self):
@@ -219,7 +217,7 @@ class TestFourierTransform:
         amps = np.zeros(8)
         amps[[0, 2, 4, 6]] = 0.5
         expected = np.abs(brute_force_fourier(amps)) ** 2
-        state = qft(PureState(RegisterLayout.of(X=3), amps), "X")
+        state = gate(PureState(RegisterLayout.of(X=3), amps), "qft", reg="X")
         probs = outcome_distribution(state, "X").probabilities
         assert np.abs(probs - expected).max() < 1e-12
         assert probs[0] == pytest.approx(0.5, abs=1e-12)
@@ -230,15 +228,10 @@ class TestFourierTransform:
         # uniform over {0,4} on 3 qubits: support on multiples of 2, 1/4 each
         amps = np.zeros(8)
         amps[[0, 4]] = 1 / math.sqrt(2)
-        state = qft(PureState(RegisterLayout.of(X=3), amps), "X")
+        state = gate(PureState(RegisterLayout.of(X=3), amps), "qft", reg="X")
         probs = outcome_distribution(state, "X").probabilities
         assert np.allclose(probs[[0, 2, 4, 6]], 0.25, atol=1e-12)
         assert probs[[1, 3, 5, 7]].max() < 1e-12
-
-    def test_unknown_method(self):
-        state = make_basis_state(RegisterLayout.of(X=1), {})
-        with pytest.raises(ValueError):
-            qft(state, "X", method="surprise")
 
 
 class TestXorOracle:
@@ -247,12 +240,14 @@ class TestXorOracle:
         layout = RegisterLayout.of(X=2, F=2)
         state = random_state(rng, layout)
         zero = FunctionTable(2, 2, (0, 0, 0, 0))
-        assert np.array_equal(oracle_xor(state, zero, "X", "F").amplitudes, state.amplitudes)
+        out = gate(state, "oracle-xor", in_reg="X", out_reg="F", table=zero)
+        assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_loads_function_values_in_superposition(self):
         layout = RegisterLayout.of(X=2, F=2)
         f = FunctionTable.from_callable(lambda x: (x + 1) % 4, 2, 2)
-        state = oracle_xor(hadamard_all(make_basis_state(layout, {}), "X"), f, "X", "F")
+        state = gate(make_basis_state(layout, {}), "hadamard", reg="X")
+        state = gate(state, "oracle-xor", in_reg="X", out_reg="F", table=f)
         for x in range(4):
             index = layout.encode({"X": x, "F": f(x)})
             assert state.amplitudes[index] == pytest.approx(0.5)
@@ -262,20 +257,21 @@ class TestXorOracle:
         rng = np.random.default_rng(9)
         layout = RegisterLayout.of(X=3, F=2)
         state = random_state(rng, layout)
-        f = FunctionTable.from_callable(lambda x: x % 4, 3, 2)
-        again = oracle_xor(oracle_xor(state, f, "X", "F"), f, "X", "F")
+        oracle = GateOp("oracle-xor", in_reg="X", out_reg="F", table=FunctionTable.from_callable(lambda x: x % 4, 3, 2))
+        again = apply_instruction(apply_instruction(state, oracle), oracle)
         assert np.array_equal(again.amplitudes, state.amplitudes)
 
     def test_register_size_mismatch(self):
-        state = make_basis_state(RegisterLayout.of(X=2, F=1), {})
+        oracle = GateOp("oracle-xor", in_reg="X", out_reg="F", table=FunctionTable(2, 2, (0, 1, 2, 3)))
         with pytest.raises(ShapeMismatchError):
-            oracle_xor(state, FunctionTable(2, 2, (0, 1, 2, 3)), "X", "F")
+            CircuitProgram(RegisterLayout.of(X=2, F=1), (oracle,))
 
     def test_output_register_may_be_more_significant(self):
         # layout order F then X: the oracle writes into the high bits
         layout = RegisterLayout.of(F=2, X=2)
         f = FunctionTable.from_callable(lambda x: (x + 1) % 4, 2, 2)
-        state = oracle_xor(hadamard_all(make_basis_state(layout, {}), "X"), f, "X", "F")
+        state = gate(make_basis_state(layout, {}), "hadamard", reg="X")
+        state = gate(state, "oracle-xor", in_reg="X", out_reg="F", table=f)
         for x in range(4):
             assert state.amplitudes[layout.encode({"X": x, "F": f(x)})] == pytest.approx(0.5)
 
@@ -285,14 +281,14 @@ class TestModedOracle:
         layout = RegisterLayout.of(K=2, X=2, F=1)
         f = ModedFunctionTable.equality_test(2)
         state = make_basis_state(layout, {"K": 2, "X": 2, "F": 0})
-        out = oracle_moded(state, f, "K", "X", "F")
+        out = gate(state, "oracle-moded", mode_reg="K", in_reg="X", out_reg="F", table=f)
         assert out.amplitudes[layout.encode({"K": 2, "X": 2, "F": 1})] == 1.0
 
     def test_mismatched_mode_leaves_output(self):
         layout = RegisterLayout.of(K=2, X=2, F=1)
         f = ModedFunctionTable.equality_test(2)
         state = make_basis_state(layout, {"K": 2, "X": 1, "F": 0})
-        out = oracle_moded(state, f, "K", "X", "F")
+        out = gate(state, "oracle-moded", mode_reg="K", in_reg="X", out_reg="F", table=f)
         assert out.amplitudes[layout.encode({"K": 2, "X": 1, "F": 0})] == 1.0
 
     def test_phase_kickback_on_minus_state(self):
@@ -305,7 +301,7 @@ class TestModedOracle:
         minus[layout.encode({"K": k, "X": x, "F": 0})] = 1 / math.sqrt(2)
         minus[layout.encode({"K": k, "X": x, "F": 1})] = -1 / math.sqrt(2)
         state = PureState(layout, minus)
-        out = oracle_moded(state, f, "K", "X", "F")
+        out = gate(state, "oracle-moded", mode_reg="K", in_reg="X", out_reg="F", table=f)
         assert np.allclose(out.amplitudes, -minus)
 
     def test_involution_is_exact(self):
@@ -313,31 +309,40 @@ class TestModedOracle:
         layout = RegisterLayout.of(X=2, K=2, F=1)
         state = random_state(rng, layout)
         f = ModedFunctionTable.equality_test(2)
-        again = oracle_moded(oracle_moded(state, f, "K", "X", "F"), f, "K", "X", "F")
+        oracle = GateOp("oracle-moded", mode_reg="K", in_reg="X", out_reg="F", table=f)
+        again = apply_instruction(apply_instruction(state, oracle), oracle)
         assert np.array_equal(again.amplitudes, state.amplitudes)
 
     def test_distinct_registers_required(self):
-        state = make_basis_state(RegisterLayout.of(K=2, X=2, F=1), {})
+        f = ModedFunctionTable.equality_test(2)
+        oracle = GateOp("oracle-moded", mode_reg="K", in_reg="K", out_reg="F", table=f)
         with pytest.raises(ShapeMismatchError):
-            oracle_moded(state, ModedFunctionTable.equality_test(2), "K", "K", "F")
+            CircuitProgram(RegisterLayout.of(K=2, X=2, F=1), (oracle,))
+
+    def test_table_of_the_wrong_width(self):
+        f = ModedFunctionTable.equality_test(1)  # one-qubit mode and input, for two-qubit registers
+        oracle = GateOp("oracle-moded", mode_reg="K", in_reg="X", out_reg="F", table=f)
+        with pytest.raises(ShapeMismatchError):
+            CircuitProgram(RegisterLayout.of(K=2, X=2, F=1), (oracle,))
 
 
 class TestGroverIteration:
     def test_single_iteration_exact_for_four_values(self):
         layout = RegisterLayout.of(X=2, F=1)
         f = FunctionTable(2, 1, (1, 0, 0, 0))  # marked value 0
-        state = hadamard_all(make_basis_state(layout, {"F": 1}), "F")
-        state = hadamard_all(state, "X")
-        state = grover_diffusion(oracle_xor(state, f, "X", "F"), "X")
+        state = gate(make_basis_state(layout, {"F": 1}), "hadamard", reg="F")
+        state = gate(state, "hadamard", reg="X")
+        state = gate(state, "oracle-xor", in_reg="X", out_reg="F", table=f)
+        state = gate(state, "grover-diffusion", reg="X")
         probs = outcome_distribution(state, "X").probabilities
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_function_reduces_to_diffusion_fixing_uniform(self):
         layout = RegisterLayout.of(X=3, F=1)
         zero = FunctionTable(3, 1, (0,) * 8)
-        state = hadamard_all(make_basis_state(layout, {"F": 1}), "F")
-        state = hadamard_all(state, "X")
-        after = grover_diffusion(oracle_xor(state, zero, "X", "F"), "X")
+        state = gate(make_basis_state(layout, {"F": 1}), "hadamard", reg="F")
+        state = gate(state, "hadamard", reg="X")
+        after = gate(gate(state, "oracle-xor", in_reg="X", out_reg="F", table=zero), "grover-diffusion", reg="X")
         assert np.abs(after.amplitudes - state.amplitudes).max() < 1e-10
 
     def test_norm_preserved_on_random_states(self):
@@ -345,8 +350,8 @@ class TestGroverIteration:
         layout = RegisterLayout.of(X=3, F=1)
         f = FunctionTable(3, 1, tuple(1 if x == 5 else 0 for x in range(8)))
         for _ in range(10):
-            state = random_state(rng, layout)
-            assert abs(grover_diffusion(oracle_xor(state, f, "X", "F"), "X").norm() - 1.0) < 1e-12
+            state = gate(random_state(rng, layout), "oracle-xor", in_reg="X", out_reg="F", table=f)
+            assert abs(gate(state, "grover-diffusion", reg="X").norm() - 1.0) < 1e-12
 
 
 class TestUnitarity:
@@ -358,13 +363,12 @@ class TestUnitarity:
         moded = ModedFunctionTable(2, 3, 1, tuple((k + x) % 2 for k in range(4) for x in range(8)))
         state = random_state(rng, layout)
         for op in (
-            lambda s: hadamard_all(s, "X"),
-            lambda s: qft(s, "K"),
-            lambda s: qft(s, "X", inverse=True),
-            lambda s: qft(s, "X", method="fast"),
-            lambda s: oracle_xor(s, f, "X", "F"),
-            lambda s: oracle_moded(s, moded, "K", "X", "F"),
-            lambda s: grover_diffusion(s, "X"),
+            lambda s: gate(s, "hadamard", reg="X"),
+            lambda s: gate(s, "qft", reg="K"),
+            lambda s: gate(s, "inverse-qft", reg="X"),
+            lambda s: gate(s, "oracle-xor", in_reg="X", out_reg="F", table=f),
+            lambda s: gate(s, "oracle-moded", mode_reg="K", in_reg="X", out_reg="F", table=moded),
+            lambda s: gate(s, "grover-diffusion", reg="X"),
         ):
             assert abs(op(state).norm() - 1.0) < 1e-12
 

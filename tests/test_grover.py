@@ -13,6 +13,7 @@ from qdesk import (
     compare_up_to_global_phase,
     iteration_count,
     make_basis_state,
+    measure_register,
     mixture_equivalence_check,
     outcome_distribution,
     partial_trace,
@@ -24,7 +25,6 @@ from qdesk import (
 )
 from qdesk.circuit_ir import GateOp, Measure, run
 from qdesk.cli import _cmd_grover, build_parser, main
-from qdesk.gates import grover_diffusion, hadamard_all, oracle_xor
 from qdesk.grover import (
     EXTENDED_LAYOUT,
     extended_preparation,
@@ -33,7 +33,8 @@ from qdesk.grover import (
     sequential_joint_distribution,
     standard_layout,
 )
-from qdesk.measure import born_sample, measure_register
+from qdesk.measure import born_sample
+from test_register_axis import gate
 
 
 def expected_standard_final(drawers, hidden):
@@ -119,11 +120,13 @@ class TestStandardGame:
 
 
 def hand_route_state(inst):
-    """The standard search applied gate by gate, outside any program."""
-    state = hadamard_all(kickback_preparation(standard_layout(inst.drawers)), "X")
+    """The standard search applied gate by gate, each as its own
+    one-instruction program."""
+    state = gate(kickback_preparation(standard_layout(inst.drawers)), "hadamard", reg="X")
     table = marked_drawer_table(inst.drawers, inst.hidden_drawer)
     for _ in range(iteration_count(inst.drawers)):
-        state = grover_diffusion(oracle_xor(state, table, "X", "F"), "X")
+        state = gate(state, "oracle-xor", in_reg="X", out_reg="F", table=table)
+        state = gate(state, "grover-diffusion", reg="X")
     return state
 
 

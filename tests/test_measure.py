@@ -23,7 +23,6 @@ from qdesk import (
     average_density,
     born_sample,
     build_periodic,
-    hadamard_all,
     make_basis_state,
     measure_register,
     normalize,
@@ -37,7 +36,7 @@ from qdesk.circuit_ir import enumerate_outcome_distribution
 from qdesk.measure import MAX_DENSITY_QUBITS, PROB_EPS
 from qdesk.selftest import chi_square_sf_one_dof
 from qdesk.shor import divisors
-from test_register_axis import mixture_slots
+from test_register_axis import gate, mixture_slots
 
 
 @pytest.fixture
@@ -60,7 +59,7 @@ class TestOutcomeDistribution:
         assert probs.sum() == 1.0
 
     def test_uniform_superposition(self):
-        state = hadamard_all(make_basis_state(RegisterLayout.of(X=3), {}), "X")
+        state = gate(make_basis_state(RegisterLayout.of(X=3), {}), "hadamard", reg="X")
         assert np.allclose(outcome_distribution(state, "X").probabilities, 1 / 8, atol=1e-12)
 
     def test_joint_distribution_orders_keys_as_requested(self, parity_state):
@@ -209,7 +208,7 @@ class TestBornSample:
 class TestPartialTrace:
     def test_product_state_gives_rank_one(self):
         layout = RegisterLayout.of(X=2, F=1)
-        state = hadamard_all(make_basis_state(layout, {}), "X")
+        state = gate(make_basis_state(layout, {}), "hadamard", reg="X")
         rho = partial_trace(state, ["X"])
         eigs = np.linalg.eigvalsh(rho.matrix)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)

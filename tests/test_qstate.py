@@ -19,15 +19,12 @@ from qdesk import (
     UnknownRegisterError,
     compare_up_to_global_phase,
     make_basis_state,
-    grover_diffusion,
-    hadamard_all,
     normalize,
-    oracle_xor,
     project,
-    qft,
     run,
 )
 from qdesk.qstate import MAX_QUBITS
+from test_register_axis import gate
 
 
 def random_state(rng, layout):
@@ -277,11 +274,10 @@ class TestPureState:
         table = FunctionTable(2, 2, (1, 2, 3, 0))
         dephased = run(CircuitProgram(layout, (Dephase("F"),)), np.random.default_rng(0), initial=state)
         outputs = [
-            hadamard_all(state, "X"),
-            qft(state, "F"),
-            qft(state, "X", method="dense"),
-            oracle_xor(state, table, "X", "F"),
-            grover_diffusion(state, "X"),
+            gate(state, "hadamard", reg="X"),
+            gate(state, "qft", reg="F"),
+            gate(state, "oracle-xor", in_reg="X", out_reg="F", table=table),
+            gate(state, "grover-diffusion", reg="X"),
             project(state, ProjectionOperator("F", 1)),
             dephased.final_state,
         ]

@@ -23,6 +23,7 @@ from qdesk import (
     CircuitProgram,
     Dephase,
     FunctionTable,
+    GateOp,
     ModedFunctionTable,
     PhasedMixture,
     PureState,
@@ -30,15 +31,11 @@ from qdesk import (
     analytic_average_density,
     build_modexp,
     build_periodic,
+    apply_instruction,
     exact_outcome_distribution,
-    grover_diffusion,
-    hadamard_all,
     make_basis_state,
-    oracle_moded,
-    oracle_xor,
     outcome_distribution,
     project,
-    qft,
     run,
     sample_phases,
     state_after_oracle,
@@ -46,9 +43,23 @@ from qdesk import (
 from qdesk import gates
 from qdesk.circuit_ir import _xor_register
 from qdesk.measure import PROB_EPS, ProjectionOperator
+from qdesk.selftest import fourier_matrix
 from qdesk.shor import DISCIPLINES
 
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+def gate(state, kind, **regs):
+    """One gate applied to a state: ``apply_instruction`` of a ``GateOp``."""
+    return apply_instruction(state, GateOp(kind, **regs))
+
+
+def dense_qft(state, reg, inverse=False):
+    """The register Fourier transform as the dense matrix times the
+    register axis of the ``(left, d, right)`` view, O(D d)."""
+    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    out = np.einsum("cd,ldr->lcr", fourier_matrix(state.layout.qubits(reg), inverse), block)
+    return state.with_amplitudes(out.reshape(-1))
 
 
 @st.composite
@@ -125,7 +136,7 @@ def full_state_route(inst, discipline):
     """Exact [X] distribution by projecting the whole state per branch and
     applying the dense Fourier matrix."""
     def dense(s):
-        return qft(s, "X", method="dense")
+        return dense_qft(s, "X")
 
     state = state_after_oracle(inst)
     if discipline == "skip-F":
@@ -146,8 +157,8 @@ def full_state_route(inst, discipline):
 @given(case=random_states(), inverse=st.booleans())
 def test_default_qft_matches_dense_oracle(case, inverse):
     state, reg = case
-    fast = qft(state, reg, inverse=inverse)
-    dense = qft(state, reg, inverse=inverse, method="dense")
+    fast = gate(state, "inverse-qft" if inverse else "qft", reg=reg)
+    dense = dense_qft(state, reg, inverse)
     assert np.abs(fast.amplitudes - dense.amplitudes).max() < 1e-10
 
 
@@ -271,9 +282,10 @@ def oracle_cases(draw, roles):
 def test_oracle_xor_matches_arange_reference(case):
     state, (in_reg, out_reg), entries = case
     f = FunctionTable(state.layout.qubits(in_reg), state.layout.qubits(out_reg), entries)
-    got = oracle_xor(state, f, in_reg, out_reg)
+    oracle = GateOp("oracle-xor", in_reg=in_reg, out_reg=out_reg, table=f)
+    got = apply_instruction(state, oracle)
     assert np.array_equal(got.amplitudes, arange_oracle_xor(state, f, in_reg, out_reg).amplitudes)
-    assert np.array_equal(oracle_xor(got, f, in_reg, out_reg).amplitudes, state.amplitudes)
+    assert np.array_equal(apply_instruction(got, oracle).amplitudes, state.amplitudes)
 
 
 @settings(max_examples=80, deadline=None)
@@ -282,10 +294,11 @@ def test_oracle_moded_matches_arange_reference(case):
     state, (mode_reg, in_reg, out_reg), entries = case
     layout = state.layout
     f = ModedFunctionTable(layout.qubits(mode_reg), layout.qubits(in_reg), layout.qubits(out_reg), entries)
-    got = oracle_moded(state, f, mode_reg, in_reg, out_reg)
+    oracle = GateOp("oracle-moded", mode_reg=mode_reg, in_reg=in_reg, out_reg=out_reg, table=f)
+    got = apply_instruction(state, oracle)
     expected = arange_oracle_moded(state, f, mode_reg, in_reg, out_reg)
     assert np.array_equal(got.amplitudes, expected.amplitudes)
-    assert np.array_equal(oracle_moded(got, f, mode_reg, in_reg, out_reg).amplitudes, state.amplitudes)
+    assert np.array_equal(apply_instruction(got, oracle).amplitudes, state.amplitudes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,7 +306,7 @@ def test_oracle_moded_matches_arange_reference(case):
 def test_grover_diffusion_matches_mean_reference(case):
     state, reg = case
     block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    got = grover_diffusion(state, reg).amplitudes
+    got = gate(state, "grover-diffusion", reg=reg).amplitudes
     # the register axis made contiguous and summed pairwise: bit for bit
     pairwise = np.ascontiguousarray(np.moveaxis(block, 1, -1)).mean(-1)
     assert np.array_equal(as_bits(got), as_bits((2.0 * pairwise[:, None, :] - block).reshape(-1)))
@@ -320,9 +333,9 @@ def einsum_hadamard_all(state, reg):
 @given(case=random_states(max_registers=4))
 def test_hadamard_all_matches_einsum_reference(case):
     state, reg = case
-    got = hadamard_all(state, reg)
+    got = gate(state, "hadamard", reg=reg)
     assert np.abs(got.amplitudes - einsum_hadamard_all(state, reg)).max() <= 1e-14
-    assert np.abs(hadamard_all(got, reg).amplitudes - state.amplitudes).max() <= 1e-14
+    assert np.abs(gate(got, "hadamard", reg=reg).amplitudes - state.amplitudes).max() <= 1e-14
     assert not got.amplitudes.flags.writeable
     assert not np.shares_memory(got.amplitudes, state.amplitudes)
 
@@ -331,7 +344,7 @@ def test_hadamard_all_on_a_16_mib_state_peaks_under_40_mib():
     state = make_basis_state(RegisterLayout.of(X=10, F=10), {"F": 3})  # 16 MiB
     tracemalloc.start()
     try:
-        out = hadamard_all(state, "X")
+        out = gate(state, "hadamard", reg="X")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -40,7 +40,6 @@ from qdesk import (
     make_basis_state,
     outcome_distribution,
     period_circuit,
-    project,
     run,
     run_standard_grover,
     sample,
@@ -50,7 +49,8 @@ from qdesk import circuit_ir, gates
 from qdesk.circuit_ir import _BranchWalk, enumerate_outcome_distribution
 from qdesk.cli import main
 from qdesk.errors import ShapeMismatchError
-from qdesk.measure import MeasurementRecord, ProjectionOperator, _dephase, born_sample
+from qdesk.measure import MeasurementRecord, _dephase, born_sample
+from test_families import born_project
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -107,7 +107,7 @@ class FullStateWalk:
             instr = self.instructions[i]
             if isinstance(instr, (Measure, Dephase)) and i not in self.inert:
                 state = run_unitaries(state, self.instructions[start:i])
-                state = project(state, ProjectionOperator(instr.reg, path[k]))
+                state = born_project(state, instr.reg, path[k])
                 k, start = k + 1, i + 1
         state = run_unitaries(state, self.instructions[start:boundary])
         chain.append((boundary, path, state))
@@ -158,9 +158,9 @@ class FullStateWalk:
                 if own is None:
                     path += (outcome,)
                 elif not last:
-                    own = (i + 1, project(own[1], ProjectionOperator(instr.reg, outcome)))
+                    own = (i + 1, born_project(own[1], instr.reg, outcome))
                 if phased is not None:
-                    phased = (i + 1, project(phased[1], ProjectionOperator(instr.reg, outcome)))
+                    phased = (i + 1, born_project(phased[1], instr.reg, outcome))
                 continue
             values = dist.support
             phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
@@ -558,9 +558,8 @@ class TestSliceRules:
     def test_an_oracle_that_does_not_fit_is_rejected_on_fixed_registers(self):
         layout = RegisterLayout.of(X=2, F=1)
         table = FunctionTable(2, 2, (0, 1, 2, 3))
-        program = CircuitProgram(layout, (GateOp("oracle-xor", in_reg="X", out_reg="F", table=table),))
         with pytest.raises(ShapeMismatchError):
-            run(program, np.random.default_rng(0))
+            CircuitProgram(layout, (GateOp("oracle-xor", in_reg="X", out_reg="F", table=table),))
 
     @pytest.mark.parametrize(
         "in_reg, table", [("X", FunctionTable(2, 2, (0, 1, 2, 3))), ("F", FunctionTable(1, 1, (0, 1)))]
@@ -568,11 +567,8 @@ class TestSliceRules:
     def test_an_oracle_that_does_not_fit_is_rejected_on_a_held_output(self, in_reg, table):
         # a table too wide for the output, and an oracle into its own input
         layout = RegisterLayout.of(X=2, F=1)
-        program = CircuitProgram(
-            layout, (Prepare("F", "minus"), GateOp("oracle-xor", in_reg=in_reg, out_reg="F", table=table))
-        )
         with pytest.raises(ShapeMismatchError):
-            run(program, np.random.default_rng(0))
+            CircuitProgram(layout, (Prepare("F", "minus"), GateOp("oracle-xor", in_reg=in_reg, out_reg="F", table=table)))
 
     def test_value_prepares_and_fixed_oracles_touch_no_amplitude(self, monkeypatch):
         # |3>|0> -> |3>|f(3)> -> measured: no kernel runs and no buffer is built
