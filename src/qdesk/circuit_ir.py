@@ -623,13 +623,20 @@ class _Segment:
         sign is +1.  The butterflies add and subtract exact zeros, which
         leaves each nonzero part as it is and turns a signed zero into +0,
         except along y = d - 1 from w = 0, where every step subtracts a
-        zero."""
+        zero.  A one-qubit register, such as the kickback qubit, is written
+        one multiply per column: a broadcast over its two columns runs
+        numpy's inner loop only two amplitudes long when it is the last
+        register."""
         self.held.discard(reg)
         value, old, new = self._unfix(reg)
         d = new.shape[1]
         if value:
             signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(d) & value) & 1)
-            np.multiply(signs[None, :, None], old[:, None, :], out=new)
+            if d == 2:
+                for y in range(d):
+                    np.multiply(old, signs[y], out=new[:, y, :])
+            else:
+                np.multiply(signs[None, :, None], old[:, None, :], out=new)
             new += 0.0
         else:
             np.add(old[:, None, :], 0.0, out=new)

@@ -5,12 +5,16 @@ run is seeded (flag, else the QDESK_SEED environment variable, else 0) and
 every report carries its seed.  JSON output is the stable contract; text
 and csv are conveniences.  Exit codes: 0 ok, 1 internal failure, 2 usage
 or out of memory (one ``error:`` line, no traceback).
+
+``main`` may be called many times in one process: the parser is built once,
+on the first call, and every call parses its own argv into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -144,6 +148,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdesk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -246,7 +251,6 @@ def _dump_state(path: str, state: PureState) -> None:
 
 def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
     inst = _shor_instance(args)
-    rng = np.random.default_rng(seed)
     distribution = shor.exact_outcome_distribution(inst, args.discipline)
     report = {
         "n": inst.n,
@@ -262,7 +266,7 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
     records: list[measure.MeasurementRecord] = []
     if args.trials > 0:
         sink = records if args.records else None
-        results = shor.sample_runs(inst, args.discipline, args.trials, rng, record_sink=sink)
+        results = shor.sample_runs(inst, args.discipline, args.trials, np.random.default_rng(seed), record_sink=sink)
         report["success_rate_empirical"] = sum(result.success for result in results) / args.trials
     if args.records:
         with open(args.records, "w") as fh:

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdesk import build_periodic, circuit_ir, gates, grover, iteration_count, period_circuit, run, shor, stage_costs
+import qdesk
 from qdesk import selftest
-from qdesk.cli import _dump_state, _instance_problem, drawer_count, main
+from qdesk.cli import _dump_state, _instance_problem, build_parser, drawer_count, main
 from qdesk.qstate import PureState, RegisterLayout
 from qdesk.shor import DISCIPLINES
 
@@ -483,6 +488,88 @@ class TestCliContract:
         code, out, _ = run_cli(capsys, [command, "--selftest"])
         assert code == 0
         assert "FAIL" not in out
+
+
+def run_any(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    # (argv, exit code) in the order one process runs them
+    SEQUENCES = {
+        "usage error, then a report": [
+            (["shor", "--n", "3", "--r", "99", "--json"], 2),
+            (["shor", "--n", "3", "--r", "4", "--json"], 0),
+        ],
+        "json, then text": [
+            (["shor", "--n", "3", "--r", "4", "--trials", "10", "--json"], 0),
+            (["shor", "--n", "3", "--r", "4", "--trials", "10"], 0),
+        ],
+        "seed given, then from QDESK_SEED": [
+            (["shor", "--n", "3", "--r", "3", "--trials", "20", "--seed", "7", "--json"], 0),
+            (["shor", "--n", "3", "--r", "3", "--trials", "20", "--json"], 0),
+        ],
+        "csv cost, then json cost": [
+            (["cost", "--n-range", "2:4", "--csv"], 0),
+            (["cost", "--n-range", "2:4", "--json"], 0),
+        ],
+    }
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_reused_parser_reports_as_a_fresh_one(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("QDESK_SEED", "123")
+        fresh = []
+        for argv, _ in self.SEQUENCES[name]:
+            build_parser.cache_clear()
+            fresh.append(run_any(capsys, argv))
+        build_parser.cache_clear()
+        reused = [run_any(capsys, argv) for argv, _ in self.SEQUENCES[name]]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [code for _, code in self.SEQUENCES[name]]
+
+
+# `numpy.random` is imported by the first `default_rng` call in a process;
+# the exact routes never draw, so they leave it unimported.  The sha256 of
+# each report is the one it had when every `shor` report built a generator.
+NUMPY_RANDOM_PROBE = """
+import contextlib, hashlib, io, json, sys
+from qdesk.cli import main
+
+def report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+exact = [report(["shor", "--n", "8", "--r", "3", "--json"]),
+         report(["defer-check", "--fig1", "--n", "5", "--r", "4", "--json"])]
+loaded_exact = "numpy.random" in sys.modules
+sampled = report(["shor", "--n", "8", "--r", "3", "--trials", "5", "--json"])
+print(json.dumps([exact, loaded_exact, sampled, "numpy.random" in sys.modules]))
+"""
+
+
+def test_exact_reports_never_load_numpy_random():
+    src = str(Path(qdesk.__file__).resolve().parent.parent)
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE], env=env, capture_output=True, text=True, check=True)
+    exact, loaded_exact, sampled, loaded_sampled = json.loads(done.stdout)
+    assert exact == [
+        "7ea93f4e86dc9c4c19d849e9bccf2fe8c93d61fa5f8348978d8fb46aec761eac",
+        "511d96f1214dfc81950d472d6a4325dd33e434b93e081c35ecd04627a5972018",
+    ]
+    assert not loaded_exact
+    assert sampled == "16b8b721b7844bb57171c8879f0565c4e3f847366f9ad24698411b4b86fddd7b"
+    assert loaded_sampled
 
 
 class TestHotRoutes:

@@ -7,8 +7,8 @@ Runs every job of rounds 0 and 1 at workload seed 0 of each workload in
 sizes the workloads stop short of, in this process through
 ``qdesk.cli.main``, with stdout captured.  Every ``shor`` and ``grover`` job also writes
 ``--dump-state``, and every ``shor`` job writes ``--records``.  Every
-``grover`` job runs a second time as the workload gives it, without
-``--dump-state``: the route the benchmark times.  One JSON line per run
+``shor`` and ``grover`` job then runs a second time as the workload gives
+it, without the added files: the route the benchmark times.  One JSON line per run
 gives its argv (temporary paths shown as ``<tmp>``), its exit code, and the
 sha256 of its stdout, of its dumped state, of its full records file, and of
 the records' (register, outcome) sequence alone.
@@ -79,21 +79,23 @@ def _outcomes(records: bytes | None) -> bytes | None:
     return json.dumps(pairs).encode()
 
 
-def _option(argv: list[str], flag: str, path: Path) -> Path:
-    """The path ``argv`` gives for ``flag``, appending ``path`` if it gives none."""
+def _option(argv: list[str], flag: str, path: Path | None) -> Path | None:
+    """The path ``argv`` gives for ``flag``; if it gives none, ``path``,
+    appended to ``argv`` unless it is None."""
     if flag in argv:
         return Path(argv[argv.index(flag) + 1])
-    argv += [flag, str(path)]
+    if path is not None:
+        argv += [flag, str(path)]
     return path
 
 
-def digest(job_argv: tuple[str, ...], work: Path, main, dump_state: bool = True) -> dict:
+def digest(job_argv: tuple[str, ...], work: Path, main, add_files: bool = True) -> dict:
     argv = list(job_argv)
     state = records = None
-    if argv[0] in ("shor", "grover") and dump_state:
-        state = _option(argv, "--dump-state", work / "state.json")
+    if argv[0] in ("shor", "grover"):
+        state = _option(argv, "--dump-state", work / "state.json" if add_files else None)
     if argv[0] == "shor":
-        records = _option(argv, "--records", work / "records.jsonl")
+        records = _option(argv, "--records", work / "records.jsonl" if add_files else None)
     for path in (state, records):
         if path is not None and path.exists():
             path.unlink()
@@ -115,11 +117,11 @@ def digest(job_argv: tuple[str, ...], work: Path, main, dump_state: bool = True)
 
 
 def _digests(argv: tuple[str, ...], work: Path, main) -> list[dict]:
-    """The digest of one job, and for a ``grover`` job also that of its run
-    without ``--dump-state``."""
+    """The digest of one job, and for a ``shor`` or ``grover`` job also that
+    of its run as the workload gives it."""
     lines = [digest(argv, work, main)]
-    if argv[0] == "grover":
-        lines.append(digest(argv, work, main, dump_state=False))
+    if argv[0] in ("shor", "grover"):
+        lines.append(digest(argv, work, main, add_files=False))
     return lines
 
 
