@@ -200,9 +200,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _indented_json(value, outer: str = "\n") -> str:
+    """The bytes of ``json.dumps(value, sort_keys=True, indent=2)`` (dict keys
+    are strings), from the C encoder: ``indent`` runs ``json``'s Python one.
+    A container that holds no container is one C-encoder call whose item
+    separator carries the newline and indent; ``outer`` is the newline and
+    indent of the line that closes ``value``."""
+    containers = (dict, list, tuple)
+    if not isinstance(value, containers) or not value:
+        return json.dumps(value)
+    pad = outer + "  "
+    items = value.values() if isinstance(value, dict) else value
+    if not any(isinstance(item, containers) for item in items):
+        body = json.dumps(value, sort_keys=True, separators=("," + pad, ": "))
+    elif isinstance(value, dict):
+        parts = [f"{json.dumps(key)}: {_indented_json(value[key], pad)}" for key in sorted(value)]
+        body = "{" + ("," + pad).join(parts) + "}"
+    else:
+        body = "[" + ("," + pad).join(_indented_json(item, pad) for item in value) + "]"
+    return body[0] + pad + body[1:-1] + outer + body[-1]
+
+
 def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None) -> None:
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_indented_json(report))
     elif args.csv:
         out = io.StringIO()
         writer = csv.writer(out)
@@ -232,6 +253,10 @@ def _shor_instance(args: argparse.Namespace) -> shor.PeriodFindingInstance:
 DUMP_CHUNK = 1 << 12
 
 
+# Trials per block of a records file: at most 8192 lines of text at a time.
+RECORD_CHUNK = 1 << 12
+
+
 def _dump_state(path: str, state: PureState) -> None:
     """Write the bytes ``json.dump(state.to_json(), fh)`` writes, a chunk of
     amplitudes at a time: each chunk's ``[re, im]`` pairs are built from the
@@ -258,20 +283,23 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
         "r_divides_space": inst.period_divides,
         "discipline": args.discipline,
         "seed": seed,
-        "distribution": [float(p) for p in distribution],
+        "distribution": distribution.tolist(),
         "success_probability_exact": shor.single_run_success_probability(inst, distribution),
         "trials": args.trials,
         "success_rate_empirical": None,
     }
-    records: list[measure.MeasurementRecord] = []
     if args.trials > 0:
-        sink = records if args.records else None
-        results = shor.sample_runs(inst, args.discipline, args.trials, np.random.default_rng(seed), record_sink=sink)
-        report["success_rate_empirical"] = sum(result.success for result in results) / args.trials
+        rng = np.random.default_rng(seed)
+        registers, outcomes, probabilities = shor.sample_trials(inst, args.discipline, args.trials, rng)
+        successes = shor.success_count(inst, outcomes[:, registers.index("X")])
+        report["success_rate_empirical"] = successes / args.trials
     if args.records:
+        # a block of trials at a time, so the text held stays bounded; with
+        # no trials the file is left empty
         with open(args.records, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record.to_json() | {"seed": seed}, sort_keys=True) + "\n")
+            for start in range(0, args.trials, RECORD_CHUNK):
+                block = slice(start, start + RECORD_CHUNK)
+                fh.write(measure.record_lines(registers, outcomes[block], probabilities[block], seed))
     if args.dump_state:
         # the program up to t4 only: the X and F draws after it would cost
         # annihilate-F a second, unphased QFT that the dump never reads

@@ -20,6 +20,7 @@ the second.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -127,6 +128,23 @@ class MeasurementRecord:
         doc = {"register": self.register, "outcome": self.outcome, "probability": self.probability}
         doc["seed"] = self.seed
         return doc
+
+
+def record_lines(
+    registers: Sequence[str], outcomes: np.ndarray, probabilities: np.ndarray, seed: int | None
+) -> str:
+    """The records of ``circuit_ir.sample_outcomes``' arrays as JSON lines,
+    trial-major and in register order, written from the arrays without a
+    record object: each line has the bytes of
+    ``json.dumps(MeasurementRecord(register, outcome, probability, seed).to_json(), sort_keys=True)``
+    (keys sorted, a probability written by ``float.__repr__`` as ``json``
+    writes a finite float)."""
+    tails = [f', "register": {json.dumps(reg)}, "seed": {json.dumps(seed)}}}\n' for reg in registers]
+    return "".join(
+        f'{{"outcome": {outcome}, "probability": {probability!r}{tail}'
+        for row, probs in zip(outcomes.tolist(), probabilities.tolist())
+        for outcome, probability, tail in zip(row, probs, tails)
+    )
 
 
 def _register_marginals(amplitudes: np.ndarray, axis_shape: tuple[int, int, int]) -> np.ndarray:

@@ -171,6 +171,40 @@ def _candidate(inst: PeriodFindingInstance, outcome: int) -> int | None:
     return memo[outcome]
 
 
+def sample_trials(
+    inst: PeriodFindingInstance, discipline: str, trials: int, rng: np.random.Generator
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """``trials`` sampled runs of the pipeline under the chosen discipline,
+    as the measured registers and ``circuit_ir.sample_outcomes``' outcome
+    and probability arrays (one row per trial, one column per register).
+
+    The trials are one ``sample_outcomes`` call over ``period_circuit`` up
+    to its X measurement, so what every trial shares (the state up to the
+    first measurement or dephasing, and each F branch's [X] distribution)
+    is computed once, and every discipline's program draws as arrays, a
+    block of trials at a time.  Outcomes, probabilities and the generator's
+    state are those of successive ``circuit_ir.run`` calls.
+    """
+    program = period_circuit(inst, discipline)
+    through_x = CircuitProgram(inst.layout, program.instructions[: program.time_tags["t4"] + 1])
+    return (through_x.measured_registers(), *sample_outcomes(through_x, rng, trials))
+
+
+def _distinct_candidates(inst: PeriodFindingInstance, x_outcomes: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """The distinct X outcomes, ascending, the candidate period of each, and
+    the index of each trial's outcome among them."""
+    values, index = np.unique(x_outcomes, return_inverse=True)
+    values = values.tolist()
+    return values, [_candidate(inst, value) for value in values], index
+
+
+def success_count(inst: PeriodFindingInstance, x_outcomes: np.ndarray) -> int:
+    """How many of the X outcomes give the true period, with one
+    ``extract_period`` per distinct outcome."""
+    _, candidates, index = _distinct_candidates(inst, x_outcomes)
+    return int(np.array([q == inst.period for q in candidates], dtype=bool)[index].sum())
+
+
 def sample_runs(
     inst: PeriodFindingInstance,
     discipline: str,
@@ -178,28 +212,16 @@ def sample_runs(
     rng: np.random.Generator,
     record_sink: list[MeasurementRecord] | None = None,
 ) -> list[PeriodResult]:
-    """``trials`` sampled runs of the pipeline under the chosen discipline.
-
-    The trials are one ``circuit_ir.sample_outcomes`` call over
-    ``period_circuit`` up to its X measurement, so what every trial shares
-    (the state up to the first measurement or dephasing, and each F
-    branch's [X] distribution) is computed once.  Every discipline's
-    program is one that call draws as arrays, a block of trials at a time,
-    and the results are built from its outcome arrays, with one
-    ``extract_period`` per distinct X outcome.  Outcomes, records and the
-    generator's state are those of successive ``circuit_ir.run`` calls.
-    Pass a list as ``record_sink`` to collect the Born samples taken along
-    the way.
+    """``trials`` sampled runs of the pipeline under the chosen discipline,
+    one ``PeriodResult`` per trial: the object view of ``sample_trials``'
+    arrays, with one ``extract_period`` per distinct X outcome.  Pass a
+    list as ``record_sink`` to collect the Born samples taken along the
+    way.
     """
-    program = period_circuit(inst, discipline)
-    through_x = CircuitProgram(inst.layout, program.instructions[: program.time_tags["t4"] + 1])
-    registers = through_x.measured_registers()
-    outcomes, probabilities = sample_outcomes(through_x, rng, trials)
+    registers, outcomes, probabilities = sample_trials(inst, discipline, trials, rng)
     if record_sink is not None:
         record_sink.extend(r for records in sampled_records(registers, outcomes, probabilities) for r in records)
-    values, index = np.unique(outcomes[:, registers.index("X")], return_inverse=True)
-    values = values.tolist()
-    candidates = [_candidate(inst, value) for value in values]
+    values, candidates, index = _distinct_candidates(inst, outcomes[:, registers.index("X")])
     f_outcomes = outcomes[:, registers.index("F")].tolist() if "F" in registers else [None] * trials
     return [
         PeriodResult(values[j], candidates[j], candidates[j] == inst.period, f)

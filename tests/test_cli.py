@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdesk import build_periodic, circuit_ir, gates, grover, iteration_count, period_circuit, run, shor, stage_costs
 import qdesk
-from qdesk import selftest
-from qdesk.cli import _dump_state, _instance_problem, build_parser, drawer_count, main
+from qdesk import cli, selftest
+from qdesk.cli import _dump_state, _indented_json, _instance_problem, build_parser, drawer_count, main
 from qdesk.qstate import PureState, RegisterLayout
 from qdesk.shor import DISCIPLINES
 
@@ -151,6 +153,29 @@ class TestShorCommand:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [(r["register"], r["outcome"]) for r in lines] == self.PINNED_RECORDS[discipline]
 
+    def test_no_trials_leave_an_empty_records_file(self, capsys, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("stale\n")
+        code, _, err = run_cli(capsys, ["shor", "--n", "4", "--r", "3", "--trials", "0", "--records", str(path)])
+        assert code == 0, err
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_records_over_several_write_blocks_are_the_record_objects_json(
+        self, capsys, monkeypatch, tmp_path, discipline
+    ):
+        # 50 trials in blocks of 7 trials: the last block is short
+        monkeypatch.setattr(cli, "RECORD_CHUNK", 7)
+        path = tmp_path / "records.jsonl"
+        argv = ["shor", "--n", "5", "--r", "6", "--discipline", discipline, "--trials", "50", "--seed", "13"]
+        code, out, err = run_cli(capsys, argv + ["--records", str(path), "--json"])
+        assert code == 0, err
+        records = []
+        results = shor.sample_runs(build_periodic(5, 6), discipline, 50, np.random.default_rng(13), records)
+        expected = "".join(json.dumps(r.to_json() | {"seed": 13}, sort_keys=True) + "\n" for r in records)
+        assert path.read_text() == expected
+        assert json.loads(out)["success_rate_empirical"] == sum(r.success for r in results) / 50
+
     def test_dump_state_is_the_t4_state_of_the_program(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         argv = ["shor", "--n", "3", "--r", "3", "--seed", "6", "--discipline", "annihilate-F"]
@@ -222,6 +247,19 @@ class TestShorCommand:
     )
     def test_instances_up_to_the_ceiling_are_accepted(self, n, period, modulus):
         assert _instance_problem(n, period, modulus) is None
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_indented_json_is_the_bytes_of_json_dumps_with_indent(value):
+    assert _indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 class TestGroverCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -33,7 +34,7 @@ from qdesk import (
     state_after_oracle,
 )
 from qdesk.circuit_ir import enumerate_outcome_distribution
-from qdesk.measure import MAX_DENSITY_QUBITS, PROB_EPS
+from qdesk.measure import MAX_DENSITY_QUBITS, PROB_EPS, record_lines
 from qdesk.selftest import chi_square_sf_one_dof
 from qdesk.shor import divisors
 from test_register_axis import gate, mixture_slots
@@ -416,6 +417,32 @@ class TestMeasurementRecord:
     def test_json_fields(self):
         record = MeasurementRecord("F", 1, 0.5, seed=9)
         assert record.to_json() == {"register": "F", "outcome": 1, "probability": 0.5, "seed": 9}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        registers=st.sampled_from([("X",), ("F", "X")]),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2**20 - 1),
+                st.integers(0, 2**20 - 1),
+                st.one_of(st.sampled_from([1.0, 1e-300, 0.5]), st.floats(PROB_EPS, 1.0)),
+                st.one_of(st.sampled_from([1.0, 1e-300]), st.floats(PROB_EPS, 1.0)),
+            ),
+            max_size=12,
+        ),
+        seed=st.one_of(st.sampled_from([0, 2**31 - 1]), st.integers(0, 2**31 - 1)),
+    )
+    def test_record_lines_are_the_bytes_of_the_records_json(self, registers, rows, seed):
+        k = len(registers)
+        outcomes = np.array([row[:k] for row in rows], dtype=np.int64).reshape(-1, k)
+        probabilities = np.array([row[2 : 2 + k] for row in rows], dtype=float).reshape(-1, k)
+        records = [
+            MeasurementRecord(reg, outcome, probability)
+            for row, probs in zip(outcomes.tolist(), probabilities.tolist())
+            for reg, outcome, probability in zip(registers, row, probs)
+        ]
+        expected = "".join(json.dumps(r.to_json() | {"seed": seed}, sort_keys=True) + "\n" for r in records)
+        assert record_lines(registers, outcomes, probabilities, seed) == expected
 
 
 @pytest.mark.parametrize("stat", [0.0, 0.01, 0.5, 1.0, 3.84, 10.83, 25.0])

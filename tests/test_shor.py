@@ -17,7 +17,7 @@ from qdesk import (
     state_after_oracle,
 )
 from qdesk.circuit_ir import Dephase, Measure, enumerate_outcome_distribution
-from qdesk.shor import DISCIPLINES, divisors, period_circuit, sample_runs
+from qdesk.shor import DISCIPLINES, divisors, period_circuit, sample_runs, sample_trials, success_count
 
 
 def euler_phi(r):
@@ -355,6 +355,16 @@ class TestRunPipeline:
 
     def test_zero_trials(self):
         assert sample_runs(build_periodic(3, 4), "skip-F", 0, np.random.default_rng(0)) == []
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    @pytest.mark.parametrize("inst", [build_periodic(5, 6), build_modexp(7, 15, 5)], ids=["periodic", "modexp"])
+    def test_success_count_counts_the_successful_runs(self, inst, discipline):
+        registers, outcomes, probabilities = sample_trials(inst, discipline, 200, np.random.default_rng(3))
+        results = sample_runs(inst, discipline, 200, np.random.default_rng(3))
+        assert success_count(inst, outcomes[:, registers.index("X")]) == sum(r.success for r in results)
+        assert outcomes[:, registers.index("X")].tolist() == [r.measured_value for r in results]
+        assert 0 < sum(r.success for r in results) < 200
+        assert success_count(inst, outcomes[:0, registers.index("X")]) == 0
 
     def test_non_dividing_period_pipeline_runs(self):
         inst = build_periodic(3, 3)
