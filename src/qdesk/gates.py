@@ -42,14 +42,17 @@ from .qstate import RegisterLayout
 
 class _XorTable:
     """What both tables share: ``values``, the entries as a read-only int64
-    array built once on construction, and, built on first use and kept for
-    the life of the table, ``swaps``, the pairs of basis indices the oracle
-    exchanges, and ``permutation``, its full basis map, which the tests'
-    allocating reference gathers along."""
+    array built once on construction; ``table``, the entries as a tuple of
+    ints, which equality, hashing and JSON read, built on first read (an
+    oracle's route reads only ``values``, so a table built per run never
+    makes it); and, built on first use and kept for the life of the table,
+    ``swaps``, the pairs of basis indices the oracle exchanges, and
+    ``permutation``, its full basis map, which the tests' allocating
+    reference gathers along."""
 
     def _store(self, entries: int) -> None:
         """Check the entries for length and range, then keep them as
-        ``values`` and as the ``table`` tuple."""
+        ``values`` in place of the ``table`` they were given as."""
         out_of_range = f"table entry out of range for {self.output_bits} output bits"
         try:
             values = np.array(self.table, dtype=np.int64)
@@ -61,7 +64,14 @@ class _XorTable:
             raise ShapeMismatchError(out_of_range)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "table", tuple(values.tolist()))
+        del self.__dict__["table"]
+
+    def __getattr__(self, name: str):
+        """``table`` on its first read: only then is the tuple built."""
+        if name != "table":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        table = self.__dict__["table"] = tuple(self.values.tolist())
+        return table
 
     @cached_property
     def permutation(self) -> np.ndarray:
@@ -111,8 +121,9 @@ def _xor_swaps(values: np.ndarray, output_bits: int) -> tuple[np.ndarray, np.nda
 class FunctionTable(_XorTable):
     """Explicit lookup table for f: {0,1}^input_bits -> {0,1}^output_bits.
 
-    ``table`` may be any sequence or array of integers; it is stored as a
-    tuple, which equality, hashing and JSON use.
+    ``table`` may be any sequence or array of integers; it is kept as
+    ``values``, and read back as a tuple, which equality, hashing and JSON
+    use.
     """
 
     input_bits: int

@@ -14,8 +14,12 @@ state and a register whose values carry independent uniform phases, so the
 phase-averaged outer product is the density matrix.  One kernel phases the
 register's block, for ``PhasedMixture`` and ``circuit_ir``'s ``Dephase``.
 The average is exact in closed form (cross terms between values vanish) and
-literal as a Monte Carlo over sampled phases; the first is the oracle for
-the second.
+sampled as a Monte Carlo over drawn phases.  The phases act diagonally on
+the traced register, so the Monte Carlo reduces the state once and then
+draws only phases: each entry of the reduction is scaled by the average
+correlation of its two slots' phase factors.  The closed form is its oracle
+for large sample counts, and the literal route (one phased state reduced
+per draw) is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -184,51 +188,32 @@ def _keep_axes(layout: RegisterLayout, keep: Iterable[str] | None) -> list[int]:
     return [i for i, name in enumerate(layout.names) if name in keep_set]
 
 
-def _kept_rows(
-    amplitudes: np.ndarray, layout: RegisterLayout, keep_axes: list[int], stack: tuple[int, ...] = ()
-) -> np.ndarray:
-    """Arrange amplitude vectors as a (kept dimension, rest) matrix.
-
-    ``amplitudes`` is one vector (of any shape) or a stack of them along the
-    leading axes ``stack``, which join the traced registers as columns, so
-    ``rows @ rows^H`` sums the vectors' reductions to the kept registers.
-    """
-    shape = [layout.dim(name) for name in layout.names]
-    tensor = amplitudes.reshape(stack + tuple(shape))
-    kept = [len(stack) + i for i in keep_axes]
-    rest = [i for i in range(tensor.ndim) if i not in kept]
-    kept_dim = int(np.prod([shape[i] for i in keep_axes]))
-    return tensor.transpose(kept + rest).reshape(kept_dim, -1)
-
-
 def partial_trace(state: PureState, keep: Iterable[str]) -> DensityMatrix:
-    """Reduced density matrix over the kept registers (in layout order)."""
+    """Reduced density matrix over the kept registers (in layout order): the
+    amplitudes arranged as a (kept dimension, rest) matrix times its
+    adjoint."""
     layout = state.layout
     keep_axes = _keep_axes(layout, keep)
-    rows = _kept_rows(state.amplitudes, layout, keep_axes)
+    shape = [layout.dim(name) for name in layout.names]
+    rest = [i for i in range(len(shape)) if i not in keep_axes]
+    kept_dim = int(np.prod([shape[i] for i in keep_axes]))
+    rows = state.amplitudes.reshape(shape).transpose(keep_axes + rest).reshape(kept_dim, -1)
     return DensityMatrix(rows @ rows.conj().T, tuple(layout.names[i] for i in keep_axes))
 
 
 def _dephase(state: PureState, reg: str, values: Sequence[int], phases: np.ndarray) -> np.ndarray:
     """The state's ``(left, d, right)`` block for ``reg`` with one phase
-    factor on each listed value of it and every other value zeroed.  Leading
-    axes of ``phases`` batch the result (shape ``batch + (left, d, right)``);
-    they lie between ``d`` and ``right`` in memory, where the product is
-    cheap and a reduction keeping ``reg`` reads the batch without a copy."""
+    factor on each listed value of it and every other value zeroed."""
     block = state.amplitudes.reshape(state.layout.axis_shape(reg))
-    left, d, right = block.shape
-    phases = np.asarray(phases, dtype=float)
-    batch = phases.shape[:-1]
-    k = len(batch)
-    factors = np.zeros((d,) + batch, dtype=np.complex128)
-    factors[list(values)] = np.exp(1j * phases).transpose((k,) + tuple(range(k)))
+    factors = np.zeros(block.shape[1], dtype=np.complex128)
+    factors[list(values)] = np.exp(1j * np.asarray(phases, dtype=float))
     # factor first, as in the random-phase picture's ``phase factor * slot``
     # (numpy's complex product fuses one of its multiply-adds, so the order
     # shows in the last bit); adding 0.0 turns the -0.0 a zero factor can
     # leave into the +0.0 of an empty slot
-    out = factors.reshape((1, d) + batch + (1,)) * block.reshape((left, d) + (1,) * k + (right,))
+    out = factors[:, None] * block
     out += 0.0
-    return out.transpose(tuple(range(2, 2 + k)) + (0, 1, 2 + k))
+    return out
 
 
 @dataclass(frozen=True)
@@ -279,32 +264,46 @@ def average_density(
     rng: np.random.Generator,
     keep: Iterable[str] | None = None,
 ) -> DensityMatrix:
-    """Monte Carlo average of |psi><psi| over sampled phases.
+    """Monte Carlo average of |psi><psi| over sampled phases, reduced to the
+    kept registers.
 
     Straight averaging intentionally; the exact counterpart is
     ``analytic_average_density``, against which this converges at the
-    usual 1/sqrt(samples) rate.  With ``keep``, each batch of sampled
-    states is reduced to the kept registers before it is accumulated, so
-    the full-layout matrix is never formed.
+    usual 1/sqrt(samples) rate.  The phases act diagonally on the traced
+    register, so one draw's reduction is the zero-phase reduction rho with
+    entry (i, j) times e^(i phi_a) e^(-i phi_b), a and b the slots of the
+    rows' traced values.  The state is reduced once; each batch of 2048
+    draws only adds its phase correlations, sum over draws of that
+    product, to one slot-by-slot matrix, and the average is rho times each
+    entry's correlation over the sample count.  With the traced register
+    traced out, every draw's reduction is rho itself.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    layout = m.layout
-    keep_axes = _keep_axes(layout, keep)
-    rho = 0.0
-    done = 0
-    batch = 2048
-    while done < samples:
-        count = min(batch, samples - done)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, m.slot_count))
-        rows = _kept_rows(_dephase(m.state, m.traced_reg, m.slot_values, phases), layout, keep_axes, (count,))
-        rho = rho + rows @ rows.conj().T
-        done += count
-    rho /= samples
+    layout, reg = m.layout, m.traced_reg
+    reduced = partial_trace(m.flatten(), layout.names if keep is None else keep)
+    rho, kept = reduced.matrix, reduced.registers
+    correlations = np.zeros((m.slot_count, m.slot_count), dtype=np.complex128)
+    for done in range(0, samples, 2048):
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(min(2048, samples - done), m.slot_count))
+        factors = np.exp(1j * phases)
+        correlations += factors.T @ factors.conj()
+    if reg in kept:
+        slot = np.zeros(layout.dim(reg), dtype=np.intp)
+        slot[list(m.slot_values)] = np.arange(m.slot_count)
+        row_slot = slot[_row_values(layout, kept, reg)]
+        rho = rho * correlations[row_slot[:, None], row_slot] / samples
     # Tame sampling noise that would trip the strict constructor checks.
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    return DensityMatrix(rho, tuple(layout.names[i] for i in keep_axes))
+    return DensityMatrix(rho, kept)
+
+
+def _row_values(layout: RegisterLayout, kept: Sequence[str], reg: str) -> np.ndarray:
+    """The value of ``reg`` on each row of a density over ``kept`` (layout
+    order, ``reg`` among them)."""
+    shift = sum(layout.qubits(name) for name in kept[kept.index(reg) + 1 :])
+    return (np.arange(1 << sum(layout.qubits(name) for name in kept)) >> shift) % layout.dim(reg)
 
 
 def analytic_average_density(
@@ -335,7 +334,6 @@ def analytic_average_density(
     group = np.full(layout.dim(reg), -1)
     for g, members in enumerate(phase_groups):
         group[[m.slot_values[h] for h in members]] = g
-    shift = sum(layout.qubits(name) for name in kept[kept.index(reg) + 1 :])
-    row_group = group[(np.arange(reduced.dimension) >> shift) % layout.dim(reg)]
+    row_group = group[_row_values(layout, kept, reg)]
     same = (row_group[:, None] == row_group) & (row_group[:, None] >= 0)
     return DensityMatrix(np.where(same, reduced.matrix, 0.0), kept)

@@ -17,6 +17,7 @@ from qdesk import (
     modexp_table,
     normalize,
 )
+from qdesk.grover import marked_drawer_table
 from qdesk.measure import outcome_distribution
 from test_register_axis import dense_qft, gate
 
@@ -95,6 +96,24 @@ class TestFunctionTable:
             ModedFunctionTable(1, 1, 1, form([0, 1, 0, 2]))
         with pytest.raises(ShapeMismatchError):
             FunctionTable(1, 2, form([0, 2**70]))
+
+    def test_table_tuple_is_built_on_first_read(self):
+        # a drawer table is built per report for an oracle that reads only
+        # ``values``, so construction makes no tuple
+        entries = [int(x == 5) for x in range(16)]
+        tables = [FunctionTable(4, 1, form) for form in (tuple(entries), entries, np.array(entries))]
+        tables.append(marked_drawer_table(16, 5))
+        assert all("table" not in f.__dict__ for f in tables)
+        assert all(f(5) == 1 and f(4) == 0 and not f.has_period(3) for f in tables)
+        for f in tables:
+            assert f == tables[0] and hash(f) == hash(tables[0]) == hash((4, 1, tuple(entries)))
+            assert FunctionTable.from_json(f.to_json()) == f
+            assert f.table is f.table and f.table == tuple(entries)
+        moded = ModedFunctionTable.equality_test(1)
+        assert "table" not in moded.__dict__
+        assert hash(moded) == hash((1, 1, 1, (1, 0, 0, 1))) and moded(1, 1) == 1
+        with pytest.raises(AttributeError):
+            tables[0].missing
 
     def test_table_keeps_its_own_copy(self):
         entries = np.array([0, 1, 2, 3])

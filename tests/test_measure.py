@@ -34,6 +34,7 @@ from qdesk import (
     state_after_oracle,
 )
 from qdesk.circuit_ir import enumerate_outcome_distribution
+from qdesk.grover import extended_mixture
 from qdesk.measure import MAX_DENSITY_QUBITS, PROB_EPS, record_lines
 from qdesk.selftest import chi_square_sf_one_dof
 from qdesk.shor import divisors
@@ -376,6 +377,16 @@ class TestPhaseAveraging:
             tracemalloc.stop()
         assert mixture.slot_count == 128
         assert peak < 16 * 2**20
+
+    def test_monte_carlo_average_holds_no_batch_of_states(self):
+        # phasing a batch of 2048 states and reducing it peaked at 2.5 MiB
+        tracemalloc.start()
+        try:
+            average_density(extended_mixture(), 100_000, np.random.default_rng(3), keep=["K"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_phase_groups_must_partition(self, parity_state):
         mixture = PhasedMixture(parity_state, "F")

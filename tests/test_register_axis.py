@@ -6,7 +6,8 @@ the per-branch projection of the whole state, the XOR oracles' per-call
 ``np.arange`` partner arrays, the Hadamard layer as one 2x2 einsum per bit,
 the diffusion's strided in-order mean, and the random-phase
 slot vectors that ``PhasedMixture`` used to hold, summed with their phases
-and stacked per phase group.  The allocating forms of the in-place gate
+and stacked per phase group, and the literal Monte Carlo phase average,
+one phased state reduced per draw.  The allocating forms of the in-place gate
 kernels are here too: the oracles' ``np.take`` gather along the table's
 permutation, the Hadamard butterflies into fresh arrays, the out-of-place
 FFT and the reflection into a fresh array.  They stay in this file so the
@@ -29,12 +30,14 @@ from qdesk import (
     PureState,
     RegisterLayout,
     analytic_average_density,
+    average_density,
     build_modexp,
     build_periodic,
     apply_instruction,
     exact_outcome_distribution,
     make_basis_state,
     outcome_distribution,
+    partial_trace,
     project,
     run,
     sample_phases,
@@ -471,3 +474,44 @@ def test_oracles_in_place_match_the_take_route_bit_for_bit(state, data):
     lo, hi = f.swaps
     assert np.array_equal(f.permutation[lo], hi) and np.array_equal(f.permutation[hi], lo)
     assert np.count_nonzero(f.permutation != np.arange(f.permutation.size)) == 2 * lo.size
+
+
+def literal_average(mixture, samples, rng, keep):
+    """The literal Monte Carlo average: the phases drawn in batches of 2048,
+    each draw applied to the state and the phased state reduced to the
+    kept registers, the reductions averaged."""
+    total = 0.0
+    for done in range(0, samples, 2048):
+        for phases in rng.uniform(0.0, 2.0 * np.pi, size=(min(2048, samples - done), mixture.slot_count)):
+            total = total + partial_trace(mixture.flatten(phases), keep).matrix
+    return total / samples
+
+
+@st.composite
+def faint_mixtures(draw):
+    """A mixture over 2 or 3 registers, each of which may be the traced
+    one, with some of its values emptied and one of those holding a
+    probability below ``PROB_EPS``: not a slot, but not zero either."""
+    state, _ = draw(random_states(max_registers=3, max_qubits=2).filter(lambda c: len(c[0].layout.names) > 1))
+    layout = state.layout
+    reg = draw(st.sampled_from(layout.names))
+    d = layout.dim(reg)
+    empty = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d - 1))
+    faint = draw(st.sampled_from(sorted(empty)))
+    state = with_emptied_values(state, reg, empty)
+    amps = np.where(field(layout, reg) == faint, 1e-9 / np.sqrt(layout.dimension), state.amplitudes)
+    mixture = PhasedMixture(state.with_amplitudes(amps), reg)
+    assert faint not in mixture.slot_values
+    return mixture
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixture=faint_mixtures(), data=st.data(), seed=SEEDS)
+def test_average_density_matches_literal_monte_carlo(mixture, data, seed):
+    keep = data.draw(st.sets(st.sampled_from(mixture.layout.names), min_size=1))
+    samples = data.draw(st.sampled_from([1, 2047, 2048, 2049, 4097]))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = average_density(mixture, samples, rng, keep=keep)
+    expected = literal_average(mixture, samples, reference_rng, keep)
+    assert np.abs(got.matrix - expected).max() < 1e-12
+    assert rng.bit_generator.state == reference_rng.bit_generator.state

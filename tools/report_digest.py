@@ -42,7 +42,8 @@ ROUNDS = 2
 # lookups, and 2000 annihilate-F trials of 513 doubles each, which span
 # several blocks of uniforms; then searches with the kickback register
 # held: 4 drawers, whose exact-zero amplitudes carry their signs into the
-# dumped state, and 2^19 drawers, the 20-qubit ceiling.
+# dumped state, and 2^19 drawers, the 20-qubit ceiling; last, the README's
+# mixture check, 48 full batches of phase draws and a 1696-draw remainder.
 CEILING = (
     (("grover", "--n", "262144", "--json"),)
     + tuple(
@@ -61,6 +62,7 @@ CEILING = (
     )
     + (("shor", "--n", "10", "--r", "512", "--discipline", "annihilate-F", "--trials", "2000", "--json"),)
     + (("grover", "--n", "4", "--k", "3", "--json"), ("grover", "--n", "524288", "--k", "300000", "--json"))
+    + (("mixture-check", "--samples", "100000", "--seed", "3", "--json"),)
 )
 
 
