@@ -8,8 +8,8 @@ Tags are annotations only; instruction order is the semantics.
 
 Three operations make intermediate measurements negotiable:
 
-* ``defer_measurements`` moves them to the end of the program, valid when
-  no later instruction touches the measured register;
+* ``defer_measurements`` moves them to the end of the program, which
+  every program that builds allows;
 * ``equivalent_distributions`` proves two programs observationally equal by
   enumerating every measurement branch exactly (no sampling) and comparing
   joint outcome distributions;
@@ -17,15 +17,18 @@ Three operations make intermediate measurements negotiable:
   terminal outcome by projecting the late state and running the intervening
   unitary segment's inverse, written as instructions, forwards.
 
-Measured registers are frozen: once measured, a register may not be
-prepared, gated or dephased again.  This keeps the deferral precondition
-honest.
-
-Every instruction is checked in one place, when its ``CircuitProgram`` is
-built: its registers exist, its arguments are well formed, and an oracle's
-table fits its registers.  The walk and the kernels check nothing as they
-run, so ``apply_instruction``, ``project`` and ``measure_register``, the
-forms that act on a ``PureState``, run as one-instruction programs.
+Every rule of a program is checked in one place, when its
+``CircuitProgram`` is built: its registers exist, its arguments are well
+formed, an oracle's table fits its registers, and the order rules hold.
+The order rules freeze a measured register: it is measured at most once,
+and once measured it may not be prepared, gated or dephased again.  That
+rule makes every deferral sound and every measured register a batch axis
+of the walk.  A program is planned once, on its first use: its draws, its
+nodes, its inert dephasings and the block of measurements that ends it,
+which the walk and the rewrites read.  The walk and the kernels
+check nothing as they run, so ``apply_instruction``, ``project`` and
+``measure_register``, the forms that act on a ``PureState``, run as
+one-instruction programs.
 
 ``run``, ``sample`` and ``enumerate_outcome_distribution`` walk the same
 branch tree.  Up to the first visible dephasing, the state at a boundary is
@@ -86,13 +89,13 @@ passes and replays the rest.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateStateError, ProgramError, RewriteNotApplicableError, ShapeMismatchError
+from .errors import DegenerateStateError, ProgramError, RewriteNotApplicableError, ShapeMismatchError, UnknownRegisterError
 from . import gates
 from .gates import FunctionTable, ModedFunctionTable
 from .measure import (
@@ -104,7 +107,7 @@ from .measure import (
     _register_marginals,
     born_sample,
 )
-from .qstate import PureState, RegisterLayout, StateDistance
+from .qstate import PureState, RegisterLayout, StateDistance, _is_integer, _json_field
 
 # The most doubles one block of sampled trials draws at once (512 KiB),
 # unless a single trial draws more.
@@ -174,17 +177,39 @@ def touched_registers(instr: Instruction) -> frozenset[str]:
         if isinstance(instr, (Prepare, Dephase, Measure)):
             touched = frozenset({instr.reg})
         else:
-            touched = frozenset(r for r in (instr.reg, instr.in_reg, instr.out_reg, instr.mode_reg) if r)
+            touched = frozenset(r for r in (instr.reg, instr.in_reg, instr.out_reg, instr.mode_reg) if r is not None)
         instr.__dict__["_touched"] = touched
     return touched
 
 
+class _Plan(NamedTuple):
+    """A program's branch structure, derived on its first use and kept with
+    the program.
+
+    ``draws`` are the indices of its measurements and dephasings, and
+    ``measures`` those of its measurements, in program order.  ``tail`` is
+    where the block of measurements that ends the program starts.  A
+    dephasing is *inert* when no later instruction but a measurement
+    touches its register and no visible dephasing follows it; ``nodes``
+    are the draws that are not inert.  ``fixed_width`` says that every
+    dephasing is inert and comes before the first measurement, so every
+    sampled trial draws the same number of doubles."""
+
+    draws: tuple[int, ...]
+    measures: tuple[int, ...]
+    inert: frozenset[int]
+    nodes: tuple[int, ...]
+    tail: int
+    fixed_width: bool
+
+
 @dataclass(frozen=True)
 class CircuitProgram:
-    """Instructions over one layout, checked once per distinct instruction
-    object when the program is built (``ProgramError``,
-    ``UnknownRegisterError``, or ``ShapeMismatchError`` for an oracle whose
-    table does not fit its registers)."""
+    """Instructions over one layout, checked once when the program is built
+    (``ProgramError``, ``UnknownRegisterError``, or ``ShapeMismatchError``
+    for an oracle whose table does not fit its registers): each distinct
+    instruction object once, then the order rules.  The program's plan,
+    which the walk and the rewrites read, is derived on its first use."""
 
     layout: RegisterLayout
     instructions: tuple[Instruction, ...]
@@ -199,8 +224,47 @@ class CircuitProgram:
                 self.layout.qubits(reg)  # raises UnknownRegisterError
             self._check_args(instr)
         for tag, boundary in self.time_tags.items():
-            if not 0 <= boundary <= len(self.instructions):
-                raise ProgramError(f"time tag {tag!r} points at boundary {boundary}, out of range")
+            if not (_is_integer(boundary) and 0 <= boundary <= len(self.instructions)):
+                raise ProgramError(f"time tag {tag!r} points at boundary {boundary!r:.60}, out of range")
+        # the order rules: a register is measured at most once, and nothing
+        # but a measurement touches it after that
+        measured: dict[str, int] = {}
+        for i, instr in enumerate(self.instructions):
+            if isinstance(instr, Measure):
+                if instr.reg in measured:
+                    raise ProgramError(f"register {instr.reg!r} measured twice")
+                measured[instr.reg] = i
+            elif measured and (frozen := touched_registers(instr) & measured.keys()):
+                reg = min(frozen)
+                raise ProgramError(f"register {reg!r} is touched after its measurement at instruction {measured[reg]}")
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        """One reverse pass keeps ``later``, the registers that an
+        instruction other than a measurement touches after the current one,
+        which says whether a dephasing is inert."""
+        instrs = self.instructions
+        later: set[str] = set()
+        draws: list[int] = []
+        inert: set[int] = set()
+        visible, tail = False, 0
+        for i in reversed(range(len(instrs))):
+            instr = instrs[i]
+            if isinstance(instr, Measure):
+                draws.append(i)
+                continue
+            tail = tail or i + 1  # the last instruction other than a measurement
+            if isinstance(instr, Dephase):
+                draws.append(i)
+                visible = visible or instr.reg in later
+                if not visible:
+                    inert.add(i)
+            later |= touched_registers(instr)
+        draws.reverse()
+        measures = [i for i in draws if isinstance(instrs[i], Measure)]
+        nodes = [i for i in draws if i not in inert]
+        # a fixed width: the draws are the inert dephasings, then the measurements
+        return _Plan(tuple(draws), tuple(measures), frozenset(inert), tuple(nodes), tail, draws == sorted(inert) + measures)
 
     def _check_args(self, instr: Instruction) -> None:
         if isinstance(instr, Prepare):
@@ -209,8 +273,8 @@ class CircuitProgram:
                     raise ProgramError(f"unknown prepare keyword {instr.value!r}")
                 if instr.value == "minus" and self.layout.qubits(instr.reg) != 1:
                     raise ProgramError("minus preparation needs a 1-qubit register")
-            elif not 0 <= int(instr.value) < self.layout.dim(instr.reg):
-                raise ProgramError(f"prepare value {instr.value} out of range for {instr.reg!r}")
+            elif not (_is_integer(instr.value) and 0 <= instr.value < self.layout.dim(instr.reg)):
+                raise ProgramError(f"prepare value {instr.value!r:.60} is not a value of {instr.reg!r}")
         elif isinstance(instr, GateOp):
             if instr.kind in ("hadamard", "qft", "inverse-qft", "grover-diffusion"):
                 if instr.reg is None:
@@ -229,19 +293,7 @@ class CircuitProgram:
                     raise ShapeMismatchError(f"{instr.kind} registers {regs} must be distinct")
 
     def measured_registers(self) -> tuple[str, ...]:
-        return tuple(i.reg for i in self.instructions if isinstance(i, Measure))
-
-    def validate_order(self) -> None:
-        """Enforce measure-once and frozen-after-measure; raises ProgramError."""
-        measured: set[str] = set()
-        for instr in self.instructions:
-            if isinstance(instr, Measure):
-                if instr.reg in measured:
-                    raise ProgramError(f"register {instr.reg!r} measured twice")
-                measured.add(instr.reg)
-            elif measured & touched_registers(instr):
-                bad = sorted(measured & touched_registers(instr))
-                raise ProgramError(f"instruction touches already-measured register(s) {bad}")
+        return tuple(self.instructions[i].reg for i in self._plan.measures)
 
     def to_json(self) -> dict:
         return {
@@ -252,53 +304,56 @@ class CircuitProgram:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CircuitProgram":
-        return cls(
-            RegisterLayout.from_json(doc["layout"]),
-            tuple(instruction_from_json(d) for d in doc["instructions"]),
-            dict(doc.get("time_tags", {})),
-        )
+        """The program of a ``to_json`` document.  One that is not a program
+        (a missing or mistyped field, an unknown op, or a layout,
+        instruction or order the constructor rejects) is a ``ProgramError``
+        that names what is wrong."""
+        try:
+            layout = RegisterLayout.from_json(_json_field(doc, "layout", Mapping, "program"))
+            instructions = []
+            for k, item in enumerate(_json_field(doc, "instructions", list, "program")):
+                try:
+                    instructions.append(instruction_from_json(item))
+                except ProgramError as exc:
+                    raise ProgramError(f"program.instructions[{k}]: {exc}") from None
+            return cls(layout, tuple(instructions), _json_field(doc, "time_tags", Mapping, "program", {}))
+        except (ShapeMismatchError, UnknownRegisterError) as exc:  # a bad layout, an unknown register, an oracle that does not fit
+            raise ProgramError(str(exc)) from None
+
+
+_OPS = {"prepare": Prepare, "gate": GateOp, "dephase": Dephase, "measure": Measure}
 
 
 def instruction_to_json(instr: Instruction) -> dict:
-    if isinstance(instr, Prepare):
-        return {"op": "prepare", "reg": instr.reg, "value": instr.value}
-    if isinstance(instr, Measure):
-        return {"op": "measure", "reg": instr.reg}
-    if isinstance(instr, Dephase):
-        return {"op": "dephase", "reg": instr.reg}
-    doc: dict = {"op": "gate", "kind": instr.kind}
-    for key in ("reg", "in_reg", "out_reg", "mode_reg"):
-        if getattr(instr, key) is not None:
-            doc[key] = getattr(instr, key)
-    if instr.table is not None:
-        doc["table"] = instr.table.to_json()
+    """The instruction's op and each of its fields that is set, in field
+    order; a table as its own document."""
+    doc = {"op": next(op for op, kind in _OPS.items() if isinstance(instr, kind))}
+    for f in fields(instr):
+        value = getattr(instr, f.name)
+        if value is not None:
+            doc[f.name] = value.to_json() if f.name == "table" else value
     return doc
 
 
 def instruction_from_json(doc: Mapping) -> Instruction:
-    op = doc.get("op")
-    if op == "prepare":
-        return Prepare(doc["reg"], doc.get("value", 0))
-    if op == "measure":
-        return Measure(doc["reg"])
-    if op == "dephase":
-        return Dephase(doc["reg"])
-    if op == "gate":
-        table = None
-        if "table" in doc:
-            raw = doc["table"]
-            table = (
-                ModedFunctionTable.from_json(raw) if "mode_bits" in raw else FunctionTable.from_json(raw)
-            )
-        return GateOp(
-            doc["kind"],
-            reg=doc.get("reg"),
-            in_reg=doc.get("in_reg"),
-            out_reg=doc.get("out_reg"),
-            mode_reg=doc.get("mode_reg"),
-            table=table,
-        )
-    raise ProgramError(f"unknown instruction op {op!r}")
+    """The instruction of an ``instruction_to_json`` document; one that is
+    not an instruction is a ``ProgramError`` that names the bad field.
+    Register names and a gate's kind are strings; a prepare value is
+    checked where the program checks it."""
+    op = _json_field(doc, "op", str, "instruction")
+    if op not in _OPS:
+        raise ProgramError(f"unknown instruction op {op!r}")
+    args = {
+        f.name: _json_field(doc, f.name, {"table": Mapping, "value": object}.get(f.name, str), "instruction", f.default)
+        for f in fields(_OPS[op])
+    }
+    if args.get("table") is not None:
+        table_cls = ModedFunctionTable if "mode_bits" in args["table"] else FunctionTable
+        try:
+            args["table"] = table_cls.from_json(args["table"])
+        except ShapeMismatchError as exc:
+            raise ProgramError(f"instruction.table: {exc}") from None
+    return _OPS[op](**args)
 
 
 def _xor_register(work: np.ndarray, layout: RegisterLayout, reg: str, value: int) -> None:
@@ -331,8 +386,6 @@ def _bound_kernel(work: np.ndarray, layout: RegisterLayout, instr: Prepare | Gat
             hadamard()
 
         return prepare
-    if not isinstance(instr, GateOp):
-        raise ProgramError(f"cannot apply non-unitary instruction {instr!r}")
     if instr.kind == "hadamard":
         return partial(gates.hadamard_all_in_place, work, layout, instr.reg)
     if instr.kind in ("qft", "inverse-qft"):
@@ -821,15 +874,16 @@ def _serves(entry: tuple[int, tuple[int, ...], _Slice], boundary: int, path: tup
 class _BranchWalk:
     """A program's branch tree, walked from one start state.
 
-    A node is the index of a ``Measure`` or a visible ``Dephase``
-    instruction together with its path: the branch values taken at the
-    nodes before it (a ``Dephase`` branch is one value of its register, as
-    in enumeration).  A dephasing is *inert* when no later instruction but a
-    measurement touches its register and no visible dephasing follows it:
-    its phases are diagonal in that register and commute with everything
-    after it, so no later outcome distribution can see them, and no trial
-    has a state of its own when it comes.  An inert dephasing is no node;
-    the walk's states and distributions skip it.
+    A node is one of the plan's nodes, the index of a ``Measure`` or a
+    visible ``Dephase`` instruction, together with its path: the branch
+    values taken at the nodes before it (a ``Dephase`` branch is one value
+    of its register, as in enumeration).  An inert dephasing's phases are
+    diagonal in its register and commute with everything after it, so no
+    later outcome distribution can see them, and no trial has a state of
+    its own when it comes.  It is no node; the walk's states and
+    distributions skip it.  Given ``observed``, a measurement of another
+    register in the block that ends the program is no node either: a
+    walk reaches it summed out.
 
     The state at any boundary is a function of (boundary, path), so
     ``state`` computes it on demand from the deepest state it has kept on
@@ -854,29 +908,11 @@ class _BranchWalk:
     per branch.
     """
 
-    def __init__(self, program: CircuitProgram, initial: PureState | None):
+    def __init__(self, program: CircuitProgram, initial: PureState | None, observed: Sequence[str] | None = None):
+        plan = self.plan = program._plan
         instrs = self.instructions = program.instructions
-        draws = self._draws = [i for i, instr in enumerate(instrs) if isinstance(instr, (Measure, Dephase))]
-        dephases = [i for i in draws if isinstance(instrs[i], Dephase)]
-        later: set[str] = set()
-        self.inert: set[int] = set()
-        visible = False
-        # only what follows the first dephasing can make one visible
-        for i in reversed(range(dephases[0] if dephases else len(instrs), len(instrs))):
-            instr = instrs[i]
-            if isinstance(instr, Dephase):
-                visible = visible or instr.reg in later
-                if not visible:
-                    self.inert.add(i)
-            if not isinstance(instr, Measure):
-                later |= touched_registers(instr)
-        self.nodes = [i for i in draws if i not in self.inert]
-        self._last_draw = draws[-1] if draws else -1
-        self.measures = [i for i in draws if isinstance(instrs[i], Measure)]
-        first = self.measures[0] if self.measures else len(instrs)
-        # every trial draws the phases of the same inert dephasings, all at
-        # the root of the tree, then one double per measurement
-        self.fixed_width = all(i in self.inert and i < first for i in dephases)
+        self.inert, self.fixed_width = plan.inert, plan.fixed_width
+        self.nodes = tuple(i for i in plan.nodes if observed is None or i < plan.tail or instrs[i].reg in observed)
         # (boundary, path, state): a family's path is the one to its node,
         # and it serves every branch of that node
         self._chain: list[tuple[int, tuple[int, ...], _Slice]] = [
@@ -977,7 +1013,6 @@ class _BranchWalk:
         """
         instrs = self.instructions
         keep = tags is not None
-        stop = len(instrs) if keep else self._last_draw + 1
         records: list[MeasurementRecord] = []
         drawn: list[OutcomeDistribution] = []
         tagged: dict[str, PureState] = {}
@@ -985,21 +1020,18 @@ class _BranchWalk:
         carried: tuple[int, _Slice] | None = None
         own = False  # the draws come from the carried state
         marks = set(tags.values()) if keep else set()
-        for i in sorted(marks.union(self._draws)):  # every other instruction runs in a segment
-            if i >= stop:
-                break
-            instr = instrs[i]
-            draw = isinstance(instr, (Measure, Dephase))
-            at_tag = i in marks
-            if carried is not None and (draw or at_tag):
+        for i in sorted(marks.union(self.plan.draws)):  # every other instruction runs in a segment
+            draw = i in self.plan.draws
+            if carried is not None:
                 carried = i, _advance(carried[1], instrs[carried[0] : i])
-            if at_tag:
+            if i in marks:
                 state = (self.state(i, path) if carried is None else carried[1]).state()
                 tagged.update((tag, state) for tag, b in tags.items() if b == i)
             if not draw:
                 continue
+            instr = instrs[i]
             dist = _distribution(carried[1], instr.reg) if own else self.distribution(i, path)
-            last = not keep and i == self._last_draw
+            last = not keep and i == self.plan.draws[-1]
             if isinstance(instr, Measure):
                 outcome = born_sample(dist, rng)
                 records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
@@ -1021,9 +1053,6 @@ class _BranchWalk:
         if carried is not None:
             carried = end, _advance(carried[1], instrs[carried[0] :])
         final = self.state(end, path) if carried is None else carried[1]
-        if end in marks:
-            state = final.state()
-            tagged.update((tag, state) for tag, b in tags.items() if b == end)
         return tuple(records), tagged, final, tuple(drawn)
 
     def draws(self, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1040,7 +1069,7 @@ class _BranchWalk:
         columns are dropped, and ``_look_up`` draws the measurements.
         Other programs run ``trial`` once per trial.
         """
-        outcomes = np.zeros((trials, len(self.measures)), dtype=np.int64)
+        outcomes = np.zeros((trials, len(self.plan.measures)), dtype=np.int64)
         probabilities = np.zeros(outcomes.shape)
         if not (self.fixed_width and trials):
             for row in range(trials):
@@ -1049,7 +1078,7 @@ class _BranchWalk:
                 probabilities[row] = [record.probability for record in records]
             return outcomes, probabilities
         phases = sum(len(self.distribution(i, ()).support) for i in sorted(self.inert))
-        width = phases + len(self.measures)
+        width = phases + len(self.plan.measures)
         if not width:
             return outcomes, probabilities
         per_block = max(1, SAMPLE_BLOCK_DOUBLES // width)
@@ -1057,7 +1086,7 @@ class _BranchWalk:
             block = slice(start, min(start + per_block, trials))
             size = block.stop - block.start
             uniforms = rng.random(size * width).reshape(size, width)[:, phases:]
-            if self.measures:
+            if self.plan.measures:
                 self._look_up(uniforms, outcomes[block], probabilities[block], np.arange(size), ())
         return outcomes, probabilities
 
@@ -1079,11 +1108,11 @@ class _BranchWalk:
         family of the drawn values (``expand``).  Nothing after the last
         measurement is computed."""
         k = len(path)
-        dist = self.distribution(self.measures[k], path)
+        dist = self.distribution(self.plan.measures[k], path)
         drawn = dist.cdf.searchsorted(uniforms[rows, k], side="right")
         outcomes[rows, k] = drawn
         probabilities[rows, k] = dist.probabilities[drawn]
-        if k + 1 == len(self.measures):
+        if k + 1 == len(self.plan.measures):
             return
         order = np.argsort(drawn, kind="stable")
         values, starts = np.unique(drawn[order], return_index=True)
@@ -1095,9 +1124,9 @@ class _BranchWalk:
 def _prefix(program: CircuitProgram, stop: int) -> _Slice:
     """The slice at boundary ``stop``, reached by one segment from |0...0>;
     a measurement or dephasing before it is rejected."""
-    for instr in program.instructions[:stop]:
-        if isinstance(instr, (Measure, Dephase)):
-            raise RewriteNotApplicableError(f"{instr!r} before boundary {stop}; not unitary")
+    draws = program._plan.draws
+    if draws and draws[0] < stop:
+        raise RewriteNotApplicableError(f"{program.instructions[draws[0]]!r} before boundary {stop}; not unitary")
     return _advance(_start_slice(program.layout, None), program.instructions[:stop])
 
 
@@ -1106,11 +1135,16 @@ def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:
     applying the program's instructions before it to |0...0>.  A measurement
     or dephasing before the boundary makes the prefix non-unitary and is
     rejected."""
-    if isinstance(stop, str):
-        if stop not in program.time_tags:
-            raise ProgramError(f"program has no time tag {stop!r}")
-        stop = program.time_tags[stop]
-    return _prefix(program, stop).state()
+    return _prefix(program, _boundary(program, stop)).state()
+
+
+def _boundary(program: CircuitProgram, at: int | str) -> int:
+    """A boundary given as an index or as one of the program's time tags."""
+    if not isinstance(at, str):
+        return at
+    if at not in program.time_tags:
+        raise ProgramError(f"program has no time tag {at!r}")
+    return program.time_tags[at]
 
 
 def run(
@@ -1119,7 +1153,6 @@ def run(
     """Execute the program from ``initial`` (default |0...0>), keeping the
     records, the final state, the states at the program's time tags and
     the distributions the records were drawn from."""
-    program.validate_order()
     records, tagged, final, drawn = _BranchWalk(program, initial).trial(rng, program.time_tags)
     return RunTrace(program, final, records, tagged, drawn)
 
@@ -1152,7 +1185,6 @@ def sample_outcomes(
     computes states only past a visible ``Dephase`` or at a node no earlier
     trial reached.  Nothing after a trial's last draw is computed.
     """
-    program.validate_order()
     return _BranchWalk(program, initial).draws(rng, trials)
 
 
@@ -1183,32 +1215,21 @@ def sample(
 
 
 def defer_measurements(program: CircuitProgram) -> CircuitProgram:
-    """Move intermediate measurements to the end of the program.
+    """Move intermediate measurements to the end of the program, after the
+    measurements that end it, in their order; time tags are remapped to the
+    surviving boundaries.
 
-    Valid only when nothing after an intermediate measurement touches the
-    measured register; order among the moved measurements is preserved and
-    time tags are remapped to the surviving boundaries.
+    Every valid program can be deferred: its order rules leave a measured
+    register frozen, so no later instruction but a measurement touches it,
+    and a measurement commutes with everything after it.
     """
-    instrs = list(program.instructions)
-    split = len(instrs)
-    while split > 0 and isinstance(instrs[split - 1], Measure):
-        split -= 1
-    moved = [i for i in range(split) if isinstance(instrs[i], Measure)]
+    instrs, plan = program.instructions, program._plan
+    moved = [i for i in plan.measures if i < plan.tail]
     if not moved:
         return program
-    for i in moved:
-        reg = instrs[i].reg
-        for later in instrs[i + 1 :]:
-            if not isinstance(later, Measure) and reg in touched_registers(later):
-                raise RewriteNotApplicableError(
-                    f"cannot defer measurement of {reg!r}: a later instruction touches it"
-                )
-    kept = [ins for i, ins in enumerate(instrs) if i not in moved]
-    reordered = kept + [instrs[i] for i in moved]
-    tags = {
-        tag: b - sum(1 for i in moved if i < b) for tag, b in program.time_tags.items()
-    }
-    return CircuitProgram(program.layout, tuple(reordered), tags)
+    kept = [instr for i, instr in enumerate(instrs) if i not in moved]
+    tags = {tag: b - bisect_left(moved, b) for tag, b in program.time_tags.items()}
+    return CircuitProgram(program.layout, tuple(kept + [instrs[i] for i in moved]), tags)
 
 
 def _enumerate(program: CircuitProgram, observed: tuple[str, ...], initial: PureState | None) -> np.ndarray:
@@ -1216,21 +1237,15 @@ def _enumerate(program: CircuitProgram, observed: tuple[str, ...], initial: Pure
     with one axis per observed register, in ``observed`` order; an entry no
     branch reaches is 0.  Above the last node, every branch of a
     measurement is expanded as one family before its children are pushed."""
-    program.validate_order()
     if not observed:
         raise ProgramError("no observed registers")
     missing = set(observed) - set(program.measured_registers())
     if missing:
         raise ProgramError(f"observed registers {sorted(missing)} are never measured")
-    instrs = program.instructions
-    tail = len(instrs)
-    while tail > 0 and isinstance(instrs[tail - 1], Measure):
-        tail -= 1
-    kept = instrs[:tail] + tuple(m for m in instrs[tail:] if m.reg in observed)
-    walk = _BranchWalk(CircuitProgram(program.layout, kept), initial)
-    nodes = walk.nodes
+    walk = _BranchWalk(program, initial, observed)
+    nodes, instrs = walk.nodes, program.instructions
     leaf = len(nodes) - 1
-    where = {kept[i].reg: k for k, i in enumerate(nodes) if isinstance(kept[i], Measure)}
+    where = {instrs[i].reg: k for k, i in enumerate(nodes) if isinstance(instrs[i], Measure)}
     acc = np.zeros(tuple(program.layout.dim(reg) for reg in observed))
     at_leaf = tuple(slice(None) if where[reg] == leaf else None for reg in observed)
     leaf_observed = any(where[reg] == leaf for reg in observed)
@@ -1300,17 +1315,9 @@ def backdate_outcome(
     """
     reg, value = final_outcome
     program.layout.qubits(reg)
-    if from_tag not in program.time_tags:
-        raise ProgramError(f"program has no time tag {from_tag!r}")
-    from_b = program.time_tags[from_tag]
-    if to_tag in program.time_tags:
-        to_b = program.time_tags[to_tag]
-    else:
-        to_b = len(program.instructions)
-        for i in range(from_b, len(program.instructions)):
-            if isinstance(program.instructions[i], Measure):
-                to_b = i
-                break
+    from_b = _boundary(program, from_tag)
+    first_measure = next((i for i in program._plan.measures if i >= from_b), len(program.instructions))
+    to_b = program.time_tags.get(to_tag, first_measure)
     if to_b < from_b:
         raise ProgramError(f"tag {to_tag!r} precedes {from_tag!r}")
     projected = _project(_prefix(program, to_b), reg, value)

@@ -3,8 +3,9 @@
 Subcommands: shor, grover, game, defer-check, cost, mixture-check.  Every
 run is seeded (flag, else the QDESK_SEED environment variable, else 0) and
 every report carries its seed.  JSON output is the stable contract; text
-and csv are conveniences.  Exit codes: 0 ok, 1 internal failure, 2 usage
-or out of memory (one ``error:`` line, no traceback).
+and csv are conveniences.  Exit codes: 0 ok, 1 internal failure, 2 usage,
+a program file that cannot be read, parsed or loaded, or out of memory (one
+``error:`` line, no traceback).
 
 ``main`` may be called many times in one process: the parser is built once,
 on the first call, and every call parses its own argv into a fresh namespace.
@@ -355,18 +356,31 @@ def _cmd_game(args: argparse.Namespace, seed: int) -> dict:
     }
 
 
+class _UsageError(Exception):
+    """An input a command cannot use, found after parsing: ``main`` prints
+    one ``error:`` line and exits 2."""
+
+
+def _load_program(path: str) -> circuit_ir.CircuitProgram:
+    """The program in a JSON file; a file that cannot be read, parsed or
+    loaded is a usage error."""
+    try:
+        with open(path) as fh:
+            return circuit_ir.CircuitProgram.from_json(json.load(fh))
+    except (OSError, ValueError, RecursionError) as exc:  # JSON's errors and ProgramError are ValueErrors
+        raise _UsageError(f"{path}: {exc}") from None
+
+
 def _cmd_defer_check(args: argparse.Namespace, seed: int) -> dict:
     if args.fig1:
         inst = shor.build_periodic(args.n, args.r)
         program = shor.period_circuit(inst, "measure-F-at-t2")
     elif args.circuit:
-        with open(args.circuit) as fh:
-            program = circuit_ir.CircuitProgram.from_json(json.load(fh))
+        program = _load_program(args.circuit)
     else:
         raise QdeskError("need --circuit FILE or --fig1")
     if args.against:
-        with open(args.against) as fh:
-            other = circuit_ir.CircuitProgram.from_json(json.load(fh))
+        other = _load_program(args.against)
     elif args.auto_defer or args.fig1:
         other = circuit_ir.defer_measurements(program)
     else:
@@ -454,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
         print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)
+        return 2
+    except _UsageError as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except (QdeskError, OSError, ValueError, KeyError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,9 @@ class QdeskError(Exception):
 class UnknownRegisterError(QdeskError, KeyError):
     """A register name does not exist in the layout."""
 
+    def __str__(self) -> str:
+        return f"unknown register {self.args[0]!r}"
+
 
 class ShapeMismatchError(QdeskError, ValueError):
     """Layouts, register sizes, or table dimensions do not line up."""

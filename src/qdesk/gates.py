@@ -37,7 +37,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .qstate import RegisterLayout
+from .qstate import MAX_QUBITS, RegisterLayout, _is_integer, _json_field
 
 
 class _XorTable:
@@ -48,11 +48,20 @@ class _XorTable:
     makes it); and, built on first use and kept for the life of the table,
     ``swaps``, the pairs of basis indices the oracle exchanges, and
     ``permutation``, its full basis map, which the tests' allocating
-    reference gathers along."""
+    reference gathers along.  ``_WIDTHS`` names the width fields in the
+    constructor's order, the output's last; the entries are keyed by the
+    others, most significant first."""
 
-    def _store(self, entries: int) -> None:
-        """Check the entries for length and range, then keep them as
-        ``values`` in place of the ``table`` they were given as."""
+    _WIDTHS: tuple[str, ...]
+
+    def __post_init__(self):
+        """Check the widths, each an integer in 0..``MAX_QUBITS``, and the
+        entries for length and range, then keep the entries as ``values`` in
+        place of the ``table`` they were given as."""
+        widths = [getattr(self, name) for name in self._WIDTHS]
+        if not all(_is_integer(bits) and 0 <= bits <= MAX_QUBITS for bits in widths):
+            raise ShapeMismatchError(f"table widths {widths!r:.60} must be integers in 0..{MAX_QUBITS}")
+        entries = 1 << sum(widths[:-1])
         out_of_range = f"table entry out of range for {self.output_bits} output bits"
         try:
             values = np.array(self.table, dtype=np.int64)
@@ -72,6 +81,20 @@ class _XorTable:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         table = self.__dict__["table"] = tuple(self.values.tolist())
         return table
+
+    def to_json(self) -> dict:
+        return {name: getattr(self, name) for name in self._WIDTHS} | {"table": list(self.table)}
+
+    @classmethod
+    def from_json(cls, doc: Mapping) -> "_XorTable":
+        """The table of a ``to_json`` document.  A missing field, or an
+        entry that is not an integer, is a ``ShapeMismatchError``, as is
+        any table the constructor rejects."""
+        widths = [_json_field(doc, name, object, "table", error=ShapeMismatchError) for name in cls._WIDTHS]
+        entries = _json_field(doc, "table", list, "table", error=ShapeMismatchError)
+        if not all(map(_is_integer, entries)):
+            raise ShapeMismatchError(f"table entries must be integers, got {entries!r:.60}")
+        return cls(*widths, tuple(entries))
 
     @cached_property
     def permutation(self) -> np.ndarray:
@@ -130,9 +153,7 @@ class FunctionTable(_XorTable):
     output_bits: int
     table: tuple[int, ...]
     values: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._store(1 << self.input_bits)
+    _WIDTHS = ("input_bits", "output_bits")
 
     @classmethod
     def from_callable(cls, fn: Callable[[int], int], input_bits: int, output_bits: int) -> "FunctionTable":
@@ -172,13 +193,6 @@ class FunctionTable(_XorTable):
     def _kicked(self) -> dict[int, np.ndarray]:
         return {}
 
-    def to_json(self) -> dict:
-        return {"input_bits": self.input_bits, "output_bits": self.output_bits, "table": list(self.table)}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "FunctionTable":
-        return cls(doc["input_bits"], doc["output_bits"], tuple(doc["table"]))
-
 
 @dataclass(frozen=True)
 class ModedFunctionTable(_XorTable):
@@ -189,9 +203,7 @@ class ModedFunctionTable(_XorTable):
     output_bits: int
     table: tuple[int, ...]
     values: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._store(1 << (self.mode_bits + self.input_bits))
+    _WIDTHS = ("mode_bits", "input_bits", "output_bits")
 
     def __call__(self, mode: int, x: int) -> int:
         return self.table[(mode << self.input_bits) | x]
@@ -200,18 +212,6 @@ class ModedFunctionTable(_XorTable):
     def equality_test(cls, bits: int) -> "ModedFunctionTable":
         """The drawer oracle: output 1 exactly when mode == x."""
         return cls(bits, bits, 1, np.eye(1 << bits, dtype=np.int64).reshape(-1))
-
-    def to_json(self) -> dict:
-        return {
-            "mode_bits": self.mode_bits,
-            "input_bits": self.input_bits,
-            "output_bits": self.output_bits,
-            "table": list(self.table),
-        }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "ModedFunctionTable":
-        return cls(doc["mode_bits"], doc["input_bits"], doc["output_bits"], tuple(doc["table"]))
 
 
 def _kicked_inputs(values: np.ndarray, held: int) -> np.ndarray:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import DegenerateStateError, ShapeMismatchError, UnknownRegisterError
+from .errors import DegenerateStateError, ProgramError, ShapeMismatchError, UnknownRegisterError
 
 # Equality / normalization tolerances used throughout the package.
 STATE_ATOL = 1e-10
@@ -39,14 +39,37 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a Python or a numpy one, and not a bool."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _json_field(doc, key: str, kind, at: str, default=MISSING, error: type[Exception] = ProgramError):
+    """``doc[key]`` from the JSON object at ``at`` in a document, or
+    ``default`` when the key is absent.  An ``error`` that names the field
+    is raised when ``doc`` is not an object, when a key without a default is
+    absent, or when the value is not of type ``kind`` (for ``int``, a
+    Python or numpy integer and never a bool)."""
+    if not isinstance(doc, Mapping):
+        raise error(f"{at} must be an object, not {doc!r:.60}")
+    if key not in doc:
+        if default is MISSING:
+            raise error(f"{at} has no {key!r}")
+        return default
+    value = doc[key]
+    if not (_is_integer(value) if kind is int else isinstance(value, kind)):
+        raise error(f"{at}.{key} must be {'an object' if kind is Mapping else kind.__name__}, not {value!r:.60}")
+    return value
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named registers; first entry holds the most significant bits.
 
     Sizes, offsets and the total width are computed once, on construction,
     so ``qubits``, ``offset`` and ``total_qubits`` are lookups.  A layout
-    wider than ``MAX_QUBITS`` is rejected here, before any state of it is
-    allocated.
+    wider than ``MAX_QUBITS``, or one whose qubit count is not an integer
+    of at least 1, is rejected here, before any state of it is allocated.
     """
 
     registers: tuple[tuple[str, int], ...]
@@ -54,6 +77,9 @@ class RegisterLayout:
     _fields: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, q in self.registers:
+            if not (_is_integer(q) and q > 0):
+                raise ShapeMismatchError(f"register {name!r} must have >= 1 qubit, got {q!r:.60}")
         regs = tuple((str(name), int(q)) for name, q in self.registers)
         object.__setattr__(self, "registers", regs)
         names = [name for name, _ in regs]
@@ -61,9 +87,6 @@ class RegisterLayout:
             raise ShapeMismatchError(f"duplicate register names in {names}")
         if not regs:
             raise ShapeMismatchError("layout needs at least one register")
-        for name, q in regs:
-            if q <= 0:
-                raise ShapeMismatchError(f"register {name!r} must have >= 1 qubit")
         fields, off = {}, 0
         for name, q in reversed(regs):
             fields[name] = (q, off)
@@ -136,7 +159,14 @@ class RegisterLayout:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "RegisterLayout":
-        return cls(tuple((name, q) for name, q in doc["registers"]))
+        """The layout of a ``{"registers": [[name, qubits], ...]}`` document;
+        one that is not a layout, or that the constructor rejects, is a
+        ``ShapeMismatchError`` that names what is wrong."""
+        pairs = _json_field(doc, "registers", list, "layout", error=ShapeMismatchError)
+        for k, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
+                raise ShapeMismatchError(f"layout.registers[{k}] must be a [name, qubits] pair, got {pair!r:.60}")
+        return cls(tuple(map(tuple, pairs)))
 
 
 @dataclass(frozen=True)

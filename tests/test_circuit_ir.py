@@ -1,6 +1,8 @@
+import copy
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from qdesk import (
     sample_phases,
     state_after_oracle,
 )
-from qdesk import circuit_ir
+from qdesk import circuit_ir, grover
 from qdesk.circuit_ir import (
     _inverse,
     apply_instruction,
@@ -125,15 +127,13 @@ class TestRun:
 
     def test_measure_twice_rejected(self):
         layout = RegisterLayout.of(X=1)
-        program = CircuitProgram(layout, (Measure("X"), Measure("X")))
-        with pytest.raises(ProgramError):
-            run(program, np.random.default_rng(0))
+        with pytest.raises(ProgramError, match="measured twice"):
+            CircuitProgram(layout, (Measure("X"), Measure("X")))
 
     def test_gate_after_measure_rejected(self):
         layout = RegisterLayout.of(X=1)
-        program = CircuitProgram(layout, (Measure("X"), GateOp("hadamard", reg="X")))
-        with pytest.raises(ProgramError):
-            run(program, np.random.default_rng(0))
+        with pytest.raises(ProgramError, match="register 'X' is touched after its measurement at instruction 0"):
+            CircuitProgram(layout, (Measure("X"), GateOp("hadamard", reg="X")))
 
 
 class TestPrepareSemantics:
@@ -205,12 +205,11 @@ class TestDeferMeasurements:
         assert defer_measurements(program) is program
 
     def test_measure_then_gate_is_rejected(self):
+        # the frozen-register rule that deferral needs is checked when the
+        # program is built, so no program that builds fails to defer
         layout = RegisterLayout.of(X=2)
-        program = CircuitProgram(
-            layout, (Prepare("X", "uniform"), Measure("X"), GateOp("qft", reg="X"))
-        )
-        with pytest.raises(RewriteNotApplicableError):
-            defer_measurements(program)
+        with pytest.raises(ProgramError):
+            CircuitProgram(layout, (Prepare("X", "uniform"), Measure("X"), GateOp("qft", reg="X")))
 
     def test_tags_remap_to_surviving_boundaries(self):
         program = parity_program()
@@ -403,9 +402,8 @@ class TestDephase:
             backdate_outcome(program, ("X", 0))
 
     def test_dephase_after_measure_rejected(self):
-        program = CircuitProgram(RegisterLayout.of(X=1), (Measure("X"), Dephase("X")))
         with pytest.raises(ProgramError):
-            program.validate_order()
+            CircuitProgram(RegisterLayout.of(X=1), (Measure("X"), Dephase("X")))
 
     def test_initial_state_must_share_the_layout(self):
         program = CircuitProgram(RegisterLayout.of(X=2), (Measure("X"),))
@@ -480,3 +478,160 @@ class TestJsonFormat:
         layout = RegisterLayout.of(X=1)
         with pytest.raises(ProgramError):
             CircuitProgram(layout, (Measure("X"),), {"t9": 7})
+
+
+def old_order_rule(instrs) -> bool:
+    """The order rules as ``CircuitProgram.validate_order`` checked them on
+    every use, forwards: a register is measured at most once, and nothing
+    but a measurement touches it after that."""
+    measured: set[str] = set()
+    for instr in instrs:
+        if isinstance(instr, Measure):
+            if instr.reg in measured:
+                return False
+            measured.add(instr.reg)
+        elif measured & circuit_ir.touched_registers(instr):
+            return False
+    return True
+
+
+ORDER_LAYOUTS = (RegisterLayout.of(A=1, B=1), RegisterLayout.of(A=1, B=1, C=2))
+BIT_TABLE = FunctionTable(1, 1, (1, 0))
+
+
+def order_instructions(names):
+    reg = st.sampled_from(names)
+    return st.one_of(
+        reg.map(Measure),
+        reg.map(Dephase),
+        reg.map(lambda r: Prepare(r, "uniform")),
+        reg.map(lambda r: GateOp("hadamard", reg=r)),
+        reg.map(lambda r: GateOp("qft", reg=r)),
+        st.permutations(("A", "B")).map(lambda p: GateOp("oracle-xor", in_reg=p[0], out_reg=p[1], table=BIT_TABLE)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_program_builds_exactly_when_the_order_rules_hold(data):
+    layout = data.draw(st.sampled_from(ORDER_LAYOUTS))
+    instrs = data.draw(st.lists(order_instructions(layout.names), max_size=8))
+    if old_order_rule(instrs):
+        assert CircuitProgram(layout, instrs).instructions == tuple(instrs)
+    else:
+        with pytest.raises(ProgramError):
+            CircuitProgram(layout, instrs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_program_that_builds_defers(data):
+    layout = data.draw(st.sampled_from(ORDER_LAYOUTS))
+    instrs = []
+    for instr in data.draw(st.lists(order_instructions(layout.names), max_size=9)):
+        if old_order_rule(instrs + [instr]):
+            instrs.append(instr)
+    program = CircuitProgram(layout, instrs)
+    deferred = defer_measurements(program)
+    if not program.measured_registers():
+        assert deferred is program
+        return
+    assert sorted(deferred.measured_registers()) == sorted(program.measured_registers())
+    assert all(isinstance(instr, Measure) for instr in deferred.instructions[-len(program.measured_registers()) :])
+    assert equivalent_distributions(program, deferred, program.measured_registers()).value < 1e-10
+
+
+def document_paths(doc, at=()):
+    """Every place in a JSON document, as a path of keys and indices."""
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from document_paths(value, at + (key,))
+
+
+PROGRAM_DOCUMENTS = [
+    json.loads(json.dumps(program.to_json()))
+    for program in (
+        *(period_circuit(build_periodic(2, 3), discipline) for discipline in ("measure-F-at-t2", "skip-F", "annihilate-F")),
+        grover.standard_circuit(grover.GameInstance(4, 1)),
+        CircuitProgram(
+            grover.EXTENDED_LAYOUT,
+            (grover.KICKBACK, Prepare("K", "uniform"), *grover.EXTENDED_QUERY, Measure("K"), Measure("X")),
+        ),
+    )
+]
+MUTANTS = st.one_of(
+    # a fresh copy per draw: a mutation inside a placed mutant must not
+    # change the next example's strategy
+    st.sampled_from([None, True, False, "", "teleport", "measure", "X", [], {}, [["X", 2]], {"registers": []}]).map(copy.deepcopy),
+    st.sampled_from([-1, 0, 1, 2.5, 1.7, 2.0, -(2**63), 2**64, 10**30, 1e300, float("nan")]),
+    st.integers(),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_mutated_document_loads_or_is_a_program_error(data):
+    # dropped keys, wrong types, unknown ops, floats, booleans, huge and
+    # negative integers, anywhere in the document
+    doc = copy.deepcopy(data.draw(st.sampled_from(PROGRAM_DOCUMENTS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(document_paths(doc))))
+        if not path:
+            doc = data.draw(MUTANTS)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(MUTANTS)
+    try:
+        CircuitProgram.from_json(doc)
+    except ProgramError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"layout": {"registers": [["X", 2.5]]}, "instructions": []}, "qubit"),
+        ({"layout": {"registers": [["X", True]]}, "instructions": []}, "qubit"),
+        ({"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "prepare", "reg": "X", "value": 1.7}]}, "1.7"),
+        ({"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "prepare", "reg": "X", "value": True}]}, "True"),
+        ({"layout": [["X", 2]], "instructions": []}, "program.layout"),
+        ({"layout": {"registers": [["X", 2]]}, "instructions": ["measure"]}, "instructions[0]"),
+        ({"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "measure"}]}, "'reg'"),
+        ({"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "gate", "reg": "X"}]}, "'kind'"),
+        (
+            {
+                "layout": {"registers": [["X", 1], ["F", 1]]},
+                "instructions": [
+                    {"op": "gate", "kind": "oracle-xor", "in_reg": "X", "out_reg": "F", "table": {"input_bits": 10**9, "output_bits": 1, "table": [0]}}
+                ],
+            },
+            "instructions[0]: instruction.table: table widths",
+        ),
+    ],
+)
+def test_a_bad_document_names_what_is_wrong(doc, field):
+    with pytest.raises(ProgramError, match=re.escape(field)):
+        CircuitProgram.from_json(doc)
+
+
+def test_a_program_is_planned_on_first_use():
+    program = period_circuit(build_periodic(3, 2), "measure-F-at-t2")
+    assert "_plan" not in program.__dict__
+    enumerate_outcome_distribution(program, ["X"])
+    plan = program.__dict__["_plan"]
+    assert plan is program._plan
+    assert [program.instructions[i].reg for i in plan.measures] == list(program.measured_registers())
+    assert plan.tail == plan.measures[-1] and plan.nodes == plan.draws  # F mid-program, X last
+
+
+def test_numpy_integers_are_integers():
+    layout = RegisterLayout((("X", np.int64(2)),))
+    program = CircuitProgram(layout, (Prepare("X", np.int64(3)), Measure("X")), {"end": np.int64(2)})
+    assert enumerate_outcome_distribution(program, ["X"]) == {(3,): 1.0}

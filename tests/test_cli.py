@@ -389,10 +389,54 @@ class TestDeferCheckCommand:
         )
         assert json.loads(out)["tv_distance"] == pytest.approx(0.5, abs=1e-10)
 
-    def test_missing_file_is_internal_error(self, capsys, tmp_path):
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["defer-check", "--circuit", str(tmp_path / "nope.json")])
-        assert code == 1
+        assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"layout": [["X", 2]], "instructions": []}',
+            '{"layout": {"registers": [["X", 2]]}, "instructions": ["measure"]}',
+            '{"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "measure"}]}',
+            '{"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "gate", "reg": "X"}, {"op": "measure", "reg": "X"}]}',
+            '{"layout": {"registers": [["X", 2.5]]}, "instructions": [{"op": "measure", "reg": "X"}]}',
+            '{"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "prepare", "reg": "X", "value": 1.7}, {"op": "measure", "reg": "X"}]}',
+            '{"layout": {"registers": [["X", 30]]}, "instructions": [{"op": "measure", "reg": "X"}]}',
+            '{"layout": {"registers": [["X", 1]]}, "instructions": [{"op": "measure", "reg": "X"}, {"op": "dephase", "reg": "X"}]}',
+            "not json",
+            None,
+        ],
+    )
+    def test_a_bad_program_file_is_a_one_line_usage_error(self, tmp_path, text):
+        # in a fresh process, as a user runs it: a traceback or a second line
+        # of stderr would show here
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        src = str(Path(qdesk.__file__).resolve().parent.parent)
+        env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "qdesk.cli", "defer-check", "--circuit", str(path), "--auto-defer", "--json"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: defer-check: ")
+        assert "Traceback" not in done.stderr
+
+    def test_a_bad_against_file_is_a_usage_error(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(period_circuit(build_periodic(2, 2), "measure-F-at-t2").to_json()))
+        bad.write_text('{"layout": {"registers": [["X", 2]]}}')
+        code, out, err = run_cli(capsys, ["defer-check", "--circuit", str(good), "--against", str(bad), "--json"])
+        assert (code, out, err) == (2, "", f"error: defer-check: {bad}: program has no 'instructions'\n")
+
+    def test_a_program_failure_is_still_an_internal_error(self, capsys, tmp_path):
+        path = tmp_path / "fig1.json"
+        path.write_text(json.dumps(period_circuit(build_periodic(2, 2), "measure-F-at-t2").to_json()))
+        code, _, err = run_cli(capsys, ["defer-check", "--circuit", str(path), "--auto-defer", "--observed", "Q"])
+        assert code == 1
+        assert err.startswith("error: observed registers ['Q'] are never measured")
 
     @pytest.mark.parametrize(
         "extra",

@@ -18,6 +18,7 @@ from qdesk import (
     normalize,
 )
 from qdesk.grover import marked_drawer_table
+from qdesk.qstate import MAX_QUBITS
 from qdesk.measure import outcome_distribution
 from test_register_axis import dense_qft, gate
 
@@ -96,6 +97,42 @@ class TestFunctionTable:
             ModedFunctionTable(1, 1, 1, form([0, 1, 0, 2]))
         with pytest.raises(ShapeMismatchError):
             FunctionTable(1, 2, form([0, 2**70]))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FunctionTable(10**9, 1, (0,)),
+            lambda: FunctionTable(1, 10**9, (0, 0)),
+            lambda: FunctionTable(-1, 1, (0,)),
+            lambda: FunctionTable(True, 1, (0, 1)),
+            lambda: FunctionTable(1.0, 1, (0, 1)),
+            lambda: ModedFunctionTable(10**9, 1, 1, (0,)),
+            lambda: ModedFunctionTable(1, 1, MAX_QUBITS + 1, (0, 0, 0, 0)),
+        ],
+    )
+    def test_widths_are_integers_up_to_the_qubit_ceiling(self, build):
+        # checked before any 2^width is formed, so a huge width allocates nothing
+        with pytest.raises(ShapeMismatchError, match="widths"):
+            build()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"input_bits": 1, "output_bits": 1, "table": [0, 1.5]},
+            {"input_bits": 1, "output_bits": 1, "table": [0, True]},
+            {"input_bits": 1, "output_bits": 1, "table": [0, "1"]},
+            {"input_bits": 1, "output_bits": 1, "table": "01"},
+            {"input_bits": 1, "table": [0, 1]},
+            {"input_bits": 2.0, "output_bits": 1, "table": [0, 1, 0, 1]},
+            {"input_bits": 10**9, "output_bits": 1, "table": [0]},
+            [0, 1],
+        ],
+    )
+    def test_a_bad_document_is_a_shape_mismatch(self, doc):
+        with pytest.raises(ShapeMismatchError):
+            FunctionTable.from_json(doc)
+        with pytest.raises(ShapeMismatchError):
+            ModedFunctionTable.from_json({"mode_bits": 0, **doc} if isinstance(doc, dict) else doc)
 
     def test_table_tuple_is_built_on_first_read(self):
         # a drawer table is built per report for an oracle that reads only

@@ -251,6 +251,15 @@ class TestPureState:
             gc.enable() if was_enabled else gc.disable()
         assert len(doc["amplitudes"]) == 32
 
+    @pytest.mark.parametrize(
+        "layout",
+        [[["X", 2]], {"registers": [["X", 2.5]]}, {"registers": [["X", 30]]}, {"registers": [["X", 1], ["X", 1]]}, {}],
+    )
+    def test_a_bad_layout_in_a_state_document_is_a_shape_mismatch(self, layout):
+        doc = make_basis_state(RegisterLayout.of(X=1), {}).to_json()
+        with pytest.raises(ShapeMismatchError):
+            PureState.from_json({**doc, "layout": layout})
+
     def test_json_amplitudes_must_be_pairs(self):
         doc = make_basis_state(RegisterLayout.of(X=1), {}).to_json()
         with pytest.raises(ShapeMismatchError):

@@ -4,14 +4,16 @@
 
 Runs every job of rounds 0 and 1 at workload seed 0 of each workload in
 ``perfbench/jobs.py``, then the fixed ``ceiling`` jobs at the 20-qubit
-sizes the workloads stop short of, in this process through
-``qdesk.cli.main``, with stdout captured.  Every ``shor`` and ``grover`` job also writes
+sizes the workloads stop short of, then the ``files`` jobs, ``defer-check``
+on program files, in this process through ``qdesk.cli.main``, with stdout
+captured.  Every ``shor`` and ``grover`` job also writes
 ``--dump-state``, and every ``shor`` job writes ``--records``.  Every
 ``shor`` and ``grover`` job then runs a second time as the workload gives
 it, without the added files: the route the benchmark times.  One JSON line per run
-gives its argv (temporary paths shown as ``<tmp>``), its exit code, and the
-sha256 of its stdout, of its dumped state, of its full records file, and of
-the records' (register, outcome) sequence alone.
+gives its argv (temporary paths shown as ``<tmp>``), its exit code (1 for
+an exception that escapes ``main``, as a traceback exits; the traceback
+goes to stderr), and the sha256 of its stdout, of its dumped state, of its
+full records file, and of the records' (register, outcome) sequence alone.
 
 ``--src`` imports qdesk from another checkout's ``src``, so one copy of
 this script digests two versions of the program; ``diff`` the two outputs
@@ -27,6 +29,7 @@ import io
 import json
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +69,48 @@ CEILING = (
 )
 
 
+# Program files for defer-check: one per discipline, written from
+# period_circuit(build_periodic(4, 3), discipline).to_json(); then one per
+# document the loader must refuse (a layout that is no object, a string
+# instruction, a missing reg and kind, a fractional qubit count and prepare
+# value, a layout over the ceiling, a measured register dephased), text that
+# is no JSON, and a file that is not there.
+BAD_FILES = {
+    "layout-list": '{"layout": [["X", 2]], "instructions": [{"op": "measure", "reg": "X"}]}',
+    "string-instruction": '{"layout": {"registers": [["X", 2]]}, "instructions": ["measure"]}',
+    "no-reg": '{"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "measure"}]}',
+    "no-kind": '{"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "gate", "reg": "X"}, {"op": "measure", "reg": "X"}]}',
+    "fractional-qubits": '{"layout": {"registers": [["X", 2.5]]}, "instructions": [{"op": "prepare", "reg": "X", "value": 1}, {"op": "measure", "reg": "X"}]}',
+    "fractional-value": '{"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "prepare", "reg": "X", "value": 1.7}, {"op": "measure", "reg": "X"}]}',
+    "over-ceiling": '{"layout": {"registers": [["X", 30]]}, "instructions": [{"op": "measure", "reg": "X"}]}',
+    "dephase-after-measure": '{"layout": {"registers": [["X", 1]]}, "instructions": [{"op": "measure", "reg": "X"}, {"op": "dephase", "reg": "X"}]}',
+    "not-json": "not json",
+}
+
+
+def file_jobs(work: Path) -> list[tuple[str, ...]]:
+    """The ``defer-check`` jobs on program files, written into ``work``:
+    each valid file deferred, measure-F against skip-F, and skip-F against
+    annihilate-F; then each file of ``BAD_FILES`` and a missing one,
+    deferred, and the order-rule file given as ``--against``."""
+    from qdesk.shor import DISCIPLINES, build_periodic, period_circuit
+
+    for discipline in DISCIPLINES:
+        doc = period_circuit(build_periodic(4, 3), discipline).to_json()
+        (work / f"{discipline}.json").write_text(json.dumps(doc))
+    for name, text in BAD_FILES.items():
+        (work / f"{name}.json").write_text(text)
+    path = {name: str(work / f"{name}.json") for name in [*DISCIPLINES, *BAD_FILES, "missing"]}
+    early, skip, annihilate = (path[d] for d in DISCIPLINES)
+    return [
+        *(("defer-check", "--circuit", path[d], "--auto-defer", "--json") for d in DISCIPLINES),
+        ("defer-check", "--circuit", early, "--against", skip, "--json"),
+        ("defer-check", "--circuit", skip, "--against", annihilate, "--observed", "X", "--json"),
+        *(("defer-check", "--circuit", path[name], "--auto-defer", "--json") for name in [*BAD_FILES, "missing"]),
+        ("defer-check", "--circuit", early, "--against", path["dephase-after-measure"], "--json"),
+    ]
+
+
 def _sha(data: bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
@@ -102,11 +147,16 @@ def digest(job_argv: tuple[str, ...], work: Path, main, add_files: bool = True) 
         if path is not None and path.exists():
             path.unlink()
     out = io.StringIO()
+    failure = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception:  # the job goes on being digested; its traceback is shown below
+            code, failure = 1, traceback.format_exc()
+    if failure:
+        print(failure, file=sys.stderr)
     record_bytes = _read(records) if records else None
     return {
         "argv": [arg.replace(str(work), "<tmp>") for arg in argv],
@@ -146,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         for argv in CEILING:
             for line in _digests(argv, work, cli_main):
                 print(json.dumps({"workload": "ceiling", "round": 0} | line, sort_keys=True), flush=True)
+        for argv in file_jobs(work):
+            for line in _digests(argv, work, cli_main):
+                print(json.dumps({"workload": "files", "round": 0} | line, sort_keys=True), flush=True)
     return 0
 
 
