@@ -48,23 +48,36 @@ of doubles, so ``sample`` draws a block of trials as one array of uniforms
 and looks each measurement's outcomes up in its memoised cumulative sums,
 one vectorised lookup per branch.
 
-Branches are register slices.  A walk state is the pair (fixed registers
--> basis value, amplitude vector over the free registers): the start
-|0...0> fixes every register, a value prepare changes a fixed value and
-touches no amplitude, and a projection slices the measured register's axis
-and fixes it, so a branch after a measurement holds only the amplitudes its
-outcome left.  An XOR oracle whose input is fixed XORs the constant
-f(input) into its output, and one whose output is fixed at v moves each
-input amplitude to v XOR f(x); any other gate on a fixed register expands
-it into a one-hot axis first.  This is implicit measurement (Nielsen &
-Chuang 4.4) applied to the walk: a measured register carries no amplitudes
-of its own, and no later gate mixes the branches of its values, so all of
-them advance as one family, the rows of one block that every kernel runs on
-at once.  Within a segment, a Hadamard (or a "uniform" or "minus"
-prepare) on a fixed register holds it in the Hadamard basis: the register
-stays out of the buffer until another gate touches it, so an XOR oracle
-into it is a sign flip on the inputs (phase kickback, Cleve et al. 1998)
-and a drawer search's diffusion runs on the search register alone.  A full
+Branches are register slices.  A walk state is the pair (fixed registers ->
+basis value, amplitude vector over the free registers): the start |0...0>
+fixes every register, a value prepare changes a fixed value and touches no
+amplitude, and a projection slices the measured register's axis and fixes
+it, so a branch after a measurement holds only the amplitudes its outcome
+left.  An XOR oracle whose input is fixed XORs the constant f(input) into
+its output, and one whose output is fixed at v moves each input amplitude
+to v XOR f(x); any other gate on a fixed register expands it into a one-hot
+axis first.  This is implicit measurement (Nielsen & Chuang 4.4) applied to
+the walk: a measured register carries no amplitudes of its own, and no
+later gate mixes the branches of its values, so all of them advance as one
+family, the rows of one block that every kernel runs on at once.  The same
+holds for an oracle's fixed output until a gate touches it again, so the
+walk holds it as rows from that oracle on, one row of the other registers'
+amplitudes per value it takes: a batch axis that no kernel mixes, and that
+leaves out the values f never takes.  The held register's distribution is
+its rows' weights, another register's is reduced in the written-out order
+with those zero terms left out, a measurement of the held register gathers
+its rows as a family, and one of another register keeps them in each
+branch.  The rows are written out into the register's axis, zero at the
+values they miss, by one routine: for a full state (a tagged or final one),
+for a dephasing the walk applies, and before a later gate that touches the
+register.  Where that gate comes in the oracle's own segment, or the
+segment ends at a state that is only read whole (``unitary_prefix``, a
+tag's, the final one), the oracle writes its output's axis at once
+instead.  Within a segment, a Hadamard (or a "uniform" or "minus" prepare)
+on a fixed register holds it in the Hadamard basis: the register stays out
+of the buffer until another gate touches it, so an XOR oracle into it is a
+sign flip on the inputs (phase kickback, Cleve et al. 1998) and a drawer
+search's diffusion runs on the search register alone.  A full
 ``PureState`` is built only where one is handed out: ``run``'s tagged
 states and its final state when first read, ``unitary_prefix``,
 ``backdate_outcome``, ``apply_instruction`` and ``project``.  ``run`` also
@@ -91,7 +104,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +118,7 @@ from .measure import (
     ProjectionOperator,
     _dephase,
     _register_marginals,
+    _summed_squares,
     born_sample,
 )
 from .qstate import PureState, RegisterLayout, StateDistance, _is_integer, _json_field
@@ -412,8 +426,6 @@ def _inverse(instr: Prepare | GateOp) -> tuple[Prepare | GateOp, ...]:
     transform's is the other direction, and a "minus" prepare's is the
     Hadamard then the bit flip.  Hadamards, both oracles, the diffusion
     reflection and the other prepares are their own inverses."""
-    if not isinstance(instr, (Prepare, GateOp)):
-        raise ProgramError(f"cannot invert non-unitary instruction {instr!r}")
     if isinstance(instr, Prepare) and instr.value == "minus":
         return GateOp("hadamard", reg=instr.reg), Prepare(instr.reg, 1)
     if isinstance(instr, GateOp) and instr.kind in ("qft", "inverse-qft"):
@@ -456,11 +468,33 @@ class RunTrace:
         return self.tagged_states[tag]
 
 
-def _free_layout(layout: RegisterLayout, fixed: Mapping[str, int]) -> RegisterLayout | None:
-    """The registers of ``layout`` that ``fixed`` leaves free, in layout order;
-    None when it fixes them all."""
-    free = tuple((name, q) for name, q in layout.registers if name not in fixed)
+def _free_layout(layout: RegisterLayout, taken: Container[str]) -> RegisterLayout | None:
+    """The registers of ``layout`` not in ``taken`` (the fixed ones, and a
+    measured one or one held as rows), in layout order; None when that
+    leaves none."""
+    free = tuple((name, q) for name, q in layout.registers if name not in taken)
     return RegisterLayout(free) if free else None
+
+
+def _widened(layout: RegisterLayout, free: RegisterLayout | None, reg: str) -> RegisterLayout:
+    """The free registers with ``reg`` added, in layout order."""
+    names = {reg, *(free.names if free else ())}
+    return RegisterLayout(tuple(r for r in layout.registers if r[0] in names))
+
+
+def _write_rows(
+    layout: RegisterLayout, free: RegisterLayout | None, rows: tuple[str, tuple[int, ...]], amps: np.ndarray
+) -> tuple[RegisterLayout, np.ndarray]:
+    """A register held as rows written out into its axis: the free layout
+    with it added, and a fresh buffer that holds each row at its value and
+    zero at every other value.  The rows are the innermost batch axis of
+    ``amps``; any batch in front of them stays in front."""
+    reg, values = rows
+    wide = _widened(layout, free, reg)
+    left, d, right = wide.axis_shape(reg)
+    out = np.zeros(amps.size // len(values) * d, dtype=np.complex128)
+    out.reshape(-1, left, d, right)[:, :, list(values), :] = amps.reshape(-1, len(values), left, right).transpose(0, 2, 1, 3)
+    return wide, out
 
 
 @dataclass(frozen=True)
@@ -468,28 +502,29 @@ class _Slice:
     """A walk state as a product: every fixed register holds the basis value
     ``fixed`` gives it, and ``amps`` is the flat, read-only amplitude vector
     over the ``free`` registers, in layout order (one amplitude when every
-    register is fixed and ``free`` is None)."""
+    register is fixed and ``free`` is None).
+
+    An oracle's output may be held as rows instead: ``rows`` names it and
+    its ascending values, and ``amps`` holds one unnormalised vector over
+    the ``free`` registers per value, back to back, the amplitudes where
+    the register holds that value.  The register is neither fixed nor free;
+    its rows are a batch axis that every kernel on the other registers runs
+    on at once."""
 
     layout: RegisterLayout
     fixed: Mapping[str, int]
     free: RegisterLayout | None
     amps: np.ndarray
-
-    def free_state(self) -> PureState:
-        """The free registers' amplitudes as a state of their own layout."""
-        return PureState._adopt(self.free, self.amps)
+    rows: tuple[str, tuple[int, ...]] | None = field(default=None, kw_only=True)
 
     def state(self) -> PureState:
-        """The full state: the free amplitudes written at the fixed values,
-        every other amplitude zero.  With nothing fixed, the same buffer."""
-        if not self.fixed:
-            return PureState._adopt(self.layout, self.amps)
-        names = self.layout.names
-        full = np.zeros(self.layout.dimension, dtype=np.complex128)
-        at = tuple(self.fixed[name] if name in self.fixed else slice(None) for name in names)
-        free_shape = [self.layout.dim(name) for name in names if name not in self.fixed]
-        full.reshape([self.layout.dim(name) for name in names])[at] = self.amps.reshape(free_shape)
-        return PureState._adopt(self.layout, full)
+        """The full state: the register held as rows, then each fixed one as
+        one row at its value, written out into its axis, every other
+        amplitude zero.  With nothing fixed or held, the same buffer."""
+        free, amps = self.free, self.amps
+        for rows in ([self.rows] if self.rows else []) + [(reg, (v,)) for reg, v in self.fixed.items()]:
+            free, amps = _write_rows(self.layout, free, rows, amps)
+        return PureState._adopt(self.layout, amps)
 
 
 def _branch_index(values: tuple[int, ...], reg: str, value: int) -> int:
@@ -508,8 +543,9 @@ class _Family(_Slice):
     back to back, and ``reg`` is neither fixed nor free.  No later
     instruction touches a measured register, so the rows are a batch axis:
     every kernel runs on all of them at once, row by row the arithmetic it
-    runs on one.  ``owned`` marks rows that ``_gather`` has just made and
-    nothing else holds."""
+    runs on one.  Each state may hold an oracle's output as rows of its own,
+    inside the family's.  ``owned`` marks rows that ``_gather`` has just
+    made and nothing else holds."""
 
     reg: str
     values: tuple[int, ...]
@@ -519,7 +555,8 @@ class _Family(_Slice):
         """The branch where ``reg`` holds ``value``, as a view of its row."""
         j = _branch_index(self.values, self.reg, value)
         size = self.amps.size // len(self.values)
-        return _Slice(self.layout, {**self.fixed, self.reg: value}, self.free, self.amps[j * size : (j + 1) * size])
+        amps = self.amps[j * size : (j + 1) * size]
+        return _Slice(self.layout, {**self.fixed, self.reg: value}, self.free, amps, rows=self.rows)
 
     def advanced(self, instrs: Sequence[Instruction]) -> "_Family":
         """The family with the unitary instructions among ``instrs`` run on
@@ -527,47 +564,76 @@ class _Family(_Slice):
         place."""
         end = _advance(self, instrs, owned=self.owned)
         end.amps.setflags(write=False)
-        return _Family(self.layout, end.fixed, end.free, end.amps, self.reg, self.values)
+        return _Family(self.layout, end.fixed, end.free, end.amps, self.reg, self.values, rows=end.rows)
 
 
 def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Family:
     """The Born filter on each of ``values`` at once: one fresh row per
     value, owned by the family, the amplitudes where ``reg`` holds it, each
     divided by the square root of its own ``np.vdot`` weight.  A fixed
-    register has one row, the slice's own amplitudes, or zero probability."""
+    register has one row, the slice's own amplitudes, or zero probability.
+    A register held as rows gives its rows at those values; a register held
+    as rows beside the gathered one stays held in each row."""
     values = tuple(values)
     fixed = dict(s.fixed)
     if reg in fixed:
         value = fixed.pop(reg)
         for v in values:
             _branch_index((value,), reg, v)
-        return _Family(s.layout, fixed, s.free, s.amps, reg, values)
-    left, d, right = s.free.axis_shape(reg)
-    for v in values:
-        if not 0 <= v < d:
-            raise ValueError(f"outcome {v} out of range for register {reg!r}")
-    block = s.amps.reshape(left, d, right)
-    # each weight from the register's (left, right) view: np.vdot runs a
-    # strided product where that view is strided
-    weights = np.array([np.vdot(kept, kept).real for kept in (block[:, v, :] for v in values)])
-    rows = np.ascontiguousarray(block.transpose(1, 0, 2)[list(values)]).reshape(len(values), left * right)
+        return _Family(s.layout, fixed, s.free, s.amps, reg, values, rows=s.rows)
+    held = s.rows
+    if held is not None and held[0] == reg:
+        block, at = s.amps.reshape(1, len(held[1]), -1), [_branch_index(held[1], reg, v) for v in values]
+        left, _, right = _widened(s.layout, s.free, reg).axis_shape(reg)
+        kept = (block[:, j, :] for j in at)
+        if right == 1 < left:
+            # a row is the written-out register's (left, right) view, which
+            # is strided where the register is last: weigh a strided copy
+            spaced = np.empty((left, 2), dtype=np.complex128)[:, 0]
+            kept = (np.copyto(spaced, block[0, j]) or spaced for j in at)
+        held, free = None, s.free
+    else:
+        _, d, right = s.free.axis_shape(reg)
+        for v in values:
+            if not 0 <= v < d:
+                raise ValueError(f"outcome {v} out of range for register {reg!r}")
+        block, at = s.amps.reshape(-1, d, right), list(values)
+        kept = (block[:, j, :] for j in at)
+        free = _free_layout(s.layout, {*fixed, reg, *(held[:1] if held else ())})
+    # each weight from the register's (left, right) view: np.vdot runs
+    # BLAS's strided loop where that view is strided
+    weights = np.array([np.vdot(row, row).real for row in kept])
+    rows = np.ascontiguousarray(block.transpose(1, 0, 2)[at]).reshape(len(values), -1)
     for v, weight in zip(values, weights):
         if weight < PROB_EPS:
             raise DegenerateStateError(f"projection on {reg}={v} has zero probability")
     rows /= np.sqrt(weights)[:, None]
-    free = _free_layout(s.layout, {**fixed, reg: 0})
-    return _Family(s.layout, fixed, free, rows.reshape(-1), reg, values, owned=True)
+    return _Family(s.layout, fixed, free, rows.reshape(-1), reg, values, owned=True, rows=held)
 
 
 def _marginals(s: _Slice, reg: str, rows: int) -> np.ndarray:
     """``reg``'s outcome probabilities in each of the ``rows`` states a
     slice's amplitudes hold, one row each, by ``measure``'s reduction.  A
-    fixed register is certain."""
+    fixed register is certain.  A slice that holds a register as rows is
+    reduced in the written-out order, that register's axis holding only the
+    values of its rows: the terms left out are exact zeros, so every
+    probability is the written-out state's to the bit."""
     if reg in s.fixed:
         probs = np.zeros((rows, s.layout.dim(reg)))
         probs[:, s.fixed[reg]] = 1.0
         return probs
-    return _register_marginals(s.amps, s.free.axis_shape(reg))
+    if s.rows is None:
+        return _register_marginals(s.amps, s.free.axis_shape(reg))
+    held, values = s.rows
+    free = s.free.names if s.free else ()
+    names = [name for name in s.layout.names if name == held or name in free]
+    block = s.amps.reshape([rows, len(values)] + [s.layout.dim(name) for name in free])
+    probs = _summed_squares(np.moveaxis(block, 1, 1 + names.index(held)), 1 + names.index(reg))
+    if reg != held:
+        return probs
+    out = np.zeros((rows, s.layout.dim(reg)))
+    out[:, list(values)] = probs
+    return out
 
 
 def _start_slice(layout: RegisterLayout, initial: PureState | None) -> _Slice:
@@ -606,8 +672,15 @@ class _Segment:
       output are both fixed XORs f(input) into the output's value;
     * an XOR oracle with a fixed input XORs the constant f(input) into its
       free output register;
-    * an XOR oracle with a fixed output v writes each amplitude of input x
-      at output v XOR f(x): one move per amplitude, into a zeroed buffer;
+    * an XOR oracle from a free input into a fixed output v moves each
+      amplitude of input x to the value v XOR f(x).  Where no later
+      instruction of the segment touches the output, no other register is
+      held as rows and the segment may hold rows, the output is held as
+      rows: one row per value f takes XOR v, ascending, the innermost batch
+      axis, and the slice the segment ends at holds them.  Otherwise the
+      amplitudes go straight into the output's axis.  An instruction that
+      touches a held register, in a later segment, writes its rows out
+      first;
     * a Hadamard (or a "uniform" or "minus" prepare) holds the register at
       its value w: the register stays out of the buffer, which is scaled by
       2^(-q/2), and stands for the signs (-1)^popcount(w & y) times the
@@ -648,27 +721,20 @@ class _Segment:
         self.owned = False
         self.holds = holds
         self.held: set[str] = set()  # the fixed registers held in the Hadamard basis
+        self.rows = start.rows  # the register held as rows, and its values
+        self.holds_rows = False  # whether an oracle may hold its output as rows
+        self.instrs: Sequence[Prepare | GateOp] = ()
+        self.at = 0  # the index in ``instrs`` of the instruction applied
 
     def writable(self) -> np.ndarray:
         if not self.owned:
             self.work, self.owned = self.work.copy(), True
         return self.work
 
-    def _unfix(self, reg: str) -> tuple[int, np.ndarray, np.ndarray]:
-        """Free ``reg``: its value, the amplitudes as a ``(left, right)`` view
-        around it, and the zeroed ``(left, d, right)`` view of the new buffer;
-        the rows of a family join ``left``."""
-        value = self.fixed.pop(reg)
-        names = {reg, *(self.free.names if self.free else ())}
-        self.free = RegisterLayout(tuple(r for r in self.layout.registers if r[0] in names))
-        _, d, right = self.free.axis_shape(reg)
-        old = self.work.reshape(-1, right)
-        self.work, self.owned = np.zeros(old.size * d, dtype=np.complex128), True
-        return value, old, self.work.reshape(-1, d, right)
-
     def expand(self, reg: str) -> None:
-        value, old, new = self._unfix(reg)
-        new[:, value, :] = old
+        """Write a fixed register out as the one row at its value."""
+        self.free, self.work = _write_rows(self.layout, self.free, (reg, (self.fixed.pop(reg),)), self.work)
+        self.owned = True
 
     def broadcast(self, reg: str) -> None:
         """Write a fixed or held register at w out as the signs
@@ -681,8 +747,12 @@ class _Segment:
         numpy's inner loop only two amplitudes long when it is the last
         register."""
         self.held.discard(reg)
-        value, old, new = self._unfix(reg)
-        d = new.shape[1]
+        value = self.fixed.pop(reg)
+        self.free = _widened(self.layout, self.free, reg)
+        _, d, right = self.free.axis_shape(reg)
+        old = self.work.reshape(-1, right)  # the rows of a family join the left axis
+        self.work, self.owned = np.zeros(old.size * d, dtype=np.complex128), True
+        new = self.work.reshape(-1, d, right)
         if value:
             signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(d) & value) & 1)
             if d == 2:
@@ -746,19 +816,32 @@ class _Segment:
                 step()
                 return step
         else:
-            value, old, _ = self._unfix(out_reg)
-            names = self.free.names
-            inputs = [name for name in names if name != out_reg].index(in_reg)
-            source = np.moveaxis(old.reshape([-1] + [self.layout.dim(n) for n in names if n != out_reg]), 1 + inputs, 0)
-            target = self.work.reshape([-1] + [self.layout.dim(name) for name in names])
-            target = np.moveaxis(target, (1 + names.index(in_reg), 1 + names.index(out_reg)), (0, 1))
-            target[np.arange(f.values.size), f.values ^ value] = source
+            value, free = self.fixed.pop(out_reg), self.free
+            later = self.instrs[self.at + 1 :]
+            if self.rows is None and self.holds_rows and not any(out_reg in touched_registers(i) for i in later):
+                values, column = np.unique(f.values ^ value, return_inverse=True)
+                left, d, right = free.axis_shape(in_reg)
+                source = self.work.reshape(-1, left, d, right)
+                target = np.zeros((source.shape[0], values.size, left, d, right), dtype=np.complex128)
+                target.transpose(1, 3, 0, 2, 4)[column, np.arange(d)] = source.transpose(2, 0, 1, 3)
+                self.rows = (out_reg, tuple(values.tolist()))
+            else:
+                names, self.free = free.names, _widened(self.layout, free, out_reg)
+                source = np.moveaxis(self.work.reshape([-1] + [self.layout.dim(n) for n in names]), 1 + names.index(in_reg), 0)
+                names = self.free.names
+                target = np.zeros([source.shape[1]] + [self.layout.dim(n) for n in names], dtype=np.complex128)
+                moved = np.moveaxis(target, (1 + names.index(in_reg), 1 + names.index(out_reg)), (0, 1))
+                moved[np.arange(f.values.size), f.values ^ value] = source
+            self.work, self.owned = target.reshape(-1), True
         return _nothing
 
     def apply(self, instr: Prepare | GateOp) -> Step:
         """Apply one instruction and return the step that repeats its work
         on the buffer; ``run`` keeps the step only where the instruction
         left the configuration as it found it."""
+        if self.rows is not None and self.rows[0] in touched_registers(instr):
+            self.free, self.work = _write_rows(self.layout, self.free, self.rows, self.work)
+            self.rows, self.owned = None, True
         fixed, held = self.fixed, self.held
         if isinstance(instr, GateOp) and instr.kind == "oracle-xor" and instr.out_reg in held:
             if instr.in_reg in held:
@@ -784,14 +867,16 @@ class _Segment:
             self.expand(reg)
         return apply_instruction_in_place(self.writable(), self.free, instr)
 
-    def run(self, instrs: Sequence[Prepare | GateOp]) -> _Slice:
-        """Apply ``instrs`` in order.  The configuration is the buffer, the
+    def run(self, instrs: Sequence[Prepare | GateOp], rows: bool) -> _Slice:
+        """Apply ``instrs`` in order, an oracle free to hold its output as
+        rows where ``rows`` says so.  The configuration is the buffer, the
         fixed values and the held registers.  An instruction that leaves it
         as it found it keeps its resolved step, keyed by the instruction
         object's identity, until the configuration next changes; when the
         same object comes again, its step runs without dispatch."""
+        self.instrs, self.holds_rows = instrs, rows
         steps: dict[int, Step] = {}
-        for instr in instrs:
+        for self.at, instr in enumerate(instrs):
             step = steps.get(id(instr))
             if step is not None:
                 step()
@@ -805,28 +890,30 @@ class _Segment:
         for reg in sorted(self.held):
             self.broadcast(reg)
         self.work.setflags(write=False)
-        return _Slice(self.layout, self.fixed, self.free, self.work)
+        return _Slice(self.layout, self.fixed, self.free, self.work, rows=self.rows)
 
 
-def _advance(start: _Slice, instrs: Sequence[Instruction], owned: bool = False) -> _Slice:
+def _advance(start: _Slice, instrs: Sequence[Instruction], owned: bool = False, rows: bool = True) -> _Slice:
     """``start`` with the unitary instructions among ``instrs`` applied in
     order, skipping measurements and dephasings, as one segment: one that
     holds registers where it can, unless an underflow makes it rerun
     without holding.  ``owned`` lets a segment that holds nothing write
     ``start``'s amplitudes in place; one that may hold copies them first,
-    since an underflow reruns it from ``start``."""
+    since an underflow reruns it from ``start``.  Without ``rows`` no
+    oracle holds its output as rows: a slice that is only written out
+    would hold them beside the written-out state."""
     unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
     if not unitary:
         return start
     if any(map(_opens_hold, unitary)):
         try:
             with np.errstate(under="raise"):
-                return _Segment(start, holds=True).run(unitary)
+                return _Segment(start, holds=True).run(unitary, rows)
         except FloatingPointError:
             pass
     segment = _Segment(start, holds=False)
     segment.owned = owned
-    return segment.run(unitary)
+    return segment.run(unitary, rows)
 
 
 def _project(s: _Slice, reg: str, outcome: int) -> _Slice:
@@ -852,12 +939,15 @@ def _distribution(s: _Slice, reg: str) -> OutcomeDistribution:
 def _dephase_slice(s: _Slice, reg: str, values: Sequence[int], phases: np.ndarray) -> _Slice:
     """The slice with one phase on each listed value of ``reg``, through
     ``measure``'s kernel; a fixed register's one value multiplies every
-    amplitude by its phase factor."""
+    amplitude by its phase factor.  A register held as rows is written out
+    first."""
+    if s.rows is not None:
+        s = _Slice(s.layout, s.fixed, *_write_rows(s.layout, s.free, s.rows, s.amps))
     if reg in s.fixed:
         amps = np.exp(1j * np.asarray(phases, dtype=float)) * s.amps
         amps += 0.0
     else:
-        amps = _dephase(s.free_state(), reg, values, phases).reshape(-1)
+        amps = _dephase(PureState._adopt(s.free, s.amps), reg, values, phases).reshape(-1)
     amps.setflags(write=False)
     return _Slice(s.layout, s.fixed, s.free, amps)
 
@@ -909,6 +999,7 @@ class _BranchWalk:
     """
 
     def __init__(self, program: CircuitProgram, initial: PureState | None, observed: Sequence[str] | None = None):
+        self.program = program
         plan = self.plan = program._plan
         instrs = self.instructions = program.instructions
         self.inert, self.fixed_width = plan.inert, plan.fixed_width
@@ -920,14 +1011,17 @@ class _BranchWalk:
         ]
         self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
 
-    def state(self, boundary: int, path: tuple[int, ...]) -> _Slice:
+    def state(self, boundary: int, path: tuple[int, ...], keep: bool = True) -> _Slice:
         """The state after the first ``boundary`` instructions on ``path``,
-        without the phases of inert dephasings.
+        without the phases of inert dephasings, kept on the chain unless
+        ``keep`` is false.
 
         The deepest kept state on the path may be a row of a family.  Each
         unitary segment between it and the boundary runs as one
         ``_Segment``, ended by a node's projection of the one branch or by
-        the boundary; no kept state is ever written."""
+        the boundary; no kept state is ever written.  The state at a
+        boundary that draws nothing (a tag's, or the final one) is read
+        only as a full state, so its last segment holds no rows."""
         chain = self._chain
         while not _serves(chain[-1], boundary, path):
             chain.pop()
@@ -943,8 +1037,9 @@ class _BranchWalk:
                 break
             state = _project(_advance(state, self.instructions[start:i]), self.instructions[i].reg, path[k])
             k, start = k + 1, i + 1
-        state = _advance(state, self.instructions[start:boundary])
-        chain.append((boundary, path, state))
+        state = _advance(state, self.instructions[start:boundary], rows=boundary in self.plan.draws)
+        if keep:
+            chain.append((boundary, path, state))
         return state
 
     def expand(self, k: int, path: tuple[int, ...], values: Sequence[int]) -> None:
@@ -980,10 +1075,12 @@ class _BranchWalk:
     def distribution(self, index: int, path: tuple[int, ...]) -> OutcomeDistribution:
         """The outcome distribution of instruction ``index`` on ``path``,
         memoised; one that ``expand`` has not reduced is computed from its
-        state."""
+        state.  The state of an inert dephasing is not kept: no node is
+        reached from it, so a later state would only copy it to write."""
         key = (index, path)
         if key not in self._distributions:
-            self._distributions[key] = _distribution(self.state(index, path), self.instructions[index].reg)
+            state = self.state(index, path, keep=index not in self.inert)
+            self._distributions[key] = _distribution(state, self.instructions[index].reg)
         return self._distributions[key]
 
     def trial(
@@ -1120,6 +1217,42 @@ class _BranchWalk:
         for value, group in zip(values.tolist(), np.split(rows[order], starts[1:])):
             self._look_up(uniforms, outcomes, probabilities, group, path + (value,))
 
+    def enumerate(self, observed: tuple[str, ...]) -> np.ndarray:
+        """The exact joint distribution of the observed registers, every one
+        of them measured at a node, as an array with one axis per observed
+        register, in ``observed`` order; an entry no branch reaches is 0.
+        Above the last node, every branch of a measurement is expanded as
+        one family before its children are pushed.  Every distribution a
+        draw could read is memoised then, so only the start state is kept."""
+        nodes, instrs = self.nodes, self.instructions
+        leaf = len(nodes) - 1
+        where = {instrs[i].reg: k for k, i in enumerate(nodes) if isinstance(instrs[i], Measure)}
+        acc = np.zeros(tuple(self.program.layout.dim(reg) for reg in observed))
+        at_leaf = tuple(slice(None) if where[reg] == leaf else None for reg in observed)
+        leaf_observed = any(where[reg] == leaf for reg in observed)
+        stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
+        while stack:
+            path, weight = stack.pop()
+            if len(path) < leaf:
+                dist = self.distribution(nodes[len(path)], path)
+                self.expand(len(path), path, dist.support)
+                children = [(path + (v,), weight * float(dist.probabilities[v])) for v in dist.support]
+                if len(path) + 1 < leaf:
+                    stack.extend(children)
+                    continue
+            # the leaves below, in the order the stack would pop them, read off
+            # as one block
+            leaves = children[::-1] if len(path) < leaf else [(path, weight)]
+            probs = np.array([self.distribution(nodes[leaf], branch).probabilities for branch, _ in leaves])
+            probs[probs <= PROB_EPS] = 0.0
+            weights = np.array([w for _, w in leaves])
+            if leaf_observed:
+                probs *= weights[:, None]
+            for (branch, _), term in zip(leaves, probs if leaf_observed else probs.sum(axis=1) * weights):
+                acc[tuple(branch[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))] += term
+        del self._chain[1:]
+        return acc
+
 
 def _prefix(program: CircuitProgram, stop: int) -> _Slice:
     """The slice at boundary ``stop``, reached by one segment from |0...0>;
@@ -1127,7 +1260,7 @@ def _prefix(program: CircuitProgram, stop: int) -> _Slice:
     draws = program._plan.draws
     if draws and draws[0] < stop:
         raise RewriteNotApplicableError(f"{program.instructions[draws[0]]!r} before boundary {stop}; not unitary")
-    return _advance(_start_slice(program.layout, None), program.instructions[:stop])
+    return _advance(_start_slice(program.layout, None), program.instructions[:stop], rows=False)
 
 
 def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:
@@ -1234,33 +1367,15 @@ def defer_measurements(program: CircuitProgram) -> CircuitProgram:
 
 def _enumerate(program: CircuitProgram, observed: tuple[str, ...], initial: PureState | None) -> np.ndarray:
     """The exact joint distribution of the observed registers as an array
-    with one axis per observed register, in ``observed`` order; an entry no
-    branch reaches is 0.  Above the last node, every branch of a
-    measurement is expanded as one family before its children are pushed."""
+    with one axis per observed register, in ``observed`` order: the
+    enumeration of a walk that leaves the unobserved terminal measurements
+    out."""
     if not observed:
         raise ProgramError("no observed registers")
     missing = set(observed) - set(program.measured_registers())
     if missing:
         raise ProgramError(f"observed registers {sorted(missing)} are never measured")
-    walk = _BranchWalk(program, initial, observed)
-    nodes, instrs = walk.nodes, program.instructions
-    leaf = len(nodes) - 1
-    where = {instrs[i].reg: k for k, i in enumerate(nodes) if isinstance(instrs[i], Measure)}
-    acc = np.zeros(tuple(program.layout.dim(reg) for reg in observed))
-    at_leaf = tuple(slice(None) if where[reg] == leaf else None for reg in observed)
-    leaf_observed = any(where[reg] == leaf for reg in observed)
-    stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-    while stack:
-        path, weight = stack.pop()
-        dist = walk.distribution(nodes[len(path)], path)
-        if len(path) < leaf:
-            walk.expand(len(path), path, dist.support)
-            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support)
-            continue
-        probs = np.where(dist.probabilities > PROB_EPS, dist.probabilities, 0.0)
-        index = tuple(path[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))
-        acc[index] += weight * probs if leaf_observed else weight * probs.sum()
-    return acc
+    return _BranchWalk(program, initial, observed).enumerate(observed)
 
 
 def enumerate_outcome_distribution(

@@ -51,6 +51,15 @@ def positive_int(raw: str) -> int:
 
 MAX_DRAWER_QUBITS = MAX_QUBITS - 1  # and the kickback qubit
 
+# A sampled trial keeps an outcome and a probability, 8 bytes each, for
+# each of at most two measured registers: the trial arrays stay within
+# 512 MiB.
+MAX_TRIALS = (1 << 29) // (2 * 2 * 8)
+
+# A Monte Carlo sample draws one phase per slot of the mixture, four in
+# mixture-check: the draws stay within 2^26 doubles, seconds of work.
+MAX_SAMPLES = (1 << 26) // 4
+
 
 def drawer_count(raw: str) -> int:
     """A power of two from 2 to 2^MAX_DRAWER_QUBITS, checked before any table is built."""
@@ -83,6 +92,8 @@ def _game_problem(args: argparse.Namespace) -> str | None:
         return f"--variant extended needs --n 4, got {args.n}"
     if args.command == "mixture-check" and args.n != 4:
         return f"--n must be 4, got {args.n}"
+    if args.command == "mixture-check" and args.samples > MAX_SAMPLES:
+        return f"--samples must be at most {MAX_SAMPLES}, got {args.samples}"
     if args.command == "grover" and args.variant == "standard" and not 0 <= args.k < args.n:
         return f"--k must be in 0..{args.n - 1}, got {args.k}"
     if args.command != "game":
@@ -131,6 +142,8 @@ def _usage_problem(args: argparse.Namespace) -> str | None:
         problem = _modexp_problem(args.base, args.modulus) or _instance_problem(
             args.n, None if modexp else args.r, args.modulus
         )
+        if not problem and args.trials > MAX_TRIALS:
+            problem = f"--trials must be at most {MAX_TRIALS}, got {args.trials}"
     elif args.command == "defer-check":
         problem = _observed_problem(args.observed) or (_instance_problem(args.n, args.r, None) if args.fig1 else None)
     else:
@@ -372,19 +385,15 @@ def _load_program(path: str) -> circuit_ir.CircuitProgram:
 
 
 def _cmd_defer_check(args: argparse.Namespace, seed: int) -> dict:
+    if not (args.fig1 or args.circuit):
+        raise _UsageError("need --circuit FILE or --fig1")
+    if not (args.fig1 or args.against or args.auto_defer):
+        raise _UsageError("need --against FILE or --auto-defer")
     if args.fig1:
-        inst = shor.build_periodic(args.n, args.r)
-        program = shor.period_circuit(inst, "measure-F-at-t2")
-    elif args.circuit:
+        program = shor.period_circuit(shor.build_periodic(args.n, args.r), "measure-F-at-t2")
+    else:
         program = _load_program(args.circuit)
-    else:
-        raise QdeskError("need --circuit FILE or --fig1")
-    if args.against:
-        other = _load_program(args.against)
-    elif args.auto_defer or args.fig1:
-        other = circuit_ir.defer_measurements(program)
-    else:
-        raise QdeskError("need --against FILE or --auto-defer")
+    other = _load_program(args.against) if args.against else circuit_ir.defer_measurements(program)
     if args.observed is not None:
         observed = _observed_names(args.observed)
     else:

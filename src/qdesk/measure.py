@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -153,14 +154,31 @@ def record_lines(
 
 def _register_marginals(amplitudes: np.ndarray, axis_shape: tuple[int, int, int]) -> np.ndarray:
     """A register's outcome probabilities in each state that ``amplitudes``
-    holds back to back, one row each: |amplitude|^2 of each state's
-    ``(left, d, right)`` view (``axis_shape``) summed over every axis but
-    the register's, which numpy reduces row by row as it reduces one state
-    (a sum over nothing else is the squares themselves)."""
+    holds back to back, one row each: ``_summed_squares`` of each state's
+    ``(left, d, right)`` view (``axis_shape``)."""
     left, d, right = axis_shape
-    squares = np.abs(amplitudes.reshape(-1, left, d, right))
+    return _summed_squares(amplitudes.reshape(-1, left, d, right), 2)
+
+
+def _summed_squares(block: np.ndarray, axis: int) -> np.ndarray:
+    """|amplitude|^2 of a ``(rows, ...)`` block of any strides summed over
+    every axis but the first and ``axis``: over the axes after ``axis``,
+    then over those before it, each sum in index order, one term after
+    another.  An exact zero adds nothing in such a sum, wherever it stands,
+    so leaving zero terms out keeps every bit: the walk's rows, which leave
+    out the values their register does not take, sum as the written-out
+    state does.  numpy adds the leading axis of a reduction one slice at a
+    time, so the squares are laid out with the axes after ``axis`` first
+    (numpy adds eight or more terms along the innermost axis pairwise)."""
+    rows, d = block.shape[0], block.shape[axis]
+    left, right = prod(block.shape[1:axis]), prod(block.shape[axis + 1 :])
+    if right > 1:
+        block = block.transpose([*range(axis + 1, block.ndim), *range(axis + 1)])
+    squares = np.abs(block, order="C")
     squares **= 2
-    return squares.reshape(-1, d) if left == right == 1 else squares.sum(axis=(1, 3))
+    squares = squares.reshape(right, rows, left, d)
+    squares = np.add.reduce(squares, axis=0) if right > 1 else squares[0]
+    return squares[:, 0] if left == 1 else squares.sum(axis=1)
 
 
 def outcome_distribution(state: PureState, reg: str) -> OutcomeDistribution:

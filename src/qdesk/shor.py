@@ -12,13 +12,16 @@ The three disciplines agree exactly on the final [X] statistics:
 * ``annihilate-F``     -- a ``Dephase("F")`` instruction: replace the pure
   state by its random-phase mixture over F values.
 
-All three are ``circuit_ir`` programs (``period_circuit``) and sampled runs
-execute them.  Nothing but measurements touches F after the dephasing, so
-it is inert: an annihilate-F trial draws its F phases and then draws X from
-the same [X] distribution a skip-F trial does, with one shared QFT per
-report.  Exact distributions are computed without sampling, from the
-support columns of the oracle's output, so the equality of the disciplines
-is a 1e-10 assertion rather than a statistical one.
+All three are ``circuit_ir`` programs (``period_circuit``), and the walk
+runs them, sampled and exact.  Nothing but measurements and the dephasing
+touches F after the oracle, so the walk holds F as one row of X amplitudes
+per value of f from the oracle on, and the X transform runs on those rows,
+never on an (X, F) state.  Nothing but measurements touches F after the
+dephasing either, so it is inert: an annihilate-F trial draws its F phases
+and then draws X from the same [X] distribution a skip-F trial does, with
+one shared QFT per report.  Exact distributions enumerate the program's
+branches without sampling, so the equality of the disciplines is a 1e-10
+assertion rather than a statistical one.
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ from .circuit_ir import (
     GateOp,
     Measure,
     Prepare,
-    sample_outcomes,
+    _BranchWalk,
     sampled_records,
     unitary_prefix,
 )
 from .errors import ShapeMismatchError
-from .gates import FunctionTable, fourier_axis, modexp_table
-from .measure import PROB_EPS, MeasurementRecord
+from .gates import FunctionTable, modexp_table
+from .measure import MeasurementRecord
 from .qstate import PureState, RegisterLayout
 
 DISCIPLINES = ("measure-F-at-t2", "skip-F", "annihilate-F")
@@ -75,6 +78,16 @@ class PeriodFindingInstance:
     @cached_property
     def _candidates(self) -> dict[int, int | None]:
         """``extract_period`` of each outcome asked for so far."""
+        return {}
+
+    @cached_property
+    def _walks(self) -> dict[str, _BranchWalk]:
+        """The walk of each discipline's program asked for so far, kept for
+        as long as the instance lives, so that a report's exact distribution
+        and trials share it.  After the enumeration a walk keeps only its
+        memoised distributions (under measure-F-at-t2 one [X] distribution
+        per F value); trials drawn without it keep its chain of states too
+        (F's rows, and the family of F's branches)."""
         return {}
 
 
@@ -111,10 +124,6 @@ def state_after_oracle(inst: PeriodFindingInstance) -> PureState:
     return unitary_prefix(period_circuit(inst, "skip-F"), "t2")
 
 
-# The input register's preparation, before the oracle.
-_PREPARE_X = (Prepare("X", 0), GateOp("hadamard", reg="X"))
-
-
 def period_circuit(inst: PeriodFindingInstance, discipline: str) -> CircuitProgram:
     """The block-diagram program for any discipline, tagged t1..t4 on
     instruction boundaries; t4 sits right before the X measurement.
@@ -122,7 +131,13 @@ def period_circuit(inst: PeriodFindingInstance, discipline: str) -> CircuitProgr
     measure-F-at-t2 measures F at t2, skip-F leaves it alone, and
     annihilate-F dephases it at t2 (and measures it last, like skip-F).
     """
-    head = [*_PREPARE_X, GateOp("oracle-xor", in_reg="X", out_reg="F", table=inst.table)]
+    instrs, tags = _period_instructions(inst, discipline)
+    return CircuitProgram(inst.layout, instrs, tags)
+
+
+def _period_instructions(inst: PeriodFindingInstance, discipline: str) -> tuple[tuple, dict[str, int]]:
+    """``period_circuit``'s instructions and time tags."""
+    head = [Prepare("X", 0), GateOp("hadamard", reg="X"), GateOp("oracle-xor", in_reg="X", out_reg="F", table=inst.table)]
     if discipline == "measure-F-at-t2":
         instrs = head + [Measure("F"), GateOp("qft", reg="X"), Measure("X")]
         tags = {"t1": 1, "t2": 3, "t3": 4, "t4": 5}
@@ -134,7 +149,7 @@ def period_circuit(inst: PeriodFindingInstance, discipline: str) -> CircuitProgr
         tags = {"t1": 1, "t2": 3, "t3": 4, "t4": 5}
     else:
         raise ValueError(f"discipline must be one of {DISCIPLINES}, got {discipline!r}")
-    return CircuitProgram(inst.layout, tuple(instrs), tags)
+    return tuple(instrs), tags
 
 
 def extract_period(outcome: int, table: FunctionTable) -> int | None:
@@ -171,6 +186,17 @@ def _candidate(inst: PeriodFindingInstance, outcome: int) -> int | None:
     return memo[outcome]
 
 
+def _walk(inst: PeriodFindingInstance, discipline: str) -> _BranchWalk:
+    """The branch walk of ``period_circuit`` up to its X measurement, one
+    per instance and discipline: the exact [X] distribution enumerates it
+    and sampled trials draw from it, so a report computes each node's
+    distribution once."""
+    if discipline not in inst._walks:
+        instrs, tags = _period_instructions(inst, discipline)
+        inst._walks[discipline] = _BranchWalk(CircuitProgram(inst.layout, instrs[: tags["t4"] + 1]), None)
+    return inst._walks[discipline]
+
+
 def sample_trials(
     inst: PeriodFindingInstance, discipline: str, trials: int, rng: np.random.Generator
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -178,16 +204,16 @@ def sample_trials(
     as the measured registers and ``circuit_ir.sample_outcomes``' outcome
     and probability arrays (one row per trial, one column per register).
 
-    The trials are one ``sample_outcomes`` call over ``period_circuit`` up
-    to its X measurement, so what every trial shares (the state up to the
-    first measurement or dephasing, and each F branch's [X] distribution)
-    is computed once, and every discipline's program draws as arrays, a
-    block of trials at a time.  Outcomes, probabilities and the generator's
-    state are those of successive ``circuit_ir.run`` calls.
+    The trials draw from the walk of ``period_circuit`` up to its X
+    measurement that the exact distribution enumerates, so what every
+    trial shares (the state up to the first measurement or dephasing, and
+    each F branch's [X] distribution) is computed once per instance, and
+    every discipline's program draws as arrays, a block of trials at a
+    time.  Outcomes, probabilities and the generator's state are those of
+    successive ``circuit_ir.run`` calls.
     """
-    program = period_circuit(inst, discipline)
-    through_x = CircuitProgram(inst.layout, program.instructions[: program.time_tags["t4"] + 1])
-    return (through_x.measured_registers(), *sample_outcomes(through_x, rng, trials))
+    walk = _walk(inst, discipline)
+    return (walk.program.measured_registers(), *walk.draws(rng, trials))
 
 
 def _distinct_candidates(inst: PeriodFindingInstance, x_outcomes: np.ndarray) -> tuple[list, list, np.ndarray]:
@@ -230,35 +256,18 @@ def sample_runs(
 
 
 def exact_outcome_distribution(inst: PeriodFindingInstance, discipline: str) -> np.ndarray:
-    """Exact final [X] distribution, computed along the discipline's own route.
+    """Exact final [X] distribution under the discipline: the walk's
+    enumeration of ``period_circuit`` observed on X, one entry per outcome.
+    The measurements after X are not observed, so the walk stops at X, and
+    sampled trials draw from the same walk.
 
-    Both routes work on the F support columns of the t2 state's ``(X, F)``
-    block: the column of F = v holds the prepared X amplitude at each x
-    with f(x) = v and zero elsewhere, so it is built from the X register
-    and the table alone, as an X-by-support matrix, and Fourier-transformed
-    along X by one batched FFT.  No state of the full layout is built.
-
-    * measure-F-at-t2: the Born-weighted sum over the columns, each
-      normalised to its post-measurement branch.
-    * skip-F and annihilate-F: the sum of |FFT|^2 over the columns.  F is
-      measured last or dephased, and either way the cross terms between F
-      values leave the X marginal.
-
-    Branch enumeration of ``period_circuit`` is the independent test oracle.
+    No gate touches F after the oracle, so the walk holds it as one row
+    per value of f from the oracle on, and no (X, F) state is built: the X
+    transform runs on the rows.  Under measure-F-at-t2 the rows are F's
+    branches, each renormalised and weighted by its probability; under
+    skip-F and annihilate-F the rows' X marginals are summed.
     """
-    if discipline not in DISCIPLINES:
-        raise ValueError(f"discipline must be one of {DISCIPLINES}, got {discipline!r}")
-    prepared = unitary_prefix(CircuitProgram(RegisterLayout.of(X=inst.n), _PREPARE_X), len(_PREPARE_X))
-    values, column = np.unique(inst.table.values, return_inverse=True)
-    columns = np.zeros((inst.dimension, values.size), dtype=np.complex128)
-    columns[np.arange(inst.dimension), column] = prepared.amplitudes
-    f_probs = (np.abs(columns) ** 2).sum(axis=0)
-    support = f_probs > PROB_EPS
-    columns, weights = columns[:, support], f_probs[support]
-    if discipline == "measure-F-at-t2":
-        branches = np.abs(fourier_axis(columns / np.sqrt(weights), 0)) ** 2
-        return branches @ weights
-    return (np.abs(fourier_axis(columns, 0)) ** 2).sum(axis=1)
+    return _walk(inst, discipline).enumerate(("X",))
 
 
 def single_run_success_probability(

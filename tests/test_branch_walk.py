@@ -379,8 +379,8 @@ class TestSharedWork:
         argv = ["shor", "--n", "5", "--r", "3", "--discipline", "skip-F", "--json", "--trials"]
         one = count_qft_calls(monkeypatch, capsys, argv + ["1"])
         many = count_qft_calls(monkeypatch, capsys, argv + ["200"])
-        # the shared sampled state; the exact distribution transforms only
-        # the support columns, in one batched FFT outside the walk
+        # one walk for the exact distribution and the trials, which
+        # transforms F's rows once
         assert one == many == 1
 
     @pytest.mark.parametrize("r", [3, 4, 8, 13])
@@ -521,15 +521,17 @@ class TestInertDephase:
 
     def test_annihilate_f_report_makes_as_few_qfts_as_skip_f(self, monkeypatch, capsys):
         argv = ["shor", "--n", "5", "--r", "3", "--json", "--trials", "200", "--discipline"]
-        # the trials share one QFT of the unphased state; the exact
-        # distribution adds none under either discipline
+        # the trials share one QFT of the unphased state with the exact
+        # distribution under either discipline
         annihilate = count_qft_calls(monkeypatch, capsys, argv + ["annihilate-F"])
         assert annihilate <= count_qft_calls(monkeypatch, capsys, argv + ["skip-F"]) == 1
 
     def test_annihilate_f_dump_state_makes_one_qft(self, monkeypatch, capsys, tmp_path):
-        # the phased t4 state's; the X and F draws after t4 are not made
+        # the phased t4 state's, beside the exact distribution's; the X and
+        # F draws after t4 are not made
         argv = ["shor", "--n", "5", "--r", "3", "--discipline", "annihilate-F", "--trials", "0", "--json"]
-        assert count_qft_calls(monkeypatch, capsys, argv + ["--dump-state", str(tmp_path / "state.json")]) == 1
+        assert count_qft_calls(monkeypatch, capsys, argv) == 1
+        assert count_qft_calls(monkeypatch, capsys, argv + ["--dump-state", str(tmp_path / "state.json")]) == 2
 
     @settings(max_examples=80, deadline=None)
     @given(case=with_dephase_before_a_visible_one(), seed=SEEDS, trials=st.integers(1, 8))

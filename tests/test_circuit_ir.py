@@ -37,7 +37,6 @@ from qdesk import (
 )
 from qdesk import circuit_ir, grover
 from qdesk.circuit_ir import (
-    _inverse,
     apply_instruction,
     enumerate_outcome_distribution,
     instruction_from_json,
@@ -393,8 +392,6 @@ class TestDephase:
         state = make_basis_state(RegisterLayout.of(X=1), {})
         with pytest.raises(ProgramError):
             apply_instruction(state, Dephase("X"))
-        with pytest.raises(ProgramError):
-            _inverse(Dephase("X"))
 
     def test_backdating_across_dephase_is_rejected(self):
         program = period_circuit(build_periodic(2, 2), "annihilate-F")

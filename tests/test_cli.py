@@ -186,6 +186,24 @@ class TestShorCommand:
         dumped = PureState.from_json(json.loads(path.read_text()))
         assert np.abs(dumped.amplitudes - trace.state_at_tag("t4").amplitudes).max() < 1e-15
 
+    def test_trials_above_the_ceiling_is_a_usage_error_before_any_allocation(self, capsys):
+        argv = ["shor", "--n", "10", "--trials", str(cli.MAX_TRIALS + 1), "--json"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            f"qdesk: error: shor: --trials must be at most {cli.MAX_TRIALS}, got {cli.MAX_TRIALS + 1}"
+        ]
+        assert peak < 2**20
+
     def test_negative_trials_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["shor", "--n", "3", "--trials", "-5", "--json"])
@@ -470,9 +488,18 @@ class TestDeferCheckCommand:
         assert code == 0
         assert json.loads(out)["observed"] == ["X", "F"]
 
-    def test_missing_arguments(self, capsys):
-        code, _, err = run_cli(capsys, ["defer-check"])
-        assert code == 1
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["defer-check", "--json"], "need --circuit FILE or --fig1"),
+            (["defer-check", "--circuit", "F", "--json"], "need --against FILE or --auto-defer"),
+        ],
+    )
+    def test_missing_arguments(self, capsys, argv, problem):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: defer-check: {problem}"]
 
 
 class TestCostCommand:
@@ -523,6 +550,24 @@ class TestCostCommand:
 
 
 class TestMixtureCheckCommand:
+    def test_samples_above_the_ceiling_is_a_usage_error_before_any_draw(self, capsys):
+        argv = ["mixture-check", "--samples", str(cli.MAX_SAMPLES + 1), "--json"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            f"qdesk: error: mixture-check: --samples must be at most {cli.MAX_SAMPLES}, got {cli.MAX_SAMPLES + 1}"
+        ]
+        assert peak < 2**20
+
     def test_distances(self, capsys):
         code, out, _ = run_cli(capsys, ["mixture-check", "--samples", "20000", "--seed", "3", "--json"])
         report = json.loads(out)

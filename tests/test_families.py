@@ -46,7 +46,11 @@ SEEDS = st.integers(0, 2**32 - 1)
 def born_filter(state, reg, outcome):
     """The amplitudes of a state with ``reg == outcome``, renormalised, as a
     fresh ``(left, right)`` array around the register's axis."""
-    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+    return filter_block(state.amplitudes.reshape(state.layout.axis_shape(reg)), reg, outcome)
+
+
+def filter_block(block, reg, outcome):
+    """``born_filter`` on a ``(left, d, right)`` block."""
     if not 0 <= outcome < block.shape[1]:
         raise ValueError(f"outcome {outcome} out of range for register {reg!r}")
     kept = block[:, outcome, :]
@@ -64,27 +68,46 @@ def born_project(state, reg, outcome):
     return PureState._adopt(state.layout, out.reshape(-1))
 
 
+def written_out(s):
+    """The slice with its register held as rows written out into its axis."""
+    return circuit_ir._Slice(s.layout, s.fixed, *circuit_ir._write_rows(s.layout, s.free, s.rows, s.amps))
+
+
 def project_one(s, reg, outcome):
     """The replaced projection: ``born_filter`` on the slice's free
-    registers, one branch at a time."""
+    registers, one branch at a time.  A register held as rows is written
+    out first; rows held beside the projected register join the left axis
+    of its block and stay held."""
+    if s.rows is not None and s.rows[0] == reg:
+        s = written_out(s)
     if reg in s.fixed:
         if s.fixed[reg] != outcome:
             raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
         return s
-    amps = born_filter(s.free_state(), reg, outcome).reshape(-1)
+    _, d, right = s.free.axis_shape(reg)
+    amps = filter_block(s.amps.reshape(-1, d, right), reg, outcome).reshape(-1)
     amps.setflags(write=False)
     fixed = {**s.fixed, reg: outcome}
-    return circuit_ir._Slice(s.layout, fixed, circuit_ir._free_layout(s.layout, fixed), amps)
+    free = circuit_ir._free_layout(s.layout, {*fixed, *(s.rows[:1] if s.rows else ())})
+    return circuit_ir._Slice(s.layout, fixed, free, amps, rows=s.rows)
 
 
 def distribution_one(s, reg):
     """The replaced reduction: |amplitude|^2 of one branch's ``(left, d,
-    right)`` view summed over all but the register axis."""
-    if reg not in s.fixed:
-        block = s.amps.reshape(s.free.axis_shape(reg))
-        return OutcomeDistribution(reg, (np.abs(block) ** 2).sum(axis=(0, 2)))
+    right)`` view summed over all but the register axis, one term after
+    another along ``right``, then one line after another along ``left``.
+    A register held as rows is written out first."""
+    if s.rows is not None:
+        s = written_out(s)
     probs = np.zeros(s.layout.dim(reg))
-    probs[s.fixed[reg]] = 1.0
+    if reg in s.fixed:
+        probs[s.fixed[reg]] = 1.0
+        return OutcomeDistribution(reg, probs)
+    for line in np.abs(s.amps.reshape(s.free.axis_shape(reg))) ** 2:
+        total = np.zeros(len(probs))
+        for column in line.T:
+            total += column
+        probs += total
     return OutcomeDistribution(reg, probs)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,35 @@ from qdesk import (
     state_after_oracle,
 )
 from qdesk.circuit_ir import Dephase, Measure, enumerate_outcome_distribution
+from qdesk.gates import fourier_axis
+from qdesk.measure import PROB_EPS
 from qdesk.shor import DISCIPLINES, divisors, period_circuit, sample_runs, sample_trials, success_count
+
+
+def batched_outcome_distribution(inst, discipline):
+    """The exact [X] distribution by the batched route ``shor`` used before
+    it ran through the walk.
+
+    It works on the F support columns of the t2 state's ``(X, F)`` block:
+    the column of F = v holds the prepared X amplitude 2^(-n/2) at each x
+    with f(x) = v and zero elsewhere, so it is built from the table alone,
+    as an X-by-support matrix, and Fourier-transformed along X by one
+    batched FFT.  Under measure-F-at-t2 the distribution is the
+    Born-weighted sum over the columns, each normalised to its branch;
+    under skip-F and annihilate-F it is the sum of |FFT|^2 over the
+    columns, since F is measured last or dephased, and either way the cross
+    terms between F values leave the X marginal.
+    """
+    values, column = np.unique(inst.table.values, return_inverse=True)
+    columns = np.zeros((inst.dimension, values.size), dtype=np.complex128)
+    columns[np.arange(inst.dimension), column] = 2.0 ** (-inst.n / 2)
+    f_probs = (np.abs(columns) ** 2).sum(axis=0)
+    support = f_probs > PROB_EPS
+    columns, weights = columns[:, support], f_probs[support]
+    if discipline == "measure-F-at-t2":
+        branches = np.abs(fourier_axis(columns / np.sqrt(weights), 0)) ** 2
+        return branches @ weights
+    return (np.abs(fourier_axis(columns, 0)) ** 2).sum(axis=1)
 
 
 def euler_phi(r):
@@ -170,11 +199,11 @@ class TestExactDistribution:
             exact_outcome_distribution(build_periodic(2, 2), "postpone-X")
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_enumerated_program_matches_exact_route(self, n):
-        # branch enumeration of each discipline's program is the independent
-        # oracle for the batched-FFT route, over every r <= 2^n up to n = 6;
-        # above it, a non-dividing period, r = 2^(n-1) and two modular
-        # exponentiations, up to 2^20 amplitudes
+    def test_enumerated_program_matches_the_batched_route(self, n):
+        # the exact route, branch enumeration of each discipline's program,
+        # against the batched-FFT route it replaced, over every r <= 2^n up
+        # to n = 6; above it, a non-dividing period, r = 2^(n-1) and two
+        # modular exponentiations, up to 2^20 amplitudes
         if n > 6:
             insts = [build_periodic(n, 2 * n - 11), build_periodic(n, 1 << (n - 1))]
             insts += [build_modexp(2, 21, n), build_modexp(7, 15, n)]
@@ -191,7 +220,38 @@ class TestExactDistribution:
                 for (x,), p in enumerate_outcome_distribution(program, ["X"]).items():
                     enumerated[x] += p
                 exact = exact_outcome_distribution(inst, discipline)
-                assert np.abs(enumerated - exact).max() < 1e-12
+                assert np.array_equal(exact, enumerated)
+                assert np.abs(exact - batched_outcome_distribution(inst, discipline)).max() < 1e-12
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_small_period_at_the_ceiling_builds_no_full_state(self, discipline):
+        # n = 10, r = 3: F is held as three rows of 2^10 amplitudes from the
+        # oracle on, where the (X, F) state would be 2^20 (16 MiB); a fresh
+        # instance, since an instance keeps the walk it enumerated
+        exact_outcome_distribution(build_periodic(10, 3), discipline)
+        inst = build_periodic(10, 3)
+        tracemalloc.start()
+        try:
+            got = exact_outcome_distribution(inst, discipline)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.abs(got - batched_outcome_distribution(inst, discipline)).max() < 1e-12
+
+    @pytest.mark.parametrize("discipline", ["skip-F", "annihilate-F"])
+    def test_the_instance_keeps_no_state_after_its_exact_distribution(self, discipline):
+        # n = 10, r = 512: F's rows after the transform take 8 MiB; the walk
+        # the instance keeps for its trials holds its [X] distribution after
+        # the enumeration, not the rows it was reduced from
+        inst = build_periodic(10, 512)
+        tracemalloc.start()
+        try:
+            exact_outcome_distribution(inst, discipline)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
 
     def test_non_dividing_period_still_agrees_across_disciplines(self):
         # the clean comb structure needs r | N, but the discipline
@@ -372,6 +432,23 @@ class TestRunPipeline:
         for discipline in DISCIPLINES:
             result = sample_runs(inst, discipline, 1, np.random.default_rng(4))[0]
             assert 0 <= result.measured_value < 8
+
+    def test_annihilate_f_sampling_at_the_ceiling_peaks_as_measure_f_does(self):
+        # n = 10, r = 512: F is held as 512 rows of 2^10 amplitudes (8 MiB),
+        # and its distribution reduces their squares (4 MiB, laid out to be
+        # summed one F value after another); the dephasing's state is not
+        # kept beside the transformed one
+        inst = build_periodic(10, 512)
+        peaks = {}
+        for discipline in ("measure-F-at-t2", "annihilate-F"):
+            tracemalloc.start()
+            try:
+                sample_trials(inst, discipline, 100, np.random.default_rng(5))
+                peaks[discipline] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["annihilate-F"] <= 1.1 * peaks["measure-F-at-t2"]
+        assert peaks["measure-F-at-t2"] < 20 * 2**20
 
 
 class TestPeriodCircuit:

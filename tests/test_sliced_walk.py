@@ -314,6 +314,161 @@ class TestAgainstTheFullStateWalk:
             assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) < 1e-12
 
 
+FATES = ("measured", "dephased", "unobserved", "tagged", "gathered", "gated")
+
+
+def unitary_steps(draw, layout, regs, count, oracles=True):
+    """Up to ``count`` random prepares, gates and, unless ``oracles`` is
+    false, XOR oracles on ``regs``."""
+    instrs = []
+    ops = ("prepare", "hadamard", "qft", "inverse-qft", "grover-diffusion") + (("oracle",) if oracles else ())
+    for _ in range(draw(st.integers(0, count))):
+        reg = draw(st.sampled_from(regs))
+        others = [name for name in regs if name != reg]
+        op = draw(st.sampled_from(ops))
+        if op == "prepare":
+            keywords = ["uniform", "minus"] if layout.qubits(reg) == 1 else ["uniform"]
+            instrs.append(Prepare(reg, draw(st.sampled_from(keywords + [0, 1, layout.dim(reg) - 1]))))
+        elif op == "oracle" and others:
+            out = draw(st.sampled_from(others))
+            values = random_table(draw, layout.qubits(reg), layout.qubits(out))
+            table = FunctionTable(layout.qubits(reg), layout.qubits(out), values)
+            instrs.append(GateOp("oracle-xor", in_reg=reg, out_reg=out, table=table))
+        elif op != "oracle":
+            instrs.append(GateOp(op, reg=reg))
+    return instrs
+
+
+@st.composite
+def held_output_programs(draw, fate):
+    """A program from |0...0> on 2-3 registers in which an XOR oracle from
+    a spread input I into an output O still fixed holds O as rows: no later
+    instruction of the oracle's segment touches O.  Gates on the other
+    registers follow it, and O is then, by ``fate``:
+
+    * ``measured`` at a node that later gates follow;
+    * ``dephased`` by an inert dephasing among the later gates;
+    * ``unobserved``: measured last and summed out;
+    * ``tagged``: read by a time tag among the later gates;
+    * ``gathered``: left while another register is measured, and its
+      branches gathered, before O's own measurement;
+    * ``gated``: the same, and then touched by a gate, in the next
+      segment, which writes the rows out first.
+
+    Returns the program, the observed registers and the oracle's index.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    names = [f"R{i}" for i in range(len(sizes))]
+    layout = RegisterLayout(tuple(zip(names, sizes)))
+    i_reg, o_reg = draw(st.permutations(names))[:2]
+    rest = [name for name in names if name != o_reg]
+    instrs = [draw(st.sampled_from([Prepare(i_reg, "uniform"), GateOp("hadamard", reg=i_reg)]))]
+    instrs += unitary_steps(draw, layout, rest, 3, oracles=False)
+    if draw(st.booleans()):
+        instrs.append(Prepare(o_reg, draw(st.integers(1, layout.dim(o_reg) - 1))))
+    table = FunctionTable(layout.qubits(i_reg), layout.qubits(o_reg), random_table(draw, layout.qubits(i_reg), layout.qubits(o_reg)))
+    oracle = len(instrs)
+    instrs.append(GateOp("oracle-xor", in_reg=i_reg, out_reg=o_reg, table=table))
+    body = unitary_steps(draw, layout, rest, 5)
+    at = draw(st.integers(0, len(body)))
+    measured = []
+    if fate == "measured":
+        body[at:at] = [Measure(o_reg)]
+        measured.append(o_reg)
+    elif fate == "dephased":
+        body[at:at] = [Dephase(o_reg)]
+    elif fate in ("gathered", "gated"):
+        first = draw(st.sampled_from(rest))
+        body[at:at] = [Measure(first)]
+        measured.append(first)
+        body = body[: at + 1] + [instr for instr in body[at + 1 :] if first not in circuit_ir.touched_registers(instr)]
+        if fate == "gated":
+            body.insert(at + 1, GateOp(draw(st.sampled_from(["hadamard", "qft"])), reg=o_reg))
+    instrs += body
+    tags = {"mid": oracle + 1 + at} if fate == "tagged" else {}
+    last = [name for name in rest if name not in measured]
+    instrs += [Measure(name) for name in draw(st.permutations(last))]
+    if o_reg not in measured:
+        instrs.append(Measure(o_reg))
+    kept = [name for name in names if name != o_reg] if fate == "unobserved" else names
+    observed = tuple(draw(st.lists(st.sampled_from(kept), min_size=1, unique=True)))
+    return CircuitProgram(layout, tuple(instrs), tags), observed, oracle
+
+
+class TestOracleOutputHeldAsRows:
+    """An oracle's output held as rows against the full-state walk, which
+    writes every register out: node distributions, enumeration, sampled
+    records, and the tagged and final states at every boundary."""
+
+    @staticmethod
+    def held(program, oracle):
+        """The walk's state at the first draw after the oracle holds its
+        output as rows."""
+        first = min(i for i in program._plan.draws if i > oracle)
+        state = _BranchWalk(program, None).state(first, ())
+        assert state.rows is not None and state.rows[0] == program.instructions[oracle].out_reg
+
+    @pytest.mark.parametrize("fate", FATES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_distributions_and_enumeration(self, fate, data):
+        program, observed, oracle = data.draw(held_output_programs(fate))
+        self.held(program, oracle)
+        sliced, full = _BranchWalk(program, None), FullStateWalk(program, None)
+        stack = [()]
+        while stack:
+            path = stack.pop()
+            if len(path) == len(sliced.nodes):
+                continue
+            got = sliced.distribution(sliced.nodes[len(path)], path)
+            expected = full.distribution(full.nodes[len(path)], path)
+            assert np.abs(got.probabilities - expected.probabilities).max() < 1e-12
+            if len(path) + 1 < len(sliced.nodes):
+                sliced.expand(len(path), path, expected.support)
+            stack.extend(path + (v,) for v in expected.support)
+        got = enumerate_outcome_distribution(program, observed)
+        expected = full_state_enumeration(program, observed, None)
+        assert set(got) == set(expected)
+        for key in expected:
+            assert abs(got[key] - expected[key]) < 1e-12
+
+    @pytest.mark.parametrize("fate", FATES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=SEEDS, trials=st.integers(1, 10))
+    def test_sampled_records(self, fate, data, seed, trials):
+        program, _, oracle = data.draw(held_output_programs(fate))
+        self.held(program, oracle)
+        rng = np.random.default_rng(seed)
+        got = sample(program, rng, trials)
+        reference, expected_rng = FullStateWalk(program, None), np.random.default_rng(seed)
+        expected = [reference.trial(expected_rng)[0] for _ in range(trials)]
+        assert [[(r.register, r.outcome) for r in trial] for trial in got] == [
+            [(r.register, r.outcome) for r in trial] for trial in expected
+        ]
+        for trial, reference_trial in zip(got, expected):
+            for record, reference_record in zip(trial, reference_trial):
+                assert abs(record.probability - reference_record.probability) < 1e-12
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("fate", FATES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_tagged_and_final_states(self, fate, data, seed):
+        program, _, oracle = data.draw(held_output_programs(fate))
+        self.held(program, oracle)
+        tags = {**program.time_tags, **{f"b{i}": i for i in range(len(program.instructions) + 1)}}
+        got = _BranchWalk(program, None).trial(np.random.default_rng(seed), tags)
+        expected = FullStateWalk(program, None).trial(np.random.default_rng(seed), tags)
+        assert [(r.register, r.outcome) for r in got[0]] == [(r.register, r.outcome) for r in expected[0]]
+        for tag in tags:
+            assert_close(got[1][tag], expected[1][tag])
+        assert_close(got[2].state(), expected[2])
+        trace = run(program, np.random.default_rng(seed))
+        for tag in program.time_tags:
+            assert_close(trace.state_at_tag(tag), expected[1][tag])
+        assert_close(trace.final_state, expected[2])
+
+
 @st.composite
 def slices(draw):
     """A slice on 2-3 registers, a random subset of them fixed at random

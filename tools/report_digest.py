@@ -35,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 ROUNDS = 2
+DISCIPLINES = ("measure-F-at-t2", "skip-F", "annihilate-F")
 
 # Searches and period finding at the sizes where the in-place Fourier
 # transform and oracle matter most: 2^19 amplitudes, and 2^14 under every
@@ -45,13 +46,16 @@ ROUNDS = 2
 # lookups, and 2000 annihilate-F trials of 513 doubles each, which span
 # several blocks of uniforms; then searches with the kickback register
 # held: 4 drawers, whose exact-zero amplitudes carry their signs into the
-# dumped state, and 2^19 drawers, the 20-qubit ceiling; last, the README's
-# mixture check, 48 full batches of phase draws and a 1696-draw remainder.
+# dumped state, and 2^19 drawers, the 20-qubit ceiling; then the README's
+# mixture check, 48 full batches of phase draws and a 1696-draw remainder;
+# last, the shapes where F is held as rows from the oracle on: three rows
+# of 2^10 amplitudes, exact under every discipline and deferred, and 512
+# rows sampled under skip-F.
 CEILING = (
     (("grover", "--n", "262144", "--json"),)
     + tuple(
         ("shor", "--n", "10", "--base", "7", "--modulus", "15", "--discipline", discipline, "--trials", "50", "--json")
-        for discipline in ("measure-F-at-t2", "skip-F", "annihilate-F")
+        for discipline in DISCIPLINES
     )
     + (
         ("defer-check", "--fig1", "--n", "8", "--r", "128", "--json"),
@@ -66,6 +70,11 @@ CEILING = (
     + (("shor", "--n", "10", "--r", "512", "--discipline", "annihilate-F", "--trials", "2000", "--json"),)
     + (("grover", "--n", "4", "--k", "3", "--json"), ("grover", "--n", "524288", "--k", "300000", "--json"))
     + (("mixture-check", "--samples", "100000", "--seed", "3", "--json"),)
+    + tuple(("shor", "--n", "10", "--r", "3", "--discipline", discipline, "--json") for discipline in DISCIPLINES)
+    + (
+        ("shor", "--n", "10", "--r", "512", "--discipline", "skip-F", "--trials", "100", "--json"),
+        ("defer-check", "--fig1", "--n", "10", "--r", "3", "--json"),
+    )
 )
 
 
