@@ -48,38 +48,40 @@ of doubles, so ``sample`` draws a block of trials as one array of uniforms
 and looks each measurement's outcomes up in its memoised cumulative sums,
 one vectorised lookup per branch.
 
-Branches are register slices.  A walk state is the pair (fixed registers ->
-basis value, amplitude vector over the free registers): the start |0...0>
-fixes every register, a value prepare changes a fixed value and touches no
-amplitude, and a projection slices the measured register's axis and fixes
-it, so a branch after a measurement holds only the amplitudes its outcome
-left.  An XOR oracle whose input is fixed XORs the constant f(input) into
-its output, and one whose output is fixed at v moves each input amplitude
-to v XOR f(x); any other gate on a fixed register expands it into a one-hot
-axis first.  This is implicit measurement (Nielsen & Chuang 4.4) applied to
-the walk: a measured register carries no amplitudes of its own, and no
-later gate mixes the branches of its values, so all of them advance as one
-family, the rows of one block that every kernel runs on at once.  The same
-holds for an oracle's fixed output until a gate touches it again, so the
-walk holds it as rows from that oracle on, one row of the other registers'
-amplitudes per value it takes: a batch axis that no kernel mixes, and that
-leaves out the values f never takes.  The held register's distribution is
-its rows' weights, another register's is reduced in the written-out order
-with those zero terms left out, a measurement of the held register gathers
-its rows as a family, and one of another register keeps them in each
-branch.  The rows are written out into the register's axis, zero at the
-values they miss, by one routine: for a full state (a tagged or final one),
-for a dephasing the walk applies, and before a later gate that touches the
-register.  Where that gate comes in the oracle's own segment, or the
-segment ends at a state that is only read whole (``unitary_prefix``, a
-tag's, the final one), the oracle writes its output's axis at once
-instead.  Within a segment, a Hadamard (or a "uniform" or "minus" prepare)
-on a fixed register holds it in the Hadamard basis: the register stays out
-of the buffer until another gate touches it, so an XOR oracle into it is a
-sign flip on the inputs (phase kickback, Cleve et al. 1998) and a drawer
-search's diffusion runs on the search register alone.  A full
-``PureState`` is built only where one is handed out: ``run``'s tagged
-states and its final state when first read, ``unitary_prefix``,
+Branches are undivided rows.  A walk state is a register slice: fixed
+registers -> basis value, and the amplitudes over the free registers.  The
+start |0...0> fixes every register, a value prepare changes a fixed value
+and touches no amplitude, an XOR oracle whose input is fixed XORs the
+constant f(input) into its output, and one whose output is fixed at v
+moves each input amplitude to v XOR f(x); any other gate on a fixed
+register expands it into a one-hot axis first.  This is implicit
+measurement (Nielsen & Chuang 4.4) applied to the walk: no later gate
+touches a measured register, so no later gate mixes the branches of its
+values, and the walk holds it as rows, one row of the other registers'
+amplitudes per value, a batch axis that every kernel runs on at once.  The
+same holds for an oracle's fixed output until a gate touches it again, so
+the walk holds it as rows from that oracle on, one row per value it takes,
+leaving out the values f never takes.  A measurement's branches are the
+rows of its register, gathered by one routine: a selection of the rows of
+a register already held, one slice of the axis of a free one; a
+projection is the one-row case.  No amplitude is divided: a branch's
+squared norm is its path probability, read off the undivided marginal of
+the node before it, and a node's distribution is its register's marginal,
+reduced in the written-out order with the zero terms of the rows left out,
+divided by that probability.  A register held as rows is written out into
+its axis, zero at the values its rows miss, by one routine: for a full
+state (a tagged or final one), for a dephasing of it, and before a later
+gate that touches it.  Where that gate comes in the oracle's own segment,
+or the segment ends at a state that is only read whole
+(``unitary_prefix``, a tag's, the final one), the oracle writes its
+output's axis at once instead.  Within a segment, a Hadamard (or a
+"uniform" or "minus" prepare) on a fixed register holds it in the Hadamard
+basis: the register stays out of the buffer until another gate touches it,
+so an XOR oracle into it is a sign flip on the inputs (phase kickback,
+Cleve et al. 1998) and a drawer search's diffusion runs on the search
+register alone.  A full ``PureState`` is built only where one is handed
+out, divided by the square root of its path probability then: ``run``'s
+tagged states and its final state when first read, ``unitary_prefix``,
 ``backdate_outcome``, ``apply_instruction`` and ``project``.  ``run`` also
 returns the distribution each record was drawn from, so a caller that wants
 an outcome's probability reads the walk's own instead of a second marginal.
@@ -87,8 +89,8 @@ an outcome's probability reads the walk's own instead of a second marginal.
 Unitary segments on the free registers run in place, and every unitary
 route is a segment.  Wherever a state is computed, the gates between two
 projections (or a projection and the boundary asked for) run on one work
-buffer, copied once from the slice the segment starts at (a family's fresh
-gather is not copied) and mutated by ``gates``' in-place kernels.  A kept,
+buffer, copied once from the slice the segment starts at (a fresh gather
+is not copied) and mutated by ``gates``' in-place kernels.  A kept,
 tagged or returned state is never written.  A segment replays a repeated
 body: an instruction that leaves the buffer, the fixed values and the held
 registers as it found them (a kick into a held register, a kernel on free
@@ -103,8 +105,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
-from typing import Callable, Container, Mapping, NamedTuple, Sequence
+from functools import cached_property, lru_cache, partial
+from math import prod
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,7 +120,6 @@ from .measure import (
     OutcomeDistribution,
     ProjectionOperator,
     _dephase,
-    _register_marginals,
     _summed_squares,
     born_sample,
 )
@@ -449,18 +451,20 @@ class RunTrace:
     of the program's time tags, and the outcome distribution each record
     was drawn from.  Untagged intermediate states are not kept, so tag
     every boundary you want to read back.  The final state is written out
-    of the walk's last slice when first read: after a measurement its
-    full vector is mostly zeros that a caller may never look at."""
+    of the walk's last slice, and divided by the square root of its path
+    probability ``weight``, when first read: after a measurement its full
+    vector is mostly zeros that a caller may never look at."""
 
     program: CircuitProgram
     final: _Slice = field(repr=False, compare=False)
     records: tuple[MeasurementRecord, ...]
     tagged_states: Mapping[str, PureState]
     distributions: tuple[OutcomeDistribution, ...]
+    weight: float = field(default=1.0, repr=False, compare=False)
 
     @cached_property
     def final_state(self) -> PureState:
-        return self.final.state()
+        return self.final.state(self.weight)
 
     def state_at_tag(self, tag: str) -> PureState:
         if tag not in self.tagged_states:
@@ -468,33 +472,39 @@ class RunTrace:
         return self.tagged_states[tag]
 
 
-def _free_layout(layout: RegisterLayout, taken: Container[str]) -> RegisterLayout | None:
-    """The registers of ``layout`` not in ``taken`` (the fixed ones, and a
-    measured one or one held as rows), in layout order; None when that
-    leaves none."""
-    free = tuple((name, q) for name, q in layout.registers if name not in taken)
-    return RegisterLayout(free) if free else None
+@lru_cache(maxsize=256)
+def _sublayout(layout: RegisterLayout, names: frozenset[str]) -> RegisterLayout | None:
+    """The registers of ``layout`` among ``names``, in layout order: the
+    layout itself when that is all of them, None when it is none.  Layouts
+    are immutable, and a walk asks for the same few again and again."""
+    regs = tuple(r for r in layout.registers if r[0] in names)
+    return layout if len(regs) == len(layout.registers) else RegisterLayout(regs) if regs else None
 
 
 def _widened(layout: RegisterLayout, free: RegisterLayout | None, reg: str) -> RegisterLayout:
     """The free registers with ``reg`` added, in layout order."""
-    names = {reg, *(free.names if free else ())}
-    return RegisterLayout(tuple(r for r in layout.registers if r[0] in names))
+    return _sublayout(layout, frozenset(free.names if free else ()) | {reg})
+
+
+Rows = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 def _write_rows(
-    layout: RegisterLayout, free: RegisterLayout | None, rows: tuple[str, tuple[int, ...]], amps: np.ndarray
-) -> tuple[RegisterLayout, np.ndarray]:
-    """A register held as rows written out into its axis: the free layout
-    with it added, and a fresh buffer that holds each row at its value and
-    zero at every other value.  The rows are the innermost batch axis of
-    ``amps``; any batch in front of them stays in front."""
-    reg, values = rows
+    layout: RegisterLayout, free: RegisterLayout | None, rows: Rows, reg: str, amps: np.ndarray
+) -> tuple[RegisterLayout, Rows, np.ndarray]:
+    """One register held as rows written out into its axis: the free layout
+    with it added, the other rows, and a fresh buffer that holds each row at
+    its value and zero at every other value.  The batch axes of the other
+    rows stay in front, in their order."""
+    at = [name for name, _ in rows].index(reg)
+    values = list(rows[at][1])
     wide = _widened(layout, free, reg)
     left, d, right = wide.axis_shape(reg)
+    outer = prod(len(v) for _, v in rows[:at])
     out = np.zeros(amps.size // len(values) * d, dtype=np.complex128)
-    out.reshape(-1, left, d, right)[:, :, list(values), :] = amps.reshape(-1, len(values), left, right).transpose(0, 2, 1, 3)
-    return wide, out
+    source = amps.reshape(outer, len(values), -1, left, right)
+    out.reshape(outer, -1, left, d, right)[:, :, :, values, :] = source.transpose(0, 2, 3, 1, 4)
+    return wide, rows[:at] + rows[at + 1 :], out
 
 
 @dataclass(frozen=True)
@@ -504,135 +514,98 @@ class _Slice:
     over the ``free`` registers, in layout order (one amplitude when every
     register is fixed and ``free`` is None).
 
-    An oracle's output may be held as rows instead: ``rows`` names it and
-    its ascending values, and ``amps`` holds one unnormalised vector over
-    the ``free`` registers per value, back to back, the amplitudes where
-    the register holds that value.  The register is neither fixed nor free;
-    its rows are a batch axis that every kernel on the other registers runs
-    on at once."""
+    Registers may be held as rows instead: ``rows`` names each, outermost
+    first, with its ascending values, and ``amps`` holds one vector over the
+    ``free`` registers per joint value of them, back to back: the
+    amplitudes where they hold those values, never divided.  A held
+    register is neither fixed nor free; its rows are a batch axis that
+    every kernel on the other registers runs on at once.  A measurement
+    holds its register this way, one row per branch, and an oracle its
+    output, one row per value it takes."""
 
     layout: RegisterLayout
     fixed: Mapping[str, int]
     free: RegisterLayout | None
     amps: np.ndarray
-    rows: tuple[str, tuple[int, ...]] | None = field(default=None, kw_only=True)
+    rows: Rows = field(default=(), kw_only=True)
 
-    def state(self) -> PureState:
-        """The full state: the register held as rows, then each fixed one as
-        one row at its value, written out into its axis, every other
-        amplitude zero.  With nothing fixed or held, the same buffer."""
-        free, amps = self.free, self.amps
-        for rows in ([self.rows] if self.rows else []) + [(reg, (v,)) for reg, v in self.fixed.items()]:
-            free, amps = _write_rows(self.layout, free, rows, amps)
+    def state(self, weight: float = 1.0) -> PureState:
+        """The full state divided by the square root of ``weight``, the
+        branch's path probability: the amplitudes divided once, then each
+        register held as rows and each fixed one, as one row at its value,
+        written out into its axis, every other amplitude zero.  With nothing
+        fixed or held and a weight of 1, the same buffer."""
+        free, amps = self.free, self.amps if weight == 1.0 else self.amps / np.sqrt(weight)
+        rows = self.rows + tuple((reg, (v,)) for reg, v in self.fixed.items())
+        while rows:
+            free, rows, amps = _write_rows(self.layout, free, rows, rows[-1][0], amps)
         return PureState._adopt(self.layout, amps)
 
 
 def _branch_index(values: tuple[int, ...], reg: str, value: int) -> int:
-    """The position of ``value`` among a measurement's ascending branch
-    values; a value outside them has zero probability."""
+    """The position of ``value`` among a register's ascending row values; a
+    value outside them has zero probability."""
     j = bisect_left(values, value)
     if j == len(values) or values[j] != value:
         raise DegenerateStateError(f"projection on {reg}={value} has zero probability")
     return j
 
 
-@dataclass(frozen=True)
-class _Family(_Slice):
-    """The branches of one measurement of ``reg`` as one slice: ``amps`` holds
-    one state over the ``free`` registers per value in ``values`` (ascending),
-    back to back, and ``reg`` is neither fixed nor free.  No later
-    instruction touches a measured register, so the rows are a batch axis:
-    every kernel runs on all of them at once, row by row the arithmetic it
-    runs on one.  Each state may hold an oracle's output as rows of its own,
-    inside the family's.  ``owned`` marks rows that ``_gather`` has just
-    made and nothing else holds."""
-
-    reg: str
-    values: tuple[int, ...]
-    owned: bool = False
-
-    def row(self, value: int) -> _Slice:
-        """The branch where ``reg`` holds ``value``, as a view of its row."""
-        j = _branch_index(self.values, self.reg, value)
-        size = self.amps.size // len(self.values)
-        amps = self.amps[j * size : (j + 1) * size]
-        return _Slice(self.layout, {**self.fixed, self.reg: value}, self.free, amps, rows=self.rows)
-
-    def advanced(self, instrs: Sequence[Instruction]) -> "_Family":
-        """The family with the unitary instructions among ``instrs`` run on
-        every row as one segment, read-only; owned rows may be written in
-        place."""
-        end = _advance(self, instrs, owned=self.owned)
-        end.amps.setflags(write=False)
-        return _Family(self.layout, end.fixed, end.free, end.amps, self.reg, self.values, rows=end.rows)
-
-
-def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Family:
-    """The Born filter on each of ``values`` at once: one fresh row per
-    value, owned by the family, the amplitudes where ``reg`` holds it, each
-    divided by the square root of its own ``np.vdot`` weight.  A fixed
-    register has one row, the slice's own amplitudes, or zero probability.
-    A register held as rows gives its rows at those values; a register held
-    as rows beside the gathered one stays held in each row."""
+def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Slice:
+    """The branches where ``reg`` holds each of ``values`` (ascending), as
+    a fresh copy with ``reg`` held as their rows, outermost, and nothing
+    divided: a fixed register has one row, the slice's own amplitudes, or
+    zero probability; a register held as rows gives a selection of its
+    rows; a free register gives one slice of its axis.  A measurement's
+    branches, and a projection, the one-row case, are this gather; the
+    copy is what a segment from them writes in place."""
     values = tuple(values)
-    fixed = dict(s.fixed)
+    fixed, free, rows = dict(s.fixed), s.free, s.rows
     if reg in fixed:
         value = fixed.pop(reg)
-        for v in values:
-            _branch_index((value,), reg, v)
-        return _Family(s.layout, fixed, s.free, s.amps, reg, values, rows=s.rows)
-    held = s.rows
-    if held is not None and held[0] == reg:
-        block, at = s.amps.reshape(1, len(held[1]), -1), [_branch_index(held[1], reg, v) for v in values]
-        left, _, right = _widened(s.layout, s.free, reg).axis_shape(reg)
-        kept = (block[:, j, :] for j in at)
-        if right == 1 < left:
-            # a row is the written-out register's (left, right) view, which
-            # is strided where the register is last: weigh a strided copy
-            spaced = np.empty((left, 2), dtype=np.complex128)[:, 0]
-            kept = (np.copyto(spaced, block[0, j]) or spaced for j in at)
-        held, free = None, s.free
+        at, block = [_branch_index((value,), reg, v) for v in values], s.amps.reshape(1, 1, -1)
+    elif reg in dict(rows):
+        k = [name for name, _ in rows].index(reg)
+        at = [_branch_index(rows[k][1], reg, v) for v in values]
+        block = s.amps.reshape(prod(len(v) for _, v in rows[:k]), len(rows[k][1]), -1)
+        rows = rows[:k] + rows[k + 1 :]
     else:
-        _, d, right = s.free.axis_shape(reg)
-        for v in values:
-            if not 0 <= v < d:
-                raise ValueError(f"outcome {v} out of range for register {reg!r}")
-        block, at = s.amps.reshape(-1, d, right), list(values)
-        kept = (block[:, j, :] for j in at)
-        free = _free_layout(s.layout, {*fixed, reg, *(held[:1] if held else ())})
-    # each weight from the register's (left, right) view: np.vdot runs
-    # BLAS's strided loop where that view is strided
-    weights = np.array([np.vdot(row, row).real for row in kept])
-    rows = np.ascontiguousarray(block.transpose(1, 0, 2)[at]).reshape(len(values), -1)
-    for v, weight in zip(values, weights):
-        if weight < PROB_EPS:
-            raise DegenerateStateError(f"projection on {reg}={v} has zero probability")
-    rows /= np.sqrt(weights)[:, None]
-    return _Family(s.layout, fixed, free, rows.reshape(-1), reg, values, owned=True, rows=held)
+        _, d, right = free.axis_shape(reg)
+        if not all(0 <= v < d for v in values):
+            raise ValueError(f"outcomes {values} out of range for register {reg!r}")
+        at, block = list(values), s.amps.reshape(-1, d, right)
+        free = _sublayout(s.layout, frozenset(free.names) - {reg})
+    amps = np.ascontiguousarray(block.transpose(1, 0, 2)[at]).reshape(-1)
+    return _Slice(s.layout, fixed, free, amps, rows=((reg, values),) + rows)
 
 
-def _marginals(s: _Slice, reg: str, rows: int) -> np.ndarray:
-    """``reg``'s outcome probabilities in each of the ``rows`` states a
-    slice's amplitudes hold, one row each, by ``measure``'s reduction.  A
-    fixed register is certain.  A slice that holds a register as rows is
-    reduced in the written-out order, that register's axis holding only the
-    values of its rows: the terms left out are exact zeros, so every
-    probability is the written-out state's to the bit."""
+def _marginals(s: _Slice, reg: str, weights: Sequence[float]) -> np.ndarray:
+    """``reg``'s undivided outcome probabilities in each branch a slice
+    holds, one row each, by ``measure``'s in-order reduction: the branches
+    are the rows of the outermost register held as rows when ``weights``,
+    their path probabilities, are several, and the whole slice otherwise.
+    A fixed register is certain: its value carries the branch's weight.
+    Every other register held as rows is reduced in the written-out order,
+    its axis holding only the values of its rows: the terms left out are
+    exact zeros, so every probability is the written-out state's to the
+    bit."""
     if reg in s.fixed:
-        probs = np.zeros((rows, s.layout.dim(reg)))
-        probs[:, s.fixed[reg]] = 1.0
+        probs = np.zeros((len(weights), s.layout.dim(reg)))
+        probs[:, s.fixed[reg]] = weights
         return probs
-    if s.rows is None:
-        return _register_marginals(s.amps, s.free.axis_shape(reg))
-    held, values = s.rows
+    held = dict(s.rows[1:] if len(weights) > 1 else s.rows)
+    if not held:
+        return _summed_squares(s.amps.reshape(len(weights), *s.free.axis_shape(reg)), 2)
     free = s.free.names if s.free else ()
-    names = [name for name in s.layout.names if name == held or name in free]
-    block = s.amps.reshape([rows, len(values)] + [s.layout.dim(name) for name in free])
-    probs = _summed_squares(np.moveaxis(block, 1, 1 + names.index(held)), 1 + names.index(reg))
-    if reg != held:
+    names = [name for name in s.layout.names if name in held or name in free]
+    shape = [len(values) for values in held.values()] + [s.layout.dim(name) for name in free]
+    block = s.amps.reshape([len(weights)] + shape)
+    block = np.moveaxis(block, range(1, 1 + len(held)), [1 + names.index(name) for name in held])
+    probs = _summed_squares(block, 1 + names.index(reg))
+    if reg not in held:
         return probs
-    out = np.zeros((rows, s.layout.dim(reg)))
-    out[:, list(values)] = probs
+    out = np.zeros((len(weights), s.layout.dim(reg)))
+    out[:, list(held[reg])] = probs
     return out
 
 
@@ -674,13 +647,12 @@ class _Segment:
       free output register;
     * an XOR oracle from a free input into a fixed output v moves each
       amplitude of input x to the value v XOR f(x).  Where no later
-      instruction of the segment touches the output, no other register is
-      held as rows and the segment may hold rows, the output is held as
-      rows: one row per value f takes XOR v, ascending, the innermost batch
-      axis, and the slice the segment ends at holds them.  Otherwise the
-      amplitudes go straight into the output's axis.  An instruction that
-      touches a held register, in a later segment, writes its rows out
-      first;
+      instruction of the segment touches the output and the segment may
+      hold rows, the output is held as rows: one row per value f takes XOR
+      v, ascending, the innermost batch axis, and the slice the segment ends
+      at holds them.  Otherwise the amplitudes go straight into the
+      output's axis.  An instruction that touches a register held as rows,
+      in a later segment, writes its rows out first;
     * a Hadamard (or a "uniform" or "minus" prepare) holds the register at
       its value w: the register stays out of the buffer, which is scaled by
       2^(-q/2), and stands for the signs (-1)^popcount(w & y) times the
@@ -721,7 +693,7 @@ class _Segment:
         self.owned = False
         self.holds = holds
         self.held: set[str] = set()  # the fixed registers held in the Hadamard basis
-        self.rows = start.rows  # the register held as rows, and its values
+        self.rows = start.rows  # the registers held as rows, and their values
         self.holds_rows = False  # whether an oracle may hold its output as rows
         self.instrs: Sequence[Prepare | GateOp] = ()
         self.at = 0  # the index in ``instrs`` of the instruction applied
@@ -733,7 +705,8 @@ class _Segment:
 
     def expand(self, reg: str) -> None:
         """Write a fixed register out as the one row at its value."""
-        self.free, self.work = _write_rows(self.layout, self.free, (reg, (self.fixed.pop(reg),)), self.work)
+        rows = self.rows + ((reg, (self.fixed.pop(reg),)),)
+        self.free, _, self.work = _write_rows(self.layout, self.free, rows, reg, self.work)
         self.owned = True
 
     def broadcast(self, reg: str) -> None:
@@ -750,7 +723,7 @@ class _Segment:
         value = self.fixed.pop(reg)
         self.free = _widened(self.layout, self.free, reg)
         _, d, right = self.free.axis_shape(reg)
-        old = self.work.reshape(-1, right)  # the rows of a family join the left axis
+        old = self.work.reshape(-1, right)  # the rows join the left axis
         self.work, self.owned = np.zeros(old.size * d, dtype=np.complex128), True
         new = self.work.reshape(-1, d, right)
         if value:
@@ -818,13 +791,13 @@ class _Segment:
         else:
             value, free = self.fixed.pop(out_reg), self.free
             later = self.instrs[self.at + 1 :]
-            if self.rows is None and self.holds_rows and not any(out_reg in touched_registers(i) for i in later):
+            if self.holds_rows and not any(out_reg in touched_registers(i) for i in later):
                 values, column = np.unique(f.values ^ value, return_inverse=True)
                 left, d, right = free.axis_shape(in_reg)
                 source = self.work.reshape(-1, left, d, right)
                 target = np.zeros((source.shape[0], values.size, left, d, right), dtype=np.complex128)
                 target.transpose(1, 3, 0, 2, 4)[column, np.arange(d)] = source.transpose(2, 0, 1, 3)
-                self.rows = (out_reg, tuple(values.tolist()))
+                self.rows += ((out_reg, tuple(values.tolist())),)
             else:
                 names, self.free = free.names, _widened(self.layout, free, out_reg)
                 source = np.moveaxis(self.work.reshape([-1] + [self.layout.dim(n) for n in names]), 1 + names.index(in_reg), 0)
@@ -839,9 +812,10 @@ class _Segment:
         """Apply one instruction and return the step that repeats its work
         on the buffer; ``run`` keeps the step only where the instruction
         left the configuration as it found it."""
-        if self.rows is not None and self.rows[0] in touched_registers(instr):
-            self.free, self.work = _write_rows(self.layout, self.free, self.rows, self.work)
-            self.rows, self.owned = None, True
+        for reg, _ in self.rows:
+            if reg in touched_registers(instr):
+                self.free, self.rows, self.work = _write_rows(self.layout, self.free, self.rows, reg, self.work)
+                self.owned = True
         fixed, held = self.fixed, self.held
         if isinstance(instr, GateOp) and instr.kind == "oracle-xor" and instr.out_reg in held:
             if instr.in_reg in held:
@@ -893,17 +867,20 @@ class _Segment:
         return _Slice(self.layout, self.fixed, self.free, self.work, rows=self.rows)
 
 
-def _advance(start: _Slice, instrs: Sequence[Instruction], owned: bool = False, rows: bool = True) -> _Slice:
+def _advance(start: _Slice, instrs: Sequence[Instruction], rows: bool = True) -> _Slice:
     """``start`` with the unitary instructions among ``instrs`` applied in
     order, skipping measurements and dephasings, as one segment: one that
     holds registers where it can, unless an underflow makes it rerun
-    without holding.  ``owned`` lets a segment that holds nothing write
-    ``start``'s amplitudes in place; one that may hold copies them first,
-    since an underflow reruns it from ``start``.  Without ``rows`` no
-    oracle holds its output as rows: a slice that is only written out
-    would hold them beside the written-out state."""
+    without holding.  A segment that holds nothing writes ``start``'s
+    amplitudes in place when they are writeable, a fresh gather's that
+    nothing else holds: every slice returned here is read-only.  One that
+    may hold copies them first, since an underflow reruns it from
+    ``start``.  Without ``rows`` no oracle holds its output as rows: a
+    slice that is only written out would hold them beside the written-out
+    state."""
     unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
     if not unitary:
+        start.amps.setflags(write=False)
         return start
     if any(map(_opens_hold, unitary)):
         try:
@@ -912,53 +889,44 @@ def _advance(start: _Slice, instrs: Sequence[Instruction], owned: bool = False, 
         except FloatingPointError:
             pass
     segment = _Segment(start, holds=False)
-    segment.owned = owned
+    segment.owned = start.amps.flags.writeable
     return segment.run(unitary, rows)
 
 
-def _project(s: _Slice, reg: str, outcome: int) -> _Slice:
-    """The Born filter on a slice, a family of one branch: a free register's
-    axis is sliced at ``outcome`` and renormalised, and the register becomes
-    fixed; a fixed register keeps its amplitudes, or has zero probability."""
-    branch = _gather(s, reg, (outcome,)).row(outcome)
-    branch.amps.setflags(write=False)
-    return branch
+def _projection_weight(s: _Slice, reg: str, outcome: int) -> float:
+    """The probability of ``outcome`` on a normalised slice, the squared
+    norm of its projection there; one below ``PROB_EPS`` is zero."""
+    weight = float(_marginals(s, reg, (1.0,))[0, outcome])
+    if weight < PROB_EPS:
+        raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
+    return weight
 
 
 def project(state: PureState, p: ProjectionOperator) -> PureState:
     """Keep only the amplitudes with ``p.reg == p.outcome`` and renormalise
-    (the Born filter): the walk's projection on the state's start slice."""
-    return _project(_start_slice(state.layout, state), p.reg, p.outcome).state()
-
-
-def _distribution(s: _Slice, reg: str) -> OutcomeDistribution:
-    """A register's outcome distribution on a slice; a fixed one is certain."""
-    return OutcomeDistribution(reg, _marginals(s, reg, 1)[0])
+    (the Born filter): the walk's one-row gather on the state's start
+    slice, divided by the square root of its probability when it is written
+    out."""
+    start = _start_slice(state.layout, state)
+    branch = _gather(start, p.reg, (p.outcome,))
+    return branch.state(_projection_weight(start, p.reg, p.outcome))
 
 
 def _dephase_slice(s: _Slice, reg: str, values: Sequence[int], phases: np.ndarray) -> _Slice:
     """The slice with one phase on each listed value of ``reg``, through
-    ``measure``'s kernel; a fixed register's one value multiplies every
-    amplitude by its phase factor.  A register held as rows is written out
-    first."""
-    if s.rows is not None:
-        s = _Slice(s.layout, s.fixed, *_write_rows(s.layout, s.free, s.rows, s.amps))
-    if reg in s.fixed:
-        amps = np.exp(1j * np.asarray(phases, dtype=float)) * s.amps
-        amps += 0.0
+    ``measure``'s kernel, which multiplies every amplitude of a fixed
+    register's one value by its phase factor.  A register held as rows is
+    written out first; the other rows join the kernel's left axis."""
+    free, rows, amps = s.free, s.rows, s.amps
+    if reg in dict(rows):
+        free, rows, amps = _write_rows(s.layout, free, rows, reg, amps)
+    if reg in s.fixed:  # its one value is the middle axis's only entry
+        block, values = amps.reshape(-1, 1, 1), [0]
     else:
-        amps = _dephase(PureState._adopt(s.free, s.amps), reg, values, phases).reshape(-1)
+        block = amps.reshape(-1, *free.axis_shape(reg)[1:])
+    amps = _dephase(block, values, phases).reshape(-1)
     amps.setflags(write=False)
-    return _Slice(s.layout, s.fixed, s.free, amps)
-
-
-def _serves(entry: tuple[int, tuple[int, ...], _Slice], boundary: int, path: tuple[int, ...]) -> bool:
-    """Whether a chain entry lies on ``path`` at or before ``boundary``; a
-    family serves the paths through its node that take one of its values."""
-    at, taken, state = entry
-    if at > boundary or path[: len(taken)] != taken:
-        return False
-    return not isinstance(state, _Family) or (len(path) > len(taken) and path[len(taken)] in state.values)
+    return _Slice(s.layout, s.fixed, free, amps, rows=rows)
 
 
 class _BranchWalk:
@@ -977,25 +945,28 @@ class _BranchWalk:
 
     The state at any boundary is a function of (boundary, path), so
     ``state`` computes it on demand from the deepest state it has kept on
-    that path, and ``distribution`` memoises each node's outcome
-    distribution.  Every state is a ``_Slice``: a projection fixes the
-    register it measures, so a branch holds amplitudes over the registers
-    still free, and a full state is built only for a tagged or final state.
+    that path.  Every state is a ``_Slice``, and no amplitude is ever
+    divided: a branch is the one row of its measured register (Nielsen &
+    Chuang 4.4: the register is frozen, so nothing later mixes its
+    branches), and its squared norm is its path probability, which
+    ``weight`` reads off the undivided marginal of the node before it.
+    ``marginal`` memoises each node's undivided marginal, a float row, and
+    ``distribution`` divides it by the path probability, once, where a draw
+    or the API reads one.  A full state is built only for a tagged or final
+    state, and divided by the square root of its path probability then.
 
-    A measurement's branches advance as one family (Nielsen & Chuang 4.4:
-    the measured register is frozen, so nothing later mixes its branches).
-    ``expand`` gathers the values of a measurement that its caller will
-    walk into the rows of one ``_Family``, renormalised row by row, runs
-    the segment up to the next node once on the whole block, and memoises
-    that node's distribution on each of those branches, one row each:
-    enumeration asks for every support value, a block of sampled trials for
-    the values it drew.  The family takes its parent state's place on the
-    chain, where a deeper node, a tag or a trial reads its branch as a view
-    of its row.  A branch no kept family holds (a single trial's, one of a
-    visible dephasing, whose register later gates touch, or one read past
-    the last node) is projected on its own.  Kept states and families form
-    one chain from the start, one per visited node of one path, never one
-    per branch.
+    A measurement's branches advance as one slice.  ``expand`` gathers the
+    values of a measurement that its caller will walk as rows of its
+    register, runs the segment up to the next node once on the whole block,
+    and memoises that node's marginal on each of those branches, rows of
+    one array: enumeration asks for every support value, a block of sampled
+    trials for the values it drew.  The gathered slice takes its parent
+    state's place on the chain, where a deeper node, a tag or a trial reads
+    its branch as a copy of its row.  A branch no kept slice holds (a
+    single trial's, one of a visible dephasing, whose register later gates
+    touch, or one read past the last node) is gathered on its own.  Kept
+    states form one chain from the start, one per visited node of one path,
+    never one per branch.
     """
 
     def __init__(self, program: CircuitProgram, initial: PureState | None, observed: Sequence[str] | None = None):
@@ -1004,11 +975,12 @@ class _BranchWalk:
         instrs = self.instructions = program.instructions
         self.inert, self.fixed_width = plan.inert, plan.fixed_width
         self.nodes = tuple(i for i in plan.nodes if observed is None or i < plan.tail or instrs[i].reg in observed)
-        # (boundary, path, state): a family's path is the one to its node,
-        # and it serves every branch of that node
+        # (boundary, path, state); an entry whose path stops short of a node
+        # before its boundary holds that node's branches as rows
         self._chain: list[tuple[int, tuple[int, ...], _Slice]] = [
             (0, (), _start_slice(program.layout, initial))
         ]
+        self._marginals: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
 
     def state(self, boundary: int, path: tuple[int, ...], keep: bool = True) -> _Slice:
@@ -1016,83 +988,98 @@ class _BranchWalk:
         without the phases of inert dephasings, kept on the chain unless
         ``keep`` is false.
 
-        The deepest kept state on the path may be a row of a family.  Each
-        unitary segment between it and the boundary runs as one
-        ``_Segment``, ended by a node's projection of the one branch or by
-        the boundary; no kept state is ever written.  The state at a
-        boundary that draws nothing (a tag's, or the final one) is read
-        only as a full state, so its last segment holds no rows."""
+        The deepest kept state on the path may be a row of a gathered
+        slice: an entry whose path stops short of a node before its
+        boundary holds that node's branches as rows, and lies on the paths
+        that take one of their values.  Each unitary segment between it and
+        the boundary runs as one ``_Segment``, ended by a node's gather of
+        the one branch or by the boundary; no kept state is ever written.
+        The state at a boundary that draws nothing (a tag's, or the final
+        one) is read only as a full state, so its last segment holds no
+        rows."""
         chain = self._chain
-        while not _serves(chain[-1], boundary, path):
+        while True:
+            start, taken, state = chain[-1]
+            k = len(taken)
+            if start <= boundary and path[:k] == taken:
+                if k == len(self.nodes) or self.nodes[k] >= start:
+                    break
+                if len(path) > k and path[k] in state.rows[0][1]:
+                    state, k = _gather(state, state.rows[0][0], (path[k],)), k + 1
+                    break
             chain.pop()
-        at, taken, state = chain[-1]
-        k = len(taken)
-        if isinstance(state, _Family):
-            state, k = state.row(path[k]), k + 1
-        if at == boundary:
+        if start == boundary:
             return state
-        start = at
         for i in self.nodes[k:]:
             if i >= boundary:
                 break
-            state = _project(_advance(state, self.instructions[start:i]), self.instructions[i].reg, path[k])
+            state = _gather(_advance(state, self.instructions[start:i]), self.instructions[i].reg, (path[k],))
             k, start = k + 1, i + 1
         state = _advance(state, self.instructions[start:boundary], rows=boundary in self.plan.draws)
         if keep:
             chain.append((boundary, path, state))
         return state
 
-    def expand(self, k: int, path: tuple[int, ...], values: Sequence[int]) -> None:
-        """Memoise node ``k + 1``'s distribution on the branches of node
-        ``k`` on ``path`` that take ``values`` (ascending), when node ``k``
-        is a measurement: those not yet memoised are gathered into one
-        family, run to node ``k + 1`` as one segment and reduced row by row,
-        and the family is kept on the chain in the place of the state it
-        was gathered from.  A visible dephasing's branches are left to
-        ``distribution``, one at a time."""
-        i, j = self.nodes[k], self.nodes[k + 1]
-        if isinstance(self.instructions[i], Dephase):
-            return
-        values = [v for v in values if (j, path + (v,)) not in self._distributions]
-        if not values:
-            return
-        family = self._family(i, j, path, values)
-        reg = self.instructions[j].reg
-        for v, probs in zip(values, _marginals(family, reg, len(values))):
-            self._distributions[j, path + (v,)] = OutcomeDistribution(reg, probs)
+    def weight(self, path: tuple[int, ...]) -> float:
+        """A branch's path probability, its squared norm: the undivided
+        marginal of the node before it, on the path before, at its value;
+        exactly 1 at the start."""
+        if not path:
+            return 1.0
+        return float(self.marginal(self.nodes[len(path) - 1], path[:-1])[path[-1]])
 
-    def _family(self, i: int, j: int, path: tuple[int, ...], values: list[int]) -> _Family:
-        """The branches of the measurement at ``i`` on ``path`` that take
-        ``values``, gathered and run to the node at ``j``, kept on the chain
-        in the place of the state they were gathered from."""
-        at_node = self.state(i, path)
-        family = _gather(at_node, self.instructions[i].reg, values).advanced(self.instructions[i + 1 : j])
-        if len(self._chain) > 1 and self._chain[-1][2] is at_node:
-            self._chain.pop()
-        self._chain.append((j, path, family))
-        return family
+    def marginal(self, index: int, path: tuple[int, ...]) -> np.ndarray:
+        """The undivided outcome probabilities of instruction ``index`` on
+        ``path``, memoised; those ``expand`` has not reduced are reduced
+        from the branch's state.  The state of an inert dephasing is not
+        kept: no node is reached from it, so a later state would only copy
+        it to write."""
+        key = (index, path)
+        if key not in self._marginals:
+            state = self.state(index, path, keep=index not in self.inert)
+            self._marginals[key] = _marginals(state, self.instructions[index].reg, (self.weight(path),))[0]
+        return self._marginals[key]
 
     def distribution(self, index: int, path: tuple[int, ...]) -> OutcomeDistribution:
-        """The outcome distribution of instruction ``index`` on ``path``,
-        memoised; one that ``expand`` has not reduced is computed from its
-        state.  The state of an inert dephasing is not kept: no node is
-        reached from it, so a later state would only copy it to write."""
+        """The outcome distribution of instruction ``index`` on ``path``:
+        its marginal divided by the path probability, memoised."""
         key = (index, path)
         if key not in self._distributions:
-            state = self.state(index, path, keep=index not in self.inert)
-            self._distributions[key] = _distribution(state, self.instructions[index].reg)
+            probabilities = self.marginal(index, path) / self.weight(path)
+            self._distributions[key] = OutcomeDistribution(self.instructions[index].reg, probabilities)
         return self._distributions[key]
+
+    def expand(self, k: int, path: tuple[int, ...], values: Sequence[int]) -> None:
+        """Memoise node ``k + 1``'s marginal on the branches of node ``k``
+        on ``path`` that take ``values`` (ascending), when node ``k`` is a
+        measurement: those not yet memoised are gathered as rows, run to
+        node ``k + 1`` as one segment and reduced row by row, and the
+        gathered slice is kept on the chain in the place of the state it
+        was gathered from.  A visible dephasing's branches are left to
+        ``marginal``, one at a time."""
+        i, j = self.nodes[k], self.nodes[k + 1]
+        values = [v for v in values if (j, path + (v,)) not in self._marginals]
+        if isinstance(self.instructions[i], Dephase) or not values:
+            return
+        weights = self.marginal(i, path)[values]
+        gathered = _advance(_gather(self.state(i, path), self.instructions[i].reg, values), self.instructions[i + 1 : j])
+        if len(self._chain) > 1 and self._chain[-1][:2] == (i, path):
+            self._chain.pop()  # the state the rows were gathered from, freed before they are reduced
+        self._chain.append((j, path, gathered))
+        for v, probs in zip(values, _marginals(gathered, self.instructions[j].reg, weights)):
+            self._marginals[j, path + (v,)] = probs
 
     def trial(
         self,
         rng: np.random.Generator,
         tags: Mapping[str, int] | None = None,
     ) -> tuple[
-        tuple[MeasurementRecord, ...], dict[str, PureState], _Slice | None, tuple[OutcomeDistribution, ...]
+        tuple[MeasurementRecord, ...], dict[str, PureState], _Slice | None, float, tuple[OutcomeDistribution, ...]
     ]:
         """One sampled run: its records and, given ``tags`` (tag -> boundary),
-        the states at those boundaries and the final slice; last, the
-        distribution each measurement was drawn from.
+        the states at those boundaries and the final slice; then the path
+        probability of the trial's branch, and last the distribution each
+        measurement was drawn from.
 
         This is ``run``'s route, and ``sample``'s for a program that
         ``draws`` cannot draw as arrays: one with a visible dephasing, or an
@@ -1105,8 +1092,9 @@ class _BranchWalk:
         for it; given ``tags``, an inert dephasing phases the walk's state
         into the carried one, which the tags then read.  From the first
         visible dephasing on, the draws come from the carried state, and
-        every dephasing phases it, inert or not.  Without ``tags`` nothing
-        after the last draw is computed.
+        every dephasing phases it, inert or not.  Each measurement's
+        outcome takes the path probability to its undivided marginal there.
+        Without ``tags`` nothing after the last draw is computed.
         """
         instrs = self.instructions
         keep = tags is not None
@@ -1114,6 +1102,7 @@ class _BranchWalk:
         drawn: list[OutcomeDistribution] = []
         tagged: dict[str, PureState] = {}
         path: tuple[int, ...] = ()
+        weight = 1.0
         carried: tuple[int, _Slice] | None = None
         own = False  # the draws come from the carried state
         marks = set(tags.values()) if keep else set()
@@ -1122,21 +1111,26 @@ class _BranchWalk:
             if carried is not None:
                 carried = i, _advance(carried[1], instrs[carried[0] : i])
             if i in marks:
-                state = (self.state(i, path) if carried is None else carried[1]).state()
+                state = (self.state(i, path) if carried is None else carried[1]).state(weight)
                 tagged.update((tag, state) for tag, b in tags.items() if b == i)
             if not draw:
                 continue
             instr = instrs[i]
-            dist = _distribution(carried[1], instr.reg) if own else self.distribution(i, path)
+            if own:
+                marginal = _marginals(carried[1], instr.reg, (weight,))[0]
+                dist = OutcomeDistribution(instr.reg, marginal / weight)
+            else:
+                marginal, dist = self.marginal(i, path), self.distribution(i, path)
             last = not keep and i == self.plan.draws[-1]
             if isinstance(instr, Measure):
                 outcome = born_sample(dist, rng)
                 records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
                 drawn.append(dist)
+                weight = float(marginal[outcome])
                 if not own:
                     path += (outcome,)
                 if carried is not None and not last:
-                    carried = i + 1, _project(carried[1], instr.reg, outcome)
+                    carried = i + 1, _gather(carried[1], instr.reg, (outcome,))
                 continue
             phases = rng.uniform(0.0, 2.0 * np.pi, size=len(dist.support))
             own = own or i not in self.inert
@@ -1145,12 +1139,12 @@ class _BranchWalk:
             start = self.state(i, path) if carried is None else carried[1]
             carried = i + 1, _dephase_slice(start, instr.reg, dist.support, phases)
         if not keep:
-            return tuple(records), tagged, None, tuple(drawn)
+            return tuple(records), tagged, None, weight, tuple(drawn)
         end = len(instrs)
         if carried is not None:
             carried = end, _advance(carried[1], instrs[carried[0] :])
         final = self.state(end, path) if carried is None else carried[1]
-        return tuple(records), tagged, final, tuple(drawn)
+        return tuple(records), tagged, final, weight, tuple(drawn)
 
     def draws(self, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
         """The outcomes and their probabilities in ``trials`` sampled runs:
@@ -1201,8 +1195,8 @@ class _BranchWalk:
         up.  The trials are then split by outcome, and each group draws the
         next measurement on its own path, depth first in ascending outcome
         order, so each kept state serves every group below it; the next
-        measurement's distribution on every drawn branch comes from one
-        family of the drawn values (``expand``).  Nothing after the last
+        measurement's marginal on every drawn branch comes from one block of
+        the drawn values' rows (``expand``).  Nothing after the last
         measurement is computed."""
         k = len(path)
         dist = self.distribution(self.plan.measures[k], path)
@@ -1222,34 +1216,35 @@ class _BranchWalk:
         of them measured at a node, as an array with one axis per observed
         register, in ``observed`` order; an entry no branch reaches is 0.
         Above the last node, every branch of a measurement is expanded as
-        one family before its children are pushed.  Every distribution a
-        draw could read is memoised then, so only the start state is kept."""
+        one block before its children are pushed, and the stack pops them
+        in ascending order.  Each branch that reaches the last node adds its
+        undivided marginal there, its joint probabilities, with no path
+        weight, and ``PROB_EPS`` is applied once, to the sum.  Every
+        distribution a draw could read is memoised then, so only the start
+        state is kept."""
         nodes, instrs = self.nodes, self.instructions
         leaf = len(nodes) - 1
         where = {instrs[i].reg: k for k, i in enumerate(nodes) if isinstance(instrs[i], Measure)}
         acc = np.zeros(tuple(self.program.layout.dim(reg) for reg in observed))
         at_leaf = tuple(slice(None) if where[reg] == leaf else None for reg in observed)
         leaf_observed = any(where[reg] == leaf for reg in observed)
-        stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
+        stack: list[tuple[int, ...]] = [()]
         while stack:
-            path, weight = stack.pop()
+            path = stack.pop()
+            leaves = [path]
             if len(path) < leaf:
-                dist = self.distribution(nodes[len(path)], path)
-                self.expand(len(path), path, dist.support)
-                children = [(path + (v,), weight * float(dist.probabilities[v])) for v in dist.support]
+                probs = self.marginal(nodes[len(path)], path) / self.weight(path)
+                support = np.flatnonzero(probs > PROB_EPS).tolist()
+                self.expand(len(path), path, support)
+                leaves = [path + (v,) for v in support]
                 if len(path) + 1 < leaf:
-                    stack.extend(children)
+                    stack.extend(reversed(leaves))
                     continue
-            # the leaves below, in the order the stack would pop them, read off
-            # as one block
-            leaves = children[::-1] if len(path) < leaf else [(path, weight)]
-            probs = np.array([self.distribution(nodes[leaf], branch).probabilities for branch, _ in leaves])
-            probs[probs <= PROB_EPS] = 0.0
-            weights = np.array([w for _, w in leaves])
-            if leaf_observed:
-                probs *= weights[:, None]
-            for (branch, _), term in zip(leaves, probs if leaf_observed else probs.sum(axis=1) * weights):
-                acc[tuple(branch[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))] += term
+            for branch in leaves:
+                probs = self.marginal(nodes[leaf], branch)
+                at = tuple(branch[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))
+                acc[at] += probs if leaf_observed else probs.sum()
+        acc[acc <= PROB_EPS] = 0.0
         del self._chain[1:]
         return acc
 
@@ -1286,8 +1281,8 @@ def run(
     """Execute the program from ``initial`` (default |0...0>), keeping the
     records, the final state, the states at the program's time tags and
     the distributions the records were drawn from."""
-    records, tagged, final, drawn = _BranchWalk(program, initial).trial(rng, program.time_tags)
-    return RunTrace(program, final, records, tagged, drawn)
+    records, tagged, final, weight, drawn = _BranchWalk(program, initial).trial(rng, program.time_tags)
+    return RunTrace(program, final, records, tagged, drawn, weight)
 
 
 def measure_register(state: PureState, reg: str, rng: np.random.Generator) -> tuple[int, PureState]:
@@ -1384,18 +1379,20 @@ def enumerate_outcome_distribution(
     """Exact joint distribution of the observed registers' measured values,
     starting from ``initial`` (default |0...0>).
 
-    Walks every measurement and visible dephasing branch with its Born
-    weight; nothing is sampled, a dephasing branch records no outcome, and
-    an inert dephasing is not branched on (its branches' weights sum to 1).
-    The measurements that end the program commute, so the unobserved ones
-    among them are summed out (the principle of implicit measurement).  The
-    branches of a measurement that a later node follows advance as one
-    family: one block, one unitary segment up to that node, and that node's
-    distribution on every branch reduced at once.  The last node is read
-    off its distributions without a projection: each branch that reaches it
-    adds its weight times its distribution into an array over the observed
-    registers' joint values, in one fixed order.  The keys are the values
-    some branch reaches.  Observing no register is a ``ProgramError``.
+    Walks every measurement and visible dephasing branch; nothing is
+    sampled, a dephasing branch records no outcome, and an inert dephasing
+    is not branched on (its branches' weights sum to 1).  The measurements
+    that end the program commute, so the unobserved ones among them are
+    summed out (the principle of implicit measurement).  The branches of a
+    measurement that a later node follows advance as one block of rows:
+    one unitary segment up to that node, and that node's marginal on every
+    branch reduced at once.  The last node is read off its marginals
+    without a projection: no branch is divided, so each branch that reaches
+    it adds its undivided marginal, its joint probabilities, into an array
+    over the observed registers' joint values, in ascending order, and
+    values at or below ``PROB_EPS`` are dropped from the sum.  The keys are
+    the values some branch reaches.  Observing no register is a
+    ``ProgramError``.
     """
     acc = _enumerate(program, tuple(observed), initial)
     return {tuple(int(v) for v in key): float(acc[key]) for key in zip(*np.nonzero(acc))}
@@ -1435,6 +1432,8 @@ def backdate_outcome(
     to_b = program.time_tags.get(to_tag, first_measure)
     if to_b < from_b:
         raise ProgramError(f"tag {to_tag!r} precedes {from_tag!r}")
-    projected = _project(_prefix(program, to_b), reg, value)
+    prefix = _prefix(program, to_b)
+    projected = _gather(prefix, reg, (value,))
+    weight = _projection_weight(prefix, reg, value)
     inverses = [step for instr in program.instructions[from_b:to_b][::-1] for step in _inverse(instr)]
-    return _advance(projected, inverses).state()
+    return _advance(projected, inverses).state(weight)

@@ -1,13 +1,15 @@
 """Outcome statistics of register contents, and the random-phase picture.
 
 A register's outcome distribution is |amplitude|^2 summed over every other
-register's values, one reduction shared by ``outcome_distribution`` and
-``circuit_ir``'s walk, and a Born sample is one uniform looked up in its
-cumulative sums.  The state change of a measurement (keep the amplitudes in
-the observed eigenspace, renormalise) is ``circuit_ir``'s: ``project`` and
-``measure_register`` run it as one-instruction walks, and projecting onto a
-zero-probability outcome raises ``DegenerateStateError`` instead of
-silently returning a zero vector.
+register's values, one in-order reduction (``_summed_squares``) shared by
+``outcome_distribution`` and ``circuit_ir``'s walk, and a Born sample is
+one uniform looked up in its cumulative sums.  The state change of a
+measurement is ``circuit_ir``'s: the walk keeps the amplitudes in the
+observed eigenspace undivided, their squared norm the outcome's
+probability, and divides a state by its square root only where it hands
+one out.  ``project`` and ``measure_register`` run it as one-instruction
+walks, and projecting onto a zero-probability outcome raises
+``DegenerateStateError`` instead of silently returning a zero vector.
 
 The module also carries the random-phase picture of a mixed state: a pure
 state and a register whose values carry independent uniform phases, so the
@@ -152,14 +154,6 @@ def record_lines(
     )
 
 
-def _register_marginals(amplitudes: np.ndarray, axis_shape: tuple[int, int, int]) -> np.ndarray:
-    """A register's outcome probabilities in each state that ``amplitudes``
-    holds back to back, one row each: ``_summed_squares`` of each state's
-    ``(left, d, right)`` view (``axis_shape``)."""
-    left, d, right = axis_shape
-    return _summed_squares(amplitudes.reshape(-1, left, d, right), 2)
-
-
 def _summed_squares(block: np.ndarray, axis: int) -> np.ndarray:
     """|amplitude|^2 of a ``(rows, ...)`` block of any strides summed over
     every axis but the first and ``axis``: over the axes after ``axis``,
@@ -183,7 +177,7 @@ def _summed_squares(block: np.ndarray, axis: int) -> np.ndarray:
 
 def outcome_distribution(state: PureState, reg: str) -> OutcomeDistribution:
     """Exact measurement statistics for one register."""
-    return OutcomeDistribution(reg, _register_marginals(state.amplitudes, state.layout.axis_shape(reg))[0])
+    return OutcomeDistribution(reg, _summed_squares(state.amplitudes.reshape(1, *state.layout.axis_shape(reg)), 2)[0])
 
 
 def born_sample(dist: OutcomeDistribution, rng: np.random.Generator) -> int:
@@ -219,10 +213,9 @@ def partial_trace(state: PureState, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(rows @ rows.conj().T, tuple(layout.names[i] for i in keep_axes))
 
 
-def _dephase(state: PureState, reg: str, values: Sequence[int], phases: np.ndarray) -> np.ndarray:
-    """The state's ``(left, d, right)`` block for ``reg`` with one phase
-    factor on each listed value of it and every other value zeroed."""
-    block = state.amplitudes.reshape(state.layout.axis_shape(reg))
+def _dephase(block: np.ndarray, values: Sequence[int], phases: np.ndarray) -> np.ndarray:
+    """A ``(left, d, right)`` block with one phase factor on each listed
+    value of its middle axis and every other value zeroed."""
     factors = np.zeros(block.shape[1], dtype=np.complex128)
     factors[list(values)] = np.exp(1j * np.asarray(phases, dtype=float))
     # factor first, as in the random-phase picture's ``phase factor * slot``
@@ -267,7 +260,8 @@ class PhasedMixture:
             phases = np.zeros(self.slot_count)
         if len(phases) != self.slot_count:
             raise ShapeMismatchError(f"need {self.slot_count} phases, got {len(phases)}")
-        phased = _dephase(self.state, self.traced_reg, self.slot_values, phases)
+        block = self.state.amplitudes.reshape(self.layout.axis_shape(self.traced_reg))
+        phased = _dephase(block, self.slot_values, phases)
         return PureState._adopt(self.layout, phased.reshape(-1))
 
 

@@ -20,8 +20,11 @@ never on an (X, F) state.  Nothing but measurements touches F after the
 dephasing either, so it is inert: an annihilate-F trial draws its F phases
 and then draws X from the same [X] distribution a skip-F trial does, with
 one shared QFT per report.  Exact distributions enumerate the program's
-branches without sampling, so the equality of the disciplines is a 1e-10
-assertion rather than a statistical one.
+branches without sampling and divide no branch: measure-F-at-t2 adds its
+F branches' undivided [X] rows in the order in which skip-F's reduction
+sums over F, so the three disciplines' exact [X] arrays are equal bit for
+bit, and their equality is an exact assertion rather than a statistical
+one.
 """
 
 from __future__ import annotations
@@ -85,9 +88,10 @@ class PeriodFindingInstance:
         """The walk of each discipline's program asked for so far, kept for
         as long as the instance lives, so that a report's exact distribution
         and trials share it.  After the enumeration a walk keeps only its
-        memoised distributions (under measure-F-at-t2 one [X] distribution
-        per F value); trials drawn without it keep its chain of states too
-        (F's rows, and the family of F's branches)."""
+        memoised marginals (under measure-F-at-t2 one [X] row per F value)
+        and the distributions its draws read; trials drawn without it keep
+        its chain of states too (F's rows, and the rows of F's branches
+        after the X transform)."""
         return {}
 
 
@@ -264,8 +268,10 @@ def exact_outcome_distribution(inst: PeriodFindingInstance, discipline: str) -> 
     No gate touches F after the oracle, so the walk holds it as one row
     per value of f from the oracle on, and no (X, F) state is built: the X
     transform runs on the rows.  Under measure-F-at-t2 the rows are F's
-    branches, each renormalised and weighted by its probability; under
-    skip-F and annihilate-F the rows' X marginals are summed.
+    branches, undivided, and their X marginals are added in ascending F
+    order; under skip-F and annihilate-F the rows' X marginals are summed
+    in the same order.  The terms and their order are the same, so the
+    three disciplines give the same array, bit for bit.
     """
     return _walk(inst, discipline).enumerate(("X",))
 

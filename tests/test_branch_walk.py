@@ -51,6 +51,13 @@ SEEDS = st.integers(0, 2**32 - 1)
 PERIODS = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n)))
 
 
+def renormalised_project(state, reg, outcome):
+    """``born_project`` divided by its norm: the projected state the
+    references below carry."""
+    post = born_project(state, reg, outcome)
+    return post.with_amplitudes(post.amplitudes / np.linalg.norm(post.amplitudes))
+
+
 def per_trial_runs(inst, discipline, trials, rng):
     """The replaced sampler: the discipline's tail (t2 through the X
     measurement) run from the t2 state, once per trial."""
@@ -85,7 +92,7 @@ def projection_walk(program, observed, initial):
             if isinstance(instr, (Measure, Dephase)):
                 dist = outcome_distribution(state, instr.reg)
                 for v in dist.support:
-                    post = born_project(state, instr.reg, v)
+                    post = renormalised_project(state, instr.reg, v)
                     branch = dict(outcomes)
                     if isinstance(instr, Measure):
                         branch[instr.reg] = v
@@ -349,7 +356,7 @@ class TestSampledArrays:
         # branches, a row per path
         calls = []
         real = circuit_ir._marginals
-        monkeypatch.setattr(circuit_ir, "_marginals", lambda *a: calls.append(a[2]) or real(*a))
+        monkeypatch.setattr(circuit_ir, "_marginals", lambda *a: calls.append(len(a[2])) or real(*a))
         program = period_circuit(build_periodic(4, 5), discipline)
         records = sample(program, np.random.default_rng(7), 200)
         paths = {tuple(r.outcome for r in trial[:k]) for trial in records for k in range(len(trial))}
@@ -485,7 +492,7 @@ def own_state_trial(program, initial, rng):
             clipped = np.clip(probs, 0.0, None)
             x = int(rng.choice(len(clipped), p=clipped / clipped.sum()))
             records.append((instr.reg, x, float(probs[x])))
-            state = born_project(state, instr.reg, x)
+            state = renormalised_project(state, instr.reg, x)
         else:
             state = apply_instruction(state, instr)
     return records
@@ -570,8 +577,8 @@ class TestInertDephase:
 
     def test_enumerating_annihilate_f_projects_nothing_on_f(self, monkeypatch):
         calls = []
-        real = circuit_ir._project
-        monkeypatch.setattr(circuit_ir, "_project", lambda *a: calls.append(a[1]) or real(*a))
+        real = circuit_ir._gather
+        monkeypatch.setattr(circuit_ir, "_gather", lambda *a: calls.append(a[1]) or real(*a))
         inst = build_periodic(5, 3)
         got = enumerate_outcome_distribution(period_circuit(inst, "annihilate-F"), ("X", "F"))
         assert "F" not in calls
@@ -603,16 +610,22 @@ class TestEnumeration:
             assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) < 1e-12
         assert sum(got.values()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_two_observed_measurements_keep_the_sequential_product(self):
-        # the extended game's joint distribution: p(k) * p(x | k), bit for bit
+    def test_two_observed_measurements_are_the_joint_squares(self):
+        # the extended game's joint distribution: each K branch is the rows
+        # of K, undivided, so p(k, x) is |amplitude|^2 summed over F, bit
+        # for bit, and the sequential product p(k) * p(x | k) to rounding
         layout = RegisterLayout.of(K=2, X=2, F=1)
         rng = np.random.default_rng(5)
         amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
         state = PureState(layout, amps / np.linalg.norm(amps))
         program = CircuitProgram(layout, (Measure("K"), Measure("X")))
-        assert enumerate_outcome_distribution(program, ("K", "X"), initial=state) == projection_walk(
-            program, ("K", "X"), state
-        )
+        got = enumerate_outcome_distribution(program, ("K", "X"), initial=state)
+        squares = np.abs(state.amplitudes.reshape(4, 4, 2)) ** 2
+        joint = squares[:, :, 0] + squares[:, :, 1]
+        assert got == {(k, x): float(joint[k, x]) for k in range(4) for x in range(4)}
+        sequential = projection_walk(program, ("K", "X"), state)
+        assert got.keys() == sequential.keys()
+        assert max(abs(got[key] - sequential[key]) for key in got) < 1e-15
 
     def test_deferred_check_projects_only_the_early_branches(self, monkeypatch):
         calls = []
@@ -648,8 +661,8 @@ class TestWorkBuffers:
         rng = np.random.default_rng(seed)
         every_boundary = {f"b{i}": i for i in range(len(program.instructions) + 1)}
         walk = circuit_ir._BranchWalk(program, initial)
-        _, tagged, final, _ = walk.trial(rng, every_boundary)
-        final = final.state()
+        _, tagged, final, weight, _ = walk.trial(rng, every_boundary)
+        final = final.state(weight)
         first_draw = next(
             (i for i, instr in enumerate(program.instructions) if isinstance(instr, (Measure, Dephase))),
             len(program.instructions),

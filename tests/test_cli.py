@@ -690,9 +690,11 @@ def test_exact_reports_never_load_numpy_random():
     env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE], env=env, capture_output=True, text=True, check=True)
     exact, loaded_exact, sampled, loaded_sampled = json.loads(done.stdout)
+    # the deferral check's report reads "tv_distance": 0.0: the two
+    # programs' enumerations add the same undivided terms in the same order
     assert exact == [
         "7ea93f4e86dc9c4c19d849e9bccf2fe8c93d61fa5f8348978d8fb46aec761eac",
-        "511d96f1214dfc81950d472d6a4325dd33e434b93e081c35ecd04627a5972018",
+        "56cff252ccb5f4507136018c269fe06eb014ddd9bdcb03f960efcbd069924f1d",
     ]
     assert not loaded_exact
     assert sampled == "16b8b721b7844bb57171c8879f0565c4e3f847366f9ad24698411b4b86fddd7b"

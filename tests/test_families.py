@@ -1,15 +1,18 @@
 """Measurement families against the child-by-child expansion they replaced.
 
 ``circuit_ir``'s walk advances every branch of a measurement as one row of
-a block: the measured register's support values are gathered, each row is
-renormalised, the segment up to the next node runs once on the whole block
-and the next node's distribution is reduced row by row.  The reference kept
-here is the walk that expanded a node's children one at a time: each
-branch projected on its own (the Born filter on the free registers), run
-through its own segment and reduced on its own, with the same chain of
-kept states.  Enumeration over it is the stack walk that added each leaf
-branch's weighted distribution as it popped it.  The two must agree bit for
-bit: every node distribution and every entry of the enumerated array.
+a block: the measured register's support values are gathered as rows, the
+segment up to the next node runs once on the whole block and the next
+node's marginal is reduced row by row.  No amplitude is divided: a branch's
+squared norm is its path probability, the marginal of the node before it at
+its value, and a distribution is a marginal divided by it.  The reference
+kept here is the walk that expanded a node's children one at a time: each
+branch projected on its own (the Born filter on the free registers,
+undivided), run through its own segment and reduced on its own, with the
+same chain of kept states.  Enumeration over it is the stack walk that
+added each leaf branch's undivided marginal as it popped it, in ascending
+order.  The two must agree bit for bit: every node distribution and every
+entry of the enumerated array.
 """
 
 import contextlib
@@ -38,13 +41,13 @@ from qdesk import (
 from qdesk import circuit_ir
 from qdesk.cli import main
 from qdesk.errors import DegenerateStateError
-from qdesk.measure import PROB_EPS, OutcomeDistribution
+from qdesk.measure import PROB_EPS
 
 SEEDS = st.integers(0, 2**32 - 1)
 
 
 def born_filter(state, reg, outcome):
-    """The amplitudes of a state with ``reg == outcome``, renormalised, as a
+    """The amplitudes of a state with ``reg == outcome``, undivided, as a
     fresh ``(left, right)`` array around the register's axis."""
     return filter_block(state.amplitudes.reshape(state.layout.axis_shape(reg)), reg, outcome)
 
@@ -53,33 +56,31 @@ def filter_block(block, reg, outcome):
     """``born_filter`` on a ``(left, d, right)`` block."""
     if not 0 <= outcome < block.shape[1]:
         raise ValueError(f"outcome {outcome} out of range for register {reg!r}")
-    kept = block[:, outcome, :]
-    weight = float(np.vdot(kept, kept).real)
-    if weight < PROB_EPS:
-        raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
-    return kept / np.sqrt(weight)
+    return block[:, outcome, :].copy()
 
 
 def born_project(state, reg, outcome):
-    """The replaced full-state projection: ``born_filter`` written into a
-    zeroed state, every other amplitude zero."""
+    """The full-state projection: ``born_filter`` written into a zeroed
+    state, every other amplitude zero.  Nothing is divided: the result's
+    squared norm is the outcome's probability times the state's."""
     out = np.zeros(state.layout.axis_shape(reg), dtype=np.complex128)
     out[:, outcome, :] = born_filter(state, reg, outcome)
     return PureState._adopt(state.layout, out.reshape(-1))
 
 
-def written_out(s):
-    """The slice with its register held as rows written out into its axis."""
-    return circuit_ir._Slice(s.layout, s.fixed, *circuit_ir._write_rows(s.layout, s.free, s.rows, s.amps))
+def write_out(s, reg):
+    """The slice with one register held as rows written out into its axis."""
+    free, rows, amps = circuit_ir._write_rows(s.layout, s.free, s.rows, reg, s.amps)
+    return circuit_ir._Slice(s.layout, s.fixed, free, amps, rows=rows)
 
 
 def project_one(s, reg, outcome):
     """The replaced projection: ``born_filter`` on the slice's free
-    registers, one branch at a time.  A register held as rows is written
-    out first; rows held beside the projected register join the left axis
-    of its block and stay held."""
-    if s.rows is not None and s.rows[0] == reg:
-        s = written_out(s)
+    registers, one branch at a time, undivided, the register fixed.  A
+    register held as rows is written out first; rows held beside the
+    projected register join the left axis of its block and stay held."""
+    if reg in dict(s.rows):
+        s = write_out(s, reg)
     if reg in s.fixed:
         if s.fixed[reg] != outcome:
             raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
@@ -87,39 +88,45 @@ def project_one(s, reg, outcome):
     _, d, right = s.free.axis_shape(reg)
     amps = filter_block(s.amps.reshape(-1, d, right), reg, outcome).reshape(-1)
     amps.setflags(write=False)
-    fixed = {**s.fixed, reg: outcome}
-    free = circuit_ir._free_layout(s.layout, {*fixed, *(s.rows[:1] if s.rows else ())})
-    return circuit_ir._Slice(s.layout, fixed, free, amps, rows=s.rows)
+    free = circuit_ir._sublayout(s.layout, frozenset(s.free.names) - {reg})
+    return circuit_ir._Slice(s.layout, {**s.fixed, reg: outcome}, free, amps, rows=s.rows)
 
 
-def distribution_one(s, reg):
-    """The replaced reduction: |amplitude|^2 of one branch's ``(left, d,
-    right)`` view summed over all but the register axis, one term after
-    another along ``right``, then one line after another along ``left``.
-    A register held as rows is written out first."""
-    if s.rows is not None:
-        s = written_out(s)
+def marginal_one(s, reg, weight):
+    """The replaced reduction, undivided: |amplitude|^2 of one branch's
+    ``(left, d, right)`` view summed over all but the register axis, one
+    term after another along ``right``, then one line after another along
+    ``left``.  A fixed register carries the branch's whole ``weight``.
+    Every register held as rows is written out first."""
+    while s.rows:
+        s = write_out(s, s.rows[-1][0])
     probs = np.zeros(s.layout.dim(reg))
     if reg in s.fixed:
-        probs[s.fixed[reg]] = 1.0
-        return OutcomeDistribution(reg, probs)
+        probs[s.fixed[reg]] = weight
+        return probs
     for line in np.abs(s.amps.reshape(s.free.axis_shape(reg))) ** 2:
         total = np.zeros(len(probs))
         for column in line.T:
             total += column
         probs += total
-    return OutcomeDistribution(reg, probs)
+    return probs
+
+
+def support(probs):
+    return np.flatnonzero(probs > PROB_EPS).tolist()
 
 
 class ChildByChildWalk:
     """The replaced walk: one kept chain of branch states, each branch of a
-    node projected, advanced and reduced on its own."""
+    node projected, advanced and reduced on its own.  A branch's weight is
+    the marginal of the node before it at its value, and a distribution is
+    a marginal divided by its branch's weight."""
 
     def __init__(self, program, initial):
         walk = circuit_ir._BranchWalk(program, initial)
         self.instructions, self.inert, self.nodes = walk.instructions, walk.inert, walk.nodes
         self._chain = [(0, (), circuit_ir._start_slice(program.layout, initial))]
-        self._distributions = {}
+        self._marginals = {}
 
     def state(self, boundary, path):
         chain = self._chain
@@ -138,16 +145,25 @@ class ChildByChildWalk:
         chain.append((boundary, path, state))
         return state
 
-    def distribution(self, index, path):
+    def weight(self, path):
+        if not path:
+            return 1.0
+        return float(self.marginal(self.nodes[len(path) - 1], path[:-1])[path[-1]])
+
+    def marginal(self, index, path):
         key = (index, path)
-        if key not in self._distributions:
-            self._distributions[key] = distribution_one(self.state(index, path), self.instructions[index].reg)
-        return self._distributions[key]
+        if key not in self._marginals:
+            self._marginals[key] = marginal_one(self.state(index, path), self.instructions[index].reg, self.weight(path))
+        return self._marginals[key]
+
+    def distribution(self, index, path):
+        return self.marginal(index, path) / self.weight(path)
 
 
 def child_by_child_enumeration(program, observed, initial):
-    """The replaced ``_enumerate``: a stack walk that pops each leaf branch
-    and adds its weight times its distribution into the array."""
+    """The replaced ``_enumerate``: a stack walk that pops each leaf branch,
+    in ascending order, and adds its undivided marginal into the array;
+    ``PROB_EPS`` applies to the sum."""
     instrs = program.instructions
     tail = len(instrs)
     while tail > 0 and isinstance(instrs[tail - 1], Measure):
@@ -160,16 +176,16 @@ def child_by_child_enumeration(program, observed, initial):
     acc = np.zeros(tuple(program.layout.dim(reg) for reg in observed))
     at_leaf = tuple(slice(None) if where[reg] == leaf else None for reg in observed)
     leaf_observed = any(where[reg] == leaf for reg in observed)
-    stack = [((), 1.0)]
+    stack = [()]
     while stack:
-        path, weight = stack.pop()
-        dist = walk.distribution(nodes[len(path)], path)
+        path = stack.pop()
         if len(path) < leaf:
-            stack.extend((path + (v,), weight * float(dist.probabilities[v])) for v in dist.support)
+            stack.extend(path + (v,) for v in reversed(support(walk.distribution(nodes[len(path)], path))))
             continue
-        probs = np.where(dist.probabilities > PROB_EPS, dist.probabilities, 0.0)
+        probs = walk.marginal(nodes[leaf], path)
         index = tuple(path[where[reg]] if at is None else at for reg, at in zip(observed, at_leaf))
-        acc[index] += weight * probs if leaf_observed else weight * probs.sum()
+        acc[index] += probs if leaf_observed else probs.sum()
+    acc[acc <= PROB_EPS] = 0.0
     return walk, acc
 
 
@@ -242,7 +258,7 @@ def node_paths(walk):
         path = stack.pop()
         if len(path) < len(walk.nodes):
             yield walk.nodes[len(path)], path
-            stack.extend(path + (v,) for v in walk.distribution(walk.nodes[len(path)], path).support)
+            stack.extend(path + (v,) for v in support(walk.distribution(walk.nodes[len(path)], path)))
 
 
 class TestBitForBit:
@@ -264,10 +280,10 @@ class TestBitForBit:
         reference = ChildByChildWalk(program, initial)
         for index, path in node_paths(reference):
             expected = reference.distribution(index, path)
-            assert np.array_equal(walk.distribution(index, path).probabilities, expected.probabilities)
+            assert np.array_equal(walk.distribution(index, path).probabilities, expected)
             if len(path) + 1 < len(walk.nodes):
-                walk.expand(len(path), path, expected.support[:split])
-                walk.expand(len(path), path, expected.support[split:])
+                walk.expand(len(path), path, support(expected)[:split])
+                walk.expand(len(path), path, support(expected)[split:])
 
     @pytest.mark.parametrize("observed", [("X",), ("F", "X")])
     @pytest.mark.parametrize("n, r", [(5, 3), (6, 32), (8, 128)])
@@ -317,9 +333,10 @@ class TestFamilyBlocks:
         program = period_circuit(build_periodic(6, 8), "measure-F-at-t2")
         walk = circuit_ir._BranchWalk(program, None)
         walk.expand(0, (), walk.distribution(3, ()).support)
-        assert [type(state).__name__ for _, _, state in walk._chain] == ["_Slice", "_Family"]
+        # the start, then F's eight branches as rows at the X measurement
+        assert [(at, path) for at, path, _ in walk._chain] == [(0, ()), (5, ())]
         family = walk._chain[-1][2]
-        assert family.values == tuple(range(8)) and family.amps.size == 8 * 64
+        assert family.rows == (("F", tuple(range(8))),) and family.amps.size == 8 * 64
         assert not family.amps.flags.writeable
 
     def test_a_family_gathers_only_the_branches_not_yet_reduced(self, monkeypatch):
@@ -333,7 +350,7 @@ class TestFamilyBlocks:
         walk.expand(0, (), (1, 2, 5))
         walk.expand(0, (), (1, 2, 5))
         assert calls == [("F", (2,)), ("F", (1, 5))]
-        assert walk._chain[-1][2].values == (1, 5)
+        assert walk._chain[-1][2].rows[0] == ("F", (1, 5))
         # a branch the kept family does not hold is projected again
         walk.state(5, (2,))
         assert calls[-1] == ("F", (2,))
@@ -363,3 +380,17 @@ class TestAtTheCeiling:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * 2**20
+
+    def test_small_period_deferral_check_at_n10_peaks_under_36_mib(self):
+        # r = 3: the deferred program's 1024 X branches each hold F's three
+        # rows and memoise one float row of F's marginal (8 MiB together),
+        # beside the two 8 MiB joint arrays the distance compares
+        argv = ["defer-check", "--fig1", "--n", "10", "--r", "3", "--json"]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * 2**20

@@ -17,10 +17,31 @@ from qdesk import (
     single_run_success_probability,
     state_after_oracle,
 )
-from qdesk.circuit_ir import Dephase, Measure, enumerate_outcome_distribution
+from qdesk.circuit_ir import CircuitProgram, Dephase, Measure, enumerate_outcome_distribution
 from qdesk.gates import fourier_axis
 from qdesk.measure import PROB_EPS
-from qdesk.shor import DISCIPLINES, divisors, period_circuit, sample_runs, sample_trials, success_count
+from qdesk.qstate import RegisterLayout
+from qdesk.shor import (
+    DISCIPLINES,
+    _period_instructions,
+    divisors,
+    period_circuit,
+    sample_runs,
+    sample_trials,
+    success_count,
+)
+
+
+# n = 3..8 with r in {2, 3, 5, 7, 2^n/4 + 1, 2^n - 1} (33 distinct), and
+# four modular exponentiations at n = 10
+EXACTNESS_INSTANCES = [
+    pytest.param(build_periodic(n, r), id=f"n{n}-r{r}")
+    for n in range(3, 9)
+    for r in sorted({2, 3, 5, 7, (1 << n) // 4 + 1, (1 << n) - 1})
+] + [
+    pytest.param(build_modexp(base, modulus, 10), id=f"{base}^x-mod-{modulus}")
+    for base, modulus in ((7, 15), (2, 21), (2, 33), (5, 39))
+]
 
 
 def batched_outcome_distribution(inst, discipline):
@@ -192,7 +213,29 @@ class TestExactDistribution:
             inst = build_periodic(n, r)
             dists = [exact_outcome_distribution(inst, d) for d in DISCIPLINES]
             for other in dists[1:]:
-                assert 0.5 * np.abs(dists[0] - other).sum() < 1e-10
+                assert np.array_equal(dists[0], other)
+
+    @pytest.mark.parametrize("inst", EXACTNESS_INSTANCES)
+    def test_disciplines_agree_bit_for_bit(self, inst):
+        # measure-F adds its undivided F rows' [X] marginals in the order in
+        # which skip-F's reduction sums over F, and annihilate-F's dephasing
+        # is inert: the same terms in the same order
+        dists = [exact_outcome_distribution(inst, d) for d in DISCIPLINES]
+        for other in dists[1:]:
+            assert np.array_equal(dists[0], other)
+
+    @pytest.mark.parametrize("inst", EXACTNESS_INSTANCES)
+    def test_register_order_changes_no_bit(self, inst):
+        # F's rows are the batch axis whichever register comes first, and a
+        # marginal sums over them in order either way
+        reversed_layout = RegisterLayout.of(F=inst.table.output_bits, X=inst.n)
+        for discipline in DISCIPLINES:
+            instrs, _ = _period_instructions(inst, discipline)
+            got = enumerate_outcome_distribution(CircuitProgram(reversed_layout, instrs), ["X"])
+            reordered = np.zeros(inst.dimension)
+            for (x,), p in got.items():
+                reordered[x] = p
+            assert np.array_equal(reordered, exact_outcome_distribution(inst, discipline))
 
     def test_unknown_discipline(self):
         with pytest.raises(ValueError):
@@ -259,7 +302,7 @@ class TestExactDistribution:
         inst = build_periodic(3, 3)
         dists = [exact_outcome_distribution(inst, d) for d in DISCIPLINES]
         for other in dists[1:]:
-            assert 0.5 * np.abs(dists[0] - other).sum() < 1e-10
+            assert np.array_equal(dists[0], other)
 
 
 def brute_force_instances(n):

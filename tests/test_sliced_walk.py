@@ -2,11 +2,14 @@
 
 ``circuit_ir``'s walk holds every branch as fixed register values times an
 amplitude tensor over the free registers.  The reference kept here is the
-walk that carried every branch as a renormalised full state: the same
-chain, memoised distributions and trials, with each unitary segment run on
-the whole state and each projection zero-filling it, and the trial that
-carried two states past a dephasing: one for its draws, one with every
-phase for its tagged states.  The random programs
+walk that carried every branch as a full state: the same chain, memoised
+distributions and trials, with each unitary segment run on the whole state
+and each projection zero-filling it, and the trial that carried two states
+past a dephasing: one for its draws, one with every phase for its tagged
+states.  Neither divides a branch: a distribution is its undivided marginal
+divided by the branch's path probability, the marginal of the node before
+it at its value, and a tagged or final state is divided by its square root
+where it is read.  The random programs
 start from |0...0> (every register fixed) or from a random state, and gate,
 prepare, dephase and query registers that are still fixed, so each of the
 slice's rules runs: value prepares, Hadamards that hold a register in the
@@ -38,7 +41,6 @@ from qdesk import (
     RegisterLayout,
     build_periodic,
     make_basis_state,
-    outcome_distribution,
     period_circuit,
     run,
     run_standard_grover,
@@ -49,7 +51,7 @@ from qdesk import circuit_ir, gates
 from qdesk.circuit_ir import _BranchWalk, enumerate_outcome_distribution
 from qdesk.cli import main
 from qdesk.errors import ShapeMismatchError
-from qdesk.measure import MeasurementRecord, _dephase, born_sample
+from qdesk.measure import MeasurementRecord, OutcomeDistribution, _dephase, born_sample
 from test_families import born_project
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -66,6 +68,16 @@ def run_unitaries(state, instrs):
     for instr in unitary:
         circuit_ir.apply_instruction_in_place(work, state.layout, instr)
     return PureState._adopt(state.layout, work)
+
+
+def full_marginal(state, reg):
+    """|amplitude|^2 summed over every register but ``reg``, undivided."""
+    return (np.abs(state.amplitudes.reshape(state.layout.axis_shape(reg))) ** 2).sum(axis=(0, 2))
+
+
+def divided(state, weight):
+    """A branch's full state divided by the square root of its path probability."""
+    return state if weight == 1.0 else PureState._adopt(state.layout, state.amplitudes / np.sqrt(weight))
 
 
 class FullStateWalk:
@@ -93,7 +105,7 @@ class FullStateWalk:
         self._last_draw = max(draws, default=-1)
         start = make_basis_state(program.layout, {}) if initial is None else initial
         self._chain = [(0, (), start)]
-        self._distributions = {}
+        self._marginals, self._distributions = {}, {}
 
     def state(self, boundary, path):
         chain = self._chain
@@ -113,17 +125,29 @@ class FullStateWalk:
         chain.append((boundary, path, state))
         return state
 
+    def weight(self, path):
+        if not path:
+            return 1.0
+        return float(self.marginal(self.nodes[len(path) - 1], path[:-1])[path[-1]])
+
+    def marginal(self, index, path):
+        key = (index, path)
+        if key not in self._marginals:
+            self._marginals[key] = full_marginal(self.state(index, path), self.instructions[index].reg)
+        return self._marginals[key]
+
     def distribution(self, index, path):
         key = (index, path)
         if key not in self._distributions:
-            self._distributions[key] = outcome_distribution(self.state(index, path), self.instructions[index].reg)
+            probabilities = self.marginal(index, path) / self.weight(path)
+            self._distributions[key] = OutcomeDistribution(self.instructions[index].reg, probabilities)
         return self._distributions[key]
 
     def trial(self, rng, tags=None):
         instrs = self.instructions
         keep = tags is not None
         stop = len(instrs) if keep else self._last_draw + 1
-        records, tagged, path = [], {}, ()
+        records, tagged, path, weight = [], {}, (), 1.0
         own = phased = None
 
         def forward(carried, i):
@@ -143,18 +167,23 @@ class FullStateWalk:
         for i in range(stop):
             instr = instrs[i]
             if keep and i in tags.values():
-                tagged.update((tag, here(i)) for tag, b in tags.items() if b == i)
+                tagged.update((tag, divided(here(i), weight)) for tag, b in tags.items() if b == i)
             if not isinstance(instr, (Measure, Dephase)):
                 continue
             if own is not None:
                 own = forward(own, i)
             if phased is not None:
                 phased = forward(phased, i)
-            dist = self.distribution(i, path) if own is None else outcome_distribution(own[1], instr.reg)
+            if own is None:
+                marginal, dist = self.marginal(i, path), self.distribution(i, path)
+            else:
+                marginal = full_marginal(own[1], instr.reg)
+                dist = OutcomeDistribution(instr.reg, marginal / weight)
             last = not keep and i == self._last_draw
             if isinstance(instr, Measure):
                 outcome = born_sample(dist, rng)
                 records.append(MeasurementRecord(instr.reg, outcome, float(dist.probabilities[outcome])))
+                weight = float(marginal[outcome])
                 if own is None:
                     path += (outcome,)
                 elif not last:
@@ -166,7 +195,8 @@ class FullStateWalk:
             phases = rng.uniform(0.0, 2.0 * np.pi, size=len(values))
 
             def dephase(state):
-                amps = _dephase(state, instr.reg, values, phases).reshape(-1)
+                block = state.amplitudes.reshape(state.layout.axis_shape(instr.reg))
+                amps = _dephase(block, values, phases).reshape(-1)
                 return i + 1, PureState._adopt(state.layout, amps)
 
             if i in self.inert:
@@ -179,7 +209,7 @@ class FullStateWalk:
                 own = dephase(own[1] if own is not None else self.state(i, path))
         if not keep:
             return tuple(records), tagged, None
-        final = here(len(instrs))
+        final = divided(here(len(instrs)), weight)
         tagged.update((tag, final) for tag, b in tags.items() if b == len(instrs))
         return tuple(records), tagged, final
 
@@ -292,7 +322,7 @@ class TestAgainstTheFullStateWalk:
         assert [(r.register, r.outcome) for r in got[0]] == [(r.register, r.outcome) for r in expected[0]]
         for tag in every_boundary:
             assert_close(got[1][tag], expected[1][tag])
-        assert_close(got[2].state(), expected[2])
+        assert_close(got[2].state(got[3]), expected[2])
 
     @settings(max_examples=150, deadline=None)
     @given(case=sliced_programs())
@@ -406,7 +436,7 @@ class TestOracleOutputHeldAsRows:
         output as rows."""
         first = min(i for i in program._plan.draws if i > oracle)
         state = _BranchWalk(program, None).state(first, ())
-        assert state.rows is not None and state.rows[0] == program.instructions[oracle].out_reg
+        assert program.instructions[oracle].out_reg in dict(state.rows)
 
     @pytest.mark.parametrize("fate", FATES)
     @settings(max_examples=60, deadline=None)
@@ -462,7 +492,7 @@ class TestOracleOutputHeldAsRows:
         assert [(r.register, r.outcome) for r in got[0]] == [(r.register, r.outcome) for r in expected[0]]
         for tag in tags:
             assert_close(got[1][tag], expected[1][tag])
-        assert_close(got[2].state(), expected[2])
+        assert_close(got[2].state(got[3]), expected[2])
         trace = run(program, np.random.default_rng(seed))
         for tag in program.time_tags:
             assert_close(trace.state_at_tag(tag), expected[1][tag])
@@ -479,7 +509,7 @@ def slices(draw):
     for name in layout.names:
         if draw(st.booleans()):
             fixed[name] = draw(st.integers(0, layout.dim(name) - 1))
-    free = circuit_ir._free_layout(layout, fixed)
+    free = circuit_ir._sublayout(layout, frozenset(layout.names).difference(fixed))
     size = 1 if free is None else free.dimension
     parts = draw(
         st.lists(
