@@ -91,7 +91,12 @@ route is a segment.  Wherever a state is computed, the gates between two
 projections (or a projection and the boundary asked for) run on one work
 buffer, copied once from the slice the segment starts at (a fresh gather
 is not copied) and mutated by ``gates``' in-place kernels.  A kept,
-tagged or returned state is never written.  A segment replays a repeated
+tagged or returned state is never written.  Every gate but a Fourier
+transform maps real amplitudes to real ones, so a segment with no
+Fourier transform (all of a drawer search) whose start has every
+imaginary part +0 runs on a float64 buffer of the real parts and writes
+complex128 out at its end: every slice and handed-out state stays
+complex128.  A segment replays a repeated
 body: an instruction that leaves the buffer, the fixed values and the held
 registers as it found them (a kick into a held register, a kernel on free
 registers) keeps its resolved step, the kernel bound to its views of the
@@ -501,7 +506,7 @@ def _write_rows(
     wide = _widened(layout, free, reg)
     left, d, right = wide.axis_shape(reg)
     outer = prod(len(v) for _, v in rows[:at])
-    out = np.zeros(amps.size // len(values) * d, dtype=np.complex128)
+    out = np.zeros(amps.size // len(values) * d, dtype=amps.dtype)
     source = amps.reshape(outer, len(values), -1, left, right)
     out.reshape(outer, -1, left, d, right)[:, :, :, values, :] = source.transpose(0, 2, 3, 1, 4)
     return wide, rows[:at] + rows[at + 1 :], out
@@ -668,6 +673,17 @@ class _Segment:
     * any other gate frees the fixed registers it touches as one-hot axes
       first.
 
+    A real segment, one with no Fourier transform whose start has every
+    imaginary part bitwise +0, runs on a float64 copy of the real parts, and
+    every buffer it allocates takes that dtype; the held registers are
+    written out at its end straight into complex128, and a segment that
+    holds none ends with one ``astype``.  The real parts are then those of
+    the same kernels on float64 full states, and every imaginary part is
+    +0.  A start with a -0 imaginary part runs on complex128: that sign
+    would be lost in float64, and complex products carry it into real
+    parts: times a real scale's +0 imaginary part it makes -0, and
+    subtracting that from a -0 real product makes +0.
+
     A held buffer is bit for bit the y = 0 row that the full-state kernels
     leave, and every other row is its exact negation or copy.  Two facts
     make that so.  First, the kernels that run while a register is held
@@ -709,9 +725,10 @@ class _Segment:
         self.free, _, self.work = _write_rows(self.layout, self.free, rows, reg, self.work)
         self.owned = True
 
-    def broadcast(self, reg: str) -> None:
+    def broadcast(self, reg: str, dtype: type | None = None) -> None:
         """Write a fixed or held register at w out as the signs
-        (-1)^popcount(w & y) times the buffer, unscaled; from w = 0 every
+        (-1)^popcount(w & y) times the buffer, unscaled, into a new buffer
+        of the old one's dtype unless ``dtype`` is given; from w = 0 every
         sign is +1.  The butterflies add and subtract exact zeros, which
         leaves each nonzero part as it is and turns a signed zero into +0,
         except along y = d - 1 from w = 0, where every step subtracts a
@@ -724,7 +741,7 @@ class _Segment:
         self.free = _widened(self.layout, self.free, reg)
         _, d, right = self.free.axis_shape(reg)
         old = self.work.reshape(-1, right)  # the rows join the left axis
-        self.work, self.owned = np.zeros(old.size * d, dtype=np.complex128), True
+        self.work, self.owned = np.zeros(old.size * d, dtype=dtype or old.dtype), True
         new = self.work.reshape(-1, d, right)
         if value:
             signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(d) & value) & 1)
@@ -768,7 +785,7 @@ class _Segment:
             if not inputs.size:
                 return _nothing
             if self.work.size == self.layout.dim(in_reg):  # one state over the input alone: flat indexing is fastest
-                block, at = self.writable(), inputs
+                block, at = self.writable(), int(inputs[0]) if inputs.size == 1 else inputs
             else:
                 block, at = gates._axis_view(self.writable(), self.free, in_reg), (slice(None), inputs)
 
@@ -795,14 +812,14 @@ class _Segment:
                 values, column = np.unique(f.values ^ value, return_inverse=True)
                 left, d, right = free.axis_shape(in_reg)
                 source = self.work.reshape(-1, left, d, right)
-                target = np.zeros((source.shape[0], values.size, left, d, right), dtype=np.complex128)
+                target = np.zeros((source.shape[0], values.size, left, d, right), dtype=source.dtype)
                 target.transpose(1, 3, 0, 2, 4)[column, np.arange(d)] = source.transpose(2, 0, 1, 3)
                 self.rows += ((out_reg, tuple(values.tolist())),)
             else:
                 names, self.free = free.names, _widened(self.layout, free, out_reg)
                 source = np.moveaxis(self.work.reshape([-1] + [self.layout.dim(n) for n in names]), 1 + names.index(in_reg), 0)
                 names = self.free.names
-                target = np.zeros([source.shape[1]] + [self.layout.dim(n) for n in names], dtype=np.complex128)
+                target = np.zeros([source.shape[1]] + [self.layout.dim(n) for n in names], dtype=source.dtype)
                 moved = np.moveaxis(target, (1 + names.index(in_reg), 1 + names.index(out_reg)), (0, 1))
                 moved[np.arange(f.values.size), f.values ^ value] = source
             self.work, self.owned = target.reshape(-1), True
@@ -843,12 +860,17 @@ class _Segment:
 
     def run(self, instrs: Sequence[Prepare | GateOp], rows: bool) -> _Slice:
         """Apply ``instrs`` in order, an oracle free to hold its output as
-        rows where ``rows`` says so.  The configuration is the buffer, the
-        fixed values and the held registers.  An instruction that leaves it
-        as it found it keeps its resolved step, keyed by the instruction
-        object's identity, until the configuration next changes; when the
-        same object comes again, its step runs without dispatch."""
+        rows where ``rows`` says so, on a float64 copy of the real parts
+        where the segment is real; the slice it ends at is complex128.  The
+        configuration is the buffer, the fixed values and the held
+        registers.  An instruction that leaves it as it found it keeps its
+        resolved step, keyed by the instruction object's identity, until
+        the configuration next changes; when the same object comes again,
+        its step runs without dispatch."""
         self.instrs, self.holds_rows = instrs, rows
+        fourier = any(getattr(instr, "kind", None) in ("qft", "inverse-qft") for instr in instrs)
+        if not fourier and not self.work.imag.view(np.uint64).any():
+            self.work, self.owned = self.work.real.copy(), True
         steps: dict[int, Step] = {}
         for self.at, instr in enumerate(instrs):
             step = steps.get(id(instr))
@@ -862,7 +884,9 @@ class _Segment:
             else:
                 steps.clear()
         for reg in sorted(self.held):
-            self.broadcast(reg)
+            self.broadcast(reg, np.complex128)
+        if self.work.dtype != np.complex128:
+            self.work = self.work.astype(np.complex128)
         self.work.setflags(write=False)
         return _Slice(self.layout, self.fixed, self.free, self.work, rows=self.rows)
 

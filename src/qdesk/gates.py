@@ -2,10 +2,14 @@
 XOR table oracles, and the inversion-about-mean step.
 
 Each gate has one kernel, ``<gate>_in_place``, that mutates a writable
-complex128 work buffer (the flat amplitude vector of a layout) and
-allocates no output.  ``circuit_ir`` runs every gate through these kernels
-on one work buffer; ``circuit_ir.apply_instruction`` is the way to apply
-one gate to a ``PureState``.  A kernel checks nothing: ``CircuitProgram``
+work buffer (the flat amplitude vector of a layout) and allocates no
+output.  The buffer is complex128, or float64 in a segment with no
+Fourier transform from a real start, whose gates map real amplitudes to
+real ones; every kernel but the Fourier transform runs on either, and a
+scratch buffer takes the work buffer's dtype.  ``circuit_ir`` runs every
+gate through these kernels on one work buffer;
+``circuit_ir.apply_instruction`` is the way to apply one gate to a
+``PureState``.  A kernel checks nothing: ``CircuitProgram``
 checks that an instruction's registers and table fit its layout once, when
 the program is built.
 

@@ -57,17 +57,27 @@ from test_families import born_project
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def run_unitaries(state, instrs):
+def run_unitaries(state, instrs, real=False):
     """The replaced full-state segment: the unitary instructions among
     ``instrs``, in order, on one copy of ``state``, through the in-place
-    kernels; measurements and dephasings are skipped."""
+    kernels; measurements and dephasings are skipped.  Given ``real``, a
+    real segment runs on the float64 view, a copy of the real parts, as the
+    walk's segments do."""
     unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
     if not unitary:
         return state
-    work = state.amplitudes.copy()
+    real = real and real_segment(unitary, state.amplitudes)
+    work = state.amplitudes.real.copy() if real else state.amplitudes.copy()
     for instr in unitary:
         circuit_ir.apply_instruction_in_place(work, state.layout, instr)
-    return PureState._adopt(state.layout, work)
+    return PureState._adopt(state.layout, work.astype(np.complex128, copy=False))
+
+
+def real_segment(instrs, amps):
+    """Whether a segment of ``instrs`` from ``amps`` is real: no Fourier
+    transform, and every imaginary part +0."""
+    fourier = any(getattr(instr, "kind", None) in ("qft", "inverse-qft") for instr in instrs)
+    return not fourier and not amps.imag.view(np.uint64).any()
 
 
 def full_marginal(state, reg):
@@ -83,10 +93,12 @@ def divided(state, weight):
 class FullStateWalk:
     """The replaced walk: kept states, tagged states and branches are full
     states, and a trial carries its draws' state and its phased state
-    apart; otherwise the sliced walk's own logic, its inert rule included."""
+    apart; otherwise the sliced walk's own logic, its inert rule included.
+    Its segments run on complex128, or, given ``real``, a real segment on
+    float64, as ``run_unitaries`` runs it."""
 
-    def __init__(self, program, initial):
-        self.instructions = program.instructions
+    def __init__(self, program, initial, real=False):
+        self.instructions, self.real = program.instructions, real
         later, self.inert, visible = set(), set(), False
         for i in reversed(range(len(self.instructions))):
             instr = self.instructions[i]
@@ -118,10 +130,10 @@ class FullStateWalk:
         for i in range(at, boundary):
             instr = self.instructions[i]
             if isinstance(instr, (Measure, Dephase)) and i not in self.inert:
-                state = run_unitaries(state, self.instructions[start:i])
+                state = run_unitaries(state, self.instructions[start:i], self.real)
                 state = born_project(state, instr.reg, path[k])
                 k, start = k + 1, i + 1
-        state = run_unitaries(state, self.instructions[start:boundary])
+        state = run_unitaries(state, self.instructions[start:boundary], self.real)
         chain.append((boundary, path, state))
         return state
 
@@ -152,7 +164,7 @@ class FullStateWalk:
 
         def forward(carried, i):
             at, state = carried
-            return i, run_unitaries(state, instrs[at:i])
+            return i, run_unitaries(state, instrs[at:i], self.real)
 
         def here(i):
             nonlocal own, phased
@@ -240,8 +252,12 @@ def random_table(draw, input_bits, output_bits):
     return draw(st.lists(st.integers(0, (1 << output_bits) - 1), min_size=1 << input_bits, max_size=1 << input_bits))
 
 
+OPS = ("prepare", "hadamard", "qft", "inverse-qft", "grover-diffusion", "oracle", "moded", "dephase", "measure")
+REAL_OPS = ("prepare", "hadamard", "grover-diffusion", "oracle", "moded", "measure")
+
+
 @st.composite
-def sliced_programs(draw):
+def sliced_programs(draw, ops=OPS):
     """A random well-ordered program on 2-3 registers that starts from
     |0...0> or, one time in four, from a random state.
 
@@ -249,11 +265,13 @@ def sliced_programs(draw):
     both oracles, dephasings and measurements on any unmeasured register,
     fixed or not; every register still unmeasured after it is measured at
     the end, and a random non-empty subset of the measured ones is observed.
+    With ``ops`` the body draws only those operations; with ``REAL_OPS`` no
+    gate is a Fourier transform and nothing dephases, and the random start
+    state is real, so every segment is real.
     """
     sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     names = [f"R{i}" for i in range(len(sizes))]
     layout = RegisterLayout(tuple(zip(names, sizes)))
-    ops = ("prepare", "hadamard", "qft", "inverse-qft", "grover-diffusion", "oracle", "moded", "dephase", "measure")
     instrs, measured = [], []
     for _ in range(draw(st.integers(0, 9))):
         free = [name for name in names if name not in measured]
@@ -288,13 +306,50 @@ def sliced_programs(draw):
     if draw(st.integers(0, 3)) == 0:
         rng = np.random.default_rng(draw(SEEDS))
         amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+        if ops == REAL_OPS:
+            amps.imag = 0.0
         initial = PureState(layout, amps / np.linalg.norm(amps))
     return CircuitProgram(layout, tuple(instrs)), tuple(observed), initial
 
 
 def assert_close(got, expected):
     assert got.layout == expected.layout
+    assert got.amplitudes.dtype == np.complex128
     assert np.abs(got.amplitudes - expected.amplitudes).max() < 1e-12
+
+
+def assert_states_agree(program, initial, seed, tags):
+    """One trial's records, tagged states and final state against the
+    full-state walk's; returns the full-state walk's trial."""
+    got = _BranchWalk(program, initial).trial(np.random.default_rng(seed), tags)
+    expected = FullStateWalk(program, initial).trial(np.random.default_rng(seed), tags)
+    assert [(r.register, r.outcome) for r in got[0]] == [(r.register, r.outcome) for r in expected[0]]
+    for tag in tags:
+        assert_close(got[1][tag], expected[1][tag])
+    assert_close(got[2].state(got[3]), expected[2])
+    return expected
+
+
+def assert_distributions_agree(program, observed, initial):
+    """Every node distribution, each measurement's branches expanded as one
+    block of rows, and the enumeration, against the full-state walk's."""
+    sliced, full = _BranchWalk(program, initial), FullStateWalk(program, initial)
+    stack = [()]
+    while stack:
+        path = stack.pop()
+        if len(path) == len(sliced.nodes):
+            continue
+        got = sliced.distribution(sliced.nodes[len(path)], path)
+        expected = full.distribution(full.nodes[len(path)], path)
+        assert np.abs(got.probabilities - expected.probabilities).max() < 1e-12
+        if len(path) + 1 < len(sliced.nodes):
+            sliced.expand(len(path), path, expected.support)
+        stack.extend(path + (v,) for v in expected.support)
+    got = enumerate_outcome_distribution(program, observed, initial)
+    expected = full_state_enumeration(program, observed, initial)
+    assert set(got) == set(expected)
+    for key in expected:
+        assert abs(got[key] - expected[key]) < 1e-12
 
 
 class TestAgainstTheFullStateWalk:
@@ -316,13 +371,7 @@ class TestAgainstTheFullStateWalk:
     @given(case=sliced_programs(), seed=SEEDS)
     def test_tagged_and_final_states_are_the_full_state_walks(self, case, seed):
         program, _, initial = case
-        every_boundary = {f"b{i}": i for i in range(len(program.instructions) + 1)}
-        got = _BranchWalk(program, initial).trial(np.random.default_rng(seed), every_boundary)
-        expected = FullStateWalk(program, initial).trial(np.random.default_rng(seed), every_boundary)
-        assert [(r.register, r.outcome) for r in got[0]] == [(r.register, r.outcome) for r in expected[0]]
-        for tag in every_boundary:
-            assert_close(got[1][tag], expected[1][tag])
-        assert_close(got[2].state(got[3]), expected[2])
+        assert_states_agree(program, initial, seed, {f"b{i}": i for i in range(len(program.instructions) + 1)})
 
     @settings(max_examples=150, deadline=None)
     @given(case=sliced_programs())
@@ -342,6 +391,73 @@ class TestAgainstTheFullStateWalk:
         expected = full_state_enumeration(program, observed, initial)
         for key in set(got) | set(expected):
             assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) < 1e-12
+
+
+class TestRealPrograms:
+    """A segment with no Fourier transform runs in float64, from a start
+    whose imaginary parts are all +0; what it hands out is complex128,
+    within 1e-12 of the complex128 full-state walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sliced_programs(REAL_OPS))
+    def test_node_distributions_and_enumeration(self, case):
+        program, observed, initial = case
+        assert_distributions_agree(program, observed, initial)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=sliced_programs(REAL_OPS), seed=SEEDS)
+    def test_tagged_and_final_states(self, case, seed):
+        program, _, initial = case
+        assert_states_agree(program, initial, seed, {f"b{i}": i for i in range(len(program.instructions) + 1)})
+
+    @staticmethod
+    def buffers(monkeypatch, program, initial=None):
+        """The dtypes of the work buffers a diffusion kernel is bound to in a
+        run of ``program``, and the dtype of its final state."""
+        dtypes = []
+        bind = gates.bound_grover_diffusion
+
+        def record(work, layout, reg):
+            dtypes.append(work.dtype.type)
+            return bind(work, layout, reg)
+
+        monkeypatch.setattr(gates, "bound_grover_diffusion", record)
+        trace = run(program, np.random.default_rng(0), initial=initial)
+        return set(dtypes), trace.final_state.amplitudes.dtype
+
+    LAYOUT = RegisterLayout.of(X=2, Y=1)
+    SEARCH = (
+        Prepare("X", "uniform"),
+        GateOp("oracle-xor", in_reg="X", out_reg="Y", table=FunctionTable(2, 1, (0, 1, 0, 0))),
+        GateOp("grover-diffusion", reg="X"),
+    )
+
+    def test_a_real_program_runs_its_kernels_in_float64(self, monkeypatch):
+        program = CircuitProgram(self.LAYOUT, self.SEARCH + (Measure("X"), Measure("Y")))
+        assert self.buffers(monkeypatch, program) == ({np.float64}, np.complex128)
+        start = PureState(self.LAYOUT, np.full(8, 8**-0.5))  # every imaginary part +0
+        assert self.buffers(monkeypatch, program, start) == ({np.float64}, np.complex128)
+
+    @pytest.mark.parametrize("kind", ["qft", "inverse-qft"])
+    def test_a_fourier_transform_keeps_its_segment_complex128(self, monkeypatch, kind):
+        program = CircuitProgram(self.LAYOUT, self.SEARCH + (GateOp(kind, reg="Y"), Measure("X"), Measure("Y")))
+        assert self.buffers(monkeypatch, program) == ({np.complex128}, np.complex128)
+        # a measurement ends the segment: the search before it is real
+        program = CircuitProgram(self.LAYOUT, self.SEARCH + (Measure("X"), GateOp(kind, reg="Y"), Measure("Y")))
+        assert self.buffers(monkeypatch, program) == ({np.float64}, np.complex128)
+
+    def test_a_dephasing_makes_the_segment_after_it_complex128(self, monkeypatch):
+        # its sampled phases give the next segment's start imaginary parts
+        program = CircuitProgram(self.LAYOUT, self.SEARCH[:1] + (Dephase("X"),) + self.SEARCH[1:] + (Measure("X"), Measure("Y")))
+        assert self.buffers(monkeypatch, program) == ({np.complex128}, np.complex128)
+
+    @pytest.mark.parametrize("imaginary", [1e-300, -0.0])
+    def test_a_start_with_an_imaginary_part_other_than_plus_zero_keeps_complex128(self, monkeypatch, imaginary):
+        # a -0 imaginary part would be lost in a float64 buffer
+        amps = np.full(8, 8**-0.5, dtype=np.complex128)
+        amps.imag[5] = imaginary
+        program = CircuitProgram(self.LAYOUT, self.SEARCH + (Measure("X"), Measure("Y")))
+        assert self.buffers(monkeypatch, program, PureState._adopt(self.LAYOUT, amps)) == ({np.complex128}, np.complex128)
 
 
 FATES = ("measured", "dephased", "unobserved", "tagged", "gathered", "gated")
@@ -444,23 +560,7 @@ class TestOracleOutputHeldAsRows:
     def test_distributions_and_enumeration(self, fate, data):
         program, observed, oracle = data.draw(held_output_programs(fate))
         self.held(program, oracle)
-        sliced, full = _BranchWalk(program, None), FullStateWalk(program, None)
-        stack = [()]
-        while stack:
-            path = stack.pop()
-            if len(path) == len(sliced.nodes):
-                continue
-            got = sliced.distribution(sliced.nodes[len(path)], path)
-            expected = full.distribution(full.nodes[len(path)], path)
-            assert np.abs(got.probabilities - expected.probabilities).max() < 1e-12
-            if len(path) + 1 < len(sliced.nodes):
-                sliced.expand(len(path), path, expected.support)
-            stack.extend(path + (v,) for v in expected.support)
-        got = enumerate_outcome_distribution(program, observed)
-        expected = full_state_enumeration(program, observed, None)
-        assert set(got) == set(expected)
-        for key in expected:
-            assert abs(got[key] - expected[key]) < 1e-12
+        assert_distributions_agree(program, observed, None)
 
     @pytest.mark.parametrize("fate", FATES)
     @settings(max_examples=60, deadline=None)
@@ -487,12 +587,7 @@ class TestOracleOutputHeldAsRows:
         program, _, oracle = data.draw(held_output_programs(fate))
         self.held(program, oracle)
         tags = {**program.time_tags, **{f"b{i}": i for i in range(len(program.instructions) + 1)}}
-        got = _BranchWalk(program, None).trial(np.random.default_rng(seed), tags)
-        expected = FullStateWalk(program, None).trial(np.random.default_rng(seed), tags)
-        assert [(r.register, r.outcome) for r in got[0]] == [(r.register, r.outcome) for r in expected[0]]
-        for tag in tags:
-            assert_close(got[1][tag], expected[1][tag])
-        assert_close(got[2].state(got[3]), expected[2])
+        expected = assert_states_agree(program, None, seed, tags)
         trace = run(program, np.random.default_rng(seed))
         for tag in program.time_tags:
             assert_close(trace.state_at_tag(tag), expected[1][tag])
@@ -502,7 +597,9 @@ class TestOracleOutputHeldAsRows:
 @st.composite
 def slices(draw):
     """A slice on 2-3 registers, a random subset of them fixed at random
-    values, whose free amplitudes mix random values with signed zeros."""
+    values, whose free amplitudes mix random values with signed zeros; one
+    time in two every imaginary part is +0, a start a segment with no
+    Fourier transform runs in float64."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     layout = RegisterLayout(tuple((f"R{i}", q) for i, q in enumerate(sizes)))
     fixed = {}
@@ -519,6 +616,8 @@ def slices(draw):
         )
     )
     amps = np.array(parts).view(np.complex128)
+    if draw(st.booleans()):
+        amps.imag = 0.0
     amps.setflags(write=False)
     return circuit_ir._Slice(layout, fixed, free, amps)
 
@@ -532,21 +631,26 @@ def assert_held_rows(start, instrs):
     each that the buffer is bit for bit the full state at the fixed
     registers' values and at 0 in every held register, signed zeros
     included; stop where a product underflows, where such a segment reruns
-    without holding."""
+    without holding.  A real segment runs on the float64 view, as ``run``
+    starts it, and so does the reference."""
     layout = start.layout
     segment = circuit_ir._Segment(start, holds=True)
+    real = real_segment(instrs, start.amps)
+    if real:
+        segment.work, segment.owned = start.amps.real.copy(), True
     for k, instr in enumerate(instrs, 1):
         try:
             with np.errstate(under="raise"):
                 segment.apply(instr)
         except FloatingPointError:
             return
-        full = run_unitaries(start.state(), instrs[:k]).amplitudes
+        full = run_unitaries(start.state(), instrs[:k], real).amplitudes
         at = {**segment.fixed, **dict.fromkeys(segment.held, 0)}
         row = full.reshape([layout.dim(name) for name in layout.names])[
             tuple(at.get(name, slice(None)) for name in layout.names)
         ]
-        assert np.array_equal(segment.work.view(np.uint64), np.ascontiguousarray(row).reshape(-1).view(np.uint64))
+        row = np.ascontiguousarray(row.real if real else row)
+        assert np.array_equal(segment.work.view(np.uint64), row.reshape(-1).view(np.uint64))
 
 
 def held_segment(start, data):
@@ -609,8 +713,9 @@ class TestSliceRules:
             instr = GateOp("oracle-moded", mode_reg=mode, in_reg=reg, out_reg=out, table=table)
         else:
             instr = GateOp("hadamard" if kind == "moded" else kind, reg=reg)
+        # a real segment and its reference run on the float64 view
         got = circuit_ir._advance(start, [instr]).state()
-        expected = run_unitaries(start.state(), [instr])
+        expected = run_unitaries(start.state(), [instr], real=True)
         assert np.array_equal(as_bits(got), as_bits(expected))
 
     @settings(max_examples=500, deadline=None)
@@ -618,13 +723,14 @@ class TestSliceRules:
     def test_a_segment_that_holds_registers_is_the_full_state_kernels_bit_for_bit(self, start, data):
         instrs = held_segment(start, data)
         got = circuit_ir._advance(start, instrs).state()
-        expected = run_unitaries(start.state(), instrs)
+        expected = run_unitaries(start.state(), instrs, real=True)
         assert np.array_equal(as_bits(got), as_bits(expected))
 
     @settings(max_examples=300, deadline=None)
     @given(start=slices(), data=st.data())
     def test_a_held_buffer_is_the_full_state_row_at_value_0(self, start, data):
-        assert_held_rows(start, held_segment(start, data))
+        instrs = held_segment(start, data)
+        assert_held_rows(start, instrs)
 
     @pytest.mark.parametrize("value", [0, 1])
     @pytest.mark.parametrize(
@@ -836,15 +942,18 @@ class TestReplayedSteps:
     @given(case=repeated_bodies(), seed=SEEDS)
     def test_a_repeated_body_is_the_full_state_walk_bit_for_bit(self, case, seed):
         # the state before the measurements, and the final state of the
-        # body alone, where no projection renormalises
+        # body alone, where no projection renormalises; a real program's
+        # reference runs on the float64 view
         program, observed, initial = case
         trace = run(program, np.random.default_rng(seed), initial=initial)
-        records, tagged, _ = FullStateWalk(program, initial).trial(np.random.default_rng(seed), program.time_tags)
+        reference = FullStateWalk(program, initial, real=True)
+        records, tagged, _ = reference.trial(np.random.default_rng(seed), program.time_tags)
         assert [(r.register, r.outcome) for r in trace.records] == [(r.register, r.outcome) for r in records]
         assert np.array_equal(as_bits(trace.state_at_tag("pre")), as_bits(tagged["pre"]))
         body = CircuitProgram(program.layout, program.instructions[: program.time_tags["pre"]])
         final = run(body, np.random.default_rng(seed), initial=initial).final_state
-        assert np.array_equal(as_bits(final), as_bits(FullStateWalk(body, initial).trial(np.random.default_rng(seed), {})[2]))
+        expected = FullStateWalk(body, initial, real=True).trial(np.random.default_rng(seed), {})[2]
+        assert np.array_equal(as_bits(final), as_bits(expected))
         # a register the sliced walk keeps fixed is certain, exactly 1,
         # where the full state's marginal may read 1 + 2^-52: enumeration
         # matches the walk with every instruction a fresh object bit for
@@ -874,7 +983,7 @@ class TestReplayedSteps:
         program = standard_circuit(GameInstance(drawers, 5))
         trace = run(program, np.random.default_rng(0))
         assert dispatched == list(program.instructions[:5])
-        expected = FullStateWalk(program, None).trial(np.random.default_rng(0), program.time_tags)
+        expected = FullStateWalk(program, None, real=True).trial(np.random.default_rng(0), program.time_tags)
         assert np.array_equal(as_bits(trace.state_at_tag("pre")), as_bits(expected[1]["pre"]))
 
     def test_an_underflowing_body_reruns_without_holding(self, monkeypatch):

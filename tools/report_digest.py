@@ -1,6 +1,7 @@
 """Digest of every report in the first rounds of the benchmark workloads.
 
     python3 tools/report_digest.py [--src PATH] > digest.jsonl
+    python3 tools/report_digest.py [--src PATH] --against OTHER_SRC
 
 Runs every job of rounds 0 and 1 at workload seed 0 of each workload in
 ``perfbench/jobs.py``, then the fixed ``ceiling`` jobs at the 20-qubit
@@ -18,6 +19,16 @@ full records file, and of the records' (register, outcome) sequence alone.
 ``--src`` imports qdesk from another checkout's ``src``, so one copy of
 this script digests two versions of the program; ``diff`` the two outputs
 to see which reports moved.
+
+``--against`` compares two trees instead: it runs the same jobs once from
+``--src`` and once from ``OTHER_SRC``, each in a fresh interpreter that
+keeps what each job wrote (``--keep``), and prints one line per moved
+report field: the command (with its ``--variant`` and ``--discipline``),
+the field (``stdout.<key>``, ``dump_state``, ``records.<key>``; ``[]``
+stands for every list index), how many of the command's reports it moved
+in, and its largest absolute move, or ``changed`` where a value that is no
+number differs.  Then each command with its count of byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -27,10 +38,14 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 import traceback
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
@@ -145,7 +160,9 @@ def _option(argv: list[str], flag: str, path: Path | None) -> Path | None:
     return path
 
 
-def digest(job_argv: tuple[str, ...], work: Path, main, add_files: bool = True) -> dict:
+def run_job(job_argv: tuple[str, ...], work: Path, main, add_files: bool = True) -> dict:
+    """One job run through ``main``: its argv, exit code, stdout, and the
+    bytes of its dumped state and records file, each None if not written."""
     argv = list(job_argv)
     state = records = None
     if argv[0] in ("shor", "grover"):
@@ -166,48 +183,152 @@ def digest(job_argv: tuple[str, ...], work: Path, main, add_files: bool = True) 
             code, failure = 1, traceback.format_exc()
     if failure:
         print(failure, file=sys.stderr)
-    record_bytes = _read(records) if records else None
     return {
         "argv": [arg.replace(str(work), "<tmp>") for arg in argv],
         "exit": code,
-        "stdout": _sha(out.getvalue().encode()),
-        "dump_state": _sha(_read(state)) if state else None,
-        "records": _sha(record_bytes),
-        "record_outcomes": _sha(_outcomes(record_bytes)),
+        "stdout": out.getvalue(),
+        "dump_state": _read(state) if state else None,
+        "records": _read(records) if records else None,
     }
 
 
-def _digests(argv: tuple[str, ...], work: Path, main) -> list[dict]:
-    """The digest of one job, and for a ``shor`` or ``grover`` job also that
-    of its run as the workload gives it."""
-    lines = [digest(argv, work, main)]
-    if argv[0] in ("shor", "grover"):
-        lines.append(digest(argv, work, main, add_files=False))
+def digest(run: dict) -> dict:
+    return {
+        "argv": run["argv"],
+        "exit": run["exit"],
+        "stdout": _sha(run["stdout"].encode()),
+        "dump_state": _sha(run["dump_state"]),
+        "records": _sha(run["records"]),
+        "record_outcomes": _sha(_outcomes(run["records"])),
+    }
+
+
+def all_runs(work: Path, main):
+    """(workload, round, run) for every job in order; a ``shor`` or
+    ``grover`` job runs twice, the second time as the workload gives it."""
+    import jobs
+
+    every = [(workload, index, job.argv) for workload in jobs.WORKLOADS for index in range(ROUNDS)
+             for job in jobs.make_round(workload, SEED, index, work)]
+    every += [("ceiling", 0, argv) for argv in CEILING]
+    every += [("files", 0, argv) for argv in file_jobs(work)]
+    for workload, index, argv in every:
+        yield workload, index, run_job(argv, work, main)
+        if argv[0] in ("shor", "grover"):
+            yield workload, index, run_job(argv, work, main, add_files=False)
+
+
+def keep(run: dict, where: Path, k: int) -> None:
+    """Write one run's argv, exit code and stdout to ``where/k.json``, and
+    its dumped state and records, if any, beside it."""
+    (where / f"{k}.json").write_text(json.dumps({key: run[key] for key in ("argv", "exit", "stdout")}))
+    for key in ("dump_state", "records"):
+        if run[key] is not None:
+            (where / f"{k}.{key}").write_bytes(run[key])
+
+
+def _leaves(value, path: str):
+    """(path, leaf) for every leaf of a JSON value; ``[]`` marks a list index."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], f"{path}.{key}")
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item, f"{path}[]")
+    else:
+        yield path, value
+
+
+def _fields(where: Path, k: int) -> tuple[list[str], dict[str, list]]:
+    """One kept run's argv and its fields: path -> leaves, in order."""
+    run = json.loads((where / f"{k}.json").read_text())
+    try:
+        stdout = json.loads(run["stdout"])
+    except json.JSONDecodeError:
+        stdout = run["stdout"]
+    fields = defaultdict(list)
+    fields["exit"].append(run["exit"])
+    for path, leaf in _leaves(stdout, "stdout"):
+        fields[path].append(leaf)
+    state = where / f"{k}.dump_state"
+    if state.exists():
+        fields["dump_state"] = np.array(json.loads(state.read_bytes())["amplitudes"], dtype=np.float64)
+    records = where / f"{k}.records"
+    if records.exists():
+        for line in records.read_text().splitlines():
+            for path, leaf in _leaves(json.loads(line), "records"):
+                fields[path].append(leaf)
+    return run["argv"], fields
+
+
+def _move(old: list | np.ndarray, new: list | np.ndarray) -> float | str | None:
+    """The largest absolute move between two lists of leaves, or two dumped
+    states' arrays; ``changed`` where a leaf that is no number differs or
+    the two differ in length; None where nothing moved."""
+    if isinstance(old, np.ndarray) or isinstance(new, np.ndarray):
+        old, new = np.asarray(old, dtype=np.float64), np.asarray(new, dtype=np.float64)
+        if old.shape != new.shape:
+            return "changed"
+        return None if np.array_equal(old, new) else float(np.abs(old - new).max())
+    if old == new:
+        return None
+    if len(old) != len(new) or not all(type(v) in (int, float) for v in old + new):
+        return "changed"
+    return float(np.abs(np.subtract(old, new, dtype=np.float64)).max())
+
+
+def compare(old_dir: Path, new_dir: Path) -> list[str]:
+    """The moved fields between two kept runs of the same jobs, as lines."""
+    moved: dict[tuple[str, str], list] = defaultdict(list)
+    reports: dict[str, list[bool]] = defaultdict(list)
+    for k in range(len(list(old_dir.glob("*.json")))):
+        argv, old = _fields(old_dir, k)
+        new_argv, new = _fields(new_dir, k)
+        assert argv == new_argv, (argv, new_argv)
+        label = " ".join([argv[0]] + [f"{flag} {argv[argv.index(flag) + 1]}" for flag in ("--variant", "--discipline") if flag in argv])
+        same = all((old_dir / f"{k}.{x}").read_bytes() == (new_dir / f"{k}.{x}").read_bytes()
+                   for x in ("json", "dump_state", "records") if (old_dir / f"{k}.{x}").exists())
+        reports[label].append(same)
+        for path in sorted(old.keys() | new.keys()):
+            move = _move(old.get(path, []), new.get(path, []))
+            if move is not None:
+                moved[label, path].append(move)
+    lines = []
+    for (label, path), moves in sorted(moved.items()):
+        numbers = [m for m in moves if m != "changed"]
+        largest = f"largest move {max(numbers):.2g}" if numbers else ""
+        changed = f"changed in {len(moves) - len(numbers)}" if len(numbers) < len(moves) else ""
+        lines.append(f"{label}: {path} moved in {len(moves)} of {len(reports[label])} reports; "
+                     + ", ".join(filter(None, (largest, changed))))
+    for label, same in sorted(reports.items()):
+        lines.append(f"{label}: {sum(same)} of {len(same)} reports byte-identical")
     return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="qdesk source directory")
+    parser.add_argument("--against", type=Path, help="compare with the qdesk source directory of another tree")
+    parser.add_argument("--keep", type=Path, help="write each run's outputs into this directory instead of digests")
     args = parser.parse_args(argv)
+    if args.against:
+        with tempfile.TemporaryDirectory(prefix="report-moves-") as tmp:
+            sides = {"old": args.against, "new": args.src}
+            for side, src in sides.items():
+                (Path(tmp) / side).mkdir()
+                subprocess.run([sys.executable, __file__, "--src", str(src), "--keep", str(Path(tmp) / side)], check=True)
+            print("\n".join(compare(Path(tmp) / "old", Path(tmp) / "new")))
+        return 0
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     sys.dont_write_bytecode = True  # leave no cache files beside jobs.py
-    import jobs
     from qdesk.cli import main as cli_main
 
     with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
-        work = Path(tmp)
-        for workload in jobs.WORKLOADS:
-            for index in range(ROUNDS):
-                for job in jobs.make_round(workload, SEED, index, work):
-                    for line in _digests(job.argv, work, cli_main):
-                        print(json.dumps({"workload": workload, "round": index} | line, sort_keys=True), flush=True)
-        for argv in CEILING:
-            for line in _digests(argv, work, cli_main):
-                print(json.dumps({"workload": "ceiling", "round": 0} | line, sort_keys=True), flush=True)
-        for argv in file_jobs(work):
-            for line in _digests(argv, work, cli_main):
-                print(json.dumps({"workload": "files", "round": 0} | line, sort_keys=True), flush=True)
+        for k, (workload, index, run) in enumerate(all_runs(Path(tmp), cli_main)):
+            if args.keep:
+                keep(run, args.keep, k)
+            else:
+                print(json.dumps({"workload": workload, "round": index} | digest(run), sort_keys=True), flush=True)
     return 0
 
 
