@@ -9,6 +9,14 @@ a program file that cannot be read, parsed or loaded, or out of memory (one
 
 ``main`` may be called many times in one process: the parser is built once,
 on the first call, and every call parses its own argv into a fresh namespace.
+
+When argv[0] names a subcommand, that subcommand's parser parses the rest
+of argv, so a report runs one parse; the top-level parser runs only for
+help or a missing or unknown subcommand.  Leftover arguments and usage
+problems found after parsing still end in the top-level parser's error,
+as they would under one parse of argv.  A seed that is not a non-negative
+integer, from ``--seed`` or QDESK_SEED, is one ``error:`` line and exit 2.
+``--help`` shows every paragraph above this one.
 """
 
 from __future__ import annotations
@@ -33,9 +41,25 @@ from .selftest import SUBCOMMAND_SUITES, run_selftest
 DEFAULT_SEED_ENV = "QDESK_SEED"
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(DEFAULT_SEED_ENV)
-    return int(raw) if raw else 0
+class _UsageError(Exception):
+    """An input a command cannot use, found after parsing: ``main`` prints
+    one ``error:`` line and exits 2."""
+
+
+def _seed(args: argparse.Namespace) -> int:
+    """The run's seed: ``--seed``, else QDESK_SEED, else 0; one that is not
+    a non-negative integer is a usage error."""
+    if args.seed is not None:
+        name, raw = "--seed", args.seed
+    else:
+        name, raw = DEFAULT_SEED_ENV, os.environ.get(DEFAULT_SEED_ENV) or "0"
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1  # refused below, as a negative seed is
+    if seed < 0:
+        raise _UsageError(f"{name} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def non_negative_int(raw: str, low: int = 0) -> int:
@@ -164,8 +188,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qdesk", description=__doc__)
+    """The top-level parser, built on the first call; its ``commands`` maps
+    each subcommand's name to the parser it hands that subcommand's
+    arguments to."""
+    # the help text is the module docstring without its last paragraph
+    parser = argparse.ArgumentParser(prog="qdesk", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("shor", help="period finding under a measurement discipline")
     p.add_argument("--n", type=positive_int, default=3, help="input register qubits")
@@ -225,7 +254,7 @@ def _indented_json(value, outer: str = "\n") -> str:
         return json.dumps(value)
     pad = outer + "  "
     items = value.values() if isinstance(value, dict) else value
-    if not any(isinstance(item, containers) for item in items):
+    if not any(issubclass(kind, containers) for kind in set(map(type, items))):
         body = json.dumps(value, sort_keys=True, separators=("," + pad, ": "))
     elif isinstance(value, dict):
         parts = [f"{json.dumps(key)}: {_indented_json(value[key], pad)}" for key in sorted(value)]
@@ -369,11 +398,6 @@ def _cmd_game(args: argparse.Namespace, seed: int) -> dict:
     }
 
 
-class _UsageError(Exception):
-    """An input a command cannot use, found after parsing: ``main`` prints
-    one ``error:`` line and exits 2."""
-
-
 def _load_program(path: str) -> circuit_ir.CircuitProgram:
     """The program in a JSON file; a file that cannot be read, parsed or
     loaded is a usage error."""
@@ -448,19 +472,35 @@ def _cmd_mixture_check(args: argparse.Namespace, seed: int) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """argv parsed as one top-level parse parses it, with the usage
+    problems found after parsing reported by the top-level parser; when
+    argv[0] names a subcommand, only that subcommand's parser runs."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # help, or a missing or unknown subcommand
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     problem = _usage_problem(args)
     if problem:
         parser.error(problem)
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.selftest:
-        ok, lines = run_selftest(SUBCOMMAND_SUITES[args.command], seed)
-        for line in lines:
-            print(line)
-        return 0 if ok else 1
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(argv)
     try:
+        seed = _seed(args)
+        if args.selftest:
+            ok, lines = run_selftest(SUBCOMMAND_SUITES[args.command], seed)
+            for line in lines:
+                print(line)
+            return 0 if ok else 1
         if args.command == "shor":
             _emit(_cmd_shor(args, seed), args)
         elif args.command == "grover":

@@ -232,16 +232,24 @@ def modexp_output_bits(modulus: int) -> int:
 
 
 def modexp_table(base: int, modulus: int, input_bits: int) -> FunctionTable:
-    """Table for f(x) = base**x mod modulus; requires gcd(base, modulus) = 1."""
+    """Table for f(x) = base**x mod modulus; requires gcd(base, modulus) = 1.
+
+    Built by doubling: once the first s entries are known, the next s are
+    theirs times base^s, mod modulus, one array step each.  Entries and
+    factors stay below a modulus of at most 2^MAX_QUBITS, so every product
+    stays below 2^40, exact in int64."""
     if modulus < 2 or math.gcd(base, modulus) != 1:
         raise ValueError(f"need gcd(base, modulus) = 1 and modulus >= 2, got {base}, {modulus}")
     output_bits = modexp_output_bits(modulus)
-    values = []
-    acc = 1 % modulus
-    for _ in range(1 << input_bits):
-        values.append(acc)
-        acc = (acc * base) % modulus
-    return FunctionTable(input_bits, output_bits, tuple(values))
+    if output_bits > MAX_QUBITS:
+        raise ShapeMismatchError(f"modulus {modulus} needs {output_bits} output bits, more than {MAX_QUBITS}")
+    values = np.empty(1 << input_bits, dtype=np.int64)
+    values[0] = 1
+    factor, size = base % modulus, 1
+    while size < values.size:
+        np.remainder(values[:size] * factor, modulus, out=values[size : 2 * size])
+        factor, size = factor * factor % modulus, 2 * size
+    return FunctionTable(input_bits, output_bits, values)
 
 
 def hadamard_all_in_place(work: np.ndarray, layout: RegisterLayout, reg: str) -> None:
@@ -356,12 +364,16 @@ def bound_grover_diffusion(work: np.ndarray, layout: RegisterLayout, reg: str) -
     view and the scale 2/d are built once, and each call of the returned
     step reflects the buffer as it then stands.  A register that spans the
     whole buffer is reflected flat: numpy sums the buffer pairwise, bit for
-    bit as it sums the register-last view's one line."""
+    bit as it sums the register-last view's one line.  The sum is kept as a
+    one-entry array, so the scale multiplies it in numpy's array loop, as
+    it does the register-last sums: numpy's complex scalar multiply turns
+    a real part that underflows to -0.0 into +0.0, where the array loop
+    keeps -0.0."""
     scale = 2.0 / layout.dim(reg)
     if work.size == layout.dim(reg):
 
         def reflect() -> None:
-            np.subtract(work.sum() * scale, work, out=work)
+            np.subtract(work.sum(keepdims=True) * scale, work, out=work)
 
         return reflect
     register_last = _axis_view(work, layout, reg).swapaxes(1, 2)

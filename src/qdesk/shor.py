@@ -79,8 +79,9 @@ class PeriodFindingInstance:
         return RegisterLayout.of(X=self.n, F=self.table.output_bits)
 
     @cached_property
-    def _candidates(self) -> dict[int, int | None]:
-        """``extract_period`` of each outcome asked for so far."""
+    def _period_tests(self) -> dict[int, bool]:
+        """Whether ``extract_period`` gives the period, for each outcome
+        asked for so far."""
         return {}
 
     @cached_property
@@ -168,13 +169,26 @@ def extract_period(outcome: int, table: FunctionTable) -> int | None:
     dimension = 1 << table.input_bits
     if not 0 <= outcome < dimension:
         raise ValueError(f"outcome must be in 0..{dimension - 1}")
+    return _first_period(outcome, table, dimension)
+
+
+def _first_period(outcome: int, table: FunctionTable, bound: int) -> int | None:
+    """``extract_period`` of an outcome in range, or None as soon as a
+    convergent's denominator exceeds ``bound`` before one passes the check.
+    The denominators never decrease along the recurrence (Shor, SIAM J.
+    Comput. 26(5), 1997, section 5), so with bound r this is r exactly when
+    ``extract_period`` is, and it stops at the first denominator past r;
+    with bound 2^n it is ``extract_period``."""
     if outcome == 0:
         return None
+    dimension = 1 << table.input_bits
     values = table.table
     num, den = outcome, dimension
     q_prev, q = 1, 0
     while den:
         q_prev, q = q, num // den * q + q_prev
+        if q > bound:
+            return None
         num, den = den, num % den
         # f(q) = f(0) rules out most q before the method call
         if q == dimension or values[q] == values[0] and table.has_period(q):
@@ -182,11 +196,12 @@ def extract_period(outcome: int, table: FunctionTable) -> int | None:
     return None
 
 
-def _candidate(inst: PeriodFindingInstance, outcome: int) -> int | None:
-    """``extract_period`` on the instance's table, memoised per instance."""
-    memo = inst._candidates
+def _gives_period(inst: PeriodFindingInstance, outcome: int) -> bool:
+    """Whether ``extract_period`` of the outcome is the instance's period,
+    memoised per instance; the recurrence stops at the period."""
+    memo = inst._period_tests
     if outcome not in memo:
-        memo[outcome] = extract_period(outcome, inst.table)
+        memo[outcome] = _first_period(outcome, inst.table, inst.period) == inst.period
     return memo[outcome]
 
 
@@ -220,19 +235,12 @@ def sample_trials(
     return (walk.program.measured_registers(), *walk.draws(rng, trials))
 
 
-def _distinct_candidates(inst: PeriodFindingInstance, x_outcomes: np.ndarray) -> tuple[list, list, np.ndarray]:
-    """The distinct X outcomes, ascending, the candidate period of each, and
-    the index of each trial's outcome among them."""
-    values, index = np.unique(x_outcomes, return_inverse=True)
-    values = values.tolist()
-    return values, [_candidate(inst, value) for value in values], index
-
-
 def success_count(inst: PeriodFindingInstance, x_outcomes: np.ndarray) -> int:
-    """How many of the X outcomes give the true period, with one
-    ``extract_period`` per distinct outcome."""
-    _, candidates, index = _distinct_candidates(inst, x_outcomes)
-    return int(np.array([q == inst.period for q in candidates], dtype=bool)[index].sum())
+    """How many of the X outcomes give the true period, with one period
+    test per distinct outcome."""
+    values, index = np.unique(x_outcomes, return_inverse=True)
+    gives = np.array([_gives_period(inst, value) for value in values.tolist()], dtype=bool)
+    return int(gives[index].sum())
 
 
 def sample_runs(
@@ -251,7 +259,9 @@ def sample_runs(
     registers, outcomes, probabilities = sample_trials(inst, discipline, trials, rng)
     if record_sink is not None:
         record_sink.extend(r for records in sampled_records(registers, outcomes, probabilities) for r in records)
-    values, candidates, index = _distinct_candidates(inst, outcomes[:, registers.index("X")])
+    values, index = np.unique(outcomes[:, registers.index("X")], return_inverse=True)
+    values = values.tolist()
+    candidates = [extract_period(value, inst.table) for value in values]
     f_outcomes = outcomes[:, registers.index("F")].tolist() if "F" in registers else [None] * trials
     return [
         PeriodResult(values[j], candidates[j], candidates[j] == inst.period, f)
@@ -301,7 +311,7 @@ def single_run_success_probability(
     near = np.minimum(offset, size - offset) * period <= size
     total = 0.0
     for outcome in np.flatnonzero(near & (probs > 0.0)).tolist():
-        if _candidate(inst, outcome) == period:
+        if _gives_period(inst, outcome):
             total += float(probs[outcome])
     return total
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -267,9 +268,18 @@ class TestShorCommand:
         assert _instance_problem(n, period, modulus) is None
 
 
+# trees of dicts, lists and tuples, empty ones included, over floats (-0.0,
+# NaN and the infinities drawn often), ints, bools, None and strings
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=30,
 )
 
@@ -662,6 +672,161 @@ class TestParserReuse:
         reused = [run_any(capsys, argv) for argv, _ in self.SEQUENCES[name]]
         assert reused == fresh
         assert [code for code, _, _ in reused] == [code for _, code in self.SEQUENCES[name]]
+
+
+# (argv, exit code, stdout, stderr) on an 80-column terminal, as one parse
+# of argv by the top-level parser printed them: the subcommand's parser
+# reports what it cannot parse, under its own usage, and the top-level
+# parser reports a missing or unknown subcommand, leftover arguments and
+# the usage problems found after parsing, under the top-level usage.
+TOP_USAGE = "usage: qdesk [-h] {shor,grover,game,defer-check,cost,mixture-check} ...\n"
+SHOR_USAGE = (
+    "usage: qdesk shor [-h] [--n N] [--r R] [--base BASE] [--modulus MODULUS]\n"
+    "                  [--discipline {measure-F-at-t2,skip-F,annihilate-F}]\n"
+    "                  [--trials TRIALS] [--dump-state PATH] [--records PATH]\n"
+    "                  [--seed SEED] [--json | --csv | --text] [--selftest]\n"
+)
+PARSE_BYTES = {
+    "leftover argument": (
+        ["shor", "--bogus"], 2, "", TOP_USAGE + "qdesk: error: unrecognized arguments: --bogus\n"
+    ),
+    "bad value": (
+        ["shor", "--n", "x"], 2, "", SHOR_USAGE + "qdesk shor: error: argument --n: invalid positive_int value: 'x'\n"
+    ),
+    "bad choice": (
+        ["shor", "--discipline", "nope"],
+        2,
+        "",
+        SHOR_USAGE + "qdesk shor: error: argument --discipline: invalid choice: 'nope' "
+        "(choose from 'measure-F-at-t2', 'skip-F', 'annihilate-F')\n",
+    ),
+    "exclusive formats": (
+        ["shor", "--json", "--csv"], 2, "", SHOR_USAGE + "qdesk shor: error: argument --csv: not allowed with argument --json\n"
+    ),
+    "instance over the ceiling": (
+        ["shor", "--n", "40"],
+        2,
+        "",
+        TOP_USAGE + "qdesk: error: shor: --n 40 with 40 output bits needs 80 qubits, more than 20\n",
+    ),
+    "game input": (
+        ["game", "--drawers", "5"], 2, "", TOP_USAGE + "qdesk: error: game: --strategy joint needs a square --drawers, got 5\n"
+    ),
+    "type check": (
+        ["mixture-check", "--samples", "0"],
+        2,
+        "",
+        "usage: qdesk mixture-check [-h] [--n N] [--samples SAMPLES] [--seed SEED]\n"
+        "                           [--json | --csv | --text] [--selftest]\n"
+        "qdesk mixture-check: error: argument --samples: must be >= 1, got 0\n",
+    ),
+    "no argv": ([], 2, "", TOP_USAGE + "qdesk: error: the following arguments are required: command\n"),
+    "unknown subcommand": (
+        ["nope"],
+        2,
+        "",
+        TOP_USAGE + "qdesk: error: argument command: invalid choice: 'nope' (choose from 'shor', 'grover', "
+        "'game', 'defer-check', 'cost', 'mixture-check')\n",
+    ),
+    "help": (
+        ["-h"],
+        0,
+        TOP_USAGE
+        + "\n"
+        "Command-line front end. Subcommands: shor, grover, game, defer-check, cost,\n"
+        "mixture-check. Every run is seeded (flag, else the QDESK_SEED environment\n"
+        "variable, else 0) and every report carries its seed. JSON output is the stable\n"
+        "contract; text and csv are conveniences. Exit codes: 0 ok, 1 internal failure,\n"
+        "2 usage, a program file that cannot be read, parsed or loaded, or out of\n"
+        "memory (one ``error:`` line, no traceback). ``main`` may be called many times\n"
+        "in one process: the parser is built once, on the first call, and every call\n"
+        "parses its own argv into a fresh namespace.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {shor,grover,game,defer-check,cost,mixture-check}\n"
+        "    shor                period finding under a measurement discipline\n"
+        "    grover              quantum drawer search, standard or mode-extended\n"
+        "    game                classical drawer search on a square chest\n"
+        "    defer-check         prove a deferral rewrite observationally sound\n"
+        "    cost                classical vs quantum stage cost table\n"
+        "    mixture-check       random-phase mixture vs uniform classical mixture\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    "subcommand help": (
+        ["shor", "-h"],
+        0,
+        SHOR_USAGE
+        + "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N                 input register qubits\n"
+        "  --r R                 hidden period of the synthetic instance\n"
+        "  --base BASE           modular-exponentiation base\n"
+        "  --modulus MODULUS     modular-exponentiation modulus\n"
+        "  --discipline {measure-F-at-t2,skip-F,annihilate-F}\n"
+        "  --trials TRIALS       sampled runs for the empirical rate\n"
+        "  --dump-state PATH     write the pre-measurement state as JSON\n"
+        "  --records PATH        write measurement records as JSON lines\n"
+        "  --seed SEED           RNG seed (default: $QDESK_SEED or 0)\n"
+        "  --json                machine-readable JSON report\n"
+        "  --csv                 delimited report\n"
+        "  --text                human-readable report (default)\n"
+        "  --selftest            run this subcommand's invariant suite and exit\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_BYTES)
+def test_parse_prints_the_bytes_of_one_top_level_parse(capsys, monkeypatch, name):
+    argv, code, out, err = PARSE_BYTES[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_any(capsys, argv) == (code, out, err)
+
+
+# (environment, argv) with a seed that is no non-negative integer
+BAD_SEEDS = {
+    "QDESK_SEED not an integer": ({"QDESK_SEED": "abc"}, ["game", "--drawers", "4"]),
+    "negative QDESK_SEED": ({"QDESK_SEED": "-2"}, ["mixture-check", "--samples", "10"]),
+    "negative --seed": ({}, ["grover", "--seed", "-1"]),
+    "negative --seed, sampled shor": ({}, ["shor", "--trials", "5", "--seed", "-3", "--json"]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SEEDS)
+def test_a_bad_seed_is_a_one_line_usage_error(name):
+    # in a fresh process, as a user runs it: a traceback or a second line
+    # of stderr would show here
+    env, argv = BAD_SEEDS[name]
+    src = str(Path(qdesk.__file__).resolve().parent.parent)
+    env = os.environ | env | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "qdesk.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(f"error: {argv[0]}: ") and "must be a non-negative integer" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["shor", "grover", "game", "defer-check", "cost", "mixture-check"])
+@pytest.mark.parametrize("seed_from", ["flag", "environment"])
+def test_every_subcommand_refuses_a_negative_seed_before_any_work(capsys, monkeypatch, command, seed_from):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command ran on a negative seed")
+
+    for name in ("_cmd_shor", "_cmd_grover", "_cmd_game", "_cmd_defer_check", "_cmd_cost", "_cmd_mixture_check", "run_selftest"):
+        monkeypatch.setattr(cli, name, refuse)
+    argv = [command, "--selftest"]
+    if seed_from == "flag":
+        argv += ["--seed", "-7"]
+        problem = "--seed must be a non-negative integer, got -7"
+    else:
+        monkeypatch.setenv("QDESK_SEED", "-7")
+        problem = "QDESK_SEED must be a non-negative integer, got '-7'"
+    assert run_any(capsys, argv) == (2, "", f"error: {command}: {problem}\n")
 
 
 # `numpy.random` is imported by the first `default_rng` call in a process;

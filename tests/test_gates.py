@@ -186,6 +186,31 @@ class TestFunctionTable:
             assert f(x) == acc
             acc = (acc * 7) % 15
 
+    def test_modexp_table_is_the_python_loop(self):
+        # from modulus 2 to 2^19, the widest the command line admits (n = 1,
+        # 19 output bits), and past it to a 20-bit modulus at n = 12
+        grid = [
+            (base, modulus, n)
+            for modulus in (2, 3, 15, 21, 39, 1 << 10, (1 << 19) - 1, 1 << 19)
+            for base in (1, 2, 3, 7, modulus - 1, -5, 10**30 + 1)
+            for n in (0, 1, 2, 5, 9)
+            if math.gcd(base, modulus) == 1
+        ] + [(3, 1 << 19, 14), (5, (1 << 20) - 3, 12)]
+        for base, modulus, n in grid:
+            acc, expected = 1 % modulus, []
+            for _ in range(1 << n):
+                expected.append(acc)
+                acc = acc * base % modulus
+            table = modexp_table(base, modulus, n)
+            assert table.table == tuple(expected), (base, modulus, n)
+            assert table.output_bits == max(1, (modulus - 1).bit_length())
+
+    @pytest.mark.parametrize("modulus", [(1 << 20) + 1, (1 << 40) + 1, (1 << 70) + 1])
+    def test_modexp_modulus_wider_than_a_register_is_refused_before_any_product(self, modulus):
+        # an entry that wide could overflow int64 in a doubling step
+        with pytest.raises(ShapeMismatchError):
+            modexp_table(2, modulus, 3)
+
     def test_modexp_requires_coprime(self):
         with pytest.raises(ValueError):
             modexp_table(6, 15, 3)

@@ -23,6 +23,7 @@ from qdesk.measure import PROB_EPS
 from qdesk.qstate import RegisterLayout
 from qdesk.shor import (
     DISCIPLINES,
+    _first_period,
     _period_instructions,
     divisors,
     period_circuit,
@@ -358,6 +359,59 @@ class TestBruteForceExtraction:
             extract_period(c, inst.table) for c in range(64)
         ]
         assert single_run_success_probability(decoy) == 0.0
+
+
+# every exactness instance, and periods 3, 8 and 2^n - 1 at n = 9 and 10
+PERIOD_TEST_INSTANCES = EXACTNESS_INSTANCES + [
+    pytest.param(build_periodic(n, r), id=f"n{n}-r{r}") for n in (9, 10) for r in (3, 8, (1 << n) - 1)
+]
+
+
+def full_recurrence_success_probability(inst, probs):
+    """The success probability as it was summed before the period test
+    stopped at the period: ``extract_period`` of every outcome in the
+    1/q^2 window, run to its end, compared with the period, the
+    probabilities added in ascending outcome order."""
+    size, period = inst.dimension, inst.period
+    offset = np.arange(size) * period % size
+    near = np.minimum(offset, size - offset) * period <= size
+    total = 0.0
+    for outcome in np.flatnonzero(near & (probs > 0.0)).tolist():
+        if extract_period(outcome, inst.table) == period:
+            total += float(probs[outcome])
+    return total
+
+
+@pytest.mark.parametrize("inst", PERIOD_TEST_INSTANCES)
+class TestPeriodTestStopsAtThePeriod:
+    def test_bounded_at_the_period_it_is_the_full_recurrence_cut_there(self, inst):
+        # convergent denominators never decrease, so the first one that
+        # passes is found before the first one past the bound, or never
+        for c in range(inst.dimension):
+            full = extract_period(c, inst.table)
+            bounded = _first_period(c, inst.table, inst.period)
+            assert bounded == (full if full is not None and full <= inst.period else None), c
+            assert (bounded == inst.period) == (full == inst.period), c
+
+    def test_success_count_is_the_per_trial_count(self, inst):
+        _, outcomes, _ = sample_trials(inst, "skip-F", 300, np.random.default_rng(inst.dimension + inst.period))
+        for x in (outcomes[:, 0], np.arange(inst.dimension)):
+            assert success_count(inst, x) == sum(extract_period(c, inst.table) == inst.period for c in x.tolist())
+
+    def test_success_probability_is_the_full_recurrences_bit_for_bit(self, inst):
+        probs = exact_outcome_distribution(inst, "skip-F")
+        assert single_run_success_probability(inst, probs) == full_recurrence_success_probability(inst, probs)
+
+    def test_outcome_0_gives_no_candidate(self, inst):
+        assert _first_period(0, inst.table, inst.period) is None
+
+
+def test_period_1_never_succeeds_on_one_qubit():
+    # the only outcome is 0, whose first convergent denominator 1 is a
+    # period of the constant table: outcome 0 must be refused before it
+    inst = build_periodic(1, 1)
+    assert single_run_success_probability(inst) == 0.0
+    assert success_count(inst, np.zeros(5, dtype=np.int64)) == 0
 
 
 class TestSuccessProbability:

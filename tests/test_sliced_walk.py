@@ -726,6 +726,19 @@ class TestSliceRules:
         expected = run_unitaries(start.state(), instrs, real=True)
         assert np.array_equal(as_bits(got), as_bits(expected))
 
+    def test_a_diffusion_over_the_whole_slice_keeps_an_underflowed_mean_s_negative_zero(self):
+        # the mean's real part, -5e-324 / 2, underflows to -0.0: the flat
+        # reflection over the slice's one free register must keep it, as the
+        # register-last reflection on the full state does
+        layout = RegisterLayout(registers=(("R0", 2), ("R1", 1)))
+        amps = np.array([0.0, complex(-5e-324, -1.0), 0.0, 0.0])
+        amps.setflags(write=False)
+        start = circuit_ir._Slice(layout, {"R1": 0}, RegisterLayout(registers=(("R0", 2),)), amps)
+        instr = GateOp("grover-diffusion", reg="R0")
+        got = circuit_ir._advance(start, [instr]).state()
+        expected = run_unitaries(start.state(), [instr], real=True)
+        assert np.array_equal(as_bits(got), as_bits(expected))
+
     @settings(max_examples=300, deadline=None)
     @given(start=slices(), data=st.data())
     def test_a_held_buffer_is_the_full_state_row_at_value_0(self, start, data):

@@ -10,11 +10,16 @@ on program files, in this process through ``qdesk.cli.main``, with stdout
 captured.  Every ``shor`` and ``grover`` job also writes
 ``--dump-state``, and every ``shor`` job writes ``--records``.  Every
 ``shor`` and ``grover`` job then runs a second time as the workload gives
-it, without the added files: the route the benchmark times.  One JSON line per run
-gives its argv (temporary paths shown as ``<tmp>``), its exit code (1 for
-an exception that escapes ``main``, as a traceback exits; the traceback
-goes to stderr), and the sha256 of its stdout, of its dumped state, of its
-full records file, and of the records' (register, outcome) sequence alone.
+it, without the added files: the route the benchmark times.  Last come the
+``usage`` jobs, run once each: argvs that end in help or a usage error,
+some with a bad seed in the environment (leading ``NAME=value`` words, as
+on a shell line).  Every job runs with ``COLUMNS=80``, the width argparse
+wraps its help and usage to.  One JSON line per run gives its argv, its
+exit code (1 for an exception that escapes ``main``, as a traceback exits;
+the traceback is printed to this script's stderr), and the sha256 of its
+stdout, of its stderr, of its dumped state, of its full records file, and
+of the records' (register, outcome) sequence alone; temporary paths read
+``<tmp>`` in the argv and the stderr.
 
 ``--src`` imports qdesk from another checkout's ``src``, so one copy of
 this script digests two versions of the program; ``diff`` the two outputs
@@ -24,11 +29,12 @@ to see which reports moved.
 ``--src`` and once from ``OTHER_SRC``, each in a fresh interpreter that
 keeps what each job wrote (``--keep``), and prints one line per moved
 report field: the command (with its ``--variant`` and ``--discipline``),
-the field (``stdout.<key>``, ``dump_state``, ``records.<key>``; ``[]``
-stands for every list index), how many of the command's reports it moved
-in, and its largest absolute move, or ``changed`` where a value that is no
-number differs.  Then each command with its count of byte-identical
-reports.
+the field (``exit``, ``stdout.<key>``, ``stderr``, ``dump_state``,
+``records.<key>``; ``[]`` stands for every list index), how many of the
+command's reports it moved in, and its largest absolute move, or
+``changed`` where a value that is no number differs.  A ``usage`` job is
+its own command, labelled with its whole argv.  Then each command with its
+count of byte-identical reports.
 """
 
 from __future__ import annotations
@@ -37,13 +43,16 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import traceback
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -90,6 +99,31 @@ CEILING = (
         ("shor", "--n", "10", "--r", "512", "--discipline", "skip-F", "--trials", "100", "--json"),
         ("defer-check", "--fig1", "--n", "10", "--r", "3", "--json"),
     )
+)
+
+
+# Argvs that print help or a usage error: what the subcommand's parser
+# cannot parse (a bad value, a bad choice, two exclusive formats, a count
+# below its floor), what the top-level parser reports (a leftover
+# argument, an instance over the ceiling, a game input, no argv, an unknown
+# subcommand), the two help texts, and a seed that is not a non-negative
+# integer, from the environment or the flag.
+USAGE = (
+    ("shor", "--bogus"),
+    ("shor", "--n", "x"),
+    ("shor", "--discipline", "nope"),
+    ("shor", "--json", "--csv"),
+    ("shor", "--n", "40"),
+    ("game", "--drawers", "5"),
+    ("mixture-check", "--samples", "0"),
+    (),
+    ("nope",),
+    ("-h",),
+    ("shor", "-h"),
+    ("QDESK_SEED=abc", "game", "--drawers", "4"),
+    ("QDESK_SEED=-2", "mixture-check", "--samples", "10"),
+    ("grover", "--seed", "-1"),
+    ("shor", "--trials", "5", "--seed", "-3", "--json"),
 )
 
 
@@ -161,20 +195,24 @@ def _option(argv: list[str], flag: str, path: Path | None) -> Path | None:
 
 
 def run_job(job_argv: tuple[str, ...], work: Path, main, add_files: bool = True) -> dict:
-    """One job run through ``main``: its argv, exit code, stdout, and the
-    bytes of its dumped state and records file, each None if not written."""
-    argv = list(job_argv)
+    """One job run through ``main``: its argv, exit code, stdout, stderr,
+    and the bytes of its dumped state and records file, each None if not
+    written.  Leading ``NAME=value`` words set the environment of the run."""
+    words = list(itertools.takewhile(lambda word: "=" in word, job_argv))
+    argv = list(job_argv[len(words) :])
+    command = argv[0] if argv else None
     state = records = None
-    if argv[0] in ("shor", "grover"):
+    if command in ("shor", "grover"):
         state = _option(argv, "--dump-state", work / "state.json" if add_files else None)
-    if argv[0] == "shor":
+    if command == "shor":
         records = _option(argv, "--records", work / "records.jsonl" if add_files else None)
     for path in (state, records):
         if path is not None and path.exists():
             path.unlink()
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     failure = None
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    environment = dict(word.split("=", 1) for word in words)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, environment):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -184,9 +222,10 @@ def run_job(job_argv: tuple[str, ...], work: Path, main, add_files: bool = True)
     if failure:
         print(failure, file=sys.stderr)
     return {
-        "argv": [arg.replace(str(work), "<tmp>") for arg in argv],
+        "argv": words + [arg.replace(str(work), "<tmp>") for arg in argv],
         "exit": code,
         "stdout": out.getvalue(),
+        "stderr": err.getvalue().replace(str(work), "<tmp>"),
         "dump_state": _read(state) if state else None,
         "records": _read(records) if records else None,
     }
@@ -197,6 +236,7 @@ def digest(run: dict) -> dict:
         "argv": run["argv"],
         "exit": run["exit"],
         "stdout": _sha(run["stdout"].encode()),
+        "stderr": _sha(run["stderr"].encode()),
         "dump_state": _sha(run["dump_state"]),
         "records": _sha(run["records"]),
         "record_outcomes": _sha(_outcomes(run["records"])),
@@ -216,12 +256,15 @@ def all_runs(work: Path, main):
         yield workload, index, run_job(argv, work, main)
         if argv[0] in ("shor", "grover"):
             yield workload, index, run_job(argv, work, main, add_files=False)
+    for argv in USAGE:
+        yield "usage", 0, run_job(argv, work, main, add_files=False)
 
 
-def keep(run: dict, where: Path, k: int) -> None:
-    """Write one run's argv, exit code and stdout to ``where/k.json``, and
-    its dumped state and records, if any, beside it."""
-    (where / f"{k}.json").write_text(json.dumps({key: run[key] for key in ("argv", "exit", "stdout")}))
+def keep(workload: str, run: dict, where: Path, k: int) -> None:
+    """Write one run's workload, argv, exit code, stdout and stderr to
+    ``where/k.json``, and its dumped state and records, if any, beside it."""
+    fields = {key: run[key] for key in ("argv", "exit", "stdout", "stderr")}
+    (where / f"{k}.json").write_text(json.dumps({"workload": workload} | fields))
     for key in ("dump_state", "records"):
         if run[key] is not None:
             (where / f"{k}.{key}").write_bytes(run[key])
@@ -239,8 +282,8 @@ def _leaves(value, path: str):
         yield path, value
 
 
-def _fields(where: Path, k: int) -> tuple[list[str], dict[str, list]]:
-    """One kept run's argv and its fields: path -> leaves, in order."""
+def _fields(where: Path, k: int) -> tuple[str, list[str], dict[str, list]]:
+    """One kept run's workload, argv and fields: path -> leaves, in order."""
     run = json.loads((where / f"{k}.json").read_text())
     try:
         stdout = json.loads(run["stdout"])
@@ -248,6 +291,7 @@ def _fields(where: Path, k: int) -> tuple[list[str], dict[str, list]]:
         stdout = run["stdout"]
     fields = defaultdict(list)
     fields["exit"].append(run["exit"])
+    fields["stderr"].append(run["stderr"])
     for path, leaf in _leaves(stdout, "stdout"):
         fields[path].append(leaf)
     state = where / f"{k}.dump_state"
@@ -258,7 +302,7 @@ def _fields(where: Path, k: int) -> tuple[list[str], dict[str, list]]:
         for line in records.read_text().splitlines():
             for path, leaf in _leaves(json.loads(line), "records"):
                 fields[path].append(leaf)
-    return run["argv"], fields
+    return run["workload"], run["argv"], fields
 
 
 def _move(old: list | np.ndarray, new: list | np.ndarray) -> float | str | None:
@@ -282,10 +326,13 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
     moved: dict[tuple[str, str], list] = defaultdict(list)
     reports: dict[str, list[bool]] = defaultdict(list)
     for k in range(len(list(old_dir.glob("*.json")))):
-        argv, old = _fields(old_dir, k)
-        new_argv, new = _fields(new_dir, k)
+        workload, argv, old = _fields(old_dir, k)
+        _, new_argv, new = _fields(new_dir, k)
         assert argv == new_argv, (argv, new_argv)
-        label = " ".join([argv[0]] + [f"{flag} {argv[argv.index(flag) + 1]}" for flag in ("--variant", "--discipline") if flag in argv])
+        if workload == "usage":
+            label = f"usage [{' '.join(argv)}]"
+        else:
+            label = " ".join([argv[0]] + [f"{flag} {argv[argv.index(flag) + 1]}" for flag in ("--variant", "--discipline") if flag in argv])
         same = all((old_dir / f"{k}.{x}").read_bytes() == (new_dir / f"{k}.{x}").read_bytes()
                    for x in ("json", "dump_state", "records") if (old_dir / f"{k}.{x}").exists())
         reports[label].append(same)
@@ -320,13 +367,14 @@ def main(argv: list[str] | None = None) -> int:
             print("\n".join(compare(Path(tmp) / "old", Path(tmp) / "new")))
         return 0
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    os.environ["COLUMNS"] = "80"
     sys.dont_write_bytecode = True  # leave no cache files beside jobs.py
     from qdesk.cli import main as cli_main
 
     with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
         for k, (workload, index, run) in enumerate(all_runs(Path(tmp), cli_main)):
             if args.keep:
-                keep(run, args.keep, k)
+                keep(workload, run, args.keep, k)
             else:
                 print(json.dumps({"workload": workload, "round": index} | digest(run), sort_keys=True), flush=True)
     return 0
