@@ -23,9 +23,10 @@ formed, an oracle's table fits its registers, and the order rules hold.
 The order rules freeze a measured register: it is measured at most once,
 and once measured it may not be prepared, gated or dephased again.  That
 rule makes every deferral sound and every measured register a batch axis
-of the walk.  A program is planned once, on its first use: its draws, its
-nodes, its inert dephasings and the block of measurements that ends it,
-which the walk and the rewrites read.  The walk and the kernels
+of the walk.  The order rules are checked by the one reverse pass that
+plans the program, so a program is planned when it is built: its draws,
+its nodes, its inert dephasings and the block of measurements that ends
+it, which the walk and the rewrites read.  The walk and the kernels
 check nothing as they run, so ``apply_instruction``, ``project`` and
 ``measure_register``, the forms that act on a ``PureState``, run as
 one-instruction programs.
@@ -204,8 +205,8 @@ def touched_registers(instr: Instruction) -> frozenset[str]:
 
 
 class _Plan(NamedTuple):
-    """A program's branch structure, derived on its first use and kept with
-    the program.
+    """A program's branch structure, derived when the program is built, by
+    the pass that checks its order rules, and kept with the program.
 
     ``draws`` are the indices of its measurements and dephasings, and
     ``measures`` those of its measurements, in program order.  ``tail`` is
@@ -229,8 +230,8 @@ class CircuitProgram:
     """Instructions over one layout, checked once when the program is built
     (``ProgramError``, ``UnknownRegisterError``, or ``ShapeMismatchError``
     for an oracle whose table does not fit its registers): each distinct
-    instruction object once, then the order rules.  The program's plan,
-    which the walk and the rewrites read, is derived on its first use."""
+    instruction object once, then the order rules, in the reverse pass that
+    derives the program's plan, which the walk and the rewrites read."""
 
     layout: RegisterLayout
     instructions: tuple[Instruction, ...]
@@ -247,31 +248,28 @@ class CircuitProgram:
         for tag, boundary in self.time_tags.items():
             if not (_is_integer(boundary) and 0 <= boundary <= len(self.instructions)):
                 raise ProgramError(f"time tag {tag!r} points at boundary {boundary!r:.60}, out of range")
-        # the order rules: a register is measured at most once, and nothing
-        # but a measurement touches it after that
-        measured: dict[str, int] = {}
-        for i, instr in enumerate(self.instructions):
-            if isinstance(instr, Measure):
-                if instr.reg in measured:
-                    raise ProgramError(f"register {instr.reg!r} measured twice")
-                measured[instr.reg] = i
-            elif measured and (frozen := touched_registers(instr) & measured.keys()):
-                reg = min(frozen)
-                raise ProgramError(f"register {reg!r} is touched after its measurement at instruction {measured[reg]}")
+        object.__setattr__(self, "_plan", self._checked_plan())
 
-    @cached_property
-    def _plan(self) -> _Plan:
+    def _checked_plan(self) -> _Plan:
         """One reverse pass keeps ``later``, the registers that an
-        instruction other than a measurement touches after the current one,
-        which says whether a dephasing is inert."""
+        instruction other than a measurement touches after the current one.
+        It checks the order rules, a register measured at most once and
+        touched by nothing but a measurement after that, and says whether a
+        dephasing is inert."""
         instrs = self.instructions
         later: set[str] = set()
+        measured: set[str] = set()
         draws: list[int] = []
         inert: set[int] = set()
         visible, tail = False, 0
         for i in reversed(range(len(instrs))):
             instr = instrs[i]
             if isinstance(instr, Measure):
+                if instr.reg in later:
+                    raise ProgramError(f"register {instr.reg!r} is touched after its measurement at instruction {i}")
+                if instr.reg in measured:
+                    raise ProgramError(f"register {instr.reg!r} measured twice")
+                measured.add(instr.reg)
                 draws.append(i)
                 continue
             tail = tail or i + 1  # the last instruction other than a measurement

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from . import circuit_ir, costmodel, grover, measure, shor
 from .errors import QdeskError
 from .gates import modexp_output_bits
 from .qstate import MAX_QUBITS, PureState, collector_paused
-from .selftest import SUBCOMMAND_SUITES, run_selftest
+from .selftest import run_selftest
 
 DEFAULT_SEED_ENV = "QDESK_SEED"
 
@@ -264,15 +265,17 @@ def _indented_json(value, outer: str = "\n") -> str:
     return body[0] + pad + body[1:-1] + outer + body[-1]
 
 
-def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None) -> None:
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    """Print the report as JSON, CSV or text; a report with ``rows`` (the
+    cost table) is its rows as CSV, one column per key."""
     if args.json:
         print(_indented_json(report))
     elif args.csv:
         out = io.StringIO()
         writer = csv.writer(out)
-        if csv_rows is not None:
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
+        if "rows" in report:
+            writer.writerow(report["rows"][0])
+            writer.writerows(row.values() for row in report["rows"])
         else:
             writer.writerow(["key", "value"])
             for key in sorted(report):
@@ -446,15 +449,8 @@ def _parse_n_range(raw: str) -> list[int]:
     return list(range(low, high + 1))
 
 
-def _cmd_cost(args: argparse.Namespace, seed: int) -> tuple[dict, list, list]:
-    rows = costmodel.stage_table(args.n_range)
-    header = ["n", "stage", "classical_units", "quantum_units"]
-    table = [[row.n, row.stage, row.classical_units, row.quantum_units] for row in rows]
-    report = {
-        "seed": seed,
-        "rows": [dict(zip(header, row)) for row in table],
-    }
-    return report, table, header
+def _cmd_cost(args: argparse.Namespace, seed: int) -> dict:
+    return {"seed": seed, "rows": [asdict(row) for row in costmodel.stage_table(args.n_range)]}
 
 
 def _cmd_mixture_check(args: argparse.Namespace, seed: int) -> dict:
@@ -470,6 +466,18 @@ def _cmd_mixture_check(args: argparse.Namespace, seed: int) -> dict:
         "monte_carlo_distance": monte.value,
         "correlated_phase_distance": correlated.value,
     }
+
+
+# Each subcommand's report handler and the ``selftest`` suites its
+# ``--selftest`` runs.
+COMMANDS = {
+    "shor": (_cmd_shor, ("qstate", "gates", "shor")),
+    "grover": (_cmd_grover, ("grover",)),
+    "game": (_cmd_game, ("grover",)),
+    "defer-check": (_cmd_defer_check, ("circuit",)),
+    "cost": (_cmd_cost, ("cost",)),
+    "mixture-check": (_cmd_mixture_check, ("measure",)),
+}
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -496,24 +504,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         seed = _seed(args)
+        handler, suites = COMMANDS[args.command]
         if args.selftest:
-            ok, lines = run_selftest(SUBCOMMAND_SUITES[args.command], seed)
+            ok, lines = run_selftest(suites, seed)
             for line in lines:
                 print(line)
             return 0 if ok else 1
-        if args.command == "shor":
-            _emit(_cmd_shor(args, seed), args)
-        elif args.command == "grover":
-            _emit(_cmd_grover(args, seed), args)
-        elif args.command == "game":
-            _emit(_cmd_game(args, seed), args)
-        elif args.command == "defer-check":
-            _emit(_cmd_defer_check(args, seed), args)
-        elif args.command == "cost":
-            report, table, header = _cmd_cost(args, seed)
-            _emit(report, args, csv_rows=table, csv_header=header)
-        elif args.command == "mixture-check":
-            _emit(_cmd_mixture_check(args, seed), args)
+        _emit(handler(args, seed), args)
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
         print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)

@@ -36,12 +36,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .qstate import MAX_QUBITS, RegisterLayout, _is_integer, _json_field
+
+
+def check_table_widths(widths: Sequence[int]) -> None:
+    """Refuse a table's widths, output last, unless each is an integer in
+    0..``MAX_QUBITS`` and the others, which key its entries, are at most
+    ``MAX_QUBITS`` together: a ``ShapeMismatchError``, raised by every table
+    builder before it allocates an entry or calls a function."""
+    if not all(_is_integer(bits) and 0 <= bits <= MAX_QUBITS for bits in widths):
+        raise ShapeMismatchError(f"table widths {widths!r:.60} must be integers in 0..{MAX_QUBITS}")
+    if sum(widths[:-1]) > MAX_QUBITS:
+        raise ShapeMismatchError(f"table widths {widths!r:.60} key more than 2^{MAX_QUBITS} entries")
 
 
 class _XorTable:
@@ -59,12 +70,11 @@ class _XorTable:
     _WIDTHS: tuple[str, ...]
 
     def __post_init__(self):
-        """Check the widths, each an integer in 0..``MAX_QUBITS``, and the
-        entries for length and range, then keep the entries as ``values`` in
-        place of the ``table`` they were given as."""
+        """Check the widths (``check_table_widths``) and the entries for
+        length and range, then keep the entries as ``values`` in place of
+        the ``table`` they were given as."""
         widths = [getattr(self, name) for name in self._WIDTHS]
-        if not all(_is_integer(bits) and 0 <= bits <= MAX_QUBITS for bits in widths):
-            raise ShapeMismatchError(f"table widths {widths!r:.60} must be integers in 0..{MAX_QUBITS}")
+        check_table_widths(widths)
         entries = 1 << sum(widths[:-1])
         out_of_range = f"table entry out of range for {self.output_bits} output bits"
         try:
@@ -161,6 +171,7 @@ class FunctionTable(_XorTable):
 
     @classmethod
     def from_callable(cls, fn: Callable[[int], int], input_bits: int, output_bits: int) -> "FunctionTable":
+        check_table_widths([input_bits, output_bits])
         return cls(input_bits, output_bits, tuple(fn(x) for x in range(1 << input_bits)))
 
     def __call__(self, x: int) -> int:
@@ -215,6 +226,7 @@ class ModedFunctionTable(_XorTable):
     @classmethod
     def equality_test(cls, bits: int) -> "ModedFunctionTable":
         """The drawer oracle: output 1 exactly when mode == x."""
+        check_table_widths([bits, bits, 1])
         return cls(bits, bits, 1, np.eye(1 << bits, dtype=np.int64).reshape(-1))
 
 
@@ -241,8 +253,7 @@ def modexp_table(base: int, modulus: int, input_bits: int) -> FunctionTable:
     if modulus < 2 or math.gcd(base, modulus) != 1:
         raise ValueError(f"need gcd(base, modulus) = 1 and modulus >= 2, got {base}, {modulus}")
     output_bits = modexp_output_bits(modulus)
-    if output_bits > MAX_QUBITS:
-        raise ShapeMismatchError(f"modulus {modulus} needs {output_bits} output bits, more than {MAX_QUBITS}")
+    check_table_widths([input_bits, output_bits])
     values = np.empty(1 << input_bits, dtype=np.int64)
     values[0] = 1
     factor, size = base % modulus, 1

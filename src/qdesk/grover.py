@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit_ir import CircuitProgram, GateOp, Measure, Prepare, enumerate_outcome_distribution, run, unitary_prefix
-from .gates import FunctionTable, ModedFunctionTable
+from .gates import FunctionTable, ModedFunctionTable, check_table_widths
 from .measure import PhasedMixture, average_density, analytic_average_density
 from .qstate import PureState, RegisterLayout, StateDistance
 
@@ -64,7 +64,9 @@ def iteration_count(drawers: int) -> int:
 
 
 def marked_drawer_table(drawers: int, hidden_drawer: int) -> FunctionTable:
-    return FunctionTable(_drawer_bits(drawers), 1, np.arange(drawers) == hidden_drawer)
+    bits = _drawer_bits(drawers)
+    check_table_widths([bits, 1])
+    return FunctionTable(bits, 1, np.arange(drawers) == hidden_drawer)
 
 
 def _drawer_bits(drawers: int) -> int:

@@ -4,7 +4,8 @@ Each suite re-checks its module's contracts from scratch: unitarity,
 projector algebra, Born statistics, discipline equivalence, and the exact
 game and cost laws.  A suite returns its checks by name, so one can be run
 alone; ``run_selftest`` reports one result per check, so a single failure
-never hides the rest.
+never hides the rest.  Which suites a subcommand's ``--selftest`` runs is
+``cli.COMMANDS``' business; this module knows no subcommand.
 """
 
 from __future__ import annotations
@@ -417,15 +418,6 @@ SUITES: dict[str, Callable[[np.random.Generator], list[Check]]] = {
     "shor": shor_suite,
     "grover": grover_suite,
     "cost": cost_suite,
-}
-
-SUBCOMMAND_SUITES: dict[str, tuple[str, ...]] = {
-    "shor": ("qstate", "gates", "shor"),
-    "grover": ("grover",),
-    "game": ("grover",),
-    "defer-check": ("circuit",),
-    "cost": ("cost",),
-    "mixture-check": ("measure",),
 }
 
 

@@ -46,7 +46,7 @@ from .circuit_ir import (
     unitary_prefix,
 )
 from .errors import ShapeMismatchError
-from .gates import FunctionTable, modexp_table
+from .gates import FunctionTable, check_table_widths, modexp_table
 from .measure import MeasurementRecord
 from .qstate import PureState, RegisterLayout
 
@@ -109,6 +109,7 @@ def build_periodic(n: int, period: int) -> PeriodFindingInstance:
     size = 1 << n
     if not 1 <= period <= size:
         raise ValueError(f"period must be in 1..{size}, got {period}")
+    check_table_widths([n, n])
     table = FunctionTable(n, n, np.arange(size) % period)
     return PeriodFindingInstance(n, table, period, size % period == 0)
 

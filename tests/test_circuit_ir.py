@@ -618,14 +618,108 @@ def test_a_bad_document_names_what_is_wrong(doc, field):
         CircuitProgram.from_json(doc)
 
 
-def test_a_program_is_planned_on_first_use():
+def test_a_built_program_carries_its_plan():
     program = period_circuit(build_periodic(3, 2), "measure-F-at-t2")
-    assert "_plan" not in program.__dict__
-    enumerate_outcome_distribution(program, ["X"])
     plan = program.__dict__["_plan"]
-    assert plan is program._plan
+    enumerate_outcome_distribution(program, ["X"])
+    assert program._plan is plan
     assert [program.instructions[i].reg for i in plan.measures] == list(program.measured_registers())
     assert plan.tail == plan.measures[-1] and plan.nodes == plan.draws  # F mid-program, X last
+
+
+def reference_order_error(instrs) -> str | None:
+    """The forward order-rule loop ``CircuitProgram`` ran before its plan's
+    reverse pass took the rules over: the error of the first instruction
+    that breaks a rule, or None."""
+    measured: dict[str, int] = {}
+    for i, instr in enumerate(instrs):
+        if isinstance(instr, Measure):
+            if instr.reg in measured:
+                return f"register {instr.reg!r} measured twice"
+            measured[instr.reg] = i
+        elif measured and (frozen := circuit_ir.touched_registers(instr) & measured.keys()):
+            reg = min(frozen)
+            return f"register {reg!r} is touched after its measurement at instruction {measured[reg]}"
+    return None
+
+
+def reference_plan(instrs) -> circuit_ir._Plan:
+    """The plan as the lazily cached pass derived it, on a valid program."""
+    later: set[str] = set()
+    draws: list[int] = []
+    inert: set[int] = set()
+    visible, tail = False, 0
+    for i in reversed(range(len(instrs))):
+        instr = instrs[i]
+        if isinstance(instr, Measure):
+            draws.append(i)
+            continue
+        tail = tail or i + 1
+        if isinstance(instr, Dephase):
+            draws.append(i)
+            visible = visible or instr.reg in later
+            if not visible:
+                inert.add(i)
+        later |= circuit_ir.touched_registers(instr)
+    draws.reverse()
+    measures = [i for i in draws if isinstance(instrs[i], Measure)]
+    nodes = [i for i in draws if i not in inert]
+    fixed_width = draws == sorted(inert) + measures
+    return circuit_ir._Plan(tuple(draws), tuple(measures), frozenset(inert), tuple(nodes), tail, fixed_width)
+
+
+def order_violations(instrs) -> int:
+    """How many (instruction, register) pairs break an order rule: a second
+    measurement, or each measured register another instruction touches."""
+    measured: set[str] = set()
+    count = 0
+    for instr in instrs:
+        if isinstance(instr, Measure):
+            count += instr.reg in measured
+            measured.add(instr.reg)
+        else:
+            count += len(circuit_ir.touched_registers(instr) & measured)
+    return count
+
+
+def touching(reg, other):
+    """Each kind of instruction that can touch ``reg`` after its measurement."""
+    return [
+        Measure(reg),
+        Prepare(reg, "uniform"),
+        GateOp("hadamard", reg=reg),
+        Dephase(reg),
+        GateOp("oracle-xor", in_reg=reg, out_reg=other, table=BIT_TABLE),
+        GateOp("oracle-xor", in_reg=other, out_reg=reg, table=BIT_TABLE),
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_plan_pass_checks_the_order_rules_as_the_forward_loop_did(data):
+    layout = data.draw(st.sampled_from(ORDER_LAYOUTS))
+    instrs = []
+    for instr in data.draw(st.lists(order_instructions(layout.names), max_size=9)):
+        if old_order_rule(instrs + [instr]):
+            instrs.append(instr)
+    for _ in range(data.draw(st.integers(0, 2))):
+        measures = [i for i, instr in enumerate(instrs) if isinstance(instr, Measure)]
+        if not measures:
+            instrs.append(Measure(data.draw(st.sampled_from(layout.names))))
+            measures = [len(instrs) - 1]
+        at = data.draw(st.sampled_from(measures))
+        reg = instrs[at].reg
+        other = "B" if reg == "A" else "A"
+        injected = data.draw(st.sampled_from(touching(reg, other) if reg in ("A", "B") else touching(reg, reg)[:4]))
+        instrs.insert(data.draw(st.integers(at + 1, len(instrs))), injected)
+    expected = reference_order_error(instrs)
+    if expected is None:
+        assert CircuitProgram(layout, instrs)._plan == reference_plan(instrs)
+        return
+    with pytest.raises(ProgramError) as raised:
+        CircuitProgram(layout, instrs)
+    if order_violations(instrs) == 1:
+        assert str(raised.value) == expected
 
 
 def test_numpy_integers_are_integers():

@@ -817,16 +817,20 @@ def test_every_subcommand_refuses_a_negative_seed_before_any_work(capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("a command ran on a negative seed")
 
-    for name in ("_cmd_shor", "_cmd_grover", "_cmd_game", "_cmd_defer_check", "_cmd_cost", "_cmd_mixture_check", "run_selftest"):
-        monkeypatch.setattr(cli, name, refuse)
-    argv = [command, "--selftest"]
+    # the table's entries are what ``main`` calls; the module's names too
+    for name, (handler, suites) in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name, (refuse, suites))
+        monkeypatch.setattr(cli, handler.__name__, refuse)
+    monkeypatch.setattr(cli, "run_selftest", refuse)
     if seed_from == "flag":
-        argv += ["--seed", "-7"]
+        seed = ["--seed", "-7"]
         problem = "--seed must be a non-negative integer, got -7"
     else:
+        seed = []
         monkeypatch.setenv("QDESK_SEED", "-7")
         problem = "QDESK_SEED must be a non-negative integer, got '-7'"
-    assert run_any(capsys, argv) == (2, "", f"error: {command}: {problem}\n")
+    for argv in ([command, "--selftest", *seed], [command, *seed]):
+        assert run_any(capsys, argv) == (2, "", f"error: {command}: {problem}\n")
 
 
 # `numpy.random` is imported by the first `default_rng` call in a process;

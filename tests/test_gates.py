@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,14 @@ from qdesk import (
     normalize,
 )
 from qdesk.grover import marked_drawer_table
+from qdesk.shor import build_periodic
 from qdesk.qstate import MAX_QUBITS
 from qdesk.measure import outcome_distribution
 from test_register_axis import dense_qft, gate
+
+
+def refuse_call(x):
+    raise AssertionError("the function was called before the widths were checked")
 
 
 def random_state(rng, layout):
@@ -114,6 +120,37 @@ class TestFunctionTable:
         # checked before any 2^width is formed, so a huge width allocates nothing
         with pytest.raises(ShapeMismatchError, match="widths"):
             build()
+
+    @pytest.mark.parametrize("width", [21, 23, 30, 40])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda w: build_periodic(w, 3),
+            lambda w: modexp_table(2, 21, w),
+            lambda w: marked_drawer_table(1 << w, 1),
+            lambda w: FunctionTable.from_callable(refuse_call, w, 1),
+            lambda w: ModedFunctionTable.equality_test(w),
+        ],
+        ids=["build_periodic", "modexp_table", "marked_drawer_table", "from_callable", "equality_test"],
+    )
+    def test_a_builder_checks_its_widths_before_it_allocates(self, build, width):
+        # when only the table checked its widths, each of these first built
+        # 2^width entries (16 MiB at width 21, 8 GiB for build_periodic at
+        # 30) or called f 2^width times
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeMismatchError, match=f"table widths \\[{width}, "):
+                build(width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_moded_table_keyed_by_more_than_the_ceiling_is_refused(self):
+        with pytest.raises(ShapeMismatchError, match="key more than"):
+            ModedFunctionTable.equality_test(MAX_QUBITS // 2 + 1)
+        with pytest.raises(ShapeMismatchError, match="key more than"):
+            ModedFunctionTable(MAX_QUBITS, 1, 1, ())
 
     @pytest.mark.parametrize(
         "doc",

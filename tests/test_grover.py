@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from qdesk import (
     GameInstance,
@@ -83,6 +84,15 @@ class TestStandardGame:
             probs = outcome_distribution(pre, "X").probabilities
             assert probs[hidden] == pytest.approx(closed_form, abs=1e-10)
             assert probs[hidden] >= 0.9
+
+    @pytest.mark.parametrize("drawers", [1 << bits for bits in range(2, 17)])
+    def test_hit_probability_is_the_forty_digit_closed_form(self, drawers):
+        # sin^2((2m + 1) theta), sin(theta) = 1/sqrt(drawers), at 40 digits
+        _, transcript = run_standard_grover(GameInstance(drawers, drawers // 3), np.random.default_rng(0))
+        with mp.workdps(40):
+            theta = mp.asin(1 / mp.sqrt(drawers))
+            exact = mp.sin((2 * iteration_count(drawers) + 1) * theta) ** 2
+            assert abs(mpf(transcript.hit_probability) - exact) <= mpf("1e-13")
 
     def test_iteration_counts(self):
         assert [iteration_count(n) for n in (4, 16, 64, 256)] == [1, 3, 6, 12]

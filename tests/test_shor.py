@@ -1,10 +1,14 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from qdesk import (
     PeriodFindingInstance,
@@ -17,7 +21,15 @@ from qdesk import (
     single_run_success_probability,
     state_after_oracle,
 )
-from qdesk.circuit_ir import CircuitProgram, Dephase, Measure, enumerate_outcome_distribution
+from qdesk.circuit_ir import (
+    CircuitProgram,
+    Dephase,
+    Measure,
+    defer_measurements,
+    enumerate_outcome_distribution,
+    equivalent_distributions,
+    sample_outcomes,
+)
 from qdesk.gates import fourier_axis
 from qdesk.measure import PROB_EPS
 from qdesk.qstate import RegisterLayout
@@ -43,6 +55,30 @@ EXACTNESS_INSTANCES = [
     pytest.param(build_modexp(base, modulus, 10), id=f"{base}^x-mod-{modulus}")
     for base, modulus in ((7, 15), (2, 21), (2, 33), (5, 39))
 ]
+
+
+# periodic instances, and modular exponentiations at n = 10, that leave
+# room for a 2-qubit spectator register
+PERMUTED_INSTANCES = [
+    pytest.param(build_periodic(n, r), id=f"n{n}-r{r}") for n, r in ((3, 3), (5, 5), (6, 8), (8, 65))
+] + [
+    pytest.param(build_modexp(base, modulus, 10), id=f"{base}^x-mod-{modulus}")
+    for base, modulus in ((7, 15), (2, 21), (2, 33), (5, 39))
+]
+
+
+def spectator_layouts(n, output_bits):
+    """Every order of X, F and an untouched 2-qubit register S."""
+    widths = {"X": n, "F": output_bits, "S": 2}
+    return [RegisterLayout(tuple((name, widths[name]) for name in order)) for order in itertools.permutations(widths)]
+
+
+def dense_x(program, dimension):
+    """A program's exact [X] as a dense array."""
+    probs = np.zeros(dimension)
+    for (x,), p in enumerate_outcome_distribution(program, ["X"]).items():
+        probs[x] = p
+    return probs
 
 
 def batched_outcome_distribution(inst, discipline):
@@ -232,11 +268,33 @@ class TestExactDistribution:
         reversed_layout = RegisterLayout.of(F=inst.table.output_bits, X=inst.n)
         for discipline in DISCIPLINES:
             instrs, _ = _period_instructions(inst, discipline)
-            got = enumerate_outcome_distribution(CircuitProgram(reversed_layout, instrs), ["X"])
-            reordered = np.zeros(inst.dimension)
-            for (x,), p in got.items():
-                reordered[x] = p
+            reordered = dense_x(CircuitProgram(reversed_layout, instrs), inst.dimension)
             assert np.array_equal(reordered, exact_outcome_distribution(inst, discipline))
+
+    @pytest.mark.parametrize("inst", PERMUTED_INSTANCES)
+    def test_a_permuted_layout_with_a_spectator_changes_no_bit(self, inst):
+        # every order of (X, F, S), S an untouched 2-qubit register: the
+        # exact [X] and 300 sampled trials are those of the (X, F) layout
+        for discipline in DISCIPLINES:
+            instrs, tags = _period_instructions(inst, discipline)
+            instrs = instrs[: tags["t4"] + 1]
+            plain = CircuitProgram(inst.layout, instrs)
+            drawn = sample_outcomes(plain, np.random.default_rng(5), 300)
+            for layout in spectator_layouts(inst.n, inst.table.output_bits):
+                program = CircuitProgram(layout, instrs)
+                assert np.array_equal(dense_x(program, inst.dimension), exact_outcome_distribution(inst, discipline))
+                got = sample_outcomes(program, np.random.default_rng(5), 300)
+                assert all(np.array_equal(a, b) for a, b in zip(got, drawn))
+
+    @pytest.mark.parametrize("n, r", [(2, 2), (4, 3), (5, 4), (6, 5)])
+    def test_fig1_defers_exactly_on_a_permuted_layout(self, n, r):
+        # ``defer-check --fig1``'s program on every order of (X, F, S)
+        instrs, _ = _period_instructions(build_periodic(n, r), "measure-F-at-t2")
+        joint = enumerate_outcome_distribution(CircuitProgram(RegisterLayout.of(X=n, F=n), instrs), ("F", "X"))
+        for layout in spectator_layouts(n, n):
+            program = CircuitProgram(layout, instrs)
+            assert equivalent_distributions(program, defer_measurements(program), ("F", "X")).value == 0.0
+            assert enumerate_outcome_distribution(program, ("F", "X")) == joint
 
     def test_unknown_discipline(self):
         with pytest.raises(ValueError):
@@ -412,6 +470,54 @@ def test_period_1_never_succeeds_on_one_qubit():
     inst = build_periodic(1, 1)
     assert single_run_success_probability(inst) == 0.0
     assert success_count(inst, np.zeros(5, dtype=np.int64)) == 0
+
+
+def forty_digit_distribution(n, r):
+    """[X] of period finding on n qubits for any table injective on one
+    period r, from Shor's closed form (SIAM J. Comput. 26(5), 1997,
+    section 5) at 40 digits: with Q = 2^n, m = Q // r and a = Q mod r,
+    [X](c) = (a D_{m+1}(c) + (r - a) D_m(c)) / Q^2, where D_k(c) =
+    sin^2(pi c r k / Q) / sin^2(pi c r / Q), or k^2 where c r = 0 mod Q.
+    The sine arguments are reduced mod Q as integers."""
+    q = 1 << n
+    m, a = divmod(q, r)
+    with mp.workdps(40):
+
+        def d(k, t):  # t = c r mod Q
+            return mpf(k * k) if t == 0 else mp.sinpi(mpf(t * k % q) / q) ** 2 / mp.sinpi(mpf(t) / q) ** 2
+
+        return [(a * d(m + 1, c * r % q) + (r - a) * d(m, c * r % q)) / q**2 for c in range(q)]
+
+
+def forty_digit_error(value, exact) -> float:
+    """|value - exact|, taken at 40 digits."""
+    with mp.workdps(40):
+        return float(abs(mpf(float(value)) - exact))
+
+
+def check_against_forty_digits(inst):
+    """Every discipline's exact [X] within 2.5e-16 of the closed form, and
+    the success probability within 1e-15 of the closed form's sum over the
+    outcomes that give the period."""
+    exact = forty_digit_distribution(inst.n, inst.period)
+    for discipline in DISCIPLINES:
+        probs = exact_outcome_distribution(inst, discipline)
+        assert max(map(forty_digit_error, probs, exact)) <= 2.5e-16, discipline
+    with mp.workdps(40):
+        success = mp.fsum(p for c, p in enumerate(exact) if extract_period(c, inst.table) == inst.period)
+    assert forty_digit_error(single_run_success_probability(inst), success) <= 1e-15
+
+
+class TestFortyDigitOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_periodic_instances(self, data):
+        n = data.draw(st.integers(1, 10))
+        check_against_forty_digits(build_periodic(n, data.draw(st.integers(1, 1 << n))))
+
+    @pytest.mark.parametrize("base, modulus", [(7, 15), (2, 21), (2, 33), (5, 39)])
+    def test_modexp_instances(self, base, modulus):
+        check_against_forty_digits(build_modexp(base, modulus, 10))
 
 
 class TestSuccessProbability:

@@ -142,6 +142,7 @@ BAD_FILES = {
     "fractional-value": '{"layout": {"registers": [["X", 2]]}, "instructions": [{"op": "prepare", "reg": "X", "value": 1.7}, {"op": "measure", "reg": "X"}]}',
     "over-ceiling": '{"layout": {"registers": [["X", 30]]}, "instructions": [{"op": "measure", "reg": "X"}]}',
     "dephase-after-measure": '{"layout": {"registers": [["X", 1]]}, "instructions": [{"op": "measure", "reg": "X"}, {"op": "dephase", "reg": "X"}]}',
+    "measured-twice-then-gated": '{"layout": {"registers": [["X", 1]]}, "instructions": [{"op": "measure", "reg": "X"}, {"op": "measure", "reg": "X"}, {"op": "gate", "kind": "hadamard", "reg": "X"}]}',
     "not-json": "not json",
 }
 
