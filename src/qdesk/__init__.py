@@ -57,7 +57,6 @@ from .circuit_ir import (
 )
 from .shor import (
     PeriodFindingInstance,
-    PeriodResult,
     build_modexp,
     build_periodic,
     exact_outcome_distribution,
@@ -79,7 +78,6 @@ from .grover import (
     standard_grover_state,
 )
 from .costmodel import (
-    ModelConstants,
     StageCost,
     stage_costs,
     stage_table,

@@ -417,15 +417,6 @@ def _bound_kernel(work: np.ndarray, layout: RegisterLayout, instr: Prepare | Gat
     return gates.bound_grover_diffusion(work, layout, instr.reg)
 
 
-def apply_instruction_in_place(work: np.ndarray, layout: RegisterLayout, instr: Prepare | GateOp) -> Step:
-    """Apply one unitary instruction (Prepare or GateOp) to a work buffer in
-    place, through ``gates``' kernels, and return the kernel bound to the
-    buffer: the step that applies the instruction again."""
-    step = _bound_kernel(work, layout, instr)
-    step()
-    return step
-
-
 def _inverse(instr: Prepare | GateOp) -> tuple[Prepare | GateOp, ...]:
     """The inverse of one unitary instruction, as instructions: a Fourier
     transform's is the other direction, and a "minus" prepare's is the
@@ -854,7 +845,9 @@ class _Segment:
             return self.oracle_xor(instr)
         for reg in sorted(touched_registers(instr) & fixed.keys()):
             self.expand(reg)
-        return apply_instruction_in_place(self.writable(), self.free, instr)
+        step = _bound_kernel(self.writable(), self.free, instr)
+        step()
+        return step
 
     def run(self, instrs: Sequence[Prepare | GateOp], rows: bool) -> _Slice:
         """Apply ``instrs`` in order, an oracle free to hold its output as
@@ -1338,16 +1331,6 @@ def sample_outcomes(
     return _BranchWalk(program, initial).draws(rng, trials)
 
 
-def sampled_records(
-    registers: Sequence[str], outcomes: np.ndarray, probabilities: np.ndarray
-) -> list[tuple[MeasurementRecord, ...]]:
-    """One tuple of records per row of ``sample_outcomes``' arrays."""
-    return [
-        tuple(map(MeasurementRecord, registers, row, probs))
-        for row, probs in zip(outcomes.tolist(), probabilities.tolist())
-    ]
-
-
 def sample(
     program: CircuitProgram,
     rng: np.random.Generator,
@@ -1361,7 +1344,8 @@ def sample(
     dephasing is visible and every one comes before the first measurement,
     and trial by trial otherwise."""
     outcomes, probabilities = sample_outcomes(program, rng, trials, initial)
-    return sampled_records(program.measured_registers(), outcomes, probabilities)
+    registers = program.measured_registers()
+    return [tuple(map(MeasurementRecord, registers, *row)) for row in zip(outcomes.tolist(), probabilities.tolist())]
 
 
 def defer_measurements(program: CircuitProgram) -> CircuitProgram:

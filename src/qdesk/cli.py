@@ -85,6 +85,11 @@ MAX_TRIALS = (1 << 29) // (2 * 2 * 8)
 # mixture-check: the draws stay within 2^26 doubles, seconds of work.
 MAX_SAMPLES = (1 << 26) // 4
 
+# The cost table's classical counts are 2^n, about 0.3 n digits, in three
+# rows per n, so its report grows as HI^2: --n-range 2:1024 prints 0.66 MiB
+# of JSON.
+MAX_COST_N = 1024
+
 
 def drawer_count(raw: str) -> int:
     """A power of two from 2 to 2^MAX_DRAWER_QUBITS, checked before any table is built."""
@@ -132,12 +137,15 @@ def _game_problem(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _modexp_problem(base: int | None, modulus: int | None) -> str | None:
+def _modexp_problem(base: int | None, modulus: int | None, period: int | None) -> str | None:
     """Why a modular-exponentiation instance is invalid, if it is: checked
     before any table is built, as ``gates.modexp_table`` checks it for
-    library callers."""
+    library callers.  Its period is the base's order, so a given ``--r``
+    is refused rather than ignored."""
     if (base is None) != (modulus is None):
         return "--base and --modulus must be given together"
+    if modulus is not None and period is not None:
+        return "--r cannot be given with --base and --modulus: the period is the order of the base"
     if modulus is not None and (modulus < 2 or math.gcd(base, modulus) != 1):
         return f"need gcd(--base, --modulus) = 1 and --modulus >= 2, got {base}, {modulus}"
     return None
@@ -163,10 +171,7 @@ def _observed_problem(raw: str | None) -> str | None:
 
 def _usage_problem(args: argparse.Namespace) -> str | None:
     if args.command == "shor":
-        modexp = args.base is not None or args.modulus is not None
-        problem = _modexp_problem(args.base, args.modulus) or _instance_problem(
-            args.n, None if modexp else args.r, args.modulus
-        )
+        problem = _modexp_problem(args.base, args.modulus, args.r) or _instance_problem(args.n, args.r, args.modulus)
         if not problem and args.trials > MAX_TRIALS:
             problem = f"--trials must be at most {MAX_TRIALS}, got {args.trials}"
     elif args.command == "defer-check":
@@ -438,7 +443,8 @@ def _cmd_defer_check(args: argparse.Namespace, seed: int) -> dict:
 
 
 def _parse_n_range(raw: str) -> list[int]:
-    """``--n-range``'s type: an inclusive ``LO:HI`` (or ``N``), 1 <= LO <= HI."""
+    """``--n-range``'s type: an inclusive ``LO:HI`` (or ``N``), 1 <= LO <= HI
+    <= ``MAX_COST_N``."""
     lo, _, hi = raw.partition(":")
     try:
         low, high = int(lo), int(hi if hi else lo)
@@ -446,6 +452,8 @@ def _parse_n_range(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {raw!r}") from None
     if not 1 <= low <= high:
         raise argparse.ArgumentTypeError(f"expected 1 <= LO <= HI, got {raw!r}")
+    if high > MAX_COST_N:
+        raise argparse.ArgumentTypeError(f"expected HI <= {MAX_COST_N}, got {raw!r}")
     return list(range(low, high + 1))
 
 

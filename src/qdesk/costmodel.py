@@ -3,7 +3,7 @@
 This is a declared accounting model, not a benchmark.  Classical cost is
 the work to write out the symbolic description of the next state from the
 previous one, term by term; quantum cost counts gate layers and measured
-qubits.  Under the default constants:
+qubits.  Every term, gate layer and measured qubit is one unit:
 
                         classical                quantum
   function-evaluation   2^n   (all terms)        n + 1  (one Hadamard layer
@@ -31,18 +31,6 @@ GROWTH_CAP_FACTOR = 2
 
 
 @dataclass(frozen=True)
-class ModelConstants:
-    """Unit weights of the accounting model; all default to one count each."""
-
-    term_unit: int = 1
-    gate_layer_unit: int = 1
-    measured_qubit_unit: int = 1
-
-
-DEFAULT_CONSTANTS = ModelConstants()
-
-
-@dataclass(frozen=True)
 class StageCost:
     n: int
     stage: str
@@ -50,50 +38,37 @@ class StageCost:
     quantum_units: int
 
 
-def _rows(n: int, period: int, output_bits: int, c: ModelConstants) -> list[StageCost]:
+def _rows(n: int, period: int, output_bits: int) -> list[StageCost]:
     """One row per stage, in ``STAGES`` order."""
     size = 1 << n
-    classical = (
-        c.term_unit * size,
-        c.term_unit * size,
-        # extraction: read the period from the filtered term list, then
-        # write the n-bit answer; the dominating count is charged.
-        c.term_unit * max(size // period, n),
-    )
-    quantum = (
-        c.gate_layer_unit * (1 + n),
-        c.measured_qubit_unit * output_bits,
-        c.gate_layer_unit * (n * (n + 1) // 2) + c.measured_qubit_unit * n,
-    )
+    # extraction: read the period from the filtered term list, then write
+    # the n-bit answer; the dominating count is charged.
+    classical = (size, size, max(size // period, n))
+    quantum = (1 + n, output_bits, n * (n + 1) // 2 + n)
     return [StageCost(n, stage, cu, qu) for stage, cu, qu in zip(STAGES, classical, quantum)]
 
 
-def stage_costs(
-    inst: PeriodFindingInstance, constants: ModelConstants = DEFAULT_CONSTANTS
-) -> list[StageCost]:
+def stage_costs(inst: PeriodFindingInstance) -> list[StageCost]:
     """One instance's cost rows, one per stage in ``STAGES`` order: terms
     written or scanned to derive the next symbolic description, and gate
     layers plus measured qubits."""
-    return _rows(inst.n, inst.period, inst.table.output_bits, constants)
+    return _rows(inst.n, inst.period, inst.table.output_bits)
 
 
-def stage_table(
-    n_values: list[int],
-    constants: ModelConstants = DEFAULT_CONSTANTS,
-) -> list[StageCost]:
+def stage_table(n_values: list[int]) -> list[StageCost]:
     """Cost rows for every n, with the growth-class assertions built in.
 
     Each size is the ``build_periodic`` instance with period 2^n / 2 (half
     the input space, which keeps classical extraction linear in n) and n
     output bits; its rows come from those three numbers, so no table is
-    built and any n is cheap.  Raises ``AssertionError`` if the counts stop
-    doubling classically or exceed the quadratic cap quantally.
+    built.  Raises ``AssertionError`` if the counts stop doubling
+    classically or exceed the quadratic cap quantally.
     """
     if not n_values:
         raise ValueError("n_values must not be empty")
     rows: list[StageCost] = []
     for n in sorted(n_values):
-        rows.extend(_rows(n, max(1, (1 << n) // 2), n, constants))
+        rows.extend(_rows(n, max(1, (1 << n) // 2), n))
     _assert_growth_classes(rows)
     return rows
 

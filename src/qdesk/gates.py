@@ -1,17 +1,18 @@
 """Unitaries applied register-wise: Hadamard layers, Fourier transforms,
 XOR table oracles, and the inversion-about-mean step.
 
-Each gate has one kernel, ``<gate>_in_place``, that mutates a writable
-work buffer (the flat amplitude vector of a layout) and allocates no
-output.  The buffer is complex128, or float64 in a segment with no
-Fourier transform from a real start, whose gates map real amplitudes to
-real ones; every kernel but the Fourier transform runs on either, and a
-scratch buffer takes the work buffer's dtype.  ``circuit_ir`` runs every
-gate through these kernels on one work buffer;
-``circuit_ir.apply_instruction`` is the way to apply one gate to a
-``PureState``.  A kernel checks nothing: ``CircuitProgram``
-checks that an instruction's registers and table fit its layout once, when
-the program is built.
+Each gate has one kernel that mutates a writable work buffer (the flat
+amplitude vector of a layout) and allocates no output: ``<gate>_in_place``,
+or for the diffusion ``bound_grover_diffusion``, which binds the buffer
+once and returns the step that reflects it.  The buffer is complex128, or
+float64 in a segment with no Fourier transform from a real start, whose
+gates map real amplitudes to real ones; every kernel but the Fourier
+transform runs on either, and a scratch buffer takes the work buffer's
+dtype.  ``circuit_ir`` runs every gate through these kernels on one work
+buffer; ``circuit_ir.apply_instruction`` is the way to apply one gate to a
+``PureState``.  A kernel checks nothing: ``CircuitProgram`` checks that an
+instruction's registers and table fit its layout once, when the program is
+built.
 
 Every register-wise kernel works on the ``(left, d, right)`` view of the
 buffer (``RegisterLayout.axis_shape``).  A buffer may hold several states
@@ -60,12 +61,11 @@ class _XorTable:
     array built once on construction; ``table``, the entries as a tuple of
     ints, which equality, hashing and JSON read, built on first read (an
     oracle's route reads only ``values``, so a table built per run never
-    makes it); and, built on first use and kept for the life of the table,
-    ``swaps``, the pairs of basis indices the oracle exchanges, and
-    ``permutation``, its full basis map, which the tests' allocating
-    reference gathers along.  ``_WIDTHS`` names the width fields in the
-    constructor's order, the output's last; the entries are keyed by the
-    others, most significant first."""
+    makes it); and ``swaps``, the pairs of basis indices the oracle
+    exchanges, built on first use and kept for the life of the table.
+    ``_WIDTHS`` names the width fields in the constructor's order, the
+    output's last; the entries are keyed by the others, most significant
+    first."""
 
     _WIDTHS: tuple[str, ...]
 
@@ -111,22 +111,8 @@ class _XorTable:
         return cls(*widths, tuple(entries))
 
     @cached_property
-    def permutation(self) -> np.ndarray:
-        return _xor_permutation(self.values, self.output_bits)
-
-    @cached_property
     def swaps(self) -> tuple[np.ndarray, np.ndarray]:
         return _xor_swaps(self.values, self.output_bits)
-
-
-def _xor_permutation(values: np.ndarray, output_bits: int) -> np.ndarray:
-    """Flat read-only index map (key, y) -> (key, y XOR values[key]) over the
-    key-major pairs; a self-inverse permutation."""
-    outputs = np.arange(1 << output_bits)
-    keys = np.arange(values.size)[:, None] << output_bits
-    perm = (keys | (outputs ^ values[:, None])).reshape(-1)
-    perm.setflags(write=False)
-    return perm
 
 
 def _xor_swaps(values: np.ndarray, output_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -358,28 +344,23 @@ def oracle_moded_in_place(
     _swap_pairs(work, layout, (mode_reg, in_reg, out_reg), f.swaps)
 
 
-def grover_diffusion_in_place(work: np.ndarray, layout: RegisterLayout, reg: str) -> None:
-    """Inversion about the mean on one register, 2|u><u| - I, in place on ``work``.
+def bound_grover_diffusion(work: np.ndarray, layout: RegisterLayout, reg: str) -> Callable[[], None]:
+    """Inversion about the mean on one register, 2|u><u| - I, bound to one
+    buffer: the register-last view and the scale 2/d are built once, and
+    each call of the returned step reflects ``work`` in place as it then
+    stands.
 
     The register axis is copied to the contiguous last axis, where numpy
     sums it pairwise (a strided in-order sum drifts the norm coherently,
     since Grover's unmarked amplitudes are all equal), and the reflection
     2 * mean - a is written back from that copy with the register as the
-    inner loop.
+    inner loop.  A register that spans the whole buffer is reflected flat:
+    numpy sums the buffer pairwise, bit for bit as it sums the
+    register-last view's one line.  The sum is kept as a one-entry array,
+    so the scale multiplies it in numpy's array loop, as it does the
+    register-last sums: numpy's complex scalar multiply turns a real part
+    that underflows to -0.0 into +0.0, where the array loop keeps -0.0.
     """
-    bound_grover_diffusion(work, layout, reg)()
-
-
-def bound_grover_diffusion(work: np.ndarray, layout: RegisterLayout, reg: str) -> Callable[[], None]:
-    """``grover_diffusion_in_place`` bound to one buffer: the register-last
-    view and the scale 2/d are built once, and each call of the returned
-    step reflects the buffer as it then stands.  A register that spans the
-    whole buffer is reflected flat: numpy sums the buffer pairwise, bit for
-    bit as it sums the register-last view's one line.  The sum is kept as a
-    one-entry array, so the scale multiplies it in numpy's array loop, as
-    it does the register-last sums: numpy's complex scalar multiply turns
-    a real part that underflows to -0.0 into +0.0, where the array loop
-    keeps -0.0."""
     scale = 2.0 / layout.dim(reg)
     if work.size == layout.dim(reg):
 

@@ -80,12 +80,9 @@ def standard_layout(drawers: int) -> RegisterLayout:
     return RegisterLayout.of(X=_drawer_bits(drawers), F=1)
 
 
+# The kickback register's (|0> - |1>)/sqrt(2), loaded the same for every
+# hidden drawer.
 KICKBACK = Prepare("F", "minus")
-
-
-def kickback_preparation(layout: RegisterLayout) -> PureState:
-    """|0..0>_X (|0> - |1>)_F / sqrt(2), the same for every hidden drawer."""
-    return unitary_prefix(CircuitProgram(layout, (KICKBACK,)), 1)
 
 
 def standard_circuit(inst: GameInstance) -> CircuitProgram:

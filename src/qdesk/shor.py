@@ -42,12 +42,10 @@ from .circuit_ir import (
     Measure,
     Prepare,
     _BranchWalk,
-    sampled_records,
     unitary_prefix,
 )
 from .errors import ShapeMismatchError
 from .gates import FunctionTable, check_table_widths, modexp_table
-from .measure import MeasurementRecord
 from .qstate import PureState, RegisterLayout
 
 DISCIPLINES = ("measure-F-at-t2", "skip-F", "annihilate-F")
@@ -94,14 +92,6 @@ class PeriodFindingInstance:
         its chain of states too (F's rows, and the rows of F's branches
         after the X transform)."""
         return {}
-
-
-@dataclass(frozen=True)
-class PeriodResult:
-    measured_value: int
-    candidate_period: int | None
-    success: bool
-    f_outcome: int | None = None
 
 
 def build_periodic(n: int, period: int) -> PeriodFindingInstance:
@@ -242,32 +232,6 @@ def success_count(inst: PeriodFindingInstance, x_outcomes: np.ndarray) -> int:
     values, index = np.unique(x_outcomes, return_inverse=True)
     gives = np.array([_gives_period(inst, value) for value in values.tolist()], dtype=bool)
     return int(gives[index].sum())
-
-
-def sample_runs(
-    inst: PeriodFindingInstance,
-    discipline: str,
-    trials: int,
-    rng: np.random.Generator,
-    record_sink: list[MeasurementRecord] | None = None,
-) -> list[PeriodResult]:
-    """``trials`` sampled runs of the pipeline under the chosen discipline,
-    one ``PeriodResult`` per trial: the object view of ``sample_trials``'
-    arrays, with one ``extract_period`` per distinct X outcome.  Pass a
-    list as ``record_sink`` to collect the Born samples taken along the
-    way.
-    """
-    registers, outcomes, probabilities = sample_trials(inst, discipline, trials, rng)
-    if record_sink is not None:
-        record_sink.extend(r for records in sampled_records(registers, outcomes, probabilities) for r in records)
-    values, index = np.unique(outcomes[:, registers.index("X")], return_inverse=True)
-    values = values.tolist()
-    candidates = [extract_period(value, inst.table) for value in values]
-    f_outcomes = outcomes[:, registers.index("F")].tolist() if "F" in registers else [None] * trials
-    return [
-        PeriodResult(values[j], candidates[j], candidates[j] == inst.period, f)
-        for j, f in zip(index.tolist(), f_outcomes)
-    ]
 
 
 def exact_outcome_distribution(inst: PeriodFindingInstance, discipline: str) -> np.ndarray:

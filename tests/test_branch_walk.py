@@ -43,9 +43,10 @@ from qdesk import (
 from qdesk import circuit_ir
 from qdesk.circuit_ir import apply_instruction, enumerate_outcome_distribution, sample, unitary_prefix
 from qdesk.cli import main
-from qdesk.shor import DISCIPLINES, PeriodResult, sample_runs
+from qdesk.shor import DISCIPLINES, sample_trials, success_count
 from test_families import born_project
 from test_register_axis import gate
+from test_shor import trial_records
 
 SEEDS = st.integers(0, 2**32 - 1)
 PERIODS = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n)))
@@ -69,15 +70,15 @@ def per_trial_runs(inst, discipline, trials, rng):
 
 
 def through_x(inst, discipline):
-    """The discipline's program up to its X measurement, as ``sample_runs`` samples it."""
+    """The discipline's program up to its X measurement, as ``sample_trials`` samples it."""
     program = period_circuit(inst, discipline)
     return CircuitProgram(inst.layout, program.instructions[: program.time_tags["t4"] + 1])
 
 
-def period_result(inst, records):
-    outcomes = {record.register: record.outcome for record in records}
-    candidate = extract_period(outcomes["X"], inst.table)
-    return PeriodResult(outcomes["X"], candidate, candidate == inst.period, outcomes.get("F"))
+def successes(inst, records):
+    """How many trials' X records give the instance's period."""
+    xs = [r.outcome for trial in records for r in trial if r.register == "X"]
+    return sum(extract_period(x, inst.table) == inst.period for x in xs)
 
 
 def projection_walk(program, observed, initial):
@@ -198,14 +199,13 @@ class TestSample:
         seed=SEEDS,
         trials=st.integers(0, 40),
     )
-    def test_sample_runs_equal_the_per_trial_loop(self, n, data, discipline, seed, trials):
+    def test_sample_trials_equal_the_per_trial_loop(self, n, data, discipline, seed, trials):
         inst = build_periodic(n, data.draw(st.integers(1, 1 << n)))
-        sink = []
         sampled, looped = np.random.default_rng(seed), np.random.default_rng(seed)
-        results = sample_runs(inst, discipline, trials, sampled, sink)
+        registers, outcomes, probabilities = sample_trials(inst, discipline, trials, sampled)
         expected = per_trial_runs(inst, discipline, trials, looped)
-        assert sink == [record for records in expected for record in records]
-        assert results == [period_result(inst, records) for records in expected]
+        assert trial_records(registers, outcomes, probabilities) == [tuple(trial) for trial in expected]
+        assert success_count(inst, outcomes[:, registers.index("X")]) == successes(inst, expected)
         assert sampled.bit_generator.state == looped.bit_generator.state
 
     @settings(max_examples=80, deadline=None)
@@ -222,7 +222,7 @@ class TestSample:
         def refuse(*args, **kwargs):
             raise AssertionError("a state was computed")
 
-        monkeypatch.setattr(circuit_ir, "apply_instruction_in_place", refuse)
+        monkeypatch.setattr(circuit_ir, "_bound_kernel", refuse)
         assert sample(period_circuit(build_periodic(3, 3), "skip-F"), np.random.default_rng(0), 0) == []
 
     def test_nothing_after_the_last_draw_is_computed(self, monkeypatch):
@@ -306,12 +306,12 @@ class TestSampledArrays:
         # annihilate-F at n = 10, r = 512 draws 512 phases and one X per trial
         inst = build_periodic(10, 512)
         rng = CountingGenerator(np.random.default_rng(5))
-        results = sample_runs(inst, "annihilate-F", 2000, rng)
+        records = trial_records(*sample_trials(inst, "annihilate-F", 2000, rng))
         per_block = circuit_ir.SAMPLE_BLOCK_DOUBLES // 513
         assert rng.calls == {"random": -(-2000 // per_block)}
         assert max(rng.sizes) == per_block * 513 <= circuit_ir.SAMPLE_BLOCK_DOUBLES
         walk, looped = circuit_ir._BranchWalk(through_x(inst, "annihilate-F"), None), np.random.default_rng(5)
-        assert results == [period_result(inst, walk.trial(looped)[0]) for _ in range(2000)]
+        assert records == [tuple(walk.trial(looped)[0]) for _ in range(2000)]
         assert rng.rng.bit_generator.state == looped.bit_generator.state
 
     def test_the_trials_add_well_under_one_block_of_all_of_them(self):
@@ -322,7 +322,7 @@ class TestSampledArrays:
         for trials in (1, 2000):
             tracemalloc.start()
             try:
-                sample_runs(inst, "annihilate-F", trials, np.random.default_rng(6))
+                sample_trials(inst, "annihilate-F", trials, np.random.default_rng(6))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -413,7 +413,7 @@ class TestSharedWork:
         inst = build_periodic(8, 128)
         tracemalloc.start()
         try:
-            sample_runs(inst, "annihilate-F", 1, np.random.default_rng(3))
+            sample_trials(inst, "annihilate-F", 1, np.random.default_rng(3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,13 +518,14 @@ class TestInertDephase:
     @given(case=PERIODS, seed=SEEDS, trials=st.integers(1, 40))
     def test_sampled_annihilate_f_equals_the_phased_route(self, case, seed, trials):
         inst = build_periodic(*case)
-        sink = []
-        results = sample_runs(inst, "annihilate-F", trials, np.random.default_rng(seed), sink)
+        records = trial_records(*sample_trials(inst, "annihilate-F", trials, np.random.default_rng(seed)))
         expected = phased_route_runs(inst, trials, np.random.default_rng(seed))
-        assert [(r.register, r.outcome) for r in sink] == [(reg, x) for run in expected for reg, x, _ in run]
-        for record, (_, _, p) in zip(sink, (step for run in expected for step in run)):
-            assert record.probability == pytest.approx(p, rel=1e-14)
-        assert results == [period_result(inst, [record]) for record in sink]
+        assert [[(r.register, r.outcome) for r in trial] for trial in records] == [
+            [(reg, x) for reg, x, _ in run] for run in expected
+        ]
+        for trial, run in zip(records, expected):
+            for record, (_, _, p) in zip(trial, run):
+                assert record.probability == pytest.approx(p, rel=1e-14)
 
     def test_annihilate_f_report_makes_as_few_qfts_as_skip_f(self, monkeypatch, capsys):
         argv = ["shor", "--n", "5", "--r", "3", "--json", "--trials", "200", "--discipline"]
@@ -645,7 +646,6 @@ IN_PLACE_KERNELS = (
     "qft_in_place",
     "oracle_xor_in_place",
     "oracle_moded_in_place",
-    "grover_diffusion_in_place",
     "bound_grover_diffusion",
 )
 

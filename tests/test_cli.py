@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 from qdesk import build_periodic, circuit_ir, gates, grover, iteration_count, period_circuit, run, shor, stage_costs
 import qdesk
-from qdesk import cli, selftest
+from qdesk import cli, costmodel, selftest
 from qdesk.cli import _dump_state, _indented_json, _instance_problem, build_parser, drawer_count, main
 from qdesk.qstate import PureState, RegisterLayout
 from qdesk.shor import DISCIPLINES
+from test_shor import trial_records
 
 
 def run_cli(capsys, argv):
@@ -42,6 +44,9 @@ def test_out_of_memory_is_a_one_line_usage_error(capsys, monkeypatch, argv, buil
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {argv[0]}: out of memory (Unable to allocate 16.0 MiB)"]
+
+
+R_WITH_MODEXP = "--r cannot be given with --base and --modulus: the period is the order of the base"
 
 
 class TestShorCommand:
@@ -171,11 +176,13 @@ class TestShorCommand:
         argv = ["shor", "--n", "5", "--r", "6", "--discipline", discipline, "--trials", "50", "--seed", "13"]
         code, out, err = run_cli(capsys, argv + ["--records", str(path), "--json"])
         assert code == 0, err
-        records = []
-        results = shor.sample_runs(build_periodic(5, 6), discipline, 50, np.random.default_rng(13), records)
+        inst = build_periodic(5, 6)
+        trials = trial_records(*shor.sample_trials(inst, discipline, 50, np.random.default_rng(13)))
+        records = [r for trial in trials for r in trial]
         expected = "".join(json.dumps(r.to_json() | {"seed": 13}, sort_keys=True) + "\n" for r in records)
         assert path.read_text() == expected
-        assert json.loads(out)["success_rate_empirical"] == sum(r.success for r in results) / 50
+        successes = sum(shor.extract_period(r.outcome, inst.table) == 6 for r in records if r.register == "X")
+        assert json.loads(out)["success_rate_empirical"] == successes / 50
 
     def test_dump_state_is_the_t4_state_of_the_program(self, capsys, tmp_path):
         path = tmp_path / "state.json"
@@ -245,6 +252,9 @@ class TestShorCommand:
             (["--base", "2", "--modulus", "-5"], "need gcd(--base, --modulus) = 1 and --modulus >= 2, got 2, -5"),
             (["--base", "7"], "--base and --modulus must be given together"),
             (["--modulus", "15"], "--base and --modulus must be given together"),
+            # the period of 7^x mod 15 is 4, so neither --r would be read
+            (["--base", "7", "--modulus", "15", "--r", "3"], R_WITH_MODEXP),
+            (["--r", "4", "--modulus", "15", "--base", "7"], R_WITH_MODEXP),
         ],
     )
     def test_bad_modexp_input_is_a_one_line_usage_error(self, capsys, monkeypatch, extra, problem):
@@ -252,6 +262,7 @@ class TestShorCommand:
             raise AssertionError("table built before the input check")
 
         monkeypatch.setattr(shor, "modexp_table", refuse)
+        monkeypatch.setattr(shor, "build_modexp", refuse)
         monkeypatch.setattr(shor, "build_periodic", refuse)
         with pytest.raises(SystemExit) as exc:
             main(["shor", "--n", "4", *extra, "--json"])
@@ -525,12 +536,34 @@ class TestCostCommand:
         rows = json.loads(out)["rows"]
         assert {r["stage"] for r in rows} == {"function-evaluation", "filtration", "extraction"}
 
-    def test_bad_range(self, capsys):
-        for raw in ("ten", "0:3", "5:2"):
-            with pytest.raises(SystemExit) as exc:
-                main(["cost", "--n-range", raw])
-            assert exc.value.code == 2
-            assert "--n-range" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [
+            ("ten", "expected LO:HI"),
+            ("0:3", "expected 1 <= LO <= HI"),
+            ("5:2", "expected 1 <= LO <= HI"),
+            ("2:1025", "expected HI <= 1024"),
+            ("1025", "expected HI <= 1024"),
+            ("2:100000", "expected HI <= 1024"),
+        ],
+    )
+    def test_bad_range(self, capsys, monkeypatch, raw, problem):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rows built for a bad range")
+
+        monkeypatch.setattr(costmodel, "stage_table", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--n-range", raw])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            f"qdesk cost: error: argument --n-range: {problem}, got {raw!r}"
+        ]
+
+    def test_the_range_ceiling_itself_is_accepted(self):
+        assert cli.MAX_COST_N == 1024
+        assert cli._parse_n_range("2:1024")[-1] == 1024
 
     def test_benchmark_table_is_byte_identical(self, capsys):
         # the sha256 of this report when every row came from a built instance
@@ -868,6 +901,37 @@ def test_exact_reports_never_load_numpy_random():
     assert not loaded_exact
     assert sampled == "16b8b721b7844bb57171c8879f0565c4e3f847366f9ad24698411b4b86fddd7b"
     assert loaded_sampled
+
+
+def referenced_names(node):
+    """Every name, attribute and imported name in an AST subtree."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_top_level_def_and_class_is_reached_from_the_package():
+    # what only the tests reach belongs in the tests: each top-level def and
+    # class of qdesk is exported (an import in __init__) or referenced in
+    # another top-level statement of the package
+    package = Path(qdesk.__file__).resolve().parent
+    statements = [
+        (path.stem, node) for path in sorted(package.glob("*.py")) for node in ast.parse(path.read_text()).body
+    ]
+    references = [(node, referenced_names(node)) for _, node in statements]
+    unreached = [
+        f"{module}.{node.name}"
+        for module, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in names for other, names in references if other is not node)
+    ]
+    assert unreached == []
 
 
 class TestHotRoutes:

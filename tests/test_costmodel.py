@@ -1,18 +1,18 @@
 import pytest
 
 from qdesk import (
-    ModelConstants,
+    StageCost,
     build_periodic,
     stage_costs,
     stage_table,
 )
-from qdesk.costmodel import DEFAULT_CONSTANTS, STAGES
+from qdesk.costmodel import STAGES, _assert_growth_classes
 from qdesk.shor import divisors
 
 
-def row(inst, stage, constants=DEFAULT_CONSTANTS):
+def row(inst, stage):
     """The instance's cost row for one stage."""
-    return {r.stage: r for r in stage_costs(inst, constants)}[stage]
+    return {r.stage: r for r in stage_costs(inst)}[stage]
 
 
 class TestClassicalCost:
@@ -52,10 +52,6 @@ class TestQuantumCost:
             }
             assert counts == {n}
 
-    def test_constants_scale_counts(self):
-        doubled = ModelConstants(measured_qubit_unit=2)
-        assert row(build_periodic(3, 2), "filtration", doubled).quantum_units == 6
-
 
 class TestStageTable:
     def test_classical_filtration_counts_double(self):
@@ -82,12 +78,17 @@ class TestStageTable:
         with pytest.raises(ValueError):
             stage_table([])
 
-    def test_growth_assertions_catch_bad_constants(self):
-        # a fake period chooser cannot break doubling, but a giant unit can
-        # break the quadratic cap
-        huge = ModelConstants(gate_layer_unit=1000)
-        with pytest.raises(AssertionError):
-            stage_table([2, 3], constants=huge)
+    def test_growth_assertions_catch_crafted_rows(self):
+        # the model's own rows pass; a quantum count over the quadratic cap,
+        # or a classical count that stops doubling, does not
+        rows = stage_table([2, 3])
+        _assert_growth_classes(rows)
+        over_cap = [StageCost(r.n, r.stage, r.classical_units, 1000 * r.quantum_units) for r in rows]
+        with pytest.raises(AssertionError, match="exceeds"):
+            _assert_growth_classes(over_cap)
+        flat = [StageCost(r.n, r.stage, 4, r.quantum_units) for r in rows]
+        with pytest.raises(AssertionError, match="stopped doubling"):
+            _assert_growth_classes(flat)
 
     def test_per_instance_rows(self):
         rows = stage_costs(build_periodic(3, 4))

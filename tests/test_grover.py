@@ -24,12 +24,12 @@ from qdesk import (
     standard_circuit,
     standard_grover_state,
 )
-from qdesk.circuit_ir import GateOp, Measure, run
+from qdesk.circuit_ir import CircuitProgram, GateOp, Measure, run, unitary_prefix
 from qdesk.cli import _cmd_grover, build_parser, main
 from qdesk.grover import (
     EXTENDED_LAYOUT,
+    KICKBACK,
     extended_preparation,
-    kickback_preparation,
     marked_drawer_table,
     sequential_joint_distribution,
     standard_layout,
@@ -127,6 +127,11 @@ class TestStandardGame:
     def test_hidden_drawer_validated(self):
         with pytest.raises(ValueError):
             GameInstance(4, 4)
+
+
+def kickback_preparation(layout):
+    """|0..0>_X (|0> - |1>)_F / sqrt(2): the kickback prepare alone."""
+    return unitary_prefix(CircuitProgram(layout, (KICKBACK,)), 1)
 
 
 def hand_route_state(inst):

@@ -9,7 +9,7 @@ slot vectors that ``PhasedMixture`` used to hold, summed with their phases
 and stacked per phase group, and the literal Monte Carlo phase average,
 one phased state reduced per draw.  The allocating forms of the in-place gate
 kernels are here too: the oracles' ``np.take`` gather along the table's
-permutation, the Hadamard butterflies into fresh arrays, the out-of-place
+full basis permutation, built here from its entries, the Hadamard butterflies into fresh arrays, the out-of-place
 FFT and the reflection into a fresh array.  They stay in this file so the
 library keeps one route per operation.
 """
@@ -384,6 +384,15 @@ def test_named_non_dividing_cases_match_full_state_route():
             assert np.abs(got - full_state_route(inst, discipline)).max() < 1e-12
 
 
+def xor_permutation(values, output_bits):
+    """The flat index map (key, y) -> (key, y XOR values[key]) over a
+    table's key-major pairs, a self-inverse permutation, which the take
+    route gathers along."""
+    outputs = np.arange(1 << output_bits)
+    keys = np.arange(values.size)[:, None] << output_bits
+    return (keys | (outputs ^ values[:, None])).reshape(-1)
+
+
 def take_permute_registers(state, regs, permutation):
     """The allocating oracle route: ``regs`` moved to the trailing axes, the
     amplitudes gathered along ``permutation`` over their joint value (first
@@ -409,6 +418,11 @@ def allocating_hadamard(state, reg):
         pairs = amps.reshape(left << k, 2, -1)
         amps = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1).reshape(-1)
     return amps * 2.0 ** (-q / 2)
+
+
+def grover_diffusion_in_place(work, layout, reg):
+    """The diffusion step bound to ``work`` and run once."""
+    gates.bound_grover_diffusion(work, layout, reg)()
 
 
 def in_place(kernel, state, *args):
@@ -446,7 +460,7 @@ def test_register_kernels_in_place_match_allocating_references_bit_for_bit(state
         got = in_place(gates.qft_in_place, state, reg, inverse)
         transform = np.fft.fft if inverse else np.fft.ifft
         assert np.array_equal(as_bits(got), as_bits(transform(block, axis=1, norm="ortho").reshape(-1)))
-    got = in_place(gates.grover_diffusion_in_place, state, reg)
+    got = in_place(grover_diffusion_in_place, state, reg)
     pairwise = np.ascontiguousarray(np.moveaxis(block, 1, -1)).mean(-1)
     assert np.array_equal(as_bits(got), as_bits((2.0 * pairwise[:, None, :] - block).reshape(-1)))
 
@@ -470,10 +484,11 @@ def test_oracles_in_place_match_the_take_route_bit_for_bit(state, data):
     else:
         f = ModedFunctionTable(*widths, entries)
         got = in_place(gates.oracle_moded_in_place, state, f, *regs)
-    assert np.array_equal(as_bits(got), as_bits(take_permute_registers(state, regs, f.permutation)))
+    permutation = xor_permutation(f.values, f.output_bits)
+    assert np.array_equal(as_bits(got), as_bits(take_permute_registers(state, regs, permutation)))
     lo, hi = f.swaps
-    assert np.array_equal(f.permutation[lo], hi) and np.array_equal(f.permutation[hi], lo)
-    assert np.count_nonzero(f.permutation != np.arange(f.permutation.size)) == 2 * lo.size
+    assert np.array_equal(permutation[lo], hi) and np.array_equal(permutation[hi], lo)
+    assert np.count_nonzero(permutation != np.arange(permutation.size)) == 2 * lo.size
 
 
 def literal_average(mixture, samples, rng, keep):

@@ -31,7 +31,7 @@ from qdesk.circuit_ir import (
     sample_outcomes,
 )
 from qdesk.gates import fourier_axis
-from qdesk.measure import PROB_EPS
+from qdesk.measure import PROB_EPS, MeasurementRecord
 from qdesk.qstate import RegisterLayout
 from qdesk.shor import (
     DISCIPLINES,
@@ -39,7 +39,6 @@ from qdesk.shor import (
     _period_instructions,
     divisors,
     period_circuit,
-    sample_runs,
     sample_trials,
     success_count,
 )
@@ -65,6 +64,21 @@ PERMUTED_INSTANCES = [
     pytest.param(build_modexp(base, modulus, 10), id=f"{base}^x-mod-{modulus}")
     for base, modulus in ((7, 15), (2, 21), (2, 33), (5, 39))
 ]
+
+
+def trial_records(registers, outcomes, probabilities):
+    """``sample_trials``' arrays as one tuple of measurement records per
+    trial, the form ``circuit_ir.sample`` gives."""
+    return [
+        tuple(map(MeasurementRecord, registers, row, probs))
+        for row, probs in zip(outcomes.tolist(), probabilities.tolist())
+    ]
+
+
+def x_outcomes(inst, discipline, trials, rng):
+    """The X column of ``sample_trials``' outcomes."""
+    registers, outcomes, _ = sample_trials(inst, discipline, trials, rng)
+    return outcomes[:, registers.index("X")]
 
 
 def spectator_layouts(n, output_bits):
@@ -571,70 +585,65 @@ class TestRunPipeline:
     def test_seeded_runs_reproduce(self):
         inst = build_periodic(3, 4)
         for discipline in DISCIPLINES:
-            a = sample_runs(inst, discipline, 1, np.random.default_rng(5))[0]
-            b = sample_runs(inst, discipline, 1, np.random.default_rng(5))[0]
+            a = trial_records(*sample_trials(inst, discipline, 1, np.random.default_rng(5)))
+            b = trial_records(*sample_trials(inst, discipline, 1, np.random.default_rng(5)))
             assert a == b
 
     def test_measured_outcome_always_in_support(self):
         inst = build_periodic(3, 4)
         for seed in range(50):
-            result = sample_runs(inst, "skip-F", 1, np.random.default_rng(seed))[0]
-            assert result.measured_value in {0, 2, 4, 6}
+            assert x_outcomes(inst, "skip-F", 1, np.random.default_rng(seed))[0] in {0, 2, 4, 6}
 
     def test_function_branch_projects_to_comb(self):
         # after measuring the function register the input support is one
-        # residue class
+        # residue class, whose transform is supported on 0 and 2
         inst = build_periodic(2, 2)
         for seed in range(20):
-            records = []
-            result = sample_runs(inst, "measure-F-at-t2", 1, np.random.default_rng(seed), records)[0]
-            assert records[0].register == "F"
-            assert result.f_outcome == records[0].outcome
-            assert records[0].probability == pytest.approx(0.5)
+            f, x = trial_records(*sample_trials(inst, "measure-F-at-t2", 1, np.random.default_rng(seed)))[0]
+            assert (f.register, x.register) == ("F", "X")
+            assert f.probability == pytest.approx(0.5)
+            assert x.outcome in {0, 2}
 
     def test_empirical_success_rate_tracks_exact(self):
         inst = build_periodic(3, 4)
         rng = np.random.default_rng(123)
         trials = 2000
-        hits = sum(sample_runs(inst, "annihilate-F", 1, rng)[0].success for _ in range(trials))
+        hits = sum(success_count(inst, x_outcomes(inst, "annihilate-F", 1, rng)) for _ in range(trials))
         exact = single_run_success_probability(inst)
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(hits / trials - exact) <= 4 * sigma
 
     def test_unknown_discipline(self):
         with pytest.raises(ValueError):
-            sample_runs(build_periodic(2, 2), "whatever", 1, np.random.default_rng(0))
+            sample_trials(build_periodic(2, 2), "whatever", 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("discipline", DISCIPLINES)
     def test_batched_trials_equal_repeated_single_runs(self, discipline):
         inst = build_periodic(4, 3)
-        batch_records, single_records = [], []
-        batch = sample_runs(inst, discipline, 30, np.random.default_rng(8), batch_records)
+        batch = trial_records(*sample_trials(inst, discipline, 30, np.random.default_rng(8)))
         rng = np.random.default_rng(8)
-        singles = [sample_runs(inst, discipline, 1, rng, single_records)[0] for _ in range(30)]
+        singles = [trial_records(*sample_trials(inst, discipline, 1, rng))[0] for _ in range(30)]
         assert batch == singles
-        assert batch_records == single_records
-        assert len(batch_records) == 30 * (2 if discipline == "measure-F-at-t2" else 1)
+        assert sum(map(len, batch)) == 30 * (2 if discipline == "measure-F-at-t2" else 1)
 
     def test_zero_trials(self):
-        assert sample_runs(build_periodic(3, 4), "skip-F", 0, np.random.default_rng(0)) == []
+        registers, outcomes, probabilities = sample_trials(build_periodic(3, 4), "skip-F", 0, np.random.default_rng(0))
+        assert registers == ("X",) and outcomes.shape == probabilities.shape == (0, 1)
 
     @pytest.mark.parametrize("discipline", DISCIPLINES)
     @pytest.mark.parametrize("inst", [build_periodic(5, 6), build_modexp(7, 15, 5)], ids=["periodic", "modexp"])
     def test_success_count_counts_the_successful_runs(self, inst, discipline):
-        registers, outcomes, probabilities = sample_trials(inst, discipline, 200, np.random.default_rng(3))
-        results = sample_runs(inst, discipline, 200, np.random.default_rng(3))
-        assert success_count(inst, outcomes[:, registers.index("X")]) == sum(r.success for r in results)
-        assert outcomes[:, registers.index("X")].tolist() == [r.measured_value for r in results]
-        assert 0 < sum(r.success for r in results) < 200
-        assert success_count(inst, outcomes[:0, registers.index("X")]) == 0
+        xs = x_outcomes(inst, discipline, 200, np.random.default_rng(3))
+        successes = sum(extract_period(x, inst.table) == inst.period for x in xs.tolist())
+        assert success_count(inst, xs) == successes
+        assert 0 < successes < 200
+        assert success_count(inst, xs[:0]) == 0
 
     def test_non_dividing_period_pipeline_runs(self):
         inst = build_periodic(3, 3)
         assert not inst.period_divides
         for discipline in DISCIPLINES:
-            result = sample_runs(inst, discipline, 1, np.random.default_rng(4))[0]
-            assert 0 <= result.measured_value < 8
+            assert 0 <= x_outcomes(inst, discipline, 1, np.random.default_rng(4))[0] < 8
 
     def test_annihilate_f_sampling_at_the_ceiling_peaks_as_measure_f_does(self):
         # n = 10, r = 512: F is held as 512 rows of 2^10 amplitudes (8 MiB),

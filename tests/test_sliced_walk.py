@@ -69,7 +69,7 @@ def run_unitaries(state, instrs, real=False):
     real = real and real_segment(unitary, state.amplitudes)
     work = state.amplitudes.real.copy() if real else state.amplitudes.copy()
     for instr in unitary:
-        circuit_ir.apply_instruction_in_place(work, state.layout, instr)
+        circuit_ir._bound_kernel(work, state.layout, instr)()
     return PureState._adopt(state.layout, work.astype(np.complex128, copy=False))
 
 
@@ -879,7 +879,7 @@ class TestSliceRules:
         def refuse(*args, **kwargs):
             raise AssertionError("an amplitude kernel ran")
 
-        monkeypatch.setattr(circuit_ir, "apply_instruction_in_place", refuse)
+        monkeypatch.setattr(circuit_ir, "_bound_kernel", refuse)
         layout = RegisterLayout.of(X=2, F=2)
         table = FunctionTable(2, 2, (1, 2, 3, 0))
         program = CircuitProgram(

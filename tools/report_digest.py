@@ -104,10 +104,11 @@ CEILING = (
 
 # Argvs that print help or a usage error: what the subcommand's parser
 # cannot parse (a bad value, a bad choice, two exclusive formats, a count
-# below its floor), what the top-level parser reports (a leftover
-# argument, an instance over the ceiling, a game input, no argv, an unknown
-# subcommand), the two help texts, and a seed that is not a non-negative
-# integer, from the environment or the flag.
+# below its floor, a cost range over its ceiling), what the top-level
+# parser reports (a leftover argument, an instance over the ceiling, a
+# period given beside a modular exponentiation, a game input, no argv, an
+# unknown subcommand), the two help texts, and a seed that is not a
+# non-negative integer, from the environment or the flag.
 USAGE = (
     ("shor", "--bogus"),
     ("shor", "--n", "x"),
@@ -116,6 +117,8 @@ USAGE = (
     ("shor", "--n", "40"),
     ("game", "--drawers", "5"),
     ("mixture-check", "--samples", "0"),
+    ("cost", "--n-range", "2:1025"),
+    ("shor", "--base", "7", "--modulus", "15", "--n", "4", "--r", "3"),
     (),
     ("nope",),
     ("-h",),
