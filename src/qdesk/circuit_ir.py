@@ -96,8 +96,12 @@ tagged or returned state is never written.  Every gate but a Fourier
 transform maps real amplitudes to real ones, so a segment with no
 Fourier transform (all of a drawer search) whose start has every
 imaginary part +0 runs on a float64 buffer of the real parts and writes
-complex128 out at its end: every slice and handed-out state stays
-complex128.  A segment replays a repeated
+complex128 out at its end, but for a lone one-qubit register held in the
+Hadamard basis where the segment ends at a draw: the slice keeps it held,
+as a sign on the float64 buffer, and a reduction reads the buffer's
+squares doubled (|a|^2 + |-a|^2), so a drawer search never writes its
+kickback register out unless a full state is read.  Every other slice and
+every handed-out state is complex128.  A segment replays a repeated
 body: an instruction that leaves the buffer, the fixed values and the held
 registers as it found them (a kick into a held register, a kernel on free
 registers) keeps its resolved step, the kernel bound to its views of the
@@ -444,24 +448,30 @@ class RunTrace:
     """What a run leaves: its records, its final state, the state at each
     of the program's time tags, and the outcome distribution each record
     was drawn from.  Untagged intermediate states are not kept, so tag
-    every boundary you want to read back.  The final state is written out
-    of the walk's last slice, and divided by the square root of its path
-    probability ``weight``, when first read: after a measurement its full
-    vector is mostly zeros that a caller may never look at."""
+    every boundary you want to read back.  The tagged states are written
+    out of the walk's slices ``tagged`` holds, each divided by the square
+    root of its path probability, when first read; the final state is
+    computed from the walk's last slice, its projection included, and
+    divided by the square root of ``weight``, when first read: a caller may
+    never look at either."""
 
     program: CircuitProgram
-    final: _Slice = field(repr=False, compare=False)
+    final: Callable[[], _Slice] = field(repr=False, compare=False)
     records: tuple[MeasurementRecord, ...]
-    tagged_states: Mapping[str, PureState]
+    tagged: Mapping[str, tuple[_Slice, float]] = field(repr=False, compare=False)
     distributions: tuple[OutcomeDistribution, ...]
     weight: float = field(default=1.0, repr=False, compare=False)
 
     @cached_property
     def final_state(self) -> PureState:
-        return self.final.state(self.weight)
+        return self.final().state(self.weight)
+
+    @cached_property
+    def tagged_states(self) -> Mapping[str, PureState]:
+        return {tag: state.state(weight) for tag, (state, weight) in self.tagged.items()}
 
     def state_at_tag(self, tag: str) -> PureState:
-        if tag not in self.tagged_states:
+        if tag not in self.tagged:
             raise KeyError(f"program has no time tag {tag!r}")
         return self.tagged_states[tag]
 
@@ -515,25 +525,41 @@ class _Slice:
     register is neither fixed nor free; its rows are a batch axis that
     every kernel on the other registers runs on at once.  A measurement
     holds its register this way, one row per branch, and an oracle its
-    output, one row per value it takes."""
+    output, one row per value it takes.
+
+    A segment that ends at a draw may leave one one-qubit register ``held``
+    in the Hadamard basis at its value w, as a sign: it is neither fixed nor
+    free, and stands for the buffer at y = 0 and (-1)^w times it at y = 1.
+    Only such a slice may hold float64 amplitudes.  ``_written_out`` writes
+    it out into complex128 where anything but a reduction reads it."""
 
     layout: RegisterLayout
     fixed: Mapping[str, int]
     free: RegisterLayout | None
     amps: np.ndarray
     rows: Rows = field(default=(), kw_only=True)
+    held: Mapping[str, int] = field(default_factory=dict, kw_only=True)
 
     def state(self, weight: float = 1.0) -> PureState:
         """The full state divided by the square root of ``weight``, the
-        branch's path probability: the amplitudes divided once, then each
-        register held as rows and each fixed one, as one row at its value,
-        written out into its axis, every other amplitude zero.  With nothing
-        fixed or held and a weight of 1, the same buffer."""
-        free, amps = self.free, self.amps if weight == 1.0 else self.amps / np.sqrt(weight)
-        rows = self.rows + tuple((reg, (v,)) for reg, v in self.fixed.items())
+        branch's path probability: a held register written out, the
+        amplitudes divided once, then each register held as rows and each
+        fixed one, as one row at its value, written out into its axis, every
+        other amplitude zero.  With nothing fixed or held and a weight of 1,
+        the same buffer."""
+        s = _written_out(self)
+        free, amps = s.free, s.amps if weight == 1.0 else s.amps / np.sqrt(weight)
+        rows = s.rows + tuple((reg, (v,)) for reg, v in s.fixed.items())
         while rows:
-            free, rows, amps = _write_rows(self.layout, free, rows, rows[-1][0], amps)
-        return PureState._adopt(self.layout, amps)
+            free, rows, amps = _write_rows(s.layout, free, rows, rows[-1][0], amps)
+        return PureState._adopt(s.layout, amps)
+
+
+def _written_out(s: _Slice) -> _Slice:
+    """``s`` with its held register written out into complex128 by the
+    broadcast a segment's end writes it with, so the bits are those of a
+    segment that never kept it held."""
+    return _Segment(s, holds=False).finish(keep=False) if s.held else s
 
 
 def _branch_index(values: tuple[int, ...], reg: str, value: int) -> int:
@@ -552,7 +578,9 @@ def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Slice:
     zero probability; a register held as rows gives a selection of its
     rows; a free register gives one slice of its axis.  A measurement's
     branches, and a projection, the one-row case, are this gather; the
-    copy is what a segment from them writes in place."""
+    copy is what a segment from them writes in place.  A held register
+    stays held, unless it is ``reg``, which is written out first."""
+    s = _written_out(s) if reg in s.held else s
     values = tuple(values)
     fixed, free, rows = dict(s.fixed), s.free, s.rows
     if reg in fixed:
@@ -570,7 +598,7 @@ def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Slice:
         at, block = list(values), s.amps.reshape(-1, d, right)
         free = _sublayout(s.layout, frozenset(free.names) - {reg})
     amps = np.ascontiguousarray(block.transpose(1, 0, 2)[at]).reshape(-1)
-    return _Slice(s.layout, fixed, free, amps, rows=((reg, values),) + rows)
+    return _Slice(s.layout, fixed, free, amps, rows=((reg, values),) + rows, held=s.held)
 
 
 def _marginals(s: _Slice, reg: str, weights: Sequence[float]) -> np.ndarray:
@@ -582,14 +610,23 @@ def _marginals(s: _Slice, reg: str, weights: Sequence[float]) -> np.ndarray:
     Every other register held as rows is reduced in the written-out order,
     its axis holding only the values of its rows: the terms left out are
     exact zeros, so every probability is the written-out state's to the
-    bit."""
+    bit.
+
+    Where a register is held as a sign and ``reg`` is the only free
+    register, with no other held as rows, each written-out probability adds
+    exactly two nonzero terms, |a|^2 and |-a|^2 = a^2: it is the buffer's
+    own probability doubled, to the bit.  Any other slice with a register
+    held as a sign is written out first."""
     if reg in s.fixed:
         probs = np.zeros((len(weights), s.layout.dim(reg)))
         probs[:, s.fixed[reg]] = weights
         return probs
     held = dict(s.rows[1:] if len(weights) > 1 else s.rows)
+    if s.held and (held or getattr(s.free, "names", ()) != (reg,)):
+        s = _written_out(s)
     if not held:
-        return _summed_squares(s.amps.reshape(len(weights), *s.free.axis_shape(reg)), 2)
+        probs = _summed_squares(s.amps.reshape(len(weights), *s.free.axis_shape(reg)), 2)
+        return np.add(probs, probs, out=probs) if s.held else probs
     free = s.free.names if s.free else ()
     names = [name for name in s.layout.names if name in held or name in free]
     shape = [len(values) for values in held.values()] + [s.layout.dim(name) for name in free]
@@ -664,9 +701,10 @@ class _Segment:
 
     A real segment, one with no Fourier transform whose start has every
     imaginary part bitwise +0, runs on a float64 copy of the real parts, and
-    every buffer it allocates takes that dtype; the held registers are
-    written out at its end straight into complex128, and a segment that
-    holds none ends with one ``astype``.  The real parts are then those of
+    every buffer it allocates takes that dtype; at its end the held
+    registers are written out straight into complex128 (``finish``), but
+    for a lone one-qubit one that a draw reads, and a segment that holds
+    none ends with one ``astype``.  The real parts are then those of
     the same kernels on float64 full states, and every imaginary part is
     +0.  A start with a -0 imaginary part runs on complex128: that sign
     would be lost in float64, and complex products carry it into real
@@ -692,12 +730,12 @@ class _Segment:
 
     def __init__(self, start: _Slice, holds: bool):
         self.layout = start.layout
-        self.fixed = dict(start.fixed)
+        self.fixed = {**start.fixed, **start.held}
         self.free = start.free
         self.work = start.amps
         self.owned = False
         self.holds = holds
-        self.held: set[str] = set()  # the fixed registers held in the Hadamard basis
+        self.held = set(start.held)  # the fixed registers held in the Hadamard basis
         self.rows = start.rows  # the registers held as rows, and their values
         self.holds_rows = False  # whether an oracle may hold its output as rows
         self.instrs: Sequence[Prepare | GateOp] = ()
@@ -849,10 +887,10 @@ class _Segment:
         step()
         return step
 
-    def run(self, instrs: Sequence[Prepare | GateOp], rows: bool) -> _Slice:
+    def run(self, instrs: Sequence[Prepare | GateOp], rows: bool, lock: bool = True) -> _Slice:
         """Apply ``instrs`` in order, an oracle free to hold its output as
         rows where ``rows`` says so, on a float64 copy of the real parts
-        where the segment is real; the slice it ends at is complex128.  The
+        where the segment is real; the slice it ends at is ``finish``'s.  The
         configuration is the buffer, the fixed values and the held
         registers.  An instruction that leaves it as it found it keeps its
         resolved step, keyed by the instruction object's identity, until
@@ -874,38 +912,51 @@ class _Segment:
                 steps[id(instr)] = step
             else:
                 steps.clear()
+        return self.finish(keep=rows, lock=lock)
+
+    def finish(self, keep: bool, lock: bool = True) -> _Slice:
+        """The slice the segment ends at.  Where ``keep`` says so and the
+        one register held is one qubit, it stays held, on the buffer as it
+        is; every other held register is written out into complex128, and a
+        float64 buffer that holds none is made complex128.  The buffer is
+        made read-only, unless it is the segment's own and ``lock`` is
+        false."""
+        lone = keep and len(self.held) == 1 and self.layout.qubits(min(self.held)) == 1
+        held = {reg: self.fixed.pop(reg) for reg in self.held} if lone else {}
+        self.held -= held.keys()
         for reg in sorted(self.held):
             self.broadcast(reg, np.complex128)
-        if self.work.dtype != np.complex128:
-            self.work = self.work.astype(np.complex128)
-        self.work.setflags(write=False)
-        return _Slice(self.layout, self.fixed, self.free, self.work, rows=self.rows)
+        if not held and self.work.dtype != np.complex128:
+            self.work, self.owned = self.work.astype(np.complex128), True
+        self.work.setflags(write=not lock and self.owned)
+        return _Slice(self.layout, self.fixed, self.free, self.work, rows=self.rows, held=held)
 
 
-def _advance(start: _Slice, instrs: Sequence[Instruction], rows: bool = True) -> _Slice:
+def _advance(start: _Slice, instrs: Sequence[Instruction], rows: bool = True, lock: bool = True) -> _Slice:
     """``start`` with the unitary instructions among ``instrs`` applied in
     order, skipping measurements and dephasings, as one segment: one that
     holds registers where it can, unless an underflow makes it rerun
     without holding.  A segment that holds nothing writes ``start``'s
     amplitudes in place when they are writeable, a fresh gather's that
-    nothing else holds: every slice returned here is read-only.  One that
-    may hold copies them first, since an underflow reruns it from
-    ``start``.  Without ``rows`` no oracle holds its output as rows: a
-    slice that is only written out would hold them beside the written-out
-    state."""
+    nothing else holds, or a segment's left writeable without ``lock``:
+    every other slice returned here is read-only.  One that may hold copies
+    them first, since an underflow reruns it from ``start``.  Without
+    ``rows`` no oracle holds its output as rows: a slice that is only
+    written out would hold them beside the written-out state."""
     unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
     if not unitary:
         start.amps.setflags(write=False)
         return start
+    start = _written_out(start) if start.held else start
     if any(map(_opens_hold, unitary)):
         try:
             with np.errstate(under="raise"):
-                return _Segment(start, holds=True).run(unitary, rows)
+                return _Segment(start, holds=True).run(unitary, rows, lock)
         except FloatingPointError:
             pass
     segment = _Segment(start, holds=False)
     segment.owned = start.amps.flags.writeable
-    return segment.run(unitary, rows)
+    return segment.run(unitary, rows, lock)
 
 
 def _projection_weight(s: _Slice, reg: str, outcome: int) -> float:
@@ -932,6 +983,7 @@ def _dephase_slice(s: _Slice, reg: str, values: Sequence[int], phases: np.ndarra
     ``measure``'s kernel, which multiplies every amplitude of a fixed
     register's one value by its phase factor.  A register held as rows is
     written out first; the other rows join the kernel's left axis."""
+    s = _written_out(s)
     free, rows, amps = s.free, s.rows, s.amps
     if reg in dict(rows):
         free, rows, amps = _write_rows(s.layout, free, rows, reg, amps)
@@ -998,10 +1050,9 @@ class _BranchWalk:
         self._marginals: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._distributions: dict[tuple[int, tuple[int, ...]], OutcomeDistribution] = {}
 
-    def state(self, boundary: int, path: tuple[int, ...], keep: bool = True) -> _Slice:
+    def state(self, boundary: int, path: tuple[int, ...], stops: Sequence[int] = ()) -> _Slice:
         """The state after the first ``boundary`` instructions on ``path``,
-        without the phases of inert dephasings, kept on the chain unless
-        ``keep`` is false.
+        without the phases of inert dephasings, kept on the chain.
 
         The deepest kept state on the path may be a row of a gathered
         slice: an entry whose path stops short of a node before its
@@ -1011,7 +1062,10 @@ class _BranchWalk:
         the one branch or by the boundary; no kept state is ever written.
         The state at a boundary that draws nothing (a tag's, or the final
         one) is read only as a full state, so its last segment holds no
-        rows."""
+        rows.  A segment also ends at each of the inert dephasings
+        ``stops`` whose marginal is not yet memoised, which is memoised
+        there; its state is not kept, and the next segment writes its buffer
+        in place."""
         chain = self._chain
         while True:
             start, taken, state = chain[-1]
@@ -1025,14 +1079,18 @@ class _BranchWalk:
             chain.pop()
         if start == boundary:
             return state
+        for i in sorted(stops):  # each on the root path, before the first node
+            if start <= i < boundary and (i, ()) not in self._marginals:
+                state = _advance(state, self.instructions[start:i], lock=False)
+                self._marginals[i, ()] = _marginals(state, self.instructions[i].reg, (1.0,))[0]
+                start = i
         for i in self.nodes[k:]:
             if i >= boundary:
                 break
             state = _gather(_advance(state, self.instructions[start:i]), self.instructions[i].reg, (path[k],))
             k, start = k + 1, i + 1
         state = _advance(state, self.instructions[start:boundary], rows=boundary in self.plan.draws)
-        if keep:
-            chain.append((boundary, path, state))
+        chain.append((boundary, path, state))
         return state
 
     def weight(self, path: tuple[int, ...]) -> float:
@@ -1046,12 +1104,10 @@ class _BranchWalk:
     def marginal(self, index: int, path: tuple[int, ...]) -> np.ndarray:
         """The undivided outcome probabilities of instruction ``index`` on
         ``path``, memoised; those ``expand`` has not reduced are reduced
-        from the branch's state.  The state of an inert dephasing is not
-        kept: no node is reached from it, so a later state would only copy
-        it to write."""
+        from the branch's state."""
         key = (index, path)
         if key not in self._marginals:
-            state = self.state(index, path, keep=index not in self.inert)
+            state = self.state(index, path)
             self._marginals[key] = _marginals(state, self.instructions[index].reg, (self.weight(path),))[0]
         return self._marginals[key]
 
@@ -1060,17 +1116,20 @@ class _BranchWalk:
         its marginal divided by the path probability, memoised."""
         key = (index, path)
         if key not in self._distributions:
-            probabilities = self.marginal(index, path) / self.weight(path)
+            # the root's path probability is exactly 1
+            probabilities = self.marginal(index, path) / self.weight(path) if path else self.marginal(index, path)
             self._distributions[key] = OutcomeDistribution(self.instructions[index].reg, probabilities)
         return self._distributions[key]
 
-    def expand(self, k: int, path: tuple[int, ...], values: Sequence[int]) -> None:
+    def expand(self, k: int, path: tuple[int, ...], values: Sequence[int], free: bool = True) -> None:
         """Memoise node ``k + 1``'s marginal on the branches of node ``k``
         on ``path`` that take ``values`` (ascending), when node ``k`` is a
         measurement: those not yet memoised are gathered as rows, run to
         node ``k + 1`` as one segment and reduced row by row, and the
-        gathered slice is kept on the chain in the place of the state it
-        was gathered from.  A visible dephasing's branches are left to
+        gathered slice is kept on the chain, in the place of the state it
+        was gathered from where ``free`` says so: a block of drawn values
+        keeps that state for the values no trial drew, which an enumeration
+        expands from it.  A visible dephasing's branches are left to
         ``marginal``, one at a time."""
         i, j = self.nodes[k], self.nodes[k + 1]
         values = [v for v in values if (j, path + (v,)) not in self._marginals]
@@ -1078,21 +1137,18 @@ class _BranchWalk:
             return
         weights = self.marginal(i, path)[values]
         gathered = _advance(_gather(self.state(i, path), self.instructions[i].reg, values), self.instructions[i + 1 : j])
-        if len(self._chain) > 1 and self._chain[-1][:2] == (i, path):
+        if free and len(self._chain) > 1 and self._chain[-1][:2] == (i, path):
             self._chain.pop()  # the state the rows were gathered from, freed before they are reduced
         self._chain.append((j, path, gathered))
         for v, probs in zip(values, _marginals(gathered, self.instructions[j].reg, weights)):
             self._marginals[j, path + (v,)] = probs
 
-    def trial(
-        self,
-        rng: np.random.Generator,
-        tags: Mapping[str, int] | None = None,
-    ) -> tuple[
-        tuple[MeasurementRecord, ...], dict[str, PureState], _Slice | None, float, tuple[OutcomeDistribution, ...]
+    def trial(self, rng: np.random.Generator, tags: Mapping[str, int] | None = None) -> tuple[
+        tuple[MeasurementRecord, ...], dict[str, tuple[_Slice, float]], Callable[[], _Slice] | None, float, tuple[OutcomeDistribution, ...]
     ]:
         """One sampled run: its records and, given ``tags`` (tag -> boundary),
-        the states at those boundaries and the final slice; then the path
+        the slice at each of those boundaries with its path probability,
+        and the final slice, computed when it is called; then the path
         probability of the trial's branch, and last the distribution each
         measurement was drawn from.
 
@@ -1115,7 +1171,7 @@ class _BranchWalk:
         keep = tags is not None
         records: list[MeasurementRecord] = []
         drawn: list[OutcomeDistribution] = []
-        tagged: dict[str, PureState] = {}
+        tagged: dict[str, tuple[_Slice, float]] = {}
         path: tuple[int, ...] = ()
         weight = 1.0
         carried: tuple[int, _Slice] | None = None
@@ -1126,8 +1182,8 @@ class _BranchWalk:
             if carried is not None:
                 carried = i, _advance(carried[1], instrs[carried[0] : i])
             if i in marks:
-                state = (self.state(i, path) if carried is None else carried[1]).state(weight)
-                tagged.update((tag, state) for tag, b in tags.items() if b == i)
+                state = self.state(i, path) if carried is None else carried[1]
+                tagged.update((tag, (state, weight)) for tag, b in tags.items() if b == i)
             if not draw:
                 continue
             instr = instrs[i]
@@ -1155,10 +1211,7 @@ class _BranchWalk:
             carried = i + 1, _dephase_slice(start, instr.reg, dist.support, phases)
         if not keep:
             return tuple(records), tagged, None, weight, tuple(drawn)
-        end = len(instrs)
-        if carried is not None:
-            carried = end, _advance(carried[1], instrs[carried[0] :])
-        final = self.state(end, path) if carried is None else carried[1]
+        final = partial(_advance, carried[1], instrs[carried[0] :]) if carried else partial(self.state, len(instrs), path)
         return tuple(records), tagged, final, weight, tuple(drawn)
 
     def draws(self, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1168,8 +1221,9 @@ class _BranchWalk:
         successive ``trial`` calls.
 
         With ``fixed_width``, every trial draws the phases of each inert
-        dephasing (one double per support value of its root distribution),
-        then one double per measurement.  A block of trials, at most
+        dephasing (one double per support value of its root distribution,
+        memoised where the pass to the first measurement ends a segment at
+        it), then one double per measurement.  A block of trials, at most
         ``SAMPLE_BLOCK_DOUBLES`` doubles unless one trial draws more, takes
         its doubles in one ``rng.random`` call, in trial order; the phase
         columns are dropped, and ``_look_up`` draws the measurements.
@@ -1183,6 +1237,8 @@ class _BranchWalk:
                 outcomes[row] = [record.outcome for record in records]
                 probabilities[row] = [record.probability for record in records]
             return outcomes, probabilities
+        if self.plan.measures:  # one pass to the first measurement memoises every inert dephasing
+            self.state(self.plan.measures[0], (), stops=self.inert)
         phases = sum(len(self.distribution(i, ()).support) for i in sorted(self.inert))
         width = phases + len(self.plan.measures)
         if not width:
@@ -1222,7 +1278,7 @@ class _BranchWalk:
             return
         order = np.argsort(drawn, kind="stable")
         values, starts = np.unique(drawn[order], return_index=True)
-        self.expand(k, path, values.tolist())
+        self.expand(k, path, values.tolist(), free=False)
         for value, group in zip(values.tolist(), np.split(rows[order], starts[1:])):
             self._look_up(uniforms, outcomes, probabilities, group, path + (value,))
 

@@ -116,15 +116,20 @@ def _instance_problem(n: int, period: int | None, modulus: int | None) -> str | 
 
 
 def _game_problem(args: argparse.Namespace) -> str | None:
-    """Why a drawer-game input is out of range, if it is: checked before any
-    table or state is built."""
+    """Why a drawer-game input is out of range, or a flag is given that the
+    variant does not read, if one is: checked before any table or state is
+    built."""
+    if args.command == "grover" and args.variant == "extended" and args.k is not None:
+        return "--k cannot be given with --variant extended: the hider's choice is the mode register"
+    if args.command == "grover" and args.variant == "standard" and args.order is not None:
+        return "--order cannot be given with --variant standard: it measures one register"
     if args.command == "grover" and args.variant == "extended" and args.n != 4:
         return f"--variant extended needs --n 4, got {args.n}"
     if args.command == "mixture-check" and args.n != 4:
         return f"--n must be 4, got {args.n}"
     if args.command == "mixture-check" and args.samples > MAX_SAMPLES:
         return f"--samples must be at most {MAX_SAMPLES}, got {args.samples}"
-    if args.command == "grover" and args.variant == "standard" and not 0 <= args.k < args.n:
+    if args.command == "grover" and args.variant == "standard" and not 0 <= (args.k or 0) < args.n:
         return f"--k must be in 0..{args.n - 1}, got {args.k}"
     if args.command != "game":
         return None
@@ -175,7 +180,11 @@ def _usage_problem(args: argparse.Namespace) -> str | None:
         if not problem and args.trials > MAX_TRIALS:
             problem = f"--trials must be at most {MAX_TRIALS}, got {args.trials}"
     elif args.command == "defer-check":
-        problem = _observed_problem(args.observed) or (_instance_problem(args.n, args.r, None) if args.fig1 else None)
+        # --n and --r size the built-in program, 2 and 2 where not given
+        fig1 = _instance_problem(args.n or 2, 2 if args.r is None else args.r, None) if args.fig1 else None
+        unread = " and ".join(flag for flag in ("--n", "--r") if not args.fig1 and getattr(args, flag[2:]) is not None)
+        problem = _observed_problem(args.observed) or fig1
+        problem = problem or (unread and f"{unread} cannot be given without --fig1: a program file has its own size")
     else:
         problem = _game_problem(args)
     return f"{args.command}: {problem}" if problem else None
@@ -215,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grover", help="quantum drawer search, standard or mode-extended")
     p.add_argument("--n", type=drawer_count, default=4, help="number of drawers (power of two, 2..2^19)")
-    p.add_argument("--k", type=int, default=0, help="hidden drawer (standard variant)")
+    p.add_argument("--k", type=int, default=None, help="hidden drawer (standard variant)")
     p.add_argument("--variant", choices=("standard", "extended"), default="standard")
-    p.add_argument("--order", choices=("kx", "xk"), default="kx", help="extended measurement order")
+    p.add_argument("--order", choices=("kx", "xk"), default=None, help="extended measurement order")
     p.add_argument("--dump-state", metavar="PATH", help="write the pre-measurement state as JSON")
     _add_common(p)
 
@@ -232,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", metavar="PATH", help="second program JSON file to compare")
     p.add_argument("--auto-defer", action="store_true", help="compare against the deferred rewrite")
     p.add_argument("--fig1", action="store_true", help="use the built-in period-finding program")
-    p.add_argument("--n", type=positive_int, default=2, help="built-in program: input qubits")
-    p.add_argument("--r", type=int, default=2, help="built-in program: hidden period")
+    p.add_argument("--n", type=positive_int, default=None, help="built-in program: input qubits")
+    p.add_argument("--r", type=int, default=None, help="built-in program: hidden period")
     p.add_argument("--observed", help="comma-separated registers (default: measured in both)")
     _add_common(p)
 
@@ -327,6 +336,11 @@ def _dump_state(path: str, state: PureState) -> None:
 
 def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
     inst = _shor_instance(args)
+    if args.trials > 0:
+        # before the exact distribution: the trials' one pass from the start
+        # memoises each inert dephasing's support, which they read and the
+        # enumeration does not
+        registers, outcomes, probabilities = shor.sample_trials(inst, args.discipline, args.trials, np.random.default_rng(seed))
     distribution = shor.exact_outcome_distribution(inst, args.discipline)
     report = {
         "n": inst.n,
@@ -340,10 +354,7 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
         "success_rate_empirical": None,
     }
     if args.trials > 0:
-        rng = np.random.default_rng(seed)
-        registers, outcomes, probabilities = shor.sample_trials(inst, args.discipline, args.trials, rng)
-        successes = shor.success_count(inst, outcomes[:, registers.index("X")])
-        report["success_rate_empirical"] = successes / args.trials
+        report["success_rate_empirical"] = shor.success_count(inst, outcomes[:, registers.index("X")]) / args.trials
     if args.records:
         # a block of trials at a time, so the text held stays bounded; with
         # no trials the file is left empty
@@ -363,32 +374,36 @@ def _cmd_shor(args: argparse.Namespace, seed: int) -> dict:
 def _cmd_grover(args: argparse.Namespace, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     if args.variant == "standard":
-        pre, transcript = grover.run_standard_grover(grover.GameInstance(args.n, args.k), rng)
+        k = args.k or 0
+        trace, transcript = grover.run_standard_grover(grover.GameInstance(args.n, k), rng)
         report = {
             "variant": "standard",
             "n": args.n,
-            "k": args.k,
+            "k": k,
             "seed": seed,
             "oracle_queries": transcript.oracle_queries,
             "announced_k": transcript.announced_k,
             "answered_x": transcript.answered_x,
             "hit_probability": transcript.hit_probability,
         }
+        if args.dump_state:  # the only reader of the pre-measurement state
+            _dump_state(args.dump_state, trace.state_at_tag("pre"))
     else:
-        pre, transcript = grover.run_extended_grover(args.n, rng, order=args.order)
+        order = args.order or "kx"
+        pre, transcript = grover.run_extended_grover(args.n, rng, order=order)
         joint = grover.sequential_joint_distribution(pre, "K", "X")
         report = {
             "variant": "extended",
             "n": args.n,
-            "order": args.order,
+            "order": order,
             "seed": seed,
             "oracle_queries": transcript.oracle_queries,
             "announced_k": transcript.announced_k,
             "answered_x": transcript.answered_x,
             "joint_distribution": {f"{k},{x}": p for (k, x), p in sorted(joint.items())},
         }
-    if args.dump_state:
-        _dump_state(args.dump_state, pre)
+        if args.dump_state:
+            _dump_state(args.dump_state, pre)
     return report
 
 
@@ -422,7 +437,7 @@ def _cmd_defer_check(args: argparse.Namespace, seed: int) -> dict:
     if not (args.fig1 or args.against or args.auto_defer):
         raise _UsageError("need --against FILE or --auto-defer")
     if args.fig1:
-        program = shor.period_circuit(shor.build_periodic(args.n, args.r), "measure-F-at-t2")
+        program = shor.period_circuit(shor.build_periodic(args.n or 2, 2 if args.r is None else args.r), "measure-F-at-t2")
     else:
         program = _load_program(args.circuit)
     other = _load_program(args.against) if args.against else circuit_ir.defer_measurements(program)

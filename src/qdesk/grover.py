@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit_ir import CircuitProgram, GateOp, Measure, Prepare, enumerate_outcome_distribution, run, unitary_prefix
+from .circuit_ir import CircuitProgram, GateOp, Measure, Prepare, RunTrace, enumerate_outcome_distribution, run, unitary_prefix
 from .gates import FunctionTable, ModedFunctionTable, check_table_widths
 from .measure import PhasedMixture, average_density, analytic_average_density
 from .qstate import PureState, RegisterLayout, StateDistance
@@ -103,14 +103,15 @@ def standard_grover_state(inst: GameInstance) -> PureState:
     return unitary_prefix(standard_circuit(inst), "pre")
 
 
-def run_standard_grover(inst: GameInstance, rng: np.random.Generator) -> tuple[PureState, GameTranscript]:
-    """Play the standard game once and return the pre-measurement state;
-    oracle queries = iteration count, and the hit probability is the hidden
-    drawer's entry in the distribution the answer was drawn from."""
+def run_standard_grover(inst: GameInstance, rng: np.random.Generator) -> tuple[RunTrace, GameTranscript]:
+    """Play the standard game once and return its run, whose tag "pre" is
+    the pre-measurement state, written out when first read; oracle queries
+    = iteration count, and the hit probability is the hidden drawer's entry
+    in the distribution the answer was drawn from."""
     trace = run(standard_circuit(inst), rng)
     answered = trace.records[0].outcome
     hit = float(trace.distributions[0].probabilities[inst.hidden_drawer])
-    return trace.state_at_tag("pre"), GameTranscript(
+    return trace, GameTranscript(
         inst.drawers, "standard", iteration_count(inst.drawers), inst.hidden_drawer, answered, hit_probability=hit
     )
 

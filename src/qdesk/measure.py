@@ -77,7 +77,7 @@ class OutcomeDistribution:
         ``Generator.choice`` takes on ``p``: clip at 0, divide by the sum,
         ``cumsum``, divide by the last entry."""
         probs = np.clip(self.probabilities, 0.0, None)
-        cdf = (probs / probs.sum()).cumsum()
+        cdf = np.cumsum(np.divide(probs, probs.sum(), out=probs), out=probs)  # in place: one array
         cdf /= cdf[-1]
         cdf.setflags(write=False)
         return cdf

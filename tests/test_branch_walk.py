@@ -662,12 +662,12 @@ class TestWorkBuffers:
         every_boundary = {f"b{i}": i for i in range(len(program.instructions) + 1)}
         walk = circuit_ir._BranchWalk(program, initial)
         _, tagged, final, weight, _ = walk.trial(rng, every_boundary)
-        final = final.state(weight)
+        final = final().state(weight)
         first_draw = next(
             (i for i, instr in enumerate(program.instructions) if isinstance(instr, (Measure, Dephase))),
             len(program.instructions),
         )
-        handed_out = [initial, final, unitary_prefix(program, first_draw)] + list(tagged.values())
+        handed_out = [initial, final, unitary_prefix(program, first_draw)] + [s.state(w) for s, w in tagged.values()]
         kept = [state.amplitudes for state in handed_out] + [state.amps for _, _, state in walk._chain]
         before = [amplitudes.copy() for amplitudes in kept]
         buffers = []

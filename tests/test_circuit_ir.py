@@ -124,6 +124,36 @@ class TestRun:
         with pytest.raises(KeyError):
             trace.state_at_tag("t2")
 
+    def test_tagged_states_and_the_final_projection_are_built_on_first_read(self, monkeypatch):
+        # a search whose tags and final state no caller reads: the run
+        # writes no full state and gathers no projection until one is read
+        layout = RegisterLayout.of(X=2, F=1)
+        table = FunctionTable(2, 1, (0, 0, 1, 0))
+        body = (GateOp("oracle-xor", in_reg="X", out_reg="F", table=table), GateOp("grover-diffusion", reg="X"))
+        program = CircuitProgram(layout, (Prepare("F", "minus"), Prepare("X", "uniform")) + body + (Measure("X"),), {"pre": 4})
+        expected_pre = unitary_prefix(program, 4)
+        expected_final = project(expected_pre, ProjectionOperator("X", 2))
+        written, gathered = [], []
+        state, gather = circuit_ir._Slice.state, circuit_ir._gather
+        monkeypatch.setattr(circuit_ir._Slice, "state", lambda s, weight=1.0: written.append(weight) or state(s, weight))
+        monkeypatch.setattr(circuit_ir, "_gather", lambda s, reg, values: gathered.append(reg) or gather(s, reg, values))
+        trace = run(program, np.random.default_rng(3))
+        assert trace.records[0].outcome == 2
+        assert written == [] and gathered == []
+        pre = trace.state_at_tag("pre")
+        assert written == [1.0] and gathered == []
+        assert trace.state_at_tag("pre") is pre
+        assert np.array_equal(pre.amplitudes, expected_pre.amplitudes)
+        final = trace.final_state
+        assert gathered == ["X"] and len(written) == 2
+        assert np.array_equal(final.amplitudes, expected_final.amplitudes)
+
+    def test_a_root_distribution_is_its_marginal_undivided(self):
+        # the root's path probability is exactly 1: no division pass, and no copy
+        program = CircuitProgram(RegisterLayout.of(X=3), (Prepare("X", "uniform"), Measure("X")))
+        walk = circuit_ir._BranchWalk(program, None)
+        assert walk.distribution(1, ()).probabilities is walk.marginal(1, ())
+
     def test_measure_twice_rejected(self):
         layout = RegisterLayout.of(X=1)
         with pytest.raises(ProgramError, match="measured twice"):

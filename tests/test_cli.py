@@ -382,6 +382,54 @@ def test_out_of_range_game_input_is_usage_error(capsys, monkeypatch, argv, flag)
     assert len(errors) == 1 and flag in errors[0]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["grover", "--variant", "extended", "--n", "4", "--k", "0"], "--k"),
+        (["grover", "--order", "kx"], "--order"),
+        (["grover", "--n", "16", "--k", "3", "--order", "xk"], "--order"),
+        (["defer-check", "--circuit", "program.json", "--auto-defer", "--n", "9"], "--n"),
+        (["defer-check", "--circuit", "a.json", "--against", "b.json", "--r", "2"], "--r"),
+    ],
+)
+def test_a_flag_the_other_arguments_leave_unread_is_refused_before_any_work(capsys, monkeypatch, argv, flag):
+    # the value given is the default, or one the run would not read: either
+    # way the flag is named, where it used to be ignored with exit 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the flags were checked")
+
+    for name in ("run_standard_grover", "run_extended_grover"):
+        monkeypatch.setattr(grover, name, refuse)
+    monkeypatch.setattr(cli, "_load_program", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"qdesk: error: {argv[0]}: {flag} cannot be given")
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        (["grover", "--n", "8"], "k", 0),
+        (["grover", "--n", "4", "--variant", "extended"], "order", "kx"),
+        (["defer-check", "--fig1"], "instructions", 6),
+    ],
+)
+def test_a_flag_not_given_takes_its_default_where_it_is_read(capsys, argv, field, value):
+    code, out, err = run_cli(capsys, [*argv, "--json"])
+    assert code == 0, err
+    assert json.loads(out)[field] == value
+
+
+def test_the_built_in_program_defaults_to_two_qubits_and_period_two(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(shor, "build_periodic", lambda n, r, _build=shor.build_periodic: built.append((n, r)) or _build(n, r))
+    assert run_cli(capsys, ["defer-check", "--fig1", "--json"])[0] == 0
+    assert run_cli(capsys, ["defer-check", "--fig1", "--r", "3", "--json"])[0] == 0
+    assert built == [(2, 2), (2, 3)]
+
+
 class TestGameCommand:
     def test_worked_example(self, capsys):
         code, out, _ = run_cli(capsys, ["game", "--drawers", "4", "--k", "2", "--strategy", "joint", "--json"])
@@ -808,6 +856,72 @@ PARSE_BYTES = {
         "  --csv                 delimited report\n"
         "  --text                human-readable report (default)\n"
         "  --selftest            run this subcommand's invariant suite and exit\n",
+        "",
+    ),
+    # a flag the other arguments leave unread is refused, and the help of
+    # the subcommands that refuse one is unchanged, byte for byte
+    "search key beside the extended game": (
+        ["grover", "--variant", "extended", "--n", "4", "--k", "3"],
+        2,
+        "",
+        TOP_USAGE + "qdesk: error: grover: --k cannot be given with --variant extended: "
+        "the hider's choice is the mode register\n",
+    ),
+    "measurement order beside the standard search": (
+        ["grover", "--variant", "standard", "--order", "xk"],
+        2,
+        "",
+        TOP_USAGE + "qdesk: error: grover: --order cannot be given with --variant standard: it measures one register\n",
+    ),
+    "built-in program size beside a program file": (
+        ["defer-check", "--circuit", "program.json", "--auto-defer", "--n", "9", "--r", "7"],
+        2,
+        "",
+        TOP_USAGE + "qdesk: error: defer-check: --n and --r cannot be given without --fig1: "
+        "a program file has its own size\n",
+    ),
+    "search help": (
+        ["grover", "-h"],
+        0,
+        "usage: qdesk grover [-h] [--n N] [--k K] [--variant {standard,extended}]\n"
+        "                    [--order {kx,xk}] [--dump-state PATH] [--seed SEED]\n"
+        "                    [--json | --csv | --text] [--selftest]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N                 number of drawers (power of two, 2..2^19)\n"
+        "  --k K                 hidden drawer (standard variant)\n"
+        "  --variant {standard,extended}\n"
+        "  --order {kx,xk}       extended measurement order\n"
+        "  --dump-state PATH     write the pre-measurement state as JSON\n"
+        "  --seed SEED           RNG seed (default: $QDESK_SEED or 0)\n"
+        "  --json                machine-readable JSON report\n"
+        "  --csv                 delimited report\n"
+        "  --text                human-readable report (default)\n"
+        "  --selftest            run this subcommand's invariant suite and exit\n",
+        "",
+    ),
+    "deferral help": (
+        ["defer-check", "-h"],
+        0,
+        "usage: qdesk defer-check [-h] [--circuit PATH] [--against PATH] [--auto-defer]\n"
+        "                         [--fig1] [--n N] [--r R] [--observed OBSERVED]\n"
+        "                         [--seed SEED] [--json | --csv | --text] [--selftest]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --circuit PATH       program JSON file\n"
+        "  --against PATH       second program JSON file to compare\n"
+        "  --auto-defer         compare against the deferred rewrite\n"
+        "  --fig1               use the built-in period-finding program\n"
+        "  --n N                built-in program: input qubits\n"
+        "  --r R                built-in program: hidden period\n"
+        "  --observed OBSERVED  comma-separated registers (default: measured in both)\n"
+        "  --seed SEED          RNG seed (default: $QDESK_SEED or 0)\n"
+        "  --json               machine-readable JSON report\n"
+        "  --csv                delimited report\n"
+        "  --text               human-readable report (default)\n"
+        "  --selftest           run this subcommand's invariant suite and exit\n",
         "",
     ),
 }

@@ -77,8 +77,10 @@ def write_out(s, reg):
 def project_one(s, reg, outcome):
     """The replaced projection: ``born_filter`` on the slice's free
     registers, one branch at a time, undivided, the register fixed.  A
-    register held as rows is written out first; rows held beside the
-    projected register join the left axis of its block and stay held."""
+    register held as rows, or in the Hadamard basis, is written out first;
+    rows held beside the projected register join the left axis of its block
+    and stay held."""
+    s = circuit_ir._written_out(s)
     if reg in dict(s.rows):
         s = write_out(s, reg)
     if reg in s.fixed:
@@ -97,7 +99,9 @@ def marginal_one(s, reg, weight):
     ``(left, d, right)`` view summed over all but the register axis, one
     term after another along ``right``, then one line after another along
     ``left``.  A fixed register carries the branch's whole ``weight``.
-    Every register held as rows is written out first."""
+    Every register held as rows, or in the Hadamard basis, is written out
+    first."""
+    s = circuit_ir._written_out(s)
     while s.rows:
         s = write_out(s, s.rows[-1][0])
     probs = np.zeros(s.layout.dim(reg))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tracemalloc
@@ -24,6 +26,7 @@ from qdesk import (
     standard_circuit,
     standard_grover_state,
 )
+from qdesk import circuit_ir
 from qdesk.circuit_ir import CircuitProgram, GateOp, Measure, run, unitary_prefix
 from qdesk.cli import _cmd_grover, build_parser, main
 from qdesk.grover import (
@@ -163,8 +166,8 @@ class TestStandardCircuit:
         trace = run(standard_circuit(inst), np.random.default_rng(drawers))
         assert np.array_equal(trace.state_at_tag("pre").amplitudes, reference)
         assert np.array_equal(standard_grover_state(inst).amplitudes, reference)
-        pre, _ = run_standard_grover(inst, np.random.default_rng(drawers))
-        assert np.array_equal(pre.amplitudes, reference)
+        played, _ = run_standard_grover(inst, np.random.default_rng(drawers))
+        assert np.array_equal(played.state_at_tag("pre").amplitudes, reference)
 
     @pytest.mark.parametrize("drawers", [16, 64, 1024])
     def test_answer_equals_measure_register_with_the_same_seed(self, drawers):
@@ -217,12 +220,38 @@ class TestReportAgainstTheSecondMarginal:
         assert run_classical_game(16, 3, "joint").hit_probability is None
         assert run_extended_grover(4, np.random.default_rng(0))[1].hit_probability is None
 
+    @pytest.mark.parametrize("drawers", [2, 4096])
+    def test_a_report_writes_the_kickback_register_out_only_for_its_dumped_state(self, monkeypatch, tmp_path, drawers):
+        # a held register is written out into complex128 by one broadcast,
+        # at a segment's end or in ``_written_out``; a report reads neither
+        # the pre-measurement state nor the projection unless it dumps the
+        # state
+        written = []
+        broadcast = circuit_ir._Segment.broadcast
+
+        def recording(segment, reg, dtype=None):
+            if dtype is np.complex128:
+                written.append(reg)
+            return broadcast(segment, reg, dtype)
+
+        monkeypatch.setattr(circuit_ir._Segment, "broadcast", recording)
+        argv = ["grover", "--n", str(drawers), "--k", "1", "--json"]
+        with contextlib.redirect_stdout(io.StringIO()) as plain:
+            assert main(argv) == 0
+        assert written == []
+        with contextlib.redirect_stdout(io.StringIO()) as dumped:
+            assert main(argv + ["--dump-state", str(tmp_path / "pre.json")]) == 0
+        assert written == ["F"]
+        assert dumped.getvalue() == plain.getvalue()
+
     def test_a_report_at_the_ceiling_peaks_at_the_arrays_it_holds(self):
         # 2^19 drawers: the peak is where the answer's cumulative sums are
-        # built, and the pre state (16 MiB), the table's array and tuple,
-        # the drawn distribution, its clipped copy and its running sum
-        # (4 MiB each) make 40 MiB; the final state is never written out,
-        # and what else is live there is small objects (about 19 KB)
+        # built, and the float64 search buffer with the kickback qubit held
+        # as a sign, the table's array, the drawn distribution (the X
+        # marginal itself) and its clipped copy, in which the running sum
+        # is taken in place (4 MiB each), make 16 MiB; neither the pre
+        # state nor the final state is written out, and what else is live
+        # there is small objects (about 19 KB)
         args = build_parser().parse_args(["grover", "--n", str(1 << 19), "--k", "5"])
         _cmd_grover(args, 0)  # warm the imports and caches
         tracemalloc.start()
@@ -232,7 +261,7 @@ class TestReportAgainstTheSecondMarginal:
         finally:
             tracemalloc.stop()
         assert report["answered_x"] == 5
-        assert peak <= 40 * 2**20 + 24 * 2**10, peak
+        assert peak <= 16 * 2**20 + 24 * 2**10, peak
 
 
 class TestExtendedGame:

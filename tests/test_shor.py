@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import itertools
 import math
 import tracemalloc
@@ -30,6 +32,8 @@ from qdesk.circuit_ir import (
     equivalent_distributions,
     sample_outcomes,
 )
+from qdesk import circuit_ir
+from qdesk.cli import main
 from qdesk.gates import fourier_axis
 from qdesk.measure import PROB_EPS, MeasurementRecord
 from qdesk.qstate import RegisterLayout
@@ -644,6 +648,23 @@ class TestRunPipeline:
         assert not inst.period_divides
         for discipline in DISCIPLINES:
             assert 0 <= x_outcomes(inst, discipline, 1, np.random.default_rng(4))[0] < 8
+
+    @pytest.mark.parametrize("discipline, segments", [("measure-F-at-t2", [3, 1]), ("skip-F", [4]), ("annihilate-F", [3, 1])])
+    def test_a_sampled_report_runs_each_unitary_instruction_once(self, monkeypatch, discipline, segments):
+        # the unitary instructions of each segment a report runs: the prepare,
+        # Hadamard and oracle, then the X transform, run once, however the
+        # segments fall; the trials' pass memoises the inert dephasing's
+        # support where a segment ends at it, so annihilate-F's first segment
+        # does not run again to read it (it did: [4, 3])
+        runs = []
+        run_segment = circuit_ir._Segment.run
+        monkeypatch.setattr(
+            circuit_ir._Segment, "run", lambda segment, instrs, *rest: runs.append(len(instrs)) or run_segment(segment, instrs, *rest)
+        )
+        argv = ["shor", "--n", "6", "--r", "3", "--trials", "200", "--discipline", discipline, "--json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert runs == segments
 
     def test_annihilate_f_sampling_at_the_ceiling_peaks_as_measure_f_does(self):
         # n = 10, r = 512: F is held as 512 rows of 2^10 amplitudes (8 MiB),

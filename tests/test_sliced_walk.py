@@ -51,7 +51,7 @@ from qdesk import circuit_ir, gates
 from qdesk.circuit_ir import _BranchWalk, enumerate_outcome_distribution
 from qdesk.cli import main
 from qdesk.errors import ShapeMismatchError
-from qdesk.measure import MeasurementRecord, OutcomeDistribution, _dephase, born_sample
+from qdesk.measure import MeasurementRecord, OutcomeDistribution, _dephase, _summed_squares, born_sample
 from test_families import born_project
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -325,8 +325,9 @@ def assert_states_agree(program, initial, seed, tags):
     expected = FullStateWalk(program, initial).trial(np.random.default_rng(seed), tags)
     assert [(r.register, r.outcome) for r in got[0]] == [(r.register, r.outcome) for r in expected[0]]
     for tag in tags:
-        assert_close(got[1][tag], expected[1][tag])
-    assert_close(got[2].state(got[3]), expected[2])
+        state, weight = got[1][tag]
+        assert_close(state.state(weight), expected[1][tag])
+    assert_close(got[2]().state(got[3]), expected[2])
     return expected
 
 
@@ -821,7 +822,8 @@ class TestSliceRules:
         monkeypatch.setattr(gates, "bound_grover_diffusion", record)
         monkeypatch.setattr(gates, "_swap_pairs", refuse)
         inst = GameInstance(16384, 5461)
-        state, transcript = run_standard_grover(inst, np.random.default_rng(0))
+        trace, transcript = run_standard_grover(inst, np.random.default_rng(0))
+        state = trace.state_at_tag("pre")
         assert blocks == [(1, 16384, 1)] * transcript.oracle_queries
         assert bound == ["X"]
         assert transcript.answered_x == inst.hidden_drawer
@@ -1023,6 +1025,109 @@ class TestReplayedSteps:
         assert runs == [True, False]
         assert dispatched.count(False) == 3  # the prepare and the first pass
         assert np.array_equal(as_bits(got), as_bits(run_unitaries(start.state(), instrs)))
+
+
+@st.composite
+def held_sign_programs(draw):
+    """A real program from |0...0> whose first measurement, of a search
+    register X of 1-3 qubits, ends a segment that holds a one-qubit
+    register K in the Hadamard basis at w: K is prepared "minus" (w = 1),
+    or "uniform" or by a Hadamard (w = 0).  X is prepared "uniform", by a
+    Hadamard or to a value; one time in two a one-qubit register C is fixed
+    at a value, whose oracle into K kicks back all signs or none, and one
+    time in two a register Y of 1-2 qubits is searched beside X, so X is
+    not the only free register there and K is written out for the
+    reduction.  The registers come in any layout order.  The body kicks X's
+    oracle back into K, runs diffusions and Hadamards on the searched
+    registers, and repeats as the same objects one to four times; then X
+    is measured, then K.  Returns the program and w."""
+    q = draw(st.integers(1, 3))
+    extra = draw(st.sampled_from([(), ("C",), ("Y",), ("C", "Y")]))
+    sizes = {"X": q, "K": 1, "C": 1, "Y": draw(st.integers(1, 2))}
+    layout = RegisterLayout(tuple((name, sizes[name]) for name in draw(st.permutations(("X", "K") + extra))))
+    kick = draw(st.sampled_from([Prepare("K", "minus"), Prepare("K", "uniform"), GateOp("hadamard", reg="K")]))
+    prefix = [kick]
+    for name in ("X", "Y"):
+        if name in layout.names:
+            start = draw(st.sampled_from(["uniform", "hadamard", layout.dim(name) - 1]))
+            prefix.append(GateOp("hadamard", reg=name) if start == "hadamard" else Prepare(name, start))
+    if "C" in layout.names:
+        prefix.append(Prepare("C", draw(st.integers(0, 1))))
+    searched = [name for name in ("X", "Y") if name in layout.names]
+    body = [GateOp("grover-diffusion", reg=name) for name in searched]  # nothing searched stays fixed or held
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["oracle", "diffusion", "hadamard", "fixed-oracle"]))
+        if op == "oracle":
+            table = FunctionTable(q, 1, random_table(draw, q, 1))
+            body.append(GateOp("oracle-xor", in_reg="X", out_reg="K", table=table))
+        elif op == "fixed-oracle" and "C" in layout.names:
+            body.append(GateOp("oracle-xor", in_reg="C", out_reg="K", table=FunctionTable(1, 1, random_table(draw, 1, 1))))
+        elif op in ("diffusion", "hadamard"):
+            body.append(GateOp("grover-diffusion" if op == "diffusion" else "hadamard", reg=draw(st.sampled_from(searched))))
+    body = draw(st.permutations(body))
+    instrs = tuple(prefix) + tuple(body) * draw(st.integers(1, 4)) + (Measure("X"), Measure("K"))
+    return CircuitProgram(layout, instrs), int(kick == Prepare("K", "minus"))
+
+
+class InOrderWalk(FullStateWalk):
+    """The full-state walk with its marginals reduced as the sliced walk
+    reduces a written-out state, by ``measure``'s in-order reduction, so
+    that a probability is the complex128 write-out route's to the bit."""
+
+    def marginal(self, index, path):
+        key = (index, path)
+        if key not in self._marginals:
+            state = self.state(index, path)
+            block = state.amplitudes.reshape(1, *state.layout.axis_shape(self.instructions[index].reg))
+            self._marginals[key] = _summed_squares(block, 2)[0]
+        return self._marginals[key]
+
+
+class TestHeldSign:
+    """A segment that ends at a measurement keeps a lone held one-qubit
+    register held, as a sign on its float64 buffer; what the walk reads
+    from it is the complex128 write-out route's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=held_sign_programs(), seed=SEEDS, trials=st.integers(1, 8))
+    def test_the_walk_reads_what_the_written_out_state_gives_bit_for_bit(self, case, seed, trials):
+        program, w = case
+        walk, reference = _BranchWalk(program, None), InOrderWalk(program, None, real=True)
+        first, last = len(program.instructions) - 2, len(program.instructions) - 1
+        end = walk.state(first, ())
+        assert end.held == {"K": w} and end.amps.dtype == np.float64
+        for index, path in [(first, ())] + [(last, (x,)) for x in reference.distribution(first, ()).support]:
+            got, expected = walk.distribution(index, path), reference.distribution(index, path)
+            assert np.array_equal(walk.marginal(index, path).view(np.uint64), reference.marginal(index, path).view(np.uint64))
+            assert np.array_equal(got.probabilities.view(np.uint64), expected.probabilities.view(np.uint64))
+        rng = np.random.default_rng(seed)
+        expected = [reference.trial(rng)[0] for _ in range(trials)]
+        assert sample(program, np.random.default_rng(seed), trials) == expected
+        tags = {f"b{i}": i for i in range(len(program.instructions) + 1)}
+        records, tagged, final, weight, _ = _BranchWalk(program, None).trial(np.random.default_rng(seed), tags)
+        expected_records, expected_tagged, expected_final = reference.trial(np.random.default_rng(seed), tags)
+        assert records == expected_records
+        for tag, (state, path_weight) in tagged.items():
+            assert np.array_equal(as_bits(state.state(path_weight)), as_bits(expected_tagged[tag]))
+        assert np.array_equal(as_bits(final().state(weight)), as_bits(expected_final))
+
+    @pytest.mark.parametrize("drawers", [2, 1024])
+    def test_a_search_reduces_its_answer_from_the_float64_buffer(self, monkeypatch, drawers):
+        # the answer's marginal is the buffer's doubled; no broadcast writes
+        # the kickback register out, and the draws need no full state
+        broadcasts = []
+        broadcast = circuit_ir._Segment.broadcast
+        monkeypatch.setattr(
+            circuit_ir._Segment, "broadcast", lambda segment, reg, *dtype: broadcasts.append(reg) or broadcast(segment, reg, *dtype)
+        )
+        program = standard_circuit(GameInstance(drawers, 1))
+        walk = _BranchWalk(program, None)
+        records = walk.trial(np.random.default_rng(0))[0]
+        assert broadcasts == ["X"]  # the search register, out of the Hadamard basis at the first oracle
+        end = walk.state(len(program.instructions) - 1, ())
+        assert end.held == {"F": 1} and end.free.names == ("X",) and end.amps.dtype == np.float64
+        assert np.array_equal(walk.marginal(len(program.instructions) - 1, ()), 2 * end.amps**2)
+        assert records[0].register == "X"
 
 
 class TestAtTheCeiling:

@@ -62,21 +62,22 @@ ROUNDS = 2
 DISCIPLINES = ("measure-F-at-t2", "skip-F", "annihilate-F")
 
 # Searches and period finding at the sizes where the in-place Fourier
-# transform and oracle matter most: 2^19 amplitudes, and 2^14 under every
-# discipline with sampled trials; then the branches the walk slices at
-# size: 128 and 512 F branches of 2^16 and 2^20 amplitudes, deferred and
-# sampled, and 128 with F summed out, which pins the order in which the
-# branches' distributions add up; then 10^4 trials through the sampled
-# lookups, and 2000 annihilate-F trials of 513 doubles each, which span
-# several blocks of uniforms; then searches with the kickback register
-# held: 4 drawers, whose exact-zero amplitudes carry their signs into the
-# dumped state, and 2^19 drawers, the 20-qubit ceiling; then the README's
-# mixture check, 48 full batches of phase draws and a 1696-draw remainder;
-# last, the shapes where F is held as rows from the oracle on: three rows
-# of 2^10 amplitudes, exact under every discipline and deferred, and 512
-# rows sampled under skip-F.
+# transform and oracle matter most: searches of 2^19 and 2^20 amplitudes,
+# and period finding on 2^14 under every discipline with sampled trials;
+# then the branches the walk slices at size: 128 and 512 F branches of
+# 2^16 and 2^20 amplitudes, deferred and sampled, and 128 with F summed
+# out, which pins the order in which the branches' distributions add up;
+# then 10^4 trials through the sampled lookups, and 2000 annihilate-F
+# trials of 513 doubles each, which span several blocks of uniforms; then
+# searches with the kickback register held: 4 drawers, whose exact-zero
+# amplitudes carry their signs into the dumped state, and 2^19 drawers,
+# the 20-qubit ceiling, where the held kickback is written out only for
+# the dumped state; then the README's mixture check, 48 full batches of
+# phase draws and a 1696-draw remainder; last, the shapes where F is held
+# as rows from the oracle on: three rows of 2^10 amplitudes, exact under
+# every discipline and deferred, and 512 rows sampled under skip-F.
 CEILING = (
-    (("grover", "--n", "262144", "--json"),)
+    (("grover", "--n", "262144", "--json"), ("grover", "--n", "524288", "--json"))
     + tuple(
         ("shor", "--n", "10", "--base", "7", "--modulus", "15", "--discipline", discipline, "--trials", "50", "--json")
         for discipline in DISCIPLINES
@@ -106,9 +107,10 @@ CEILING = (
 # cannot parse (a bad value, a bad choice, two exclusive formats, a count
 # below its floor, a cost range over its ceiling), what the top-level
 # parser reports (a leftover argument, an instance over the ceiling, a
-# period given beside a modular exponentiation, a game input, no argv, an
-# unknown subcommand), the two help texts, and a seed that is not a
-# non-negative integer, from the environment or the flag.
+# period given beside a modular exponentiation, a game input, a flag the
+# other arguments leave unread, no argv, an unknown subcommand), the two
+# help texts, and a seed that is not a non-negative integer, from the
+# environment or the flag.
 USAGE = (
     ("shor", "--bogus"),
     ("shor", "--n", "x"),
@@ -119,6 +121,9 @@ USAGE = (
     ("mixture-check", "--samples", "0"),
     ("cost", "--n-range", "2:1025"),
     ("shor", "--base", "7", "--modulus", "15", "--n", "4", "--r", "3"),
+    ("grover", "--variant", "extended", "--n", "4", "--k", "3"),
+    ("grover", "--variant", "standard", "--order", "xk"),
+    ("defer-check", "--circuit", "program.json", "--auto-defer", "--n", "9", "--r", "7"),
     (),
     ("nope",),
     ("-h",),
