@@ -25,8 +25,10 @@ and once measured it may not be prepared, gated or dephased again.  That
 rule makes every deferral sound and every measured register a batch axis
 of the walk.  The order rules are checked by the one reverse pass that
 plans the program, so a program is planned when it is built: its draws,
-its nodes, its inert dephasings and the block of measurements that ends
-it, which the walk and the rewrites read.  The walk and the kernels
+its nodes, its inert dephasings, the block of measurements that ends it,
+its Fourier transforms and the runs in which it repeats a body, which the
+walk and the rewrites read.  A body repeated as the same instruction
+objects is checked and planned once, however often it repeats.  The walk and the kernels
 check nothing as they run, so ``apply_instruction``, ``project`` and
 ``measure_register``, the forms that act on a ``PureState``, run as
 one-instruction programs.
@@ -101,14 +103,21 @@ Hadamard basis where the segment ends at a draw: the slice keeps it held,
 as a sign on the float64 buffer, and a reduction reads the buffer's
 squares doubled (|a|^2 + |-a|^2), so a drawer search never writes its
 kickback register out unless a full state is read.  Every other slice and
-every handed-out state is complex128.  A segment replays a repeated
-body: an instruction that leaves the buffer, the fixed values and the held
-registers as it found them (a kick into a held register, a kernel on free
-registers) keeps its resolved step, the kernel bound to its views of the
-buffer, keyed by the instruction object's identity.  When the same object
-comes back before anything changes that configuration, the step runs
-without dispatch or checks, so a drawer search dispatches its first two
-passes and replays the rest.
+every handed-out state is complex128.
+
+A segment pays per distinct instruction, not per iteration.  It reads the
+plan's facts for its slice of the program by bisection, where it would scan
+its instructions: which of them are unitary, and whether one is a Fourier
+transform.  It replays a repeated body: an instruction that leaves the
+buffer, the fixed values and the held registers as it found them (a kick
+into a held register, a kernel on free registers) keeps its resolved step,
+the kernel bound to its views of the buffer.  In one of the plan's runs,
+once a whole body has been dispatched since that configuration last
+changed, the rest of the run replays the body's steps with no dispatch, no
+check and no look at the configuration, so a drawer search dispatches its
+first two passes and replays the rest.  Equal objects that are not the
+same object, such as those of a program loaded from a file, form no run
+and are dispatched each time.
 """
 
 from __future__ import annotations
@@ -116,7 +125,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
+from itertools import chain, compress, count
 from math import prod
+from operator import is_not
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -140,6 +151,7 @@ from .qstate import PureState, RegisterLayout, StateDistance, _is_integer, _json
 SAMPLE_BLOCK_DOUBLES = 1 << 16
 
 GATE_KINDS = ("hadamard", "qft", "inverse-qft", "oracle-xor", "oracle-moded", "grover-diffusion")
+FOURIER = ("qft", "inverse-qft")
 PREPARE_KEYWORDS = ("uniform", "minus")
 
 
@@ -208,9 +220,13 @@ def touched_registers(instr: Instruction) -> frozenset[str]:
     return touched
 
 
+Runs = tuple[tuple[int, int, int], ...]
+
+
 class _Plan(NamedTuple):
-    """A program's branch structure, derived when the program is built, by
-    the pass that checks its order rules, and kept with the program.
+    """A program's branch structure and the facts its segments read,
+    derived when the program is built, by the pass that checks its order
+    rules, and kept with the program.
 
     ``draws`` are the indices of its measurements and dephasings, and
     ``measures`` those of its measurements, in program order.  ``tail`` is
@@ -219,7 +235,11 @@ class _Plan(NamedTuple):
     touches its register and no visible dephasing follows it; ``nodes``
     are the draws that are not inert.  ``fixed_width`` says that every
     dephasing is inert and comes before the first measurement, so every
-    sampled trial draws the same number of doubles."""
+    sampled trial draws the same number of doubles.  ``fourier`` are the
+    indices of its Fourier transforms, ascending.  ``repeats`` are the runs
+    in which a body of unitary instruction objects repeats (``_repeats``):
+    (a, p, b) says that instruction i is the object instruction i - p is,
+    for a + p <= i < b."""
 
     draws: tuple[int, ...]
     measures: tuple[int, ...]
@@ -227,6 +247,40 @@ class _Plan(NamedTuple):
     nodes: tuple[int, ...]
     tail: int
     fixed_width: bool
+    fourier: tuple[int, ...]
+    repeats: Runs
+
+
+class _Span(NamedTuple):
+    """A segment of a program as ``_Segment.run`` runs it: its unitary
+    instructions in order, whether one of them is a Fourier transform, and
+    the plan's ``repeats`` that fall in it, counted among these
+    instructions."""
+
+    instrs: tuple[Prepare | GateOp, ...]
+    fourier: bool
+    repeats: Runs
+
+
+def _repeats(instrs: tuple[Instruction, ...]) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The runs (a, p, b) in which a program repeats a body of unitary
+    instruction objects: instruction i is the object instruction i - p is,
+    for a + p <= i < b, and b is as far as that holds; then the places
+    outside the runs' repeats, ascending.  A run starts where an object
+    comes back after the last run ended, p after its last place outside a
+    run, with no measurement or dephasing from there on; where it ends is
+    found in one pass of ``operator.is_not`` over the objects."""
+    runs, singles, seen, i = [], [], {}, 0  # seen: id -> last place outside a run
+    while i < len(instrs):
+        j = seen.get(id(instrs[i]), -1)
+        if j >= (runs[-1][2] if runs else 0) and all(isinstance(instr, (Prepare, GateOp)) for instr in instrs[j:i]):
+            runs.append((j, i - j, next(compress(count(i), map(is_not, instrs[i:], instrs[j:])), len(instrs))))
+            i = runs[-1][2]
+        else:
+            seen[id(instrs[i])] = i
+            singles.append(i)
+            i += 1
+    return runs, singles
 
 
 @dataclass(frozen=True)
@@ -242,31 +296,37 @@ class CircuitProgram:
     time_tags: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "instructions", tuple(self.instructions))
+        instrs = tuple(self.instructions)
+        object.__setattr__(self, "instructions", instrs)
         object.__setattr__(self, "time_tags", dict(self.time_tags))
+        repeats, singles = _repeats(instrs)
         # a body repeated as the same objects is checked once
-        for instr in {id(instr): instr for instr in self.instructions}.values():
+        for instr in {id(instrs[i]): instrs[i] for i in singles}.values():
             for reg in touched_registers(instr):
                 self.layout.qubits(reg)  # raises UnknownRegisterError
             self._check_args(instr)
         for tag, boundary in self.time_tags.items():
-            if not (_is_integer(boundary) and 0 <= boundary <= len(self.instructions)):
+            if not (_is_integer(boundary) and 0 <= boundary <= len(instrs)):
                 raise ProgramError(f"time tag {tag!r} points at boundary {boundary!r:.60}, out of range")
-        object.__setattr__(self, "_plan", self._checked_plan())
+        object.__setattr__(self, "_plan", self._checked_plan(repeats, singles))
 
-    def _checked_plan(self) -> _Plan:
+    def _checked_plan(self, repeats: list[tuple[int, int, int]], singles: list[int]) -> _Plan:
         """One reverse pass keeps ``later``, the registers that an
         instruction other than a measurement touches after the current one.
         It checks the order rules, a register measured at most once and
-        touched by nothing but a measurement after that, and says whether a
-        dephasing is inert."""
+        touched by nothing but a measurement after that, says whether a
+        dephasing is inert, and notes where the Fourier transforms lie.  It
+        passes over the repeats of each run: they draw nothing and touch
+        what their body touches, so a repeated body's objects are read once,
+        and its Fourier transforms are noted at every repeat."""
         instrs = self.instructions
         later: set[str] = set()
         measured: set[str] = set()
         draws: list[int] = []
         inert: set[int] = set()
+        fourier: list[int] = []
         visible, tail = False, 0
-        for i in reversed(range(len(instrs))):
+        for i in reversed(singles):
             instr = instrs[i]
             if isinstance(instr, Measure):
                 if instr.reg in later:
@@ -282,12 +342,31 @@ class CircuitProgram:
                 visible = visible or instr.reg in later
                 if not visible:
                     inert.add(i)
+            elif getattr(instr, "kind", None) in FOURIER:
+                fourier.append(i)
             later |= touched_registers(instr)
+        for a, p, b in repeats:
+            tail = max(tail, b)
+            fourier += [k for i in range(a, a + p) if getattr(instrs[i], "kind", None) in FOURIER for k in range(i + p, b, p)]
         draws.reverse()
         measures = [i for i in draws if isinstance(instrs[i], Measure)]
         nodes = [i for i in draws if i not in inert]
         # a fixed width: the draws are the inert dephasings, then the measurements
-        return _Plan(tuple(draws), tuple(measures), frozenset(inert), tuple(nodes), tail, draws == sorted(inert) + measures)
+        fixed_width = draws == sorted(inert) + measures
+        return _Plan(tuple(draws), tuple(measures), frozenset(inert), tuple(nodes), tail, fixed_width, tuple(sorted(fourier)), tuple(repeats))
+
+    def _span(self, start: int, stop: int) -> _Span:
+        """Instructions ``start`` to ``stop - 1`` as a segment runs them: the
+        unitary ones, with the plan's facts about them, found by bisection
+        instead of a scan."""
+        plan, instrs = self._plan, self.instructions
+        cuts = plan.draws[bisect_left(plan.draws, start) : bisect_left(plan.draws, stop)]
+        edges = (start - 1,) + cuts + (stop,)
+        unitary = tuple(chain.from_iterable(instrs[a + 1 : b] for a, b in zip(edges, edges[1:])))
+        # a run draws nothing: the draws before it in the span shift it whole
+        clipped = ((max(a, start), p, min(b, stop)) for a, p, b in plan.repeats)
+        repeats = tuple((a - (shift := start + bisect_left(cuts, a)), p, b - shift) for a, p, b in clipped if b - a > p)
+        return _Span(unitary, bisect_left(plan.fourier, start) < bisect_left(plan.fourier, stop), repeats)
 
     def _check_args(self, instr: Instruction) -> None:
         if isinstance(instr, Prepare):
@@ -411,7 +490,7 @@ def _bound_kernel(work: np.ndarray, layout: RegisterLayout, instr: Prepare | Gat
         return prepare
     if instr.kind == "hadamard":
         return partial(gates.hadamard_all_in_place, work, layout, instr.reg)
-    if instr.kind in ("qft", "inverse-qft"):
+    if instr.kind in FOURIER:
         return partial(gates.qft_in_place, work, layout, instr.reg, instr.kind == "inverse-qft")
     if instr.kind == "oracle-xor":
         return partial(gates.oracle_xor_in_place, work, layout, instr.table, instr.in_reg, instr.out_reg)
@@ -428,7 +507,7 @@ def _inverse(instr: Prepare | GateOp) -> tuple[Prepare | GateOp, ...]:
     reflection and the other prepares are their own inverses."""
     if isinstance(instr, Prepare) and instr.value == "minus":
         return GateOp("hadamard", reg=instr.reg), Prepare(instr.reg, 1)
-    if isinstance(instr, GateOp) and instr.kind in ("qft", "inverse-qft"):
+    if isinstance(instr, GateOp) and instr.kind in FOURIER:
         return (GateOp("inverse-qft" if instr.kind == "qft" else "qft", reg=instr.reg),)
     return (instr,)
 
@@ -439,8 +518,7 @@ def apply_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
     segment on a slice with nothing fixed."""
     if not isinstance(instr, (Prepare, GateOp)):
         raise ProgramError(f"cannot apply non-unitary instruction {instr!r}")
-    program = CircuitProgram(state.layout, (instr,))
-    return _advance(_start_slice(state.layout, state), program.instructions).state()
+    return _advance(_start_slice(state.layout, state), (instr,)).state()
 
 
 @dataclass(frozen=True)
@@ -651,14 +729,6 @@ def _start_slice(layout: RegisterLayout, initial: PureState | None) -> _Slice:
     return _Slice(layout, {}, layout, initial.amplitudes)
 
 
-def _opens_hold(instr: Prepare | GateOp) -> bool:
-    """Whether an instruction may hold a register: a Hadamard, or a
-    "uniform" or "minus" prepare."""
-    if isinstance(instr, Prepare):
-        return instr.value in PREPARE_KEYWORDS
-    return instr.kind == "hadamard"
-
-
 def _has_negative_zero(work: np.ndarray) -> bool:
     """Whether any real or imaginary part of the amplitudes is -0."""
     parts = work.view(np.float64)
@@ -866,7 +936,7 @@ class _Segment:
                 self.broadcast(instr.in_reg)
             return self.kick(instr)
         if held:
-            fourier = isinstance(instr, GateOp) and instr.kind in ("qft", "inverse-qft")
+            fourier = getattr(instr, "kind", None) in FOURIER
             for reg in sorted(held if fourier else held & touched_registers(instr)):
                 self.broadcast(reg)
         if isinstance(instr, Prepare) and instr.reg in fixed:
@@ -887,31 +957,38 @@ class _Segment:
         step()
         return step
 
-    def run(self, instrs: Sequence[Prepare | GateOp], rows: bool, lock: bool = True) -> _Slice:
+    def run(self, instrs: Sequence[Prepare | GateOp], repeats: Runs, fourier: bool, rows: bool, lock: bool = True) -> _Slice:
         """Apply ``instrs`` in order, an oracle free to hold its output as
         rows where ``rows`` says so, on a float64 copy of the real parts
-        where the segment is real; the slice it ends at is ``finish``'s.  The
-        configuration is the buffer, the fixed values and the held
-        registers.  An instruction that leaves it as it found it keeps its
-        resolved step, keyed by the instruction object's identity, until
-        the configuration next changes; when the same object comes again,
-        its step runs without dispatch."""
+        where the segment is real (``fourier`` says whether one of them is
+        a Fourier transform); the slice it ends at is ``finish``'s.
+
+        The configuration is the buffer, the fixed values and the held
+        registers.  Each instruction is dispatched (``apply``), and its step
+        kept where it left the configuration as it found it.  In a run of
+        ``repeats``, (a, p, b), once a whole body of p instructions has been
+        dispatched since the configuration last changed, the same objects
+        come back under the same configuration, so they would resolve to
+        the same steps: the rest of the run replays the body's kept steps,
+        with no dispatch and no look at the configuration."""
         self.instrs, self.holds_rows = instrs, rows
-        fourier = any(getattr(instr, "kind", None) in ("qft", "inverse-qft") for instr in instrs)
         if not fourier and not self.work.imag.view(np.uint64).any():
             self.work, self.owned = self.work.real.copy(), True
-        steps: dict[int, Step] = {}
-        for self.at, instr in enumerate(instrs):
-            step = steps.get(id(instr))
-            if step is not None:
-                step()
-                continue
-            work, fixed, held = self.work, dict(self.fixed), set(self.held)
-            step = self.apply(instr)
-            if self.work is work and self.fixed == fixed and self.held == held:
-                steps[id(instr)] = step
-            else:
-                steps.clear()
+        kept: list[Step | None] = []  # each instruction's step, None where it changed the configuration
+        changed = -1  # the last instruction that changed it
+        for a, p, b in repeats + ((len(instrs), 1, len(instrs)),):  # then the instructions after the last run
+            for i in range(len(kept), b):
+                self.at = i
+                if i >= a + p and changed < i - p:  # a whole body since the last change
+                    steps = (kept[i - p : i] * (1 + (b - i) // p))[: b - i]
+                    for step in steps:
+                        step()
+                    kept += steps
+                    break
+                work, fixed, held = self.work, dict(self.fixed), set(self.held)
+                kept.append(self.apply(instrs[i]))
+                if not (self.work is work and self.fixed == fixed and self.held == held):
+                    kept[i], changed = None, i
         return self.finish(keep=rows, lock=lock)
 
     def finish(self, keep: bool, lock: bool = True) -> _Slice:
@@ -932,31 +1009,35 @@ class _Segment:
         return _Slice(self.layout, self.fixed, self.free, self.work, rows=self.rows, held=held)
 
 
-def _advance(start: _Slice, instrs: Sequence[Instruction], rows: bool = True, lock: bool = True) -> _Slice:
-    """``start`` with the unitary instructions among ``instrs`` applied in
-    order, skipping measurements and dephasings, as one segment: one that
+def _advance(start: _Slice, instrs: _Span | Sequence[Instruction], rows: bool = True, lock: bool = True) -> _Slice:
+    """``start`` with the unitary instructions of a program's span
+    (``CircuitProgram._span``) applied in order as one segment: one that
     holds registers where it can, unless an underflow makes it rerun
-    without holding.  A segment that holds nothing writes ``start``'s
-    amplitudes in place when they are writeable, a fresh gather's that
-    nothing else holds, or a segment's left writeable without ``lock``:
-    every other slice returned here is read-only.  One that may hold copies
-    them first, since an underflow reruns it from ``start``.  Without
-    ``rows`` no oracle holds its output as rows: a slice that is only
-    written out would hold them beside the written-out state."""
-    unitary = [instr for instr in instrs if not isinstance(instr, (Measure, Dephase))]
+    without holding.  Instructions given as a sequence are checked and
+    planned as a program of their own first; its measurements and
+    dephasings are skipped.  A segment that holds nothing writes
+    ``start``'s amplitudes in place when they are writeable, a fresh
+    gather's that nothing else holds, or a segment's left writeable without
+    ``lock``: every other slice returned here is read-only.  One that may
+    hold copies them first, since an underflow reruns it from ``start``.
+    Without ``rows`` no oracle holds its output as rows: a slice that is
+    only written out would hold them beside the written-out state."""
+    if not isinstance(instrs, _Span):
+        instrs = CircuitProgram(start.layout, tuple(instrs))._span(0, len(instrs))
+    unitary, fourier, repeats = instrs
     if not unitary:
         start.amps.setflags(write=False)
         return start
     start = _written_out(start) if start.held else start
-    if any(map(_opens_hold, unitary)):
+    if start.fixed:  # only a fixed register can be held
         try:
             with np.errstate(under="raise"):
-                return _Segment(start, holds=True).run(unitary, rows, lock)
+                return _Segment(start, holds=True).run(unitary, repeats, fourier, rows, lock)
         except FloatingPointError:
             pass
     segment = _Segment(start, holds=False)
     segment.owned = start.amps.flags.writeable
-    return segment.run(unitary, rows, lock)
+    return segment.run(unitary, repeats, fourier, rows, lock)
 
 
 def _projection_weight(s: _Slice, reg: str, outcome: int) -> float:
@@ -1081,15 +1162,15 @@ class _BranchWalk:
             return state
         for i in sorted(stops):  # each on the root path, before the first node
             if start <= i < boundary and (i, ()) not in self._marginals:
-                state = _advance(state, self.instructions[start:i], lock=False)
+                state = _advance(state, self.program._span(start, i), lock=False)
                 self._marginals[i, ()] = _marginals(state, self.instructions[i].reg, (1.0,))[0]
                 start = i
         for i in self.nodes[k:]:
             if i >= boundary:
                 break
-            state = _gather(_advance(state, self.instructions[start:i]), self.instructions[i].reg, (path[k],))
+            state = _gather(_advance(state, self.program._span(start, i)), self.instructions[i].reg, (path[k],))
             k, start = k + 1, i + 1
-        state = _advance(state, self.instructions[start:boundary], rows=boundary in self.plan.draws)
+        state = _advance(state, self.program._span(start, boundary), rows=boundary in self.plan.draws)
         chain.append((boundary, path, state))
         return state
 
@@ -1136,7 +1217,7 @@ class _BranchWalk:
         if isinstance(self.instructions[i], Dephase) or not values:
             return
         weights = self.marginal(i, path)[values]
-        gathered = _advance(_gather(self.state(i, path), self.instructions[i].reg, values), self.instructions[i + 1 : j])
+        gathered = _advance(_gather(self.state(i, path), self.instructions[i].reg, values), self.program._span(i + 1, j))
         if free and len(self._chain) > 1 and self._chain[-1][:2] == (i, path):
             self._chain.pop()  # the state the rows were gathered from, freed before they are reduced
         self._chain.append((j, path, gathered))
@@ -1180,7 +1261,7 @@ class _BranchWalk:
         for i in sorted(marks.union(self.plan.draws)):  # every other instruction runs in a segment
             draw = i in self.plan.draws
             if carried is not None:
-                carried = i, _advance(carried[1], instrs[carried[0] : i])
+                carried = i, _advance(carried[1], self.program._span(carried[0], i))
             if i in marks:
                 state = self.state(i, path) if carried is None else carried[1]
                 tagged.update((tag, (state, weight)) for tag, b in tags.items() if b == i)
@@ -1211,7 +1292,7 @@ class _BranchWalk:
             carried = i + 1, _dephase_slice(start, instr.reg, dist.support, phases)
         if not keep:
             return tuple(records), tagged, None, weight, tuple(drawn)
-        final = partial(_advance, carried[1], instrs[carried[0] :]) if carried else partial(self.state, len(instrs), path)
+        final = partial(_advance, carried[1], self.program._span(carried[0], len(instrs))) if carried else partial(self.state, len(instrs), path)
         return tuple(records), tagged, final, weight, tuple(drawn)
 
     def draws(self, rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1326,7 +1407,7 @@ def _prefix(program: CircuitProgram, stop: int) -> _Slice:
     draws = program._plan.draws
     if draws and draws[0] < stop:
         raise RewriteNotApplicableError(f"{program.instructions[draws[0]]!r} before boundary {stop}; not unitary")
-    return _advance(_start_slice(program.layout, None), program.instructions[:stop], rows=False)
+    return _advance(_start_slice(program.layout, None), program._span(0, stop), rows=False)
 
 
 def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:

@@ -360,19 +360,21 @@ def bound_grover_diffusion(work: np.ndarray, layout: RegisterLayout, reg: str) -
     so the scale multiplies it in numpy's array loop, as it does the
     register-last sums: numpy's complex scalar multiply turns a real part
     that underflows to -0.0 into +0.0, where the array loop keeps -0.0.
+    Each sum is ``np.add.reduce``, the reduction ``ndarray.sum`` wraps,
+    called without the wrapper.
     """
     scale = 2.0 / layout.dim(reg)
     if work.size == layout.dim(reg):
 
         def reflect() -> None:
-            np.subtract(work.sum(keepdims=True) * scale, work, out=work)
+            np.subtract(np.add.reduce(work, None, keepdims=True) * scale, work, out=work)
 
         return reflect
     register_last = _axis_view(work, layout, reg).swapaxes(1, 2)
 
     def reflect() -> None:
         contiguous = np.ascontiguousarray(register_last)  # the view itself when right == 1
-        twice_mean = contiguous.sum(axis=-1) * scale
+        twice_mean = np.add.reduce(contiguous, -1) * scale
         np.subtract(twice_mean[..., None], contiguous, out=register_last)
 
     return reflect

@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -695,7 +696,30 @@ def reference_plan(instrs) -> circuit_ir._Plan:
     measures = [i for i in draws if isinstance(instrs[i], Measure)]
     nodes = [i for i in draws if i not in inert]
     fixed_width = draws == sorted(inert) + measures
-    return circuit_ir._Plan(tuple(draws), tuple(measures), frozenset(inert), tuple(nodes), tail, fixed_width)
+    fourier = tuple(i for i, instr in enumerate(instrs) if isinstance(instr, GateOp) and instr.kind in ("qft", "inverse-qft"))
+    return circuit_ir._Plan(
+        tuple(draws), tuple(measures), frozenset(inert), tuple(nodes), tail, fixed_width, fourier, reference_repeats(instrs)
+    )
+
+
+def reference_repeats(instrs) -> tuple[tuple[int, int, int], ...]:
+    """The runs of a repeated body, each grown one instruction at a time:
+    where an object comes back after the last run, at distance p from its
+    last place outside a run, with only unitary instructions between, the
+    run goes on while each instruction is the object p before it."""
+    runs, seen, end, i = [], {}, 0, 0
+    while i < len(instrs):
+        j = seen.get(id(instrs[i]), -1)
+        if j >= end and all(isinstance(instr, (Prepare, GateOp)) for instr in instrs[j:i]):
+            p, b = i - j, i
+            while b < len(instrs) and instrs[b] is instrs[b - p]:
+                b += 1
+            runs.append((j, p, b))
+            i = end = b
+            continue
+        seen[id(instrs[i])] = i
+        i += 1
+    return tuple(runs)
 
 
 def order_violations(instrs) -> int:
@@ -750,6 +774,55 @@ def test_the_plan_pass_checks_the_order_rules_as_the_forward_loop_did(data):
         CircuitProgram(layout, instrs)
     if order_violations(instrs) == 1:
         assert str(raised.value) == expected
+
+
+SHARED = (
+    Prepare("A", "uniform"),
+    GateOp("hadamard", reg="C"),
+    GateOp("qft", reg="C"),
+    GateOp("oracle-xor", in_reg="A", out_reg="B", table=BIT_TABLE),
+    GateOp("grover-diffusion", reg="C"),
+    Prepare("B", 1),
+    Dephase("C"),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_plan_finds_the_repeated_bodies_and_their_spans_facts(data):
+    # programs drawn from a few shared objects, bodies repeated as the same
+    # objects among them: the plan's runs are those grown one instruction
+    # at a time, and every span's unitary instructions, Fourier fact and
+    # repeats are those of a scan over its slice
+    layout = ORDER_LAYOUTS[1]
+    picks = data.draw(st.lists(st.integers(0, len(SHARED) - 1), max_size=10))
+    body = data.draw(st.lists(st.integers(0, len(SHARED) - 2), min_size=1, max_size=3))
+    at = data.draw(st.integers(0, len(picks)))
+    picks[at:at] = body * data.draw(st.integers(1, 6))
+    instrs = [SHARED[k] for k in picks] + [Measure("B")] * data.draw(st.booleans())
+    program = CircuitProgram(layout, instrs)
+    assert program._plan == reference_plan(instrs)
+    for a, p, b in program._plan.repeats:
+        assert all(instrs[k] is instrs[k - p] for k in range(a + p, b))
+    start = data.draw(st.integers(0, len(instrs)))
+    stop = data.draw(st.integers(start, len(instrs)))
+    span = program._span(start, stop)
+    unitary = tuple(instr for instr in instrs[start:stop] if isinstance(instr, (Prepare, GateOp)))
+    assert span.instrs == unitary and all(map(operator.is_, span.instrs, unitary))
+    assert span.fourier == any(isinstance(instr, GateOp) and instr.kind in ("qft", "inverse-qft") for instr in unitary)
+    clipped = [(max(a, start), p, min(b, stop)) for a, p, b in program._plan.repeats]
+    assert len(span.repeats) == sum(b - a > p for a, p, b in clipped)
+    for a, p, b in span.repeats:
+        assert b - a > p and all(unitary[k] is unitary[k - p] for k in range(a + p, b))
+
+
+def test_a_search_plan_holds_one_run_of_its_body():
+    program = grover.standard_circuit(grover.GameInstance(1024, 5))
+    k = grover.iteration_count(1024)
+    plan = program._plan
+    assert plan.repeats == ((2, 2, 2 + 2 * k),) and plan.fourier == ()
+    span = program._span(0, program.time_tags["pre"])
+    assert span == circuit_ir._Span(program.instructions[:-1], False, ((2, 2, 2 + 2 * k),))
 
 
 def test_numpy_integers_are_integers():

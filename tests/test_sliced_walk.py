@@ -17,10 +17,13 @@ Hadamard basis, oracles with a fixed input or output or into a held output,
 and gates that expand a register.
 """
 
+import collections
 import contextlib
 import copy
+import gc
 import io
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -47,7 +50,7 @@ from qdesk import (
     sample,
     standard_circuit,
 )
-from qdesk import circuit_ir, gates
+from qdesk import circuit_ir, gates, grover
 from qdesk.circuit_ir import _BranchWalk, enumerate_outcome_distribution
 from qdesk.cli import main
 from qdesk.errors import ShapeMismatchError
@@ -1025,6 +1028,74 @@ class TestReplayedSteps:
         assert runs == [True, False]
         assert dispatched.count(False) == 3  # the prepare and the first pass
         assert np.array_equal(as_bits(got), as_bits(run_unitaries(start.state(), instrs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=repeated_bodies(), seed=SEEDS, data=st.data())
+def test_a_tag_inside_a_repeated_body_reads_the_full_state_walk_bit_for_bit(case, seed, data):
+    # the segment to "pre" starts at a tag inside the run, so it replays
+    # the run clipped to its own instructions
+    program, _, initial = case
+    pre = program.time_tags["pre"]
+    program = CircuitProgram(program.layout, program.instructions, {"mid": data.draw(st.integers(0, pre)), "pre": pre})
+    trace = run(program, np.random.default_rng(seed), initial=initial)
+    tagged = FullStateWalk(program, initial, real=True).trial(np.random.default_rng(seed), program.time_tags)[1]
+    for tag in ("mid", "pre"):
+        assert np.array_equal(as_bits(trace.state_at_tag(tag)), as_bits(tagged[tag]))
+
+
+def python_calls(drawers: int) -> collections.Counter:
+    """The Python-level calls, by code object, of building and running the
+    standard search over ``drawers`` drawers once."""
+    calls: collections.Counter = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    enabled = gc.isenabled()
+    gc.disable()  # no collection runs a finaliser inside the count
+    sys.setprofile(profile)
+    try:
+        run(standard_circuit(GameInstance(drawers, 5)), np.random.default_rng(0))
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return calls
+
+
+def test_a_search_pays_per_distinct_instruction_not_per_iteration():
+    # building and running a search of 1024 drawers (25 iterations) and of
+    # 16384 (100) make the same Python-level calls, but for the two bound
+    # kernel steps its body replays, the kick and the diffusion, each once
+    # per iteration: the checks, the plan, the segment facts and the
+    # replay's own loop make no call per iteration
+    for drawers in (1024, 16384):
+        python_calls(drawers)  # the layouts' and tables' first uses
+    small, large = python_calls(1024), python_calls(16384)
+    moved = {code for code in small.keys() | large.keys() if small[code] != large[code]}
+    assert sorted(code.co_name for code in moved) == ["reflect", "step"]
+    extra = grover.iteration_count(16384) - grover.iteration_count(1024)
+    assert all(large[code] - small[code] == extra for code in moved)
+
+
+def test_a_loaded_search_replays_nothing_and_gives_the_same_bits(monkeypatch):
+    # a program loaded from its JSON holds equal but distinct objects: they
+    # form no run, so every unitary instruction is dispatched, and the run
+    # gives the bits of the built program, whose body replays
+    program = standard_circuit(GameInstance(64, 5))
+    loaded = CircuitProgram.from_json(program.to_json())
+    assert program._plan.repeats and not loaded._plan.repeats
+    dispatched = []
+    apply = circuit_ir._Segment.apply
+    monkeypatch.setattr(circuit_ir._Segment, "apply", lambda segment, instr: dispatched.append(instr) or apply(segment, instr))
+    got = run(loaded, np.random.default_rng(3))
+    assert dispatched == list(loaded.instructions[:-1])
+    monkeypatch.undo()
+    expected = run(program, np.random.default_rng(3))
+    assert got.records == expected.records
+    assert np.array_equal(as_bits(got.state_at_tag("pre")), as_bits(expected.state_at_tag("pre")))
 
 
 @st.composite

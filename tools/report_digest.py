@@ -136,7 +136,10 @@ USAGE = (
 
 
 # Program files for defer-check: one per discipline, written from
-# period_circuit(build_periodic(4, 3), discipline).to_json(); then one per
+# period_circuit(build_periodic(4, 3), discipline).to_json(); a loaded
+# search, standard_circuit(GameInstance(64, 5)).to_json(), whose repeated
+# body comes back as equal but distinct objects, so no step of it is
+# replayed; then one per
 # document the loader must refuse (a layout that is no object, a string
 # instruction, a missing reg and kind, a fractional qubit count and prepare
 # value, a layout over the ceiling, a measured register dephased), text that
@@ -158,13 +161,17 @@ BAD_FILES = {
 def file_jobs(work: Path) -> list[tuple[str, ...]]:
     """The ``defer-check`` jobs on program files, written into ``work``:
     each valid file deferred, measure-F against skip-F, and skip-F against
-    annihilate-F; then each file of ``BAD_FILES`` and a missing one,
-    deferred, and the order-rule file given as ``--against``."""
+    annihilate-F; the loaded search deferred with X observed; then each
+    file of ``BAD_FILES`` and a missing one, deferred, and the order-rule
+    file given as ``--against``."""
+    from qdesk.grover import GameInstance, standard_circuit
     from qdesk.shor import DISCIPLINES, build_periodic, period_circuit
 
     for discipline in DISCIPLINES:
         doc = period_circuit(build_periodic(4, 3), discipline).to_json()
         (work / f"{discipline}.json").write_text(json.dumps(doc))
+    search = work / "search.json"
+    search.write_text(json.dumps(standard_circuit(GameInstance(64, 5)).to_json()))
     for name, text in BAD_FILES.items():
         (work / f"{name}.json").write_text(text)
     path = {name: str(work / f"{name}.json") for name in [*DISCIPLINES, *BAD_FILES, "missing"]}
@@ -173,6 +180,7 @@ def file_jobs(work: Path) -> list[tuple[str, ...]]:
         *(("defer-check", "--circuit", path[d], "--auto-defer", "--json") for d in DISCIPLINES),
         ("defer-check", "--circuit", early, "--against", skip, "--json"),
         ("defer-check", "--circuit", skip, "--against", annihilate, "--observed", "X", "--json"),
+        ("defer-check", "--circuit", str(search), "--auto-defer", "--observed", "X", "--json"),
         *(("defer-check", "--circuit", path[name], "--auto-defer", "--json") for name in [*BAD_FILES, "missing"]),
         ("defer-check", "--circuit", early, "--against", path["dephase-after-measure"], "--json"),
     ]
