@@ -73,11 +73,9 @@ the node before it, and a node's distribution is its register's marginal,
 reduced in the written-out order with the zero terms of the rows left out,
 divided by that probability.  A register held as rows is written out into
 its axis, zero at the values its rows miss, by one routine: for a full
-state (a tagged or final one), for a dephasing of it, and before a later
-gate that touches it.  Where that gate comes in the oracle's own segment,
-or the segment ends at a state that is only read whole
-(``unitary_prefix``, a tag's, the final one), the oracle writes its
-output's axis at once instead.  Within a segment, a Hadamard (or a
+state (a tagged or final one, ``unitary_prefix``'s), for a dephasing of
+it, and before a later gate that touches it, in the oracle's own segment
+or a later one.  Within a segment, a Hadamard (or a
 "uniform" or "minus" prepare) on a fixed register holds it in the Hadamard
 basis: the register stays out of the buffer until another gate touches it,
 so an XOR oracle into it is a sign flip on the inputs (phase kickback,
@@ -99,11 +97,10 @@ transform maps real amplitudes to real ones, so a segment with no
 Fourier transform (all of a drawer search) whose start has every
 imaginary part +0 runs on a float64 buffer of the real parts and writes
 complex128 out at its end, but for a lone one-qubit register held in the
-Hadamard basis where the segment ends at a draw: the slice keeps it held,
-as a sign on the float64 buffer, and a reduction reads the buffer's
-squares doubled (|a|^2 + |-a|^2), so a drawer search never writes its
-kickback register out unless a full state is read.  Every other slice and
-every handed-out state is complex128.
+Hadamard basis: the slice keeps it held, as a sign on the float64 buffer,
+and a reduction reads the buffer's squares doubled (|a|^2 + |-a|^2), so a
+drawer search never writes its kickback register out unless a full state
+is read.  Every other slice and every handed-out state is complex128.
 
 A segment pays per distinct instruction, not per iteration.  It reads the
 plan's facts for its slice of the program by bisection, where it would scan
@@ -605,11 +602,11 @@ class _Slice:
     holds its register this way, one row per branch, and an oracle its
     output, one row per value it takes.
 
-    A segment that ends at a draw may leave one one-qubit register ``held``
-    in the Hadamard basis at its value w, as a sign: it is neither fixed nor
-    free, and stands for the buffer at y = 0 and (-1)^w times it at y = 1.
-    Only such a slice may hold float64 amplitudes.  ``_written_out`` writes
-    it out into complex128 where anything but a reduction reads it."""
+    A segment may leave one one-qubit register ``held`` in the Hadamard
+    basis at its value w, as a sign: it is neither fixed nor free, and
+    stands for the buffer at y = 0 and (-1)^w times it at y = 1.  Only such a
+    slice may hold float64 amplitudes.  ``_written_out`` writes it out into
+    complex128 where anything but a reduction reads it."""
 
     layout: RegisterLayout
     fixed: Mapping[str, int]
@@ -637,7 +634,7 @@ def _written_out(s: _Slice) -> _Slice:
     """``s`` with its held register written out into complex128 by the
     broadcast a segment's end writes it with, so the bits are those of a
     segment that never kept it held."""
-    return _Segment(s, holds=False).finish(keep=False) if s.held else s
+    return _Segment(s, holds=False).finish() if s.held else s
 
 
 def _branch_index(values: tuple[int, ...], reg: str, value: int) -> int:
@@ -747,13 +744,11 @@ class _Segment:
     * an XOR oracle with a fixed input XORs the constant f(input) into its
       free output register;
     * an XOR oracle from a free input into a fixed output v moves each
-      amplitude of input x to the value v XOR f(x).  Where no later
-      instruction of the segment touches the output and the segment may
-      hold rows, the output is held as rows: one row per value f takes XOR
-      v, ascending, the innermost batch axis, and the slice the segment ends
-      at holds them.  Otherwise the amplitudes go straight into the
-      output's axis.  An instruction that touches a register held as rows,
-      in a later segment, writes its rows out first;
+      amplitude of input x to the value v XOR f(x), held as rows: one row
+      per value f takes XOR v, ascending, the innermost batch axis, and the
+      slice the segment ends at holds them.  An instruction that touches a
+      register held as rows, in this segment or a later one, writes its
+      rows out first;
     * a Hadamard (or a "uniform" or "minus" prepare) holds the register at
       its value w: the register stays out of the buffer, which is scaled by
       2^(-q/2), and stands for the signs (-1)^popcount(w & y) times the
@@ -765,21 +760,20 @@ class _Segment:
     * any other gate on a held register writes it out first, as the
       broadcast of its signs times the buffer, bit for bit the butterflies'
       result; a Fourier transform writes out every held register, and so
-      does the segment's end;
+      does the segment's end, but for a lone one-qubit one;
     * any other gate frees the fixed registers it touches as one-hot axes
       first.
 
     A real segment, one with no Fourier transform whose start has every
     imaginary part bitwise +0, runs on a float64 copy of the real parts, and
     every buffer it allocates takes that dtype; at its end the held
-    registers are written out straight into complex128 (``finish``), but
-    for a lone one-qubit one that a draw reads, and a segment that holds
-    none ends with one ``astype``.  The real parts are then those of
-    the same kernels on float64 full states, and every imaginary part is
-    +0.  A start with a -0 imaginary part runs on complex128: that sign
-    would be lost in float64, and complex products carry it into real
-    parts: times a real scale's +0 imaginary part it makes -0, and
-    subtracting that from a -0 real product makes +0.
+    registers are written out straight into complex128 (``finish``), but for
+    a lone one-qubit one, and a segment that holds none ends with one
+    ``astype``.  The real parts are then those of the same kernels on float64
+    full states, and every imaginary part is +0.  A start with a -0 imaginary
+    part runs on complex128: that sign would be lost in float64, and complex
+    products carry it into real parts: times a real scale's +0 imaginary
+    part it makes -0, and subtracting that from a -0 real product makes +0.
 
     A held buffer is bit for bit the y = 0 row that the full-state kernels
     leave, and every other row is its exact negation or copy.  Two facts
@@ -807,9 +801,6 @@ class _Segment:
         self.holds = holds
         self.held = set(start.held)  # the fixed registers held in the Hadamard basis
         self.rows = start.rows  # the registers held as rows, and their values
-        self.holds_rows = False  # whether an oracle may hold its output as rows
-        self.instrs: Sequence[Prepare | GateOp] = ()
-        self.at = 0  # the index in ``instrs`` of the instruction applied
 
     def writable(self) -> np.ndarray:
         if not self.owned:
@@ -903,22 +894,12 @@ class _Segment:
                 step()
                 return step
         else:
-            value, free = self.fixed.pop(out_reg), self.free
-            later = self.instrs[self.at + 1 :]
-            if self.holds_rows and not any(out_reg in touched_registers(i) for i in later):
-                values, column = np.unique(f.values ^ value, return_inverse=True)
-                left, d, right = free.axis_shape(in_reg)
-                source = self.work.reshape(-1, left, d, right)
-                target = np.zeros((source.shape[0], values.size, left, d, right), dtype=source.dtype)
-                target.transpose(1, 3, 0, 2, 4)[column, np.arange(d)] = source.transpose(2, 0, 1, 3)
-                self.rows += ((out_reg, tuple(values.tolist())),)
-            else:
-                names, self.free = free.names, _widened(self.layout, free, out_reg)
-                source = np.moveaxis(self.work.reshape([-1] + [self.layout.dim(n) for n in names]), 1 + names.index(in_reg), 0)
-                names = self.free.names
-                target = np.zeros([source.shape[1]] + [self.layout.dim(n) for n in names], dtype=source.dtype)
-                moved = np.moveaxis(target, (1 + names.index(in_reg), 1 + names.index(out_reg)), (0, 1))
-                moved[np.arange(f.values.size), f.values ^ value] = source
+            values, column = np.unique(f.values ^ self.fixed.pop(out_reg), return_inverse=True)
+            left, d, right = self.free.axis_shape(in_reg)
+            source = self.work.reshape(-1, left, d, right)
+            target = np.zeros((source.shape[0], values.size, left, d, right), dtype=source.dtype)
+            target.transpose(1, 3, 0, 2, 4)[column, np.arange(d)] = source.transpose(2, 0, 1, 3)
+            self.rows += ((out_reg, tuple(values.tolist())),)
             self.work, self.owned = target.reshape(-1), True
         return _nothing
 
@@ -957,9 +938,8 @@ class _Segment:
         step()
         return step
 
-    def run(self, instrs: Sequence[Prepare | GateOp], repeats: Runs, fourier: bool, rows: bool, lock: bool = True) -> _Slice:
-        """Apply ``instrs`` in order, an oracle free to hold its output as
-        rows where ``rows`` says so, on a float64 copy of the real parts
+    def run(self, instrs: Sequence[Prepare | GateOp], repeats: Runs, fourier: bool, lock: bool = True) -> _Slice:
+        """Apply ``instrs`` in order, on a float64 copy of the real parts
         where the segment is real (``fourier`` says whether one of them is
         a Fourier transform); the slice it ends at is ``finish``'s.
 
@@ -971,14 +951,12 @@ class _Segment:
         come back under the same configuration, so they would resolve to
         the same steps: the rest of the run replays the body's kept steps,
         with no dispatch and no look at the configuration."""
-        self.instrs, self.holds_rows = instrs, rows
         if not fourier and not self.work.imag.view(np.uint64).any():
             self.work, self.owned = self.work.real.copy(), True
         kept: list[Step | None] = []  # each instruction's step, None where it changed the configuration
         changed = -1  # the last instruction that changed it
         for a, p, b in repeats + ((len(instrs), 1, len(instrs)),):  # then the instructions after the last run
             for i in range(len(kept), b):
-                self.at = i
                 if i >= a + p and changed < i - p:  # a whole body since the last change
                     steps = (kept[i - p : i] * (1 + (b - i) // p))[: b - i]
                     for step in steps:
@@ -989,16 +967,16 @@ class _Segment:
                 kept.append(self.apply(instrs[i]))
                 if not (self.work is work and self.fixed == fixed and self.held == held):
                     kept[i], changed = None, i
-        return self.finish(keep=rows, lock=lock)
+        return self.finish(lock)
 
-    def finish(self, keep: bool, lock: bool = True) -> _Slice:
-        """The slice the segment ends at.  Where ``keep`` says so and the
+    def finish(self, lock: bool = True) -> _Slice:
+        """The slice the segment ends at.  Where the segment holds and the
         one register held is one qubit, it stays held, on the buffer as it
         is; every other held register is written out into complex128, and a
         float64 buffer that holds none is made complex128.  The buffer is
         made read-only, unless it is the segment's own and ``lock`` is
         false."""
-        lone = keep and len(self.held) == 1 and self.layout.qubits(min(self.held)) == 1
+        lone = self.holds and len(self.held) == 1 and self.layout.qubits(min(self.held)) == 1
         held = {reg: self.fixed.pop(reg) for reg in self.held} if lone else {}
         self.held -= held.keys()
         for reg in sorted(self.held):
@@ -1009,7 +987,7 @@ class _Segment:
         return _Slice(self.layout, self.fixed, self.free, self.work, rows=self.rows, held=held)
 
 
-def _advance(start: _Slice, instrs: _Span | Sequence[Instruction], rows: bool = True, lock: bool = True) -> _Slice:
+def _advance(start: _Slice, instrs: _Span | Sequence[Instruction], lock: bool = True) -> _Slice:
     """``start`` with the unitary instructions of a program's span
     (``CircuitProgram._span``) applied in order as one segment: one that
     holds registers where it can, unless an underflow makes it rerun
@@ -1019,9 +997,7 @@ def _advance(start: _Slice, instrs: _Span | Sequence[Instruction], rows: bool = 
     ``start``'s amplitudes in place when they are writeable, a fresh
     gather's that nothing else holds, or a segment's left writeable without
     ``lock``: every other slice returned here is read-only.  One that may
-    hold copies them first, since an underflow reruns it from ``start``.
-    Without ``rows`` no oracle holds its output as rows: a slice that is
-    only written out would hold them beside the written-out state."""
+    hold copies them first, since an underflow reruns it from ``start``."""
     if not isinstance(instrs, _Span):
         instrs = CircuitProgram(start.layout, tuple(instrs))._span(0, len(instrs))
     unitary, fourier, repeats = instrs
@@ -1032,12 +1008,12 @@ def _advance(start: _Slice, instrs: _Span | Sequence[Instruction], rows: bool = 
     if start.fixed:  # only a fixed register can be held
         try:
             with np.errstate(under="raise"):
-                return _Segment(start, holds=True).run(unitary, repeats, fourier, rows, lock)
+                return _Segment(start, holds=True).run(unitary, repeats, fourier, lock)
         except FloatingPointError:
             pass
     segment = _Segment(start, holds=False)
     segment.owned = start.amps.flags.writeable
-    return segment.run(unitary, repeats, fourier, rows, lock)
+    return segment.run(unitary, repeats, fourier, lock)
 
 
 def _projection_weight(s: _Slice, reg: str, outcome: int) -> float:
@@ -1141,12 +1117,9 @@ class _BranchWalk:
         that take one of their values.  Each unitary segment between it and
         the boundary runs as one ``_Segment``, ended by a node's gather of
         the one branch or by the boundary; no kept state is ever written.
-        The state at a boundary that draws nothing (a tag's, or the final
-        one) is read only as a full state, so its last segment holds no
-        rows.  A segment also ends at each of the inert dephasings
-        ``stops`` whose marginal is not yet memoised, which is memoised
-        there; its state is not kept, and the next segment writes its buffer
-        in place."""
+        A segment also ends at each of the inert dephasings ``stops`` whose
+        marginal is not yet memoised, which is memoised there; its state is
+        not kept, and the next segment writes its buffer in place."""
         chain = self._chain
         while True:
             start, taken, state = chain[-1]
@@ -1170,7 +1143,7 @@ class _BranchWalk:
                 break
             state = _gather(_advance(state, self.program._span(start, i)), self.instructions[i].reg, (path[k],))
             k, start = k + 1, i + 1
-        state = _advance(state, self.program._span(start, boundary), rows=boundary in self.plan.draws)
+        state = _advance(state, self.program._span(start, boundary))
         chain.append((boundary, path, state))
         return state
 
@@ -1211,13 +1184,21 @@ class _BranchWalk:
         was gathered from where ``free`` says so: a block of drawn values
         keeps that state for the values no trial drew, which an enumeration
         expands from it.  A visible dephasing's branches are left to
-        ``marginal``, one at a time."""
+        ``marginal``, one at a time, and so are those of a block whose rows
+        differ in realness before a segment with gates but no Fourier
+        transform: each branch runs in float64 or complex128 as it does
+        alone."""
         i, j = self.nodes[k], self.nodes[k + 1]
         values = [v for v in values if (j, path + (v,)) not in self._marginals]
         if isinstance(self.instructions[i], Dephase) or not values:
             return
         weights = self.marginal(i, path)[values]
-        gathered = _advance(_gather(self.state(i, path), self.instructions[i].reg, values), self.program._span(i + 1, j))
+        gathered, span = _gather(self.state(i, path), self.instructions[i].reg, values), self.program._span(i + 1, j)
+        if span.instrs and not span.fourier:
+            real = ~gathered.amps.imag.reshape(len(values), -1).view(np.uint64).any(axis=1)
+            if real.any() != real.all():
+                return
+        gathered = _advance(gathered, span)
         if free and len(self._chain) > 1 and self._chain[-1][:2] == (i, path):
             self._chain.pop()  # the state the rows were gathered from, freed before they are reduced
         self._chain.append((j, path, gathered))
@@ -1407,7 +1388,7 @@ def _prefix(program: CircuitProgram, stop: int) -> _Slice:
     draws = program._plan.draws
     if draws and draws[0] < stop:
         raise RewriteNotApplicableError(f"{program.instructions[draws[0]]!r} before boundary {stop}; not unitary")
-    return _advance(_start_slice(program.layout, None), program._span(0, stop), rows=False)
+    return _advance(_start_slice(program.layout, None), program._span(0, stop))
 
 
 def unitary_prefix(program: CircuitProgram, stop: int | str) -> PureState:

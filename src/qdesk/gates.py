@@ -165,14 +165,9 @@ class FunctionTable(_XorTable):
 
     def has_period(self, q: int) -> bool:
         """Whether f(x + q) = f(x) for every x where both sides are defined,
-        so every q >= 2^input_bits is one: the classical check of a period
-        candidate, for q >= 1.  The entry f(q) = f(0) settles most q at
-        once; the full comparison is made once per q and kept with the
-        table."""
-        if q >= len(self.table):
-            return True
-        if self.table[q] != self.table[0]:
-            return False
+        so every q >= 2^input_bits is one, both sides then empty: the
+        classical check of a period candidate, for q >= 1.  The comparison
+        is made once per q and kept with the table."""
         if q not in self._periods:
             self._periods[q] = bool(np.array_equal(self.values[q:], self.values[:-q]))
         return self._periods[q]

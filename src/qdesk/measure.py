@@ -132,9 +132,7 @@ class MeasurementRecord:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        doc = {"register": self.register, "outcome": self.outcome, "probability": self.probability}
-        doc["seed"] = self.seed
-        return doc
+        return {"register": self.register, "outcome": self.outcome, "probability": self.probability, "seed": self.seed}
 
 
 def record_lines(
@@ -163,7 +161,9 @@ def _summed_squares(block: np.ndarray, axis: int) -> np.ndarray:
     out the values their register does not take, sum as the written-out
     state does.  numpy adds the leading axis of a reduction one slice at a
     time, so the squares are laid out with the axes after ``axis`` first
-    (numpy adds eight or more terms along the innermost axis pairwise)."""
+    (numpy adds eight or more terms along the innermost axis pairwise).  An
+    axis of one value, a register held as one row, would leave the summed
+    axes innermost, so its squares are accumulated one term after another."""
     rows, d = block.shape[0], block.shape[axis]
     left, right = prod(block.shape[1:axis]), prod(block.shape[axis + 1 :])
     if right > 1:
@@ -171,6 +171,8 @@ def _summed_squares(block: np.ndarray, axis: int) -> np.ndarray:
     squares = np.abs(block, order="C")
     squares **= 2
     squares = squares.reshape(right, rows, left, d)
+    if d == 1:
+        return np.add.accumulate(np.add.accumulate(squares, axis=0)[-1], axis=1)[:, -1]
     squares = np.add.reduce(squares, axis=0) if right > 1 else squares[0]
     return squares[:, 0] if left == 1 else squares.sum(axis=1)
 

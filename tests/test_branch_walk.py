@@ -218,6 +218,14 @@ class TestSample:
         assert sample(program, sampled, trials, initial=initial) == expected
         assert sampled.bit_generator.state == rng.bit_generator.state
 
+    def test_a_program_with_no_measurement_samples_empty_records(self):
+        # every trial draws nothing: no records, and the generator is untouched
+        program = CircuitProgram(RegisterLayout.of(X=2), (Prepare("X", "uniform"), GateOp("qft", reg="X")))
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        assert sample(program, rng, 4) == [()] * 4 == [run(program, np.random.default_rng(5)).records for _ in range(4)]
+        assert rng.bit_generator.state == before
+
     def test_zero_trials_apply_no_instruction(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a state was computed")

@@ -369,6 +369,35 @@ class TestBackdateOutcome:
         direct = project(state_after_oracle(inst), ProjectionOperator("F", 1))
         assert compare_up_to_global_phase(backdated, direct).value < 1e-12
 
+    def test_backdates_across_every_non_fourier_inverse(self):
+        # between t2 and t4: a "minus" prepare, whose inverse is the Hadamard
+        # then the bit flip; an XOR oracle kicking back into it; a Hadamard;
+        # an oracle that reads F, which commutes with F's projection; and a
+        # diffusion.  Each but the prepare is its own inverse.
+        period = FunctionTable(3, 2, [x % 3 for x in range(8)])
+        kick = FunctionTable(3, 1, (0, 1, 1, 0, 1, 0, 0, 1))
+        layout = RegisterLayout.of(X=3, F=2, K=1)
+        program = CircuitProgram(
+            layout,
+            (
+                Prepare("X", "uniform"),
+                GateOp("oracle-xor", in_reg="X", out_reg="F", table=period),
+                Prepare("K", "minus"),
+                GateOp("oracle-xor", in_reg="X", out_reg="K", table=kick),
+                GateOp("hadamard", reg="X"),
+                GateOp("oracle-xor", in_reg="F", out_reg="K", table=FunctionTable(2, 1, (0, 1, 1, 0))),
+                GateOp("grover-diffusion", reg="X"),
+                Measure("F"),
+                Measure("X"),
+            ),
+            {"t2": 2},
+        )
+        t2 = unitary_prefix(program, "t2")
+        for v in range(3):
+            backdated = backdate_outcome(program, ("F", v))
+            direct = project(t2, ProjectionOperator("F", v))
+            assert compare_up_to_global_phase(backdated, direct).value < 1e-12
+
     def test_zero_probability_outcome_is_degenerate(self):
         program = period_circuit(build_periodic(2, 2), "skip-F")
         with pytest.raises(DegenerateStateError):

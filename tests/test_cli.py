@@ -707,6 +707,20 @@ class TestCliContract:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_a_failing_check_is_listed_beside_the_others_and_exits_1(self, capsys, monkeypatch):
+        def broken():
+            raise ValueError("no such law")
+
+        checks = [("first law", lambda: None), ("broken law", broken), ("last law", lambda: None)]
+        monkeypatch.setitem(selftest.SUITES, "cost", lambda rng: checks)
+        code, out, _ = run_cli(capsys, ["cost", "--selftest"])
+        assert code == 1
+        assert out.splitlines() == [
+            "PASS [cost] first law",
+            "FAIL [cost] broken law (ValueError: no such law)",
+            "PASS [cost] last law",
+        ]
+
 
 def run_any(capsys, argv):
     """Exit code, stdout and stderr of one ``main`` call, usage errors included."""

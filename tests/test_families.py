@@ -17,11 +17,12 @@ entry of the enumerated array.
 
 import contextlib
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdesk import (
@@ -255,6 +256,50 @@ def family_programs(draw):
     return CircuitProgram(layout, tuple(instrs)), observed, initial
 
 
+def one_valued_program(order):
+    """R2 held as one row, f being 0 on both inputs, then measured after R0:
+    its marginal on each R0 branch is a sum of R1's eight squares, which
+    numpy would add pairwise over the held register's lone value."""
+    sizes = {"R0": 1, "R1": 3, "R2": 1}
+    instrs = (
+        (Prepare("R0", "uniform"),) * 3
+        + (GateOp("oracle-xor", in_reg="R0", out_reg="R2", table=FunctionTable(1, 1, (0, 0))), Measure("R0"))
+        + (Prepare("R1", "uniform"), Measure("R2"), Measure("R1"))
+    )
+    return CircuitProgram(RegisterLayout(tuple((name, sizes[name]) for name in order)), instrs), ("R2",), None
+
+
+def mixed_realness_program():
+    """R0's branches 4 and 5 have every imaginary part +0 before the
+    diffusion, and 6 and 7 do not: each branch alone runs its diffusion in
+    float64 or complex128, not the block's one dtype."""
+    table = FunctionTable(3, 2, (0, 0, 0, 0, 0, 0, 1, 1))
+    instrs = (
+        Prepare("R0", "uniform"),
+        GateOp("oracle-xor", in_reg="R0", out_reg="R1", table=table),
+        GateOp("qft", reg="R1"),
+        GateOp("hadamard", reg="R0"),
+        GateOp("hadamard", reg="R0"),
+        Measure("R0"),
+        GateOp("grover-diffusion", reg="R1"),
+        Measure("R1"),
+        Measure("R2"),
+    )
+    return CircuitProgram(RegisterLayout.of(R0=3, R1=2, R2=1), instrs), ("R1",), None
+
+
+def pinned(**given):
+    """A test with the two programs above as examples, the first in every
+    layout order, each with the other arguments ``given``."""
+
+    def pin(test):
+        for order in itertools.permutations(("R0", "R1", "R2")):
+            test = example(case=one_valued_program(order), **given)(test)
+        return example(case=mixed_realness_program(), **given)(test)
+
+    return pin
+
+
 def node_paths(walk):
     """Every (node index, path) of a walk's tree, depth first."""
     stack = [()]
@@ -268,6 +313,7 @@ def node_paths(walk):
 class TestBitForBit:
     @settings(max_examples=200, deadline=None)
     @given(case=family_programs())
+    @pinned()
     def test_enumeration_is_the_child_by_child_expansion(self, case):
         program, observed, initial = case
         got = circuit_ir._enumerate(program, observed, initial)
@@ -276,6 +322,7 @@ class TestBitForBit:
 
     @settings(max_examples=150, deadline=None)
     @given(case=family_programs(), split=st.integers(0, 3))
+    @pinned(split=0)
     def test_node_distributions_are_the_child_by_child_ones(self, case, split):
         # every node above the last is expanded in two families, its first
         # ``split`` support values and then the rest

@@ -189,6 +189,17 @@ class TestFunctionTable:
         with pytest.raises(AttributeError):
             tables[0].missing
 
+    def test_has_period_at_and_past_the_input_range_and_off_f_of_0(self):
+        # f has period 3 on 0..7: every q >= 8 compares two empty slices,
+        # and a q with f(q) != f(0) is no period
+        f = FunctionTable(3, 2, (0, 1, 2, 0, 1, 2, 0, 1))
+        assert f.has_period(3) and f.has_period(6)
+        assert f.has_period(8) and f.has_period(9) and f.has_period(100)
+        assert not f.has_period(1) and not f.has_period(2) and not f.has_period(4)
+        # f(5) = f(0) with no period 5: the full comparison decides
+        g = FunctionTable(3, 1, (0, 1, 1, 1, 1, 0, 1, 0))
+        assert not g.has_period(5) and g.has_period(8)
+
     def test_table_keeps_its_own_copy(self):
         entries = np.array([0, 1, 2, 3])
         f = FunctionTable(2, 2, entries)

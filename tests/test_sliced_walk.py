@@ -632,11 +632,12 @@ def as_bits(state):
 
 def assert_held_rows(start, instrs):
     """Run ``instrs`` as a holding segment, one at a time, and check after
-    each that the buffer is bit for bit the full state at the fixed
-    registers' values and at 0 in every held register, signed zeros
-    included; stop where a product underflows, where such a segment reruns
-    without holding.  A real segment runs on the float64 view, as ``run``
-    starts it, and so does the reference."""
+    each that the buffer, its registers held as rows written out, is bit
+    for bit the full state at the fixed registers' values and at 0 in every
+    register held in the Hadamard basis, signed zeros included; stop where
+    a product underflows, where such a segment reruns without holding.  A
+    real segment runs on the float64 view, as ``run`` starts it, and so
+    does the reference."""
     layout = start.layout
     segment = circuit_ir._Segment(start, holds=True)
     real = real_segment(instrs, start.amps)
@@ -648,13 +649,16 @@ def assert_held_rows(start, instrs):
                 segment.apply(instr)
         except FloatingPointError:
             return
+        free, rows, work = segment.free, segment.rows, segment.work
+        while rows:
+            free, rows, work = circuit_ir._write_rows(layout, free, rows, rows[-1][0], work)
         full = run_unitaries(start.state(), instrs[:k], real).amplitudes
         at = {**segment.fixed, **dict.fromkeys(segment.held, 0)}
         row = full.reshape([layout.dim(name) for name in layout.names])[
             tuple(at.get(name, slice(None)) for name in layout.names)
         ]
         row = np.ascontiguousarray(row.real if real else row)
-        assert np.array_equal(segment.work.view(np.uint64), row.reshape(-1).view(np.uint64))
+        assert np.array_equal(work.view(np.uint64), row.reshape(-1).view(np.uint64))
 
 
 def held_segment(start, data):

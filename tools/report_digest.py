@@ -7,19 +7,20 @@ Runs every job of rounds 0 and 1 at workload seed 0 of each workload in
 ``perfbench/jobs.py``, then the fixed ``ceiling`` jobs at the 20-qubit
 sizes the workloads stop short of, then the ``files`` jobs, ``defer-check``
 on program files, in this process through ``qdesk.cli.main``, with stdout
-captured.  Every ``shor`` and ``grover`` job also writes
-``--dump-state``, and every ``shor`` job writes ``--records``.  Every
-``shor`` and ``grover`` job then runs a second time as the workload gives
-it, without the added files: the route the benchmark times.  Last come the
-``usage`` jobs, run once each: argvs that end in help or a usage error,
-some with a bad seed in the environment (leading ``NAME=value`` words, as
-on a shell line).  Every job runs with ``COLUMNS=80``, the width argparse
-wraps its help and usage to.  One JSON line per run gives its argv, its
-exit code (1 for an exception that escapes ``main``, as a traceback exits;
-the traceback is printed to this script's stderr), and the sha256 of its
-stdout, of its stderr, of its dumped state, of its full records file, and
-of the records' (register, outcome) sequence alone; temporary paths read
-``<tmp>`` in the argv and the stderr.
+captured.  Every ``shor`` and ``grover`` job also writes ``--dump-state``,
+and every ``shor`` job writes ``--records``.  Every ``shor`` and ``grover``
+job then runs a second time as the workload gives it, without the added
+files: the route the benchmark times.  Then come the ``usage`` jobs, run
+once each: argvs that end in help or a usage error, some with a bad seed in
+the environment (leading ``NAME=value`` words, as on a shell line), and
+last the ``selftest`` jobs, each subcommand's ``--selftest --seed 3``
+listing, run once each.  Every job runs with ``COLUMNS=80``, the width
+argparse wraps its help and usage to.  One JSON line per run gives its argv,
+its exit code (1 for an exception that escapes ``main``, as a traceback
+exits; the traceback is printed to this script's stderr), and the sha256 of
+its stdout, of its stderr, of its dumped state, of its full records file,
+and of the records' (register, outcome) sequence alone; temporary paths
+read ``<tmp>`` in the argv and the stderr.
 
 ``--src`` imports qdesk from another checkout's ``src``, so one copy of
 this script digests two versions of the program; ``diff`` the two outputs
@@ -32,9 +33,9 @@ report field: the command (with its ``--variant`` and ``--discipline``),
 the field (``exit``, ``stdout.<key>``, ``stderr``, ``dump_state``,
 ``records.<key>``; ``[]`` stands for every list index), how many of the
 command's reports it moved in, and its largest absolute move, or
-``changed`` where a value that is no number differs.  A ``usage`` job is
-its own command, labelled with its whole argv.  Then each command with its
-count of byte-identical reports.
+``changed`` where a value that is no number differs.  A ``usage`` or
+``selftest`` job is its own command, labelled with its whole argv.  Then
+each command with its count of byte-identical reports.
 """
 
 from __future__ import annotations
@@ -158,6 +159,14 @@ BAD_FILES = {
 }
 
 
+# Each subcommand's ``--selftest`` listing at seed 3: its checks run routes
+# that no report runs (``project``, ``backdate_outcome``), so the listing is
+# digested like a report.
+SELFTEST = tuple(
+    (command, "--selftest", "--seed", "3") for command in ("shor", "grover", "game", "defer-check", "cost", "mixture-check")
+)
+
+
 def file_jobs(work: Path) -> list[tuple[str, ...]]:
     """The ``defer-check`` jobs on program files, written into ``work``:
     each valid file deferred, measure-F against skip-F, and skip-F against
@@ -275,6 +284,8 @@ def all_runs(work: Path, main):
             yield workload, index, run_job(argv, work, main, add_files=False)
     for argv in USAGE:
         yield "usage", 0, run_job(argv, work, main, add_files=False)
+    for argv in SELFTEST:
+        yield "selftest", 0, run_job(argv, work, main, add_files=False)
 
 
 def keep(workload: str, run: dict, where: Path, k: int) -> None:
@@ -346,8 +357,8 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
         workload, argv, old = _fields(old_dir, k)
         _, new_argv, new = _fields(new_dir, k)
         assert argv == new_argv, (argv, new_argv)
-        if workload == "usage":
-            label = f"usage [{' '.join(argv)}]"
+        if workload in ("usage", "selftest"):
+            label = f"{workload} [{' '.join(argv)}]"
         else:
             label = " ".join([argv[0]] + [f"{flag} {argv[argv.index(flag) + 1]}" for flag in ("--variant", "--discipline") if flag in argv])
         same = all((old_dir / f"{k}.{x}").read_bytes() == (new_dir / f"{k}.{x}").read_bytes()
