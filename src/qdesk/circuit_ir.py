@@ -51,41 +51,44 @@ of doubles, so ``sample`` draws a block of trials as one array of uniforms
 and looks each measurement's outcomes up in its memoised cumulative sums,
 one vectorised lookup per branch.
 
-Branches are undivided rows.  A walk state is a register slice: fixed
-registers -> basis value, and the amplitudes over the free registers.  The
-start |0...0> fixes every register, a value prepare changes a fixed value
-and touches no amplitude, an XOR oracle whose input is fixed XORs the
-constant f(input) into its output, and one whose output is fixed at v
-moves each input amplitude to v XOR f(x); any other gate on a fixed
-register expands it into a one-hot axis first.  This is implicit
-measurement (Nielsen & Chuang 4.4) applied to the walk: no later gate
-touches a measured register, so no later gate mixes the branches of its
-values, and the walk holds it as rows, one row of the other registers'
-amplitudes per value, a batch axis that every kernel runs on at once.  The
-same holds for an oracle's fixed output until a gate touches it again, so
-the walk holds it as rows from that oracle on, one row per value it takes,
-leaving out the values f never takes.  A measurement's branches are the
-rows of its register, gathered by one routine: a selection of the rows of
-a register already held, one slice of the axis of a free one; a
-projection is the one-row case.  No amplitude is divided: a branch's
-squared norm is its path probability, read off the undivided marginal of
-the node before it, and a node's distribution is its register's marginal,
-reduced in the written-out order with the zero terms of the rows left out,
-divided by that probability.  A register held as rows is written out into
-its axis, zero at the values its rows miss, by one routine: for a full
-state (a tagged or final one, ``unitary_prefix``'s), for a dephasing of
-it, and before a later gate that touches it, in the oracle's own segment
-or a later one.  Within a segment, a Hadamard (or a
-"uniform" or "minus" prepare) on a fixed register holds it in the Hadamard
-basis: the register stays out of the buffer until another gate touches it,
-so an XOR oracle into it is a sign flip on the inputs (phase kickback,
-Cleve et al. 1998) and a drawer search's diffusion runs on the search
-register alone.  A full ``PureState`` is built only where one is handed
-out, divided by the square root of its path probability then: ``run``'s
-tagged states and its final state when first read, ``unitary_prefix``,
-``backdate_outcome``, ``apply_instruction`` and ``project``.  ``run`` also
-returns the distribution each record was drawn from, so a caller that wants
-an outcome's probability reads the walk's own instead of a second marginal.
+Branches are undivided rows.  A walk state is a register slice: the
+registers held as rows, each with its values, and the amplitudes over the
+free registers, one vector per joint value of the rows.  A register with
+one basis value is held as one row.  The start |0...0> holds every register
+so, a value prepare changes a one-row value and touches no amplitude, an
+XOR oracle whose input is one row XORs the constant f(input) into its
+output, and one whose output is one row at v moves each input amplitude to
+v XOR f(x); any other gate on a one-row register expands it into a one-hot
+axis first.  This is implicit measurement (Nielsen & Chuang 4.4) applied to
+the walk: no later gate touches a measured register, so no later gate
+mixes the branches of its values, and the walk holds it as rows, one row of
+the other registers' amplitudes per value, a batch axis that every kernel
+runs on at once.  The same holds for an oracle's output until a gate
+touches it again, so the walk holds it as rows from that oracle on, one row
+per value it takes, leaving out the values f never takes.  A measurement's
+branches are the rows of its register, gathered by one routine: a
+selection of the rows of a register held as rows, one slice of the axis of
+a free one; a projection is the one-row case.  No amplitude is divided: a
+branch's squared norm is its path probability, read off the undivided
+marginal of the node before it, and a node's distribution is its
+register's marginal, reduced in the written-out order with the zero terms
+of the rows left out, one row or many, divided by that probability.  A
+dephasing phases a register where it lies, its rows or its axis.  A
+register held as rows is written out into its axis, zero at the values its
+rows miss, by one routine: for a full state (a tagged or final one,
+``unitary_prefix``'s), and before a later gate that touches it, in the
+oracle's own segment or a later one.  Within a segment, a Hadamard (or a
+"uniform" or "minus" prepare) on a one-row register holds it in the
+Hadamard basis: the register stays out of the buffer until another gate
+touches it, so an XOR oracle into it is a sign flip on the inputs (phase
+kickback, Cleve et al. 1998) and a drawer search's diffusion runs on the
+search register alone.  A full ``PureState`` is built only where one is
+handed out, divided by the square root of its path probability then:
+``run``'s tagged states and its final state when first read,
+``unitary_prefix``, ``backdate_outcome``, ``apply_instruction`` and
+``project``.  ``run`` also returns the distribution each record was drawn
+from, so a caller that wants an outcome's probability reads the walk's own
+instead of a second marginal.
 
 Unitary segments on the free registers run in place, and every unitary
 route is a segment.  Wherever a state is computed, the gates between two
@@ -106,7 +109,7 @@ A segment pays per distinct instruction, not per iteration.  It reads the
 plan's facts for its slice of the program by bisection, where it would scan
 its instructions: which of them are unitary, and whether one is a Fourier
 transform.  It replays a repeated body: an instruction that leaves the
-buffer, the fixed values and the held registers as it found them (a kick
+buffer, the one-row values and the held registers as it found them (a kick
 into a held register, a kernel on free registers) keeps its resolved step,
 the kernel bound to its views of the buffer.  In one of the plan's runs,
 once a whole body has been dispatched since that configuration last
@@ -512,7 +515,7 @@ def _inverse(instr: Prepare | GateOp) -> tuple[Prepare | GateOp, ...]:
 def apply_instruction(state: PureState, instr: Prepare | GateOp) -> PureState:
     """Apply one unitary instruction (Prepare or GateOp) to a state: the
     instruction is checked as a one-instruction program, then run as a
-    segment on a slice with nothing fixed."""
+    segment on a slice with every register free."""
     if not isinstance(instr, (Prepare, GateOp)):
         raise ProgramError(f"cannot apply non-unitary instruction {instr!r}")
     return _advance(_start_slice(state.layout, state), (instr,)).state()
@@ -588,28 +591,25 @@ def _write_rows(
 
 @dataclass(frozen=True)
 class _Slice:
-    """A walk state as a product: every fixed register holds the basis value
-    ``fixed`` gives it, and ``amps`` is the flat, read-only amplitude vector
-    over the ``free`` registers, in layout order (one amplitude when every
-    register is fixed and ``free`` is None).
-
-    Registers may be held as rows instead: ``rows`` names each, outermost
-    first, with its ascending values, and ``amps`` holds one vector over the
-    ``free`` registers per joint value of them, back to back: the
-    amplitudes where they hold those values, never divided.  A held
-    register is neither fixed nor free; its rows are a batch axis that
-    every kernel on the other registers runs on at once.  A measurement
-    holds its register this way, one row per branch, and an oracle its
-    output, one row per value it takes.
+    """A walk state as a product of registers held as rows and free ones:
+    ``rows`` names each register held as rows, outermost first, with its
+    ascending values, and ``amps`` is the flat, read-only amplitude vector
+    over the ``free`` registers, in layout order, for each joint value of
+    them, back to back: the amplitudes where they hold those values, never
+    divided (one amplitude per joint value where ``free`` is None).  A
+    register held as rows is not free; its rows are a batch axis that every
+    kernel on the other registers runs on at once.  A register with one
+    basis value is held as one row: the start |0...0> holds every register
+    so.  A measurement holds its register as one row per branch, and an
+    oracle its output, one row per value it takes.
 
     A segment may leave one one-qubit register ``held`` in the Hadamard
-    basis at its value w, as a sign: it is neither fixed nor free, and
-    stands for the buffer at y = 0 and (-1)^w times it at y = 1.  Only such a
-    slice may hold float64 amplitudes.  ``_written_out`` writes it out into
-    complex128 where anything but a reduction reads it."""
+    basis at its value w, as a sign: it is neither held as rows nor free,
+    and stands for the buffer at y = 0 and (-1)^w times it at y = 1.  Only
+    such a slice may hold float64 amplitudes.  ``_written_out`` writes it out
+    into complex128 where anything but a reduction reads it."""
 
     layout: RegisterLayout
-    fixed: Mapping[str, int]
     free: RegisterLayout | None
     amps: np.ndarray
     rows: Rows = field(default=(), kw_only=True)
@@ -618,13 +618,11 @@ class _Slice:
     def state(self, weight: float = 1.0) -> PureState:
         """The full state divided by the square root of ``weight``, the
         branch's path probability: a held register written out, the
-        amplitudes divided once, then each register held as rows and each
-        fixed one, as one row at its value, written out into its axis, every
-        other amplitude zero.  With nothing fixed or held and a weight of 1,
-        the same buffer."""
+        amplitudes divided once, then each register held as rows written out
+        into its axis, every other amplitude zero.  With no rows, nothing
+        held and a weight of 1, the same buffer."""
         s = _written_out(self)
-        free, amps = s.free, s.amps if weight == 1.0 else s.amps / np.sqrt(weight)
-        rows = s.rows + tuple((reg, (v,)) for reg, v in s.fixed.items())
+        free, rows, amps = s.free, s.rows, s.amps if weight == 1.0 else s.amps / np.sqrt(weight)
         while rows:
             free, rows, amps = _write_rows(s.layout, free, rows, rows[-1][0], amps)
         return PureState._adopt(s.layout, amps)
@@ -637,93 +635,90 @@ def _written_out(s: _Slice) -> _Slice:
     return _Segment(s, holds=False).finish() if s.held else s
 
 
-def _branch_index(values: tuple[int, ...], reg: str, value: int) -> int:
-    """The position of ``value`` among a register's ascending row values; a
-    value outside them has zero probability."""
-    j = bisect_left(values, value)
-    if j == len(values) or values[j] != value:
-        raise DegenerateStateError(f"projection on {reg}={value} has zero probability")
-    return j
+def _register_block(s: _Slice, reg: str, values: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """``reg``'s ``(left, values, right)`` block of a slice's amplitudes and
+    the index of each of ``values`` along its middle axis: its rows where it
+    is held as rows, the rows before it the left axis and a value outside
+    them of zero probability, or its axis where it is free, every row on the
+    left axis."""
+    names = [name for name, _ in s.rows]
+    if reg not in names:
+        _, d, right = s.free.axis_shape(reg)
+        if not all(0 <= v < d for v in values):
+            raise ValueError(f"outcomes {values} out of range for register {reg!r}")
+        return s.amps.reshape(-1, d, right), list(values)
+    k = names.index(reg)
+    held = s.rows[k][1]
+    at = [bisect_left(held, v) for v in values]
+    missing = [v for j, v in zip(at, values) if j == len(held) or held[j] != v]
+    if missing:
+        raise DegenerateStateError(f"projection on {reg}={missing[0]} has zero probability")
+    return s.amps.reshape(prod(len(v) for _, v in s.rows[:k]), len(held), -1), at
 
 
 def _gather(s: _Slice, reg: str, values: Sequence[int]) -> _Slice:
     """The branches where ``reg`` holds each of ``values`` (ascending), as
     a fresh copy with ``reg`` held as their rows, outermost, and nothing
-    divided: a fixed register has one row, the slice's own amplitudes, or
-    zero probability; a register held as rows gives a selection of its
-    rows; a free register gives one slice of its axis.  A measurement's
-    branches, and a projection, the one-row case, are this gather; the
-    copy is what a segment from them writes in place.  A held register
-    stays held, unless it is ``reg``, which is written out first."""
+    divided: a selection of its rows where it is held as rows, one slice of
+    its axis where it is free.  A measurement's branches, and a projection,
+    the one-row case, are this gather; the copy is what a segment from them
+    writes in place.  A held register stays held, unless it is ``reg``,
+    which is written out first."""
     s = _written_out(s) if reg in s.held else s
     values = tuple(values)
-    fixed, free, rows = dict(s.fixed), s.free, s.rows
-    if reg in fixed:
-        value = fixed.pop(reg)
-        at, block = [_branch_index((value,), reg, v) for v in values], s.amps.reshape(1, 1, -1)
-    elif reg in dict(rows):
-        k = [name for name, _ in rows].index(reg)
-        at = [_branch_index(rows[k][1], reg, v) for v in values]
-        block = s.amps.reshape(prod(len(v) for _, v in rows[:k]), len(rows[k][1]), -1)
-        rows = rows[:k] + rows[k + 1 :]
-    else:
-        _, d, right = free.axis_shape(reg)
-        if not all(0 <= v < d for v in values):
-            raise ValueError(f"outcomes {values} out of range for register {reg!r}")
-        at, block = list(values), s.amps.reshape(-1, d, right)
-        free = _sublayout(s.layout, frozenset(free.names) - {reg})
+    block, at = _register_block(s, reg, values)
     amps = np.ascontiguousarray(block.transpose(1, 0, 2)[at]).reshape(-1)
-    return _Slice(s.layout, fixed, free, amps, rows=((reg, values),) + rows, held=s.held)
+    rows = ((reg, values),) + tuple(entry for entry in s.rows if entry[0] != reg)
+    free = _sublayout(s.layout, frozenset(s.free.names if s.free else ()) - {reg})
+    return _Slice(s.layout, free, amps, rows=rows, held=s.held)
 
 
-def _marginals(s: _Slice, reg: str, weights: Sequence[float]) -> np.ndarray:
+def _marginals(s: _Slice, reg: str, branches: int) -> np.ndarray:
     """``reg``'s undivided outcome probabilities in each branch a slice
     holds, one row each, by ``measure``'s in-order reduction: the branches
-    are the rows of the outermost register held as rows when ``weights``,
-    their path probabilities, are several, and the whole slice otherwise.
-    A fixed register is certain: its value carries the branch's weight.
-    Every other register held as rows is reduced in the written-out order,
-    its axis holding only the values of its rows: the terms left out are
-    exact zeros, so every probability is the written-out state's to the
-    bit.
+    are the rows of the outermost register held as rows when they are
+    several, and the whole slice otherwise.  A register held as rows is
+    reduced in the written-out order, its axis holding only the values of
+    its rows: the terms left out are exact zeros, so every probability is
+    the written-out state's to the bit, that of a register held as one row
+    included (``_summed_squares`` adds its squares one after another).
+    Any other register held as one row is a unit axis, left out.
 
     Where a register is held as a sign and ``reg`` is the only free
     register, with no other held as rows, each written-out probability adds
     exactly two nonzero terms, |a|^2 and |-a|^2 = a^2: it is the buffer's
     own probability doubled, to the bit.  Any other slice with a register
     held as a sign is written out first."""
-    if reg in s.fixed:
-        probs = np.zeros((len(weights), s.layout.dim(reg)))
-        probs[:, s.fixed[reg]] = weights
-        return probs
-    held = dict(s.rows[1:] if len(weights) > 1 else s.rows)
+    rows = s.rows[1:] if branches > 1 else s.rows
+    held = {name: values for name, values in rows if len(values) > 1 or name == reg}
     if s.held and (held or getattr(s.free, "names", ()) != (reg,)):
         s = _written_out(s)
     if not held:
-        probs = _summed_squares(s.amps.reshape(len(weights), *s.free.axis_shape(reg)), 2)
+        probs = _summed_squares(s.amps.reshape(branches, *s.free.axis_shape(reg)), 2)
         return np.add(probs, probs, out=probs) if s.held else probs
     free = s.free.names if s.free else ()
     names = [name for name in s.layout.names if name in held or name in free]
     shape = [len(values) for values in held.values()] + [s.layout.dim(name) for name in free]
-    block = s.amps.reshape([len(weights)] + shape)
+    block = s.amps.reshape([branches] + shape)
     block = np.moveaxis(block, range(1, 1 + len(held)), [1 + names.index(name) for name in held])
     probs = _summed_squares(block, 1 + names.index(reg))
     if reg not in held:
         return probs
-    out = np.zeros((len(weights), s.layout.dim(reg)))
+    out = np.zeros((branches, s.layout.dim(reg)))
     out[:, list(held[reg])] = probs
     return out
 
 
 def _start_slice(layout: RegisterLayout, initial: PureState | None) -> _Slice:
-    """|0...0> with every register fixed, or ``initial`` with none fixed."""
+    """|0...0> with every register held as one row at 0, or ``initial``
+    with every register free."""
     if initial is None:
         one = np.ones(1, dtype=np.complex128)
         one.setflags(write=False)
-        return _Slice(layout, dict.fromkeys(layout.names, 0), None, one)
+        return _Slice(layout, None, one, rows=tuple((name, (0,)) for name in layout.names))
     if initial.layout != layout:
         raise ShapeMismatchError("initial state and program must share a register layout")
-    return _Slice(layout, {}, layout, initial.amplitudes)
+    return _Slice(layout, layout, initial.amplitudes)
 
 
 def _has_negative_zero(work: np.ndarray) -> bool:
@@ -733,11 +728,13 @@ def _has_negative_zero(work: np.ndarray) -> bool:
 
 
 class _Segment:
-    """One unitary segment run on a slice.  Gates on free registers run
-    through ``gates``' in-place kernels on one work buffer, copied from the
-    slice's amplitudes the first time a kernel writes; gates on fixed
-    registers change a value, hold the register in the Hadamard basis, or
-    free it into a new buffer:
+    """One unitary segment run on a slice.  The registers the slice holds as
+    one row are the segment's fixed ones, by value, and those still fixed at
+    its end are held as one row again.  Gates on free registers run through
+    ``gates``' in-place kernels on one work buffer, copied from the slice's
+    amplitudes the first time a kernel writes; gates on fixed registers
+    change a value, hold the register in the Hadamard basis, or free it into
+    a new buffer:
 
     * a value prepare XORs the value, and an XOR oracle whose input and
       output are both fixed XORs f(input) into the output's value;
@@ -794,13 +791,14 @@ class _Segment:
 
     def __init__(self, start: _Slice, holds: bool):
         self.layout = start.layout
-        self.fixed = {**start.fixed, **start.held}
+        # the registers held as one row, by value, and those held as a sign
+        self.fixed = {reg: values[0] for reg, values in start.rows if len(values) == 1} | start.held
         self.free = start.free
         self.work = start.amps
         self.owned = False
         self.holds = holds
         self.held = set(start.held)  # the fixed registers held in the Hadamard basis
-        self.rows = start.rows  # the registers held as rows, and their values
+        self.rows = tuple(entry for entry in start.rows if len(entry[1]) > 1)  # the others held as rows
 
     def writable(self) -> np.ndarray:
         if not self.owned:
@@ -984,20 +982,23 @@ class _Segment:
         if not held and self.work.dtype != np.complex128:
             self.work, self.owned = self.work.astype(np.complex128), True
         self.work.setflags(write=not lock and self.owned)
-        return _Slice(self.layout, self.fixed, self.free, self.work, rows=self.rows, held=held)
+        rows = self.rows + tuple((reg, (value,)) for reg, value in self.fixed.items())
+        return _Slice(self.layout, self.free, self.work, rows=rows, held=held)
 
 
 def _advance(start: _Slice, instrs: _Span | Sequence[Instruction], lock: bool = True) -> _Slice:
     """``start`` with the unitary instructions of a program's span
     (``CircuitProgram._span``) applied in order as one segment: one that
     holds registers where it can, unless an underflow makes it rerun
-    without holding.  Instructions given as a sequence are checked and
-    planned as a program of their own first; its measurements and
-    dephasings are skipped.  A segment that holds nothing writes
-    ``start``'s amplitudes in place when they are writeable, a fresh
-    gather's that nothing else holds, or a segment's left writeable without
-    ``lock``: every other slice returned here is read-only.  One that may
-    hold copies them first, since an underflow reruns it from ``start``."""
+    without holding.  Only a register held as one row can be held, so a
+    start with none runs a segment that holds nothing.  Instructions given
+    as a sequence are checked and planned as a program of their own first;
+    its measurements and dephasings are skipped.  A segment that holds
+    nothing writes ``start``'s amplitudes in place when they are writeable,
+    a fresh gather's that nothing else holds, or a segment's left writeable
+    without ``lock``: every other slice returned here is read-only.  One
+    that may hold copies them first, since an underflow reruns it from
+    ``start``."""
     if not isinstance(instrs, _Span):
         instrs = CircuitProgram(start.layout, tuple(instrs))._span(0, len(instrs))
     unitary, fourier, repeats = instrs
@@ -1005,7 +1006,7 @@ def _advance(start: _Slice, instrs: _Span | Sequence[Instruction], lock: bool = 
         start.amps.setflags(write=False)
         return start
     start = _written_out(start) if start.held else start
-    if start.fixed:  # only a fixed register can be held
+    if any(len(values) == 1 for _, values in start.rows):
         try:
             with np.errstate(under="raise"):
                 return _Segment(start, holds=True).run(unitary, repeats, fourier, lock)
@@ -1019,7 +1020,7 @@ def _advance(start: _Slice, instrs: _Span | Sequence[Instruction], lock: bool = 
 def _projection_weight(s: _Slice, reg: str, outcome: int) -> float:
     """The probability of ``outcome`` on a normalised slice, the squared
     norm of its projection there; one below ``PROB_EPS`` is zero."""
-    weight = float(_marginals(s, reg, (1.0,))[0, outcome])
+    weight = float(_marginals(s, reg, 1)[0, outcome])
     if weight < PROB_EPS:
         raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
     return weight
@@ -1037,20 +1038,14 @@ def project(state: PureState, p: ProjectionOperator) -> PureState:
 
 def _dephase_slice(s: _Slice, reg: str, values: Sequence[int], phases: np.ndarray) -> _Slice:
     """The slice with one phase on each listed value of ``reg``, through
-    ``measure``'s kernel, which multiplies every amplitude of a fixed
-    register's one value by its phase factor.  A register held as rows is
-    written out first; the other rows join the kernel's left axis."""
+    ``measure``'s kernel on the register's block where it lies: a register
+    held as rows keeps them, each row times its value's phase factor, and
+    every row of another value zeroed, as its written-out axis would be."""
     s = _written_out(s)
-    free, rows, amps = s.free, s.rows, s.amps
-    if reg in dict(rows):
-        free, rows, amps = _write_rows(s.layout, free, rows, reg, amps)
-    if reg in s.fixed:  # its one value is the middle axis's only entry
-        block, values = amps.reshape(-1, 1, 1), [0]
-    else:
-        block = amps.reshape(-1, *free.axis_shape(reg)[1:])
-    amps = _dephase(block, values, phases).reshape(-1)
+    block, at = _register_block(s, reg, values)
+    amps = _dephase(block, at, phases).reshape(-1)
     amps.setflags(write=False)
-    return _Slice(s.layout, s.fixed, free, amps, rows=rows)
+    return _Slice(s.layout, s.free, amps, rows=s.rows)
 
 
 class _BranchWalk:
@@ -1127,8 +1122,9 @@ class _BranchWalk:
             if start <= boundary and path[:k] == taken:
                 if k == len(self.nodes) or self.nodes[k] >= start:
                     break
-                if len(path) > k and path[k] in state.rows[0][1]:
-                    state, k = _gather(state, state.rows[0][0], (path[k],)), k + 1
+                reg = self.instructions[self.nodes[k]].reg
+                if len(path) > k and path[k] in dict(state.rows).get(reg, ()):
+                    state, k = _gather(state, reg, (path[k],)), k + 1
                     break
             chain.pop()
         if start == boundary:
@@ -1136,7 +1132,7 @@ class _BranchWalk:
         for i in sorted(stops):  # each on the root path, before the first node
             if start <= i < boundary and (i, ()) not in self._marginals:
                 state = _advance(state, self.program._span(start, i), lock=False)
-                self._marginals[i, ()] = _marginals(state, self.instructions[i].reg, (1.0,))[0]
+                self._marginals[i, ()] = _marginals(state, self.instructions[i].reg, 1)[0]
                 start = i
         for i in self.nodes[k:]:
             if i >= boundary:
@@ -1162,7 +1158,7 @@ class _BranchWalk:
         key = (index, path)
         if key not in self._marginals:
             state = self.state(index, path)
-            self._marginals[key] = _marginals(state, self.instructions[index].reg, (self.weight(path),))[0]
+            self._marginals[key] = _marginals(state, self.instructions[index].reg, 1)[0]
         return self._marginals[key]
 
     def distribution(self, index: int, path: tuple[int, ...]) -> OutcomeDistribution:
@@ -1192,7 +1188,6 @@ class _BranchWalk:
         values = [v for v in values if (j, path + (v,)) not in self._marginals]
         if isinstance(self.instructions[i], Dephase) or not values:
             return
-        weights = self.marginal(i, path)[values]
         gathered, span = _gather(self.state(i, path), self.instructions[i].reg, values), self.program._span(i + 1, j)
         if span.instrs and not span.fourier:
             real = ~gathered.amps.imag.reshape(len(values), -1).view(np.uint64).any(axis=1)
@@ -1202,7 +1197,7 @@ class _BranchWalk:
         if free and len(self._chain) > 1 and self._chain[-1][:2] == (i, path):
             self._chain.pop()  # the state the rows were gathered from, freed before they are reduced
         self._chain.append((j, path, gathered))
-        for v, probs in zip(values, _marginals(gathered, self.instructions[j].reg, weights)):
+        for v, probs in zip(values, _marginals(gathered, self.instructions[j].reg, len(values))):
             self._marginals[j, path + (v,)] = probs
 
     def trial(self, rng: np.random.Generator, tags: Mapping[str, int] | None = None) -> tuple[
@@ -1250,7 +1245,7 @@ class _BranchWalk:
                 continue
             instr = instrs[i]
             if own:
-                marginal = _marginals(carried[1], instr.reg, (weight,))[0]
+                marginal = _marginals(carried[1], instr.reg, 1)[0]
                 dist = OutcomeDistribution(instr.reg, marginal / weight)
             else:
                 marginal, dist = self.marginal(i, path), self.distribution(i, path)

@@ -364,7 +364,7 @@ class TestSampledArrays:
         # branches, a row per path
         calls = []
         real = circuit_ir._marginals
-        monkeypatch.setattr(circuit_ir, "_marginals", lambda *a: calls.append(len(a[2])) or real(*a))
+        monkeypatch.setattr(circuit_ir, "_marginals", lambda *a: calls.append(a[2]) or real(*a))
         program = period_circuit(build_periodic(4, 5), discipline)
         records = sample(program, np.random.default_rng(7), 200)
         paths = {tuple(r.outcome for r in trial[:k]) for trial in records for k in range(len(trial))}

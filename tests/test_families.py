@@ -72,43 +72,41 @@ def born_project(state, reg, outcome):
 def write_out(s, reg):
     """The slice with one register held as rows written out into its axis."""
     free, rows, amps = circuit_ir._write_rows(s.layout, s.free, s.rows, reg, s.amps)
-    return circuit_ir._Slice(s.layout, s.fixed, free, amps, rows=rows)
+    return circuit_ir._Slice(s.layout, free, amps, rows=rows)
 
 
 def project_one(s, reg, outcome):
     """The replaced projection: ``born_filter`` on the slice's free
-    registers, one branch at a time, undivided, the register fixed.  A
-    register held as rows, or in the Hadamard basis, is written out first;
-    rows held beside the projected register join the left axis of its block
-    and stay held."""
+    registers, one branch at a time, undivided, the register then held as
+    one row.  A register held as one row is already that branch, or one of
+    zero probability.  A register held as several rows, or in the Hadamard
+    basis, is written out first; rows held beside the projected register
+    join the left axis of its block and stay held."""
     s = circuit_ir._written_out(s)
-    if reg in dict(s.rows):
-        s = write_out(s, reg)
-    if reg in s.fixed:
-        if s.fixed[reg] != outcome:
+    values = dict(s.rows).get(reg, ())
+    if len(values) == 1:
+        if values != (outcome,):
             raise DegenerateStateError(f"projection on {reg}={outcome} has zero probability")
         return s
+    if values:
+        s = write_out(s, reg)
     _, d, right = s.free.axis_shape(reg)
     amps = filter_block(s.amps.reshape(-1, d, right), reg, outcome).reshape(-1)
     amps.setflags(write=False)
     free = circuit_ir._sublayout(s.layout, frozenset(s.free.names) - {reg})
-    return circuit_ir._Slice(s.layout, {**s.fixed, reg: outcome}, free, amps, rows=s.rows)
+    return circuit_ir._Slice(s.layout, free, amps, rows=s.rows + ((reg, (outcome,)),))
 
 
-def marginal_one(s, reg, weight):
+def marginal_one(s, reg):
     """The replaced reduction, undivided: |amplitude|^2 of one branch's
     ``(left, d, right)`` view summed over all but the register axis, one
     term after another along ``right``, then one line after another along
-    ``left``.  A fixed register carries the branch's whole ``weight``.
-    Every register held as rows, or in the Hadamard basis, is written out
-    first."""
+    ``left``.  Every register held as rows, one row included, or in the
+    Hadamard basis, is written out first."""
     s = circuit_ir._written_out(s)
     while s.rows:
         s = write_out(s, s.rows[-1][0])
     probs = np.zeros(s.layout.dim(reg))
-    if reg in s.fixed:
-        probs[s.fixed[reg]] = weight
-        return probs
     for line in np.abs(s.amps.reshape(s.free.axis_shape(reg))) ** 2:
         total = np.zeros(len(probs))
         for column in line.T:
@@ -158,7 +156,7 @@ class ChildByChildWalk:
     def marginal(self, index, path):
         key = (index, path)
         if key not in self._marginals:
-            self._marginals[key] = marginal_one(self.state(index, path), self.instructions[index].reg, self.weight(path))
+            self._marginals[key] = marginal_one(self.state(index, path), self.instructions[index].reg)
         return self._marginals[key]
 
     def distribution(self, index, path):
@@ -227,9 +225,9 @@ def family_programs(draw):
     from |0...0> or, one time in four, from a random state.
 
     The first measured register is spread by gates that leave the last one
-    untouched, so that register is still fixed after the first measurement,
-    where a Hadamard or a "uniform" or "minus" prepare opens a hold on it
-    and an oracle may kick back into it.  A dephasing that a later gate sees
+    untouched, so that register is still held as one row at 0 after the
+    first measurement, where a Hadamard or a "uniform" or "minus" prepare
+    opens a hold on it and an oracle may kick back into it.  A dephasing that a later gate sees
     may sit between the first and the second measurement.  A random
     non-empty subset of the registers is observed, so an early measurement
     is often summed out.

@@ -88,7 +88,7 @@ class TestStandardGame:
             assert probs[hidden] == pytest.approx(closed_form, abs=1e-10)
             assert probs[hidden] >= 0.9
 
-    @pytest.mark.parametrize("drawers", [1 << bits for bits in range(2, 17)])
+    @pytest.mark.parametrize("drawers", [1 << bits for bits in range(2, 20)])
     def test_hit_probability_is_the_forty_digit_closed_form(self, drawers):
         # sin^2((2m + 1) theta), sin(theta) = 1/sqrt(drawers), at 40 digits
         _, transcript = run_standard_grover(GameInstance(drawers, drawers // 3), np.random.default_rng(0))

@@ -1,7 +1,8 @@
 """The sliced branch walk against the full-state walk it replaced.
 
-``circuit_ir``'s walk holds every branch as fixed register values times an
-amplitude tensor over the free registers.  The reference kept here is the
+``circuit_ir``'s walk holds every branch as registers held as rows, a
+register with one value as one row, times an amplitude tensor over the free
+registers.  The reference kept here is the
 walk that carried every branch as a full state: the same chain, memoised
 distributions and trials, with each unitary segment run on the whole state
 and each projection zero-filling it, and the trial that carried two states
@@ -10,11 +11,11 @@ states.  Neither divides a branch: a distribution is its undivided marginal
 divided by the branch's path probability, the marginal of the node before
 it at its value, and a tagged or final state is divided by its square root
 where it is read.  The random programs
-start from |0...0> (every register fixed) or from a random state, and gate,
-prepare, dephase and query registers that are still fixed, so each of the
-slice's rules runs: value prepares, Hadamards that hold a register in the
-Hadamard basis, oracles with a fixed input or output or into a held output,
-and gates that expand a register.
+start from |0...0> (every register held as one row) or from a random state,
+and gate, prepare, dephase and query registers that still have one value,
+so each of the slice's rules runs: value prepares, Hadamards that hold a
+register in the Hadamard basis, oracles with a one-valued input or output
+or into a held output, and gates that expand a register.
 """
 
 import collections
@@ -25,6 +26,7 @@ import io
 import json
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -54,7 +56,7 @@ from qdesk import circuit_ir, gates, grover
 from qdesk.circuit_ir import _BranchWalk, enumerate_outcome_distribution
 from qdesk.cli import main
 from qdesk.errors import ShapeMismatchError
-from qdesk.measure import MeasurementRecord, OutcomeDistribution, _dephase, _summed_squares, born_sample
+from qdesk.measure import MeasurementRecord, OutcomeDistribution, _dephase, _summed_squares, born_sample, outcome_distribution
 from test_families import born_project
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -266,7 +268,7 @@ def sliced_programs(draw, ops=OPS):
 
     The body prepares values, "uniform" and "minus", runs every gate kind,
     both oracles, dephasings and measurements on any unmeasured register,
-    fixed or not; every register still unmeasured after it is measured at
+    one-valued or not; every register still unmeasured after it is measured at
     the end, and a random non-empty subset of the measured ones is observed.
     With ``ops`` the body draws only those operations; with ``REAL_OPS`` no
     gate is a Fourier transform and nothing dephases, and the random start
@@ -492,7 +494,7 @@ def unitary_steps(draw, layout, regs, count, oracles=True):
 @st.composite
 def held_output_programs(draw, fate):
     """A program from |0...0> on 2-3 registers in which an XOR oracle from
-    a spread input I into an output O still fixed holds O as rows: no later
+    a spread input I into an output O still one-valued holds O as rows: no later
     instruction of the oracle's segment touches O.  Gates on the other
     registers follow it, and O is then, by ``fate``:
 
@@ -600,10 +602,10 @@ class TestOracleOutputHeldAsRows:
 
 @st.composite
 def slices(draw):
-    """A slice on 2-3 registers, a random subset of them fixed at random
-    values, whose free amplitudes mix random values with signed zeros; one
-    time in two every imaginary part is +0, a start a segment with no
-    Fourier transform runs in float64."""
+    """A slice on 2-3 registers, a random subset of them held as one row at
+    random values, whose free amplitudes mix random values with signed
+    zeros; one time in two every imaginary part is +0, a start a segment
+    with no Fourier transform runs in float64."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     layout = RegisterLayout(tuple((f"R{i}", q) for i, q in enumerate(sizes)))
     fixed = {}
@@ -623,7 +625,7 @@ def slices(draw):
     if draw(st.booleans()):
         amps.imag = 0.0
     amps.setflags(write=False)
-    return circuit_ir._Slice(layout, fixed, free, amps)
+    return circuit_ir._Slice(layout, free, amps, rows=tuple((name, (v,)) for name, v in fixed.items()))
 
 
 def as_bits(state):
@@ -633,7 +635,7 @@ def as_bits(state):
 def assert_held_rows(start, instrs):
     """Run ``instrs`` as a holding segment, one at a time, and check after
     each that the buffer, its registers held as rows written out, is bit
-    for bit the full state at the fixed registers' values and at 0 in every
+    for bit the full state at the one-row registers' values and at 0 in every
     register held in the Hadamard basis, signed zeros included; stop where
     a product underflows, where such a segment reruns without holding.  A
     real segment runs on the float64 view, as ``run`` starts it, and so
@@ -663,14 +665,15 @@ def assert_held_rows(start, instrs):
 
 def held_segment(start, data):
     """2-7 unitary instructions on ``start``'s layout whose first one is a
-    prepare or a Hadamard on a fixed register (on any register if none is
-    fixed): prepares and Hadamards hold fixed registers; oracles from
-    fixed, free and held inputs kick back into held outputs (half of them
+    prepare or a Hadamard on a register held as one row (on any register if
+    none is): prepares and Hadamards hold such registers; oracles from
+    one-row, free and held inputs kick back into held outputs (half of them
     target the register last prepared or transformed); diffusions run
     beside them and Fourier transforms write them out."""
     layout = start.layout
     names = layout.names
-    instrs, last = [], data.draw(st.sampled_from(sorted(start.fixed) or names))
+    one_row = sorted(name for name, values in start.rows if len(values) == 1)
+    instrs, last = [], data.draw(st.sampled_from(one_row or names))
     for k in range(data.draw(st.integers(2, 7))):
         reg = last if k == 0 else data.draw(st.sampled_from(names))
         kinds = ["prepare", "hadamard"] + (["oracle", "oracle", "grover-diffusion", "qft"] if k else [])
@@ -699,7 +702,7 @@ class TestSliceRules:
     @settings(max_examples=300, deadline=None)
     @given(start=slices(), data=st.data())
     def test_one_instruction_on_a_slice_is_the_full_state_kernel_bit_for_bit(self, start, data):
-        # Hadamards and "minus" prepares free a fixed register by broadcast,
+        # Hadamards and "minus" prepares free a one-row register by broadcast,
         # oracles scatter or XOR, other gates expand: each must leave the bits
         # the kernel leaves on the full state, signed zeros included
         layout = start.layout
@@ -741,7 +744,7 @@ class TestSliceRules:
         layout = RegisterLayout(registers=(("R0", 2), ("R1", 1)))
         amps = np.array([0.0, complex(-5e-324, -1.0), 0.0, 0.0])
         amps.setflags(write=False)
-        start = circuit_ir._Slice(layout, {"R1": 0}, RegisterLayout(registers=(("R0", 2),)), amps)
+        start = circuit_ir._Slice(layout, RegisterLayout(registers=(("R0", 2),)), amps, rows=(("R1", (0,)),))
         instr = GateOp("grover-diffusion", reg="R0")
         got = circuit_ir._advance(start, [instr]).state()
         expected = run_unitaries(start.state(), [instr], real=True)
@@ -774,7 +777,7 @@ class TestSliceRules:
         amps = np.full(4, amplitude)
         amps[1] = 0.25
         amps.setflags(write=False)
-        start = circuit_ir._Slice(layout, {"C": 1, "F": value}, RegisterLayout.of(X=2), amps)
+        start = circuit_ir._Slice(layout, RegisterLayout.of(X=2), amps, rows=(("C", (1,)), ("F", (value,))))
         table = FunctionTable(2, 1, (0, 1, 1, 0))
         instrs = [
             Prepare("F", "minus"),
@@ -794,7 +797,7 @@ class TestSliceRules:
         layout = RegisterLayout.of(X=2, F=2)
         amps = np.array([-0.5, -5e-324, -0.0, -0.5, -0.5, 0.25, -0.5, 1.0]).view(np.complex128)
         amps.setflags(write=False)
-        start = circuit_ir._Slice(layout, {"F": 2}, RegisterLayout.of(X=2), amps)
+        start = circuit_ir._Slice(layout, RegisterLayout.of(X=2), amps, rows=(("F", (2,)),))
         instrs = [
             GateOp("hadamard", reg="F"),
             GateOp("oracle-xor", in_reg="X", out_reg="F", table=FunctionTable(2, 2, (1, 1, 0, 2))),
@@ -976,10 +979,11 @@ class TestReplayedSteps:
         final = run(body, np.random.default_rng(seed), initial=initial).final_state
         expected = FullStateWalk(body, initial, real=True).trial(np.random.default_rng(seed), {})[2]
         assert np.array_equal(as_bits(final), as_bits(expected))
-        # a register the sliced walk keeps fixed is certain, exactly 1,
-        # where the full state's marginal may read 1 + 2^-52: enumeration
-        # matches the walk with every instruction a fresh object bit for
-        # bit, and the full-state walk within 1e-12
+        # a register the sliced walk holds as one row reads its squares
+        # summed one after another, where the full state's pairwise sum may
+        # differ in the last bit: enumeration matches the walk with every
+        # instruction a fresh object bit for bit, and the full-state walk
+        # within 1e-12
         got = enumerate_outcome_distribution(program, observed, initial)
         fresh = CircuitProgram(program.layout, tuple(map(copy.copy, program.instructions)), program.time_tags)
         assert not any(a is b for a, b in zip(fresh.instructions, program.instructions))
@@ -1015,7 +1019,7 @@ class TestReplayedSteps:
         layout = RegisterLayout.of(X=2, F=1)
         amps = np.array([0.5, 5e-324, -0.5, 0.5]).astype(np.complex128)
         amps.setflags(write=False)
-        start = circuit_ir._Slice(layout, {"F": 1}, RegisterLayout.of(X=2), amps)
+        start = circuit_ir._Slice(layout, RegisterLayout.of(X=2), amps, rows=(("F", (1,)),))
         table = FunctionTable(2, 1, (0, 1, 1, 0))
         body = (GateOp("oracle-xor", in_reg="X", out_reg="F", table=table), GateOp("grover-diffusion", reg="X"))
         instrs = (Prepare("F", "minus"),) + body * 5
@@ -1108,8 +1112,8 @@ def held_sign_programs(draw):
     register X of 1-3 qubits, ends a segment that holds a one-qubit
     register K in the Hadamard basis at w: K is prepared "minus" (w = 1),
     or "uniform" or by a Hadamard (w = 0).  X is prepared "uniform", by a
-    Hadamard or to a value; one time in two a one-qubit register C is fixed
-    at a value, whose oracle into K kicks back all signs or none, and one
+    Hadamard or to a value; one time in two a one-qubit register C is held
+    at a value as one row, whose oracle into K kicks back all signs or none, and one
     time in two a register Y of 1-2 qubits is searched beside X, so X is
     not the only free register there and K is written out for the
     reduction.  The registers come in any layout order.  The body kicks X's
@@ -1239,3 +1243,190 @@ class TestAtTheCeiling:
         # program's 512 X branches
         assert main(["defer-check", "--fig1", "--n", "10", "--r", "512", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["tv_distance"] < 1e-10
+
+
+def written_out_dephasing(s, reg, values, phases, one_row="fixed"):
+    """The replaced dephasing of a slice: a register held as several rows is
+    written out into its axis first, the other rows joining the kernel's
+    left axis; one held as one row has its one value phased as the middle
+    axis's only entry, as a fixed register had (``one_row="fixed"``), or is
+    written out like the others (``"written"``)."""
+    s = circuit_ir._written_out(s)
+    free, rows, amps = s.free, s.rows, s.amps
+    held = dict(rows).get(reg, ())
+    if len(held) == 1 and one_row == "fixed":
+        block, values = amps.reshape(-1, 1, 1), [0]
+    else:
+        if held:
+            free, rows, amps = circuit_ir._write_rows(s.layout, free, rows, reg, amps)
+        block = amps.reshape(-1, *free.axis_shape(reg)[1:])
+    amps = _dephase(block, values, phases).reshape(-1)
+    amps.setflags(write=False)
+    return circuit_ir._Slice(s.layout, free, amps, rows=rows)
+
+
+def spread_table(draw, layout, in_reg, out_reg):
+    """A random XOR table from ``in_reg`` into ``out_reg`` that takes at
+    least two values, so the walk holds its output as several rows."""
+    values = random_table(draw, layout.qubits(in_reg), layout.qubits(out_reg))
+    if len(set(values)) == 1:
+        values[0] ^= 1
+    return FunctionTable(layout.qubits(in_reg), layout.qubits(out_reg), values)
+
+
+DEPHASED = ("outer", "inner", "one-value", "deferred")
+
+
+@st.composite
+def dephased_rows_programs(draw, case):
+    """A program from |0...0> on registers I, A and B, in any layout order,
+    that dephases a register O the walk holds as rows there; returns the
+    program, tagged at every boundary, and O.  By ``case``:
+
+    * ``outer`` and ``inner``: XOR oracles from a spread input I into A and
+      then into B hold both as several rows, A outermost, and O is A or B;
+    * ``one-value``: O is B, prepared at a value or left at 0, one time in
+      two beside A held as several rows;
+    * ``deferred``: O is A, held as several rows, dephased and then
+      measured before gates on I: the register that ``defer_measurements``
+      measures last.
+
+    Gates on I follow the dephasing, one time in two a gate on O that makes
+    it visible (but for ``deferred``), and every register still unmeasured
+    is measured last, in a random order."""
+    sizes = {"I": draw(st.integers(1, 3)), "A": draw(st.integers(1, 2)), "B": draw(st.integers(1, 2))}
+    layout = RegisterLayout(tuple((name, sizes[name]) for name in draw(st.permutations(list(sizes)))))
+    spread = [Prepare("I", "uniform"), GateOp("oracle-xor", in_reg="I", out_reg="A", table=spread_table(draw, layout, "I", "A"))]
+    target = {"outer": "A", "inner": "B", "one-value": "B", "deferred": "A"}[case]
+    instrs = []
+    if case in ("outer", "inner"):
+        instrs = spread + [GateOp("oracle-xor", in_reg="I", out_reg="B", table=spread_table(draw, layout, "I", "B"))]
+    elif case == "one-value":
+        instrs = spread if draw(st.booleans()) else []
+        value = draw(st.integers(0, layout.dim("B") - 1))
+        instrs += [Prepare("B", value)] if value else []
+    else:
+        instrs = spread + unitary_steps(draw, layout, ["B"], 2, oracles=False)
+    instrs += unitary_steps(draw, layout, ["I"], 2, oracles=False) + [Dephase(target)]
+    if case == "deferred":
+        instrs.append(Measure(target))
+    instrs += unitary_steps(draw, layout, ["I"], 3, oracles=False)
+    if case != "deferred" and draw(st.booleans()):
+        instrs.append(GateOp(draw(st.sampled_from(["hadamard", "qft"])), reg=target))
+    measured = {instr.reg for instr in instrs if isinstance(instr, Measure)}
+    instrs += [Measure(name) for name in draw(st.permutations([name for name in sizes if name not in measured]))]
+    tags = {f"b{i}": i for i in range(len(instrs) + 1)}
+    return CircuitProgram(layout, tuple(instrs), tags), target
+
+
+class TestDephasingKeepsItsRows:
+    """A dephasing phases a register held as rows where they lie; a run is
+    bit for bit the run that wrote them out first: its records, every
+    tagged state and its final state."""
+
+    @staticmethod
+    def runs(program, seed, dephase):
+        """A run of ``program`` with ``dephase`` as the walk's dephasing, and
+        the rows of the register each dephasing phased, with its place."""
+        phased = []
+
+        def recording(s, reg, values, phases):
+            phased.append((tuple(entry for entry in s.rows if len(entry[1]) > 1), dict(s.rows).get(reg, ()), reg))
+            return dephase(s, reg, values, phases)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(circuit_ir, "_dephase_slice", recording)
+            trace = run(program, np.random.default_rng(seed))
+            trace.final_state, trace.tagged_states  # built when first read, so read under the patch
+        return trace, phased
+
+    @pytest.mark.parametrize("case", DEPHASED)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_a_run_is_the_write_out_route_bit_for_bit(self, case, data, seed):
+        program, target = data.draw(dephased_rows_programs(case))
+        programs = (program, circuit_ir.defer_measurements(program)) if case == "deferred" else (program,)
+        for candidate in programs:
+            got, phased = self.runs(candidate, seed, circuit_ir._dephase_slice)
+            multi, held, reg = phased[0]
+            assert reg == target and held
+            if case == "outer":
+                assert [name for name, _ in multi] == ["A", "B"]
+            elif case == "inner":
+                assert [name for name, _ in multi][-1] == "B" and len(multi) == 2
+            elif case == "one-value":
+                assert len(held) == 1
+            for one_row in ("fixed", "written"):
+                route = partial(written_out_dephasing, one_row=one_row)
+                expected, _ = self.runs(candidate, seed, route)
+                assert got.records == expected.records
+                for tag, state in got.tagged_states.items():
+                    assert np.array_equal(as_bits(state), as_bits(expected.tagged_states[tag])), tag
+                assert np.array_equal(as_bits(got.final_state), as_bits(expected.final_state))
+
+    def test_an_annihilate_f_final_state_at_n10_peaks_under_20_mib(self):
+        # F's three rows are phased where they lie, and the final state is
+        # the one 2^20-amplitude array (16 MiB) written: writing F out before
+        # its dephasing transformed X over 2^20 strided amplitudes and
+        # peaked at 48.1 MiB
+        program = period_circuit(build_periodic(10, 3), "annihilate-F")
+        tracemalloc.start()
+        try:
+            run(program, np.random.default_rng(0)).final_state
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
+
+
+class TestOneRowMarginal:
+    """A register held as one row is reduced as the written-out state is:
+    its ``_marginals`` is ``outcome_distribution`` of the slice's state, bit
+    for bit."""
+
+    @staticmethod
+    def check(s, reg):
+        assert len(dict(s.rows)[reg]) == 1
+        got = circuit_ir._marginals(s, reg, 1)[0]
+        expected = outcome_distribution(s.state(), reg).probabilities
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @staticmethod
+    def layout(data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        return RegisterLayout(tuple((f"R{i}", q) for i, q in enumerate(sizes)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_register_untouched_since_the_start(self, data):
+        layout = self.layout(data)
+        reg = data.draw(st.sampled_from(layout.names))
+        others = [name for name in layout.names if name != reg]
+        start = circuit_ir._start_slice(layout, None)
+        self.check(circuit_ir._advance(start, unitary_steps(data.draw, layout, others, 6)), reg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_a_gathered_branch_read_again_after_gates_on_other_registers(self, data, seed):
+        # the branch is scaled to norm 1, a state outcome_distribution takes
+        layout = self.layout(data)
+        reg = data.draw(st.sampled_from(layout.names))
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+        start = circuit_ir._start_slice(layout, PureState(layout, amps / np.linalg.norm(amps)))
+        branch = circuit_ir._gather(start, reg, (data.draw(st.integers(0, layout.dim(reg) - 1)),))
+        scaled = branch.amps / np.linalg.norm(branch.amps)
+        scaled.setflags(write=False)
+        branch = circuit_ir._Slice(layout, branch.free, scaled, rows=branch.rows)
+        others = [name for name in layout.names if name != reg]
+        self.check(circuit_ir._advance(branch, unitary_steps(data.draw, layout, others, 6)), reg)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("discipline", ["skip-F", "annihilate-F"])
+    def test_an_r1_oracle_output(self, n, discipline):
+        # f is constant, so the oracle holds F as one row, through the
+        # transform of X
+        program = period_circuit(build_periodic(n, 1), discipline)
+        walk = _BranchWalk(program, None)
+        for boundary in (3, program.time_tags["t4"]):
+            self.check(walk.state(boundary, ()), "F")

@@ -35,7 +35,8 @@ the field (``exit``, ``stdout.<key>``, ``stderr``, ``dump_state``,
 command's reports it moved in, and its largest absolute move, or
 ``changed`` where a value that is no number differs.  A ``usage`` or
 ``selftest`` job is its own command, labelled with its whole argv.  Then
-each command with its count of byte-identical reports.
+each command with its count of byte-identical reports.  It exits 0 when
+every report is byte-identical, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -349,8 +350,9 @@ def _move(old: list | np.ndarray, new: list | np.ndarray) -> float | str | None:
     return float(np.abs(np.subtract(old, new, dtype=np.float64)).max())
 
 
-def compare(old_dir: Path, new_dir: Path) -> list[str]:
-    """The moved fields between two kept runs of the same jobs, as lines."""
+def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], bool]:
+    """The moved fields between two kept runs of the same jobs, as lines,
+    and whether every report is byte-identical."""
     moved: dict[tuple[str, str], list] = defaultdict(list)
     reports: dict[str, list[bool]] = defaultdict(list)
     for k in range(len(list(old_dir.glob("*.json")))):
@@ -377,7 +379,7 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
                      + ", ".join(filter(None, (largest, changed))))
     for label, same in sorted(reports.items()):
         lines.append(f"{label}: {sum(same)} of {len(same)} reports byte-identical")
-    return lines
+    return lines, all(map(all, reports.values()))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -392,8 +394,9 @@ def main(argv: list[str] | None = None) -> int:
             for side, src in sides.items():
                 (Path(tmp) / side).mkdir()
                 subprocess.run([sys.executable, __file__, "--src", str(src), "--keep", str(Path(tmp) / side)], check=True)
-            print("\n".join(compare(Path(tmp) / "old", Path(tmp) / "new")))
-        return 0
+            lines, identical = compare(Path(tmp) / "old", Path(tmp) / "new")
+            print("\n".join(lines))
+        return 0 if identical else 1
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     os.environ["COLUMNS"] = "80"
     sys.dont_write_bytecode = True  # leave no cache files beside jobs.py
